@@ -1,10 +1,11 @@
 //! The application pipelines driven through the serving front-end: a
-//! [`prism_serve::ServeSession`] is a drop-in [`Reranker`], so RAG and
-//! agent-memory run unchanged over the multi-tenant server — and their
-//! results match the same pipeline holding a dedicated engine.
+//! [`ServiceReranker`] over [`PrismServer::service`] is a drop-in
+//! `Reranker`, so RAG and agent-memory run unchanged over the
+//! multi-tenant server — and their results match the same pipeline
+//! holding a dedicated engine.
 
 use prism_apps::corpus::CorpusSpec;
-use prism_apps::{AgentMemory, AgentScenario, Corpus, RagPipeline};
+use prism_apps::{AgentMemory, AgentScenario, Corpus, RagPipeline, ServiceReranker};
 use prism_core::{EngineOptions, PrismEngine};
 use prism_device::DeviceSpec;
 use prism_metrics::MemoryMeter;
@@ -62,7 +63,7 @@ fn rag_pipeline_over_serving_session() {
     let mut rag = RagPipeline::new(
         corpus(&model),
         model.weights.embedding.clone(),
-        srv.session("rag-tenant"),
+        ServiceReranker::new(srv.service("rag-tenant")),
         model.config.max_seq,
         ModelConfig::qwen3_8b(),
         DeviceSpec::a800(),
@@ -98,7 +99,7 @@ fn served_rag_matches_dedicated_engine() {
             let mut rag = RagPipeline::new(
                 corpus(&model),
                 model.weights.embedding.clone(),
-                srv.session("parity"),
+                ServiceReranker::new(srv.service("parity")),
                 model.config.max_seq,
                 ModelConfig::qwen3_8b(),
                 DeviceSpec::a800(),
@@ -147,7 +148,7 @@ fn agent_memory_over_serving_session() {
 
     let mut agent = AgentMemory::new(
         AgentScenario::Video,
-        Some(srv.session("agent-tenant")),
+        Some(ServiceReranker::new(srv.service("agent-tenant"))),
         model.config.vocab_size,
         model.config.max_seq,
         DeviceSpec::a800(),
@@ -179,7 +180,6 @@ fn agent_memory_over_serving_session() {
 #[test]
 fn rag_over_the_facade_matches_dedicated_engine() {
     use prism_api::LocalService;
-    use prism_apps::ServiceReranker;
 
     let (model, path) = fixture("facade");
 

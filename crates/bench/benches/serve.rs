@@ -2,10 +2,11 @@
 //! session-cache replay, on a streamed test-scale engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use prism_api::SelectionService;
 use prism_core::{EngineOptions, PrismEngine, RequestOptions, RequestSpec};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism_serve::{PrismServer, ServeConfig, ServeRequest};
+use prism_serve::{PrismServer, ServeConfig};
 use prism_storage::Container;
 use prism_workload::WorkloadGenerator;
 
@@ -106,7 +107,8 @@ fn bench_server_round_trip(c: &mut Criterion) {
                 .iter()
                 .map(|b| {
                     server
-                        .submit(ServeRequest::new("bench", b.clone(), 4))
+                        .service("bench")
+                        .submit(b.clone(), RequestOptions::top_k(4))
                         .unwrap()
                 })
                 .collect();
@@ -136,10 +138,8 @@ fn bench_server_round_trip(c: &mut Criterion) {
                 .enumerate()
                 .map(|(i, b)| {
                     server
-                        .submit(
-                            ServeRequest::new(format!("bench-{i}"), b.clone(), 4)
-                                .with_options(RequestOptions::tagged(4, 77)),
-                        )
+                        .service(format!("bench-{i}"))
+                        .submit(b.clone(), RequestOptions::tagged(4, 77))
                         .unwrap()
                 })
                 .collect();

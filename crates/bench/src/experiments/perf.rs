@@ -11,6 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use prism_api::SelectionService;
 use prism_core::{
     ComputePrecision, EngineOptions, PrismEngine, RequestOptions, SemCacheMode, SpillPrecision,
 };
@@ -18,8 +19,8 @@ use prism_metrics::MemoryMeter;
 use prism_model::layer::{forward_layer, ForwardScratch};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_serve::{
-    run_closed_loop, ClassReport, LoadReport, LoadSpec, PrismServer, ServeConfig, ServeRequest,
-    ServeStats, ShardFault, ShardSet,
+    run_closed_loop, ClassReport, LoadReport, LoadSpec, PrismServer, ServeConfig, ServeStats,
+    ShardFault, ShardSet,
 };
 use prism_storage::Container;
 use prism_tensor::{igemm, ops, rowq, QuantMatrix, Tensor};
@@ -1156,14 +1157,9 @@ fn sharded_bench(fast: bool) -> ShardedSection {
             let request = generator.request(i, spec.candidates);
             let batch = SequenceBatch::new(&request.sequences()).expect("parity batch");
             let outcome = server
-                .submit(ServeRequest {
-                    session: format!("parity-{i}"),
-                    batch,
-                    options: RequestOptions::tagged(spec.k, i + 1),
-                })
-                .expect("parity submit")
-                .wait()
-                .expect("parity wait");
+                .service(format!("parity-{i}"))
+                .select(batch, RequestOptions::tagged(spec.k, i + 1))
+                .expect("parity select");
             for r in &outcome.selection.ranked {
                 out.push((r.id, r.score.to_bits(), r.decided_at_layer));
             }
@@ -1283,14 +1279,9 @@ fn semcache_bench(fast: bool) -> SemCacheSection {
             let mut options = RequestOptions::tagged(spec.k, i + 1).with_semcache(mode);
             options.pruning = Some(false);
             let outcome = server
-                .submit(ServeRequest {
-                    session: format!("parity-{mode:?}-{i}"),
-                    batch,
-                    options,
-                })
-                .expect("parity submit")
-                .wait()
-                .expect("parity wait");
+                .service(format!("parity-{mode:?}-{i}"))
+                .select(batch, options)
+                .expect("parity select");
             for r in &outcome.selection.ranked {
                 out.push((r.id, r.score.to_bits(), r.decided_at_layer));
             }

@@ -130,7 +130,7 @@ use prism_metasim::{
     simulate_closed_loop_with, tune_for_device, Calibration, ServiceModel, SimFaults, SimReport,
     Simulation,
 };
-use prism_metrics::MemoryMeter;
+use prism_metrics::{exact_quantile, MemoryMeter};
 use prism_model::{Model, ModelConfig, SequenceBatch};
 use prism_serve::{run_closed_loop, LoadReport, LoadSpec, PrismServer, ServeConfig};
 use prism_storage::Container;
@@ -667,14 +667,6 @@ fn sharded_engines(
         .collect()
 }
 
-fn exact_percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Drives the closed-loop workload through out-of-process [`WireClient`]
 /// connections, so measured latencies include frame encode/decode and
 /// the socket hop. Returns `(sorted latencies us, errors, ping RTT)`.
@@ -773,9 +765,9 @@ fn write_wire_summary(
     let _ = writeln!(
         out,
         "latency us: p50 {}  p95 {}  p99 {}  max {}  mean {mean_us:.0}",
-        exact_percentile(latencies, 0.50),
-        exact_percentile(latencies, 0.95),
-        exact_percentile(latencies, 0.99),
+        exact_quantile(latencies, 0.50),
+        exact_quantile(latencies, 0.95),
+        exact_quantile(latencies, 0.99),
         latencies.last().copied().unwrap_or(0),
     );
 }

@@ -20,6 +20,13 @@
 //! of a scheduler batch. Each request's own computation is performed in
 //! exactly the order the single-request path uses, so batched results are
 //! bit-identical to sequential ones.
+//!
+//! Ownership: this module owns the *physical* side of a selection —
+//! chunks, spill pipeline, weight acquisition, meter bytes, latency
+//! spans, cancellation and deadlines. The *score-level* side (active and
+//! accepted sets, the gate decision, the routing trace, final ranking)
+//! is owned by [`crate::scatter::ScatterGate`]; every [`ActiveRequest`]
+//! embeds one and only ever hands it scores and reads back keep-masks.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,11 +47,11 @@ use prism_tensor::igemm::RowQuantBlock;
 use prism_tensor::Tensor;
 use serde::Serialize;
 
-use crate::control::{CancelToken, ProgressFn, ProgressUpdate};
+use crate::control::{CancelToken, ProgressFn};
 use crate::options::{
     ComputePrecision, EngineOptions, PartialMode, Priority, PruneMode, SemCacheMode,
 };
-use crate::routing::route_candidates;
+use crate::scatter::ScatterGate;
 use crate::{PrismError, Result};
 
 /// One member of the final top-K.
@@ -283,190 +290,9 @@ pub struct RequestSpec<'a> {
     pub options: RequestOptions,
 }
 
-/// Routing parameters resolved for one request (engine defaults plus
-/// [`RequestOptions`] overrides). Crate-visible so the scatter-gather
-/// coordinator ([`crate::scatter`]) resolves them with the same rule.
-#[derive(Debug, Clone)]
-pub(crate) struct GateParams {
-    pub(crate) pruning: bool,
-    pub(crate) dispersion_threshold: f32,
-    pub(crate) top_k_only: bool,
-    pub(crate) max_clusters: usize,
-    pub(crate) min_gate_layer: usize,
-}
-
-impl GateParams {
-    /// Resolves the gate parameters for one request: engine defaults with
-    /// the per-request routing overrides applied. Both the in-engine gate
-    /// and the scatter-gather coordinator go through here, so a sharded
-    /// request can never resolve differently from a single-engine one.
-    pub(crate) fn resolve(engine: &EngineOptions, options: &RequestOptions) -> GateParams {
-        GateParams {
-            pruning: options.pruning.unwrap_or(engine.pruning),
-            dispersion_threshold: options
-                .dispersion_threshold
-                .unwrap_or(engine.dispersion_threshold),
-            top_k_only: options.mode.unwrap_or(engine.mode) == PruneMode::TopKOnly,
-            max_clusters: engine.max_clusters,
-            min_gate_layer: engine.min_gate_layer,
-        }
-    }
-}
-
-/// Mutable view of the selection bookkeeping one gate evaluation updates.
-///
-/// There is exactly one implementation of the gate's bookkeeping —
-/// [`route_and_book`] — borrowed by both the in-engine gate
-/// ([`PrismEngine`]'s layer loop over an [`ActiveRequest`]) and the
-/// scatter-gather coordinator ([`crate::scatter::ScatterGate`], which runs
-/// the gate over the merged cross-shard score vector). Any drift between
-/// the two would break the sharded path's bit-identity contract.
-pub(crate) struct GateBook<'a> {
-    /// Top-K size (already clamped to the candidate count).
-    pub k: usize,
-    /// Candidate count of the originating batch.
-    pub n: usize,
-    pub accepted: &'a mut Vec<RankedCandidate>,
-    pub current_scores: &'a mut Vec<(usize, f32)>,
-    pub trace: &'a mut EngineTrace,
-    pub dropped_total: &'a mut usize,
-}
-
-/// Outcome of one gate evaluation ([`route_and_book`]).
-pub(crate) struct GateStep {
-    /// Keep-mask over original candidate ids, present when the decision
-    /// pruned anyone — drives physical retention of chunks / spill slots.
-    pub keep_mask: Option<Vec<bool>>,
-    /// The request is decided: stop forwarding layers.
-    pub terminate: bool,
-}
-
-/// Runs the pruning gate for one layer boundary over `book` and applies
-/// the routing decision to the score-level bookkeeping (accepted set,
-/// current scores, trace, dropped count). Physical retention of hidden
-/// states is left to the caller via the returned keep-mask.
-pub(crate) fn route_and_book(
-    book: GateBook<'_>,
-    layer_idx: usize,
-    gate: &GateParams,
-    engine_seed: u64,
-    tag: u64,
-) -> GateStep {
-    if !(gate.pruning && layer_idx >= gate.min_gate_layer.max(1) && !book.current_scores.is_empty())
-    {
-        return GateStep {
-            keep_mask: None,
-            terminate: false,
-        };
-    }
-    let k_remaining = book.k - book.accepted.len();
-    let scores_only: Vec<f32> = book.current_scores.iter().map(|(_, s)| *s).collect();
-    let decision = route_candidates(
-        &scores_only,
-        k_remaining,
-        gate.dispersion_threshold,
-        gate.top_k_only,
-        gate.max_clusters,
-        engine_seed ^ (layer_idx as u64) ^ tag,
-    );
-    if !(decision.clustered || decision.terminate) {
-        return GateStep {
-            keep_mask: None,
-            terminate: false,
-        };
-    }
-    let selected_ids: Vec<usize> = decision
-        .selected
-        .iter()
-        .map(|&i| book.current_scores[i].0)
-        .collect();
-    let dropped_ids: Vec<usize> = decision
-        .dropped
-        .iter()
-        .map(|&i| book.current_scores[i].0)
-        .collect();
-    for &i in &decision.selected {
-        let (id, score) = book.current_scores[i];
-        book.accepted.push(RankedCandidate {
-            id,
-            score,
-            decided_at_layer: layer_idx,
-        });
-    }
-    *book.dropped_total += dropped_ids.len();
-    book.trace.routes.push(RouteEvent {
-        layer: layer_idx,
-        cv: decision.cv,
-        clustered: decision.clustered,
-        selected: selected_ids.clone(),
-        dropped: dropped_ids.clone(),
-    });
-    let keep_mask = (!selected_ids.is_empty() || !dropped_ids.is_empty()).then(|| {
-        // A boolean mask keyed by candidate id turns every membership
-        // probe into O(1) instead of an O(|keep|) scan.
-        let mut mask = vec![false; book.n];
-        for &i in &decision.deferred {
-            mask[book.current_scores[i].0] = true;
-        }
-        mask
-    });
-    if let Some(mask) = &keep_mask {
-        book.current_scores.retain(|(id, _)| mask[*id]);
-    }
-    GateStep {
-        keep_mask,
-        terminate: decision.terminate,
-    }
-}
-
-/// Ranks the survivors of a finished selection into `accepted`: undecided
-/// candidates compete for the remaining slots by final score (stable sort,
-/// so ties keep ascending-id order), then the whole accepted set is
-/// ordered score-descending and truncated to `k`. Shared by
-/// [`PrismEngine::finalize_request`] and the scatter-gather coordinator —
-/// the merge tie-breaking rule exists exactly once.
-pub(crate) fn finalize_ranked(
-    accepted: &mut Vec<RankedCandidate>,
-    current_scores: &[(usize, f32)],
-    terminated: bool,
-    k: usize,
-    depth: usize,
-) {
-    if !terminated {
-        let mut survivors = current_scores.to_vec();
-        survivors.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let slots = k - accepted.len();
-        for &(id, score) in survivors.iter().take(slots) {
-            accepted.push(RankedCandidate {
-                id,
-                score,
-                decided_at_layer: depth,
-            });
-        }
-    }
-    accepted.sort_by(|a, b| b.score.total_cmp(&a.score));
-    accepted.truncate(k);
-}
-
-/// Ranks a complete full-depth score vector into the top-`k` — the
-/// pruning-off selection rule as a standalone function: candidates sort
-/// by score descending with ties keeping ascending-id order, take `k`,
-/// every winner decided at `depth` (a full-depth run decides everyone at
-/// the final layer, [`PrismEngine::finalize_request`] passes the model's
-/// layer count).
-///
-/// This is the internal `finalize_ranked` path with an empty accepted set, exported so
-/// the serving layer's semantic result cache (`prism-semcache`) can merge
-/// replayed and recomputed per-candidate scores and rank them *through
-/// the same code path* a pruning-off engine run uses — the bit-identity
-/// contract of `SemCacheMode::VerifyAndFallback` rests on this being the
-/// one ranking rule.
-pub fn rank_full_scores(scores: &[f32], k: usize, depth: usize) -> Vec<RankedCandidate> {
-    let indexed: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
-    let mut accepted = Vec::new();
-    finalize_ranked(&mut accepted, &indexed, false, k.min(scores.len()), depth);
-    accepted
-}
+/// Names hidden-state spill files; process-wide because engines in one
+/// process default to the same spill directory.
+static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 enum EmbedSource {
     Cache(Box<EmbeddingCache<DiskRowSource>>),
@@ -513,15 +339,18 @@ impl Chunk {
 /// In-flight state of one planned selection.
 ///
 /// Produced by [`PrismEngine::plan_request`], advanced layer by layer by
-/// [`PrismEngine::select_batch_with`]'s loop, consumed by
+/// [`PrismEngine::run_planned`]'s loop, consumed by
 /// [`PrismEngine::finalize_request`]. Owning this state outside the engine
 /// is what lets a serving scheduler interleave many requests over one
 /// weight stream.
+///
+/// Only the *physical* state lives here — hidden-state chunks, the spill
+/// pipeline, meter bytes, latency spans, caller controls. Everything that
+/// is a function of scores alone (active set, accepted set, routing
+/// trace, termination) is owned by the embedded [`ScatterGate`].
 pub struct ActiveRequest {
-    n: usize,
-    k: usize,
-    tag: u64,
-    gate: GateParams,
+    /// Score-level selection state, fed by this request's own chunks.
+    state: ScatterGate,
     /// Forward-compute precision this request was planned with.
     compute: ComputePrecision,
     /// Whether the spill window moves row-quant blocks instead of f32
@@ -536,7 +365,6 @@ pub struct ActiveRequest {
     /// residency window, shard partitioning), breaking the cross-layout
     /// conformance guarantees.
     int8_spill: bool,
-    record_score_trace: bool,
     chunks: Vec<Chunk>,
     /// Meter handle for drop-time release of this request's bytes.
     meter: MemoryMeter,
@@ -545,11 +373,6 @@ pub struct ActiveRequest {
     /// shared meter (delta-tracked so concurrent requests don't clobber
     /// each other's ledger entries).
     metered_hidden: u64,
-    current_scores: Vec<(usize, f32)>,
-    last_scores: Vec<f32>,
-    accepted: Vec<RankedCandidate>,
-    terminated: bool,
-    trace: EngineTrace,
     latency: LatencyRecorder,
     /// Cooperative cancellation flag, checked at every layer boundary.
     cancel: CancelToken,
@@ -559,8 +382,6 @@ pub struct ActiveRequest {
     progress: Option<ProgressFn>,
     /// Why the request stopped early, if it did.
     abort: Option<AbortReason>,
-    /// Candidates dropped by the gate so far (progress reporting).
-    dropped_total: usize,
 }
 
 /// Why an in-flight request was aborted at a layer boundary.
@@ -573,17 +394,7 @@ enum AbortReason {
 impl ActiveRequest {
     /// Whether the request needs no further layers.
     pub fn is_done(&self) -> bool {
-        self.terminated
-    }
-
-    /// Number of candidates in the originating batch.
-    pub fn num_candidates(&self) -> usize {
-        self.n
-    }
-
-    /// The routing-seed tag this request was planned with.
-    pub fn tag(&self) -> u64 {
-        self.tag
+        self.state.is_done()
     }
 
     /// Attaches a cancellation token. The engine observes it at every
@@ -603,7 +414,7 @@ impl ActiveRequest {
         self.deadline = Some(deadline);
     }
 
-    /// Attaches a progress sink receiving one [`ProgressUpdate`] per
+    /// Attaches a progress sink receiving one [`crate::ProgressUpdate`] per
     /// layer boundary (after the gate) and after each forwarded layer.
     pub fn attach_progress(&mut self, progress: ProgressFn) {
         self.progress = Some(progress);
@@ -619,7 +430,7 @@ impl ActiveRequest {
     /// post-embedding probe's) output. A scatter-gather coordinator
     /// gathers these from every shard to rebuild the global score vector.
     pub fn scores(&self) -> &[(usize, f32)] {
-        &self.current_scores
+        self.state.scores()
     }
 
     /// Aborts at a layer boundary: releases every resource the request
@@ -628,32 +439,21 @@ impl ActiveRequest {
     /// and its file deleted — instead of when the batch finishes.
     fn abort(&mut self, reason: AbortReason, meter: &MemoryMeter) {
         self.chunks.clear();
-        self.current_scores.clear();
         // Stop the pipeline before re-syncing the meter: its held bytes
         // count as resident until the lanes have drained.
         if let Some(pipe) = self.spill.take() {
             let _ = pipe.cleanup();
         }
         self.meter_hidden(meter);
-        self.terminated = true;
+        self.state.terminate();
         self.abort = Some(reason);
     }
 
     /// Emits a progress update if a sink is attached.
     fn emit_progress(&self, layer: usize) {
         if let Some(progress) = &self.progress {
-            progress(ProgressUpdate {
-                layer,
-                layers_forwarded: self.trace.executed_layers,
-                active: self.active_candidates(),
-                accepted: self.accepted.len(),
-                pruned: self.dropped_total,
-            });
+            progress(self.state.progress(layer));
         }
-    }
-
-    fn active_candidates(&self) -> usize {
-        self.chunks.iter().map(|c| c.ids.len()).sum()
     }
 
     fn resident_hidden_bytes(&self) -> u64 {
@@ -727,10 +527,9 @@ pub struct PrismEngine {
     meter: MemoryMeter,
     spill_dir: PathBuf,
     request_counter: AtomicU64,
-    spill_counter: AtomicU64,
     /// Reusable forward workspaces handed to the convenience selection
-    /// APIs. Serving workers keep their own pools and bypass this lock via
-    /// [`PrismEngine::select_batch_with`].
+    /// APIs. Serving workers keep their own pools and bypass this lock by
+    /// calling [`PrismEngine::run_planned`] directly.
     scratch_pool: Mutex<Vec<ForwardScratch>>,
 }
 
@@ -794,7 +593,6 @@ impl PrismEngine {
             meter,
             spill_dir: std::env::temp_dir(),
             request_counter: AtomicU64::new(0),
-            spill_counter: AtomicU64::new(0),
             scratch_pool: Mutex::new(Vec::new()),
         })
     }
@@ -850,35 +648,24 @@ impl PrismEngine {
     /// compute order is identical to the single-request path, so results
     /// are bit-identical to running the requests one by one.
     pub fn select_batch(&self, specs: &[RequestSpec<'_>]) -> Result<Vec<Selection>> {
-        let mut pool = std::mem::take(&mut *self.scratch_pool.lock().expect("scratch pool lock"));
-        let result = self.select_batch_with(specs, &mut pool);
-        let mut shared = self.scratch_pool.lock().expect("scratch pool lock");
-        if shared.is_empty() {
-            *shared = pool;
-        }
-        result
-    }
-
-    /// [`PrismEngine::select_batch`] with a caller-owned scratch pool (the
-    /// serving worker path: no pool-lock contention between workers).
-    pub fn select_batch_with(
-        &self,
-        specs: &[RequestSpec<'_>],
-        pool: &mut Vec<ForwardScratch>,
-    ) -> Result<Vec<Selection>> {
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
         let mut requests = Vec::with_capacity(specs.len());
         for spec in specs {
             requests.push(self.plan_request(spec.batch, spec.options.clone())?);
         }
-        self.run_planned(&mut requests, pool)?;
-        let mut out = Vec::with_capacity(requests.len());
-        for req in requests {
-            out.push(self.finalize_request(req)?);
+        if !requests.is_empty() {
+            let mut pool =
+                std::mem::take(&mut *self.scratch_pool.lock().expect("scratch pool lock"));
+            let run = self.run_planned(&mut requests, &mut pool);
+            let mut shared = self.scratch_pool.lock().expect("scratch pool lock");
+            if shared.is_empty() {
+                *shared = pool;
+            }
+            run?;
         }
-        Ok(out)
+        requests
+            .into_iter()
+            .map(|req| self.finalize_request(req))
+            .collect()
     }
 
     /// Drives planned requests through the transformer, acquiring each
@@ -909,9 +696,9 @@ impl PrismEngine {
 
         for layer_idx in 0..self.config.num_layers {
             for req in requests.iter_mut() {
-                self.gate_request(req, layer_idx)?;
+                self.gate_planned(req, layer_idx)?;
             }
-            if requests.iter().all(|r| r.terminated) {
+            if requests.iter().all(ActiveRequest::is_done) {
                 break;
             }
 
@@ -923,7 +710,7 @@ impl PrismEngine {
                     // first live request so span totals stay meaningful.
                     let wait_req = requests
                         .iter_mut()
-                        .find(|r| !r.terminated)
+                        .find(|r| !r.is_done())
                         .expect("some request live");
                     let section = wait_req
                         .latency
@@ -951,7 +738,7 @@ impl PrismEngine {
             // meter-release block below still runs.
             let needs_int8 = requests
                 .iter()
-                .any(|r| !r.terminated && r.compute == ComputePrecision::Int8);
+                .any(|r| !r.is_done() && r.compute == ComputePrecision::Int8);
             let mut quant_err: Option<PrismError> = None;
             let int8_owned: Option<Int8LayerWeights> = match (&weights, needs_int8) {
                 (LayerRef::Owned(w), true) => match Int8LayerWeights::from_layer(w) {
@@ -980,7 +767,7 @@ impl PrismEngine {
             let mut layer_result: Result<()> = quant_err.map_or(Ok(()), Err);
             if layer_result.is_ok() {
                 for req in requests.iter_mut() {
-                    if req.terminated {
+                    if req.is_done() {
                         continue;
                     }
                     let int8 = if req.compute == ComputePrecision::Int8 {
@@ -1019,7 +806,7 @@ impl PrismEngine {
         if let Some(s) = streamer.take() {
             let stats = s.stats();
             for req in requests.iter_mut() {
-                req.trace.stream_stats = stats;
+                req.state.trace.stream_stats = stats;
             }
         }
         Ok(())
@@ -1061,11 +848,10 @@ impl PrismEngine {
                 self.config.max_seq
             )));
         }
-        let k = options.k.min(n);
         let tag = options
             .tag
             .unwrap_or_else(|| self.request_counter.fetch_add(1, Ordering::Relaxed) + 1);
-        let gate = GateParams::resolve(&self.options, &options);
+        let mut state = ScatterGate::new(&self.options, &options, n, self.config.num_layers, tag)?;
         let mut latency = LatencyRecorder::new();
 
         // ---- Chunk geometry (§4.3) ----
@@ -1110,8 +896,9 @@ impl PrismEngine {
         let probe_scores = latency.time("score", || self.probe_scores(&chunks))?;
 
         // Spill setup: only when offloading is on and there is something to
-        // offload. The spill file name is unique per request so concurrent
-        // selections on one engine never share a slot file.
+        // offload. The spill file name is unique per request within the
+        // process (several engines may share one spill directory), so
+        // concurrent selections never share a slot file.
         let mut spill: Option<SpillPipeline> = None;
         if self.options.hidden_offload && chunks.len() > 3 {
             let throttle = self
@@ -1123,7 +910,7 @@ impl PrismEngine {
             path.push(format!(
                 "prism-hidden-spill-{}-{}.bin",
                 std::process::id(),
-                self.spill_counter.fetch_add(1, Ordering::Relaxed)
+                SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
             ));
             let file = SpillFile::create(
                 &path,
@@ -1179,11 +966,9 @@ impl PrismEngine {
             }
         }
 
+        state.seed_probe(probe_scores);
         let mut req = ActiveRequest {
-            n,
-            k,
-            tag,
-            gate,
+            state,
             compute: options.compute_precision,
             // Row-quant blocks flow through the spill window only when
             // both knobs agree: int8 compute re-quantizes activations
@@ -1192,42 +977,35 @@ impl PrismEngine {
             block_spill: options.compute_precision == ComputePrecision::Int8
                 && options.spill_precision == SpillPrecision::Int8,
             int8_spill,
-            record_score_trace: self.options.record_score_trace,
             chunks,
             meter: self.meter.clone(),
             spill,
             metered_hidden: 0,
-            current_scores: Vec::new(),
-            last_scores: vec![0.0_f32; n],
-            accepted: Vec::new(),
-            terminated: false,
-            trace: EngineTrace::default(),
             latency,
             cancel: CancelToken::new(),
             deadline: None,
             progress: None,
             abort: None,
-            dropped_total: 0,
         };
         req.meter_hidden(&self.meter);
-
-        req.current_scores = probe_scores;
-        for (id, s) in &req.current_scores {
-            req.last_scores[*id] = *s;
-        }
-        if req.record_score_trace {
-            req.trace
-                .score_trace
-                .push(aligned_scores(&req.current_scores, n));
-        }
         Ok(req)
     }
 
-    /// Runs the pruning gate for `layer_idx` (§4.1): routes clusters using
-    /// scores from the previous boundary, prunes routed candidates, and
-    /// records the per-layer active count. May terminate the request.
-    fn gate_request(&self, req: &mut ActiveRequest, layer_idx: usize) -> Result<()> {
-        if req.terminated {
+    /// Runs the layer-boundary phase for `layer_idx`: cancellation and
+    /// deadline checks (aborting releases spill and meter bytes
+    /// immediately), then the pruning gate (§4.1) over the scores from
+    /// the previous boundary, physical retention of whatever the gate
+    /// kept, and progress reporting. May terminate the request.
+    ///
+    /// [`PrismEngine::run_planned`] calls this once per request per layer.
+    /// It is public because a scatter-gather coordinator drives
+    /// shard-local requests through the same phases one layer at a time
+    /// (with [`PrismEngine::forward_planned_layer`]); those are planned
+    /// with `pruning = Some(false)`, so their own gate never routes and
+    /// the coordinator's [`PrismEngine::apply_keep_mask`] is the only
+    /// pruning authority.
+    pub fn gate_planned(&self, req: &mut ActiveRequest, layer_idx: usize) -> Result<()> {
+        if req.is_done() {
             return Ok(());
         }
         // ---- Cancellation / deadline points between phases ----
@@ -1240,63 +1018,12 @@ impl PrismEngine {
             return Ok(());
         }
         let step = {
-            let ActiveRequest {
-                k,
-                n,
-                tag,
-                gate,
-                accepted,
-                current_scores,
-                trace,
-                dropped_total,
-                latency,
-                ..
-            } = req;
-            let book = GateBook {
-                k: *k,
-                n: *n,
-                accepted,
-                current_scores,
-                trace,
-                dropped_total,
-            };
-            latency.time("gate", || {
-                route_and_book(book, layer_idx, gate, self.options.seed, *tag)
-            })
+            let ActiveRequest { state, latency, .. } = req;
+            latency.time("gate", || state.gate(layer_idx))
         };
-        if let Some(keep_mask) = &step.keep_mask {
-            {
-                let executed = req.trace.executed_layers;
-                let int8_file = req.int8_spill;
-                let compute = req.compute;
-                let recompute = |chunk: &Chunk| {
-                    self.recompute_chunk_hidden(chunk, executed, int8_file, compute)
-                };
-                let ActiveRequest {
-                    chunks,
-                    spill,
-                    latency,
-                    ..
-                } = req;
-                latency.time("prune", || {
-                    retain_candidates(chunks, spill, keep_mask, &recompute)
-                })?;
-            }
-            req.meter_hidden(&self.meter);
+        if let Some(keep) = &step.keep {
+            self.apply_keep_mask(req, keep)?;
         }
-        if step.terminate {
-            req.terminated = true;
-            req.emit_progress(layer_idx);
-            return Ok(());
-        }
-
-        let active = req.active_candidates();
-        if active == 0 {
-            req.terminated = true;
-            req.emit_progress(layer_idx);
-            return Ok(());
-        }
-        req.trace.active_per_layer.push(active);
         req.emit_progress(layer_idx);
         Ok(())
     }
@@ -1314,7 +1041,7 @@ impl PrismEngine {
     ) -> Result<()> {
         let block_spill = req.block_spill;
         let int8_spill = req.int8_spill;
-        req.current_scores = {
+        let scores = {
             let ActiveRequest {
                 chunks,
                 spill,
@@ -1334,15 +1061,7 @@ impl PrismEngine {
             )?
         };
         req.meter_hidden(&self.meter);
-        req.trace.executed_layers += 1;
-        for (id, s) in &req.current_scores {
-            req.last_scores[*id] = *s;
-        }
-        if req.record_score_trace {
-            req.trace
-                .score_trace
-                .push(aligned_scores(&req.current_scores, req.n));
-        }
+        req.state.observe_layer(scores);
         req.emit_progress(layer_idx);
         Ok(())
     }
@@ -1359,65 +1078,27 @@ impl PrismEngine {
             Some(AbortReason::DeadlineExceeded) => return Err(PrismError::DeadlineExceeded),
             None => {}
         }
-        finalize_ranked(
-            &mut req.accepted,
-            &req.current_scores,
-            req.terminated,
-            req.k,
-            self.config.num_layers,
-        );
+        let mut selection = req.state.finalize();
 
         if let EmbedSource::Cache(c) = &mut *self.embed.lock().expect("embed lock") {
-            req.trace.cache_stats = c.stats();
+            selection.trace.cache_stats = c.stats();
         }
         if let Some(mut pipe) = req.spill.take() {
             // Drain first so deferred background-write errors surface as
             // this request's error (cleanup still removes the file).
             let drained = pipe.drain();
             let stats = pipe.stats();
-            req.trace.spill_stats = stats;
-            req.trace.spill_bytes = stats.bytes();
+            selection.trace.spill_stats = stats;
+            selection.trace.spill_bytes = stats.bytes();
             let cleaned = pipe.cleanup();
             drained.and(cleaned)?;
         }
         req.chunks.clear();
         req.meter_hidden(&self.meter);
-        // `ActiveRequest` has a cleanup `Drop`, so fields move out via
-        // take; spill/meter state is already cleared above, making the
-        // drop a no-op.
-        req.trace.latency = std::mem::take(&mut req.latency);
-
-        Ok(Selection {
-            ranked: std::mem::take(&mut req.accepted),
-            last_scores: std::mem::take(&mut req.last_scores),
-            // A single engine always serves every candidate it was
-            // handed; partial coverage only arises when a sharded
-            // coordinator loses candidates (see `ScatterGate`).
-            coverage: 1.0,
-            trace: std::mem::take(&mut req.trace),
-        })
-    }
-
-    // ---- Layer-stepping API (scatter-gather execution) -----------------
-    //
-    // A sharded deployment partitions one request's candidates across
-    // several shard-local `ActiveRequest`s and drives them in lockstep
-    // from a coordinator that owns the *global* pruning gate (the gate is
-    // a function of the whole batch's score distribution, so shard-local
-    // gating would diverge from the single-engine result). The three
-    // methods below expose exactly the per-layer phases `run_planned`
-    // executes internally: boundary checks, one forward+score step, and
-    // externally decided retention.
-
-    /// Runs the layer-boundary phase for an externally gated request:
-    /// cancellation/deadline checks (aborting releases spill and meter
-    /// bytes immediately), termination when no candidate is active, trace
-    /// and progress bookkeeping. Shard-local requests are planned with
-    /// `pruning = Some(false)`, so no local routing decision is made —
-    /// the coordinator's [`PrismEngine::apply_keep_mask`] is the only
-    /// pruning authority.
-    pub fn gate_planned(&self, req: &mut ActiveRequest, layer_idx: usize) -> Result<()> {
-        self.gate_request(req, layer_idx)
+        // Spill and meter state are cleared above, so the request's
+        // cleanup `Drop` is a no-op from here.
+        selection.trace.latency = std::mem::take(&mut req.latency);
+        Ok(selection)
     }
 
     /// Forwards one planned request through layer `layer_idx` and
@@ -1431,7 +1112,7 @@ impl PrismEngine {
         layer_idx: usize,
         pool: &mut Vec<ForwardScratch>,
     ) -> Result<()> {
-        if req.terminated {
+        if req.is_done() {
             return Ok(());
         }
         let layers = self.resident_layers.as_ref().ok_or_else(|| {
@@ -1447,22 +1128,24 @@ impl PrismEngine {
         self.forward_and_score(req, layer_idx, &layers[layer_idx], int8, pool)
     }
 
-    /// Applies an externally computed keep-mask (indexed by this
-    /// request's local candidate ids): physically retains the surviving
-    /// hidden states (fetching/re-offloading spilled chunks as needed),
-    /// re-syncs the memory meter, and terminates the request when nothing
-    /// is left. The scatter-gather coordinator translates its global gate
-    /// decision into one such mask per shard.
+    /// Applies a keep-mask (indexed by this request's candidate ids):
+    /// physically retains the surviving hidden states (fetching and
+    /// re-offloading spilled chunks as needed), re-syncs the memory
+    /// meter, drops the pruned candidates' scores, and terminates the
+    /// request when nothing is left. The one retention path: the
+    /// request's own gate goes through it, and a scatter-gather
+    /// coordinator translates its global gate decision into one such
+    /// mask per shard.
     pub fn apply_keep_mask(&self, req: &mut ActiveRequest, keep: &[bool]) -> Result<()> {
-        if keep.len() != req.n {
+        let n = req.state.num_candidates();
+        if keep.len() != n {
             return Err(PrismError::InvalidRequest(format!(
-                "keep mask has {} entries, request has {} candidates",
+                "keep mask has {} entries, request has {n} candidates",
                 keep.len(),
-                req.n
             )));
         }
         {
-            let executed = req.trace.executed_layers;
+            let executed = req.state.trace.executed_layers;
             let int8_file = req.int8_spill;
             let compute = req.compute;
             let recompute =
@@ -1478,17 +1161,14 @@ impl PrismEngine {
             })?;
         }
         req.meter_hidden(&self.meter);
-        req.current_scores.retain(|(id, _)| keep[*id]);
-        if req.active_candidates() == 0 {
-            req.terminated = true;
-        }
+        req.state.retain(keep);
         Ok(())
     }
 
     /// Marks a planned request as needing no further layers (the
     /// coordinator observed global termination).
     pub fn terminate_planned(&self, req: &mut ActiveRequest) {
-        req.terminated = true;
+        req.state.terminate();
     }
 
     /// Embeds a batch: one `[total_tokens, hidden_dim]` tensor with
@@ -2050,14 +1730,6 @@ fn build_chunks(
         i = end;
     }
     Ok(chunks)
-}
-
-fn aligned_scores(scores: &[(usize, f32)], n: usize) -> Vec<Option<f32>> {
-    let mut out = vec![None; n];
-    for &(id, s) in scores {
-        out[id] = Some(s);
-    }
-    out
 }
 
 /// Removes all candidates whose id is unset in the `keep` mask (indexed

@@ -35,14 +35,14 @@ pub mod scatter;
 pub use calibrate::ThresholdCalibrator;
 pub use control::{CancelToken, ProgressFn, ProgressUpdate};
 pub use engine::{
-    rank_full_scores, ActiveRequest, EngineTrace, PrismEngine, RankedCandidate, RequestOptions,
-    RequestSpec, Selection,
+    ActiveRequest, EngineTrace, PrismEngine, RankedCandidate, RequestOptions, RequestSpec,
+    Selection,
 };
 pub use options::{
     ComputePrecision, EngineOptions, PartialMode, Priority, PruneMode, SemCacheMode,
 };
 pub use routing::{route_candidates, RouteDecision};
-pub use scatter::{merge_shard_scores, ScatterGate, ScatterStep};
+pub use scatter::{merge_shard_scores, rank_full_scores, ScatterGate, ScatterStep};
 // Re-exported so serving/API layers can thread the spill-precision knob
 // without depending on `prism-storage` directly.
 pub use prism_storage::{SpillPrecision, SpillStats};

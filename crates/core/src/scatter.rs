@@ -1,45 +1,66 @@
-//! Global selection bookkeeping for scatter-gather (sharded) execution.
+//! Score-level selection state: the one owner of the pruning gate's
+//! bookkeeping, for single-engine and scatter-gather execution alike.
+//!
+//! A selection has two kinds of state. The *score-level* state — which
+//! candidates are still active and with what scores, who has been
+//! accepted into the top-K, the routing trace, whether the request is
+//! decided — is a function of scores alone and lives here, in
+//! [`ScatterGate`]. The *physical* state — hidden-state chunks, spill
+//! slots, meter bytes, cancel/deadline/progress controls — lives in the
+//! engine's [`crate::ActiveRequest`], which embeds one `ScatterGate` and
+//! feeds it the scores its own chunks produce.
 //!
 //! The pruning gate (§4.1) is a function of the *whole* batch's score
 //! distribution — its CV test and 1-D K-Means see every active candidate
 //! at once. A sharded deployment that let each shard gate its own subset
 //! would therefore diverge from the single-engine result. Instead, shards
-//! run with local pruning disabled and a coordinator owns one
+//! run with local pruning disabled and a coordinator owns one more
 //! [`ScatterGate`]: each layer boundary it gathers every shard's
 //! `(candidate, score)` pairs, rebuilds the global score vector in
-//! ascending-id order (exactly the order the single engine's
-//! `current_scores` has), runs the gate through the *same*
-//! `route_and_book` implementation the engine uses with the same seed
-//! derivation, and hands each shard back a keep-mask. Finalization flows
-//! through the same shared `finalize_ranked`, so the merged top-k is
-//! bit-identical to single-engine selection — the property the cross-shard
-//! conformance suite pins.
+//! ascending-id order (exactly the order a single engine's chunks score
+//! in), runs [`ScatterGate::gate`] with the same seed derivation, and
+//! hands each shard back a keep-mask. Both paths run the same methods of
+//! the same type, so the merged top-k is bit-identical to single-engine
+//! selection by construction — the property the cross-shard conformance
+//! suite pins.
 
 use crate::control::ProgressUpdate;
-use crate::engine::{
-    finalize_ranked, route_and_book, EngineTrace, GateBook, GateParams, RankedCandidate,
-    RequestOptions, Selection,
-};
-use crate::options::EngineOptions;
+use crate::engine::{EngineTrace, RankedCandidate, RequestOptions, RouteEvent, Selection};
+use crate::options::{EngineOptions, PruneMode};
+use crate::routing::route_candidates;
 use crate::{PrismError, Result};
 
-/// The coordinator's decision for one layer boundary.
+/// The gate's decision for one layer boundary.
 #[derive(Debug, Clone)]
 pub struct ScatterStep {
-    /// Keep-mask over *global* candidate ids when the gate pruned anyone;
-    /// the coordinator projects it to shard-local masks and applies them
-    /// via `PrismEngine::apply_keep_mask`.
+    /// Keep-mask over the gate's candidate ids when the gate pruned
+    /// anyone; drives physical retention of hidden states via
+    /// `PrismEngine::apply_keep_mask` (a scatter-gather coordinator
+    /// projects it to shard-local masks first).
     pub keep: Option<Vec<bool>>,
-    /// The selection is decided: no shard needs further layers.
+    /// The selection is decided: no further layers are needed.
     pub done: bool,
 }
 
-/// Global gate + merge state for one scattered request.
+/// Routing parameters resolved for one request: engine defaults with the
+/// per-request [`RequestOptions`] overrides applied.
+#[derive(Debug, Clone)]
+struct GateParams {
+    pruning: bool,
+    dispersion_threshold: f32,
+    top_k_only: bool,
+    max_clusters: usize,
+    min_gate_layer: usize,
+}
+
+/// Gate + ranking state of one selection.
 ///
-/// Drives the identical bookkeeping an [`crate::ActiveRequest`] keeps for
-/// the score-level selection state (accepted set, current scores, last
-/// scores, trace, termination), while the per-shard `ActiveRequest`s keep
-/// only the physical state (hidden chunks, spill slots, meter bytes).
+/// Owns every piece of score-level bookkeeping — accepted set, current
+/// scores, last scores, trace, termination — exactly once. The engine's
+/// [`crate::ActiveRequest`] embeds one next to its physical state; a
+/// scatter-gather coordinator holds one over the merged cross-shard
+/// score vector while its per-shard `ActiveRequest`s run with pruning
+/// off.
 pub struct ScatterGate {
     n: usize,
     k: usize,
@@ -47,11 +68,14 @@ pub struct ScatterGate {
     engine_seed: u64,
     num_layers: usize,
     gate: GateParams,
+    record_score_trace: bool,
     current: Vec<(usize, f32)>,
     last_scores: Vec<f32>,
     accepted: Vec<RankedCandidate>,
     terminated: bool,
-    trace: EngineTrace,
+    /// Crate-visible so the engine can attach the physical statistics
+    /// (stream / spill / latency) of the run that produced the scores.
+    pub(crate) trace: EngineTrace,
     dropped_total: usize,
     /// Per-candidate loss marks for unrecoverable shard failures
     /// (degraded-mode serving under [`crate::PartialMode::Partial`]);
@@ -65,12 +89,12 @@ pub struct ScatterGate {
 }
 
 impl ScatterGate {
-    /// Builds the coordinator state for a request of `n` candidates.
+    /// Builds the selection state for a request of `n` candidates.
     ///
-    /// `engine` must be the options every shard engine shares (validated
-    /// by the serving layer's shard set); `tag` is the resolved routing
-    /// tag — the same value a single engine would have used, since the
-    /// gate seed is `engine.seed ^ layer ^ tag`.
+    /// `engine` must be the options every engine serving the request
+    /// shares (validated by the serving layer's shard set); `tag` is the
+    /// resolved routing tag, since the gate seed is
+    /// `engine.seed ^ layer ^ tag`.
     pub fn new(
         engine: &EngineOptions,
         options: &RequestOptions,
@@ -90,7 +114,16 @@ impl ScatterGate {
             tag,
             engine_seed: engine.seed,
             num_layers,
-            gate: GateParams::resolve(engine, options),
+            gate: GateParams {
+                pruning: options.pruning.unwrap_or(engine.pruning),
+                dispersion_threshold: options
+                    .dispersion_threshold
+                    .unwrap_or(engine.dispersion_threshold),
+                top_k_only: options.mode.unwrap_or(engine.mode) == PruneMode::TopKOnly,
+                max_clusters: engine.max_clusters,
+                min_gate_layer: engine.min_gate_layer,
+            },
+            record_score_trace: engine.record_score_trace,
             current: Vec::new(),
             last_scores: vec![0.0_f32; n],
             accepted: Vec::new(),
@@ -118,16 +151,16 @@ impl ScatterGate {
         self.terminated
     }
 
-    /// Seeds the post-embedding probe scores (the merge of every shard's
-    /// probe, ascending by global id) — mirrors `plan_request`'s seeding
-    /// of `current_scores` / `last_scores`.
+    /// Scores of the still-active candidates, ascending by candidate id.
+    pub(crate) fn scores(&self) -> &[(usize, f32)] {
+        &self.current
+    }
+
+    /// Seeds the post-embedding probe scores, ascending by candidate id
+    /// (for a coordinator: the merge of every shard's probe).
     pub fn seed_probe(&mut self, merged: Vec<(usize, f32)>) {
-        debug_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
-        self.current = merged;
         self.seeded = true;
-        for &(id, s) in &self.current {
-            self.last_scores[id] = s;
-        }
+        self.record_scores(merged);
     }
 
     /// Whether candidate `id` is still in play: neither pruned, accepted,
@@ -144,19 +177,32 @@ impl ScatterGate {
         self.current.iter().any(|&(c, _)| c == id)
     }
 
-    /// Records the merged scores after one forwarded layer — mirrors the
-    /// engine's `forward_and_score` bookkeeping.
+    /// Records the scores after one forwarded layer, ascending by
+    /// candidate id.
     pub fn observe_layer(&mut self, merged: Vec<(usize, f32)>) {
-        debug_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
-        self.current = merged;
         self.trace.executed_layers += 1;
+        self.record_scores(merged);
+    }
+
+    fn record_scores(&mut self, scores: Vec<(usize, f32)>) {
+        debug_assert!(scores.windows(2).all(|w| w[0].0 < w[1].0));
+        self.current = scores;
         for &(id, s) in &self.current {
             self.last_scores[id] = s;
         }
+        if self.record_score_trace {
+            let mut aligned = vec![None; self.n];
+            for &(id, s) in &self.current {
+                aligned[id] = Some(s);
+            }
+            self.trace.score_trace.push(aligned);
+        }
     }
 
-    /// Runs the global pruning gate for `layer_idx` — the same decision,
-    /// seed and bookkeeping a single engine would run at this boundary.
+    /// Runs the pruning gate for `layer_idx` (§4.1): routes clusters
+    /// using the scores from the previous boundary, books the decision
+    /// (accepted set, dropped count, routing trace), and records the
+    /// per-layer active count. May terminate the selection.
     pub fn gate(&mut self, layer_idx: usize) -> ScatterStep {
         if self.terminated {
             return ScatterStep {
@@ -164,29 +210,95 @@ impl ScatterGate {
                 done: true,
             };
         }
-        let step = route_and_book(
-            GateBook {
-                k: self.k,
-                n: self.n,
-                accepted: &mut self.accepted,
-                current_scores: &mut self.current,
-                trace: &mut self.trace,
-                dropped_total: &mut self.dropped_total,
-            },
-            layer_idx,
-            &self.gate,
-            self.engine_seed,
-            self.tag,
-        );
-        if step.terminate || self.current.is_empty() {
+        let (keep, terminate) = self.route(layer_idx);
+        if terminate || self.current.is_empty() {
             self.terminated = true;
         } else {
             self.trace.active_per_layer.push(self.current.len());
         }
         ScatterStep {
-            keep: step.keep_mask,
+            keep,
             done: self.terminated,
         }
+    }
+
+    /// One gate evaluation: the routing decision applied to the accepted
+    /// set, current scores, trace and dropped count. Returns the
+    /// keep-mask over candidate ids (present when the decision pruned
+    /// anyone) and whether the selection is decided.
+    fn route(&mut self, layer_idx: usize) -> (Option<Vec<bool>>, bool) {
+        let gate = &self.gate;
+        if !(gate.pruning && layer_idx >= gate.min_gate_layer.max(1) && !self.current.is_empty()) {
+            return (None, false);
+        }
+        let k_remaining = self.k - self.accepted.len();
+        let scores_only: Vec<f32> = self.current.iter().map(|(_, s)| *s).collect();
+        let decision = route_candidates(
+            &scores_only,
+            k_remaining,
+            gate.dispersion_threshold,
+            gate.top_k_only,
+            gate.max_clusters,
+            self.engine_seed ^ (layer_idx as u64) ^ self.tag,
+        );
+        if !(decision.clustered || decision.terminate) {
+            return (None, false);
+        }
+        let selected_ids: Vec<usize> = decision
+            .selected
+            .iter()
+            .map(|&i| self.current[i].0)
+            .collect();
+        let dropped_ids: Vec<usize> = decision
+            .dropped
+            .iter()
+            .map(|&i| self.current[i].0)
+            .collect();
+        for &i in &decision.selected {
+            let (id, score) = self.current[i];
+            self.accepted.push(RankedCandidate {
+                id,
+                score,
+                decided_at_layer: layer_idx,
+            });
+        }
+        self.dropped_total += dropped_ids.len();
+        self.trace.routes.push(RouteEvent {
+            layer: layer_idx,
+            cv: decision.cv,
+            clustered: decision.clustered,
+            selected: selected_ids.clone(),
+            dropped: dropped_ids.clone(),
+        });
+        let keep_mask = (!selected_ids.is_empty() || !dropped_ids.is_empty()).then(|| {
+            // A boolean mask keyed by candidate id turns every membership
+            // probe into O(1) instead of an O(|keep|) scan.
+            let mut mask = vec![false; self.n];
+            for &i in &decision.deferred {
+                mask[self.current[i].0] = true;
+            }
+            mask
+        });
+        if let Some(mask) = &keep_mask {
+            self.retain(mask);
+        }
+        (keep_mask, decision.terminate)
+    }
+
+    /// Drops every active candidate unset in `keep` (indexed by candidate
+    /// id) from the score vector — the score-level half of
+    /// `PrismEngine::apply_keep_mask` — terminating the selection when
+    /// nothing is left.
+    pub(crate) fn retain(&mut self, keep: &[bool]) {
+        self.current.retain(|(id, _)| keep[*id]);
+        if self.current.is_empty() {
+            self.terminated = true;
+        }
+    }
+
+    /// Marks the selection as needing no further layers.
+    pub(crate) fn terminate(&mut self) {
+        self.terminated = true;
     }
 
     /// Drops candidates whose shard died with every replica exhausted —
@@ -221,13 +333,12 @@ impl ScatterGate {
     }
 
     /// Fraction of the request's candidates still served, in `(0, 1]` —
-    /// what the merged selection will report as its coverage.
+    /// what the selection will report as its coverage.
     pub fn coverage(&self) -> f32 {
         1.0 - self.lost_total as f32 / self.n as f32
     }
 
-    /// A progress snapshot for the facade's layer-granularity stream
-    /// (same fields the engine emits from its own boundary).
+    /// A progress snapshot for the facade's layer-granularity stream.
     pub fn progress(&self, layer: usize) -> ProgressUpdate {
         ProgressUpdate {
             layer,
@@ -238,10 +349,10 @@ impl ScatterGate {
         }
     }
 
-    /// Ranks the survivors and assembles the merged [`Selection`] through
-    /// the same `finalize_ranked` path the engine uses (score-descending,
-    /// ties keep ascending-id order).
-    pub fn finalize(mut self) -> Selection {
+    /// Ranks the survivors and assembles the [`Selection`]
+    /// (score-descending, ties keep ascending-id order). Leaves the gate
+    /// drained: call once, when the selection is over.
+    pub fn finalize(&mut self) -> Selection {
         finalize_ranked(
             &mut self.accepted,
             &self.current,
@@ -249,14 +360,62 @@ impl ScatterGate {
             self.k,
             self.num_layers,
         );
-        let coverage = 1.0 - self.lost_total as f32 / self.n as f32;
         Selection {
-            ranked: self.accepted,
-            last_scores: self.last_scores,
-            coverage,
-            trace: self.trace,
+            ranked: std::mem::take(&mut self.accepted),
+            last_scores: std::mem::take(&mut self.last_scores),
+            coverage: self.coverage(),
+            trace: std::mem::take(&mut self.trace),
         }
     }
+}
+
+/// Ranks the survivors of a finished selection into `accepted`: undecided
+/// candidates compete for the remaining slots by final score (stable sort,
+/// so ties keep ascending-id order), then the whole accepted set is
+/// ordered score-descending and truncated to `k`. Shared by
+/// [`ScatterGate::finalize`] and [`rank_full_scores`] — the merge
+/// tie-breaking rule exists exactly once.
+fn finalize_ranked(
+    accepted: &mut Vec<RankedCandidate>,
+    current_scores: &[(usize, f32)],
+    terminated: bool,
+    k: usize,
+    depth: usize,
+) {
+    if !terminated {
+        let mut survivors = current_scores.to_vec();
+        survivors.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let slots = k - accepted.len();
+        for &(id, score) in survivors.iter().take(slots) {
+            accepted.push(RankedCandidate {
+                id,
+                score,
+                decided_at_layer: depth,
+            });
+        }
+    }
+    accepted.sort_by(|a, b| b.score.total_cmp(&a.score));
+    accepted.truncate(k);
+}
+
+/// Ranks a complete full-depth score vector into the top-`k` — the
+/// pruning-off selection rule as a standalone function: candidates sort
+/// by score descending with ties keeping ascending-id order, take `k`,
+/// every winner decided at `depth` (a full-depth run decides everyone at
+/// the final layer, so callers pass the model's layer count).
+///
+/// This is [`ScatterGate::finalize`]'s ranking with an empty accepted
+/// set, exported so the serving layer's semantic result cache
+/// (`prism-semcache`) can merge replayed and recomputed per-candidate
+/// scores and rank them *through the same code path* a pruning-off
+/// engine run uses — the bit-identity contract of
+/// `SemCacheMode::VerifyAndFallback` rests on this being the one ranking
+/// rule.
+pub fn rank_full_scores(scores: &[f32], k: usize, depth: usize) -> Vec<RankedCandidate> {
+    let indexed: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
+    let mut accepted = Vec::new();
+    finalize_ranked(&mut accepted, &indexed, false, k.min(scores.len()), depth);
+    accepted
 }
 
 /// Merges per-shard `(global_id, score)` lists into one ascending-id

@@ -39,6 +39,6 @@ pub mod sim;
 
 pub use autotune::{tune, tune_for_device, tuning_workload, SweepPoint, TuneOutcome};
 pub use closed_loop::{client_streams, simulate_closed_loop, simulate_closed_loop_with};
-pub use report::{exact_quantile, SimReport};
+pub use report::SimReport;
 pub use service::{Calibration, ServiceModel};
 pub use sim::{SimFaults, SimRequest, Simulation, BACKPRESSURE_RETRY_US};

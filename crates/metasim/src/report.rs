@@ -2,6 +2,7 @@
 //! latency percentiles, mirroring `prism_serve::LoadReport` so measured
 //! and simulated runs compare field for field.
 
+use prism_metrics::exact_quantile;
 use prism_serve::{ClassReport, ServeStatsSnapshot};
 use serde::Serialize;
 
@@ -154,29 +155,9 @@ fn class_report(label: &str, mut latencies: Vec<u64>, errors: usize) -> ClassRep
     }
 }
 
-/// Nearest-rank quantile over a sorted sample — identical to the
-/// closed-loop load generator's estimator so simulated and measured
-/// percentiles are comparable.
-pub fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantiles_match_load_generator_convention() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(exact_quantile(&sorted, 0.50), 51); // round(0.5 * 99) = 50
-        assert_eq!(exact_quantile(&sorted, 0.99), 99);
-        assert_eq!(exact_quantile(&sorted, 1.0), 100);
-        assert_eq!(exact_quantile(&[], 0.5), 0);
-    }
 
     #[test]
     fn digest_mix_is_order_sensitive() {

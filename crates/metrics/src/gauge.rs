@@ -99,6 +99,18 @@ impl Counter {
     }
 }
 
+/// Nearest-rank quantile `q` in `[0, 1]` over an ascending-sorted exact
+/// sample (zero when empty). The one estimator behind every exact
+/// percentile the workspace reports — load generator, CLI and serving
+/// simulator — so measured and simulated percentiles are comparable.
+pub fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Number of buckets in [`Histogram`]: one per power of two up to 2^63,
 /// which comfortably spans nanoseconds to hours for latency recording.
 const BUCKETS: usize = 64;
@@ -249,6 +261,17 @@ mod tests {
         c.inc_by(4);
         assert_eq!(c.get(), 5);
         assert_eq!(c.clone().get(), 5);
+    }
+
+    #[test]
+    fn exact_quantiles_on_small_samples() {
+        assert_eq!(exact_quantile(&[], 0.5), 0);
+        assert_eq!(exact_quantile(&[7], 0.99), 7);
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(exact_quantile(&v, 0.0), 1);
+        assert_eq!(exact_quantile(&v, 0.5), 51); // round(0.5 * 99) = 50
+        assert_eq!(exact_quantile(&v, 0.99), 99);
+        assert_eq!(exact_quantile(&v, 1.0), 100);
     }
 
     #[test]

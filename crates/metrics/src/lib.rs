@@ -17,6 +17,6 @@ pub mod precision;
 pub mod recorder;
 
 pub use gamma::{cluster_gamma, goodman_kruskal_gamma};
-pub use gauge::{Counter, Gauge, Histogram, HistogramSummary};
+pub use gauge::{exact_quantile, Counter, Gauge, Histogram, HistogramSummary};
 pub use precision::precision_at_k;
 pub use recorder::{LatencyRecorder, MemCategory, MemoryMeter, MemorySample, SpanSummary};

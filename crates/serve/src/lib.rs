@@ -6,18 +6,21 @@
 //! into a serving system:
 //!
 //! ```text
-//!  clients ──submit──▶ [SubmissionQueue]            (bounded, backpressure;
-//!      │                     │                       sheds cancelled/expired)
-//!      │               [BatchPlanner]               (priority → EDF → FIFO,
-//!      │                     │ admissible set        token budget, starvation
-//!      │           ┌─────────┴─────────┐             guard)
-//!      │     [worker 0]  ...     [worker W-1]       (own ForwardScratch pool)
-//!      │           │                   │
-//!      │     [SessionCache] ◀──▶ Arc<PrismEngine>   (one engine, Sync;
-//!      │           │                                 cancel/deadline checked
-//!      │           ▼                                 at every layer boundary)
-//!      └──▶ ResponseHandle::wait  /  prism_api::SelectionHandle
-//!                                    (poll · wait · cancel · progress)
+//!  clients ──service(session).submit──▶ [SubmissionQueue]   (bounded, backpressure;
+//!      │                                      │              sheds cancelled/expired)
+//!      │                                [BatchPlanner]       (priority → EDF → FIFO,
+//!      │                                      │ admissible   token budget, starvation
+//!      │                    ┌─────────────────┴──────┐ set   guard)
+//!      │              [worker 0]     ...      [worker W-1]   (own ForwardScratch pool)
+//!      │                    │  execute_batch: the one request path
+//!      │                    │   memo probe → embed → semantic probe → plan
+//!      │                    │   → run → semantic epilogue → memoize → answer
+//!      │                    │
+//!      │              run = Arc<PrismEngine>::run_planned    (one engine, Sync; one
+//!      │                  | ShardSet::select_with_controls    weight pass per batch,
+//!      │                    │                                 or scatter-gather)
+//!      └──▶ prism_api::SelectionHandle ◀── answer()          (poll · wait · cancel ·
+//!                                                              progress)
 //! ```
 //!
 //! * **Bounded submission queue** ([`queue`]): `submit` fails fast with
@@ -44,10 +47,11 @@
 //!   — exact token repeats always, near-duplicates under the
 //!   [`prism_core::SemCacheMode::Aggressive`] knob — recomputing only the
 //!   novel tail of partially-hit requests.
-//! * **Facade backend** ([`RemoteService`]): the server implements
-//!   `prism_api::SelectionService`, so facade callers get non-blocking
-//!   handles with mid-flight cancellation and layer-granularity progress
-//!   over the same queue and scheduler.
+//! * **One way in** ([`PrismServer::service`] → [`RemoteService`]): the
+//!   server implements `prism_api::SelectionService`, so every caller
+//!   gets non-blocking handles with mid-flight cancellation and
+//!   layer-granularity progress; a queued request carries the handle's
+//!   `prism_api::Completion` and is answered through it exactly once.
 //! * **Conformance by construction**: per-request computation inside a
 //!   coalesced batch happens in exactly the single-request order, the
 //!   routing RNG is pinned by a per-request tag, and uniform-priority
@@ -73,12 +77,10 @@ pub use chaos::{audit_shard_hygiene, run_chaos, ChaosPlan, ChaosReport, ChaosSte
 pub use config::ServeConfig;
 pub use load::{run_closed_loop, ClassReport, LoadReport, LoadSpec};
 pub use quota::{QuotaToken, TenantQuota};
-pub use request::{
-    CacheOutcome, Replier, ResponseHandle, ServeError, ServeRequest, ServeResponse, ServiceError,
-};
+pub use request::{ServeError, ServiceError};
 pub use scheduler::{BatchPlanner, PlanDecision, QueueItem};
 pub use semantic::SemanticLayer;
-pub use server::{PrismServer, RemoteService, ServeSession};
+pub use server::{PrismServer, RemoteService};
 pub use session::{fingerprint_batch, CacheLookup, SelectionKey, SessionCache};
 pub use shard::{candidate_key, ForwardMap, ShardFault, ShardSet, FORWARD_SLOTS};
 pub use stats::{ServeStats, ServeStatsSnapshot};

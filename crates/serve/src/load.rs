@@ -10,9 +10,11 @@
 
 use std::time::{Duration, Instant};
 
+use prism_api::SelectionService;
 use prism_core::{
     ComputePrecision, PartialMode, Priority, RequestOptions, SemCacheMode, SpillPrecision,
 };
+use prism_metrics::exact_quantile;
 use prism_model::SequenceBatch;
 use prism_workload::{dataset_by_name, WorkloadGenerator};
 use serde::Serialize;
@@ -240,14 +242,6 @@ impl LoadReport {
     }
 }
 
-fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Runs `spec` against `server` and reports exact latency percentiles.
 pub fn run_closed_loop(server: &PrismServer, spec: &LoadSpec) -> LoadReport {
     let profile = dataset_by_name(&spec.dataset)
@@ -303,6 +297,7 @@ pub fn run_closed_loop(server: &PrismServer, spec: &LoadSpec) -> LoadReport {
                     let is_high = spec_ref.is_high(i);
                     let options = spec_ref
                         .decorate(i, RequestOptions::tagged(spec_ref.k, corpus ^ 0x5E55_1011));
+                    let service = server.service(format!("session-{session_idx}"));
                     let t0 = Instant::now();
                     // Typed, bounded backpressure handling: each submit
                     // runs its own decorrelated-jitter schedule, and the
@@ -310,11 +305,7 @@ pub fn run_closed_loop(server: &PrismServer, spec: &LoadSpec) -> LoadReport {
                     // schedule that gives up counts as a client error.
                     let mut schedule = retry_policy.schedule();
                     let handle = loop {
-                        match server.submit(crate::ServeRequest {
-                            session: format!("session-{session_idx}"),
-                            batch: batch.clone(),
-                            options: options.clone(),
-                        }) {
+                        match service.submit(batch.clone(), options.clone()) {
                             Ok(h) => break Some(h),
                             Err(err @ ServeError::Backpressure { .. }) => {
                                 match schedule.next_delay(&err) {
@@ -405,16 +396,6 @@ pub fn run_closed_loop(server: &PrismServer, spec: &LoadSpec) -> LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantiles_on_small_samples() {
-        assert_eq!(exact_quantile(&[], 0.5), 0);
-        assert_eq!(exact_quantile(&[7], 0.99), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(exact_quantile(&v, 0.0), 1);
-        assert_eq!(exact_quantile(&v, 0.5), 51);
-        assert_eq!(exact_quantile(&v, 1.0), 100);
-    }
 
     #[test]
     fn default_spec_is_sane() {

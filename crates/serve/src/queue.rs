@@ -15,10 +15,11 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
+use prism_api::Completion;
 use prism_core::{CancelToken, Priority, RequestOptions};
 use prism_model::SequenceBatch;
 
-use crate::request::{Replier, ServeError};
+use crate::request::ServeError;
 use crate::scheduler::{BatchPlanner, PlanDecision, QueueItem};
 use crate::stats::ServeStats;
 
@@ -49,14 +50,29 @@ pub struct Pending {
     /// The tenant's occupied quota slot, if quotas are enabled. Released
     /// by drop on every exit path — completion, shed, drain.
     pub quota: Option<crate::quota::QuotaToken>,
-    /// Reply transport back to the caller.
-    pub reply: Replier,
+    /// Producer side of the caller's `SelectionHandle`: the reply
+    /// transport and progress sink. First completion wins, so the queue
+    /// and a worker may race to answer a cancelled request.
+    pub reply: Completion,
 }
 
 impl Pending {
     /// The scheduling class (from the resolved options).
     pub fn priority(&self) -> Priority {
         self.options.priority
+    }
+
+    /// Answers the request with a typed error and counts it: caller
+    /// cancellations and deadline sheds on their own counters, any other
+    /// failure as a completed (answered) request. The one place this
+    /// split lives — queue sheds and workers both end up here.
+    pub fn fail(mut self, stats: &ServeStats, err: ServeError) {
+        match err {
+            ServeError::Cancelled => stats.cancelled.inc(),
+            ServeError::DeadlineExceeded => stats.deadline_missed.inc(),
+            _ => stats.completed.inc(),
+        }
+        self.reply.complete(Err(err));
     }
 }
 
@@ -138,17 +154,16 @@ impl SubmissionQueue {
         while i < state.deque.len() {
             let p = &state.deque[i];
             let verdict = if p.cancel.is_cancelled() {
-                Some((ServeError::Cancelled, &self.stats.cancelled))
+                Some(ServeError::Cancelled)
             } else if p.deadline.is_some_and(|d| now >= d) {
-                Some((ServeError::DeadlineExceeded, &self.stats.deadline_missed))
+                Some(ServeError::DeadlineExceeded)
             } else {
                 None
             };
             match verdict {
-                Some((err, counter)) => {
-                    let mut dead = state.deque.remove(i).expect("index in bounds");
-                    counter.inc();
-                    dead.reply.send(Err(err));
+                Some(err) => {
+                    let dead = state.deque.remove(i).expect("index in bounds");
+                    dead.fail(&self.stats, err);
                 }
                 None => i += 1,
             }
@@ -248,16 +263,12 @@ impl SubmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
     use std::time::Duration;
 
-    use crate::request::ServeResponse;
+    use prism_api::SelectionHandle;
 
-    fn pending(
-        ticket: u64,
-        tokens: usize,
-    ) -> (Pending, mpsc::Receiver<Result<ServeResponse, ServeError>>) {
-        let (tx, rx) = mpsc::sync_channel(1);
+    fn pending(ticket: u64, tokens: usize) -> (Pending, SelectionHandle) {
+        let (handle, completion) = SelectionHandle::channel(ticket, None);
         let p = Pending {
             ticket,
             session: "s".into(),
@@ -267,11 +278,11 @@ mod tests {
             tokens,
             enqueued: Instant::now(),
             deadline: None,
-            cancel: CancelToken::new(),
+            cancel: handle.cancel_token(),
             quota: None,
-            reply: Replier::Channel(tx),
+            reply: completion,
         };
-        (p, rx)
+        (p, handle)
     }
 
     fn eager_planner(max_requests: usize) -> BatchPlanner {
@@ -312,8 +323,8 @@ mod tests {
         let q = SubmissionQueue::new(8, ServeStats::new(), 1);
         let mut keep = Vec::new();
         for t in 1..=5 {
-            let (p, rx) = pending(t, 2);
-            keep.push(rx);
+            let (p, h) = pending(t, 2);
+            keep.push(h);
             q.push(p).unwrap();
         }
         let batch = q.next_batch(&eager_planner(3)).unwrap();
@@ -330,11 +341,11 @@ mod tests {
         let q = SubmissionQueue::new(8, ServeStats::new(), 1);
         let mut keep = Vec::new();
         for t in 1..=3 {
-            let (mut p, rx) = pending(t, 2);
+            let (mut p, h) = pending(t, 2);
             if t == 3 {
                 p.options.priority = Priority::High;
             }
-            keep.push(rx);
+            keep.push(h);
             q.push(p).unwrap();
         }
         let batch = q.next_batch(&eager_planner(2)).unwrap();
@@ -345,16 +356,16 @@ mod tests {
     fn cancelled_requests_are_shed_with_cancelled_error() {
         let stats = ServeStats::new();
         let q = SubmissionQueue::new(8, stats.clone(), 1);
-        let (p1, rx1) = pending(1, 2);
-        let (p2, rx2) = pending(2, 2);
+        let (p1, h1) = pending(1, 2);
+        let (p2, h2) = pending(2, 2);
         let cancel = p1.cancel.clone();
         q.push(p1).unwrap();
         q.push(p2).unwrap();
         cancel.cancel();
         let batch = q.next_batch(&eager_planner(8)).unwrap();
         assert_eq!(batch.iter().map(|p| p.ticket).collect::<Vec<_>>(), [2]);
-        assert!(matches!(rx1.recv(), Ok(Err(ServeError::Cancelled))));
-        assert!(rx2.try_recv().is_err(), "live request still unanswered");
+        assert!(matches!(h1.wait(), Err(ServeError::Cancelled)));
+        assert!(h2.poll().is_none(), "live request still unanswered");
         assert_eq!(stats.cancelled.get(), 1);
     }
 
@@ -362,8 +373,8 @@ mod tests {
     fn push_sheds_dead_entries_before_reporting_backpressure() {
         let stats = ServeStats::new();
         let q = SubmissionQueue::new(2, stats.clone(), 1);
-        let (p1, rx1) = pending(1, 2);
-        let (p2, rx2) = pending(2, 2);
+        let (p1, h1) = pending(1, 2);
+        let (p2, h2) = pending(2, 2);
         let (c1, c2) = (p1.cancel.clone(), p2.cancel.clone());
         q.push(p1).unwrap();
         q.push(p2).unwrap();
@@ -371,10 +382,10 @@ mod tests {
         c2.cancel();
         // The queue is nominally full, but only with dead entries: live
         // work must be admitted, not bounced with backpressure.
-        let (p3, _rx3) = pending(3, 2);
+        let (p3, _h3) = pending(3, 2);
         q.push(p3).unwrap();
-        assert!(matches!(rx1.recv(), Ok(Err(ServeError::Cancelled))));
-        assert!(matches!(rx2.recv(), Ok(Err(ServeError::Cancelled))));
+        assert!(matches!(h1.wait(), Err(ServeError::Cancelled)));
+        assert!(matches!(h2.wait(), Err(ServeError::Cancelled)));
         assert_eq!(stats.cancelled.get(), 2);
         assert_eq!(q.depth(), 1);
     }
@@ -383,21 +394,21 @@ mod tests {
     fn expired_deadlines_are_shed_with_deadline_error() {
         let stats = ServeStats::new();
         let q = SubmissionQueue::new(8, stats.clone(), 1);
-        let (mut p1, rx1) = pending(1, 2);
+        let (mut p1, h1) = pending(1, 2);
         p1.deadline = Some(Instant::now() - Duration::from_millis(1));
-        let (p2, _rx2) = pending(2, 2);
+        let (p2, _h2) = pending(2, 2);
         q.push(p1).unwrap();
         q.push(p2).unwrap();
         let batch = q.next_batch(&eager_planner(8)).unwrap();
         assert_eq!(batch.iter().map(|p| p.ticket).collect::<Vec<_>>(), [2]);
-        assert!(matches!(rx1.recv(), Ok(Err(ServeError::DeadlineExceeded))));
+        assert!(matches!(h1.wait(), Err(ServeError::DeadlineExceeded)));
         assert_eq!(stats.deadline_missed.get(), 1);
     }
 
     #[test]
     fn close_drains_then_ends() {
         let q = SubmissionQueue::new(8, ServeStats::new(), 1);
-        let (p, _rx) = pending(1, 2);
+        let (p, _h) = pending(1, 2);
         q.push(p).unwrap();
         q.close();
         // Closed queue flushes the waiting request instead of aging it.
@@ -410,7 +421,7 @@ mod tests {
         };
         assert_eq!(q.next_batch(&planner).unwrap().len(), 1);
         assert!(q.next_batch(&planner).is_none());
-        let (p2, _rx2) = pending(2, 2);
+        let (p2, _h2) = pending(2, 2);
         assert!(matches!(q.push(p2), Err(ServeError::ShuttingDown)));
     }
 
@@ -420,7 +431,7 @@ mod tests {
         let q2 = q.clone();
         let consumer = std::thread::spawn(move || q2.next_batch(&eager_planner(4)));
         std::thread::sleep(Duration::from_millis(10));
-        let (p, _rx) = pending(7, 1);
+        let (p, _h) = pending(7, 1);
         q.push(p).unwrap();
         let batch = consumer.join().unwrap().unwrap();
         assert_eq!(batch[0].ticket, 7);

@@ -1,185 +1,18 @@
-//! Request/response types of the serving API.
+//! The serving API's error type.
 //!
-//! Since the `prism-api` facade landed, the serving layer's error type
-//! *is* the facade's [`ServiceError`] (the old ad-hoc `ServeError` enum
-//! survives only as a type alias), and a request can be answered through
-//! either transport: the legacy [`ResponseHandle`] channel or a facade
-//! `SelectionHandle` completion ([`Replier`]).
-
-use std::sync::mpsc;
-
-use prism_api::{Completion, SelectionOutcome};
-use prism_core::{RequestOptions, Selection};
-use prism_model::SequenceBatch;
-use serde::Serialize;
+//! Requests enter through [`crate::PrismServer::service`] and are
+//! answered through `prism_api::SelectionHandle`s, so the request and
+//! response types are the facade's; what remains here is the error name
+//! the serving layer grew up with.
 
 pub use prism_api::ServiceError;
 
 /// The serving layer's historical error name, now the facade hierarchy.
 pub type ServeError = ServiceError;
 
-/// A serving request: one candidate batch to select from, bound to a
-/// session.
-///
-/// The session identifies the tenant for cache affinity and FIFO
-/// guarantees; the [`RequestOptions`] carry `k`, per-request routing
-/// overrides, the scheduling `priority`, an optional relative
-/// `deadline_us`, and optionally an explicit routing `tag`. When no tag
-/// is given the server assigns the request's ticket number (its global
-/// submission index, starting at 1), which makes a serving run
-/// reproducible against a sequential reference that processes the same
-/// requests in submission order.
-#[derive(Debug, Clone)]
-pub struct ServeRequest {
-    /// Session (tenant) key.
-    pub session: String,
-    /// The packed candidate batch.
-    pub batch: SequenceBatch,
-    /// Per-request selection parameters.
-    pub options: RequestOptions,
-}
-
-impl ServeRequest {
-    /// A plain top-`k` request for `session`.
-    pub fn new(session: impl Into<String>, batch: SequenceBatch, k: usize) -> Self {
-        ServeRequest {
-            session: session.into(),
-            batch,
-            options: RequestOptions::top_k(k),
-        }
-    }
-
-    /// Replaces the request options.
-    pub fn with_options(mut self, options: RequestOptions) -> Self {
-        self.options = options;
-        self
-    }
-}
-
-/// How the session cache participated in answering a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum CacheOutcome {
-    /// Corpus not cached (or cache disabled): full execution.
-    Miss,
-    /// Candidate embeddings replayed from the session cache; transformer
-    /// layers still executed.
-    EmbedHit,
-    /// Exact repeat: the whole [`Selection`] was served from the cache.
-    SelectionHit,
-    /// Every candidate's full-depth score was replayed from the
-    /// cross-request semantic cache ([`crate::SemanticLayer`]): no
-    /// transformer layers executed for this request.
-    SemanticHit,
-}
-
-/// A completed serving response.
-#[derive(Debug, Clone)]
-pub struct ServeResponse {
-    /// The selection, bit-identical to a direct engine call with the same
-    /// batch, options and tag.
-    pub selection: Selection,
-    /// Global submission index of the request (1-based).
-    pub ticket: u64,
-    /// Number of requests coalesced into the executing batch.
-    pub batch_size: usize,
-    /// Microseconds spent queued before a worker picked the request up.
-    pub queued_us: u64,
-    /// Microseconds of batch execution (shared across the batch).
-    pub service_us: u64,
-    /// Session-cache participation.
-    pub cache: CacheOutcome,
-}
-
-impl ServeResponse {
-    /// Converts into the facade's backend-independent outcome.
-    pub fn into_outcome(self) -> SelectionOutcome {
-        SelectionOutcome {
-            served_from_cache: self.cache != CacheOutcome::Miss,
-            selection: self.selection,
-            ticket: self.ticket,
-            queued_us: self.queued_us,
-            service_us: self.service_us,
-            batch_size: self.batch_size,
-        }
-    }
-}
-
-/// The way one request's answer travels back to its caller: the legacy
-/// sync-channel behind [`ResponseHandle`], or a facade completion
-/// behind a `prism_api::SelectionHandle`.
-#[derive(Debug)]
-pub enum Replier {
-    /// Legacy channel transport.
-    Channel(mpsc::SyncSender<std::result::Result<ServeResponse, ServeError>>),
-    /// Facade handle transport.
-    Handle(Completion),
-}
-
-impl Replier {
-    /// Delivers the result. Safe to call once per request from whichever
-    /// component resolves it first (queue shed or worker); a dropped
-    /// caller-side handle is not an error.
-    pub fn send(&mut self, result: std::result::Result<ServeResponse, ServeError>) {
-        match self {
-            Replier::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            Replier::Handle(completion) => {
-                completion.complete(result.map(ServeResponse::into_outcome));
-            }
-        }
-    }
-}
-
-/// Waits for the response to one submitted request.
-#[derive(Debug)]
-pub struct ResponseHandle {
-    pub(crate) ticket: u64,
-    pub(crate) rx: mpsc::Receiver<std::result::Result<ServeResponse, ServeError>>,
-}
-
-impl ResponseHandle {
-    /// The request's global submission index (1-based; also its routing
-    /// tag unless one was set explicitly).
-    pub fn ticket(&self) -> u64 {
-        self.ticket
-    }
-
-    /// Blocks until the response arrives.
-    pub fn wait(self) -> crate::Result<ServeResponse> {
-        match self.rx.recv() {
-            Ok(r) => r,
-            Err(_) => Err(ServeError::Disconnected),
-        }
-    }
-
-    /// Returns the response if it is already available.
-    pub fn try_wait(&self) -> Option<crate::Result<ServeResponse>> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Disconnected)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prism_core::Priority;
-
-    #[test]
-    fn request_builder_defaults() {
-        let batch = SequenceBatch::new(&[vec![1, 2, 3]]).unwrap();
-        let r = ServeRequest::new("tenant-a", batch, 2);
-        assert_eq!(r.session, "tenant-a");
-        assert_eq!(r.options.k, 2);
-        assert!(r.options.tag.is_none());
-        assert_eq!(r.options.priority, Priority::Normal);
-        let r = r.with_options(RequestOptions::tagged(1, 9).with_priority(Priority::High));
-        assert_eq!(r.options.tag, Some(9));
-        assert_eq!(r.options.priority, Priority::High);
-    }
 
     #[test]
     fn errors_display() {
@@ -190,36 +23,5 @@ mod tests {
         };
         assert!(e.to_string().contains("4/4"));
         assert!(ServeError::ShuttingDown.to_string().contains("shutting"));
-    }
-
-    #[test]
-    fn handle_try_wait_reports_states() {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let h = ResponseHandle { ticket: 3, rx };
-        assert_eq!(h.ticket(), 3);
-        assert!(h.try_wait().is_none());
-        drop(tx);
-        assert!(matches!(h.try_wait(), Some(Err(ServeError::Disconnected))));
-    }
-
-    #[test]
-    fn response_converts_to_outcome() {
-        let response = ServeResponse {
-            selection: Selection {
-                ranked: Vec::new(),
-                last_scores: Vec::new(),
-                coverage: 1.0,
-                trace: Default::default(),
-            },
-            ticket: 11,
-            batch_size: 3,
-            queued_us: 5,
-            service_us: 9,
-            cache: CacheOutcome::SelectionHit,
-        };
-        let outcome = response.into_outcome();
-        assert_eq!(outcome.ticket, 11);
-        assert_eq!(outcome.batch_size, 3);
-        assert!(outcome.served_from_cache);
     }
 }

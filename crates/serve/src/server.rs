@@ -1,12 +1,11 @@
 //! The serving runtime: worker pool over one shared engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use prism_api::{SelectionHandle, SelectionService, ServiceError};
-use prism_baselines::{RankOutcome, Reranker};
+use prism_api::{SelectionHandle, SelectionOutcome, SelectionService, ServiceError};
 use prism_core::{
     rank_full_scores, ActiveRequest, PrismEngine, PrismError, RequestOptions, Selection,
 };
@@ -17,7 +16,6 @@ use prism_tensor::Tensor;
 use crate::config::ServeConfig;
 use crate::queue::{Pending, SubmissionQueue};
 use crate::quota::{QuotaToken, TenantQuota};
-use crate::request::{CacheOutcome, Replier, ResponseHandle, ServeRequest, ServeResponse};
 use crate::scheduler::BatchPlanner;
 use crate::semantic::{merge_tail_scores, replay_selection, SemState, SemanticLayer};
 use crate::session::{fingerprint_batch, CacheLookup, SelectionKey, SessionCache};
@@ -112,13 +110,6 @@ impl PrismServer {
         Ok(PrismServer { shared, workers })
     }
 
-    /// Submits a request; fails fast with [`ServiceError::Backpressure`]
-    /// when the queue is full and [`ServiceError::DeadlineExceeded`] when
-    /// the request's deadline has already passed at admission.
-    pub fn submit(&self, request: ServeRequest) -> crate::Result<ResponseHandle> {
-        self.shared.submit(request)
-    }
-
     /// Live serving telemetry (shared handles — cheap to clone).
     pub fn stats(&self) -> &ServeStats {
         &self.shared.stats
@@ -142,17 +133,12 @@ impl PrismServer {
         self.shared.semcache.as_ref()
     }
 
-    /// A lightweight per-session submission handle (usable as a
-    /// [`Reranker`] by the application pipelines).
-    pub fn session(&self, name: impl Into<String>) -> ServeSession {
-        ServeSession {
-            shared: Arc::clone(&self.shared),
-            session: name.into(),
-        }
-    }
-
-    /// The `prism-api` facade over this server: a cloneable
-    /// [`SelectionService`] whose submissions return non-blocking
+    /// The one way in: a cloneable [`SelectionService`] bound to
+    /// `session` (the tenant key for cache affinity, FIFO order and
+    /// quotas). Submissions fail fast with
+    /// [`ServiceError::Backpressure`] when the queue is full and
+    /// [`ServiceError::DeadlineExceeded`] when the deadline has already
+    /// passed at admission; accepted ones return non-blocking
     /// `SelectionHandle`s with cancellation, deadlines and progress.
     pub fn service(&self, session: impl Into<String>) -> RemoteService {
         RemoteService {
@@ -239,28 +225,6 @@ impl ServerShared {
         }
     }
 
-    fn submit(&self, request: ServeRequest) -> crate::Result<ResponseHandle> {
-        let now = Instant::now();
-        let mut options = request.options;
-        let (ticket, deadline) = self.admit(&mut options, now)?;
-        let quota = self.acquire_quota(&request.session)?;
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.enqueue(Pending {
-            ticket,
-            session: request.session,
-            batch: request.batch,
-            options,
-            fingerprint: 0,
-            tokens: 0,
-            enqueued: now,
-            deadline,
-            cancel: prism_core::CancelToken::new(),
-            quota,
-            reply: Replier::Channel(tx),
-        })?;
-        Ok(ResponseHandle { ticket, rx })
-    }
-
     fn submit_handle(
         &self,
         session: String,
@@ -283,7 +247,7 @@ impl ServerShared {
             deadline,
             cancel: handle.cancel_token(),
             quota,
-            reply: Replier::Handle(completion),
+            reply: completion,
         })?;
         Ok(handle)
     }
@@ -296,11 +260,20 @@ fn worker_loop(shared: &ServerShared) {
     }
 }
 
-/// One request bound for engine execution (cache probes resolved).
+/// How one request was served: the timing and provenance half of its
+/// [`SelectionOutcome`].
+#[derive(Clone, Copy)]
+struct Served {
+    batch_size: usize,
+    queued_us: u64,
+    service_us: u64,
+    from_cache: bool,
+}
+
+/// One request bound for execution (cache probes resolved).
 struct RunItem {
     pending: Pending,
-    outcome: CacheOutcome,
-    queued_us: u64,
+    served: Served,
     /// Semantic-cache bookkeeping when the request engaged that tier
     /// (partial replay merge, verification, harvest happen after
     /// finalize).
@@ -405,6 +378,71 @@ fn resolve_semantic(
     selection
 }
 
+/// Plans one request on the shared engine — the full batch, or only the
+/// novel tail of a partially-hit semantic probe — and wires the caller's
+/// controls into it: cancel and deadline abort at layer boundaries,
+/// progress streams back through the handle.
+fn plan(
+    shared: &ServerShared,
+    pending: &Pending,
+    sem: &mut Option<SemState>,
+    embed: Option<&Tensor>,
+) -> Result<ActiveRequest, PrismError> {
+    let mut planned = match (sem, embed) {
+        (Some(state), Some(embed)) if !state.verify && state.hits() > 0 => {
+            let novel: Vec<usize> = state
+                .probes
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.is_hit())
+                .map(|(i, _)| i)
+                .collect();
+            let seqs: Vec<Vec<u32>> = novel
+                .iter()
+                .map(|&i| pending.batch.sequence(i).to_vec())
+                .collect();
+            // Sub-views of an already-validated batch stay valid,
+            // and per-candidate embedding rows are position-local,
+            // so the original rows transplant unchanged.
+            let sub_batch = SequenceBatch::new(&seqs).expect("novel sub-batch");
+            let dim = embed.cols();
+            let data = embed.data();
+            let mut rows = Vec::new();
+            for &i in &novel {
+                let (s, e) = pending.batch.ranges()[i];
+                rows.extend_from_slice(&data[s * dim..e * dim]);
+            }
+            let sub_embed = Tensor::from_vec(rows.len() / dim, dim, rows).expect("novel sub-embed");
+            let mut sub_options = pending.options.clone();
+            sub_options.k = sub_options.k.min(novel.len());
+            state.novel = Some(novel);
+            shared
+                .engine
+                .plan_request_with_embed(&sub_batch, sub_options, Some(&sub_embed))
+        }
+        (_, embed) => {
+            shared
+                .engine
+                .plan_request_with_embed(&pending.batch, pending.options.clone(), embed)
+        }
+    }?;
+    planned.attach_cancel(pending.cancel.clone());
+    if let Some(d) = pending.deadline {
+        planned.attach_deadline(d);
+    }
+    planned.attach_progress(pending.reply.progress_fn());
+    Ok(planned)
+}
+
+/// The one request path. Per request: shed → session-memo probe → embed
+/// (only when a tier needs it) → semantic probe → plan; then one run
+/// over everything still unanswered; then per request: semantic
+/// epilogue → stats → memo store → reply. A sharded server differs only
+/// at the run step — scatter-gather per request instead of one coalesced
+/// pass over the shared engine's weights — and, because planning then
+/// happens inside each shard over its corpus partition, in what feeds
+/// it: no embed-replay tier, and a semantic probe that is
+/// all-or-nothing (a partial tail cannot be transplanted into shards).
 fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<ForwardScratch>) {
     let picked_at = Instant::now();
     let stats = &shared.stats;
@@ -415,15 +453,13 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
     // per-response `batch_size` describe what actually executes.
     let batch: Vec<Pending> = batch
         .into_iter()
-        .filter_map(|mut pending| {
+        .filter_map(|pending| {
             if pending.cancel.is_cancelled() {
-                stats.cancelled.inc();
-                pending.reply.send(Err(ServiceError::Cancelled));
+                pending.fail(stats, ServiceError::Cancelled);
                 return None;
             }
             if pending.deadline.is_some_and(|d| picked_at >= d) {
-                stats.deadline_missed.inc();
-                pending.reply.send(Err(ServiceError::DeadlineExceeded));
+                pending.fail(stats, ServiceError::DeadlineExceeded);
                 return None;
             }
             Some(pending)
@@ -440,64 +476,60 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
         .record(batch.iter().map(|p| p.tokens as u64).sum());
     stats.in_flight.add(size as u64);
 
-    // ---- Sharded backend: scatter-gather per request ----
-    if let Some(shards) = &shared.shards {
-        execute_sharded_batch(shared, shards, batch, size, picked_at);
-        stats.in_flight.sub(size as u64);
-        return;
-    }
-
     let mut items: Vec<RunItem> = Vec::with_capacity(size);
     let mut planned: Vec<ActiveRequest> = Vec::with_capacity(size);
-    for mut pending in batch {
+    for pending in batch {
         let queued_us = picked_at.duration_since(pending.enqueued).as_micros() as u64;
         stats.queued_us.record(queued_us);
-        let key = SelectionKey::from_options(&pending.options);
+        let mut served = Served {
+            batch_size: size,
+            queued_us,
+            service_us: 0,
+            from_cache: false,
+        };
+        let cached = Served {
+            from_cache: true,
+            ..served
+        };
 
-        // ---- Session-cache probe ----
+        // ---- Session-memo probe ----
         let lookup = match &shared.cache {
             Some(cache) => cache.lock().expect("session cache lock").lookup(
                 &pending.session,
                 pending.fingerprint,
                 &pending.batch,
-                &key,
+                &SelectionKey::from_options(&pending.options),
             ),
             None => CacheLookup::Miss,
         };
         if let CacheLookup::Selection(sel) = lookup {
             stats.cache_selection_hits.inc();
-            stats.service_us.record(0);
-            stats.completed.inc();
-            let response = ServeResponse {
-                selection: *sel,
-                ticket: pending.ticket,
-                batch_size: size,
-                queued_us,
-                service_us: 0,
-                cache: CacheOutcome::SelectionHit,
-            };
-            pending.reply.send(Ok(response));
+            answer(stats, pending, cached, Ok(*sel));
             continue;
         }
 
-        // ---- Resolve the candidate embedding (replayed or computed).
-        // The embedding is needed up front both for embed-replay
-        // planning and for the semantic cache's pooled probe vectors.
+        // ---- Resolve the candidate embedding (replayed or computed),
+        // when a tier needs it up front: embed-replay planning, or the
+        // semantic cache's pooled probe vectors. Shard engines share the
+        // full embedding weights, so shard 0's embedding serves the
+        // probe of a sharded server too.
         let semcache = shared
             .semcache
             .as_ref()
             .filter(|_| SemanticLayer::eligible(&pending.options, shared.engine.options().pruning));
-        let (embed, outcome) = match lookup {
+        let embed = match lookup {
             CacheLookup::Embed(embed) => {
                 stats.cache_embed_hits.inc();
-                (Some(embed), CacheOutcome::EmbedHit)
+                served = cached;
+                Some(embed)
             }
             _ => {
                 stats.cache_misses.inc();
-                if shared.cache.is_some() || semcache.is_some() {
+                let memo = shared.cache.as_ref().filter(|_| shared.shards.is_none());
+                if memo.is_some() || semcache.is_some() {
                     match shared.engine.embed_batch(&pending.batch) {
                         Ok(embed) => {
-                            if let Some(cache) = &shared.cache {
+                            if let Some(cache) = memo {
                                 cache.lock().expect("session cache lock").store_embed(
                                     &pending.session,
                                     pending.fingerprint,
@@ -505,16 +537,15 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
                                     embed.clone(),
                                 );
                             }
-                            (Some(embed), CacheOutcome::Miss)
+                            Some(embed)
                         }
                         Err(e) => {
-                            stats.completed.inc();
-                            pending.reply.send(Err(ServiceError::from(e)));
+                            answer(stats, pending, served, Err(e.into()));
                             continue;
                         }
                     }
                 } else {
-                    (None, CacheOutcome::Miss)
+                    None
                 }
             }
         };
@@ -524,303 +555,138 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
         if let (Some(layer), Some(embed)) = (semcache, embed.as_ref()) {
             match probe_semantic(shared, layer, &pending, embed) {
                 Ok(selection) => {
-                    stats.service_us.record(0);
-                    stats.completed.inc();
                     store_selection(shared, &pending, &selection);
-                    let response = ServeResponse {
-                        selection,
-                        ticket: pending.ticket,
-                        batch_size: size,
-                        queued_us,
-                        service_us: 0,
-                        cache: CacheOutcome::SemanticHit,
-                    };
-                    pending.reply.send(Ok(response));
+                    answer(stats, pending, cached, Ok(selection));
                     continue;
                 }
                 Err(state) => sem = Some(state),
             }
         }
 
-        // ---- Plan: the full request, or only the novel tail of a
-        // partially-hit semantic probe ----
-        let plan = match (&mut sem, &embed) {
-            (Some(state), Some(embed)) if !state.verify && state.hits() > 0 => {
-                let novel: Vec<usize> = state
-                    .probes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| !p.is_hit())
-                    .map(|(i, _)| i)
-                    .collect();
-                let seqs: Vec<Vec<u32>> = novel
-                    .iter()
-                    .map(|&i| pending.batch.sequence(i).to_vec())
-                    .collect();
-                // Sub-views of an already-validated batch stay valid,
-                // and per-candidate embedding rows are position-local,
-                // so the original rows transplant unchanged.
-                let sub_batch = SequenceBatch::new(&seqs).expect("novel sub-batch");
-                let dim = embed.cols();
-                let data = embed.data();
-                let mut rows = Vec::new();
-                for &i in &novel {
-                    let (s, e) = pending.batch.ranges()[i];
-                    rows.extend_from_slice(&data[s * dim..e * dim]);
+        // ---- Plan, on the shared engine (shards plan their own part) ----
+        if shared.shards.is_none() {
+            match plan(shared, &pending, &mut sem, embed.as_ref()) {
+                Ok(p) => planned.push(p),
+                Err(e) => {
+                    answer(stats, pending, served, Err(e.into()));
+                    continue;
                 }
-                let sub_embed =
-                    Tensor::from_vec(rows.len() / dim, dim, rows).expect("novel sub-embed");
-                let mut sub_options = pending.options.clone();
-                sub_options.k = sub_options.k.min(novel.len());
-                state.novel = Some(novel);
-                shared
-                    .engine
-                    .plan_request_with_embed(&sub_batch, sub_options, Some(&sub_embed))
-            }
-            (_, Some(embed)) => shared.engine.plan_request_with_embed(
-                &pending.batch,
-                pending.options.clone(),
-                Some(embed),
-            ),
-            (_, None) => shared
-                .engine
-                .plan_request(&pending.batch, pending.options.clone()),
-        };
-        match plan {
-            Ok(mut p) => {
-                // Wire the caller's controls into the engine: cancel and
-                // deadline abort at layer boundaries, progress streams
-                // back through the facade handle.
-                p.attach_cancel(pending.cancel.clone());
-                if let Some(d) = pending.deadline {
-                    p.attach_deadline(d);
-                }
-                if let Replier::Handle(completion) = &pending.reply {
-                    p.attach_progress(completion.progress_fn());
-                }
-                planned.push(p);
-                items.push(RunItem {
-                    pending,
-                    outcome,
-                    queued_us,
-                    sem,
-                });
-            }
-            Err(e) => {
-                stats.completed.inc();
-                pending.reply.send(Err(ServiceError::from(e)));
             }
         }
+        items.push(RunItem {
+            pending,
+            served,
+            sem,
+        });
     }
 
-    // ---- Execute the coalesced batch: one pass over the weights ----
-    if !planned.is_empty() {
-        let t0 = Instant::now();
-        let run = shared.engine.run_planned(&mut planned, scratch);
-        let service_us = t0.elapsed().as_micros() as u64;
-        match run {
-            Ok(()) => {
-                for (mut item, req) in items.into_iter().zip(planned) {
-                    // Finalize per request: an aborted member of the
-                    // batch (cancelled / past deadline) surfaces as its
-                    // typed error without failing its batch-mates.
-                    match shared.engine.finalize_request(req) {
-                        Ok(selection) => {
-                            stats
-                                .slots_quarantined
-                                .inc_by(selection.trace.spill_stats.quarantined);
-                            // Semantic-cache epilogue: merge a partial
-                            // replay with its computed tail, verify and
-                            // harvest. Aborted batch-mates skip this, so
-                            // they contribute no cache bytes.
-                            let selection = match (&item.sem, &shared.semcache) {
-                                (Some(sem), Some(layer)) => {
-                                    resolve_semantic(shared, layer, &item.pending, sem, selection)
-                                }
-                                _ => selection,
-                            };
-                            stats.service_us.record(service_us);
-                            stats.completed.inc();
-                            store_selection(shared, &item.pending, &selection);
-                            let response = ServeResponse {
-                                selection,
-                                ticket: item.pending.ticket,
-                                batch_size: size,
-                                queued_us: item.queued_us,
-                                service_us,
-                                cache: item.outcome,
-                            };
-                            item.pending.reply.send(Ok(response));
-                        }
-                        Err(PrismError::Cancelled) => {
-                            stats.cancelled.inc();
-                            item.pending.reply.send(Err(ServiceError::Cancelled));
-                        }
-                        Err(PrismError::DeadlineExceeded) => {
-                            stats.deadline_missed.inc();
-                            item.pending.reply.send(Err(ServiceError::DeadlineExceeded));
-                        }
-                        Err(e) => {
-                            stats.completed.inc();
-                            item.pending.reply.send(Err(ServiceError::from(e)));
-                        }
+    // ---- Run ----
+    match &shared.shards {
+        // Every request was answered from a cache or failed planning.
+        None if planned.is_empty() => {}
+        // One pass over the weights for the whole coalesced batch.
+        None => {
+            let t0 = Instant::now();
+            let run = shared.engine.run_planned(&mut planned, scratch);
+            let service_us = t0.elapsed().as_micros() as u64;
+            match run {
+                // Finalize per request: an aborted member of the batch
+                // (cancelled / past deadline) surfaces as its typed
+                // error without failing its batch-mates.
+                Ok(()) => {
+                    for (item, req) in items.into_iter().zip(planned) {
+                        let result = shared.engine.finalize_request(req);
+                        finish(shared, item, service_us, result);
+                    }
+                }
+                Err(e) => {
+                    let err = ServiceError::from(e);
+                    for item in items {
+                        answer(stats, item.pending, item.served, Err(err.clone()));
                     }
                 }
             }
-            Err(e) => {
-                let err = ServiceError::from(e);
-                for mut item in items {
-                    stats.completed.inc();
-                    item.pending.reply.send(Err(err.clone()));
-                }
+        }
+        // Scatter-gather per request: the deterministic lockstep scatter
+        // loop with the caller's controls attached; a dead or slow shard
+        // surfaces as its typed error without failing batch-mates.
+        Some(shards) => {
+            for item in items {
+                let pending = &item.pending;
+                let t0 = Instant::now();
+                let result = shards.select_with_controls(
+                    &pending.batch,
+                    pending.options.clone(),
+                    Some(pending.cancel.clone()),
+                    pending.deadline,
+                    Some(pending.reply.progress_fn()),
+                );
+                let service_us = t0.elapsed().as_micros() as u64;
+                finish(shared, item, service_us, result);
             }
         }
     }
     stats.in_flight.sub(size as u64);
 }
 
-/// Executes one coalesced batch through the scatter-gather coordinator.
-///
-/// Planning happens inside each shard (the corpus partition is
-/// per-request), so the embed-replay tier of the session cache does not
-/// apply here — only full-selection replays are probed and stored. Each
-/// request runs the deterministic lockstep scatter loop with the
-/// caller's cancel token, deadline and progress sink attached; a dead or
-/// slow shard surfaces as its typed error without failing batch-mates.
-fn execute_sharded_batch(
+/// Epilogue of one executed request. A selection passes through the
+/// semantic-cache merge/verify/harvest, the resilience counters and the
+/// session memo; a failure skips all three (so aborted batch-mates
+/// contribute no cache bytes). Either way the request is then answered.
+fn finish(
     shared: &ServerShared,
-    shards: &ShardSet,
-    batch: Vec<Pending>,
-    size: usize,
-    picked_at: Instant,
+    item: RunItem,
+    service_us: u64,
+    result: Result<Selection, PrismError>,
 ) {
     let stats = &shared.stats;
-    for mut pending in batch {
-        let queued_us = picked_at.duration_since(pending.enqueued).as_micros() as u64;
-        stats.queued_us.record(queued_us);
-        let key = SelectionKey::from_options(&pending.options);
-
-        let lookup = match &shared.cache {
-            Some(cache) => cache.lock().expect("session cache lock").lookup(
-                &pending.session,
-                pending.fingerprint,
-                &pending.batch,
-                &key,
-            ),
-            None => CacheLookup::Miss,
+    let result = result.map(|selection| {
+        stats
+            .slots_quarantined
+            .inc_by(selection.trace.spill_stats.quarantined);
+        let selection = match (&item.sem, &shared.semcache) {
+            (Some(sem), Some(layer)) => {
+                resolve_semantic(shared, layer, &item.pending, sem, selection)
+            }
+            _ => selection,
         };
-        if let CacheLookup::Selection(sel) = lookup {
-            stats.cache_selection_hits.inc();
-            stats.service_us.record(0);
+        if !selection.is_complete() {
+            stats.partial_results.inc();
+        }
+        store_selection(shared, &item.pending, &selection);
+        selection
+    });
+    let served = Served {
+        service_us,
+        ..item.served
+    };
+    answer(stats, item.pending, served, result.map_err(Into::into));
+}
+
+/// Answers one request — every reply of the worker path goes through
+/// here: records the service time and counts the completion, or hands a
+/// failure to [`Pending::fail`] (which owns the
+/// cancelled / deadline-missed / completed split).
+fn answer(
+    stats: &ServeStats,
+    mut pending: Pending,
+    served: Served,
+    result: Result<Selection, ServiceError>,
+) {
+    match result {
+        Ok(selection) => {
+            stats.service_us.record(served.service_us);
             stats.completed.inc();
-            let response = ServeResponse {
-                selection: *sel,
+            pending.reply.complete(Ok(SelectionOutcome {
+                selection,
                 ticket: pending.ticket,
-                batch_size: size,
-                queued_us,
-                service_us: 0,
-                cache: CacheOutcome::SelectionHit,
-            };
-            pending.reply.send(Ok(response));
-            continue;
+                queued_us: served.queued_us,
+                service_us: served.service_us,
+                batch_size: served.batch_size,
+                served_from_cache: served.from_cache,
+            }));
         }
-        stats.cache_misses.inc();
-
-        // ---- Semantic-cache probe: all-or-nothing in the sharded path.
-        // Planning happens inside each shard over its corpus partition,
-        // so a partial tail cannot be transplanted here; a full hit
-        // answers without scattering, anything less runs the full
-        // request (then verifies/harvests).
-        let mut sem: Option<SemState> = None;
-        if let Some(layer) = &shared.semcache {
-            if SemanticLayer::eligible(&pending.options, shared.engine.options().pruning) {
-                // Shard engines share the full embedding weights, so
-                // shard 0's embedding is the probe's pooling source.
-                if let Ok(embed) = shared.engine.embed_batch(&pending.batch) {
-                    match probe_semantic(shared, layer, &pending, &embed) {
-                        Ok(selection) => {
-                            stats.service_us.record(0);
-                            stats.completed.inc();
-                            store_selection(shared, &pending, &selection);
-                            let response = ServeResponse {
-                                selection,
-                                ticket: pending.ticket,
-                                batch_size: size,
-                                queued_us,
-                                service_us: 0,
-                                cache: CacheOutcome::SemanticHit,
-                            };
-                            pending.reply.send(Ok(response));
-                            continue;
-                        }
-                        Err(mut state) => {
-                            // The full request runs below; never a tail.
-                            state.novel = None;
-                            sem = Some(state);
-                        }
-                    }
-                }
-            }
-        }
-
-        let progress = match &pending.reply {
-            Replier::Handle(completion) => Some(completion.progress_fn()),
-            _ => None,
-        };
-        let t0 = Instant::now();
-        let run = shards.select_with_controls(
-            &pending.batch,
-            pending.options.clone(),
-            Some(pending.cancel.clone()),
-            pending.deadline,
-            progress,
-        );
-        let service_us = t0.elapsed().as_micros() as u64;
-        match run {
-            Ok(selection) => {
-                let selection = match (&sem, &shared.semcache) {
-                    (Some(sem), Some(layer)) => {
-                        resolve_semantic(shared, layer, &pending, sem, selection)
-                    }
-                    _ => selection,
-                };
-                if !selection.is_complete() {
-                    stats.partial_results.inc();
-                }
-                stats.service_us.record(service_us);
-                stats.completed.inc();
-                if let Some(cache) = &shared.cache {
-                    cache.lock().expect("session cache lock").store_selection(
-                        &pending.session,
-                        pending.fingerprint,
-                        &pending.batch,
-                        key,
-                        &selection,
-                    );
-                }
-                let response = ServeResponse {
-                    selection,
-                    ticket: pending.ticket,
-                    batch_size: size,
-                    queued_us,
-                    service_us,
-                    cache: CacheOutcome::Miss,
-                };
-                pending.reply.send(Ok(response));
-            }
-            Err(PrismError::Cancelled) => {
-                stats.cancelled.inc();
-                pending.reply.send(Err(ServiceError::Cancelled));
-            }
-            Err(PrismError::DeadlineExceeded) => {
-                stats.deadline_missed.inc();
-                pending.reply.send(Err(ServiceError::DeadlineExceeded));
-            }
-            Err(e) => {
-                stats.completed.inc();
-                pending.reply.send(Err(ServiceError::from(e)));
-            }
-        }
+        Err(err) => pending.fail(stats, err),
     }
 }
 
@@ -833,65 +699,6 @@ fn store_selection(shared: &ServerShared, pending: &Pending, selection: &Selecti
             SelectionKey::from_options(&pending.options),
             selection,
         );
-    }
-}
-
-/// A per-session handle: submissions inherit the session key, and the
-/// blocking [`ServeSession::select`] makes the server a drop-in
-/// [`Reranker`] for the application pipelines (RAG, agent memory).
-#[derive(Clone)]
-pub struct ServeSession {
-    shared: Arc<ServerShared>,
-    session: String,
-}
-
-impl ServeSession {
-    /// The session key.
-    pub fn name(&self) -> &str {
-        &self.session
-    }
-
-    /// Submits a batch under this session.
-    pub fn submit(
-        &self,
-        batch: SequenceBatch,
-        options: RequestOptions,
-    ) -> crate::Result<ResponseHandle> {
-        self.shared.submit(ServeRequest {
-            session: self.session.clone(),
-            batch,
-            options,
-        })
-    }
-
-    /// Submits and blocks for the response.
-    pub fn select(
-        &self,
-        batch: SequenceBatch,
-        options: RequestOptions,
-    ) -> crate::Result<ServeResponse> {
-        self.submit(batch, options)?.wait()
-    }
-}
-
-impl Reranker for ServeSession {
-    fn name(&self) -> &str {
-        "PRISM-SERVE"
-    }
-
-    fn rerank(&mut self, batch: &SequenceBatch, k: usize) -> prism_core::Result<RankOutcome> {
-        let response = self
-            .select(batch.clone(), RequestOptions::top_k(k))
-            .map_err(|e| PrismError::InvalidRequest(format!("serving: {e}")))?;
-        Ok(RankOutcome {
-            ranked: response
-                .selection
-                .ranked
-                .iter()
-                .map(|r| (r.id, r.score))
-                .collect(),
-            scores: response.selection.last_scores,
-        })
     }
 }
 

@@ -14,27 +14,19 @@ use prism_core::{
     ComputePrecision, PruneMode, RequestOptions, Selection, SemCacheMode, SpillPrecision,
 };
 use prism_model::SequenceBatch;
+use prism_semcache::hash::{fnv1a, FNV_OFFSET};
 use prism_tensor::Tensor;
 
 /// FNV-1a over the packed tokens and sequence ranges: the identity of a
 /// candidate corpus for caching purposes.
 pub fn fingerprint_batch(batch: &SequenceBatch) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(batch.num_sequences() as u64);
+    let eat = |h: u64, v: u64| fnv1a(h, &v.to_le_bytes());
+    let mut h = eat(FNV_OFFSET, batch.num_sequences() as u64);
     for &(s, e) in batch.ranges() {
-        eat(s as u64);
-        eat(e as u64);
+        h = eat(eat(h, s as u64), e as u64);
     }
     for &t in batch.tokens() {
-        eat(u64::from(t));
+        h = eat(h, u64::from(t));
     }
     h
 }
@@ -296,6 +288,10 @@ mod tests {
         assert_ne!(a, b, "same tokens, different packing must differ");
         assert_eq!(a, c, "identical batches must agree");
         assert_ne!(a, fingerprint_batch(&batch(&[1, 2, 4])));
+        // Session-cache keys must survive refactors of the hash plumbing:
+        // values computed before FNV-1a moved into `prism-semcache`.
+        assert_eq!(a, 0xd9d8_2733_f690_48e4);
+        assert_eq!(fingerprint_batch(&batch(&[1, 2, 4])), 0x271f_1182_a242_dc40);
     }
 
     #[test]

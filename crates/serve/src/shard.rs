@@ -11,8 +11,8 @@
 //!  └─────┬─────┴─────┬─────┴─────┬─────┘
 //!        └─ scores ──┼── scores ─┘        per layer boundary
 //!                    ▼
-//!            ScatterGate (prism-core)     global gate: same seed, same
-//!                    │                    route_and_book as single engine
+//!            ScatterGate (prism-core)     global gate: the same type, seed
+//!                    │                    and methods a single engine runs
 //!        ┌─ keep-mask per shard ─┐        physical pruning pushed back
 //!        ▼                       ▼        to the owning shard
 //!  merged top-k == single-engine top-k (bit-identical)
@@ -42,6 +42,7 @@ use prism_core::{
 };
 use prism_model::layer::ForwardScratch;
 use prism_model::SequenceBatch;
+use prism_semcache::hash::{fnv1a, mix64, FNV_OFFSET};
 
 use crate::stats::ServeStats;
 
@@ -49,30 +50,14 @@ use crate::stats::ServeStats;
 /// per shard at the largest supported shard count keeps balance tight).
 pub const FORWARD_SLOTS: usize = 4096;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a candidate's token content — the routing key. Content
 /// hashing (not position hashing) keeps routing deterministic across
 /// requests: the same candidate text always lands on the same shard, so
 /// shard-local caches stay warm.
 pub fn candidate_key(tokens: &[u32]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for t in tokens {
-        for b in t.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
-fn mix64(mut x: u64) -> u64 {
-    // splitmix64 finalizer: cheap, well-dispersed slot/shard weights.
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    tokens
+        .iter()
+        .fold(FNV_OFFSET, |h, t| fnv1a(h, &t.to_le_bytes()))
 }
 
 /// Flat consistent-hash routing table (the yanet2 `forward_map` idiom):
@@ -233,7 +218,7 @@ pub struct ShardSet {
     /// Resilience telemetry sink (failovers, hedges). Shares state with
     /// the serving layer's instruments when attached.
     stats: ServeStats,
-    /// Tag source for untagged requests (mirrors the engine's counter).
+    /// Tag source for untagged requests (same rule as the engine's own).
     counter: AtomicU64,
     /// Scratch workspaces reused across scatter calls (per-call take/put,
     /// same pattern as the engine's own pool).
@@ -888,6 +873,13 @@ mod tests {
         assert_eq!(candidate_key(&[1, 2, 3]), candidate_key(&[1, 2, 3]));
         assert_ne!(candidate_key(&[1, 2, 3]), candidate_key(&[3, 2, 1]));
         assert_ne!(candidate_key(&[1]), candidate_key(&[1, 1]));
+        // Routing slots must survive refactors of the hash plumbing:
+        // values computed before FNV-1a moved into `prism-semcache`.
+        assert_eq!(candidate_key(&[1, 2, 3]), 0xfd1f_0f43_81eb_0395);
+        assert_eq!(
+            candidate_key(&[7, 0, 0xFFFF_FFFF, 42]),
+            0x4649_6fd6_a3d6_7134
+        );
     }
 
     #[test]

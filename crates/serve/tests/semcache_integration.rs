@@ -5,12 +5,13 @@
 
 use std::time::Duration;
 
+use prism_api::SelectionService;
 use prism_core::{
     EngineOptions, PrismEngine, RequestOptions, Selection, SemCacheMode, SpillPrecision,
 };
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism_serve::{CacheOutcome, LoadSpec, PrismServer, ServeConfig, ServeRequest, ShardFault};
+use prism_serve::{LoadSpec, PrismServer, ServeConfig, ShardFault};
 use prism_storage::Container;
 use prism_workload::{dataset_by_name, WorkloadGenerator};
 
@@ -68,6 +69,14 @@ fn full_depth(k: usize, tag: u64, mode: SemCacheMode, spill: SpillPrecision) -> 
     opts
 }
 
+/// Candidates replayed by the semantic tier so far. A request is a
+/// semantic full hit when it is served from cache and this moves by its
+/// candidate count (the session memo is off in [`semcache_config`], so
+/// no other tier can answer).
+fn semantic_hits(server: &PrismServer) -> u64 {
+    server.stats().semcache_hits.get()
+}
+
 fn ranked_bits(sel: &Selection) -> Vec<(usize, u32, usize)> {
     sel.ranked
         .iter()
@@ -90,16 +99,8 @@ fn verify_mode_matches_semcache_off_across_batch_sizes_and_precisions() {
             let k = candidates.min(3);
             let submit = |mode: SemCacheMode| {
                 server
-                    .submit(
-                        ServeRequest::new("golden", batch.clone(), k).with_options(full_depth(
-                            k,
-                            candidates as u64,
-                            mode,
-                            spill,
-                        )),
-                    )
-                    .unwrap()
-                    .wait()
+                    .service("golden")
+                    .select(batch.clone(), full_depth(k, candidates as u64, mode, spill))
                     .unwrap()
             };
             let reference = submit(SemCacheMode::Off);
@@ -110,6 +111,7 @@ fn verify_mode_matches_semcache_off_across_batch_sizes_and_precisions() {
             let replay = submit(SemCacheMode::VerifyAndFallback);
             // Aggressive on token-identical candidates resolves in the
             // exact tier, so it is bit-identical here too.
+            let hits_before = semantic_hits(&server);
             let aggressive = submit(SemCacheMode::Aggressive);
             for (label, resp) in [
                 ("first", &first),
@@ -136,7 +138,8 @@ fn verify_mode_matches_semcache_off_across_batch_sizes_and_precisions() {
                     "{label} scores diverged at candidates={candidates} spill={spill:?}"
                 );
             }
-            assert_eq!(aggressive.cache, CacheOutcome::SemanticHit);
+            assert!(aggressive.served_from_cache);
+            assert_eq!(semantic_hits(&server) - hits_before, candidates as u64);
         }
     }
     // No verification mismatch ever fell back, and the meter reconciles.
@@ -153,45 +156,46 @@ fn verify_mode_matches_semcache_off_across_batch_sizes_and_precisions() {
 }
 
 /// An `Aggressive` repeat is answered entirely from the cache: no engine
-/// execution (service time 0), `SemanticHit` outcome, per-candidate hit
-/// counters and a live byte gauge.
+/// execution (service time 0), a semantic full hit, per-candidate hit
+/// counters and a live byte gauge — on the single shared engine and on a
+/// one-shard scatter-gather server alike.
 #[test]
 fn aggressive_repeat_replays_without_touching_the_engine() {
     let (config, path) = fixture("replay");
-    let server = PrismServer::start(engine(&config, &path), semcache_config()).unwrap();
-    let batch = batch_of(&config, 9, 6);
-    let opts = |tag| full_depth(3, tag, SemCacheMode::Aggressive, SpillPrecision::Int8);
+    for sharded in [false, true] {
+        let server = if sharded {
+            PrismServer::start_sharded(vec![engine(&config, &path)], semcache_config()).unwrap()
+        } else {
+            PrismServer::start(engine(&config, &path), semcache_config()).unwrap()
+        };
+        let batch = batch_of(&config, 9, 6);
+        let opts = |tag| full_depth(3, tag, SemCacheMode::Aggressive, SpillPrecision::Int8);
 
-    let first = server
-        .submit(ServeRequest::new("a", batch.clone(), 3).with_options(opts(1)))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(first.cache, CacheOutcome::Miss);
+        let first = server.service("a").select(batch.clone(), opts(1)).unwrap();
+        assert!(!first.served_from_cache);
+        assert_eq!(semantic_hits(&server), 0);
 
-    // Same candidates from a *different* session: the semantic tier is
-    // cross-session, unlike the per-session memo cache.
-    let second = server
-        .submit(ServeRequest::new("b", batch.clone(), 3).with_options(opts(2)))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(second.cache, CacheOutcome::SemanticHit);
-    assert_eq!(second.service_us, 0, "full replay runs zero layers");
-    assert_eq!(
-        ranked_bits(&second.selection),
-        ranked_bits(&first.selection)
-    );
+        // Same candidates from a *different* session: the semantic tier is
+        // cross-session, unlike the per-session memo cache.
+        let second = server.service("b").select(batch.clone(), opts(2)).unwrap();
+        assert!(second.served_from_cache);
+        assert_eq!(semantic_hits(&server), 6);
+        assert_eq!(second.service_us, 0, "full replay runs zero layers");
+        assert_eq!(
+            ranked_bits(&second.selection),
+            ranked_bits(&first.selection)
+        );
 
-    let snap = server.stats().snapshot();
-    assert_eq!(snap.semcache_hits, 6, "one hit per candidate");
-    assert_eq!(
-        snap.semcache_misses, 6,
-        "one miss per first-sight candidate"
-    );
-    assert!(snap.semcache_bytes > 0);
-    assert_eq!(snap.semcache_bytes, server.semcache().unwrap().bytes());
-    server.shutdown();
+        let snap = server.stats().snapshot();
+        assert_eq!(snap.semcache_hits, 6, "one hit per candidate");
+        assert_eq!(
+            snap.semcache_misses, 6,
+            "one miss per first-sight candidate"
+        );
+        assert!(snap.semcache_bytes > 0);
+        assert_eq!(snap.semcache_bytes, server.semcache().unwrap().bytes());
+        server.shutdown();
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -200,7 +204,6 @@ fn aggressive_repeat_replays_without_touching_the_engine() {
 /// against the live entries and later exact service is unaffected.
 #[test]
 fn cancelled_requests_leak_no_cache_bytes() {
-    use prism_api::SelectionService;
     let (config, path) = fixture("cancel");
     let server = PrismServer::start(engine(&config, &path), semcache_config()).unwrap();
     let service = server.service("cancel-tenant");
@@ -232,23 +235,22 @@ fn cancelled_requests_leak_no_cache_bytes() {
 
     // A completed request still probes/harvests normally afterwards.
     let batch = batch_of(&config, 500, 5);
-    for (i, expect) in [CacheOutcome::Miss, CacheOutcome::SemanticHit]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, replayed) in [0_u64, 5].into_iter().enumerate() {
+        let hits_before = semantic_hits(&server);
         let resp = server
-            .submit(
-                ServeRequest::new("post", batch.clone(), 2).with_options(full_depth(
+            .service("post")
+            .select(
+                batch.clone(),
+                full_depth(
                     2,
                     900 + i as u64,
                     SemCacheMode::Aggressive,
                     SpillPrecision::Int8,
-                )),
+                ),
             )
-            .unwrap()
-            .wait()
             .unwrap();
-        assert_eq!(resp.cache, expect);
+        assert_eq!(resp.served_from_cache, replayed > 0);
+        assert_eq!(semantic_hits(&server) - hits_before, replayed);
     }
     server.shutdown();
     std::fs::remove_file(&path).unwrap();
@@ -270,12 +272,9 @@ fn dead_shard_leaks_nothing_and_full_replays_survive_it() {
     let opts = |tag| full_depth(3, tag, SemCacheMode::Aggressive, SpillPrecision::Int8);
 
     // Warm the cache through healthy scatter-gather.
-    let reference = server
-        .submit(ServeRequest::new("s", warm.clone(), 3).with_options(opts(1)))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(reference.cache, CacheOutcome::Miss);
+    let reference = server.service("s").select(warm.clone(), opts(1)).unwrap();
+    assert!(!reference.served_from_cache);
+    assert_eq!(semantic_hits(&server), 0);
     let bytes_before = server.semcache().unwrap().bytes();
     assert!(bytes_before > 0);
 
@@ -283,9 +282,8 @@ fn dead_shard_leaks_nothing_and_full_replays_survive_it() {
 
     // A novel request dies mid-probe/scatter: typed error, no harvest.
     let err = server
-        .submit(ServeRequest::new("s", batch_of(&config, 8, 8), 3).with_options(opts(2)))
-        .unwrap()
-        .wait()
+        .service("s")
+        .select(batch_of(&config, 8, 8), opts(2))
         .unwrap_err();
     assert!(
         err.to_string().contains("shard"),
@@ -301,12 +299,9 @@ fn dead_shard_leaks_nothing_and_full_replays_survive_it() {
 
     // The warmed repeat full-replays without scattering — it works even
     // with a shard down, bit-identical to the healthy run.
-    let replay = server
-        .submit(ServeRequest::new("t", warm, 3).with_options(opts(3)))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(replay.cache, CacheOutcome::SemanticHit);
+    let replay = server.service("t").select(warm, opts(3)).unwrap();
+    assert!(replay.served_from_cache);
+    assert_eq!(semantic_hits(&server), 8, "one replay per warmed candidate");
     assert_eq!(
         ranked_bits(&replay.selection),
         ranked_bits(&reference.selection)

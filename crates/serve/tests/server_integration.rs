@@ -3,10 +3,11 @@
 
 use std::time::Duration;
 
+use prism_api::SelectionService;
 use prism_core::{EngineOptions, PrismEngine, RequestOptions};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism_serve::{CacheOutcome, PrismServer, ServeConfig, ServeRequest};
+use prism_serve::{PrismServer, ServeConfig};
 use prism_storage::Container;
 use prism_workload::{dataset_by_name, WorkloadGenerator};
 
@@ -77,7 +78,8 @@ fn serving_matches_direct_engine_calls() {
         .iter()
         .map(|b| {
             server
-                .submit(ServeRequest::new("tenant", b.clone(), 4))
+                .service("tenant")
+                .submit(b.clone(), RequestOptions::top_k(4))
                 .unwrap()
         })
         .collect();
@@ -109,60 +111,85 @@ fn serving_matches_direct_engine_calls() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Per-tier cache counters of `server`: (whole-selection memo replays,
+/// embedding replays). A request's tier is the counter that moved.
+fn tier_hits(server: &PrismServer) -> (u64, u64) {
+    let stats = server.stats();
+    (
+        stats.cache_selection_hits.get(),
+        stats.cache_embed_hits.get(),
+    )
+}
+
+/// Runs on the single shared engine and on a one-shard scatter-gather
+/// server: the memo tier behaves identically on both; the embed-replay
+/// tier only exists on the former (shards plan their own sub-batches).
 #[test]
 fn session_cache_replays_repeats_bit_identically() {
     let (config, path) = fixture("cache");
     let batch = batches(&config, 1, 8).pop().unwrap();
-    let server = PrismServer::start(engine(&config, &path), ServeConfig::default()).unwrap();
+    for sharded in [false, true] {
+        let server = if sharded {
+            let resident = PrismEngine::new(
+                Container::open(&path).unwrap(),
+                config.clone(),
+                EngineOptions {
+                    streaming: false,
+                    ..Default::default()
+                },
+                MemoryMeter::new(),
+            )
+            .unwrap();
+            PrismServer::start_sharded(vec![resident], ServeConfig::default()).unwrap()
+        } else {
+            PrismServer::start(engine(&config, &path), ServeConfig::default()).unwrap()
+        };
+        let embed_replays = u64::from(!sharded);
 
-    let opts = RequestOptions::tagged(3, 99);
-    let first = server
-        .submit(ServeRequest::new("s", batch.clone(), 3).with_options(opts.clone()))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(first.cache, CacheOutcome::Miss);
+        let opts = RequestOptions::tagged(3, 99);
+        let first = server
+            .service("s")
+            .select(batch.clone(), opts.clone())
+            .unwrap();
+        assert!(!first.served_from_cache);
+        assert_eq!(tier_hits(&server), (0, 0));
 
-    // Exact repeat: replayed selection, no execution.
-    let second = server
-        .submit(ServeRequest::new("s", batch.clone(), 3).with_options(opts.clone()))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(second.cache, CacheOutcome::SelectionHit);
-    assert_eq!(
-        scores_bits(&second.selection),
-        scores_bits(&first.selection)
-    );
+        // Exact repeat: replayed selection, no execution.
+        let second = server
+            .service("s")
+            .select(batch.clone(), opts.clone())
+            .unwrap();
+        assert!(second.served_from_cache);
+        assert_eq!(tier_hits(&server), (1, 0));
+        assert_eq!(
+            scores_bits(&second.selection),
+            scores_bits(&first.selection)
+        );
 
-    // Same corpus, different tag: embedding replayed, fresh execution,
-    // still identical to a direct call with that tag.
-    let third = server
-        .submit(
-            ServeRequest::new("s", batch.clone(), 3).with_options(RequestOptions::tagged(3, 100)),
-        )
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(third.cache, CacheOutcome::EmbedHit);
-    let direct = engine(&config, &path)
-        .select_with(&batch, RequestOptions::tagged(3, 100))
-        .unwrap();
-    assert_eq!(scores_bits(&third.selection), scores_bits(&direct));
+        // Same corpus, different tag: embedding replayed, fresh execution,
+        // still identical to a direct call with that tag.
+        let third = server
+            .service("s")
+            .select(batch.clone(), RequestOptions::tagged(3, 100))
+            .unwrap();
+        assert_eq!(third.served_from_cache, !sharded);
+        assert_eq!(tier_hits(&server), (1, embed_replays));
+        let direct = engine(&config, &path)
+            .select_with(&batch, RequestOptions::tagged(3, 100))
+            .unwrap();
+        assert_eq!(scores_bits(&third.selection), scores_bits(&direct));
 
-    // Different session: its own cache entry (miss).
-    let other = server
-        .submit(ServeRequest::new("other", batch.clone(), 3).with_options(opts))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(other.cache, CacheOutcome::Miss);
+        // Different session: its own cache entry (miss).
+        let other = server.service("other").select(batch.clone(), opts).unwrap();
+        assert!(!other.served_from_cache);
+        assert_eq!(tier_hits(&server), (1, embed_replays));
 
-    let snap = server.stats().snapshot();
-    assert_eq!(snap.cache_selection_hits, 1);
-    assert_eq!(snap.cache_embed_hits, 1);
-    assert!(snap.cache_hit_rate > 0.0);
-    server.shutdown();
+        let snap = server.stats().snapshot();
+        assert_eq!(snap.cache_selection_hits, 1);
+        assert_eq!(snap.cache_embed_hits, embed_replays);
+        assert!(snap.cache_hit_rate > 0.0);
+        server.shutdown();
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -181,7 +208,12 @@ fn shutdown_answers_accepted_requests() {
     .unwrap();
     let handles: Vec<_> = requests
         .iter()
-        .map(|b| server.submit(ServeRequest::new("t", b.clone(), 2)).unwrap())
+        .map(|b| {
+            server
+                .service("t")
+                .submit(b.clone(), RequestOptions::top_k(2))
+                .unwrap()
+        })
         .collect();
     server.shutdown();
     for h in handles {
@@ -205,8 +237,9 @@ fn invalid_requests_fail_without_poisoning_the_batch() {
         },
     )
     .unwrap();
-    let h_bad = server.submit(ServeRequest::new("t", bad, 1)).unwrap();
-    let h_good = server.submit(ServeRequest::new("t", good, 2)).unwrap();
+    let service = server.service("t");
+    let h_bad = service.submit(bad, RequestOptions::top_k(1)).unwrap();
+    let h_good = service.submit(good, RequestOptions::top_k(2)).unwrap();
     assert!(h_bad.wait().is_err(), "oversized sequence must error");
     assert!(h_good.wait().is_ok(), "batch-mate must still succeed");
     server.shutdown();
@@ -222,18 +255,10 @@ fn per_request_option_overrides_match_dedicated_engines() {
     // Served with a per-request threshold/pruning override...
     let mut opts = RequestOptions::tagged(4, 5);
     opts.dispersion_threshold = Some(0.45);
-    let served_conservative = server
-        .submit(ServeRequest::new("t", batch.clone(), 4).with_options(opts))
-        .unwrap()
-        .wait()
-        .unwrap();
+    let served_conservative = server.service("t").select(batch.clone(), opts).unwrap();
     let mut opts = RequestOptions::tagged(4, 5);
     opts.pruning = Some(false);
-    let served_unpruned = server
-        .submit(ServeRequest::new("t", batch.clone(), 4).with_options(opts))
-        .unwrap()
-        .wait()
-        .unwrap();
+    let served_unpruned = server.service("t").select(batch.clone(), opts).unwrap();
 
     // ...must equal engines *configured* with those options.
     let conservative_engine = PrismEngine::new(
@@ -308,8 +333,9 @@ fn high_priority_overtakes_queued_bulk() {
     let requests = batches(&config, 5, 8);
 
     // Occupy the worker, then queue three Bulk requests and one High.
-    let head = server
-        .submit(ServeRequest::new("p", requests[0].clone(), 3))
+    let service = server.service("p");
+    let head = service
+        .submit(requests[0].clone(), RequestOptions::top_k(3))
         .unwrap();
     let completion_order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     let mut waiters = Vec::new();
@@ -319,9 +345,7 @@ fn high_priority_overtakes_queued_bulk() {
         } else {
             prism_core::Priority::Bulk
         });
-        let handle = server
-            .submit(ServeRequest::new("p", requests[i].clone(), 3).with_options(options))
-            .unwrap();
+        let handle = service.submit(requests[i].clone(), options).unwrap();
         let order = Arc::clone(&completion_order);
         waiters.push(std::thread::spawn(move || {
             handle.wait().unwrap();

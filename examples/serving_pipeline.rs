@@ -7,7 +7,7 @@
 //! ```
 
 use prism::apps::corpus::CorpusSpec;
-use prism::apps::{AgentMemory, AgentScenario, Corpus, RagPipeline};
+use prism::apps::{AgentMemory, AgentScenario, Corpus, RagPipeline, ServiceReranker};
 use prism::core::{EngineOptions, PrismEngine};
 use prism::device::DeviceSpec;
 use prism::metrics::MemoryMeter;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rag = RagPipeline::new(
         corpus,
         model.weights.embedding.clone(),
-        server.session("tenant-rag"),
+        ServiceReranker::new(server.service("tenant-rag")),
         config.max_seq,
         ModelConfig::qwen3_8b(),
         DeviceSpec::a800(),
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Tenant B: an agent replaying cached GUI trajectories.
     let mut agent = AgentMemory::new(
         AgentScenario::Video,
-        Some(server.session("tenant-agent")),
+        Some(ServiceReranker::new(server.service("tenant-agent"))),
         config.vocab_size,
         config.max_seq,
         DeviceSpec::a800(),

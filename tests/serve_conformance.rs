@@ -18,7 +18,7 @@ use prism::api::{SelectionService, ServiceError};
 use prism::core::{EngineOptions, PrismEngine, RequestOptions, Selection, SpillPrecision};
 use prism::metrics::MemoryMeter;
 use prism::model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism::serve::{PrismServer, ServeConfig, ServeRequest, ShardSet};
+use prism::serve::{PrismServer, ServeConfig, ShardSet};
 use prism::storage::Container;
 use prism::workload::{dataset_by_name, WorkloadGenerator};
 use serde::Serialize;
@@ -186,10 +186,8 @@ fn serving_is_bit_identical_at_every_batch_size() {
             .enumerate()
             .map(|(i, b)| {
                 server
-                    .submit(
-                        ServeRequest::new("conformance", b.clone(), K)
-                            .with_options(RequestOptions::tagged(K, i as u64 + 1)),
-                    )
+                    .service("conformance")
+                    .submit(b.clone(), RequestOptions::tagged(K, i as u64 + 1))
                     .unwrap()
             })
             .collect();
@@ -230,10 +228,8 @@ fn serving_is_bit_identical_across_worker_counts_and_cache() {
                 .enumerate()
                 .map(|(i, b)| {
                     server
-                        .submit(
-                            ServeRequest::new(format!("session-{i}"), b.clone(), K)
-                                .with_options(RequestOptions::tagged(K, i as u64 + 1)),
-                        )
+                        .service(format!("session-{i}"))
+                        .submit(b.clone(), RequestOptions::tagged(K, i as u64 + 1))
                         .unwrap()
                 })
                 .collect();
@@ -308,7 +304,8 @@ fn serving_is_bit_identical_in_both_spill_precisions() {
                 .enumerate()
                 .map(|(i, b)| {
                     server
-                        .submit(ServeRequest::new("spill-conf", b.clone(), K).with_options(opts(i)))
+                        .service("spill-conf")
+                        .submit(b.clone(), opts(i))
                         .unwrap()
                 })
                 .collect();
@@ -682,10 +679,8 @@ fn sharded_server_is_bit_identical_across_batch_sizes() {
             .enumerate()
             .map(|(i, b)| {
                 server
-                    .submit(
-                        ServeRequest::new("tenant", b.clone(), K)
-                            .with_options(RequestOptions::tagged(K, i as u64 + 1)),
-                    )
+                    .service("tenant")
+                    .submit(b.clone(), RequestOptions::tagged(K, i as u64 + 1))
                     .unwrap()
             })
             .collect();

@@ -3,10 +3,11 @@
 //! never cross-wired between sessions (extends `tests/determinism.rs` to
 //! the concurrent serving path).
 
+use prism::api::SelectionService;
 use prism::core::{EngineOptions, EngineTrace, PrismEngine, PruneMode, RequestOptions, Selection};
 use prism::metrics::MemoryMeter;
 use prism::model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism::serve::{PrismServer, ServeConfig, ServeRequest};
+use prism::serve::{PrismServer, ServeConfig};
 use prism::storage::Container;
 use prism::workload::{dataset_by_name, WorkloadGenerator};
 
@@ -148,14 +149,8 @@ fn run_stress(clients: usize, per_client: usize, workers: usize, tag: &str) {
                 for &global_idx in &client_cases {
                     let case = &cases[global_idx];
                     let handle = server_ref
-                        .submit(
-                            ServeRequest::new(
-                                format!("client-{client}"),
-                                case.batch.clone(),
-                                case.options.k,
-                            )
-                            .with_options(case.options.clone()),
-                        )
+                        .service(format!("client-{client}"))
+                        .submit(case.batch.clone(), case.options.clone())
                         .unwrap();
                     handles.push((global_idx, handle));
                 }
@@ -260,9 +255,9 @@ mod edge_traces {
                     let mut handles = Vec::new();
                     for i in 0..4 {
                         let batch = cases_ref[client * 4 + i].clone();
-                        let request = ServeRequest::new(format!("burst-{client}"), batch, 2);
+                        let service = server_ref.service(format!("burst-{client}"));
                         loop {
-                            match server_ref.submit(request.clone()) {
+                            match service.submit(batch.clone(), RequestOptions::top_k(2)) {
                                 Ok(h) => {
                                     handles.push(h);
                                     break;
@@ -334,16 +329,18 @@ mod edge_traces {
         let fillers: Vec<_> = (0..2)
             .map(|i| {
                 server
-                    .submit(ServeRequest::new("filler", cases[i].clone(), 2))
+                    .service("filler")
+                    .submit(cases[i].clone(), RequestOptions::top_k(2))
                     .unwrap()
             })
             .collect();
         let doomed: Vec<_> = (2..8)
             .map(|i| {
                 server
+                    .service("doomed")
                     .submit(
-                        ServeRequest::new("doomed", cases[i].clone(), 2)
-                            .with_options(RequestOptions::top_k(2).with_deadline_us(1)),
+                        cases[i].clone(),
+                        RequestOptions::top_k(2).with_deadline_us(1),
                     )
                     .unwrap()
             })
@@ -409,25 +406,28 @@ mod edge_traces {
         for case in cases.iter().take(2) {
             handles.push(
                 server
-                    .submit(ServeRequest::new("filler", case.clone(), 2))
+                    .service("filler")
+                    .submit(case.clone(), RequestOptions::top_k(2))
                     .unwrap(),
             );
         }
         for case in cases.iter().take(12).skip(2) {
             handles.push(
                 server
+                    .service("high")
                     .submit(
-                        ServeRequest::new("high", case.clone(), 2)
-                            .with_options(RequestOptions::top_k(2).with_priority(Priority::High)),
+                        case.clone(),
+                        RequestOptions::top_k(2).with_priority(Priority::High),
                     )
                     .unwrap(),
             );
         }
         handles.push(
             server
+                .service("bulk")
                 .submit(
-                    ServeRequest::new("bulk", cases[12].clone(), 2)
-                        .with_options(RequestOptions::top_k(2).with_priority(Priority::Bulk)),
+                    cases[12].clone(),
+                    RequestOptions::top_k(2).with_priority(Priority::Bulk),
                 )
                 .unwrap(),
         );
