@@ -28,7 +28,10 @@ pub struct SelectionOutcome {
     pub ticket: u64,
     /// Microseconds spent queued before execution started.
     pub queued_us: u64,
-    /// Microseconds of execution (shared across a coalesced batch).
+    /// Microseconds from the start of execution to the reply: planning
+    /// (embedding included), the layer pass shared across a coalesced
+    /// batch, finalize. Zero when a serving-layer cache answered outright;
+    /// otherwise `queued_us + service_us` spans submission to reply.
     pub service_us: u64,
     /// Requests coalesced into the executing batch (1 for direct
     /// execution).

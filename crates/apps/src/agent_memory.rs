@@ -245,8 +245,11 @@ mod tests {
     fn fixture() -> (Model, std::path::PathBuf) {
         let config = ModelConfig::test_config(ModelArch::DecoderOnly, 6);
         let model = Model::generate(config, 42).unwrap();
+        // Tests run in parallel and each removes its file: one path apiece.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!("prism-am-{}.prsm", std::process::id()));
+        path.push(format!("prism-am-{}-{n}.prsm", std::process::id()));
         model.write_container(&path).unwrap();
         (model, path)
     }

@@ -1,8 +1,12 @@
-//! Embedding-cache bench: hit/miss throughput on Zipf-skewed lookups at
-//! the paper's 10% capacity point versus a generous 50% cache.
+//! Embedding-cache bench: hit/miss throughput on Zipf-skewed token
+//! slices at the paper's 10% capacity point versus a generous 50% cache,
+//! and the miss fetch itself under the paper's 16 MB/s throttle — one
+//! vectored read of the distinct rows against one paced read per row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prism_storage::{Container, ContainerWriter, DiskRowSource, EmbeddingCache, Throttle};
+use prism_storage::{
+    Container, ContainerWriter, DiskRowSource, EmbeddingCache, RowSource, Throttle,
+};
 use prism_tensor::Tensor;
 use prism_workload::ZipfSampler;
 use rand::rngs::StdRng;
@@ -36,24 +40,43 @@ fn bench_cache(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(5);
         let tokens: Vec<u32> = (0..512).map(|_| zipf.sample(&mut rng) as u32).collect();
         // Warm up.
-        let mut buf = vec![0.0_f32; dim];
-        for &t in &tokens {
-            cache.lookup_into(t, &mut buf).unwrap();
-        }
+        let mut out = vec![0.0_f32; tokens.len() * dim];
+        cache.embed_into(&tokens, &mut out).unwrap();
         g.bench_with_input(
-            BenchmarkId::new("zipf_lookup_512", capacity_pct),
+            BenchmarkId::new("zipf_embed_512", capacity_pct),
             &capacity_pct,
             |bencher, _| {
                 bencher.iter(|| {
-                    for &t in &tokens {
-                        cache
-                            .lookup_into(std::hint::black_box(t), &mut buf)
-                            .unwrap();
-                    }
+                    cache
+                        .embed_into(std::hint::black_box(&tokens), &mut out)
+                        .unwrap();
                 });
             },
         );
     }
+
+    // The miss path alone: 256 scattered rows (64 KiB, 4 ms of device
+    // time at 16 MB/s), fetched by one vectored read or row by row.
+    let source = DiskRowSource::new(&container, "embedding", Throttle::bandwidth(16_000_000))
+        .expect("source");
+    let wanted: Vec<(u32, u32)> = (0..256).map(|i| (i * 13, i)).collect();
+    let mut out = vec![0.0_f32; wanted.len() * dim];
+    g.bench_function("throttled_miss_fetch_256/batched", |bencher| {
+        bencher.iter(|| {
+            source
+                .read_rows(std::hint::black_box(&wanted), &mut out)
+                .unwrap()
+        });
+    });
+    g.bench_function("throttled_miss_fetch_256/per_row", |bencher| {
+        bencher.iter(|| {
+            for row in std::hint::black_box(&wanted) {
+                source
+                    .read_rows(std::slice::from_ref(row), &mut out)
+                    .unwrap();
+            }
+        });
+    });
     g.finish();
     std::fs::remove_file(&path).ok();
 }

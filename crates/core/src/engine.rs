@@ -1180,12 +1180,14 @@ impl PrismEngine {
         // Match on the source once; the resident path copies straight from
         // the table row into the hidden row (no per-token heap traffic).
         match &mut *self.embed.lock().expect("embed lock") {
+            // One batched resolve for the whole request: every distinct
+            // missing row is read once, by one vectored, once-paced read,
+            // straight into `hidden` — no row is staged anywhere else.
             EmbedSource::Cache(cache) => {
+                cache.embed_into(batch.tokens(), hidden.data_mut())?;
                 for &(start, end) in batch.ranges() {
                     for (pos, t) in (start..end).enumerate() {
-                        let row = hidden.row_mut(t)?;
-                        cache.lookup_into(batch.tokens()[t], row)?;
-                        add_position(row, pos, d);
+                        add_position(hidden.row_mut(t)?, pos, d);
                     }
                 }
             }
@@ -1499,11 +1501,16 @@ impl PrismEngine {
             })
         } else {
             let group = resident.len().div_ceil(workers);
+            // The workers share the cores: each one's matrix products get
+            // its share of them, not all of them again.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let gemm_threads = cores / workers;
             let results: Vec<Result<()>> = std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(workers);
                 for (chunk_group, scratch) in resident.chunks_mut(group).zip(pool.iter_mut()) {
                     let forward_one = &forward_one;
                     handles.push(scope.spawn(move || -> Result<()> {
+                        prism_tensor::ops::limit_gemm_threads(gemm_threads);
                         for chunk in chunk_group.iter_mut() {
                             let hidden = chunk.hidden.as_mut().expect("resident chunk");
                             forward_one(hidden, &chunk.ranges, scratch)?;

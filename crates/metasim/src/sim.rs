@@ -656,7 +656,9 @@ impl Simulation {
     /// Runs one popped batch, mirroring `execute_batch`: batch
     /// instruments, per-item queue time and cache probe (selection hits
     /// answer instantly with zero service time; embed hits and misses
-    /// execute), one service-time charge for the coalesced remainder.
+    /// execute), one service-time charge for the coalesced remainder —
+    /// the worker's busy interval from pickup to reply, which is what the
+    /// server records as `service_us` (planning and embedding included).
     fn execute(&mut self, worker: usize, now: u64, batch: Vec<SimPending>) {
         let size = batch.len();
         if size == 0 {

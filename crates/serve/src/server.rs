@@ -585,35 +585,29 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
         // Every request was answered from a cache or failed planning.
         None if planned.is_empty() => {}
         // One pass over the weights for the whole coalesced batch.
-        None => {
-            let t0 = Instant::now();
-            let run = shared.engine.run_planned(&mut planned, scratch);
-            let service_us = t0.elapsed().as_micros() as u64;
-            match run {
-                // Finalize per request: an aborted member of the batch
-                // (cancelled / past deadline) surfaces as its typed
-                // error without failing its batch-mates.
-                Ok(()) => {
-                    for (item, req) in items.into_iter().zip(planned) {
-                        let result = shared.engine.finalize_request(req);
-                        finish(shared, item, service_us, result);
-                    }
-                }
-                Err(e) => {
-                    let err = ServiceError::from(e);
-                    for item in items {
-                        answer(stats, item.pending, item.served, Err(err.clone()));
-                    }
+        None => match shared.engine.run_planned(&mut planned, scratch) {
+            // Finalize per request: an aborted member of the batch
+            // (cancelled / past deadline) surfaces as its typed error
+            // without failing its batch-mates.
+            Ok(()) => {
+                for (item, req) in items.into_iter().zip(planned) {
+                    let result = shared.engine.finalize_request(req);
+                    finish(shared, item, picked_at, result);
                 }
             }
-        }
+            Err(e) => {
+                let err = ServiceError::from(e);
+                for item in items {
+                    answer(stats, item.pending, item.served, Err(err.clone()));
+                }
+            }
+        },
         // Scatter-gather per request: the deterministic lockstep scatter
         // loop with the caller's controls attached; a dead or slow shard
         // surfaces as its typed error without failing batch-mates.
         Some(shards) => {
             for item in items {
                 let pending = &item.pending;
-                let t0 = Instant::now();
                 let result = shards.select_with_controls(
                     &pending.batch,
                     pending.options.clone(),
@@ -621,8 +615,7 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
                     pending.deadline,
                     Some(pending.reply.progress_fn()),
                 );
-                let service_us = t0.elapsed().as_micros() as u64;
-                finish(shared, item, service_us, result);
+                finish(shared, item, picked_at, result);
             }
         }
     }
@@ -632,11 +625,14 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
 /// Epilogue of one executed request. A selection passes through the
 /// semantic-cache merge/verify/harvest, the resilience counters and the
 /// session memo; a failure skips all three (so aborted batch-mates
-/// contribute no cache bytes). Either way the request is then answered.
+/// contribute no cache bytes). Either way the request is then answered,
+/// with everything since its batch was picked as its `service_us` —
+/// probes, embed and plan included, so `queued_us + service_us` spans
+/// enqueue to reply.
 fn finish(
     shared: &ServerShared,
     item: RunItem,
-    service_us: u64,
+    picked_at: Instant,
     result: Result<Selection, PrismError>,
 ) {
     let stats = &shared.stats;
@@ -657,7 +653,7 @@ fn finish(
         selection
     });
     let served = Served {
-        service_us,
+        service_us: picked_at.elapsed().as_micros() as u64,
         ..item.served
     };
     answer(stats, item.pending, served, result.map_err(Into::into));

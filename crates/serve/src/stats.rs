@@ -41,7 +41,9 @@ pub struct ServeStats {
     pub batch_tokens: Histogram,
     /// Microseconds a request spent queued.
     pub queued_us: Histogram,
-    /// Microseconds of batch execution, recorded once per request.
+    /// Microseconds from the worker picking a request's batch to its
+    /// reply (probes, embed, plan, run, epilogue), recorded once per
+    /// request; zero for a request a cache answered outright.
     pub service_us: Histogram,
     /// Session-cache: full-selection replays.
     pub cache_selection_hits: Counter,

@@ -354,10 +354,18 @@ impl Container {
             });
         }
         let byte_start = row_start * meta.cols * 4;
-        let mut bytes = vec![0_u8; out.len() * 4];
-        self.read_range(meta, byte_start, &mut bytes)?;
-        for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-            out[i] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        // SAFETY: `out` is an exclusively borrowed, initialised `[f32]`;
+        // the byte view covers exactly its `size_of_val` bytes, `u8` has
+        // alignment 1, and every bit pattern is a valid `f32`, so whatever
+        // the read stores leaves `out` initialised and valid. `out` is not
+        // touched again until `bytes` is dead.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), size_of_val(out))
+        };
+        self.read_range(meta, byte_start, bytes)?;
+        // The payload is little-endian; this is the identity on such hosts.
+        for v in out.iter_mut() {
+            *v = f32::from_bits(u32::from_le(v.to_bits()));
         }
         Ok(())
     }

@@ -50,20 +50,32 @@ impl Throttle {
 
     /// The duration a transfer of `bytes` should take under this throttle.
     pub fn transfer_time(&self, bytes: u64) -> Duration {
-        let bw = match self.bytes_per_sec {
-            None => return self.request_latency,
-            Some(b) => b.max(1),
+        self.batch_time(bytes, 1)
+    }
+
+    /// The duration `requests` reads moving `bytes` in total should take:
+    /// every byte at the bandwidth plus one request latency per read.
+    pub fn batch_time(&self, bytes: u64, requests: u32) -> Duration {
+        let moving = match self.bytes_per_sec {
+            None => Duration::ZERO,
+            Some(b) => Duration::from_secs_f64(bytes as f64 / b.max(1) as f64),
         };
-        self.request_latency + Duration::from_secs_f64(bytes as f64 / bw as f64)
+        self.request_latency * requests + moving
     }
 
     /// Blocks until the emulated transfer would have completed, given that
     /// the real read started at `start` and moved `bytes` bytes.
     pub fn pace(&self, start: Instant, bytes: u64) {
+        self.pace_batch(start, bytes, 1);
+    }
+
+    /// [`Throttle::pace`] for `requests` reads issued back to back since
+    /// `start`: one sleep for the whole batch instead of one per read.
+    pub fn pace_batch(&self, start: Instant, bytes: u64, requests: u32) {
         if self.is_unlimited() {
             return;
         }
-        let target = self.transfer_time(bytes);
+        let target = self.batch_time(bytes, requests);
         let elapsed = start.elapsed();
         if elapsed < target {
             std::thread::sleep(target - elapsed);
@@ -111,6 +123,17 @@ mod tests {
         let start = Instant::now();
         t.pace(start, 200_000); // 20 ms worth
         assert!(start.elapsed() >= Duration::from_millis(18));
+    }
+
+    #[test]
+    fn batch_time_charges_every_byte_and_every_request() {
+        let t = Throttle::with_latency(1_000_000, Duration::from_millis(10));
+        assert_eq!(t.batch_time(1_000_000, 3), Duration::from_millis(1030));
+        assert_eq!(t.batch_time(0, 0), Duration::ZERO);
+        assert_eq!(t.batch_time(500_000, 1), t.transfer_time(500_000));
+        // Latency-only throttles still charge per request.
+        let unlimited = Throttle::unlimited();
+        assert_eq!(unlimited.batch_time(1 << 30, 7), Duration::ZERO);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! accumulate to at most `k · 32385`. [`MAX_K`] keeps that (and the i16
 //! pairwise sums of the madd path) strictly inside `i32`.
 
-use crate::ops::{simd_tier, SimdTier};
+use crate::ops::{num_threads_for, simd_tier, SimdTier};
 use crate::quant::QuantMatrix;
 use crate::rowq;
 use crate::{Result, Tensor, TensorError};
@@ -61,10 +61,6 @@ pub const MAX_K: usize = (i32::MAX as usize) / (255 * 127);
 const MRI: usize = 4;
 /// Weight rows (output columns) per block (mirrors the f32 `NB`).
 const NBI: usize = 64;
-
-/// Multiply-accumulate count above which the integer GEMM fans out
-/// across scoped threads (same scale as the f32 driver's threshold).
-const PAR_MAC_THRESHOLD: usize = 1 << 22;
 
 /// A rowq-encoded activation block: per-row `(min, scale)` affines plus
 /// the u8 code matrix, the exact payload of an int8 spill slot.
@@ -390,11 +386,7 @@ impl Int8Matrix {
             out[..m * n].fill(0.0);
             return Ok(());
         }
-        let threads = if m * k * n < PAR_MAC_THRESHOLD {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |t| t.get().min(8))
-        };
+        let threads = num_threads_for(m * k * n);
         if threads <= 1 || m <= MRI {
             igemm_rows(self, codes, mins, scales, m, out);
             return Ok(());
@@ -973,11 +965,11 @@ mod tests {
 
     #[test]
     fn parallel_band_split_matches_single_thread() {
-        // Exceed PAR_MAC_THRESHOLD so the scoped-thread path runs.
+        // Exceed the fan-out threshold so the scoped-thread path runs.
         let m = 96;
         let k = 256;
         let n = 256;
-        assert!(m * k * n >= PAR_MAC_THRESHOLD);
+        assert!(m * k * n >= crate::ops::PAR_FLOP_THRESHOLD);
         let x = mat(m, k, 5);
         let w = Int8Matrix::quantize(&mat(n, k, 23)).unwrap();
         let block = RowQuantBlock::encode(&x).unwrap();

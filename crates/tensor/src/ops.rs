@@ -3,7 +3,8 @@
 //! Kernels accept and return [`Tensor`]s; anything shape-dependent is
 //! validated up front and reported through [`TensorError`]. Matrix products
 //! switch to row-parallel execution above a FLOP threshold using scoped
-//! threads, which is the only concurrency in this crate.
+//! threads, which is the only concurrency in this crate; a caller that
+//! already runs one worker per core caps it with [`limit_gemm_threads`].
 //!
 //! # GEMM architecture
 //!
@@ -25,7 +26,23 @@ use crate::{Result, Tensor, TensorError};
 /// Work threshold (in multiply-accumulate ops) above which matmul kernels
 /// fan out across threads. Tuned so mini-model layers stay single-threaded
 /// (they are cache-resident and tiny) while monolithic batches parallelize.
-const PAR_FLOP_THRESHOLD: usize = 1 << 22;
+pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 22;
+
+thread_local! {
+    /// Most threads a matrix product issued from this thread fans out to
+    /// (0 = every core).
+    static GEMM_THREADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Caps every matrix product the calling thread issues from now on at
+/// `threads` threads (at least one). For a worker that shares the cores
+/// with sibling workers: if each of them fanned out to every core again,
+/// workers x cores threads would compete for the cores and the
+/// scheduler's pick among them would become the latency. Results do not
+/// depend on the thread count.
+pub fn limit_gemm_threads(threads: usize) {
+    GEMM_THREADS.set(threads.max(1));
+}
 
 /// SIMD capability tier the runtime-dispatched kernels may use.
 ///
@@ -105,11 +122,16 @@ pub fn simd_tier() -> SimdTier {
     }
 }
 
-fn num_threads_for(work: usize) -> usize {
+/// Threads a matrix product of `work` multiply-accumulates fans out to.
+pub(crate) fn num_threads_for(work: usize) -> usize {
     if work < PAR_FLOP_THRESHOLD {
         return 1;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    match GEMM_THREADS.get() {
+        0 => cores,
+        limit => cores.min(limit),
+    }
 }
 
 /// Rows of the packed operand panel (`k` direction).
@@ -1289,6 +1311,25 @@ mod tests {
         let par = matmul(&a, &b).unwrap();
         let reference = naive_matmul(&a, &b);
         assert!(par.max_abs_diff(&reference).unwrap() < 1e-4);
+    }
+
+    #[test]
+    fn gemm_thread_cap_is_per_thread_and_changes_no_bit() {
+        let (m, k, n) = (64, 96, 1024);
+        let work = m * k * n;
+        let a = Tensor::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.1 - 0.6);
+        let b = Tensor::from_fn(k, n, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.05 - 0.25);
+        let uncapped = super::num_threads_for(work);
+        let capped = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                super::limit_gemm_threads(0);
+                assert_eq!(super::num_threads_for(work), 1);
+                matmul(&a, &b).unwrap()
+            });
+            worker.join().unwrap()
+        });
+        assert_eq!(super::num_threads_for(work), uncapped);
+        assert_eq!(capped.data(), matmul(&a, &b).unwrap().data());
     }
 
     #[test]

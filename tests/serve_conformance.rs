@@ -165,6 +165,38 @@ fn direct_engine_matches_committed_golden() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Embedding is a pure row copy, so the §4.4 cache — one batched resolve
+/// per request, its LRU carried from request to request — must select
+/// exactly what the fully resident table does.
+#[test]
+fn embedding_cache_is_bit_identical_to_the_resident_table() {
+    let (config, path, batches) = fixture("embed-cache");
+    let cached = reference_selections(&config, &path, &batches);
+    let resident = PrismEngine::new(
+        Container::open(&path).unwrap(),
+        config.clone(),
+        EngineOptions {
+            embed_cache: false,
+            ..Default::default()
+        },
+        MemoryMeter::new(),
+    )
+    .unwrap();
+    for (i, (batch, cached)) in batches.iter().zip(&cached).enumerate() {
+        let direct = resident
+            .select_with(batch, RequestOptions::tagged(K, i as u64 + 1))
+            .unwrap();
+        assert_eq!(exact_bits(cached), exact_bits(&direct), "request {i}");
+        assert_eq!(direct.trace.cache_stats.misses, 0, "table is resident");
+    }
+    let stats = cached.last().unwrap().trace.cache_stats;
+    assert!(
+        stats.misses > 0 && stats.hits > 0,
+        "the cache was exercised"
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn serving_is_bit_identical_at_every_batch_size() {
     let (config, path, batches) = fixture("batch-sizes");
