@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prism_baselines::{HfVanilla, Reranker};
-use prism_core::{EngineOptions, PrismEngine, RequestOptions, SpillPrecision};
+use prism_core::{EngineOptions, PrismEngine};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_storage::Container;
@@ -161,45 +161,6 @@ fn bench_paper_mini(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-/// The §4.3 offload regime on the emulated 16 MB/s SSD: synchronous
-/// raw-f32 spilling (the frozen baseline) versus the overlapped pipeline
-/// with the int8 slot format (the default engine).
-fn bench_offload_regime(c: &mut Criterion) {
-    let fx = fixture();
-    let mut g = c.benchmark_group("offload_regime_top5_of_20");
-    g.sample_size(10);
-    for (name, pipelined, precision) in [
-        ("sync_f32", false, SpillPrecision::F32),
-        ("pipelined_int8", true, SpillPrecision::Int8),
-    ] {
-        g.bench_function(name, |bencher| {
-            let engine = PrismEngine::new(
-                Container::open(&fx.path).expect("open"),
-                fx.model.config.clone(),
-                EngineOptions {
-                    streaming: false,
-                    embed_cache: false,
-                    hidden_offload: true,
-                    chunk_candidates: Some(2),
-                    spill_pipeline: pipelined,
-                    stream_throttle: Some(16_000_000),
-                    ..Default::default()
-                },
-                MemoryMeter::new(),
-            )
-            .expect("engine");
-            let options = RequestOptions::tagged(5, 1).with_spill_precision(precision);
-            bencher.iter(|| {
-                engine
-                    .select_with(std::hint::black_box(&fx.batch), options.clone())
-                    .unwrap()
-            });
-        });
-    }
-    g.finish();
-    std::fs::remove_file(&fx.path).ok();
-}
-
 fn quick() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -210,6 +171,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_systems, bench_paper_mini, bench_offload_regime
+    targets = bench_systems, bench_paper_mini
 }
 criterion_main!(benches);

@@ -8,18 +8,19 @@
 //!   table3 fig8 fig9 fig10    microbenchmarks (§6.2)
 //!   fig11 fig12 fig13 fig14 fig15   real-world applications (§6.3)
 //!   fig16 ablation-extra      ablations (§6.4 + DESIGN.md §5)
-//!   perf                      kernel/engine perf trajectory (BENCH_kernels.json)
-//!   sim-validate              calibrate the serving metasim on the real engine,
-//!                             replay the perf serving/scheduling scenarios
-//!                             through it, and write the metasim section of
-//!                             BENCH_kernels.json (predictions within 15%)
-//!   perf-guard [--min F]      fail (exit 1) if any BENCH_kernels.json speedup
-//!                             entry sits below F (default 0.9, i.e. 1.0 minus a
-//!                             10% bench-noise allowance), any offload scale
-//!                             sits below 2.7 (the 3x acceptance gate minus the
-//!                             same allowance), or the metasim section says
-//!                             validated: false
-//!   all                       everything above
+//!   perf                      kernel perf trajectory (BENCH_kernels.json: GEMM,
+//!                             quantized GEMM, rowq, one layer, resident
+//!                             select_top_k, simd tiers, int8 vs f32); exits 1
+//!                             if a speedup entry sits below 0.9 (1.0 minus a
+//!                             10% bench-noise allowance), an int8 kernel/layer
+//!                             row below 1.8, or int8 top-k ids diverge.
+//!                             Serving numbers: `bash benchmark/run.sh`
+//!   sim-validate              measure five closed-loop serving/scheduling
+//!                             scenarios, calibrate the serving metasim from
+//!                             them, replay them through it, and write
+//!                             target/repro/sim-validate.json; exits 1 if a
+//!                             prediction is off by more than 15%
+//!   all                       every table and figure above
 //! ```
 //!
 //! `--fast` trims dataset counts and sweep grids for quick smoke runs.
@@ -37,22 +38,13 @@ fn main() {
         .collect();
     let what = chosen.first().copied().unwrap_or("all");
 
-    if what == "perf-guard" {
-        let min = args
-            .iter()
-            .position(|a| a == "--min")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.9);
-        match perf::perf_guard(min) {
-            Ok(msg) => println!("{msg}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
+    // A failed gate is the exit code.
+    let gated = |outcome: Result<(), String>| {
+        if let Err(e) = outcome {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
-        return;
-    }
+    };
 
     let run = |name: &str| match name {
         "table1" => overview::table1(),
@@ -67,8 +59,8 @@ fn main() {
         "fig14" | "fig15" => apps::fig14_15(),
         "fig16" => ablation::fig16(),
         "ablation-extra" => ablation::ablation_extra(),
-        "perf" => perf::perf(fast),
-        "sim-validate" => simval::sim_validate(fast),
+        "perf" => gated(perf::perf(fast)),
+        "sim-validate" => gated(simval::sim_validate(fast)),
         other => {
             eprintln!("unknown experiment: {other}");
             std::process::exit(2);

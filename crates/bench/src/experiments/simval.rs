@@ -1,22 +1,25 @@
 //! `repro sim-validate`: calibrate the serving metasim against the real
 //! engine and validate its predictions against measured serving runs.
 //!
-//! The harness re-measures the exact serving and scheduling scenarios of
-//! `repro perf` (same fixtures, same `LoadSpec`s, same `ServeConfig`s),
-//! fits an affine service-time model from two real engine batch shapes,
-//! replays every scenario through [`prism_metasim::simulate_closed_loop`]
-//! with that calibration, and asserts predicted throughput and tail
-//! latency within [`SIM_TOLERANCE`] of measured. Results are spliced into
-//! `BENCH_kernels.json` as the `metasim` section (`repro perf` preserves
-//! it across rewrites) and `repro perf-guard` fails CI when the section
-//! says `validated: false`.
+//! The harness measures five closed-loop scenarios on a streamed engine
+//! behind the emulated 16 MB/s SSD (serial / batched / cached serving,
+//! FIFO / priority-then-EDF scheduling), fits an affine service-time
+//! model from the runs' own server-side stats, replays every scenario
+//! through [`prism_metasim::simulate_closed_loop`] with that calibration
+//! and the *same* `LoadSpec` and `ServeConfig` values, and checks
+//! predicted throughput and tail latency within [`SIM_TOLERANCE`] of
+//! measured. The result lands in `target/repro/sim-validate.json`; an
+//! out-of-tolerance row is the command's non-zero exit. Nightly CI runs
+//! it in full mode — the fast request counts are too few to gate a PR on.
 
+use prism_core::{EngineOptions, PrismEngine};
 use prism_metasim::{simulate_closed_loop, Calibration, ServiceModel};
-use prism_model::{ModelArch, ModelConfig};
-use prism_serve::{LoadReport, LoadSpec, ServeConfig};
+use prism_metrics::MemoryMeter;
+use prism_model::{Model, ModelArch, ModelConfig};
+use prism_serve::{run_closed_loop, LoadReport, LoadSpec, PrismServer, ServeConfig};
+use prism_storage::Container;
 use serde::Serialize;
 
-use super::perf::{scheduling_bench_measured, serving_bench_measured, KERNELS_FILE};
 use crate::report::Report;
 
 /// Relative tolerance of the validation gate: predicted throughput and
@@ -48,7 +51,7 @@ pub struct MetasimRow {
     pub within_tolerance: bool,
 }
 
-/// The `metasim` section of `BENCH_kernels.json`.
+/// The payload of `target/repro/sim-validate.json`.
 #[derive(Debug, Serialize)]
 pub struct MetasimSection {
     /// `"fast"` or `"full"`.
@@ -59,7 +62,7 @@ pub struct MetasimSection {
     pub calibration: Calibration,
     /// Per-scenario comparisons.
     pub rows: Vec<MetasimRow>,
-    /// Every row within tolerance (the `perf-guard` gate).
+    /// Every row within tolerance (the exit code).
     pub validated: bool,
 }
 
@@ -147,17 +150,15 @@ fn row(
 fn scenario_row(
     model: &ModelConfig,
     calibration: Calibration,
-    scenario: &str,
-    spec: &LoadSpec,
-    serve: &ServeConfig,
+    scenario: &Scenario,
     measured: &LoadReport,
 ) -> (MetasimRow, Option<(u64, u64)>) {
     let predicted = simulate_closed_loop(
         model,
-        spec,
-        serve,
+        &scenario.spec,
+        &scenario.serve,
         ServiceModel::calibrated(calibration),
-        scenario,
+        scenario.name,
     );
     let high = match (predicted.class("high"), measured.class("high")) {
         (Some(p), Some(m)) => Some((p.p99_us, m.p99_us)),
@@ -170,7 +171,7 @@ fn scenario_row(
         .saturating_sub(measured.stats.service_us.mean.round() as u64);
     (
         row(
-            scenario,
+            scenario.name,
             predicted.throughput_rps,
             measured.throughput_rps,
             predicted.p99_us,
@@ -181,9 +182,133 @@ fn scenario_row(
     )
 }
 
-/// Runs the calibration + validation harness and splices the `metasim`
-/// section into `BENCH_kernels.json`.
-pub fn sim_validate(fast: bool) {
+/// One closed-loop scenario: what is offered and how it is served. The
+/// measured run and the simulated replay both read these values.
+struct Scenario {
+    name: &'static str,
+    spec: LoadSpec,
+    serve: ServeConfig,
+}
+
+/// The serving scenarios: 1 worker without batching, coalescing up to 8
+/// requests, and coalescing plus the session cache on a repeat-heavy
+/// corpus stream.
+fn serving_scenarios(fast: bool) -> Vec<Scenario> {
+    let spec = LoadSpec {
+        requests: if fast { 16 } else { 48 },
+        clients: 8,
+        candidates: 12,
+        k: 4,
+        ..Default::default()
+    };
+    let coalescing = ServeConfig {
+        workers: 1,
+        max_batch_requests: 8,
+        ..Default::default()
+    };
+    vec![
+        Scenario {
+            name: "serving/serial",
+            spec: spec.clone(),
+            serve: ServeConfig::serial(),
+        },
+        Scenario {
+            name: "serving/batched",
+            spec: spec.clone(),
+            serve: ServeConfig {
+                session_cache_capacity: 0,
+                ..coalescing.clone()
+            },
+        },
+        Scenario {
+            name: "serving/cached",
+            spec: LoadSpec {
+                corpus_repeat: 4,
+                ..spec
+            },
+            serve: coalescing,
+        },
+    ]
+}
+
+/// The scheduling scenarios: a mixed workload (10% High-priority with
+/// deadlines, 90% bulk) served by the pure-FIFO baseline and by
+/// priority-then-EDF under identical budgets.
+fn scheduling_scenarios(fast: bool) -> Vec<Scenario> {
+    let spec = LoadSpec {
+        requests: if fast { 42 } else { 84 },
+        clients: 14,
+        candidates: 12,
+        k: 4,
+        high_fraction: 0.1,
+        // Generous: no shedding.
+        high_deadline_us: Some(30_000_000),
+        ..Default::default()
+    };
+    let serve = |priority_scheduling| ServeConfig {
+        workers: 1,
+        // A small batch cap under many closed-loop clients keeps the
+        // queue deep, so admission *order* (not coalescing) dominates
+        // waiting time — the regime the priority scheduler targets.
+        max_batch_requests: 2,
+        session_cache_capacity: 0,
+        priority_scheduling,
+        // On the emulated SSD a full queue takes ~100 ms to drain; the
+        // starvation guard must sit above that or every aged bulk
+        // request outranks High and the policy degrades back to FIFO.
+        starvation_age: std::time::Duration::from_secs(2),
+        ..Default::default()
+    };
+    vec![
+        Scenario {
+            name: "scheduling/fifo",
+            spec: spec.clone(),
+            serve: serve(false),
+        },
+        Scenario {
+            name: "scheduling/priority_edf",
+            spec,
+            serve: serve(true),
+        },
+    ]
+}
+
+/// Runs each scenario closed-loop against a fresh streamed engine on the
+/// emulated 16 MB/s SSD and returns the reports in scenario order.
+fn measure(model: &ModelConfig, scenarios: &[Scenario]) -> Vec<LoadReport> {
+    let weights = Model::generate(model.clone(), 7).expect("model");
+    let mut path = std::env::temp_dir();
+    path.push(format!("prism-sim-validate-{}.prsm", std::process::id()));
+    weights.write_container(&path).expect("container");
+    let reports = scenarios
+        .iter()
+        .map(|s| {
+            let engine = PrismEngine::new(
+                Container::open(&path).expect("open"),
+                model.clone(),
+                EngineOptions {
+                    stream_throttle: Some(16_000_000),
+                    // Serving pins the embedding table; layers still stream.
+                    embed_cache: false,
+                    ..Default::default()
+                },
+                MemoryMeter::new(),
+            )
+            .expect("engine");
+            let server = PrismServer::start(engine, s.serve.clone()).expect("server");
+            let report = run_closed_loop(&server, &s.spec);
+            server.shutdown();
+            report
+        })
+        .collect();
+    std::fs::remove_file(&path).ok();
+    reports
+}
+
+/// Runs the calibration + validation harness, writes
+/// `target/repro/sim-validate.{txt,json}`, and returns `Err` when any
+/// scenario is out of tolerance.
+pub fn sim_validate(fast: bool) -> Result<(), String> {
     let mut report = Report::new("sim-validate");
     let mode = if fast { "fast" } else { "full" };
     report.line(&format!("serving metasim validation ({mode} mode)"));
@@ -191,78 +316,33 @@ pub fn sim_validate(fast: bool) {
     let model = ModelConfig::test_config(ModelArch::DecoderOnly, 12);
     let mut rows = Vec::new();
 
-    // --- Serving scenarios (measured live, the exact `repro perf` set).
-    let serving = serving_bench_measured(fast);
-    let calibration = serving_calibration(&serving.serial, &serving.batched);
+    // --- Serving scenarios (serial, batched, cached).
+    let serving = serving_scenarios(fast);
+    let measured = measure(&model, &serving);
+    let calibration = serving_calibration(&measured[0], &measured[1]);
     report.line(&format!(
         "calibrated from measured serving runs: fixed {:.0} us/batch + {:.2} us/token",
         calibration.batch_fixed_us, calibration.per_token_us
     ));
-    let spec = LoadSpec {
-        requests: serving.section.requests,
-        clients: serving.section.clients,
-        candidates: serving.section.candidates,
-        k: serving.section.k,
-        ..Default::default()
-    };
-    let serial_cfg = ServeConfig::serial();
-    let batched_cfg = ServeConfig {
-        workers: 1,
-        max_batch_requests: 8,
-        session_cache_capacity: 0,
-        ..Default::default()
-    };
-    let cached_cfg = ServeConfig {
-        workers: 1,
-        max_batch_requests: 8,
-        ..Default::default()
-    };
-    let cached_spec = LoadSpec {
-        corpus_repeat: 4,
-        ..spec.clone()
-    };
-    for (scenario, load, cfg, measured) in [
-        ("serving/serial", &spec, &serial_cfg, &serving.serial),
-        ("serving/batched", &spec, &batched_cfg, &serving.batched),
-        ("serving/cached", &cached_spec, &cached_cfg, &serving.cached),
-    ] {
-        let (r, _) = scenario_row(&model, calibration, scenario, load, cfg, measured);
-        rows.push(r);
+    for (s, m) in serving.iter().zip(&measured) {
+        rows.push(scenario_row(&model, calibration, s, m).0);
     }
 
     // --- Scheduling scenarios (FIFO vs priority-then-EDF, overall p99).
-    let scheduling = scheduling_bench_measured(fast);
-    let sched_cal = scheduling_calibration(calibration.per_token_us, &scheduling.fifo);
+    let scheduling = scheduling_scenarios(fast);
+    let measured = measure(&model, &scheduling);
+    let sched_cal = scheduling_calibration(calibration.per_token_us, &measured[0]);
     report.line(&format!(
         "scheduling calibration (FIFO snapshot): fixed {:.0} us/batch + {:.2} us/token",
         sched_cal.batch_fixed_us, sched_cal.per_token_us
     ));
-    let sched_spec = LoadSpec {
-        requests: scheduling.section.requests,
-        clients: scheduling.section.clients,
-        candidates: 12,
-        k: 4,
-        high_fraction: scheduling.section.high_fraction,
-        high_deadline_us: Some(scheduling.section.high_deadline_us),
-        ..Default::default()
-    };
-    for (scenario, priority_scheduling, measured) in [
-        ("scheduling/fifo", false, &scheduling.fifo),
-        ("scheduling/priority_edf", true, &scheduling.priority),
-    ] {
-        let cfg = ServeConfig {
-            workers: 1,
-            max_batch_requests: scheduling.section.max_batch_requests,
-            session_cache_capacity: 0,
-            priority_scheduling,
-            starvation_age: std::time::Duration::from_secs(2),
-            ..Default::default()
-        };
-        let (r, high) = scenario_row(&model, sched_cal, scenario, &sched_spec, &cfg, measured);
+    for (s, m) in scheduling.iter().zip(&measured) {
+        let (r, high) = scenario_row(&model, sched_cal, s, m);
         if let Some((pred, meas)) = high {
             report.line(&format!(
-                "{scenario:<25} high-class p99 {pred} vs {meas} us (informational: ~{} samples)",
-                measured.class("high").map_or(0, |c| c.completed)
+                "{:<25} high-class p99 {pred} vs {meas} us (informational: ~{} samples)",
+                s.name,
+                m.class("high").map_or(0, |c| c.completed)
             ));
         }
         rows.push(r);
@@ -293,128 +373,20 @@ pub fn sim_validate(fast: bool) {
         "validated: {validated} (tolerance {:.0}%)",
         SIM_TOLERANCE * 100.0
     ));
-
-    // Splice into the committed kernels file (replacing any prior run).
-    let previous = std::fs::read_to_string(KERNELS_FILE).unwrap_or_else(|_| "{}".to_string());
-    let section_json = serde_json::to_string_pretty(&section).expect("serialize metasim");
-    let next = splice_metasim(&previous, &section_json);
-    std::fs::write(KERNELS_FILE, next).expect("write BENCH_kernels.json");
-    report.line(&format!("wrote metasim section into {KERNELS_FILE}"));
     report.finish(&section);
-}
-
-/// Extracts the raw `"metasim": { ... }` object value from a kernels
-/// file, if present (the serde shim has no deserializer; `repro perf`
-/// uses this to preserve the section across rewrites).
-pub fn extract_metasim(text: &str) -> Option<String> {
-    let key = text.find("\"metasim\":")?;
-    let open = key + text[key..].find('{')?;
-    let mut depth = 0_usize;
-    for (i, c) in text[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(text[open..=open + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Removes the `"metasim": {...}` member (and its separating comma) from
-/// kernels-file text.
-fn strip_metasim(text: &str) -> String {
-    let Some(key) = text.find("\"metasim\":") else {
-        return text.to_string();
-    };
-    let Some(raw) = extract_metasim(text) else {
-        return text.to_string();
-    };
-    let open = key + text[key..].find('{').expect("extract found a brace");
-    let end = open + raw.len();
-    // Swallow one separating comma: the one after the member if present,
-    // else the one before (when metasim is the last member).
-    let mut head = &text[..key];
-    let mut tail = &text[end..];
-    let trimmed_tail = tail.trim_start();
-    if let Some(rest) = trimmed_tail.strip_prefix(',') {
-        tail = rest;
+    if validated {
+        Ok(())
     } else {
-        let trimmed_head = head.trim_end();
-        head = trimmed_head.strip_suffix(',').unwrap_or(trimmed_head);
+        Err(format!(
+            "sim-validate: predictions out of the {:.0}% tolerance",
+            SIM_TOLERANCE * 100.0
+        ))
     }
-    format!("{}{}", head.trim_end(), tail)
-}
-
-/// Splices `metasim_json` (a serialized object) into kernels-file text
-/// as the `metasim` member, replacing any existing one.
-pub fn splice_metasim(text: &str, metasim_json: &str) -> String {
-    let without = strip_metasim(text);
-    let trimmed = without.trim_end();
-    let body = trimmed.strip_suffix('}').unwrap_or(trimmed).trim_end();
-    let sep = if body.ends_with('{') { "" } else { "," };
-    format!("{body}{sep}\n  \"metasim\": {metasim_json}\n}}\n")
-}
-
-/// Reads the `validated` flag of a metasim section, if one exists (the
-/// `perf-guard` hook).
-pub fn parse_metasim_validated(text: &str) -> Option<bool> {
-    let raw = extract_metasim(text)?;
-    let pos = raw.find("\"validated\":")?;
-    Some(raw[pos + 12..].trim_start().starts_with("true"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dummy_section(validated: bool) -> String {
-        let section = MetasimSection {
-            mode: "fast".into(),
-            tolerance: SIM_TOLERANCE,
-            calibration: Calibration {
-                batch_fixed_us: 1_000.0,
-                per_request_us: 0.0,
-                per_token_us: 2.0,
-            },
-            rows: vec![row("serving/serial", 100.0, 98.0, 5_000, 5_100, 0)],
-            validated,
-        };
-        serde_json::to_string_pretty(&section).unwrap()
-    }
-
-    #[test]
-    fn splice_extract_strip_round_trip() {
-        let base = "{\n  \"schema\": \"v\",\n  \"speedup\": []\n}\n";
-        let spliced = splice_metasim(base, &dummy_section(true));
-        let raw = extract_metasim(&spliced).expect("spliced section extracts");
-        assert!(raw.starts_with('{') && raw.ends_with('}'));
-        assert_eq!(parse_metasim_validated(&spliced), Some(true));
-        // Replacing keeps exactly one section and the original members.
-        let replaced = splice_metasim(&spliced, &dummy_section(false));
-        assert_eq!(replaced.matches("\"metasim\":").count(), 1);
-        assert_eq!(parse_metasim_validated(&replaced), Some(false));
-        assert!(replaced.contains("\"schema\": \"v\""));
-        assert!(replaced.contains("\"speedup\": []"));
-        // Absent section: no-ops.
-        assert!(extract_metasim(base).is_none());
-        assert!(parse_metasim_validated(base).is_none());
-        assert_eq!(strip_metasim(base), base);
-    }
-
-    #[test]
-    fn splice_into_empty_object() {
-        let spliced = splice_metasim("{}", &dummy_section(true));
-        assert!(spliced.trim_start().starts_with('{'));
-        assert!(extract_metasim(&spliced).is_some());
-        // Stripping returns to an empty object.
-        let stripped = strip_metasim(&spliced);
-        assert!(extract_metasim(&stripped).is_none());
-    }
 
     #[test]
     fn tolerance_rows_classify() {

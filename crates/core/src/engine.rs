@@ -920,11 +920,7 @@ impl PrismEngine {
                 options.spill_precision,
                 throttle,
             )?;
-            let mut pipe = if self.options.spill_pipeline {
-                SpillPipeline::overlapped(file)?
-            } else {
-                SpillPipeline::synchronous(file)
-            };
+            let mut pipe = SpillPipeline::overlapped(file)?;
             // Offload all but the first window of chunks (queued on the
             // writer lane when overlapped, so the initial offload hides
             // behind planning's remaining work). A failed write (disk

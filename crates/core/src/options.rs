@@ -126,14 +126,10 @@ pub struct EngineOptions {
     pub embed_cache: bool,
     /// Cache capacity as a fraction of the vocabulary (paper: 10%).
     pub embed_cache_fraction: f64,
-    /// Offload non-active chunk hidden states to a spill file (§4.3).
+    /// Offload non-active chunk hidden states to a spill file (§4.3),
+    /// through the overlapped background I/O pipeline: chunk *i*
+    /// computes while *i+1* prefetches and *i-1* writes back.
     pub hidden_offload: bool,
-    /// Route spill reads/writes through the overlapped background I/O
-    /// pipeline (chunk *i* computes while *i+1* prefetches and *i-1*
-    /// writes back — §4.3's three-stage window). `false` degrades to the
-    /// synchronous historical path; the offload benchmarks use it as the
-    /// frozen baseline.
-    pub spill_pipeline: bool,
     /// Maximum clusters the auto K-Means may produce.
     pub max_clusters: usize,
     /// First layer boundary at which the pruning gate may fire. The gate
@@ -165,7 +161,6 @@ impl Default for EngineOptions {
             embed_cache: true,
             embed_cache_fraction: 0.10,
             hidden_offload: false,
-            spill_pipeline: true,
             max_clusters: 5,
             min_gate_layer: 1,
             record_score_trace: false,

@@ -128,7 +128,7 @@ pub struct ServeBatchCost {
     /// Whether the forward pass runs the u8×i8 integer GEMM kernels
     /// (`RequestOptions::compute_precision = Int8`). Overrides `quant`
     /// for the compute term; off by default so the analytic model keeps
-    /// matching the shipped `ServeConfig::tuned_for` constants.
+    /// matching the shipped `ServeConfig` defaults it was swept for.
     pub int8_compute: bool,
     /// Hidden-state spill regime, when the batch exceeds the in-memory
     /// chunk height.

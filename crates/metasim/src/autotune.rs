@@ -6,9 +6,9 @@
 //! sweep can afford a full grid over batch budget, coalescing wait,
 //! starvation age and cache size per device — the tuned defaults that
 //! `prsm simulate-serve --tune` reports and that seeded
-//! `ServeConfig::tuned_for`. The current default configuration is
-//! always part of the grid, so the winner is never worse than the
-//! shipping default *under the model*.
+//! `ServeConfig::default`'s scheduling knobs. The current default
+//! configuration is always part of the grid, so the winner is never
+//! worse than the shipping default *under the model*.
 
 use std::time::Duration;
 
@@ -217,9 +217,10 @@ mod tests {
     #[ignore]
     fn shipped_tuned_defaults_match_a_fresh_sweep() {
         use prism_metrics::MemoryMeter;
-        // `ServeConfig::tuned_for` ships the paper-scale sweep winners as
-        // constants (it cannot depend on this crate); a fresh sweep per
-        // device preset must reproduce them or the constants are stale.
+        // `ServeConfig`'s defaults ship the paper-scale sweep winners as
+        // constants (it cannot depend on this crate), and `for_device`
+        // keeps them; a fresh sweep per device preset must reproduce
+        // them or the constants are stale.
         let model = ModelConfig::bge_m3();
         for device in [
             prism_device::DeviceSpec::rtx5070_laptop(),
@@ -228,7 +229,7 @@ mod tests {
         ] {
             let outcome = tune_for_device(&model, &device, &ServeConfig::default());
             let winner = &outcome.points[outcome.best];
-            let shipped = ServeConfig::tuned_for(&model, &device, &MemoryMeter::new());
+            let shipped = ServeConfig::for_device(&model, &device, &MemoryMeter::new());
             assert_eq!(
                 shipped.max_batch_requests, winner.max_batch_requests,
                 "{}: stale batch budget",

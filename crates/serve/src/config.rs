@@ -35,7 +35,7 @@ pub struct ServeConfig {
     pub starvation_age: Duration,
     /// `true` schedules priority-then-EDF (with the starvation guard);
     /// `false` keeps the historical pure-FIFO planner — the measurable
-    /// baseline for `bench-serve --high-frac` and `repro perf`.
+    /// baseline for `bench-serve --high-frac` and `repro sim-validate`.
     pub priority_scheduling: bool,
     /// Per-tenant in-flight request ceiling (`0` disables quotas). A
     /// tenant is a session key; past the ceiling its submissions are
@@ -112,6 +112,15 @@ impl ServeConfig {
     /// token count whose transient forward footprint (intermediate
     /// tensors + hidden states) fits the memory left after weights and
     /// framework overhead already metered on `meter`.
+    ///
+    /// The scheduling knobs stay at `Default`'s values (batches of 8
+    /// requests, 2 ms coalescing wait, 50 ms starvation bound, 64 cached
+    /// sessions): at the deployment operating point — paper-scale models
+    /// streaming weights from a device SSD — the per-batch fixed cost
+    /// dominates and the serving-metasim sweep (`prsm simulate-serve
+    /// --tune`) lands on them for every device preset, so the token
+    /// budget is the only device-specific part. `prism-metasim`'s nightly
+    /// autotune test keeps those defaults honest against a fresh sweep.
     pub fn for_device(config: &ModelConfig, device: &DeviceSpec, meter: &MemoryMeter) -> Self {
         let available = device
             .mem_capacity
@@ -141,31 +150,6 @@ impl ServeConfig {
         ServeConfig {
             max_batch_tokens: lo.max(floor),
             ..Default::default()
-        }
-    }
-
-    /// Device-tuned defaults: the scheduling knobs picked by the serving
-    /// metasim sweep (`prsm simulate-serve --tune`, 181 grid points over
-    /// batch budget, coalescing wait, starvation age and cache size per
-    /// device preset) on top of [`ServeConfig::for_device`]'s
-    /// memory-derived token budget.
-    ///
-    /// At the deployment operating point — paper-scale models streaming
-    /// weights from a device SSD — the per-batch fixed cost dominates, so
-    /// the sweep lands on the same scheduling knobs for every preset
-    /// (batches of 8 requests, 2 ms coalescing wait, 50 ms starvation
-    /// bound, 64 cached sessions) and the device-specific part is the
-    /// token budget. The knobs only shift when service turns
-    /// compute-bound (mini-scale models), where coalescing gains saturate
-    /// at smaller batches; `prism-metasim`'s autotune tests keep these
-    /// constants honest against a fresh sweep.
-    pub fn tuned_for(config: &ModelConfig, device: &DeviceSpec, meter: &MemoryMeter) -> Self {
-        ServeConfig {
-            max_batch_requests: 8,
-            max_batch_wait: Duration::from_millis(2),
-            starvation_age: Duration::from_millis(50),
-            session_cache_capacity: 64,
-            ..Self::for_device(config, device, meter)
         }
     }
 
@@ -313,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn tuned_for_composes_sweep_knobs_with_device_budget() {
+    fn for_device_keeps_the_sweep_knobs_beside_the_device_budget() {
         let config = ModelConfig::test_config(ModelArch::DecoderOnly, 4);
         let meter = MemoryMeter::new();
         for device in [
@@ -321,17 +305,14 @@ mod tests {
             DeviceSpec::apple_m2(),
             DeviceSpec::a800(),
         ] {
-            let tuned = ServeConfig::tuned_for(&config, &device, &meter);
-            tuned.validate().expect("tuned config must validate");
-            // The token budget is the device-derived part...
-            let budget = ServeConfig::for_device(&config, &device, &meter);
-            assert_eq!(tuned.max_batch_tokens, budget.max_batch_tokens);
-            // ...the scheduling knobs are the metasim sweep winners
+            let cfg = ServeConfig::for_device(&config, &device, &meter);
+            cfg.validate().expect("device config must validate");
+            // The scheduling knobs are the metasim sweep winners
             // (prism-metasim's ignored nightly test re-derives them).
-            assert_eq!(tuned.max_batch_requests, 8);
-            assert_eq!(tuned.max_batch_wait, Duration::from_millis(2));
-            assert_eq!(tuned.starvation_age, Duration::from_millis(50));
-            assert_eq!(tuned.session_cache_capacity, 64);
+            assert_eq!(cfg.max_batch_requests, 8);
+            assert_eq!(cfg.max_batch_wait, Duration::from_millis(2));
+            assert_eq!(cfg.starvation_age, Duration::from_millis(50));
+            assert_eq!(cfg.session_cache_capacity, 64);
         }
     }
 

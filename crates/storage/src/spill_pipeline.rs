@@ -23,9 +23,9 @@
 //! read can never observe a half-written slot.
 //!
 //! [`SpillPipeline::synchronous`] wraps the same file without threads —
-//! every call runs inline — which is both the degraded mode for hosts
-//! where spawning fails and the frozen baseline the offload benchmarks
-//! compare against.
+//! every call runs inline. The engine always runs the overlapped lanes;
+//! the synchronous mode is the reference they are tested against (the
+//! unit tests here, `spill_proptests.rs`, `failure_injection.rs`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;

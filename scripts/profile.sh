@@ -3,8 +3,12 @@
 #
 #   scripts/profile.sh [scenario] [out-dir]
 #
-#   scenario  repro experiment to profile (default: perf; e.g. table3,
-#             fig10, fig16 — see `repro --help` in crates/bench)
+#   scenario  repro experiment to profile (default: perf — the kernel
+#             benches only: GEMM, quantized GEMM, rowq, one layer,
+#             resident select_top_k; or e.g. table3, fig10, fig16 — see
+#             the header of crates/bench/src/bin/repro.rs). To see where
+#             a served request spends its time, run a traced `wire_e2e`
+#             workload instead (benchmark/run.sh --trace 1).
 #   out-dir   where the experiment recording lands
 #             (default: target/profile/<scenario>)
 #
