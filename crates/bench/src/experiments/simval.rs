@@ -74,15 +74,16 @@ pub struct MetasimSection {
 /// host drift 25-100% between separate measurement passes, which would
 /// otherwise dominate the error budget.
 fn serving_calibration(serial: &LoadReport, batched: &LoadReport) -> Calibration {
+    let (serial, batched) = (serial.server_stats(), batched.server_stats());
     let a = (
         1_usize,
-        serial.stats.batch_tokens.mean.round() as u64,
-        serial.stats.service_us.mean.round() as u64,
+        serial.batch_tokens.mean.round() as u64,
+        serial.service_us.mean.round() as u64,
     );
     let b = (
-        (batched.stats.batch_size.mean.round() as usize).max(2),
-        batched.stats.batch_tokens.mean.round() as u64,
-        batched.stats.service_us.mean.round() as u64,
+        (batched.batch_size.mean.round() as usize).max(2),
+        batched.batch_tokens.mean.round() as u64,
+        batched.service_us.mean.round() as u64,
     );
     Calibration::fit_two_points(a, b)
 }
@@ -92,7 +93,8 @@ fn serving_calibration(serial: &LoadReport, batched: &LoadReport) -> Calibration
 /// run a tighter coalescing cap, so their mean batch cost differs from
 /// the serving fit's operating points).
 fn scheduling_calibration(per_token_us: f64, fifo: &LoadReport) -> Calibration {
-    let fixed = (fifo.stats.service_us.mean - per_token_us * fifo.stats.batch_tokens.mean).max(0.0);
+    let fifo = fifo.server_stats();
+    let fixed = (fifo.service_us.mean - per_token_us * fifo.batch_tokens.mean).max(0.0);
     Calibration {
         batch_fixed_us: fixed,
         per_request_us: 0.0,
@@ -164,17 +166,16 @@ fn scenario_row(
         (Some(p), Some(m)) => Some((p.p99_us, m.p99_us)),
         _ => None,
     };
-    let tail_excess = measured
-        .stats
-        .service_us
+    let service_us = &measured.server_stats().service_us;
+    let tail_excess = service_us
         .p99
-        .saturating_sub(measured.stats.service_us.mean.round() as u64);
+        .saturating_sub(service_us.mean.round() as u64);
     (
         row(
             scenario.name,
-            predicted.throughput_rps,
+            predicted.run.throughput_rps,
             measured.throughput_rps,
-            predicted.p99_us,
+            predicted.run.p99_us,
             measured.p99_us,
             tail_excess,
         ),
@@ -198,7 +199,6 @@ fn serving_scenarios(fast: bool) -> Vec<Scenario> {
         requests: if fast { 16 } else { 48 },
         clients: 8,
         candidates: 12,
-        k: 4,
         ..Default::default()
     };
     let coalescing = ServeConfig {
@@ -239,7 +239,6 @@ fn scheduling_scenarios(fast: bool) -> Vec<Scenario> {
         requests: if fast { 42 } else { 84 },
         clients: 14,
         candidates: 12,
-        k: 4,
         high_fraction: 0.1,
         // Generous: no shedding.
         high_deadline_us: Some(30_000_000),

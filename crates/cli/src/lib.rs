@@ -12,92 +12,83 @@
 //!     4-bit quantize every transformer layer of a container.
 //!
 //! prsm simulate --model <name> [--device rtx5070|m2|a800]
-//!              [--candidates N] [--seq N] [--system hf|offload|quant|prism]
+//!     [--candidates N] [--seq N] [--system hf|offload|quant|prism]
 //!     Paper-scale latency/memory of one rerank request.
 //!
 //! prsm rerank <container.prsm> --model <name> [--scale mini|test]
-//!            [--dataset wikipedia] [--candidates N] [--k N] [--threshold T]
+//!     [--dataset wikipedia] [--candidates N] [--k N] [--threshold T]
 //!     Run the PRISM engine on a synthetic request and print the top-K.
 //!
+//! scheduling flags:
+//!     [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
+//!     [--cache-sessions N] [--starvation-ms N] [--tenant-quota N]
+//!     [--replicas R] [--hedge-ms N]
+//!     The `ServeConfig` of a real or simulated server. `--tenant-quota N`
+//!     caps in-flight requests per tenant session; `--replicas R` places
+//!     every candidate on R shards (rendezvous rank order) so a dead or
+//!     stalled shard fails over bit-identically; `--hedge-ms N` hedges a
+//!     shard stalled longer than N ms onto its next replica (0 = off).
+//!     The simulator prices replicas and ignores quotas and hedges.
+//!
+//! load flags:
+//!     [--requests N] [--clients N] [--candidates N] [--k N]
+//!     [--dataset wikipedia] [--seed N] [--sessions N] [--repeat N]
+//!     [--priority high|normal|bulk] [--deadline-ms N] [--high-frac F]
+//!     [--spill int8|f32] [--compute f32|int8]
+//!     [--semcache off|verify|aggressive] [--dup-frac F]
+//!     [--on-partial fail|partial]
+//!     One closed-loop synthetic workload (`prism_serve::LoadSpec`), the
+//!     same traffic whichever verb drives it: `--clients` threads send
+//!     `--requests` requests cycling `--sessions` sessions, each session
+//!     moving to a fresh corpus every `--repeat` requests. `--priority`
+//!     sets the scheduling class, `--deadline-ms` attaches a per-request
+//!     deadline, and `--high-frac F` promotes one request in every
+//!     `round(1/F)` to High priority (per-class percentiles are
+//!     reported). `--semcache` stamps the semantic-cache mode on every
+//!     request (any mode but `off` also pins requests to full depth, the
+//!     replay soundness requirement) and `--dup-frac F` draws one request
+//!     in every `round(1/F)` from a cross-session duplicate corpus pool,
+//!     the overlap the semantic cache exists to exploit. Both fractions
+//!     space evenly, so any F above 0.5 means every request.
+//!     `--on-partial partial` serves a degraded best-effort selection
+//!     (coverage < 1) when every replica of a candidate is down instead
+//!     of failing the request.
+//!
 //! prsm serve <container.prsm> --model <name> [--scale mini|test]
-//!           [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
-//!           [--cache-sessions N] [--throttle BYTES_PER_S]
-//!           [--offload on|off] [--spill int8|f32] [--compute f32|int8]
-//!           [--semcache off|verify|aggressive] [--dup-frac F]
-//!           [--shards N] [--replicas R] [--hedge-ms N]
-//!           [--on-partial fail|partial] [--tenant-quota N] [--listen ADDR]
-//!           [--requests N] [--clients N] [--candidates N] [--k N]
-//!           [--sessions N] [--repeat N] [--dataset wikipedia]
-//!           [--starvation-ms N] [--priority high|normal|bulk] [--deadline-ms N]
-//!           [--high-frac F]
-//!     Start the serving front-end over a container, drive a closed-loop
-//!     synthetic workload through it, and print latency percentiles plus
-//!     queue/batch/cache telemetry. `--throttle` caps weight-streaming
-//!     bandwidth to emulate a device SSD (default 0 = native);
-//!     `--priority` sets the scheduling class of the generated load,
-//!     `--deadline-ms` attaches a per-request deadline, and
-//!     `--high-frac` promotes that fraction of the stream to High
-//!     priority (per-class percentiles are reported). `--shards N`
-//!     partitions each request's candidates across N engine shards
-//!     behind the consistent-hash forward map (weights pinned resident,
-//!     so `--throttle` does not apply); `--tenant-quota N` caps in-flight
-//!     requests per tenant session; `--listen ADDR` additionally binds
-//!     the length-prefixed TCP wire front-end on ADDR (port 0 picks a
-//!     free port) and drives the same closed loop through out-of-process
-//!     wire clients instead of in-process submission. `--semcache`
-//!     stamps the semantic-cache mode on every generated request (any
-//!     mode but `off` also pins requests to full depth, the replay
-//!     soundness requirement) and `--dup-frac F` draws that fraction of
-//!     the stream from a cross-session duplicate corpus pool, the
-//!     overlap the semantic cache exists to exploit. `--replicas R`
-//!     places every candidate on R shards (rendezvous rank order) so a
-//!     dead or stalled shard fails over bit-identically; `--hedge-ms N`
-//!     hedges a shard stalled longer than N ms onto its next replica
-//!     (0 = off); `--on-partial partial` serves a degraded best-effort
-//!     selection (coverage < 1) when every replica of a candidate is
-//!     down instead of failing the request. Summaries always include
-//!     the resilience counters (failovers, hedges, retries, quarantined
-//!     spill slots, partial results).
+//!     [scheduling flags] [load flags] [--throttle BYTES_PER_S]
+//!     [--offload on|off] [--shards N] [--listen ADDR]
+//!     Start the serving front-end over a container, drive the load
+//!     through it, and print latency percentiles plus queue/batch/cache
+//!     telemetry and the resilience counters (failovers, hedges, retries,
+//!     quarantined spill slots, partial results). `--throttle` caps
+//!     weight-streaming bandwidth to emulate a device SSD (default 0 =
+//!     native); `--offload on` spills hidden states, where `--spill`
+//!     becomes observable. `--shards N` partitions each request's
+//!     candidates across N engine shards behind the consistent-hash
+//!     forward map (weights pinned resident, so `--throttle` does not
+//!     apply). `--listen ADDR` additionally binds the length-prefixed TCP
+//!     wire front-end on ADDR (port 0 picks a free port) and drives the
+//!     same load through wire clients instead of in-process submission.
 //!
-//! prsm connect <addr> --model <name> [--scale mini|test]
-//!             [--requests N] [--clients N] [--candidates N] [--k N]
-//!             [--dataset wikipedia] [--seed N]
-//!             [--spill int8|f32] [--compute f32|int8]
-//!             [--semcache off|verify|aggressive]
-//!     Out-of-process client: connect to a running `prsm serve --listen`
-//!     endpoint, ping it, drive the synthetic workload through wire
-//!     clients, and print latency percentiles. `--model`/`--scale` must
-//!     match the served container (they shape the generated workload).
-//!
-//! prsm bench-serve <container.prsm> --model <name> [--scale mini|test]
-//!                 [--requests N] [--clients N] [--candidates N] [--k N]
-//!                 [--batch N] [--workers N] [--repeat N]
-//!                 [--throttle BYTES_PER_S] [--high-frac F]
-//!                 [--deadline-ms N] [--mixed-batch N]
-//!     Closed-loop load comparison: the 1-worker/no-batching reference vs
-//!     the batched scheduler, reporting p50/p95/p99 and the throughput
-//!     gain from cross-request coalescing, plus a mixed-priority scenario
-//!     (`--high-frac`, default 10% High with deadlines) comparing the
-//!     FIFO and priority-then-EDF schedulers on high-priority p99.
-//!     Streaming runs against an emulated 16 MB/s SSD by default
-//!     (`--throttle 0` = native disk).
+//! prsm connect <addr> --model <name> [--scale mini|test] [load flags]
+//!     Out-of-process client: connect to a running `prsm serve` wire
+//!     endpoint, ping it, drive the load through wire clients, and print
+//!     latency percentiles. `--model`/`--scale` must match the served
+//!     container (they shape the generated workload).
 //!
 //! prsm simulate-serve --model <name> [--scale mini|test]
-//!                    [--device rtx5070|m2|a800]
-//!                    [--profile steady|diurnal|burst] [--rps F] [--events N]
-//!                    [--mode trace|closed] [--seed N]
-//!                    [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
-//!                    [--cache-sessions N] [--starvation-ms N]
-//!                    [--fixed-us F] [--per-request-us F] [--per-token-us F]
-//!                    [--shards N] [--parallel-shards on|off]
-//!                    [--replicas R] [--fault-per-mille N]
-//!                    [--tune on]
+//!     [--device rtx5070|m2|a800] [--mode trace|closed]
+//!     [--profile steady|diurnal|burst] [--rps F] [--events N]
+//!     [scheduling flags] [load flags]
+//!     [--fixed-us F] [--per-request-us F] [--per-token-us F]
+//!     [--shards N] [--parallel-shards on|off] [--fault-per-mille N]
+//!     [--tune on]
 //!     Deterministic discrete-event simulation of the serving stack: the
 //!     real batch planner and session-cache model driven at virtual time,
 //!     so a simulated day of traffic costs seconds. `--mode trace`
 //!     (default) replays an open-loop arrival trace (`--profile`,
-//!     `--rps`, `--events`); `--mode closed` drives the same closed-loop
-//!     workload flags as `serve`. Service times come from the analytic
+//!     `--rps`, `--events`, `--seed`); `--mode closed` replays the load
+//!     flags' request stream. Service times come from the analytic
 //!     `--device` cost model unless `--fixed-us`/`--per-token-us` pin a
 //!     calibrated affine model (e.g. fitted by `repro sim-validate`).
 //!     `--tune on` sweeps the scheduling knobs through the simulator and
@@ -110,14 +101,13 @@
 //!     default R=1 they cost requests (typed shard errors).
 //! ```
 //!
-//! All commands return their output as a string (tested directly); the
-//! binary prints it.
+//! A flag the verb does not read is an error. All commands return their
+//! output as a string (tested directly); the binary prints it.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use prism_api::SelectionService;
 use prism_core::{
     ComputePrecision, EngineOptions, PartialMode, Priority, PrismEngine, RequestOptions,
     SemCacheMode, SpillPrecision,
@@ -127,42 +117,120 @@ use prism_device::{
     PrismSimOptions, PruneSchedule, ScatterGatherCost, ServeBatchCost,
 };
 use prism_metasim::{
-    simulate_closed_loop_with, tune_for_device, Calibration, ServiceModel, SimFaults, SimReport,
-    Simulation,
+    simulate_closed_loop_with, tune_for_device, Calibration, ServiceModel, SimFaults, Simulation,
 };
-use prism_metrics::{exact_quantile, MemoryMeter};
+use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelConfig, SequenceBatch};
-use prism_serve::{run_closed_loop, LoadReport, LoadSpec, PrismServer, ServeConfig};
+use prism_serve::{
+    drive_closed_loop, run_closed_loop, LoadReport, LoadSpec, PrismServer, ServeConfig,
+};
 use prism_storage::Container;
 use prism_wire::{WireClient, WireServer};
 use prism_workload::{dataset_by_name, trace_profile_by_name, TraceGenerator, WorkloadGenerator};
 
+const MODEL_FLAGS: &[&str] = &["model", "scale"];
+
+/// The flags [`serve_config_from`] reads.
+const SCHEDULING_FLAGS: &[&str] = &[
+    "workers",
+    "batch",
+    "batch-tokens",
+    "wait-us",
+    "cache-sessions",
+    "starvation-ms",
+    "tenant-quota",
+    "replicas",
+    "hedge-ms",
+];
+
+/// The flags [`load_spec_from`] reads.
+const LOAD_FLAGS: &[&str] = &[
+    "requests",
+    "clients",
+    "candidates",
+    "k",
+    "dataset",
+    "seed",
+    "sessions",
+    "repeat",
+    "priority",
+    "deadline-ms",
+    "high-frac",
+    "spill",
+    "compute",
+    "semcache",
+    "dup-frac",
+    "on-partial",
+];
+
+type Verb = (
+    &'static str,
+    fn(&Parsed<'_>) -> Result<String, String>,
+    &'static [&'static [&'static str]],
+);
+
+/// Every verb, its handler and the flags it reads (the crate docs'
+/// synopses are checked against these lists).
+const VERBS: &[Verb] = &[
+    ("inspect", inspect, &[]),
+    ("gen", gen, &[MODEL_FLAGS, &["seed"]]),
+    ("quantize", quantize, &[MODEL_FLAGS]),
+    (
+        "simulate",
+        simulate,
+        &[&["model", "device", "candidates", "seq", "system"]],
+    ),
+    (
+        "rerank",
+        rerank,
+        &[MODEL_FLAGS, &["dataset", "candidates", "k", "threshold"]],
+    ),
+    (
+        "serve",
+        serve,
+        &[
+            MODEL_FLAGS,
+            SCHEDULING_FLAGS,
+            LOAD_FLAGS,
+            &["throttle", "offload", "shards", "listen"],
+        ],
+    ),
+    ("connect", connect, &[MODEL_FLAGS, LOAD_FLAGS]),
+    (
+        "simulate-serve",
+        simulate_serve,
+        &[
+            MODEL_FLAGS,
+            SCHEDULING_FLAGS,
+            LOAD_FLAGS,
+            &["device", "mode", "profile", "rps", "events"],
+            &["fixed-us", "per-request-us", "per-token-us"],
+            &["shards", "parallel-shards", "fault-per-mille", "tune"],
+        ],
+    ),
+];
+
 /// Runs one CLI invocation and returns its stdout payload.
 pub fn run(args: &[String]) -> Result<String, String> {
     let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("inspect") => inspect(&collect(it)),
-        Some("gen") => gen(&collect(it)),
-        Some("quantize") => quantize(&collect(it)),
-        Some("simulate") => simulate(&collect(it)),
-        Some("rerank") => rerank(&collect(it)),
-        Some("serve") => serve(&collect(it)),
-        Some("connect") => connect(&collect(it)),
-        Some("bench-serve") => bench_serve(&collect(it)),
-        Some("simulate-serve") => simulate_serve(&collect(it)),
-        Some("help") | None => Ok(usage()),
-        Some(other) => Err(format!("unknown command `{other}`; try `prsm help`")),
-    }
+    let verb = match it.next() {
+        Some("help") | None => return Ok(usage()),
+        Some(verb) => verb,
+    };
+    let (_, handler, flags) = VERBS
+        .iter()
+        .find(|(name, ..)| *name == verb)
+        .ok_or_else(|| format!("unknown command `{verb}`; try `prsm help`"))?;
+    handler(&parse(verb, &it.collect::<Vec<_>>(), flags)?)
 }
 
 fn usage() -> String {
-    "usage: prsm <inspect|gen|quantize|simulate|rerank|serve|connect|bench-serve|simulate-serve|help> [args]\n\
-     see `cargo doc -p prism-cli` or the crate docs for details\n"
-        .to_string()
-}
-
-fn collect<'a>(it: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
-    it.collect()
+    let verbs: Vec<&str> = VERBS.iter().map(|(name, ..)| *name).collect();
+    format!(
+        "usage: prsm <{}|help> [args]\n\
+         see `cargo doc -p prism-cli` or the crate docs for details\n",
+        verbs.join("|")
+    )
 }
 
 /// Positional arguments and `--flag value` pairs.
@@ -171,12 +239,17 @@ struct Parsed<'a> {
     flags: Vec<(&'a str, &'a str)>,
 }
 
-fn parse<'a>(args: &[&'a str]) -> Result<Parsed<'a>, String> {
+/// Splits `args` into positionals and `--flag value` pairs; a flag not
+/// in `allowed` (the lists `verb` reads) is an error naming both.
+fn parse<'a>(verb: &str, args: &[&'a str], allowed: &[&[&str]]) -> Result<Parsed<'a>, String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
+            if !allowed.iter().any(|group| group.contains(&name)) {
+                return Err(format!("prsm {verb}: unknown flag --{name}"));
+            }
             let value = args
                 .get(i + 1)
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -207,6 +280,24 @@ impl<'a> Parsed<'a> {
                 .map_err(|_| format!("invalid value `{v}` for --{name}")),
         }
     }
+
+    /// Reads `--name` as one of `choices` by label, case-insensitively;
+    /// absent, it is the first.
+    fn choice<T: Copy>(&self, name: &str, choices: &[(&str, T)]) -> Result<T, String> {
+        let Some(value) = self.flag(name) else {
+            return Ok(choices[0].1);
+        };
+        let found = choices.iter().find(|(l, _)| l.eq_ignore_ascii_case(value));
+        found.map(|&(_, v)| v).ok_or_else(|| {
+            let labels: Vec<&str> = choices.iter().map(|&(l, _)| l).collect();
+            format!("--{name} takes {}, got `{value}`", labels.join("|"))
+        })
+    }
+
+    /// Parses an `--name on|off` switch (absent = off).
+    fn switch(&self, name: &str) -> Result<bool, String> {
+        self.choice(name, &[("off", false), ("on", true)])
+    }
 }
 
 /// Resolves a model name plus scale into a config.
@@ -236,8 +327,7 @@ fn resolve_device(name: &str) -> Result<DeviceSpec, String> {
     }
 }
 
-fn inspect(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn inspect(p: &Parsed<'_>) -> Result<String, String> {
     let path = p
         .positional
         .first()
@@ -270,8 +360,7 @@ fn inspect(args: &[&str]) -> Result<String, String> {
     Ok(out)
 }
 
-fn gen(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn gen(p: &Parsed<'_>) -> Result<String, String> {
     let path = p.positional.first().ok_or("gen needs an output path")?;
     let name = p.flag("model").ok_or("gen needs --model <name>")?;
     let scale = p.flag("scale").unwrap_or("mini");
@@ -285,8 +374,7 @@ fn gen(args: &[&str]) -> Result<String, String> {
     ))
 }
 
-fn quantize(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn quantize(p: &Parsed<'_>) -> Result<String, String> {
     let [input, output] = p.positional[..] else {
         return Err("quantize needs <in.prsm> <out.prsm>".into());
     };
@@ -305,8 +393,7 @@ fn quantize(args: &[&str]) -> Result<String, String> {
     ))
 }
 
-fn simulate(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn simulate(p: &Parsed<'_>) -> Result<String, String> {
     let name = p.flag("model").ok_or("simulate needs --model <name>")?;
     let config = resolve_config(name, "paper")?;
     let device = resolve_device(p.flag("device").unwrap_or("rtx5070"))?;
@@ -362,8 +449,7 @@ fn simulate(args: &[&str]) -> Result<String, String> {
     ))
 }
 
-fn rerank(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn rerank(p: &Parsed<'_>) -> Result<String, String> {
     let path = p
         .positional
         .first()
@@ -416,20 +502,23 @@ fn rerank(args: &[&str]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Opens a serving engine over a container path (shared by `serve` and
-/// `bench-serve`). `throttle` caps streaming bandwidth in bytes/s to
-/// emulate a device SSD (`0` = native speed); `offload` additionally
+/// Opens a serving engine over a container path. A `resident` engine
+/// pins layer weights in memory (what `ShardSet` requires of a shard);
+/// otherwise they stream, and `throttle` caps that bandwidth in bytes/s
+/// to emulate a device SSD (`0` = native speed). `offload` additionally
 /// spills non-active chunk hidden states to disk (the §4.3 extreme
 /// memory-pressure regime, where the per-request `--spill` precision
 /// becomes observable).
 fn serving_engine(
     path: &str,
     config: &ModelConfig,
+    resident: bool,
     throttle: u64,
     offload: bool,
 ) -> Result<PrismEngine, String> {
     let container = Container::open(path).map_err(|e| e.to_string())?;
     let options = EngineOptions {
+        streaming: !resident,
         stream_throttle: (throttle > 0).then_some(throttle),
         // A serving deployment pins the embedding table in memory (the
         // §4.4 disk-backed cache targets one-shot on-device flows);
@@ -442,97 +531,79 @@ fn serving_engine(
         .map_err(|e| e.to_string())
 }
 
-fn resolve_priority(name: &str) -> Result<Priority, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "high" => Ok(Priority::High),
-        "normal" => Ok(Priority::Normal),
-        "bulk" | "low" => Ok(Priority::Bulk),
-        other => Err(format!("unknown priority `{other}` (high|normal|bulk)")),
-    }
-}
-
-fn resolve_spill(name: &str) -> Result<SpillPrecision, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "int8" => Ok(SpillPrecision::Int8),
-        "f32" => Ok(SpillPrecision::F32),
-        other => Err(format!("unknown spill precision `{other}` (int8|f32)")),
-    }
-}
-
-fn resolve_compute(name: &str) -> Result<ComputePrecision, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "int8" => Ok(ComputePrecision::Int8),
-        "f32" => Ok(ComputePrecision::F32),
-        other => Err(format!("unknown compute precision `{other}` (f32|int8)")),
-    }
-}
-
-fn resolve_semcache(name: &str) -> Result<SemCacheMode, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "off" => Ok(SemCacheMode::Off),
-        "verify" => Ok(SemCacheMode::VerifyAndFallback),
-        "aggressive" => Ok(SemCacheMode::Aggressive),
-        other => Err(format!(
-            "unknown semcache mode `{other}` (off|verify|aggressive)"
-        )),
-    }
-}
-
-fn resolve_partial(name: &str) -> Result<PartialMode, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "fail" => Ok(PartialMode::Fail),
-        "partial" => Ok(PartialMode::Partial),
-        other => Err(format!("unknown partial mode `{other}` (fail|partial)")),
-    }
-}
-
-/// Parses an `--NAME on|off` switch (absent = off).
-fn resolve_switch(p: &Parsed<'_>, name: &str) -> Result<bool, String> {
-    match p.flag(name) {
-        None => Ok(false),
-        Some(v) => match v.to_ascii_lowercase().as_str() {
-            "on" | "true" | "1" => Ok(true),
-            "off" | "false" | "0" => Ok(false),
-            other => Err(format!("--{name} takes on|off, got `{other}`")),
-        },
-    }
-}
-
+/// Builds the `LoadSpec` from the load flags (`serve`, `connect` and
+/// `simulate-serve --mode closed` accept the same ones).
 fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
     let defaults = LoadSpec::default();
     let dataset = p.flag("dataset").unwrap_or("wikipedia");
     dataset_by_name(dataset).ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-    let priority = resolve_priority(p.flag("priority").unwrap_or("normal"))?;
-    // `--deadline-ms` puts a deadline on every generated request;
-    // `--high-frac` additionally promotes that fraction of the stream to
-    // High priority (spread evenly).
+    // `--deadline-ms` puts a deadline on every generated request, the
+    // `--high-frac` share promoted to High priority included.
     let deadline_ms: u64 = p.flag_parse("deadline-ms", 0)?;
     let deadline_us = (deadline_ms > 0).then_some(deadline_ms * 1_000);
     Ok(LoadSpec {
         requests: p.flag_parse("requests", defaults.requests)?,
         clients: p.flag_parse("clients", defaults.clients)?,
         candidates: p.flag_parse("candidates", defaults.candidates)?,
-        k: p.flag_parse("k", defaults.k)?,
         dataset: dataset.to_string(),
         seed: p.flag_parse("seed", defaults.seed)?,
         sessions: p.flag_parse("sessions", defaults.sessions)?,
         corpus_repeat: p.flag_parse("repeat", defaults.corpus_repeat)?,
-        priority,
         high_fraction: p.flag_parse("high-frac", 0.0_f64)?,
         high_deadline_us: deadline_us,
-        deadline_us,
-        spill_precision: resolve_spill(p.flag("spill").unwrap_or("int8"))?,
-        compute_precision: resolve_compute(p.flag("compute").unwrap_or("f32"))?,
-        semcache: resolve_semcache(p.flag("semcache").unwrap_or("off"))?,
         dup_fraction: p.flag_parse("dup-frac", 0.0_f64)?,
-        on_partial: resolve_partial(p.flag("on-partial").unwrap_or("fail"))?,
+        options: RequestOptions {
+            priority: p.choice(
+                "priority",
+                &[
+                    ("normal", Priority::Normal),
+                    ("high", Priority::High),
+                    ("bulk", Priority::Bulk),
+                ],
+            )?,
+            deadline_us,
+            spill_precision: p.choice(
+                "spill",
+                &[("int8", SpillPrecision::Int8), ("f32", SpillPrecision::F32)],
+            )?,
+            compute_precision: p.choice(
+                "compute",
+                &[
+                    ("f32", ComputePrecision::F32),
+                    ("int8", ComputePrecision::Int8),
+                ],
+            )?,
+            semcache: p.choice(
+                "semcache",
+                &[
+                    ("off", SemCacheMode::Off),
+                    ("verify", SemCacheMode::VerifyAndFallback),
+                    ("aggressive", SemCacheMode::Aggressive),
+                ],
+            )?,
+            on_partial: p.choice(
+                "on-partial",
+                &[
+                    ("fail", PartialMode::Fail),
+                    ("partial", PartialMode::Partial),
+                ],
+            )?,
+            ..RequestOptions::top_k(p.flag_parse("k", defaults.options.k)?)
+        },
     })
 }
 
-fn write_load_report(out: &mut String, report: &LoadReport) {
+/// Prints a run, measured or simulated (`offered` is the simulator's
+/// request count; its clock is virtual). The server-side lines need the
+/// server's telemetry, which `prsm connect` does not have.
+fn write_load_report(out: &mut String, report: &LoadReport, offered: Option<u64>) {
+    let (of, clock) = match offered {
+        Some(n) => (format!(" of {n}"), "virtual s"),
+        None => (String::new(), "s"),
+    };
     let _ = writeln!(
         out,
-        "completed {} requests in {:.3} s -> {:.1} req/s ({} errors, {} backpressure retries)",
+        "completed {}{of} requests in {:.3} {clock} -> {:.1} req/s ({} errors, {} backpressure retries)",
         report.completed,
         report.elapsed_s,
         report.throughput_rps,
@@ -544,44 +615,63 @@ fn write_load_report(out: &mut String, report: &LoadReport) {
         "latency us: p50 {}  p95 {}  p99 {}  max {}  mean {:.0}",
         report.p50_us, report.p95_us, report.p99_us, report.max_us, report.mean_us
     );
-    let s = &report.stats;
-    let _ = writeln!(
-        out,
-        "queue depth peak {}; {} batches (mean {:.2} requests / {:.0} tokens)",
-        s.queue_depth_peak, s.batches, s.batch_size.mean, s.batch_tokens.mean
-    );
-    let _ = writeln!(
-        out,
-        "session cache: {} selection hits, {} embed hits, {} misses (hit rate {:.1}%)",
-        s.cache_selection_hits,
-        s.cache_embed_hits,
-        s.cache_misses,
-        s.cache_hit_rate * 100.0
-    );
-    if s.semcache_hits + s.semcache_misses + s.semcache_fallbacks > 0 {
-        let probed = s.semcache_hits + s.semcache_misses;
+    if let Some(s) = &report.stats {
         let _ = writeln!(
             out,
-            "semantic cache: {} hits, {} misses, {} fallbacks, {} bytes (hit rate {:.1}%)",
-            s.semcache_hits,
-            s.semcache_misses,
-            s.semcache_fallbacks,
-            s.semcache_bytes,
-            if probed > 0 {
-                s.semcache_hits as f64 / probed as f64 * 100.0
-            } else {
-                0.0
-            }
+            "queue depth peak {}; {} batches (mean {:.2} requests / {:.0} tokens); {} backpressure, {} quota rejections",
+            s.queue_depth_peak,
+            s.batches,
+            s.batch_size.mean,
+            s.batch_tokens.mean,
+            s.rejected,
+            s.quota_rejected
         );
-    }
-    if s.cancelled + s.deadline_rejected + s.deadline_missed + s.priority_inversions > 0 {
         let _ = writeln!(
             out,
-            "lifecycle: {} cancelled, {} deadline-rejected, {} deadline-missed, {} priority inversions",
-            s.cancelled, s.deadline_rejected, s.deadline_missed, s.priority_inversions
+            "session cache: {} selection hits, {} embed hits, {} misses (hit rate {:.1}%)",
+            s.cache_selection_hits,
+            s.cache_embed_hits,
+            s.cache_misses,
+            s.cache_hit_rate * 100.0
+        );
+        if s.semcache_hits + s.semcache_misses + s.semcache_fallbacks > 0 {
+            let probed = s.semcache_hits + s.semcache_misses;
+            let _ = writeln!(
+                out,
+                "semantic cache: {} hits, {} misses, {} fallbacks, {} bytes (hit rate {:.1}%)",
+                s.semcache_hits,
+                s.semcache_misses,
+                s.semcache_fallbacks,
+                s.semcache_bytes,
+                if probed > 0 {
+                    s.semcache_hits as f64 / probed as f64 * 100.0
+                } else {
+                    0.0
+                }
+            );
+        }
+        if s.cancelled + s.deadline_rejected + s.deadline_missed + s.priority_inversions > 0 {
+            let _ = writeln!(
+                out,
+                "lifecycle: {} cancelled, {} deadline-rejected, {} deadline-missed, {} priority inversions",
+                s.cancelled, s.deadline_rejected, s.deadline_missed, s.priority_inversions
+            );
+        }
+        // The resilience layer: failovers and hedges from the replicated
+        // scatter path, client-side retries, quarantined spill slots and
+        // degraded partial results.
+        let _ = writeln!(
+            out,
+            "resilience: {} failovers, {} hedges fired / {} won, {} retried, \
+             {} slots quarantined, {} partial results",
+            s.failovers,
+            s.hedges_fired,
+            s.hedges_won,
+            s.retried,
+            s.slots_quarantined,
+            s.partial_results
         );
     }
-    write_resilience_summary(out, s);
     for c in &report.classes {
         let _ = writeln!(
             out,
@@ -589,24 +679,6 @@ fn write_load_report(out: &mut String, report: &LoadReport) {
             c.label, c.completed, c.errors, c.p50_us, c.p95_us, c.p99_us
         );
     }
-}
-
-/// The resilience-layer counters every serve summary surfaces:
-/// failovers and hedges from the replicated scatter path, client-side
-/// backpressure retries, quarantined spill slots, and degraded partial
-/// results.
-fn write_resilience_summary(out: &mut String, s: &prism_serve::ServeStatsSnapshot) {
-    let _ = writeln!(
-        out,
-        "resilience: {} failovers, {} hedges fired / {} won, {} retried, \
-         {} slots quarantined, {} partial results",
-        s.failovers,
-        s.hedges_fired,
-        s.hedges_won,
-        s.retried,
-        s.slots_quarantined,
-        s.partial_results
-    );
 }
 
 /// Builds a `ServeConfig` from the shared scheduling flags (`serve` and
@@ -643,145 +715,35 @@ fn serve_config_from(p: &Parsed<'_>) -> Result<ServeConfig, String> {
     })
 }
 
-/// Opens one *resident* engine per shard over the same container.
-/// Sharded serving pins layer weights in memory (`ShardSet` rejects
-/// streaming engines), so the `--throttle` SSD emulation does not apply.
-fn sharded_engines(
-    path: &str,
-    config: &ModelConfig,
-    shards: usize,
-    offload: bool,
-) -> Result<Vec<PrismEngine>, String> {
-    (0..shards)
-        .map(|_| {
-            let container = Container::open(path).map_err(|e| e.to_string())?;
-            let options = EngineOptions {
-                streaming: false,
-                embed_cache: false,
-                hidden_offload: offload,
-                ..Default::default()
-            };
-            PrismEngine::new(container, config.clone(), options, MemoryMeter::new())
-                .map_err(|e| e.to_string())
-        })
-        .collect()
-}
-
-/// Drives the closed-loop workload through out-of-process [`WireClient`]
-/// connections, so measured latencies include frame encode/decode and
-/// the socket hop. Returns `(sorted latencies us, errors, ping RTT)`.
-fn run_wire_loop(
+/// Pings `addr` (a typed handshake/ping failure beats N client threads
+/// all reporting the same refused connect), then drives `spec` through
+/// [`WireClient`] connections, one per client thread and session, so
+/// measured latencies include frame encode/decode and the socket hop.
+fn drive_wire_clients(
+    out: &mut String,
     addr: &str,
     config: &ModelConfig,
     spec: &LoadSpec,
-) -> Result<(Vec<u64>, usize, Duration), String> {
-    let profile = dataset_by_name(&spec.dataset)
-        .ok_or_else(|| format!("unknown dataset `{}`", spec.dataset))?;
-    let generator = WorkloadGenerator::new(profile, config.vocab_size, config.max_seq, spec.seed);
-    let clients = spec.clients.max(1).min(spec.requests.max(1));
-
-    // Probe connection first: a typed handshake/ping failure beats N
-    // client threads all reporting the same refused connect.
-    let probe =
-        WireClient::connect(addr, "wire-probe").map_err(|e| format!("connect {addr}: {e}"))?;
-    let rtt = probe
+) -> Result<LoadReport, String> {
+    let connect = |session: &str| {
+        WireClient::connect(addr, session).map_err(|e| format!("connect {addr}: {e}"))
+    };
+    let rtt = connect("wire-probe")?
         .ping(Duration::from_secs(10))
         .map_err(|e| format!("ping {addr}: {e}"))?;
-    drop(probe);
-
-    let mut latencies: Vec<u64> = Vec::with_capacity(spec.requests);
-    let mut errors = 0_usize;
-    std::thread::scope(|scope| -> Result<(), String> {
-        let mut handles = Vec::with_capacity(clients);
-        for c in 0..clients {
-            let generator = &generator;
-            handles.push(scope.spawn(move || -> Result<(Vec<u64>, usize), String> {
-                let client = WireClient::connect(addr, format!("wire-{c}"))
-                    .map_err(|e| format!("connect {addr}: {e}"))?;
-                let mut lat = Vec::new();
-                let mut errs = 0_usize;
-                let mut i = c;
-                while i < spec.requests {
-                    let request = generator.request(i as u64, spec.candidates);
-                    let batch =
-                        SequenceBatch::new(&request.sequences()).map_err(|e| e.to_string())?;
-                    // Tag by request index so results are independent of
-                    // arrival interleaving (same rule as the in-process
-                    // loop).
-                    let mut options = RequestOptions::tagged(spec.k, i as u64 + 1)
-                        .with_spill_precision(spec.spill_precision)
-                        .with_compute_precision(spec.compute_precision)
-                        .with_semcache(spec.semcache)
-                        .with_on_partial(spec.on_partial);
-                    if spec.semcache != SemCacheMode::Off {
-                        // Same rule as the in-process loop: semantic
-                        // replay is only sound at full depth.
-                        options.pruning = Some(false);
-                    }
-                    let t0 = Instant::now();
-                    match client.submit(batch, options).map(|h| h.wait()) {
-                        Ok(Ok(_)) => lat.push(t0.elapsed().as_micros() as u64),
-                        _ => errs += 1,
-                    }
-                    i += clients;
-                }
-                Ok((lat, errs))
-            }));
-        }
-        for h in handles {
-            let (lat, errs) = h.join().expect("wire client thread panicked")?;
-            latencies.extend(lat);
-            errors += errs;
-        }
-        Ok(())
-    })?;
-    latencies.sort_unstable();
-    Ok((latencies, errors, rtt))
-}
-
-fn write_wire_summary(
-    out: &mut String,
-    latencies: &[u64],
-    errors: usize,
-    rtt: Duration,
-    elapsed_s: f64,
-) {
-    let completed = latencies.len();
-    let mean_us = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<u64>() as f64 / completed as f64
-    };
     let _ = writeln!(out, "ping RTT {} us", rtt.as_micros());
-    let _ = writeln!(
-        out,
-        "completed {completed} requests in {elapsed_s:.3} s -> {:.1} req/s ({errors} errors)",
-        if elapsed_s > 0.0 {
-            completed as f64 / elapsed_s
-        } else {
-            0.0
-        }
-    );
-    let _ = writeln!(
-        out,
-        "latency us: p50 {}  p95 {}  p99 {}  max {}  mean {mean_us:.0}",
-        exact_quantile(latencies, 0.50),
-        exact_quantile(latencies, 0.95),
-        exact_quantile(latencies, 0.99),
-        latencies.last().copied().unwrap_or(0),
-    );
+    drive_closed_loop(config, spec, connect)
 }
 
-fn serve(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn serve(p: &Parsed<'_>) -> Result<String, String> {
     let path = p.positional.first().ok_or("serve needs a container path")?;
     let name = p.flag("model").ok_or("serve needs --model <name>")?;
     let scale = p.flag("scale").unwrap_or("mini");
     let config = resolve_config(name, scale)?;
-    let serve_config = serve_config_from(&p)?;
-    let spec = load_spec_from(&p)?;
+    let serve_config = serve_config_from(p)?;
+    let spec = load_spec_from(p)?;
     let throttle: u64 = p.flag_parse("throttle", 0)?;
-    let offload = resolve_switch(&p, "offload")?;
+    let offload = p.switch("offload")?;
     let shards: usize = p.flag_parse("shards", 1)?;
     if shards == 0 {
         return Err("--shards needs at least 1".into());
@@ -791,10 +753,13 @@ fn serve(args: &[&str]) -> Result<String, String> {
     }
 
     let server = if shards > 1 {
-        let engines = sharded_engines(path, &config, shards, offload)?;
-        PrismServer::start_sharded(engines, serve_config.clone()).map_err(|e| e.to_string())?
+        // One resident engine per shard over the same container.
+        let engines: Result<Vec<_>, _> = (0..shards)
+            .map(|_| serving_engine(path, &config, true, 0, offload))
+            .collect();
+        PrismServer::start_sharded(engines?, serve_config.clone()).map_err(|e| e.to_string())?
     } else {
-        let engine = serving_engine(path, &config, throttle, offload)?;
+        let engine = serving_engine(path, &config, false, throttle, offload)?;
         PrismServer::start(engine, serve_config.clone()).map_err(|e| e.to_string())?
     };
 
@@ -821,7 +786,7 @@ fn serve(args: &[&str]) -> Result<String, String> {
                 Some(h) => format!("{} us", h.as_micros()),
                 None => "off".into(),
             },
-            spec.on_partial
+            spec.options.on_partial
         );
     }
     if serve_config.tenant_max_inflight > 0 {
@@ -834,21 +799,27 @@ fn serve(args: &[&str]) -> Result<String, String> {
     let _ = writeln!(
         out,
         "load: {} requests x {} candidates (top-{}), {} clients, {} sessions, corpus repeat {}",
-        spec.requests, spec.candidates, spec.k, spec.clients, spec.sessions, spec.corpus_repeat
+        spec.requests,
+        spec.candidates,
+        spec.options.k,
+        spec.clients,
+        spec.sessions,
+        spec.corpus_repeat
     );
-    if spec.semcache != SemCacheMode::Off {
+    if spec.options.semcache != SemCacheMode::Off {
+        let dups = (0..spec.requests).filter(|&i| spec.is_dup(i)).count();
         let _ = writeln!(
             out,
             "semantic cache: mode {:?}, {} KiB budget, {:.0}% cross-session duplicate stream",
-            spec.semcache,
+            spec.options.semcache,
             serve_config.semcache_capacity_bytes >> 10,
-            spec.dup_fraction * 100.0
+            dups as f64 / spec.requests.max(1) as f64 * 100.0
         );
     }
 
-    match p.flag("listen") {
-        // Wire mode: bind the TCP front-end and drive the closed loop
-        // through out-of-process wire clients on the loopback address.
+    let report = match p.flag("listen") {
+        // Wire mode: bind the TCP front-end and drive the same closed
+        // loop through wire clients on the bound address.
         Some(listen) => {
             let server = Arc::new(server);
             let wire = WireServer::start(Arc::clone(&server), listen).map_err(|e| e.to_string())?;
@@ -856,36 +827,24 @@ fn serve(args: &[&str]) -> Result<String, String> {
             let _ = writeln!(
                 out,
                 "wire: listening on {addr}, driving load through {} wire clients",
-                spec.clients.max(1).min(spec.requests.max(1))
+                spec.client_count()
             );
-            let started = Instant::now();
-            let result = run_wire_loop(&addr, &config, &spec);
-            let elapsed_s = started.elapsed().as_secs_f64();
-            let snapshot = server.stats().snapshot();
+            let report = drive_wire_clients(&mut out, &addr, &config, &spec)
+                .map(|report| report.with_server_stats(server.stats()));
             wire.shutdown();
-            let (latencies, errors, rtt) = result?;
-            write_wire_summary(&mut out, &latencies, errors, rtt, elapsed_s);
-            let _ = writeln!(
-                out,
-                "server: {} batches (mean {:.2} requests), {} backpressure, {} quota rejections",
-                snapshot.batches,
-                snapshot.batch_size.mean,
-                snapshot.rejected,
-                snapshot.quota_rejected
-            );
-            write_resilience_summary(&mut out, &snapshot);
+            report?
         }
         None => {
             let report = run_closed_loop(&server, &spec);
             server.shutdown();
-            write_load_report(&mut out, &report);
+            report
         }
-    }
+    };
+    write_load_report(&mut out, &report, None);
     Ok(out)
 }
 
-fn connect(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn connect(p: &Parsed<'_>) -> Result<String, String> {
     let addr = p
         .positional
         .first()
@@ -893,239 +852,27 @@ fn connect(args: &[&str]) -> Result<String, String> {
     let name = p.flag("model").ok_or("connect needs --model <name>")?;
     let scale = p.flag("scale").unwrap_or("mini");
     let config = resolve_config(name, scale)?;
-    let spec = load_spec_from(&p)?;
+    let spec = load_spec_from(p)?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "connect {addr}: {} requests x {} candidates (top-{}), {} clients",
-        spec.requests, spec.candidates, spec.k, spec.clients
+        spec.requests, spec.candidates, spec.options.k, spec.clients
     );
-    let started = Instant::now();
-    let (latencies, errors, rtt) = run_wire_loop(addr, &config, &spec)?;
-    write_wire_summary(
-        &mut out,
-        &latencies,
-        errors,
-        rtt,
-        started.elapsed().as_secs_f64(),
-    );
+    let report = drive_wire_clients(&mut out, addr, &config, &spec)?;
+    write_load_report(&mut out, &report, None);
     Ok(out)
 }
 
-fn bench_serve(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
-    let path = p
-        .positional
-        .first()
-        .ok_or("bench-serve needs a container path")?;
-    let name = p.flag("model").ok_or("bench-serve needs --model <name>")?;
-    let scale = p.flag("scale").unwrap_or("mini");
-    let config = resolve_config(name, scale)?;
-    // Default to 8 closed-loop clients (enough concurrency to fill
-    // batches) while still honouring an explicit --clients.
-    let mut spec = load_spec_from(&p)?;
-    if p.flag("clients").is_none() {
-        spec.clients = 8;
-    }
-    // `--high-frac` / `--deadline-ms` parameterize only the mixed-
-    // priority scenario below; the serial-vs-batched headline must stay
-    // a uniform, deadline-free load or a tight deadline would shed most
-    // of the slow serial reference and inflate the batching gain.
-    spec.high_fraction = 0.0;
-    spec.deadline_us = None;
-    spec.high_deadline_us = None;
-    let batch: usize = p.flag_parse("batch", 8)?;
-    let workers: usize = p.flag_parse("workers", 1)?;
-    // Weight streaming runs against an emulated device SSD by default —
-    // that is the regime cross-request batching amortizes; `--throttle 0`
-    // measures native disk speed instead.
-    let throttle: u64 = p.flag_parse("throttle", 16_000_000)?;
-    let offload = resolve_switch(&p, "offload")?;
-
-    // Reference: one worker, no coalescing, no cache.
-    let serial_server = PrismServer::start(
-        serving_engine(path, &config, throttle, offload)?,
-        ServeConfig::serial(),
-    )
-    .map_err(|e| e.to_string())?;
-    let serial = run_closed_loop(&serial_server, &spec);
-    serial_server.shutdown();
-
-    // Batched: same worker count budget, coalescing + session cache on.
-    let batched_config = ServeConfig {
-        workers,
-        max_batch_requests: batch,
-        ..Default::default()
-    };
-    let batched_server = PrismServer::start(
-        serving_engine(path, &config, throttle, offload)?,
-        batched_config.clone(),
-    )
-    .map_err(|e| e.to_string())?;
-    let batched = run_closed_loop(&batched_server, &spec);
-    batched_server.shutdown();
-
-    let gain = if serial.throughput_rps > 0.0 {
-        batched.throughput_rps / serial.throughput_rps
-    } else {
-        0.0
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench-serve {} ({} requests x {} candidates, top-{}, {} clients, throttle {})",
-        config.name,
-        spec.requests,
-        spec.candidates,
-        spec.k,
-        spec.clients,
-        if throttle > 0 {
-            format!("{:.0} MB/s", throttle as f64 / 1e6)
-        } else {
-            "native".into()
-        }
-    );
-    let _ = writeln!(out, "--- serial reference (1 worker, no batching) ---");
-    write_load_report(&mut out, &serial);
-    let _ = writeln!(
-        out,
-        "--- batched ({} workers, <= {} requests/batch) ---",
-        batched_config.workers, batched_config.max_batch_requests
-    );
-    write_load_report(&mut out, &batched);
-    let _ = writeln!(out, "batching throughput gain: {gain:.2}x");
-
-    // ---- Mixed-priority scenario: FIFO vs priority-then-EDF ----
-    // `--high-frac 0` skips it; by default 10% of the stream runs High
-    // with a generous deadline, and the same workload is measured under
-    // both schedulers at a small batch cap (so the queue stays deep
-    // enough for admission order to matter).
-    let high_frac: f64 = p.flag_parse("high-frac", 0.1)?;
-    if high_frac > 0.0 {
-        let mixed_spec = LoadSpec {
-            high_fraction: high_frac,
-            high_deadline_us: Some(p.flag_parse("deadline-ms", 2_000_u64)? * 1_000),
-            ..spec.clone()
-        };
-        let mixed_batch: usize = p.flag_parse("mixed-batch", 2)?;
-        let mut results = Vec::new();
-        for (label, priority_scheduling) in [("fifo", false), ("priority", true)] {
-            let serve_cfg = ServeConfig {
-                workers,
-                max_batch_requests: mixed_batch,
-                session_cache_capacity: 0,
-                priority_scheduling,
-                // Throttled queues drain slowly; a starvation bound above
-                // the drain time keeps the comparison about priority, not
-                // the anti-starvation fallback.
-                starvation_age: std::time::Duration::from_millis(
-                    p.flag_parse("starvation-ms", 2_000_u64)?,
-                ),
-                ..Default::default()
-            };
-            let server =
-                PrismServer::start(serving_engine(path, &config, throttle, offload)?, serve_cfg)
-                    .map_err(|e| e.to_string())?;
-            let report = run_closed_loop(&server, &mixed_spec);
-            server.shutdown();
-            let _ = writeln!(
-                out,
-                "--- mixed priority, {label} scheduler ({} workers, <= {mixed_batch} requests/batch) ---",
-                workers
-            );
-            write_load_report(&mut out, &report);
-            results.push(report);
-        }
-        let (fifo, priority) = (&results[0], &results[1]);
-        if let (Some(f), Some(p)) = (fifo.class("high"), priority.class("high")) {
-            let improvement = if p.p99_us > 0 {
-                f.p99_us as f64 / p.p99_us as f64
-            } else {
-                0.0
-            };
-            let throughput_ratio = if fifo.throughput_rps > 0.0 {
-                priority.throughput_rps / fifo.throughput_rps
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "high-priority p99 improvement: {improvement:.2}x (throughput ratio {throughput_ratio:.2})"
-            );
-        }
-    }
-    Ok(out)
-}
-
-fn write_sim_report(out: &mut String, report: &SimReport) {
-    let _ = writeln!(
-        out,
-        "completed {} of {} requests in {:.3} virtual s -> {:.1} req/s ({} errors, {} backpressure retries)",
-        report.completed,
-        report.requests,
-        report.virtual_elapsed_s,
-        report.throughput_rps,
-        report.errors,
-        report.backpressure_retries
-    );
-    let _ = writeln!(
-        out,
-        "latency us: p50 {}  p95 {}  p99 {}  max {}  mean {:.0}",
-        report.p50_us, report.p95_us, report.p99_us, report.max_us, report.mean_us
-    );
-    let s = &report.stats;
-    let _ = writeln!(
-        out,
-        "queue depth peak {}; {} batches (mean {:.2} requests / {:.0} tokens)",
-        s.queue_depth_peak, s.batches, s.batch_size.mean, s.batch_tokens.mean
-    );
-    let _ = writeln!(
-        out,
-        "session cache: {} selection hits, {} misses (hit rate {:.1}%)",
-        s.cache_selection_hits,
-        s.cache_misses,
-        s.cache_hit_rate * 100.0
-    );
-    if s.failovers > 0 {
-        let _ = writeln!(
-            out,
-            "resilience: {} failovers absorbed by replication",
-            s.failovers
-        );
-    }
-    if s.cancelled + s.deadline_rejected + s.deadline_missed + s.priority_inversions + s.rejected
-        > 0
-    {
-        let _ = writeln!(
-            out,
-            "lifecycle: {} rejected, {} cancelled, {} deadline-rejected, {} deadline-missed, {} priority inversions",
-            s.rejected, s.cancelled, s.deadline_rejected, s.deadline_missed, s.priority_inversions
-        );
-    }
-    for c in &report.classes {
-        let _ = writeln!(
-            out,
-            "  class {:<6} {:>4} ok / {:>3} err  p50 {:>7} us  p95 {:>7} us  p99 {:>7} us",
-            c.label, c.completed, c.errors, c.p50_us, c.p95_us, c.p99_us
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{} events, digest {:016x}",
-        report.events, report.digest
-    );
-}
-
-fn simulate_serve(args: &[&str]) -> Result<String, String> {
-    let p = parse(args)?;
+fn simulate_serve(p: &Parsed<'_>) -> Result<String, String> {
     let name = p
         .flag("model")
         .ok_or("simulate-serve needs --model <name>")?;
     let scale = p.flag("scale").unwrap_or("mini");
     let config = resolve_config(name, scale)?;
     let device = resolve_device(p.flag("device").unwrap_or("m2"))?;
-    let serve_config = serve_config_from(&p)?;
+    let serve_config = serve_config_from(p)?;
 
     // Service times: the device's analytic batch-cost model unless a
     // calibrated affine model is pinned on the command line (the shape
@@ -1148,7 +895,7 @@ fn simulate_serve(args: &[&str]) -> Result<String, String> {
     } else if sim_shards > 1 {
         let worker = ServeBatchCost::new(config.clone(), device.clone());
         ServiceModel::sharded(ScatterGatherCost {
-            parallel_shards: resolve_switch(&p, "parallel-shards")?,
+            parallel_shards: p.switch("parallel-shards")?,
             ..ScatterGatherCost::new(worker, sim_shards)
         })
     } else {
@@ -1171,7 +918,7 @@ fn simulate_serve(args: &[&str]) -> Result<String, String> {
         let _ = writeln!(
             out,
             "service model: scatter-gather over {sim_shards} shards ({})",
-            if resolve_switch(&p, "parallel-shards")? {
+            if p.switch("parallel-shards")? {
                 "one device per shard"
             } else {
                 "colocated"
@@ -1185,7 +932,8 @@ fn simulate_serve(args: &[&str]) -> Result<String, String> {
             f.per_mille, f.replicas
         );
     }
-    if resolve_switch(&p, "tune")? {
+    let mode = p.flag("mode").unwrap_or("trace");
+    let report = if p.switch("tune")? {
         let outcome = tune_for_device(&config, &device, &serve_config);
         let winner = &outcome.points[outcome.best];
         let tuned = outcome.best_config(&serve_config);
@@ -1213,52 +961,57 @@ fn simulate_serve(args: &[&str]) -> Result<String, String> {
             outcome.points[0].p99_us
         );
         tuned.validate().map_err(|e| e.to_string())?;
-        write_sim_report(&mut out, &outcome.report);
-        return Ok(out);
-    }
-
-    let mode = p.flag("mode").unwrap_or("trace");
-    let report = match mode {
-        "trace" => {
-            let rps: f64 = p.flag_parse("rps", 100.0)?;
-            let events: u64 = p.flag_parse("events", 100_000)?;
-            let seed: u64 = p.flag_parse("seed", 42)?;
-            let profile_name = p.flag("profile").unwrap_or("diurnal");
-            let profile = trace_profile_by_name(profile_name, rps).ok_or_else(|| {
-                format!("unknown profile `{profile_name}` (steady|diurnal|burst)")
-            })?;
-            let generator = TraceGenerator::new(profile, seed);
-            let _ = writeln!(
-                out,
-                "simulate-serve {}: {} trace, {} events at ~{} req/s, {} workers, batches <= {} requests",
-                config.name,
-                profile_name,
-                events,
-                rps,
-                serve_config.workers,
-                serve_config.max_batch_requests
-            );
-            Simulation::run_trace_with(
-                &serve_config,
-                service,
-                &generator,
-                events,
-                profile_name,
-                faults,
-            )
-        }
-        "closed" => {
-            let spec = load_spec_from(&p)?;
-            let _ = writeln!(
-                out,
-                "simulate-serve {}: closed loop, {} requests x {} candidates (top-{}), {} clients",
-                config.name, spec.requests, spec.candidates, spec.k, spec.clients
-            );
-            simulate_closed_loop_with(&config, &spec, &serve_config, service, "closed", faults)
-        }
-        other => return Err(format!("unknown mode `{other}` (trace|closed)")),
+        outcome.report
+    } else if mode == "trace" {
+        let rps: f64 = p.flag_parse("rps", 100.0)?;
+        let events: u64 = p.flag_parse("events", 100_000)?;
+        let seed: u64 = p.flag_parse("seed", 42)?;
+        let profile_name = p.flag("profile").unwrap_or("diurnal");
+        let profile = trace_profile_by_name(profile_name, rps)
+            .ok_or_else(|| format!("unknown profile `{profile_name}` (steady|diurnal|burst)"))?;
+        let generator = TraceGenerator::new(profile, seed);
+        let _ = writeln!(
+            out,
+            "simulate-serve {}: {} trace, {} events at ~{} req/s, {} workers, batches <= {} requests",
+            config.name,
+            profile_name,
+            events,
+            rps,
+            serve_config.workers,
+            serve_config.max_batch_requests
+        );
+        Simulation::run_trace_with(
+            &serve_config,
+            service,
+            &generator,
+            events,
+            profile_name,
+            faults,
+        )
+    } else if mode == "closed" {
+        let spec = load_spec_from(p)?;
+        let _ = writeln!(
+            out,
+            "simulate-serve {}: closed loop, {} requests x {} candidates (top-{}), {} clients",
+            config.name, spec.requests, spec.candidates, spec.options.k, spec.clients
+        );
+        simulate_closed_loop_with(&config, &spec, &serve_config, service, "closed", faults)
+    } else {
+        return Err(format!("unknown mode `{mode}` (trace|closed)"));
     };
-    write_sim_report(&mut out, &report);
+    write_load_report(&mut out, &report.run, Some(report.requests));
+    if report.stats().failovers > 0 {
+        let _ = writeln!(
+            out,
+            "fault model: {} failovers absorbed by replication",
+            report.stats().failovers
+        );
+    }
+    let _ = writeln!(
+        out,
+        "{} events, digest {:016x}",
+        report.events, report.digest
+    );
     Ok(out)
 }
 
@@ -1277,11 +1030,77 @@ mod tests {
         run(&owned)
     }
 
+    /// `prsm <head> --model bge-m3 --scale test <rest>`.
+    fn bge(head: &[&str], rest: &[&str]) -> Result<String, String> {
+        run_strs(&[head, &["--model", "bge-m3", "--scale", "test"], rest].concat())
+    }
+
+    /// Generates the container the serving tests run over.
+    fn container(tag: &str, seed: &str) -> String {
+        let dense = tmp(tag);
+        bge(&["gen", &dense], &["--seed", seed]).unwrap();
+        dense
+    }
+
     #[test]
     fn help_and_unknown() {
         assert!(run_strs(&[]).unwrap().contains("usage"));
         assert!(run_strs(&["help"]).unwrap().contains("usage"));
         assert!(run_strs(&["frobnicate"]).is_err());
+    }
+
+    /// The crate docs' synopses and the flag lists `parse` enforces are
+    /// one list: every verb documents exactly the flags it reads.
+    #[test]
+    fn doc_header_lists_exactly_the_flags_each_verb_reads() {
+        let header: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .map_while(|l| l.strip_prefix("//!"))
+            .map(str::trim)
+            .collect();
+        // A synopsis is its head line plus the `[`-led lines under it.
+        let documented = |head: &str| -> Vec<String> {
+            let at = header
+                .iter()
+                .position(|l| l.starts_with(head))
+                .unwrap_or_else(|| panic!("no `{head}` synopsis in the crate docs"));
+            let mut flags = Vec::new();
+            for (n, line) in header[at..].iter().enumerate() {
+                if n > 0 && !line.starts_with('[') {
+                    break;
+                }
+                for (shared, list) in [
+                    ("[scheduling flags]", SCHEDULING_FLAGS),
+                    ("[load flags]", LOAD_FLAGS),
+                ] {
+                    if line.contains(shared) {
+                        flags.extend(list.iter().map(|f| f.to_string()));
+                    }
+                }
+                flags.extend(line.split("--").skip(1).map(|rest| {
+                    let end = rest.find(|c: char| c != '-' && !c.is_ascii_lowercase());
+                    rest[..end.unwrap_or(rest.len())].to_string()
+                }));
+            }
+            flags.sort();
+            flags
+        };
+        let sorted = |groups: &[&[&str]]| {
+            let mut flags: Vec<String> = groups.concat().iter().map(|f| f.to_string()).collect();
+            flags.sort();
+            flags
+        };
+        assert_eq!(documented("scheduling flags:"), sorted(&[SCHEDULING_FLAGS]));
+        assert_eq!(documented("load flags:"), sorted(&[LOAD_FLAGS]));
+        for (verb, _, flags) in VERBS {
+            assert_eq!(
+                documented(&format!("prsm {verb} ")),
+                sorted(flags),
+                "{verb}"
+            );
+        }
+        let verbs = header.iter().filter(|l| l.starts_with("prsm ")).count();
+        assert_eq!(verbs, VERBS.len(), "a documented verb has no handler");
     }
 
     #[test]
@@ -1381,112 +1200,71 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_bench_serve_round_trip() {
-        let dense = tmp("serve");
-        run_strs(&[
-            "gen", &dense, "--model", "bge-m3", "--scale", "test", "--seed", "11",
-        ])
-        .unwrap();
+    fn serve_round_trip() {
+        let dense = container("serve", "11");
 
-        let out = run_strs(&[
-            "serve",
-            &dense,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--requests",
-            "12",
-            "--clients",
-            "3",
-            "--candidates",
-            "8",
-            "--k",
-            "3",
-            "--repeat",
-            "2",
-        ])
+        let out = bge(
+            &["serve", &dense],
+            &[
+                "--requests",
+                "12",
+                "--clients",
+                "3",
+                "--candidates",
+                "8",
+                "--k",
+                "3",
+                "--repeat",
+                "2",
+            ],
+        )
         .unwrap();
         assert!(out.contains("completed 12 requests"), "{out}");
         assert!(out.contains("latency us: p50"), "{out}");
         assert!(out.contains("session cache:"), "{out}");
 
-        let out = run_strs(&[
-            "bench-serve",
-            &dense,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--requests",
-            "16",
-            "--candidates",
-            "8",
-            "--k",
-            "3",
-        ])
-        .unwrap();
-        assert!(out.contains("serial reference"), "{out}");
-        assert!(out.contains("batching throughput gain:"), "{out}");
-        // The default mixed-priority scenario compares both schedulers.
-        assert!(out.contains("mixed priority, fifo scheduler"), "{out}");
-        assert!(out.contains("mixed priority, priority scheduler"), "{out}");
-        assert!(out.contains("high-priority p99 improvement:"), "{out}");
-        assert!(out.contains("class high"), "{out}");
-
         assert!(
             run_strs(&["serve", "--model", "bge-m3"]).is_err(),
             "missing path"
         );
-        assert!(run_strs(&["bench-serve", &dense]).is_err(), "missing model");
+        assert!(run_strs(&["serve", &dense]).is_err(), "missing model");
+        let err = run_strs(&["serve", &dense, "--model", "bge-m3", "--bach", "1"]).unwrap_err();
+        assert_eq!(err, "prsm serve: unknown flag --bach");
+        assert!(
+            run_strs(&["bench-serve", &dense, "--model", "bge-m3"]).is_err(),
+            "sim-validate owns the serial/batched and FIFO/priority comparisons"
+        );
         std::fs::remove_file(&dense).unwrap();
     }
 
     #[test]
     fn serve_with_priority_and_deadline_flags() {
-        let dense = tmp("serve-prio");
-        run_strs(&[
-            "gen", &dense, "--model", "bge-m3", "--scale", "test", "--seed", "5",
-        ])
-        .unwrap();
-        let out = run_strs(&[
-            "serve",
-            &dense,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--requests",
-            "10",
-            "--clients",
-            "2",
-            "--candidates",
-            "6",
-            "--k",
-            "2",
-            "--priority",
-            "bulk",
-            "--deadline-ms",
-            "30000",
-            "--high-frac",
-            "0.2",
-        ])
+        let dense = container("serve-prio", "5");
+        let out = bge(
+            &["serve", &dense],
+            &[
+                "--requests",
+                "10",
+                "--clients",
+                "2",
+                "--candidates",
+                "6",
+                "--k",
+                "2",
+                "--priority",
+                "bulk",
+                "--deadline-ms",
+                "30000",
+                "--high-frac",
+                "0.2",
+            ],
+        )
         .unwrap();
         assert!(out.contains("completed 10 requests"), "{out}");
         assert!(out.contains("class high"), "{out}");
         assert!(out.contains("class bulk"), "{out}");
         assert!(
-            run_strs(&[
-                "serve",
-                &dense,
-                "--model",
-                "bge-m3",
-                "--scale",
-                "test",
-                "--priority",
-                "urgent",
-            ])
-            .is_err(),
+            bge(&["serve", &dense], &["--priority", "urgent",]).is_err(),
             "unknown priority must be rejected"
         );
         std::fs::remove_file(&dense).unwrap();
@@ -1494,36 +1272,29 @@ mod tests {
 
     #[test]
     fn serve_with_semcache_flags() {
-        let dense = tmp("serve-semcache");
-        run_strs(&[
-            "gen", &dense, "--model", "bge-m3", "--scale", "test", "--seed", "17",
-        ])
-        .unwrap();
+        let dense = container("serve-semcache", "17");
         // High-overlap aggressive run with the session cache off: every
         // duplicate must be answered by the semantic tier, so the
         // telemetry line has to report hits.
-        let out = run_strs(&[
-            "serve",
-            &dense,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--requests",
-            "16",
-            "--clients",
-            "2",
-            "--candidates",
-            "6",
-            "--k",
-            "2",
-            "--cache-sessions",
-            "0",
-            "--semcache",
-            "aggressive",
-            "--dup-frac",
-            "0.5",
-        ])
+        let out = bge(
+            &["serve", &dense],
+            &[
+                "--requests",
+                "16",
+                "--clients",
+                "2",
+                "--candidates",
+                "6",
+                "--k",
+                "2",
+                "--cache-sessions",
+                "0",
+                "--semcache",
+                "aggressive",
+                "--dup-frac",
+                "0.5",
+            ],
+        )
         .unwrap();
         assert!(out.contains("semantic cache: mode Aggressive"), "{out}");
         assert!(out.contains("50% cross-session duplicate stream"), "{out}");
@@ -1531,17 +1302,7 @@ mod tests {
         assert!(out.contains("fallbacks,"), "{out}");
 
         assert!(
-            run_strs(&[
-                "serve",
-                &dense,
-                "--model",
-                "bge-m3",
-                "--scale",
-                "test",
-                "--semcache",
-                "maybe",
-            ])
-            .is_err(),
+            bge(&["serve", &dense], &["--semcache", "maybe",]).is_err(),
             "unknown semcache mode must be rejected"
         );
         std::fs::remove_file(&dense).unwrap();
@@ -1549,59 +1310,49 @@ mod tests {
 
     #[test]
     fn serve_sharded_in_process_and_over_the_wire() {
-        let dense = tmp("serve-shard");
-        run_strs(&[
-            "gen", &dense, "--model", "bge-m3", "--scale", "test", "--seed", "13",
-        ])
-        .unwrap();
+        let dense = container("serve-shard", "13");
 
         // In-process sharded closed loop.
-        let out = run_strs(&[
-            "serve",
-            &dense,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--shards",
-            "2",
-            "--requests",
-            "8",
-            "--clients",
-            "2",
-            "--candidates",
-            "8",
-            "--k",
-            "3",
-        ])
+        let out = bge(
+            &["serve", &dense],
+            &[
+                "--shards",
+                "2",
+                "--requests",
+                "8",
+                "--clients",
+                "2",
+                "--candidates",
+                "8",
+                "--k",
+                "3",
+            ],
+        )
         .unwrap();
         assert!(out.contains("across 2 resident engine shards"), "{out}");
         assert!(out.contains("completed 8 requests"), "{out}");
 
         // Wire mode: bind the TCP front-end and drive out-of-process
         // clients through it, with a per-tenant quota configured.
-        let out = run_strs(&[
-            "serve",
-            &dense,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--shards",
-            "2",
-            "--tenant-quota",
-            "4",
-            "--listen",
-            "127.0.0.1:0",
-            "--requests",
-            "8",
-            "--clients",
-            "2",
-            "--candidates",
-            "8",
-            "--k",
-            "3",
-        ])
+        let out = bge(
+            &["serve", &dense],
+            &[
+                "--shards",
+                "2",
+                "--tenant-quota",
+                "4",
+                "--listen",
+                "127.0.0.1:0",
+                "--requests",
+                "8",
+                "--clients",
+                "2",
+                "--candidates",
+                "8",
+                "--k",
+                "3",
+            ],
+        )
         .unwrap();
         assert!(out.contains("wire: listening on 127.0.0.1:"), "{out}");
         assert!(out.contains("ping RTT"), "{out}");
@@ -1611,23 +1362,14 @@ mod tests {
 
         // Flag conflicts are typed errors, not silent misconfiguration.
         assert!(
-            run_strs(&["serve", &dense, "--model", "bge-m3", "--scale", "test", "--shards", "0",])
-                .is_err(),
+            bge(&["serve", &dense], &["--shards", "0",]).is_err(),
             "zero shards must be rejected"
         );
         assert!(
-            run_strs(&[
-                "serve",
-                &dense,
-                "--model",
-                "bge-m3",
-                "--scale",
-                "test",
-                "--shards",
-                "2",
-                "--throttle",
-                "1000",
-            ])
+            bge(
+                &["serve", &dense],
+                &["--shards", "2", "--throttle", "1000",]
+            )
             .is_err(),
             "sharded engines are resident; throttle must be rejected"
         );
@@ -1636,39 +1378,32 @@ mod tests {
 
     #[test]
     fn serve_with_resilience_flags() {
-        let dense = tmp("serve-resil");
-        run_strs(&[
-            "gen", &dense, "--model", "bge-m3", "--scale", "test", "--seed", "19",
-        ])
-        .unwrap();
+        let dense = container("serve-resil", "19");
 
         // Replicated, hedged, degradable sharded serving: the config
         // echoes the knobs and the summary surfaces the resilience
         // counters (zero under a fault-free run).
-        let out = run_strs(&[
-            "serve",
-            &dense,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--shards",
-            "3",
-            "--replicas",
-            "2",
-            "--hedge-ms",
-            "5",
-            "--on-partial",
-            "partial",
-            "--requests",
-            "8",
-            "--clients",
-            "2",
-            "--candidates",
-            "8",
-            "--k",
-            "3",
-        ])
+        let out = bge(
+            &["serve", &dense],
+            &[
+                "--shards",
+                "3",
+                "--replicas",
+                "2",
+                "--hedge-ms",
+                "5",
+                "--on-partial",
+                "partial",
+                "--requests",
+                "8",
+                "--clients",
+                "2",
+                "--candidates",
+                "8",
+                "--k",
+                "3",
+            ],
+        )
         .unwrap();
         assert!(
             out.contains(
@@ -1680,64 +1415,39 @@ mod tests {
         assert!(out.contains("completed 8 requests"), "{out}");
 
         // Bad knob values are typed errors.
-        for bad in [
-            vec![
-                "serve",
-                &dense,
-                "--model",
-                "bge-m3",
-                "--scale",
-                "test",
-                "--replicas",
-                "0",
-            ],
-            vec![
-                "serve",
-                &dense,
-                "--model",
-                "bge-m3",
-                "--scale",
-                "test",
-                "--on-partial",
-                "maybe",
-            ],
-        ] {
-            assert!(run_strs(&bad).is_err(), "{bad:?} must be rejected");
+        for bad in [["--replicas", "0"], ["--on-partial", "maybe"]] {
+            assert!(
+                bge(&["serve", &dense], &bad).is_err(),
+                "{bad:?} must be rejected"
+            );
         }
         std::fs::remove_file(&dense).unwrap();
     }
 
     #[test]
     fn connect_drives_a_listening_server() {
-        let dense = tmp("connect");
-        run_strs(&[
-            "gen", &dense, "--model", "bge-m3", "--scale", "test", "--seed", "17",
-        ])
-        .unwrap();
+        let dense = container("connect", "17");
         let config = resolve_config("bge-m3", "test").unwrap();
-        let engine = serving_engine(&dense, &config, 0, false).unwrap();
+        let engine = serving_engine(&dense, &config, false, 0, false).unwrap();
         let server =
             std::sync::Arc::new(PrismServer::start(engine, ServeConfig::default()).unwrap());
         let wire =
             prism_wire::WireServer::start(std::sync::Arc::clone(&server), "127.0.0.1:0").unwrap();
         let addr = wire.local_addr().to_string();
 
-        let out = run_strs(&[
-            "connect",
-            &addr,
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--requests",
-            "6",
-            "--clients",
-            "2",
-            "--candidates",
-            "6",
-            "--k",
-            "2",
-        ])
+        let out = bge(
+            &["connect", &addr],
+            &[
+                "--requests",
+                "6",
+                "--clients",
+                "2",
+                "--candidates",
+                "6",
+                "--k",
+                "2",
+            ],
+        )
         .unwrap();
         assert!(out.contains(&format!("connect {addr}")), "{out}");
         assert!(out.contains("ping RTT"), "{out}");
@@ -1762,60 +1472,23 @@ mod tests {
 
     #[test]
     fn simulate_serve_sharded_service_model() {
-        let base = [
-            "simulate-serve",
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--profile",
-            "steady",
-            "--rps",
-            "200",
-            "--events",
-            "500",
-        ];
-        let colocated = run_strs(
-            &base
-                .iter()
-                .copied()
-                .chain(["--shards", "3"])
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let steady = ["--profile", "steady", "--rps", "200", "--events", "500"];
+        let sim = |extra: &[&str]| bge(&["simulate-serve"], &[&steady, extra].concat());
+        let colocated = sim(&["--shards", "3"]).unwrap();
         assert!(
             colocated.contains("scatter-gather over 3 shards (colocated)"),
             "{colocated}"
         );
-        let parallel = run_strs(
-            &base
-                .iter()
-                .copied()
-                .chain(["--shards", "3", "--parallel-shards", "on"])
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let parallel = sim(&["--shards", "3", "--parallel-shards", "on"]).unwrap();
         assert!(parallel.contains("(one device per shard)"), "{parallel}");
         // Calibrated coefficients and the analytic sharded model are
         // mutually exclusive.
-        assert!(run_strs(
-            &base
-                .iter()
-                .copied()
-                .chain(["--shards", "3", "--fixed-us", "1000"])
-                .collect::<Vec<_>>(),
-        )
-        .is_err());
+        assert!(sim(&["--shards", "3", "--fixed-us", "1000"]).is_err());
     }
 
     #[test]
     fn simulate_serve_fault_model_prices_replication() {
-        let base = [
-            "simulate-serve",
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
+        let faulty = [
             "--profile",
             "steady",
             "--rps",
@@ -1827,16 +1500,10 @@ mod tests {
             "--fault-per-mille",
             "300",
         ];
+        let sim = |extra: &[&str]| bge(&["simulate-serve"], &[&faulty, extra].concat());
         // R=2: faults are absorbed as failover replays, zero of them
         // become request errors.
-        let covered = run_strs(
-            &base
-                .iter()
-                .copied()
-                .chain(["--replicas", "2"])
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let covered = sim(&["--replicas", "2"]).unwrap();
         assert!(
             covered.contains("fault model: 300/1000 batches hit a shard fault, 2 replica(s)"),
             "{covered}"
@@ -1848,7 +1515,7 @@ mod tests {
         assert!(covered.contains("(0 errors"), "{covered}");
 
         // Default R=1: the same schedule surfaces as request errors.
-        let exposed = run_strs(&base).unwrap();
+        let exposed = sim(&[]).unwrap();
         assert!(!exposed.contains("(0 errors"), "{exposed}");
         assert!(
             !exposed.contains("failovers absorbed"),
@@ -1858,12 +1525,7 @@ mod tests {
 
     #[test]
     fn simulate_serve_trace_mode_is_deterministic() {
-        let args = [
-            "simulate-serve",
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
+        let trace = [
             "--profile",
             "steady",
             "--rps",
@@ -1873,49 +1535,39 @@ mod tests {
             "--device",
             "m2",
         ];
-        let a = run_strs(&args).unwrap();
+        let sim = |extra: &[&str]| bge(&["simulate-serve"], &[&trace, extra].concat()).unwrap();
+        let a = sim(&[]);
         assert!(a.contains("steady trace, 2000 events"), "{a}");
         assert!(a.contains("virtual s"), "{a}");
         assert!(a.contains("digest"), "{a}");
         // Bit-identical rerun: the whole report is a pure function of
         // the inputs (no wall clock anywhere).
-        let b = run_strs(&args).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(a, sim(&[]));
         // A different seed changes the event log.
-        let c = run_strs(
-            &args
-                .iter()
-                .copied()
-                .chain(["--seed", "7"])
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        assert_ne!(a, c);
+        assert_ne!(a, sim(&["--seed", "7"]));
     }
 
     #[test]
     fn simulate_serve_closed_mode_and_calibrated_model() {
-        let out = run_strs(&[
-            "simulate-serve",
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--mode",
-            "closed",
-            "--requests",
-            "24",
-            "--clients",
-            "4",
-            "--candidates",
-            "8",
-            "--k",
-            "3",
-            "--fixed-us",
-            "4000",
-            "--per-token-us",
-            "2",
-        ])
+        let out = bge(
+            &["simulate-serve"],
+            &[
+                "--mode",
+                "closed",
+                "--requests",
+                "24",
+                "--clients",
+                "4",
+                "--candidates",
+                "8",
+                "--k",
+                "3",
+                "--fixed-us",
+                "4000",
+                "--per-token-us",
+                "2",
+            ],
+        )
         .unwrap();
         assert!(out.contains("closed loop, 24 requests"), "{out}");
         assert!(out.contains("completed 24 of 24"), "{out}");
@@ -1934,18 +1586,7 @@ mod tests {
 
     #[test]
     fn simulate_serve_tune_reports_winner() {
-        let out = run_strs(&[
-            "simulate-serve",
-            "--model",
-            "bge-m3",
-            "--scale",
-            "test",
-            "--device",
-            "m2",
-            "--tune",
-            "on",
-        ])
-        .unwrap();
+        let out = bge(&["simulate-serve"], &["--device", "m2", "--tune", "on"]).unwrap();
         assert!(out.contains("grid points"), "{out}");
         assert!(out.contains("best: batch <="), "{out}");
         assert!(out.contains("base point:"), "{out}");

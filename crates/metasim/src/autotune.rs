@@ -112,19 +112,20 @@ pub fn tune(
     let mut best_report: Option<SimReport> = None;
     for (i, candidate) in grid.iter().enumerate() {
         let report = simulate_closed_loop(model, workload, candidate, service.clone(), "tune");
+        let run = &report.run;
         let point = SweepPoint {
             max_batch_requests: candidate.max_batch_requests,
             max_batch_wait_us: candidate.max_batch_wait.as_micros() as u64,
             starvation_age_us: candidate.starvation_age.as_micros() as u64,
             session_cache_capacity: candidate.session_cache_capacity,
-            throughput_rps: report.throughput_rps,
-            p99_us: report.p99_us,
+            throughput_rps: run.throughput_rps,
+            p99_us: run.p99_us,
         };
-        let better = match &best_report {
+        let better = match best_report.as_ref().map(|b| &b.run) {
             None => true,
             Some(b) => {
-                report.throughput_rps > b.throughput_rps
-                    || (report.throughput_rps == b.throughput_rps && report.p99_us < b.p99_us)
+                run.throughput_rps > b.throughput_rps
+                    || (run.throughput_rps == b.throughput_rps && run.p99_us < b.p99_us)
             }
         };
         if better {
@@ -276,7 +277,7 @@ mod tests {
             prism_device::DeviceSpec::apple_m2(),
         ));
         let outcome = tune(&model, &base, &service, &workload);
-        assert!(outcome.report.completed > 0);
+        assert!(outcome.report.run.completed > 0);
         assert!(!outcome.points.is_empty());
     }
 }

@@ -1,11 +1,12 @@
 //! Closed-loop replay: simulate exactly the workload that
 //! `prism_serve::run_closed_loop` drives against a real server.
 //!
-//! The request stream is reconstructed request for request — client
-//! striding, session cycling, corpus rotation, the corpus-derived
-//! routing tag, priority decoration and deadlines — so a simulated run
-//! and a measured run of the same [`LoadSpec`] see identical queue
-//! contents, batch shapes and cache-hit patterns. Only execution time
+//! The request stream is the measured loop's own
+//! ([`LoadSpec::request_at`]: client striding, session cycling, corpus
+//! rotation, the duplicate pool, the corpus-derived routing tag,
+//! priority decoration and deadlines), so a simulated run and a measured
+//! run of the same [`LoadSpec`] see identical queue contents, batch
+//! shapes and session-cache hit patterns. Only execution time
 //! is modeled (by the [`ServiceModel`]); everything else is the real
 //! planning logic at virtual time. This is what `repro sim-validate`
 //! replays to compare predicted throughput and tail latency against
@@ -13,68 +14,53 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use prism_core::Priority;
 use prism_model::ModelConfig;
 use prism_serve::{LoadSpec, ServeConfig};
-use prism_workload::{dataset_by_name, WorkloadGenerator};
 
 use crate::report::SimReport;
 use crate::service::ServiceModel;
 use crate::sim::{SimRequest, Simulation};
 
-/// Reconstructs `spec`'s per-client request streams. Mirrors the client
-/// loop in `run_closed_loop`: client `c` owns indices `c, c+clients, …`;
-/// index `i` maps to session `i % sessions`, corpus
-/// `(session << 32) | (round / corpus_repeat)`, and the corpus-derived
-/// tag that makes repeats exact cache hits.
+/// `spec`'s per-client request streams: client `c` owns indices
+/// `c, c + clients, …`, and every index resolves through
+/// [`LoadSpec::request_at`] — the same session, corpus, tag, class and
+/// deadline the measured loop submits.
 pub fn client_streams(config: &ModelConfig, spec: &LoadSpec) -> Vec<VecDeque<SimRequest>> {
-    let profile = dataset_by_name(&spec.dataset)
-        .unwrap_or_else(|| panic!("unknown dataset `{}`", spec.dataset));
-    let generator = WorkloadGenerator::new(profile, config.vocab_size, config.max_seq, spec.seed);
-    let sessions = spec.sessions.max(1);
-    let repeat = spec.corpus_repeat.max(1);
-    let clients = spec.clients.max(1).min(spec.requests.max(1));
-
+    let generator = spec.generator(config);
+    let clients = spec.client_count();
     // Token counts are a pure function of the corpus id; memoize so
     // repeated corpora cost one generator call.
     let mut tokens_of: HashMap<u64, usize> = HashMap::new();
-    let mut streams: Vec<VecDeque<SimRequest>> = (0..clients).map(|_| VecDeque::new()).collect();
-    for (c, stream) in streams.iter_mut().enumerate() {
-        let mut i = c;
-        while i < spec.requests {
-            let session_idx = i % sessions;
-            let round = i / sessions;
-            let corpus = (session_idx as u64) << 32 | (round / repeat) as u64;
-            let tokens = *tokens_of.entry(corpus).or_insert_with(|| {
-                generator
-                    .request(corpus, spec.candidates)
-                    .sequences()
-                    .iter()
-                    .map(Vec::len)
-                    .sum()
-            });
-            let is_high = spec.is_high(i);
-            let (priority, deadline_us) = if is_high {
-                (Priority::High, spec.high_deadline_us)
-            } else {
-                (spec.priority, spec.deadline_us)
-            };
-            stream.push_back(SimRequest {
-                id: i as u64,
-                session: session_idx as u64,
-                corpus,
-                key: corpus ^ 0x5E55_1011,
-                tokens,
-                priority,
-                deadline_us,
-                cancel_after_us: None,
-                high_class: is_high,
-                client: Some(c),
-            });
-            i += clients;
-        }
-    }
-    streams
+    (0..clients)
+        .map(|c| {
+            (c..spec.requests)
+                .step_by(clients)
+                .map(|i| {
+                    let request = spec.request_at(i);
+                    let tokens = *tokens_of.entry(request.corpus).or_insert_with(|| {
+                        generator
+                            .request(request.corpus, spec.candidates)
+                            .sequences()
+                            .iter()
+                            .map(Vec::len)
+                            .sum()
+                    });
+                    SimRequest {
+                        id: i as u64,
+                        session: request.session as u64,
+                        corpus: request.corpus,
+                        key: request.options.tag.expect("request_at tags every request"),
+                        tokens,
+                        priority: request.options.priority,
+                        deadline_us: request.options.deadline_us,
+                        cancel_after_us: None,
+                        high_class: request.high,
+                        client: Some(c),
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Simulates `spec` against a virtual server with configuration `serve`
@@ -114,7 +100,9 @@ pub fn simulate_closed_loop_with(
 mod tests {
     use super::*;
     use crate::service::Calibration;
+    use prism_core::Priority;
     use prism_model::ModelArch;
+    use prism_serve::DUP_POOL;
 
     fn test_model() -> ModelConfig {
         ModelConfig::test_config(ModelArch::DecoderOnly, 6)
@@ -193,6 +181,43 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_stream_reaches_the_simulator() {
+        let spec = LoadSpec {
+            requests: 24,
+            clients: 3,
+            dup_fraction: 0.5,
+            ..Default::default()
+        };
+        for r in client_streams(&test_model(), &spec).iter().flatten() {
+            let pooled = r.corpus >> 48 == 0xD0B0 && (r.corpus & 0xFFFF) < DUP_POOL as u64;
+            assert_eq!(pooled, spec.is_dup(r.id as usize), "request {}", r.id);
+        }
+        // Eight sessions cycling an eight-corpus pool: each session keeps
+        // re-asking its one pooled corpus (selection hits), where the
+        // duplicate-free stream never repeats a corpus.
+        let digest_at = |dup_fraction| {
+            let spec = LoadSpec {
+                sessions: 8,
+                dup_fraction,
+                ..spec.clone()
+            };
+            let report = simulate_closed_loop(
+                &test_model(),
+                &spec,
+                &ServeConfig::default(),
+                flat(2_000.0),
+                "dup",
+            );
+            (report.digest, report.stats().cache_selection_hits)
+        };
+        let (fresh, fresh_hits) = digest_at(0.0);
+        let (pooled, pooled_hits) = digest_at(1.0);
+        assert_eq!(fresh_hits, 0);
+        assert!(pooled_hits > 0);
+        assert_ne!(fresh, pooled, "the duplicate stream must change the run");
+    }
+
+    #[test]
     fn cached_spec_yields_cache_hits_in_simulation() {
         // corpus_repeat 4 on a cached config: roughly 3 of every 4
         // same-session repeats replay from the session cache.
@@ -209,11 +234,11 @@ mod tests {
             flat(2_000.0),
             "cached",
         );
-        assert_eq!(report.completed, 48);
+        assert_eq!(report.run.completed, 48);
         assert!(
-            report.stats.cache_selection_hits + report.stats.cache_embed_hits > 0,
+            report.stats().cache_selection_hits + report.stats().cache_embed_hits > 0,
             "repeats must hit the cache: {:?}",
-            report.stats
+            report.stats()
         );
         let uncached = simulate_closed_loop(
             &test_model(),
@@ -226,10 +251,10 @@ mod tests {
             "uncached",
         );
         assert!(
-            report.throughput_rps > uncached.throughput_rps,
+            report.run.throughput_rps > uncached.run.throughput_rps,
             "cache hits must raise simulated throughput ({} vs {})",
-            report.throughput_rps,
-            uncached.throughput_rps
+            report.run.throughput_rps,
+            uncached.run.throughput_rps
         );
     }
 
@@ -246,6 +271,9 @@ mod tests {
         let a = simulate_closed_loop(&model, &spec, &ServeConfig::default(), flat(3_000.0), "d");
         let b = simulate_closed_loop(&model, &spec, &ServeConfig::default(), flat(3_000.0), "d");
         assert_eq!(a.digest, b.digest);
+        // Bit-for-bit the digest the private FNV/splitmix copies produced
+        // before they moved to `prism_semcache::hash`.
+        assert_eq!(a.digest, 0x36a3_4493_53b0_e604);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()

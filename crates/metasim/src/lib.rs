@@ -19,16 +19,18 @@
 //!   the analytic `prism-device` cost model (including spill-byte
 //!   terms) or an affine fit calibrated on the real engine.
 //!
-//! Workloads come from two sources: [`closed_loop`] reconstructs the
-//! exact request streams of `prism_serve::run_closed_loop` (what
-//! `repro perf` measures, enabling validation within tolerance), and
+//! Workloads come from two sources: [`closed_loop`] replays the request
+//! stream `prism_serve::run_closed_loop` drives (both read
+//! `LoadSpec::request_at`; `repro sim-validate` checks the prediction
+//! against the measured run within tolerance), and
 //! open-loop traces from [`prism_workload::TraceGenerator`] scale to a
 //! simulated day of million-user traffic in seconds. [`autotune`]
 //! sweeps `ServeConfig` knobs through the simulator to pick tuned
 //! defaults per device.
 //!
-//! Everything is bit-deterministic: a [`SimReport`] carries an FNV-1a
-//! digest of the processed event log, and identical inputs produce
+//! Everything is bit-deterministic: a [`SimReport`] wraps the same
+//! `prism_serve::LoadReport` a measured run folds into and carries an
+//! FNV-1a digest of the processed event log, and identical inputs produce
 //! identical reports — the property the determinism proptests pin down.
 
 pub mod autotune;

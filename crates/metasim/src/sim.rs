@@ -23,15 +23,18 @@
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use prism_core::Priority;
-use prism_serve::{BatchPlanner, PlanDecision, QueueItem, ServeConfig, ServeStats};
+use prism_semcache::hash::{fnv1a, splitmix_next, FNV_OFFSET};
+use prism_serve::{
+    corpus_tag, BatchPlanner, LoadReport, PlanDecision, QueueItem, Sample, ServeConfig, ServeStats,
+};
 use prism_workload::{TraceEvent, TraceGenerator};
 
-use crate::report::{fnv1a_mix, SimReport};
+use crate::report::SimReport;
 use crate::service::ServiceModel;
 
 /// Microseconds a simulated closed-loop client waits before resubmitting
-/// after backpressure — mirrors the retry sleep in
-/// `prism_serve::run_closed_loop`.
+/// after backpressure — the backoff floor of the retry policy in
+/// `prism_serve::drive_closed_loop`.
 pub const BACKPRESSURE_RETRY_US: u64 = 200;
 
 /// Selections memoized per simulated session, mirroring the real
@@ -74,7 +77,7 @@ impl SimRequest {
             id: ev.index,
             session: ev.session,
             corpus: ev.corpus,
-            key: ev.corpus ^ 0x5E55_1011,
+            key: corpus_tag(ev.corpus),
             tokens: ev.tokens,
             priority: match ev.class {
                 2 => Priority::High,
@@ -177,14 +180,6 @@ pub struct SimFaults {
     pub shards: usize,
     /// Replica sets per candidate: R >= 2 covers any single-shard fault.
     pub replicas: usize,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,9 +331,7 @@ pub struct Simulation {
     faults: Option<SimFaults>,
     fault_state: u64,
 
-    samples: Vec<(bool, u64)>,
-    errors: u64,
-    high_errors: u64,
+    samples: Vec<Sample>,
     retries: u64,
     events: u64,
     digest: u64,
@@ -369,11 +362,9 @@ impl Simulation {
             faults: None,
             fault_state: 0,
             samples: Vec::new(),
-            errors: 0,
-            high_errors: 0,
             retries: 0,
             events: 0,
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: FNV_OFFSET,
         }
     }
 
@@ -466,9 +457,9 @@ impl Simulation {
     }
 
     fn mix(&mut self, code: u64, a: u64, b: u64) {
-        fnv1a_mix(&mut self.digest, code);
-        fnv1a_mix(&mut self.digest, a);
-        fnv1a_mix(&mut self.digest, b);
+        for value in [code, a, b] {
+            self.digest = fnv1a(self.digest, &value.to_le_bytes());
+        }
     }
 
     fn event_loop(&mut self, arrivals: impl Iterator<Item = (u64, SimRequest)>) {
@@ -543,10 +534,7 @@ impl Simulation {
                 );
             } else {
                 // Open-loop arrival: dropped on the floor.
-                self.errors += 1;
-                if req.high_class {
-                    self.high_errors += 1;
-                }
+                self.samples.push((req.high_class, None));
             }
             return;
         }
@@ -711,7 +699,7 @@ impl Simulation {
             .max(1);
         let mut shard_failed = false;
         if let Some(f) = self.faults {
-            let draw = splitmix64(&mut self.fault_state) % 1000;
+            let draw = splitmix_next(&mut self.fault_state) % 1000;
             if (draw as u32) < f.per_mille.min(1000) {
                 self.mix(6, draw, f.replicas as u64);
                 if f.replicas >= 2 {
@@ -775,14 +763,7 @@ impl Simulation {
     fn answer(&mut self, req: SimRequest, first_attempt: u64, ok: bool, at: u64) {
         let latency = at.saturating_sub(first_attempt);
         self.mix(if ok { 4 } else { 5 }, at, req.id);
-        if ok {
-            self.samples.push((req.high_class, latency));
-        } else {
-            self.errors += 1;
-            if req.high_class {
-                self.high_errors += 1;
-            }
-        }
+        self.samples.push((req.high_class, ok.then_some(latency)));
         if let Some(c) = req.client {
             if let Some(next) = self.client_streams[c].pop_front() {
                 self.schedule(
@@ -797,19 +778,19 @@ impl Simulation {
     }
 
     fn finish(self, label: &str, requests: u64, split_classes: bool) -> SimReport {
-        SimReport::build(
-            label,
+        SimReport {
+            label: label.to_string(),
             requests,
-            self.samples,
-            self.errors,
-            self.high_errors,
-            self.retries,
-            self.now,
-            self.stats.snapshot(),
-            self.events,
-            self.digest,
-            split_classes,
-        )
+            events: self.events,
+            digest: self.digest,
+            run: LoadReport::from_samples(
+                &self.samples,
+                self.retries,
+                self.now as f64 / 1e6,
+                split_classes,
+                Some(self.stats.snapshot()),
+            ),
+        }
     }
 }
 
@@ -860,15 +841,15 @@ mod tests {
         let mut sim = Simulation::new(&serial_config(), flat_service(1_000.0));
         sim.event_loop(arrivals.into_iter());
         let report = sim.finish("hand", 2, false);
-        assert_eq!(report.completed, 2);
-        assert_eq!(report.stats.batches, 2);
-        assert_eq!(report.stats.completed, 2);
+        assert_eq!(report.run.completed, 2);
+        assert_eq!(report.stats().batches, 2);
+        assert_eq!(report.stats().completed, 2);
         // First waits 0 then serves 1000; second queues 900 then serves
         // (nearest-rank p50 over two samples picks the upper one).
-        assert!((report.mean_us - 1_450.0).abs() < 1e-9);
-        assert_eq!(report.p50_us, 1_900);
-        assert_eq!(report.max_us, 1_900);
-        assert_eq!(report.virtual_elapsed_s, 2_000.0 / 1e6);
+        assert!((report.run.mean_us - 1_450.0).abs() < 1e-9);
+        assert_eq!(report.run.p50_us, 1_900);
+        assert_eq!(report.run.max_us, 1_900);
+        assert_eq!(report.run.elapsed_s, 2_000.0 / 1e6);
     }
 
     #[test]
@@ -883,9 +864,9 @@ mod tests {
         let mut sim = Simulation::new(&config, flat_service(1_000.0));
         sim.event_loop(arrivals.into_iter());
         let report = sim.finish("batched", 8, false);
-        assert_eq!(report.completed, 8);
-        assert_eq!(report.stats.batches, 1);
-        assert_eq!(report.stats.batch_size.max, 8);
+        assert_eq!(report.run.completed, 8);
+        assert_eq!(report.stats().batches, 1);
+        assert_eq!(report.stats().batch_size.max, 8);
     }
 
     #[test]
@@ -909,14 +890,14 @@ mod tests {
         let mut sim = Simulation::new(&config, flat_service(1_000.0));
         sim.event_loop(arrivals.into_iter());
         let report = sim.finish("cached", 2, false);
-        assert_eq!(report.stats.cache_selection_hits, 1);
-        assert_eq!(report.stats.cache_misses, 1);
+        assert_eq!(report.stats().cache_selection_hits, 1);
+        assert_eq!(report.stats().cache_misses, 1);
         // Like the real server, an all-hit pickup still counts as a
         // batch — but it charges no service time, so the repeat is
         // answered the instant it is picked up (t = 10ms, latency 0).
-        assert_eq!(report.stats.batches, 2);
-        assert_eq!(report.completed, 2);
-        assert_eq!(report.virtual_elapsed_s, 10_000.0 / 1e6);
+        assert_eq!(report.stats().batches, 2);
+        assert_eq!(report.run.completed, 2);
+        assert_eq!(report.run.elapsed_s, 10_000.0 / 1e6);
     }
 
     #[test]
@@ -928,9 +909,9 @@ mod tests {
         let mut sim = Simulation::new(&serial_config(), flat_service(10_000.0));
         sim.event_loop(arrivals.into_iter());
         let report = sim.finish("deadline", 2, false);
-        assert_eq!(report.stats.deadline_missed, 1);
-        assert_eq!(report.completed, 1);
-        assert_eq!(report.errors, 1);
+        assert_eq!(report.stats().deadline_missed, 1);
+        assert_eq!(report.run.completed, 1);
+        assert_eq!(report.run.errors, 1);
     }
 
     #[test]
@@ -941,8 +922,8 @@ mod tests {
         let mut sim = Simulation::new(&serial_config(), flat_service(10_000.0));
         sim.event_loop(arrivals.into_iter());
         let report = sim.finish("cancel", 1, false);
-        assert_eq!(report.stats.cancelled, 1);
-        assert_eq!(report.completed, 0);
+        assert_eq!(report.stats().cancelled, 1);
+        assert_eq!(report.run.completed, 0);
     }
 
     #[test]
@@ -961,12 +942,15 @@ mod tests {
         sim.event_loop(arrivals.into_iter());
         let report = sim.finish("burst", 4, false);
         assert!(
-            report.stats.rejected >= 2,
+            report.stats().rejected >= 2,
             "rejected {}",
-            report.stats.rejected
+            report.stats().rejected
         );
-        assert_eq!(report.backpressure_retries, 0, "open loop never retries");
-        assert_eq!(report.completed + report.errors, 4);
+        assert_eq!(
+            report.run.backpressure_retries, 0,
+            "open loop never retries"
+        );
+        assert_eq!(report.run.completed + report.run.errors, 4);
     }
 
     #[test]
@@ -986,9 +970,9 @@ mod tests {
         }
         let report =
             Simulation::run_closed(&config, flat_service(5_000.0), streams, "closed", false);
-        assert_eq!(report.completed, 16, "closed loop completes everything");
-        assert!(report.backpressure_retries > 0);
-        assert!(report.stats.rejected > 0);
+        assert_eq!(report.run.completed, 16, "closed loop completes everything");
+        assert!(report.run.backpressure_retries > 0);
+        assert!(report.stats().rejected > 0);
     }
 
     #[test]
@@ -1023,10 +1007,10 @@ mod tests {
         sim.event_loop(arrivals.into_iter());
         let report = sim.finish("starvation", 41, true);
         assert!(
-            report.stats.priority_inversions > 0,
+            report.stats().priority_inversions > 0,
             "aged bulk must be promoted past waiting high work"
         );
-        assert_eq!(report.completed, 41);
+        assert_eq!(report.run.completed, 41);
     }
 
     #[test]
@@ -1042,7 +1026,7 @@ mod tests {
             serde_json::to_string(&b).unwrap(),
             "whole report must be bit-identical"
         );
-        assert!(a.completed + a.errors == 5_000);
+        assert!(a.run.completed + a.run.errors == 5_000);
     }
 
     /// Replication prices faults: the same fault stream costs latency
@@ -1081,17 +1065,20 @@ mod tests {
 
         // R=2: every fault is absorbed as a failover replay — no new
         // errors, but the replay premium shows up in service time.
-        assert!(covered.stats.failovers > 0, "no faults drawn");
-        assert_eq!(covered.errors, clean.errors, "R=2 must cover every fault");
+        assert!(covered.stats().failovers > 0, "no faults drawn");
+        assert_eq!(
+            covered.run.errors, clean.run.errors,
+            "R=2 must cover every fault"
+        );
         assert!(
-            covered.stats.service_us.mean > clean.stats.service_us.mean,
+            covered.stats().service_us.mean > clean.stats().service_us.mean,
             "failover replay must cost virtual time"
         );
 
         // R=1: the same draws surface as typed request errors instead.
-        assert_eq!(exposed.stats.failovers, 0);
+        assert_eq!(exposed.stats().failovers, 0);
         assert!(
-            exposed.errors > clean.errors,
+            exposed.run.errors > clean.run.errors,
             "uncovered faults must fail requests"
         );
 
@@ -1105,6 +1092,10 @@ mod tests {
             faults(2),
         );
         assert_eq!(covered.digest, replay.digest);
+        // ... and to the bits drawn before the fault stream moved to the
+        // shared `splitmix_next`.
+        assert_eq!(covered.digest, 0x9069_0298_ba84_c269);
+        assert_eq!(covered.stats().failovers, 204);
         assert_eq!(
             serde_json::to_string(&covered).unwrap(),
             serde_json::to_string(&replay).unwrap()

@@ -106,7 +106,7 @@ proptest! {
         }
         // Conservation: every offered request is accounted for exactly
         // once across completions and errors.
-        prop_assert_eq!(baseline.completed + baseline.errors, n);
+        prop_assert_eq!((baseline.run.completed + baseline.run.errors) as u64, n);
     }
 
     /// Closed-loop replays are equally deterministic, and a different
@@ -139,9 +139,9 @@ proptest! {
         let b = simulate_closed_loop(&model, &spec, &cfg, svc.clone(), "prop");
         prop_assert_eq!(a.digest, b.digest);
         prop_assert_eq!(report_bits(&a), report_bits(&b));
-        prop_assert_eq!(a.completed + a.errors, requests as u64);
+        prop_assert_eq!(a.run.completed + a.run.errors, requests);
         // The closed loop retries backpressure, so nothing is dropped.
-        prop_assert_eq!(a.stats.rejected, a.backpressure_retries);
+        prop_assert_eq!(a.stats().rejected, a.run.backpressure_retries);
 
         let other = LoadSpec { seed: seed ^ 0x9E37_79B9, ..spec };
         let c = simulate_closed_loop(&model, &other, &cfg, svc, "prop");
@@ -167,12 +167,12 @@ fn simulated_burst_day_is_deterministic_at_scale() {
     let b = Simulation::run_trace(&cfg, svc, &generator, n, "day");
     assert_eq!(a.digest, b.digest);
     assert_eq!(report_bits(&a), report_bits(&b));
-    assert_eq!(a.completed + a.errors, n);
+    assert_eq!((a.run.completed + a.run.errors) as u64, n);
     // 2 rps nominal over 100k arrivals is most of a simulated day.
     assert!(
-        a.virtual_elapsed_s > 3_600.0,
+        a.run.elapsed_s > 3_600.0,
         "virtual span too short: {}s",
-        a.virtual_elapsed_s
+        a.run.elapsed_s
     );
 }
 
@@ -190,11 +190,11 @@ fn million_request_simulated_day_under_30s() {
     let started = std::time::Instant::now();
     let report = Simulation::run_trace(&cfg, svc, &generator, 1_000_000, "soak");
     let wall = started.elapsed();
-    assert_eq!(report.completed + report.errors, 1_000_000);
+    assert_eq!(report.run.completed + report.run.errors, 1_000_000);
     assert!(
-        report.virtual_elapsed_s > 20_000.0,
+        report.run.elapsed_s > 20_000.0,
         "virtual span {}s is not day-scale",
-        report.virtual_elapsed_s
+        report.run.elapsed_s
     );
     assert!(
         wall < Duration::from_secs(30),

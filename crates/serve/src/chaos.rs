@@ -24,6 +24,7 @@ use std::time::Duration;
 use prism_core::{PrismError, RequestOptions, Selection};
 use prism_metrics::MemCategory;
 use prism_model::SequenceBatch;
+use prism_semcache::hash::splitmix_next;
 
 use crate::shard::{ShardFault, ShardSet};
 
@@ -49,14 +50,6 @@ pub struct ChaosPlan {
     steps: Vec<ChaosStep>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ChaosPlan {
     /// Generates the schedule for `seed`: ~2/3 of requests get a fault
     /// (uniform shard; `Dead` twice as often as `Slow`, whose stall is
@@ -66,14 +59,14 @@ impl ChaosPlan {
         let mut rng = seed ^ 0xC4A0_5C4A_05C4_A05C;
         let mut steps = Vec::new();
         for request in 0..requests {
-            if splitmix64(&mut rng).is_multiple_of(3) {
+            if splitmix_next(&mut rng).is_multiple_of(3) {
                 continue; // fault-free request
             }
-            let shard = (splitmix64(&mut rng) % shards.max(1) as u64) as usize;
-            let fault = if splitmix64(&mut rng) % 3 < 2 {
+            let shard = (splitmix_next(&mut rng) % shards.max(1) as u64) as usize;
+            let fault = if splitmix_next(&mut rng) % 3 < 2 {
                 ShardFault::Dead
             } else {
-                let ms = 1 + splitmix64(&mut rng) % 4;
+                let ms = 1 + splitmix_next(&mut rng) % 4;
                 ShardFault::Slow(Duration::from_millis(ms))
             };
             steps.push(ChaosStep {
@@ -230,6 +223,37 @@ mod tests {
         assert_eq!(a.steps(), b.steps());
         let c = ChaosPlan::seeded(43, 3, 64);
         assert_ne!(a.steps(), c.steps(), "different seeds must differ");
+    }
+
+    /// The schedule is a function of the shared SplitMix64 stream step:
+    /// pinned to the bits the private generator it replaced produced, so
+    /// a seed from an old CI failure still replays.
+    #[test]
+    fn seeded_plan_is_pinned_bit_for_bit() {
+        use prism_semcache::hash::{fnv1a, FNV_OFFSET};
+        let plan = ChaosPlan::seeded(7, 3, 64);
+        assert_eq!(plan.steps().len(), 40);
+        let step = |request, shard, fault| ChaosStep {
+            request,
+            shard,
+            fault,
+        };
+        assert_eq!(
+            plan.steps()[..4],
+            [
+                step(1, 0, ShardFault::Slow(Duration::from_millis(4))),
+                step(2, 0, ShardFault::Dead),
+                step(3, 0, ShardFault::Slow(Duration::from_millis(1))),
+                step(5, 1, ShardFault::Dead),
+            ]
+        );
+        let fold = plan.steps().iter().fold(FNV_OFFSET, |h, s| {
+            fnv1a(
+                h,
+                format!("{}:{}:{:?};", s.request, s.shard, s.fault).as_bytes(),
+            )
+        });
+        assert_eq!(fold, 0x9606_a3db_408f_504e);
     }
 
     #[test]

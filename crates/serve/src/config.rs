@@ -35,7 +35,7 @@ pub struct ServeConfig {
     pub starvation_age: Duration,
     /// `true` schedules priority-then-EDF (with the starvation guard);
     /// `false` keeps the historical pure-FIFO planner — the measurable
-    /// baseline for `bench-serve --high-frac` and `repro sim-validate`.
+    /// baseline of `repro sim-validate`'s scheduling scenarios.
     pub priority_scheduling: bool,
     /// Per-tenant in-flight request ceiling (`0` disables quotas). A
     /// tenant is a session key; past the ceiling its submissions are
@@ -49,15 +49,6 @@ pub struct ServeConfig {
     /// [`prism_core::SemCacheMode`] *and* run at full depth (effective
     /// pruning off).
     pub semcache_capacity_bytes: u64,
-    /// LSH signature bits of the semantic cache's similarity index.
-    pub semcache_lsh_bits: u32,
-    /// Cosine threshold for `Aggressive` near-duplicate replay.
-    pub semcache_similarity: f32,
-    /// Fraction of semantic-cache hits re-scored against the exact path
-    /// under `VerifyAndFallback`.
-    pub semcache_verify_fraction: f64,
-    /// Seed of the semantic cache's hyperplanes and bucket summaries.
-    pub semcache_seed: u64,
     /// Replication factor R of the sharded scatter path: each routing
     /// key carries an R-way replica set (rendezvous rank order) and a
     /// dead or hedged-away shard's sub-batch is replayed on the next
@@ -85,10 +76,6 @@ impl Default for ServeConfig {
             priority_scheduling: true,
             tenant_max_inflight: 0,
             semcache_capacity_bytes: 8 << 20,
-            semcache_lsh_bits: 16,
-            semcache_similarity: 0.95,
-            semcache_verify_fraction: 0.25,
-            semcache_seed: 0x5EED_CACE,
             replicas: 1,
             hedge: None,
         }
@@ -97,7 +84,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The no-amortization reference configuration: one worker, one
-    /// request per batch, no session cache. `prsm bench-serve` measures
+    /// request per batch, no session cache. `repro sim-validate` measures
     /// batching gains against this.
     pub fn serial() -> Self {
         ServeConfig {
@@ -184,13 +171,6 @@ impl ServeConfig {
                 ));
             }
         }
-        if self.semcache_capacity_bytes > 0 {
-            // Delegate range checks to the cache's own validator (dim is
-            // engine-derived at start; validate with a placeholder).
-            self.semcache_config(1)
-                .validate()
-                .map_err(ServeError::Config)?;
-        }
         Ok(())
     }
 
@@ -200,10 +180,7 @@ impl ServeConfig {
         prism_semcache::SemCacheConfig {
             dim,
             capacity_bytes: self.semcache_capacity_bytes,
-            lsh_bits: self.semcache_lsh_bits,
-            similarity_threshold: self.semcache_similarity,
-            verify_fraction: self.semcache_verify_fraction,
-            seed: self.semcache_seed,
+            ..Default::default()
         }
     }
 

@@ -103,8 +103,8 @@ pub struct BatchPlanner {
     /// anti-starvation guard of the priority policy).
     pub starvation_age_micros: u64,
     /// `false` ignores priorities and deadlines entirely — the historical
-    /// pure-FIFO scheduler (kept as the measurable baseline for
-    /// `bench-serve` and `repro perf`).
+    /// pure-FIFO scheduler (kept as the measurable baseline of
+    /// `repro sim-validate`'s scheduling scenarios).
     pub priority_aware: bool,
 }
 

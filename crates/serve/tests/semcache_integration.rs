@@ -332,17 +332,17 @@ fn high_overlap_sharded_soak_drains_clean() {
         requests: 300,
         clients: 6,
         candidates: 8,
-        k: 3,
         sessions: 5,
-        semcache: SemCacheMode::VerifyAndFallback,
         dup_fraction: 0.7,
+        options: RequestOptions::top_k(3).with_semcache(SemCacheMode::VerifyAndFallback),
         ..Default::default()
     };
     let report = prism_serve::run_closed_loop(&server, &spec);
     assert_eq!(report.completed + report.errors, spec.requests);
     assert_eq!(report.errors, 0);
-    assert_eq!(report.stats.semcache_fallbacks, 0, "exact replays only");
-    assert!(report.stats.semcache_hits > 0, "overlap must produce hits");
+    let stats = report.server_stats();
+    assert_eq!(stats.semcache_fallbacks, 0, "exact replays only");
+    assert!(stats.semcache_hits > 0, "overlap must produce hits");
 
     let cache = server.semcache().unwrap();
     let bytes = cache.bytes();

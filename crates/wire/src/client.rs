@@ -251,24 +251,7 @@ impl WireClient {
         options: &RequestOptions,
         policy: &RetryPolicy,
     ) -> (Result<SelectionOutcome, ServiceError>, u32) {
-        let mut schedule = policy.schedule();
-        loop {
-            let err = match self.submit(batch.clone(), options.clone()) {
-                Ok(handle) => match handle.wait() {
-                    Ok(outcome) => return (Ok(outcome), schedule.retries()),
-                    Err(e) => e,
-                },
-                Err(e) => e,
-            };
-            match schedule.next_delay(&err) {
-                Some(delay) => {
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-                None => return (Err(err), schedule.retries()),
-            }
-        }
+        policy.run(|_| self.select(batch.clone(), options.clone()))
     }
 }
 

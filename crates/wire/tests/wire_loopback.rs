@@ -7,14 +7,14 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use prism_api::{SelectionService, ServiceError};
-use prism_core::{EngineOptions, PrismEngine, RequestOptions, Selection};
+use prism_api::{SelectionHandle, SelectionOutcome, SelectionService, ServiceError};
+use prism_core::{EngineOptions, PrismEngine, RequestOptions, Selection, SemCacheMode};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism_serve::{PrismServer, ServeConfig, ShardFault};
+use prism_serve::{drive_closed_loop, LoadSpec, PrismServer, ServeConfig, ShardFault};
 use prism_storage::Container;
 use prism_wire::{
     read_frame, write_frame, Message, WireClient, WireError, WireServer, WIRE_VERSION,
@@ -585,6 +585,106 @@ fn connect_timeout_surfaces_typed_deadline() {
 
     drop(client);
     wire.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+type Bits = (Vec<(usize, u32, usize)>, Vec<u32>);
+
+/// A backend that notes every selection it hands back, by tag.
+struct Recording<'a, S> {
+    inner: S,
+    seen: &'a Mutex<Vec<(u64, Bits)>>,
+}
+
+impl<S: SelectionService> SelectionService for Recording<'_, S> {
+    fn submit(
+        &self,
+        batch: SequenceBatch,
+        options: RequestOptions,
+    ) -> Result<SelectionHandle, ServiceError> {
+        self.inner.submit(batch, options)
+    }
+
+    fn select(
+        &self,
+        batch: SequenceBatch,
+        options: RequestOptions,
+    ) -> Result<SelectionOutcome, ServiceError> {
+        let tag = options.tag.expect("load requests are tagged");
+        let outcome = self.inner.select(batch, options)?;
+        let bits = exact_bits(&outcome.selection);
+        self.seen.lock().unwrap().push((tag, bits));
+        Ok(outcome)
+    }
+}
+
+/// One `LoadSpec` is one stream of traffic whichever backend carries it:
+/// sessions, repeats, the cross-session duplicate pool and the priority
+/// mix all reach a server behind a socket exactly as they reach one in
+/// process, so both end on the same cache and class counters and the
+/// same selections (one client, so the order is fixed).
+#[test]
+fn one_load_spec_is_the_same_traffic_in_process_and_over_the_wire() {
+    let (config, path) = fixture("same-traffic");
+    let run = |spec: &LoadSpec, over_the_wire: bool| {
+        let server =
+            Arc::new(PrismServer::start(engine(&config, &path), ServeConfig::default()).unwrap());
+        let seen = Mutex::new(Vec::new());
+        let report = if over_the_wire {
+            let wire = WireServer::start(Arc::clone(&server), "127.0.0.1:0").unwrap();
+            let addr = wire.local_addr().to_string();
+            let report = drive_closed_loop(&config, spec, |session| {
+                WireClient::connect(&addr, session).map(|inner| Recording { inner, seen: &seen })
+            });
+            wire.shutdown();
+            report.unwrap()
+        } else {
+            drive_closed_loop(&config, spec, |session| {
+                let inner = server.service(session);
+                Ok::<_, WireError>(Recording { inner, seen: &seen })
+            })
+            .unwrap()
+        };
+        let report = report.with_server_stats(server.stats());
+        (report, seen.into_inner().unwrap())
+    };
+    // With three sessions the duplicate stream takes every other round
+    // and no session repeats a corpus; with four, sessions 1 and 3 do.
+    let mut selection_hits = 0;
+    for sessions in [3, 4] {
+        let spec = LoadSpec {
+            requests: 24,
+            clients: 1,
+            candidates: 8,
+            sessions,
+            corpus_repeat: 2,
+            dup_fraction: 0.5,
+            high_fraction: 0.25,
+            options: RequestOptions::top_k(K).with_semcache(SemCacheMode::Aggressive),
+            ..Default::default()
+        };
+        let (local, local_seen) = run(&spec, false);
+        let (wired, wired_seen) = run(&spec, true);
+
+        assert_eq!((local.completed, local.errors), (spec.requests, 0));
+        assert_eq!((wired.completed, wired.errors), (spec.requests, 0));
+        let (l, w) = (local.server_stats(), wired.server_stats());
+        assert!(l.semcache_hits > 0, "{l:?}");
+        assert_eq!(w.semcache_hits, l.semcache_hits);
+        assert_eq!(w.semcache_misses, l.semcache_misses);
+        assert_eq!(w.cache_selection_hits, l.cache_selection_hits);
+        selection_hits += l.cache_selection_hits;
+        for class in ["high", "bulk"] {
+            let (l, w) = (local.class(class).unwrap(), wired.class(class).unwrap());
+            assert!(l.completed > 0);
+            assert_eq!(w.completed, l.completed, "{class}");
+        }
+        assert_eq!(
+            wired_seen, local_seen,
+            "same tags, same selections, bit for bit"
+        );
+    }
+    assert!(selection_hits > 0, "the session cache never engaged");
     std::fs::remove_file(&path).unwrap();
 }
 

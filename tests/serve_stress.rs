@@ -233,13 +233,19 @@ mod edge_traces {
             ..Default::default()
         };
         let predicted = simulate_closed_loop(&model, &spec, &serve, flat(5_000.0), "burst");
-        assert_eq!(predicted.completed, 32, "sim: retries must land everything");
-        assert!(
-            predicted.stats.rejected > 0,
-            "sim: burst must trip backpressure, got {:?}",
-            predicted.stats
+        assert_eq!(
+            predicted.run.completed, 32,
+            "sim: retries must land everything"
         );
-        assert_eq!(predicted.stats.rejected, predicted.backpressure_retries);
+        assert!(
+            predicted.stats().rejected > 0,
+            "sim: burst must trip backpressure, got {:?}",
+            predicted.stats()
+        );
+        assert_eq!(
+            predicted.stats().rejected,
+            predicted.run.backpressure_retries
+        );
 
         // Real-server replay of the minimized scenario.
         let (config, path) = fixture("edge-backpressure");
@@ -309,16 +315,16 @@ mod edge_traces {
         let spec = LoadSpec {
             requests: 16,
             clients: 8,
-            deadline_us: Some(1_000),
+            options: RequestOptions::top_k(4).with_deadline_us(1_000),
             ..Default::default()
         };
         let predicted = simulate_closed_loop(&model, &spec, &serve, flat(50_000.0), "deadline");
         assert!(
-            predicted.stats.deadline_missed > 0,
+            predicted.stats().deadline_missed > 0,
             "sim: tight deadlines behind a slow worker must shed, got {:?}",
-            predicted.stats
+            predicted.stats()
         );
-        assert_eq!(predicted.completed + predicted.errors, 16);
+        assert_eq!(predicted.run.completed + predicted.run.errors, 16);
 
         // Real-server replay: fillers occupy the worker, then doomed
         // requests with a 1 us budget arrive — all must shed with
@@ -382,17 +388,20 @@ mod edge_traces {
         let spec = LoadSpec {
             requests: 24,
             clients: 8,
-            priority: Priority::Bulk,
+            options: RequestOptions::top_k(4).with_priority(Priority::Bulk),
             high_fraction: 0.5,
             high_deadline_us: Some(30_000_000),
             ..Default::default()
         };
         let predicted = simulate_closed_loop(&model, &spec, &serve, flat(3_000.0), "starve");
-        assert_eq!(predicted.completed, 24, "sim: promotion must not drop work");
+        assert_eq!(
+            predicted.run.completed, 24,
+            "sim: promotion must not drop work"
+        );
         assert!(
-            predicted.stats.priority_inversions > 0,
+            predicted.stats().priority_inversions > 0,
             "sim: aged bulk must be promoted over waiting high, got {:?}",
-            predicted.stats
+            predicted.stats()
         );
 
         // Real-server replay: occupy the worker, queue a wall of high
