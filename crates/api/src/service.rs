@@ -77,14 +77,6 @@ impl LocalService {
         }
     }
 
-    /// Wraps an already-shared engine.
-    pub fn from_shared(engine: Arc<PrismEngine>) -> Self {
-        LocalService {
-            engine,
-            ticket: AtomicU64::new(0),
-        }
-    }
-
     /// The engine behind this service.
     pub fn engine(&self) -> &Arc<PrismEngine> {
         &self.engine

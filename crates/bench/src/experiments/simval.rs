@@ -161,6 +161,7 @@ fn scenario_row(
         &scenario.serve,
         ServiceModel::calibrated(calibration),
         scenario.name,
+        None,
     );
     let high = match (predicted.class("high"), measured.class("high")) {
         (Some(p), Some(m)) => Some((p.p99_us, m.p99_us)),

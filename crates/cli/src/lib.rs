@@ -84,13 +84,14 @@
 //!     [--shards N] [--parallel-shards on|off] [--fault-per-mille N]
 //!     [--tune on]
 //!     Deterministic discrete-event simulation of the serving stack: the
-//!     real batch planner and session-cache model driven at virtual time,
-//!     so a simulated day of traffic costs seconds. `--mode trace`
-//!     (default) replays an open-loop arrival trace (`--profile`,
-//!     `--rps`, `--events`, `--seed`); `--mode closed` replays the load
-//!     flags' request stream. Service times come from the analytic
-//!     `--device` cost model unless `--fixed-us`/`--per-token-us` pin a
-//!     calibrated affine model (e.g. fitted by `repro sim-validate`).
+//!     server's own batch planner, queue pop and session cache driven at
+//!     virtual time, so a simulated day of traffic costs seconds.
+//!     `--mode trace` (default) replays an open-loop arrival trace
+//!     (`--profile`, `--rps`, `--events`, `--seed`); `--mode closed`
+//!     replays the load flags' request stream. Service times come from
+//!     the analytic `--device` cost model unless `--fixed-us` /
+//!     `--per-token-us` pin a calibrated affine model (e.g. fitted by
+//!     `repro sim-validate`).
 //!     `--tune on` sweeps the scheduling knobs through the simulator and
 //!     prints the best configuration for the device instead. `--shards N`
 //!     prices batches through the analytic scatter-gather model instead
@@ -117,7 +118,7 @@ use prism_device::{
     PrismSimOptions, PruneSchedule, ScatterGatherCost, ServeBatchCost,
 };
 use prism_metasim::{
-    simulate_closed_loop_with, tune_for_device, Calibration, ServiceModel, SimFaults, Simulation,
+    simulate_closed_loop, tune_for_device, Calibration, ServiceModel, SimFaults, Simulation,
 };
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelConfig, SequenceBatch};
@@ -980,7 +981,7 @@ fn simulate_serve(p: &Parsed<'_>) -> Result<String, String> {
             serve_config.workers,
             serve_config.max_batch_requests
         );
-        Simulation::run_trace_with(
+        Simulation::run_trace(
             &serve_config,
             service,
             &generator,
@@ -995,7 +996,7 @@ fn simulate_serve(p: &Parsed<'_>) -> Result<String, String> {
             "simulate-serve {}: closed loop, {} requests x {} candidates (top-{}), {} clients",
             config.name, spec.requests, spec.candidates, spec.options.k, spec.clients
         );
-        simulate_closed_loop_with(&config, &spec, &serve_config, service, "closed", faults)
+        simulate_closed_loop(&config, &spec, &serve_config, service, "closed", faults)
     } else {
         return Err(format!("unknown mode `{mode}` (trace|closed)"));
     };

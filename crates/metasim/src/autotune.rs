@@ -111,7 +111,8 @@ pub fn tune(
     let mut best = 0_usize;
     let mut best_report: Option<SimReport> = None;
     for (i, candidate) in grid.iter().enumerate() {
-        let report = simulate_closed_loop(model, workload, candidate, service.clone(), "tune");
+        let report =
+            simulate_closed_loop(model, workload, candidate, service.clone(), "tune", None);
         let run = &report.run;
         let point = SweepPoint {
             max_batch_requests: candidate.max_batch_requests,

@@ -19,7 +19,7 @@ use prism_serve::{LoadSpec, ServeConfig};
 
 use crate::report::SimReport;
 use crate::service::ServiceModel;
-use crate::sim::{SimRequest, Simulation};
+use crate::sim::{SimFaults, SimRequest, Simulation};
 
 /// `spec`'s per-client request streams: client `c` owns indices
 /// `c, c + clients, …`, and every index resolves through
@@ -64,29 +64,18 @@ pub fn client_streams(config: &ModelConfig, spec: &LoadSpec) -> Vec<VecDeque<Sim
 }
 
 /// Simulates `spec` against a virtual server with configuration `serve`
-/// and the given service-time model, reporting the same aggregates as
-/// a measured `run_closed_loop`.
+/// and the given service-time model (plus an optional shard-fault
+/// model), reporting the same aggregates as a measured `run_closed_loop`.
 pub fn simulate_closed_loop(
     config: &ModelConfig,
     spec: &LoadSpec,
     serve: &ServeConfig,
     service: ServiceModel,
     label: &str,
-) -> SimReport {
-    simulate_closed_loop_with(config, spec, serve, service, label, None)
-}
-
-/// [`simulate_closed_loop`] with a shard-fault model injected.
-pub fn simulate_closed_loop_with(
-    config: &ModelConfig,
-    spec: &LoadSpec,
-    serve: &ServeConfig,
-    service: ServiceModel,
-    label: &str,
-    faults: Option<crate::sim::SimFaults>,
+    faults: Option<SimFaults>,
 ) -> SimReport {
     let streams = client_streams(config, spec);
-    Simulation::run_closed_with(
+    Simulation::run_closed(
         serve,
         service,
         streams,
@@ -207,6 +196,7 @@ mod tests {
                 &ServeConfig::default(),
                 flat(2_000.0),
                 "dup",
+                None,
             );
             (report.digest, report.stats().cache_selection_hits)
         };
@@ -233,6 +223,7 @@ mod tests {
             &ServeConfig::default(),
             flat(2_000.0),
             "cached",
+            None,
         );
         assert_eq!(report.run.completed, 48);
         assert!(
@@ -249,6 +240,7 @@ mod tests {
             &ServeConfig::default(),
             flat(2_000.0),
             "uncached",
+            None,
         );
         assert!(
             report.run.throughput_rps > uncached.run.throughput_rps,
@@ -268,8 +260,22 @@ mod tests {
             ..Default::default()
         };
         let model = test_model();
-        let a = simulate_closed_loop(&model, &spec, &ServeConfig::default(), flat(3_000.0), "d");
-        let b = simulate_closed_loop(&model, &spec, &ServeConfig::default(), flat(3_000.0), "d");
+        let a = simulate_closed_loop(
+            &model,
+            &spec,
+            &ServeConfig::default(),
+            flat(3_000.0),
+            "d",
+            None,
+        );
+        let b = simulate_closed_loop(
+            &model,
+            &spec,
+            &ServeConfig::default(),
+            flat(3_000.0),
+            "d",
+            None,
+        );
         assert_eq!(a.digest, b.digest);
         // Bit-for-bit the digest the private FNV/splitmix copies produced
         // before they moved to `prism_semcache::hash`.

@@ -9,12 +9,14 @@
 //! * the actual [`prism_serve::BatchPlanner`] makes every scheduling
 //!   decision (it is a pure function of queue snapshot + clock, so the
 //!   simulator and the live server run the identical code);
-//! * admission, backpressure shedding, priority inversions, deadline
-//!   and cancellation outcomes mirror `SubmissionQueue` and
-//!   `execute_batch` counter for counter, recorded into a real
-//!   [`prism_serve::ServeStats`];
-//! * a behavioural twin of the session cache reproduces selection and
-//!   embedding hits;
+//! * the queue's own pop ([`prism_serve::BatchPlanner::pop`]: priority
+//!   inversions, draining, depth) and its dead-request rule
+//!   ([`prism_serve::dead_verdict`], counted by
+//!   [`prism_serve::ServeStats::count_failure`]) run on the simulated
+//!   queue, recorded into a real [`prism_serve::ServeStats`];
+//! * the server's own [`prism_serve::SessionCache`], holding unit
+//!   payloads, produces selection and embedding hits — with no
+//!   embedding replay when the modeled server is sharded, as there;
 //! * only *execution time* is modeled, by a [`ServiceModel`] — either
 //!   the analytic `prism-device` cost model (including spill-byte
 //!   terms) or an affine fit calibrated on the real engine.
@@ -40,7 +42,7 @@ pub mod service;
 pub mod sim;
 
 pub use autotune::{tune, tune_for_device, tuning_workload, SweepPoint, TuneOutcome};
-pub use closed_loop::{client_streams, simulate_closed_loop, simulate_closed_loop_with};
+pub use closed_loop::{client_streams, simulate_closed_loop};
 pub use report::SimReport;
 pub use service::{Calibration, ServiceModel};
 pub use sim::{SimFaults, SimRequest, Simulation, BACKPRESSURE_RETRY_US};

@@ -3,29 +3,30 @@
 //! One [`Simulation`] models the full `prism-serve` stack — bounded
 //! submission queue, batch coalescing, worker pool, session cache,
 //! deadlines, priorities and cancellation — at *virtual* microsecond
-//! time. Scheduling decisions are not re-implemented: the simulator
-//! drives the real [`BatchPlanner`] (a pure function of queue snapshot +
-//! clock since the explicit-clock refactor) and records into a real
-//! [`ServeStats`], so the emitted telemetry has the same shape and
-//! counter semantics as a live [`prism_serve::PrismServer`]. Counter
-//! updates mirror `server.rs::execute_batch` line by line: shed at
-//! pickup, batch instruments, per-item queue time, session-cache probe
-//! (selection hits answer instantly with zero service time), one
+//! time by driving the server's own components, not copies of them:
+//! the [`BatchPlanner`] decides and [`BatchPlanner::pop`] drains, a
+//! [`SessionCache`] with unit payloads (the corpus id as fingerprint)
+//! probes, stores and evicts, [`dead_verdict`] sheds and
+//! [`ServeStats::count_failure`] counts, all into a real [`ServeStats`].
+//! What lives here is the event loop, the workers' virtual busy time and
+//! the order `server.rs::execute_batch` applies those components in:
+//! shed at pickup, batch instruments, per-item queue time and cache
+//! probe (selection hits answer instantly with zero service time), one
 //! engine pass per coalesced batch, and cancel/deadline outcomes at
 //! completion that never fail batch-mates.
 //!
 //! Everything is deterministic: no wall clock, no thread interleaving,
-//! no hash-order dependence (ties cannot occur — the event heap orders
-//! by `(time, sequence)` and cache eviction scans a unique recency
-//! tick). The same inputs produce a bit-identical event digest and
-//! report on every run.
+//! no hash-order dependence (the event heap orders by `(time, sequence)`
+//! and the session cache evicts by a unique recency tick). The same
+//! inputs produce a bit-identical event digest and report on every run.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use prism_core::Priority;
 use prism_semcache::hash::{fnv1a, splitmix_next, FNV_OFFSET};
 use prism_serve::{
-    corpus_tag, BatchPlanner, LoadReport, PlanDecision, QueueItem, Sample, ServeConfig, ServeStats,
+    corpus_tag, dead_verdict, BatchPlanner, CacheLookup, LoadReport, PlanDecision, QueueItem,
+    Sample, ServeConfig, ServeError, ServeStats, SessionCache,
 };
 use prism_workload::{TraceEvent, TraceGenerator};
 
@@ -36,10 +37,6 @@ use crate::service::ServiceModel;
 /// after backpressure — the backoff floor of the retry policy in
 /// `prism_serve::drive_closed_loop`.
 pub const BACKPRESSURE_RETRY_US: u64 = 200;
-
-/// Selections memoized per simulated session, mirroring the real
-/// session cache's per-session memo bound.
-const MEMO_PER_SESSION: usize = 8;
 
 /// One logical request entering the simulated server.
 #[derive(Debug, Clone)]
@@ -52,7 +49,9 @@ pub struct SimRequest {
     /// Corpus identity: requests sharing `(session, corpus, key)` are
     /// exact repeats and can replay a cached selection.
     pub corpus: u64,
-    /// Surrogate for the request's `SelectionKey` (k + tag + overrides).
+    /// The request's session-cache memo key: its routing tag, the only
+    /// part of the server's `SelectionKey` that varies within one trace
+    /// or `LoadSpec` (`k`, overrides and precisions are per-run).
     pub key: u64,
     /// Total packed tokens (the planner's budget unit).
     pub tokens: usize,
@@ -105,6 +104,16 @@ struct SimPending {
     deadline_at: Option<u64>,
     /// Absolute cancellation instant.
     cancel_at: Option<u64>,
+}
+
+impl SimPending {
+    /// Why this request is dead at `now`, if it is — the server's rule.
+    fn verdict(&self, now: u64) -> Option<ServeError> {
+        dead_verdict(
+            self.cancel_at.is_some_and(|c| c <= now),
+            self.deadline_at.is_some_and(|d| d <= now),
+        )
+    }
 }
 
 #[derive(Debug)]
@@ -182,143 +191,15 @@ pub struct SimFaults {
     pub replicas: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Probe {
-    Selection,
-    Embed,
-    Miss,
-}
-
-struct CacheEntry {
-    corpus: u64,
-    keys: Vec<u64>,
-    has_embed: bool,
-    last_used: u64,
-}
-
-/// Behavioural twin of `prism_serve::SessionCache`: one corpus per
-/// session, a bounded selection memo, session-level LRU eviction.
-/// Recency ticks are unique, so the eviction scan is deterministic
-/// regardless of hash iteration order.
-struct SimCache {
-    capacity: usize,
-    enabled: bool,
-    tick: u64,
-    entries: HashMap<u64, CacheEntry>,
-}
-
-impl SimCache {
-    fn new(capacity: usize) -> Self {
-        SimCache {
-            capacity: capacity.max(1),
-            enabled: capacity > 0,
-            tick: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    fn lookup(&mut self, session: u64, corpus: u64, key: u64) -> Probe {
-        if !self.enabled {
-            return Probe::Miss;
-        }
-        self.tick += 1;
-        let Some(entry) = self.entries.get_mut(&session) else {
-            return Probe::Miss;
-        };
-        if entry.corpus != corpus {
-            return Probe::Miss;
-        }
-        entry.last_used = self.tick;
-        if entry.keys.contains(&key) {
-            Probe::Selection
-        } else if entry.has_embed {
-            Probe::Embed
-        } else {
-            Probe::Miss
-        }
-    }
-
-    fn store_embed(&mut self, session: u64, corpus: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&session) {
-            Some(entry) => {
-                if entry.corpus != corpus {
-                    entry.corpus = corpus;
-                    entry.keys.clear();
-                }
-                entry.has_embed = true;
-                entry.last_used = tick;
-            }
-            None => {
-                self.entries.insert(
-                    session,
-                    CacheEntry {
-                        corpus,
-                        keys: Vec::new(),
-                        has_embed: true,
-                        last_used: tick,
-                    },
-                );
-                self.evict_over_capacity();
-            }
-        }
-    }
-
-    fn store_selection(&mut self, session: u64, corpus: u64, key: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self.entries.entry(session).or_insert_with(|| CacheEntry {
-            corpus,
-            keys: Vec::new(),
-            has_embed: false,
-            last_used: tick,
-        });
-        if entry.corpus != corpus {
-            entry.corpus = corpus;
-            entry.has_embed = false;
-            entry.keys.clear();
-        }
-        entry.last_used = tick;
-        if !entry.keys.contains(&key) {
-            if entry.keys.len() >= MEMO_PER_SESSION {
-                entry.keys.remove(0);
-            }
-            entry.keys.push(key);
-        }
-        self.evict_over_capacity();
-    }
-
-    fn evict_over_capacity(&mut self) {
-        while self.entries.len() > self.capacity {
-            // `last_used` ticks are unique: min_by_key has exactly one
-            // answer, independent of hash iteration order.
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            else {
-                return;
-            };
-            self.entries.remove(&oldest);
-        }
-    }
-}
-
 /// Deterministic discrete-event simulation of one serving configuration.
 pub struct Simulation {
     planner: BatchPlanner,
     queue_capacity: usize,
     service: ServiceModel,
     stats: ServeStats,
-    cache: SimCache,
+    /// The server's session cache, storing nothing: hits and misses are
+    /// all a simulated run needs of it. `None` when disabled, as there.
+    cache: Option<SessionCache<u64, u64, (), (), ()>>,
 
     now: u64,
     seq: u64,
@@ -350,7 +231,8 @@ impl Simulation {
             queue_capacity: config.queue_capacity.max(1),
             service,
             stats: ServeStats::new(),
-            cache: SimCache::new(config.session_cache_capacity),
+            cache: (config.session_cache_capacity > 0)
+                .then(|| SessionCache::new(config.session_cache_capacity)),
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
@@ -371,19 +253,9 @@ impl Simulation {
     /// Simulates the first `n` events of a trace as an *open-loop*
     /// arrival stream: requests arrive on the trace's schedule whether
     /// or not the server keeps up, and backpressure rejections are
-    /// dropped (counted, never retried).
+    /// dropped (counted, never retried). `faults` injects a shard-fault
+    /// model.
     pub fn run_trace(
-        config: &ServeConfig,
-        service: ServiceModel,
-        generator: &TraceGenerator,
-        n: u64,
-        label: &str,
-    ) -> SimReport {
-        Simulation::run_trace_with(config, service, generator, n, label, None)
-    }
-
-    /// [`Simulation::run_trace`] with a shard-fault model injected.
-    pub fn run_trace_with(
         config: &ServeConfig,
         service: ServiceModel,
         generator: &TraceGenerator,
@@ -406,19 +278,9 @@ impl Simulation {
     /// and submits its next request the instant the previous one is
     /// answered, retrying backpressure after
     /// [`BACKPRESSURE_RETRY_US`] — the same discipline as
-    /// `prism_serve::run_closed_loop`.
+    /// `prism_serve::run_closed_loop`. `faults` injects a shard-fault
+    /// model.
     pub fn run_closed(
-        config: &ServeConfig,
-        service: ServiceModel,
-        streams: Vec<VecDeque<SimRequest>>,
-        label: &str,
-        split_classes: bool,
-    ) -> SimReport {
-        Simulation::run_closed_with(config, service, streams, label, split_classes, None)
-    }
-
-    /// [`Simulation::run_closed`] with a shard-fault model injected.
-    pub fn run_closed_with(
         config: &ServeConfig,
         service: ServiceModel,
         mut streams: Vec<VecDeque<SimRequest>>,
@@ -506,7 +368,7 @@ impl Simulation {
         }
     }
 
-    /// One submission attempt, mirroring `PrismServer::submit` +
+    /// One submission attempt, in the order of `PrismServer::submit` +
     /// `SubmissionQueue::push`: admission deadline check, shed-then-
     /// backpressure when full, depth update, dispatch.
     fn submit(&mut self, req: SimRequest, first_attempt: u64, now: u64) {
@@ -552,24 +414,17 @@ impl Simulation {
     }
 
     /// Answers and removes every queued request that is already dead —
-    /// the queue's shed pass (cancellation checked before deadline,
-    /// like `SubmissionQueue::shed_dead`).
+    /// the queue's shed pass.
     fn shed_dead(&mut self, now: u64) {
         let mut i = 0;
         while i < self.queue.len() {
-            let p = &self.queue[i];
-            let dead_cancel = p.cancel_at.is_some_and(|c| c <= now);
-            let dead_deadline = !dead_cancel && p.deadline_at.is_some_and(|d| d <= now);
-            if dead_cancel || dead_deadline {
-                let p = self.queue.remove(i).expect("index in bounds");
-                if dead_cancel {
-                    self.stats.cancelled.inc();
-                } else {
-                    self.stats.deadline_missed.inc();
+            match self.queue[i].verdict(now) {
+                Some(err) => {
+                    let p = self.queue.remove(i).expect("index in bounds");
+                    self.stats.count_failure(&err);
+                    self.answer(p.req, p.first_attempt, false, now);
                 }
-                self.answer(p.req, p.first_attempt, false, now);
-            } else {
-                i += 1;
+                None => i += 1,
             }
         }
     }
@@ -608,40 +463,14 @@ impl Simulation {
                 }
                 PlanDecision::Flush(set) => set,
             };
-            // Starvation promotions surface as priority inversions,
-            // exactly as in `SubmissionQueue::next_batch`.
-            if self.planner.priority_aware {
-                let floor = take
-                    .iter()
-                    .map(|&i| snapshot[i].priority)
-                    .min()
-                    .unwrap_or(Priority::Bulk);
-                let waiting_above =
-                    (0..snapshot.len()).any(|i| !take.contains(&i) && snapshot[i].priority > floor);
-                if waiting_above {
-                    self.stats.priority_inversions.inc();
-                }
-            }
-            // Drain the selected positions, preserving scheduling order.
-            let mut slots: Vec<Option<SimPending>> = take.iter().map(|_| None).collect();
-            let mut kept = VecDeque::with_capacity(self.queue.len());
-            for (pos, p) in self.queue.drain(..).enumerate() {
-                match take.iter().position(|&t| t == pos) {
-                    Some(slot) => slots[slot] = Some(p),
-                    None => kept.push_back(p),
-                }
-            }
-            self.queue = kept;
-            self.stats.queue_depth.set(self.queue.len() as u64);
-            let batch: Vec<SimPending> = slots
-                .into_iter()
-                .map(|p| p.expect("selected position drained"))
-                .collect();
+            let batch = self
+                .planner
+                .pop(&mut self.queue, &snapshot, &take, &self.stats);
             self.execute(worker, now, batch);
         }
     }
 
-    /// Runs one popped batch, mirroring `execute_batch`: batch
+    /// Runs one popped batch in `execute_batch`'s order: batch
     /// instruments, per-item queue time and cache probe (selection hits
     /// answer instantly with zero service time; embed hits and misses
     /// execute), one service-time charge for the coalesced remainder —
@@ -660,34 +489,40 @@ impl Simulation {
             .record(batch.iter().map(|p| p.req.tokens as u64).sum());
         self.stats.in_flight.add(size as u64);
 
+        let replays_embeds = !matches!(self.service, ServiceModel::Sharded(_));
         let mut planned: Vec<SimPending> = Vec::with_capacity(size);
         let mut planned_tokens = 0_u64;
         for p in batch {
             self.stats
                 .queued_us
                 .record(now.saturating_sub(p.enqueued_at));
-            match self.cache.lookup(p.req.session, p.req.corpus, p.req.key) {
-                Probe::Selection => {
+            let lookup = match &mut self.cache {
+                Some(cache) => cache.lookup(&p.req.session, p.req.corpus, &(), &p.req.key),
+                None => CacheLookup::Miss,
+            };
+            match lookup {
+                CacheLookup::Selection(_) => {
                     self.stats.cache_selection_hits.inc();
                     self.stats.service_us.record(0);
                     self.stats.completed.inc();
                     self.answer(p.req, p.first_attempt, true, now);
+                    continue;
                 }
-                Probe::Embed => {
-                    self.stats.cache_embed_hits.inc();
-                    planned_tokens += p.req.tokens as u64;
-                    planned.push(p);
-                }
-                Probe::Miss => {
-                    // The real miss path embeds the corpus and caches the
-                    // embedding before execution, so a same-batch repeat
-                    // already sees an embed hit.
+                CacheLookup::Embed(()) => self.stats.cache_embed_hits.inc(),
+                CacheLookup::Miss => {
+                    // An unsharded server embeds the corpus and caches
+                    // the embedding before execution, so a same-batch
+                    // repeat already sees an embed hit; a sharded one
+                    // keeps no embedding replay (shards embed their own
+                    // partitions).
                     self.stats.cache_misses.inc();
-                    self.cache.store_embed(p.req.session, p.req.corpus);
-                    planned_tokens += p.req.tokens as u64;
-                    planned.push(p);
+                    if let Some(cache) = self.cache.as_mut().filter(|_| replays_embeds) {
+                        cache.store_embed(&p.req.session, p.req.corpus, &(), ());
+                    }
                 }
             }
+            planned_tokens += p.req.tokens as u64;
+            planned.push(p);
         }
         if planned.is_empty() {
             self.stats.in_flight.sub(size as u64);
@@ -736,23 +571,24 @@ impl Simulation {
         let run = self.running[worker].take().expect("worker had a batch");
         self.worker_busy[worker] = false;
         for p in run.items {
-            if run.shard_failed {
-                // Unrecoverable shard fault (R=1): a typed error, never
-                // a wrong selection.
-                self.answer(p.req, p.first_attempt, false, at);
-            } else if p.cancel_at.is_some_and(|c| c <= at) {
-                self.stats.cancelled.inc();
-                self.answer(p.req, p.first_attempt, false, at);
-            } else if p.deadline_at.is_some_and(|d| d <= at) {
-                self.stats.deadline_missed.inc();
-                self.answer(p.req, p.first_attempt, false, at);
+            // An unrecoverable shard fault (R=1) is a typed error, never
+            // a wrong selection.
+            let failure = if run.shard_failed {
+                Some(ServeError::ShardFailure("simulated shard fault".into()))
             } else {
-                self.stats.service_us.record(run.service_us);
-                self.stats.completed.inc();
-                self.cache
-                    .store_selection(p.req.session, p.req.corpus, p.req.key);
-                self.answer(p.req, p.first_attempt, true, at);
+                p.verdict(at)
+            };
+            if let Some(err) = failure {
+                self.stats.count_failure(&err);
+                self.answer(p.req, p.first_attempt, false, at);
+                continue;
             }
+            self.stats.service_us.record(run.service_us);
+            self.stats.completed.inc();
+            if let Some(cache) = &mut self.cache {
+                cache.store_selection(&p.req.session, p.req.corpus, &(), p.req.key, &());
+            }
+            self.answer(p.req, p.first_attempt, true, at);
         }
         self.stats.in_flight.sub(run.size as u64);
     }
@@ -798,6 +634,8 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::service::{Calibration, ServiceModel};
+    use prism_device::{DeviceSpec, ScatterGatherCost, ServeBatchCost};
+    use prism_model::{ModelArch, ModelConfig};
     use prism_workload::TraceProfile;
     use std::time::Duration;
 
@@ -901,6 +739,58 @@ mod tests {
     }
 
     #[test]
+    fn sharded_servers_replay_no_embeddings() {
+        // Same session and corpus, different memo keys, one coalesced
+        // batch: the first miss caches the embedding the second replays
+        // — unless the modeled server is sharded, which keeps no
+        // embedding replay (`execute_batch`'s miss path).
+        let pair = |service: ServiceModel| {
+            let (mut a, mut b) = (req(0, 10), req(1, 10));
+            for r in [&mut a, &mut b] {
+                r.session = 3;
+                r.corpus = 42;
+            }
+            let config = ServeConfig {
+                workers: 1,
+                session_cache_capacity: 8,
+                ..Default::default()
+            };
+            let mut sim = Simulation::new(&config, service);
+            sim.event_loop(vec![(0_u64, a), (0_u64, b)].into_iter());
+            let report = sim.finish("pair", 2, false);
+            assert_eq!(report.stats().batches, 1, "one coalesced batch");
+            (report.stats().cache_embed_hits, report.stats().cache_misses)
+        };
+        assert_eq!(pair(flat_service(1_000.0)), (1, 1));
+        let worker = ServeBatchCost::new(
+            ModelConfig::test_config(ModelArch::DecoderOnly, 6),
+            DeviceSpec::apple_m2(),
+        );
+        let sharded = ServiceModel::sharded(ScatterGatherCost::new(worker, 2));
+        assert_eq!(pair(sharded), (0, 2));
+    }
+
+    #[test]
+    fn unrecoverable_shard_faults_count_as_answered() {
+        // Like `Pending::fail` on the server: a shard error answers the
+        // request, so it counts in `completed` (only cancellations and
+        // deadline sheds do not).
+        let arrivals: Vec<(u64, SimRequest)> = (0..4).map(|i| (i * 10_000, req(i, 10))).collect();
+        let mut sim = Simulation::new(&serial_config(), flat_service(1_000.0));
+        sim.set_faults(Some(SimFaults {
+            seed: 1,
+            per_mille: 1000,
+            shards: 2,
+            replicas: 1,
+        }));
+        sim.event_loop(arrivals.into_iter());
+        let report = sim.finish("faulted", 4, false);
+        assert_eq!((report.run.completed, report.run.errors), (0, 4));
+        assert_eq!(report.stats().completed, 4);
+        assert_eq!(report.stats().cancelled + report.stats().deadline_missed, 0);
+    }
+
+    #[test]
     fn queued_deadline_is_shed_not_executed() {
         // Deadline shorter than the wait behind a long-running batch.
         let mut dead = req(1, 10);
@@ -968,8 +858,14 @@ mod tests {
             r.client = Some((i % 4) as usize);
             streams[(i % 4) as usize].push_back(r);
         }
-        let report =
-            Simulation::run_closed(&config, flat_service(5_000.0), streams, "closed", false);
+        let report = Simulation::run_closed(
+            &config,
+            flat_service(5_000.0),
+            streams,
+            "closed",
+            false,
+            None,
+        );
         assert_eq!(report.run.completed, 16, "closed loop completes everything");
         assert!(report.run.backpressure_retries > 0);
         assert!(report.stats().rejected > 0);
@@ -1017,8 +913,9 @@ mod tests {
     fn trace_run_is_deterministic() {
         let config = ServeConfig::default();
         let generator = TraceGenerator::new(TraceProfile::burst_storm(2_000.0), 17);
-        let a = Simulation::run_trace(&config, flat_service(900.0), &generator, 5_000, "t");
-        let b = Simulation::run_trace(&config, flat_service(900.0), &generator, 5_000, "t");
+        let run =
+            || Simulation::run_trace(&config, flat_service(900.0), &generator, 5_000, "t", None);
+        let (a, b) = (run(), run());
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.events, b.events);
         assert_eq!(
@@ -1045,23 +942,10 @@ mod tests {
                 replicas,
             })
         };
-        let clean = Simulation::run_trace(&config, flat_service(900.0), &generator, 2_000, "t");
-        let covered = Simulation::run_trace_with(
-            &config,
-            flat_service(900.0),
-            &generator,
-            2_000,
-            "t",
-            faults(2),
-        );
-        let exposed = Simulation::run_trace_with(
-            &config,
-            flat_service(900.0),
-            &generator,
-            2_000,
-            "t",
-            faults(1),
-        );
+        let run = |faults| {
+            Simulation::run_trace(&config, flat_service(900.0), &generator, 2_000, "t", faults)
+        };
+        let (clean, covered, exposed) = (run(None), run(faults(2)), run(faults(1)));
 
         // R=2: every fault is absorbed as a failover replay — no new
         // errors, but the replay premium shows up in service time.
@@ -1083,14 +967,7 @@ mod tests {
         );
 
         // Seeded determinism: the faulted run replays bit-identically.
-        let replay = Simulation::run_trace_with(
-            &config,
-            flat_service(900.0),
-            &generator,
-            2_000,
-            "t",
-            faults(2),
-        );
+        let replay = run(faults(2));
         assert_eq!(covered.digest, replay.digest);
         // ... and to the bits drawn before the fault stream moved to the
         // shared `splitmix_next`.

@@ -83,7 +83,7 @@ proptest! {
             let svc = svc.clone();
             move || {
                 let generator = TraceGenerator::new(profile.clone(), seed);
-                Simulation::run_trace(&cfg, svc.clone(), &generator, n, "prop")
+                Simulation::run_trace(&cfg, svc.clone(), &generator, n, "prop", None)
             }
         };
         let baseline = run();
@@ -135,8 +135,8 @@ proptest! {
         };
         let cfg = ServeConfig::default();
         let svc = service(fixed_us, 10);
-        let a = simulate_closed_loop(&model, &spec, &cfg, svc.clone(), "prop");
-        let b = simulate_closed_loop(&model, &spec, &cfg, svc.clone(), "prop");
+        let a = simulate_closed_loop(&model, &spec, &cfg, svc.clone(), "prop", None);
+        let b = simulate_closed_loop(&model, &spec, &cfg, svc.clone(), "prop", None);
         prop_assert_eq!(a.digest, b.digest);
         prop_assert_eq!(report_bits(&a), report_bits(&b));
         prop_assert_eq!(a.run.completed + a.run.errors, requests);
@@ -144,7 +144,7 @@ proptest! {
         prop_assert_eq!(a.stats().rejected, a.run.backpressure_retries);
 
         let other = LoadSpec { seed: seed ^ 0x9E37_79B9, ..spec };
-        let c = simulate_closed_loop(&model, &other, &cfg, svc, "prop");
+        let c = simulate_closed_loop(&model, &other, &cfg, svc, "prop", None);
         // Different corpora change token counts, hence the event log.
         // (Identity could coincide only if every token count matched.)
         if report_bits(&a) != report_bits(&c) {
@@ -163,8 +163,8 @@ fn simulated_burst_day_is_deterministic_at_scale() {
     let cfg = ServeConfig::default();
     let svc = service(2_000, 20);
     let n = 100_000_u64;
-    let a = Simulation::run_trace(&cfg, svc.clone(), &generator, n, "day");
-    let b = Simulation::run_trace(&cfg, svc, &generator, n, "day");
+    let a = Simulation::run_trace(&cfg, svc.clone(), &generator, n, "day", None);
+    let b = Simulation::run_trace(&cfg, svc, &generator, n, "day", None);
     assert_eq!(a.digest, b.digest);
     assert_eq!(report_bits(&a), report_bits(&b));
     assert_eq!((a.run.completed + a.run.errors) as u64, n);
@@ -188,7 +188,7 @@ fn million_request_simulated_day_under_30s() {
     let cfg = ServeConfig::default();
     let svc = service(1_500, 15);
     let started = std::time::Instant::now();
-    let report = Simulation::run_trace(&cfg, svc, &generator, 1_000_000, "soak");
+    let report = Simulation::run_trace(&cfg, svc, &generator, 1_000_000, "soak", None);
     let wall = started.elapsed();
     assert_eq!(report.run.completed + report.run.errors, 1_000_000);
     assert!(
@@ -211,6 +211,7 @@ fn million_request_simulated_day_under_30s() {
         &generator,
         1_000_000,
         "soak",
+        None,
     );
     assert_eq!(report.digest, again.digest);
 }

@@ -19,4 +19,4 @@ pub mod recorder;
 pub use gamma::{cluster_gamma, goodman_kruskal_gamma};
 pub use gauge::{exact_quantile, Counter, Gauge, Histogram, HistogramSummary};
 pub use precision::precision_at_k;
-pub use recorder::{LatencyRecorder, MemCategory, MemoryMeter, MemorySample, SpanSummary};
+pub use recorder::{LatencyRecorder, MemCategory, MemoryMeter, SpanSummary};

@@ -3,9 +3,9 @@
 //! [`MemoryMeter`] is the measurement backbone of the memory experiments:
 //! runtime components report allocation/release of weights, activations,
 //! hidden states and caches under a [`MemCategory`] tag; the meter keeps
-//! current and peak totals plus a `(time, bytes)` timeline for
-//! memory-over-time plots. Handles are cheap clones sharing one meter, so
-//! the I/O thread and compute thread report to the same ledger.
+//! current and peak totals, overall and per category. Handles are cheap
+//! clones sharing one meter, so the I/O thread and compute thread report
+//! to the same ledger.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,25 +53,11 @@ impl MemCategory {
     }
 }
 
-/// One point on the memory timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct MemorySample {
-    /// Microseconds since the meter was created (or last reset).
-    pub at_micros: u64,
-    /// Total live bytes across categories at that instant.
-    pub total_bytes: u64,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MeterInner {
-    start: Instant,
     current: [u64; 6],
     peak_total: u64,
     peak_by_cat: [u64; 6],
-    timeline: Vec<MemorySample>,
-    /// Byte-seconds integral for average-memory reporting.
-    byte_micros: u128,
-    last_change: u64,
 }
 
 impl MeterInner {
@@ -80,26 +66,10 @@ impl MeterInner {
     }
 
     fn note_change(&mut self) {
-        let now = self.start.elapsed().as_micros() as u64;
-        let total = self.total();
-        self.byte_micros += u128::from(self.prev_total()) * u128::from(now - self.last_change);
-        self.last_change = now;
-        self.timeline.push(MemorySample {
-            at_micros: now,
-            total_bytes: total,
-        });
-        if total > self.peak_total {
-            self.peak_total = total;
+        self.peak_total = self.peak_total.max(self.total());
+        for (peak, &c) in self.peak_by_cat.iter_mut().zip(&self.current) {
+            *peak = (*peak).max(c);
         }
-        for (i, &c) in self.current.iter().enumerate() {
-            if c > self.peak_by_cat[i] {
-                self.peak_by_cat[i] = c;
-            }
-        }
-    }
-
-    fn prev_total(&self) -> u64 {
-        self.timeline.last().map_or(0, |s| s.total_bytes)
     }
 }
 
@@ -116,18 +86,10 @@ impl Default for MemoryMeter {
 }
 
 impl MemoryMeter {
-    /// Creates an empty meter with its clock starting now.
+    /// Creates an empty meter.
     pub fn new() -> Self {
         MemoryMeter {
-            inner: Arc::new(Mutex::new(MeterInner {
-                start: Instant::now(),
-                current: [0; 6],
-                peak_total: 0,
-                peak_by_cat: [0; 6],
-                timeline: Vec::new(),
-                byte_micros: 0,
-                last_change: 0,
-            })),
+            inner: Arc::new(Mutex::new(MeterInner::default())),
         }
     }
 
@@ -173,32 +135,9 @@ impl MemoryMeter {
         self.inner.lock().peak_by_cat[cat.index()]
     }
 
-    /// Time-weighted average of total live bytes since creation/reset.
-    pub fn average_total(&self) -> u64 {
-        let g = self.inner.lock();
-        let now = g.start.elapsed().as_micros() as u64;
-        if now == 0 {
-            return g.total();
-        }
-        let tail = u128::from(g.prev_total()) * u128::from(now - g.last_change);
-        ((g.byte_micros + tail) / u128::from(now)) as u64
-    }
-
-    /// Snapshot of the full `(time, bytes)` timeline.
-    pub fn timeline(&self) -> Vec<MemorySample> {
-        self.inner.lock().timeline.clone()
-    }
-
-    /// Clears totals, peaks and timeline; restarts the clock.
+    /// Clears current totals and peaks.
     pub fn reset(&self) {
-        let mut g = self.inner.lock();
-        g.start = Instant::now();
-        g.current = [0; 6];
-        g.peak_total = 0;
-        g.peak_by_cat = [0; 6];
-        g.timeline.clear();
-        g.byte_micros = 0;
-        g.last_change = 0;
+        *self.inner.lock() = MeterInner::default();
     }
 }
 
@@ -332,23 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_monotone_in_time() {
-        let m = MemoryMeter::new();
-        for i in 0..10 {
-            m.alloc(MemCategory::HiddenStates, i * 10);
-        }
-        let tl = m.timeline();
-        assert_eq!(tl.len(), 10);
-        for w in tl.windows(2) {
-            assert!(w[0].at_micros <= w[1].at_micros);
-        }
-        assert_eq!(
-            tl.last().unwrap().total_bytes,
-            (0..10).map(|i| i * 10).sum::<u64>()
-        );
-    }
-
-    #[test]
     fn clones_share_ledger() {
         let m = MemoryMeter::new();
         let m2 = m.clone();
@@ -363,17 +285,6 @@ mod tests {
         m.reset();
         assert_eq!(m.current_total(), 0);
         assert_eq!(m.peak_total(), 0);
-        assert!(m.timeline().is_empty());
-    }
-
-    #[test]
-    fn average_reflects_holding_time() {
-        let m = MemoryMeter::new();
-        m.alloc(MemCategory::Other, 1000);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let avg = m.average_total();
-        assert!(avg > 500, "avg {avg} should approach 1000");
-        assert!(avg <= 1000);
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub use load::{
     corpus_tag, drive_closed_loop, run_closed_loop, ClassReport, LoadReport, LoadRequest, LoadSpec,
     Sample, DUP_POOL,
 };
+pub use queue::dead_verdict;
 pub use quota::{QuotaToken, TenantQuota};
 pub use request::{ServeError, ServiceError};
 pub use scheduler::{BatchPlanner, PlanDecision, QueueItem};

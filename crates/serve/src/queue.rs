@@ -62,17 +62,34 @@ impl Pending {
         self.options.priority
     }
 
-    /// Answers the request with a typed error and counts it: caller
-    /// cancellations and deadline sheds on their own counters, any other
-    /// failure as a completed (answered) request. The one place this
-    /// split lives — queue sheds and workers both end up here.
+    /// Why this request is dead at `now`, if it is (see [`dead_verdict`]).
+    pub(crate) fn verdict(&self, now: Instant) -> Option<ServeError> {
+        dead_verdict(
+            self.cancel.is_cancelled(),
+            self.deadline.is_some_and(|d| now >= d),
+        )
+    }
+
+    /// Answers the request with a typed error, counted by
+    /// [`ServeStats::count_failure`]. Queue sheds and workers both end up
+    /// here.
     pub fn fail(mut self, stats: &ServeStats, err: ServeError) {
-        match err {
-            ServeError::Cancelled => stats.cancelled.inc(),
-            ServeError::DeadlineExceeded => stats.deadline_missed.inc(),
-            _ => stats.completed.inc(),
-        }
+        stats.count_failure(&err);
         self.reply.complete(Err(err));
+    }
+}
+
+/// The typed error of a request nobody wants any more: a caller
+/// cancellation wins over a passed deadline. The one copy of the rule —
+/// queue sheds, the worker's pickup filter and the serving metasim all
+/// ask here.
+pub fn dead_verdict(cancelled: bool, expired: bool) -> Option<ServeError> {
+    if cancelled {
+        Some(ServeError::Cancelled)
+    } else if expired {
+        Some(ServeError::DeadlineExceeded)
+    } else {
+        None
     }
 }
 
@@ -152,15 +169,7 @@ impl SubmissionQueue {
     fn shed_dead(&self, state: &mut QueueState, now: Instant) {
         let mut i = 0;
         while i < state.deque.len() {
-            let p = &state.deque[i];
-            let verdict = if p.cancel.is_cancelled() {
-                Some(ServeError::Cancelled)
-            } else if p.deadline.is_some_and(|d| now >= d) {
-                Some(ServeError::DeadlineExceeded)
-            } else {
-                None
-            };
-            match verdict {
+            match state.deque[i].verdict(now) {
                 Some(err) => {
                     let dead = state.deque.remove(i).expect("index in bounds");
                     dead.fail(&self.stats, err);
@@ -212,38 +221,7 @@ impl SubmissionQueue {
                     continue;
                 }
             };
-            // The starvation guard may admit an aged request past a
-            // higher-priority waiter: surface those as inversions. Only
-            // meaningful under the priority policy — the FIFO baseline
-            // ignores priorities by design and would report noise.
-            if planner.priority_aware {
-                let floor = take
-                    .iter()
-                    .map(|&i| snapshot[i].priority)
-                    .min()
-                    .unwrap_or(Priority::Bulk);
-                let waiting_above =
-                    (0..snapshot.len()).any(|i| !take.contains(&i) && snapshot[i].priority > floor);
-                if waiting_above {
-                    self.stats.priority_inversions.inc();
-                }
-            }
-            // Drain the selected positions, preserving scheduling order.
-            let mut slots: Vec<Option<Pending>> = take.iter().map(|_| None).collect();
-            let mut kept = VecDeque::with_capacity(state.deque.len());
-            for (pos, p) in state.deque.drain(..).enumerate() {
-                match take.iter().position(|&t| t == pos) {
-                    Some(slot) => slots[slot] = Some(p),
-                    None => kept.push_back(p),
-                }
-            }
-            state.deque = kept;
-            self.stats.queue_depth.set(state.deque.len() as u64);
-            let batch: Vec<Pending> = slots
-                .into_iter()
-                .map(|p| p.expect("selected position drained"))
-                .collect();
-            return Some(batch);
+            return Some(planner.pop(&mut state.deque, &snapshot, &take, &self.stats));
         }
     }
 

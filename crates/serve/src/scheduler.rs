@@ -13,7 +13,9 @@
 //! caller's clock: the real [`SubmissionQueue`](crate::queue) measures
 //! them against its creation epoch, the simulator against virtual time
 //! zero. The planner never asks what time it is — `now_micros` is a
-//! parameter.
+//! parameter. What follows a decision — the inversion count, draining
+//! the flush set, the depth gauge — is [`BatchPlanner::pop`], which the
+//! queue and the simulator both call over their own deques.
 //!
 //! ## Policy
 //!
@@ -40,7 +42,11 @@
 //! more arrivals unless something urgent (a `High` request, or a
 //! deadline tighter than the bound) is queued.
 
+use std::collections::VecDeque;
+
 use prism_core::Priority;
+
+use crate::stats::ServeStats;
 
 /// One queued request as the planner sees it. All timestamps are
 /// absolute microseconds on the caller's clock (queue epoch for the real
@@ -177,6 +183,49 @@ impl BatchPlanner {
             flush.push(i);
         }
         flush
+    }
+
+    /// The post-decision half of a queue pop, shared by
+    /// [`SubmissionQueue::next_batch`](crate::queue::SubmissionQueue::next_batch)
+    /// and the serving metasim: counts a priority inversion when the
+    /// starvation guard admitted `take` past a higher-priority waiter,
+    /// drains the `take` positions of `queue` (whose `snapshot` was
+    /// planned) in scheduling order, and records the remaining depth.
+    pub fn pop<T>(
+        &self,
+        queue: &mut VecDeque<T>,
+        snapshot: &[QueueItem],
+        take: &[usize],
+        stats: &ServeStats,
+    ) -> Vec<T> {
+        // Only meaningful under the priority policy — the FIFO baseline
+        // ignores priorities by design and would report noise.
+        if self.priority_aware {
+            let floor = take
+                .iter()
+                .map(|&i| snapshot[i].priority)
+                .min()
+                .unwrap_or(Priority::Bulk);
+            let waiting_above =
+                (0..snapshot.len()).any(|i| !take.contains(&i) && snapshot[i].priority > floor);
+            if waiting_above {
+                stats.priority_inversions.inc();
+            }
+        }
+        let mut slots: Vec<Option<T>> = take.iter().map(|_| None).collect();
+        let mut kept = VecDeque::with_capacity(queue.len());
+        for (pos, item) in queue.drain(..).enumerate() {
+            match take.iter().position(|&t| t == pos) {
+                Some(slot) => slots[slot] = Some(item),
+                None => kept.push_back(item),
+            }
+        }
+        *queue = kept;
+        stats.queue_depth.set(queue.len() as u64);
+        slots
+            .into_iter()
+            .map(|item| item.expect("selected position drained"))
+            .collect()
     }
 
     /// Whether anything queued should not wait out the age bound: a

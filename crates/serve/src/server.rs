@@ -453,16 +453,12 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
     // per-response `batch_size` describe what actually executes.
     let batch: Vec<Pending> = batch
         .into_iter()
-        .filter_map(|pending| {
-            if pending.cancel.is_cancelled() {
-                pending.fail(stats, ServiceError::Cancelled);
-                return None;
+        .filter_map(|pending| match pending.verdict(picked_at) {
+            Some(err) => {
+                pending.fail(stats, err);
+                None
             }
-            if pending.deadline.is_some_and(|d| picked_at >= d) {
-                pending.fail(stats, ServiceError::DeadlineExceeded);
-                return None;
-            }
-            Some(pending)
+            None => Some(pending),
         })
         .collect();
     if batch.is_empty() {
@@ -661,8 +657,8 @@ fn finish(
 
 /// Answers one request — every reply of the worker path goes through
 /// here: records the service time and counts the completion, or hands a
-/// failure to [`Pending::fail`] (which owns the
-/// cancelled / deadline-missed / completed split).
+/// failure to [`Pending::fail`] (counted by [`ServeStats::count_failure`],
+/// which owns the cancelled / deadline-missed / completed split).
 fn answer(
     stats: &ServeStats,
     mut pending: Pending,

@@ -8,7 +8,9 @@
 //! one corpus per session: the embedded hidden states (always reusable)
 //! plus a small memo of finished [`Selection`]s for exact repeats.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use prism_core::{
     ComputePrecision, PruneMode, RequestOptions, Selection, SemCacheMode, SpillPrecision,
@@ -74,13 +76,14 @@ impl SelectionKey {
     }
 }
 
-/// Result of a cache probe.
+/// Result of a cache probe. Generic over what the cache stores (see
+/// [`SessionCache`]); the defaults are the server's payloads.
 #[derive(Debug, Clone)]
-pub enum CacheLookup {
+pub enum CacheLookup<E = Tensor, V = Selection> {
     /// Exact repeat: the finished selection, replayed.
-    Selection(Box<Selection>),
+    Selection(Box<V>),
     /// Same corpus, different parameters: the embedded hidden states.
-    Embed(Tensor),
+    Embed(E),
     /// Corpus unknown (or changed) for this session.
     Miss,
 }
@@ -88,27 +91,41 @@ pub enum CacheLookup {
 /// Selections memoized per session; repeats beyond this evict the oldest.
 const MEMO_PER_SESSION: usize = 8;
 
-struct SessionEntry {
+struct SessionEntry<K, C, E, V> {
     fingerprint: u64,
     /// The actual corpus, kept to verify hits: a 64-bit fingerprint
     /// alone could collide and silently replay the wrong corpus.
-    corpus: SequenceBatch,
-    embed: Option<Tensor>,
-    selections: Vec<(SelectionKey, Selection)>,
+    corpus: C,
+    embed: Option<E>,
+    selections: Vec<(K, V)>,
     last_used: u64,
 }
 
 /// LRU map from session key to its cached corpus state.
 ///
+/// Generic over what it stores — session key `S`, memo key `K`, corpus
+/// guard `C`, embedding `E` and memoized selection `V` — with the
+/// server's types as defaults. The serving metasim holds one with unit
+/// payloads and the corpus id as fingerprint, so a simulated run probes,
+/// stores and evicts by this code, not by a copy of it.
+///
 /// Not internally synchronized — the server wraps it in a `Mutex` and
 /// holds the lock only around probes/stores, never during execution.
-pub struct SessionCache {
+pub struct SessionCache<S = String, K = SelectionKey, C = SequenceBatch, E = Tensor, V = Selection>
+{
     capacity: usize,
     tick: u64,
-    entries: HashMap<String, SessionEntry>,
+    entries: HashMap<S, SessionEntry<K, C, E, V>>,
 }
 
-impl SessionCache {
+impl<S, K, C, E, V> SessionCache<S, K, C, E, V>
+where
+    S: Hash + Eq,
+    K: PartialEq,
+    C: PartialEq + Clone,
+    E: Clone,
+    V: Clone,
+{
     /// Creates a cache holding at most `capacity` sessions.
     pub fn new(capacity: usize) -> Self {
         SessionCache {
@@ -128,30 +145,26 @@ impl SessionCache {
         self.entries.is_empty()
     }
 
-    /// Approximate resident bytes (embeddings dominate).
-    pub fn resident_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .filter_map(|e| e.embed.as_ref().map(|t| t.size_bytes() as u64))
-            .sum()
-    }
-
     /// Probes the cache for `session` + request `key`, refreshing
     /// recency on a hit. The fingerprint gates cheaply; the stored
     /// corpus is then compared in full so a hash collision can never
     /// replay another corpus's results.
-    pub fn lookup(
+    pub fn lookup<Q>(
         &mut self,
-        session: &str,
+        session: &Q,
         fingerprint: u64,
-        batch: &SequenceBatch,
-        key: &SelectionKey,
-    ) -> CacheLookup {
+        corpus: &C,
+        key: &K,
+    ) -> CacheLookup<E, V>
+    where
+        S: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.tick += 1;
         let Some(entry) = self.entries.get_mut(session) else {
             return CacheLookup::Miss;
         };
-        if entry.fingerprint != fingerprint || entry.corpus != *batch {
+        if entry.fingerprint != fingerprint || entry.corpus != *corpus {
             return CacheLookup::Miss;
         }
         entry.last_used = self.tick;
@@ -166,91 +179,78 @@ impl SessionCache {
 
     /// Records the embedded hidden states of `session`'s current corpus.
     /// A new corpus resets the entry.
-    pub fn store_embed(
-        &mut self,
-        session: &str,
-        fingerprint: u64,
-        batch: &SequenceBatch,
-        embed: Tensor,
-    ) {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(session) {
-            Some(entry) => {
-                if entry.fingerprint != fingerprint || entry.corpus != *batch {
-                    entry.fingerprint = fingerprint;
-                    entry.corpus = batch.clone();
-                    entry.selections.clear();
-                }
-                entry.embed = Some(embed);
-                entry.last_used = tick;
-            }
-            None => {
-                self.entries.insert(
-                    session.to_string(),
-                    SessionEntry {
-                        fingerprint,
-                        corpus: batch.clone(),
-                        embed: Some(embed),
-                        selections: Vec::new(),
-                        last_used: tick,
-                    },
-                );
-                self.evict_over_capacity();
-            }
-        }
+    pub fn store_embed<Q>(&mut self, session: &Q, fingerprint: u64, corpus: &C, embed: E)
+    where
+        Q: ToOwned<Owned = S> + ?Sized,
+    {
+        self.entry(session, fingerprint, corpus).embed = Some(embed);
+        self.evict_over_capacity();
     }
 
     /// Memoizes a finished selection for exact-repeat replay.
-    pub fn store_selection(
+    pub fn store_selection<Q>(
         &mut self,
-        session: &str,
+        session: &Q,
         fingerprint: u64,
-        batch: &SequenceBatch,
-        key: SelectionKey,
-        selection: &Selection,
-    ) {
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self
-            .entries
-            .entry(session.to_string())
-            .or_insert_with(|| SessionEntry {
-                fingerprint,
-                corpus: batch.clone(),
-                embed: None,
-                selections: Vec::new(),
-                last_used: tick,
-            });
-        if entry.fingerprint != fingerprint || entry.corpus != *batch {
-            entry.fingerprint = fingerprint;
-            entry.corpus = batch.clone();
-            entry.embed = None;
-            entry.selections.clear();
-        }
-        entry.last_used = tick;
-        if let Some(slot) = entry.selections.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = selection.clone();
-        } else {
-            if entry.selections.len() >= MEMO_PER_SESSION {
-                entry.selections.remove(0);
+        corpus: &C,
+        key: K,
+        selection: &V,
+    ) where
+        Q: ToOwned<Owned = S> + ?Sized,
+    {
+        let memo = &mut self.entry(session, fingerprint, corpus).selections;
+        match memo.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = selection.clone(),
+            None => {
+                if memo.len() >= MEMO_PER_SESSION {
+                    memo.remove(0);
+                }
+                memo.push((key, selection.clone()));
             }
-            entry.selections.push((key, selection.clone()));
         }
         self.evict_over_capacity();
     }
 
+    /// `session`'s entry with its recency refreshed: created if absent,
+    /// reset if its corpus changed.
+    fn entry<Q>(
+        &mut self,
+        session: &Q,
+        fingerprint: u64,
+        corpus: &C,
+    ) -> &mut SessionEntry<K, C, E, V>
+    where
+        Q: ToOwned<Owned = S> + ?Sized,
+    {
+        self.tick += 1;
+        let entry = self
+            .entries
+            .entry(session.to_owned())
+            .or_insert_with(|| SessionEntry {
+                fingerprint,
+                corpus: corpus.clone(),
+                embed: None,
+                selections: Vec::new(),
+                last_used: 0,
+            });
+        if entry.fingerprint != fingerprint || entry.corpus != *corpus {
+            entry.fingerprint = fingerprint;
+            entry.corpus = corpus.clone();
+            entry.embed = None;
+            entry.selections.clear();
+        }
+        entry.last_used = self.tick;
+        entry
+    }
+
     fn evict_over_capacity(&mut self) {
+        // `last_used` ticks are unique: exactly one entry holds the
+        // oldest, independent of hash iteration order.
         while self.entries.len() > self.capacity {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
+            let Some(oldest) = self.entries.values().map(|e| e.last_used).min() else {
                 return;
             };
-            self.entries.remove(&oldest);
+            self.entries.retain(|_, e| e.last_used != oldest);
         }
     }
 }
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn embed_then_selection_hit_progression() {
-        let mut cache = SessionCache::new(4);
+        let mut cache: SessionCache = SessionCache::new(4);
         let b = batch(&[1, 2, 3]);
         let fp = fingerprint_batch(&b);
         assert!(matches!(
@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn fingerprint_collision_is_caught_by_corpus_compare() {
-        let mut cache = SessionCache::new(4);
+        let mut cache: SessionCache = SessionCache::new(4);
         let b = batch(&[1, 2, 3]);
         let fp = fingerprint_batch(&b);
         cache.store_embed("s", fp, &b, Tensor::zeros(3, 2));
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn corpus_change_invalidates_session() {
-        let mut cache = SessionCache::new(4);
+        let mut cache: SessionCache = SessionCache::new(4);
         let b1 = batch(&[1, 2]);
         let b2 = batch(&[3, 4]);
         let (fp1, fp2) = (fingerprint_batch(&b1), fingerprint_batch(&b2));
@@ -379,7 +379,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_session() {
-        let mut cache = SessionCache::new(2);
+        let mut cache: SessionCache = SessionCache::new(2);
         let (ba, bb, bc) = (batch(&[1]), batch(&[2]), batch(&[3]));
         cache.store_embed("a", 1, &ba, Tensor::zeros(1, 1));
         cache.store_embed("b", 2, &bb, Tensor::zeros(1, 1));
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn memo_is_bounded_per_session() {
-        let mut cache = SessionCache::new(2);
+        let mut cache: SessionCache = SessionCache::new(2);
         let b = batch(&[5, 6]);
         for tag in 0..20_u64 {
             cache.store_selection("s", 9, &b, key(1, tag), &selection(tag as f32));
@@ -413,15 +413,5 @@ mod tests {
             cache.lookup("s", 9, &b, &key(1, 0)),
             CacheLookup::Selection(_)
         ));
-    }
-
-    #[test]
-    fn resident_bytes_tracks_embeddings() {
-        let mut cache = SessionCache::new(4);
-        let b = batch(&[1, 2, 3, 4]);
-        assert_eq!(cache.resident_bytes(), 0);
-        cache.store_embed("s", 1, &b, Tensor::zeros(4, 8));
-        assert_eq!(cache.resident_bytes(), 4 * 8 * 4);
-        assert!(!cache.is_empty());
     }
 }

@@ -186,8 +186,9 @@ fn interleaved_clients_match_sequential_reference() {
 mod edge_traces {
     use super::*;
     use prism::core::Priority;
+    use prism::device::{DeviceSpec, ScatterGatherCost, ServeBatchCost};
     use prism::metasim::{simulate_closed_loop, Calibration, ServiceModel};
-    use prism::serve::{LoadSpec, ServeError};
+    use prism::serve::{run_closed_loop, LoadSpec, ServeError, ServeStatsSnapshot};
     use std::time::Duration;
 
     /// A batch-size-independent flat service model: edge behaviour here
@@ -232,7 +233,7 @@ mod edge_traces {
             clients: 8,
             ..Default::default()
         };
-        let predicted = simulate_closed_loop(&model, &spec, &serve, flat(5_000.0), "burst");
+        let predicted = simulate_closed_loop(&model, &spec, &serve, flat(5_000.0), "burst", None);
         assert_eq!(
             predicted.run.completed, 32,
             "sim: retries must land everything"
@@ -318,7 +319,8 @@ mod edge_traces {
             options: RequestOptions::top_k(4).with_deadline_us(1_000),
             ..Default::default()
         };
-        let predicted = simulate_closed_loop(&model, &spec, &serve, flat(50_000.0), "deadline");
+        let predicted =
+            simulate_closed_loop(&model, &spec, &serve, flat(50_000.0), "deadline", None);
         assert!(
             predicted.stats().deadline_missed > 0,
             "sim: tight deadlines behind a slow worker must shed, got {:?}",
@@ -393,7 +395,7 @@ mod edge_traces {
             high_deadline_us: Some(30_000_000),
             ..Default::default()
         };
-        let predicted = simulate_closed_loop(&model, &spec, &serve, flat(3_000.0), "starve");
+        let predicted = simulate_closed_loop(&model, &spec, &serve, flat(3_000.0), "starve", None);
         assert_eq!(
             predicted.run.completed, 24,
             "sim: promotion must not drop work"
@@ -450,6 +452,68 @@ mod edge_traces {
             "server: starved bulk must be promoted like the sim predicted, got {snap:?}"
         );
         server.shutdown();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Session-cache parity: with one client the order is fixed, so the
+    /// simulator (which runs the server's own `SessionCache`) and the
+    /// real server count the same selection hits, embedding hits and
+    /// misses — unsharded, and sharded, where neither replays embeddings.
+    #[test]
+    fn session_cache_counters_match_between_sim_and_server() {
+        let (config, path) = fixture("edge-cache");
+        let spec = LoadSpec {
+            requests: 24,
+            clients: 1,
+            sessions: 2,
+            corpus_repeat: 3,
+            // Cross-session duplicates switch a session's corpus, so the
+            // entry-reset path is exercised too.
+            dup_fraction: 0.25,
+            ..Default::default()
+        };
+        let serve = ServeConfig::default();
+        let counters =
+            |s: &ServeStatsSnapshot| (s.cache_selection_hits, s.cache_embed_hits, s.cache_misses);
+        let resident = || {
+            PrismEngine::new(
+                Container::open(&path).unwrap(),
+                config.clone(),
+                EngineOptions {
+                    streaming: false,
+                    embed_cache: false,
+                    ..Default::default()
+                },
+                MemoryMeter::new(),
+            )
+            .unwrap()
+        };
+        let worker = ServeBatchCost::new(config.clone(), DeviceSpec::apple_m2());
+        let pairs = [
+            (
+                flat(2_000.0),
+                PrismServer::start(engine(&config, &path), serve.clone()).unwrap(),
+            ),
+            (
+                ServiceModel::sharded(ScatterGatherCost::new(worker, 2)),
+                PrismServer::start_sharded(vec![resident(), resident()], serve.clone()).unwrap(),
+            ),
+        ];
+        for (service, server) in pairs {
+            let sharded = server.shards().is_some();
+            let predicted = simulate_closed_loop(&config, &spec, &serve, service, "cache", None);
+            let measured = run_closed_loop(&server, &spec);
+            server.shutdown();
+            assert_eq!(
+                counters(predicted.stats()),
+                counters(measured.server_stats()),
+                "sharded: {sharded}"
+            );
+            assert!(
+                predicted.stats().cache_selection_hits > 0,
+                "repeats must hit"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }
