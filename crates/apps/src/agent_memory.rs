@@ -139,16 +139,6 @@ impl<R: Reranker> AgentMemory<R> {
         }
     }
 
-    /// Sets the score needed to trust a cached trajectory.
-    pub fn set_accept_threshold(&mut self, t: f32) {
-        self.accept_threshold = t;
-    }
-
-    /// Sets the required gap between the best and second-best scores.
-    pub fn set_accept_margin(&mut self, m: f32) {
-        self.accept_margin = m;
-    }
-
     /// Runs one multi-step task: each action consults the cache (when
     /// enabled), replays on a confident hit, and falls back to VLM
     /// inference otherwise.

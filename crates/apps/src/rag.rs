@@ -99,11 +99,6 @@ impl<R: Reranker> RagPipeline<R> {
         })
     }
 
-    /// Number of candidates each retrieval channel contributes.
-    pub fn set_retrieve_n(&mut self, n: usize) {
-        self.retrieve_n = n.max(1);
-    }
-
     /// The indexed corpus.
     pub fn corpus(&self) -> &Corpus {
         &self.corpus

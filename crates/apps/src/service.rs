@@ -16,25 +16,12 @@ use prism_model::SequenceBatch;
 /// [`Reranker`] over any facade backend.
 pub struct ServiceReranker<S: SelectionService> {
     service: S,
-    /// Options template applied to every rerank (the `k` field is
-    /// replaced per call); carries priority / deadline / routing
-    /// overrides into the backend's scheduler.
-    template: RequestOptions,
 }
 
 impl<S: SelectionService> ServiceReranker<S> {
-    /// Wraps a service with default request options.
+    /// Wraps a service; every rerank runs with default request options.
     pub fn new(service: S) -> Self {
-        ServiceReranker {
-            service,
-            template: RequestOptions::top_k(1),
-        }
-    }
-
-    /// Replaces the options template (its `k` is overridden per call).
-    pub fn with_options(mut self, template: RequestOptions) -> Self {
-        self.template = template;
-        self
+        ServiceReranker { service }
     }
 
     /// The wrapped service.
@@ -49,13 +36,9 @@ impl<S: SelectionService> Reranker for ServiceReranker<S> {
     }
 
     fn rerank(&mut self, batch: &SequenceBatch, k: usize) -> prism_core::Result<RankOutcome> {
-        let options = RequestOptions {
-            k,
-            ..self.template.clone()
-        };
         let outcome = self
             .service
-            .select(batch.clone(), options)
+            .select(batch.clone(), RequestOptions::top_k(k))
             .map_err(|e| match e {
                 ServiceError::Cancelled => PrismError::Cancelled,
                 ServiceError::DeadlineExceeded => PrismError::DeadlineExceeded,

@@ -49,15 +49,6 @@ impl SystemKind {
             SystemKind::PrismQuant { threshold } => format!("PRISM Quant(t={threshold})"),
         }
     }
-
-    /// Whether this system prunes (needs a real engine run for its
-    /// schedule).
-    pub fn is_prism(&self) -> bool {
-        matches!(
-            self,
-            SystemKind::Prism { .. } | SystemKind::PrismQuant { .. }
-        )
-    }
 }
 
 /// The paper's Low/High threshold pair (§6.2). Operating points are

@@ -82,7 +82,6 @@
 //!     [scheduling flags] [load flags]
 //!     [--fixed-us F] [--per-request-us F] [--per-token-us F]
 //!     [--shards N] [--parallel-shards on|off] [--fault-per-mille N]
-//!     [--tune on]
 //!     Deterministic discrete-event simulation of the serving stack: the
 //!     server's own batch planner, queue pop and session cache driven at
 //!     virtual time, so a simulated day of traffic costs seconds.
@@ -91,15 +90,13 @@
 //!     replays the load flags' request stream. Service times come from
 //!     the analytic `--device` cost model unless `--fixed-us` /
 //!     `--per-token-us` pin a calibrated affine model (e.g. fitted by
-//!     `repro sim-validate`).
-//!     `--tune on` sweeps the scheduling knobs through the simulator and
-//!     prints the best configuration for the device instead. `--shards N`
-//!     prices batches through the analytic scatter-gather model instead
-//!     (`--parallel-shards on` = one device per shard, off = colocated
-//!     loopback shards on one device). `--fault-per-mille N` draws a
-//!     shard fault on N of every 1000 simulated batches; with
-//!     `--replicas 2+` faults cost latency (failover replays), with the
-//!     default R=1 they cost requests (typed shard errors).
+//!     `repro sim-validate`). `--shards N` prices batches through the
+//!     analytic scatter-gather model instead (`--parallel-shards on` =
+//!     one device per shard, off = colocated loopback shards on one
+//!     device). `--fault-per-mille N` draws a shard fault on N of every
+//!     1000 simulated batches; with `--replicas 2+` faults cost latency
+//!     (failover replays), with the default R=1 they cost requests
+//!     (typed shard errors).
 //! ```
 //!
 //! A flag the verb does not read is an error. All commands return their
@@ -117,9 +114,7 @@ use prism_device::{
     simulate_hf, simulate_hf_offload, simulate_hf_quant, simulate_prism, BatchShape, DeviceSpec,
     PrismSimOptions, PruneSchedule, ScatterGatherCost, ServeBatchCost,
 };
-use prism_metasim::{
-    simulate_closed_loop, tune_for_device, Calibration, ServiceModel, SimFaults, Simulation,
-};
+use prism_metasim::{simulate_closed_loop, Calibration, ServiceModel, SimFaults, Simulation};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelConfig, SequenceBatch};
 use prism_serve::{
@@ -206,7 +201,7 @@ const VERBS: &[Verb] = &[
             LOAD_FLAGS,
             &["device", "mode", "profile", "rps", "events"],
             &["fixed-us", "per-request-us", "per-token-us"],
-            &["shards", "parallel-shards", "fault-per-mille", "tune"],
+            &["shards", "parallel-shards", "fault-per-mille"],
         ],
     ),
 ];
@@ -934,36 +929,7 @@ fn simulate_serve(p: &Parsed<'_>) -> Result<String, String> {
         );
     }
     let mode = p.flag("mode").unwrap_or("trace");
-    let report = if p.switch("tune")? {
-        let outcome = tune_for_device(&config, &device, &serve_config);
-        let winner = &outcome.points[outcome.best];
-        let tuned = outcome.best_config(&serve_config);
-        let _ = writeln!(
-            out,
-            "tuned {} on {} over {} grid points:",
-            config.name,
-            device.name,
-            outcome.points.len()
-        );
-        let _ = writeln!(
-            out,
-            "best: batch <= {} requests, wait {} us, starvation {} us, cache {} sessions",
-            winner.max_batch_requests,
-            winner.max_batch_wait_us,
-            winner.starvation_age_us,
-            winner.session_cache_capacity
-        );
-        let _ = writeln!(
-            out,
-            "simulated: {:.1} req/s, p99 {} us (base point: {:.1} req/s, p99 {} us)",
-            winner.throughput_rps,
-            winner.p99_us,
-            outcome.points[0].throughput_rps,
-            outcome.points[0].p99_us
-        );
-        tuned.validate().map_err(|e| e.to_string())?;
-        outcome.report
-    } else if mode == "trace" {
+    let report = if mode == "trace" {
         let rps: f64 = p.flag_parse("rps", 100.0)?;
         let events: u64 = p.flag_parse("events", 100_000)?;
         let seed: u64 = p.flag_parse("seed", 42)?;
@@ -1583,14 +1549,8 @@ mod tests {
             "unknown profile must be rejected"
         );
         assert!(run_strs(&["simulate-serve"]).is_err(), "missing model");
-    }
-
-    #[test]
-    fn simulate_serve_tune_reports_winner() {
-        let out = bge(&["simulate-serve"], &["--device", "m2", "--tune", "on"]).unwrap();
-        assert!(out.contains("grid points"), "{out}");
-        assert!(out.contains("best: batch <="), "{out}");
-        assert!(out.contains("base point:"), "{out}");
+        let err = run_strs(&["simulate-serve", "--model", "bge-m3", "--tune", "on"]).unwrap_err();
+        assert_eq!(err, "prsm simulate-serve: unknown flag --tune");
     }
 
     #[test]

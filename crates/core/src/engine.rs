@@ -543,9 +543,7 @@ impl PrismEngine {
     ) -> Result<Self> {
         options.validate()?;
         config.validate()?;
-        let throttle = options
-            .stream_throttle
-            .map_or(Throttle::unlimited(), Throttle::bandwidth);
+        let throttle = stream_throttle(&options);
 
         let mut head_blob = Vec::new();
         container.read_section_into(SECTION_HEAD, &mut head_blob)?;
@@ -679,10 +677,7 @@ impl PrismEngine {
         pool: &mut Vec<ForwardScratch>,
     ) -> Result<()> {
         let mut streamer = if self.options.streaming {
-            let throttle = self
-                .options
-                .stream_throttle
-                .map_or(Throttle::unlimited(), Throttle::bandwidth);
+            let throttle = stream_throttle(&self.options);
             let sections: Vec<String> = (0..self.config.num_layers).map(layer_section).collect();
             Some(LayerStreamer::new(
                 &self.container,
@@ -901,10 +896,7 @@ impl PrismEngine {
         // concurrent selections never share a slot file.
         let mut spill: Option<SpillPipeline> = None;
         if self.options.hidden_offload && chunks.len() > 3 {
-            let throttle = self
-                .options
-                .stream_throttle
-                .map_or(Throttle::unlimited(), Throttle::bandwidth);
+            let throttle = stream_throttle(&self.options);
             let max_rows = chunks.iter().map(Chunk::rows).max().unwrap_or(0);
             let mut path = self.spill_dir.clone();
             path.push(format!(
@@ -1691,6 +1683,14 @@ impl LayerRef<'_> {
             LayerRef::Owned(w) => w,
         }
     }
+}
+
+/// The bandwidth cap every storage read of an engine is paced by:
+/// weight streaming, embedding misses and hidden-state spill.
+fn stream_throttle(options: &EngineOptions) -> Throttle {
+    options
+        .stream_throttle
+        .map_or(Throttle::unlimited(), Throttle::bandwidth)
 }
 
 fn build_chunks(

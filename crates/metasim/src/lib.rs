@@ -26,22 +26,18 @@
 //! `LoadSpec::request_at`; `repro sim-validate` checks the prediction
 //! against the measured run within tolerance), and
 //! open-loop traces from [`prism_workload::TraceGenerator`] scale to a
-//! simulated day of million-user traffic in seconds. [`autotune`]
-//! sweeps `ServeConfig` knobs through the simulator to pick tuned
-//! defaults per device.
+//! simulated day of million-user traffic in seconds.
 //!
 //! Everything is bit-deterministic: a [`SimReport`] wraps the same
 //! `prism_serve::LoadReport` a measured run folds into and carries an
 //! FNV-1a digest of the processed event log, and identical inputs produce
 //! identical reports — the property the determinism proptests pin down.
 
-pub mod autotune;
 pub mod closed_loop;
 pub mod report;
 pub mod service;
 pub mod sim;
 
-pub use autotune::{tune, tune_for_device, tuning_workload, SweepPoint, TuneOutcome};
 pub use closed_loop::{client_streams, simulate_closed_loop};
 pub use report::SimReport;
 pub use service::{Calibration, ServiceModel};

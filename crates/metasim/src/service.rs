@@ -6,8 +6,7 @@
 //! * [`ServiceModel::Analytic`] — the `prism-device` cost model
 //!   ([`ServeBatchCost`]): per-layer compute at batch-level utilization,
 //!   weight streaming overlapped behind compute, and the §4.3 spill-byte
-//!   terms. Used by `prsm simulate-serve` and the auto-tuner, where no
-//!   measurement exists.
+//!   terms. Used by `prsm simulate-serve`, where no measurement exists.
 //! * [`ServiceModel::Calibrated`] — an affine fit
 //!   `fixed + per_request·n + per_token·T` whose coefficients come from
 //!   timing the *real* engine on known batch shapes. Used by
@@ -163,9 +162,9 @@ mod tests {
 
     #[test]
     fn analytic_model_sees_the_int8_compute_regime() {
-        // The serving metasim prices int8-compute workers through the
-        // same `ServeBatchCost` the autotuner sweeps, so flipping the
-        // knob must shorten compute-bound batches.
+        // The serving metasim prices int8-compute workers through
+        // `ServeBatchCost`, so flipping the knob must shorten
+        // compute-bound batches.
         let dense = ServeBatchCost::new(
             ModelConfig::test_config(ModelArch::DecoderOnly, 6),
             DeviceSpec::apple_m2(),

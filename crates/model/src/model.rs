@@ -262,11 +262,6 @@ impl Model {
             },
         })
     }
-
-    /// Section names in streaming order: `layer.0 .. layer.{L-1}`.
-    pub fn layer_sections(&self) -> Vec<String> {
-        (0..self.config.num_layers).map(layer_section).collect()
-    }
 }
 
 /// Adds the sinusoidal position encoding for position `pos` to an embedded

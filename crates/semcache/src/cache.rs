@@ -7,8 +7,8 @@
 //! Every observable behavior — probe results, eviction order, summary
 //! refresh points — is a pure function of the configuration seed and
 //! the call sequence. Hash maps are used only for point lookups, never
-//! for iteration-order-dependent decisions; LRU eviction walks a
-//! `BTreeMap` keyed by monotonic ticks.
+//! for iteration-order-dependent decisions; eviction takes the tail of a
+//! [`LruIndex`] over the entry slab.
 //!
 //! # Sound bucket rejection
 //!
@@ -25,9 +25,10 @@
 //! therefore never hides a member a full scan would have matched, which
 //! `semcache_props.rs` pins property-style.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use prism_cluster::kmeans;
+use prism_tensor::LruIndex;
 
 use crate::lsh::{cosine, Hyperplanes};
 use crate::store::Entry;
@@ -142,13 +143,12 @@ pub struct SemanticCache {
     free: Vec<usize>,
     /// fingerprint -> slot (exact tier).
     exact: HashMap<u64, usize>,
-    /// LRU order: tick -> slot. Ticks are unique and monotonic.
-    lru: BTreeMap<u64, usize>,
+    /// Recency over the slab's slots; only live slots are attached.
+    lru: LruIndex,
     /// signature -> bucket (similarity tier).
     buckets: HashMap<u64, Bucket>,
     poisoned: HashSet<u64>,
     bytes: u64,
-    next_tick: u64,
     stats: SemCacheStats,
 }
 
@@ -168,11 +168,10 @@ impl SemanticCache {
             slots: Vec::new(),
             free: Vec::new(),
             exact: HashMap::new(),
-            lru: BTreeMap::new(),
+            lru: LruIndex::new(0),
             buckets: HashMap::new(),
             poisoned: HashSet::new(),
             bytes: 0,
-            next_tick: 0,
             stats: SemCacheStats::default(),
         }
     }
@@ -226,7 +225,7 @@ impl SemanticCache {
                 .expect("exact map points at live slot");
             if entry.tokens == tokens && entry.profile == profile {
                 let (score, signature) = (entry.score, entry.signature);
-                self.touch(slot);
+                self.lru.touch(slot);
                 self.stats.exact_hits += 1;
                 return Probe::ExactHit {
                     score,
@@ -286,7 +285,7 @@ impl SemanticCache {
             fingerprint: entry.fingerprint,
             signature: entry.signature,
         };
-        self.touch(slot);
+        self.lru.touch(slot);
         Some(probe)
     }
 
@@ -304,7 +303,7 @@ impl SemanticCache {
                 .as_ref()
                 .expect("exact map points at live slot");
             if entry.tokens == tokens && entry.profile == profile {
-                self.touch(slot);
+                self.lru.touch(slot);
                 self.stats.rejected_inserts += 1;
                 return false;
             }
@@ -320,17 +319,14 @@ impl SemanticCache {
             self.stats.rejected_inserts += 1;
             return false;
         }
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        let entry = Entry::new(fp, tokens.to_vec(), profile, score, pooled, sig, tick);
+        let entry = Entry::new(fp, tokens.to_vec(), profile, score, pooled, sig);
         let need = entry.bytes();
         if need > self.config.capacity_bytes {
             self.stats.rejected_inserts += 1;
             return false;
         }
         while self.bytes + need > self.config.capacity_bytes {
-            let (&oldest, &slot) = self.lru.iter().next().expect("over budget implies entries");
-            debug_assert!(oldest < tick);
+            let slot = self.lru.lru().expect("over budget implies entries");
             self.remove_slot(slot);
             self.stats.evictions += 1;
         }
@@ -341,11 +337,11 @@ impl SemanticCache {
             }
             None => {
                 self.slots.push(Some(entry));
-                self.slots.len() - 1
+                self.lru.push_detached()
             }
         };
         self.exact.insert(fp, slot);
-        self.lru.insert(tick, slot);
+        self.lru.push_front(slot);
         self.bytes += need;
         let bucket = self.buckets.entry(sig).or_default();
         bucket.members.push(slot);
@@ -379,7 +375,7 @@ impl SemanticCache {
         self.slots.clear();
         self.free.clear();
         self.exact.clear();
-        self.lru.clear();
+        self.lru = LruIndex::new(0);
         self.buckets.clear();
         self.poisoned.clear();
         self.bytes = 0;
@@ -392,11 +388,11 @@ impl SemanticCache {
     /// kill) call this after draining.
     pub fn audit(&self) -> Result<u64, String> {
         let mut recomputed = 0u64;
-        let mut live = 0usize;
+        let mut live = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(e) = slot {
                 recomputed += e.bytes();
-                live += 1;
+                live.push(i);
                 if self.exact.get(&e.fingerprint) != Some(&i) {
                     return Err(format!("slot {i} missing from exact map"));
                 }
@@ -407,10 +403,12 @@ impl SemanticCache {
                 if !bucket.members.contains(&i) {
                     return Err(format!("slot {i} not a member of its bucket"));
                 }
-                if self.lru.get(&e.tick) != Some(&i) {
-                    return Err(format!("slot {i} missing from LRU order"));
-                }
             }
+        }
+        let mut ordered: Vec<usize> = self.lru.iter_mru().collect();
+        ordered.sort_unstable();
+        if ordered != live {
+            return Err(format!("LRU order {ordered:?} vs live slots {live:?}"));
         }
         if recomputed != self.bytes {
             return Err(format!(
@@ -418,11 +416,11 @@ impl SemanticCache {
                 self.bytes
             ));
         }
-        if live != self.exact.len() || live != self.lru.len() {
+        let live = live.len();
+        if live != self.exact.len() {
             return Err(format!(
-                "index cardinality drift: {live} live vs {} exact / {} lru",
-                self.exact.len(),
-                self.lru.len()
+                "index cardinality drift: {live} live vs {} exact",
+                self.exact.len()
             ));
         }
         let member_total: usize = self.buckets.values().map(|b| b.members.len()).sum();
@@ -434,23 +432,12 @@ impl SemanticCache {
         Ok(recomputed)
     }
 
-    /// Moves a slot to most-recently-used.
-    fn touch(&mut self, slot: usize) {
-        let entry = self.slots[slot].as_mut().expect("touch of live slot");
-        let old = entry.tick;
-        entry.tick = self.next_tick;
-        self.next_tick += 1;
-        self.lru.remove(&old);
-        let tick = self.slots[slot].as_ref().unwrap().tick;
-        self.lru.insert(tick, slot);
-    }
-
     /// Removes one slot from every index and releases its bytes.
     fn remove_slot(&mut self, slot: usize) {
         let entry = self.slots[slot].take().expect("remove of live slot");
         self.bytes -= entry.bytes();
         self.exact.remove(&entry.fingerprint);
-        self.lru.remove(&entry.tick);
+        self.lru.detach(slot);
         let mut now_empty = false;
         if let Some(bucket) = self.buckets.get_mut(&entry.signature) {
             bucket.members.retain(|&s| s != slot);

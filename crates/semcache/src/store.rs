@@ -13,7 +13,7 @@
 use prism_tensor::{RowQuantBlock, Tensor};
 
 /// Fixed accounting overhead per entry (fingerprint, signature, score,
-/// LRU tick, Vec headers). Deliberately a round constant rather than a
+/// recency links, Vec headers). Deliberately a round constant rather than a
 /// `size_of` expression so byte budgets are stable across platforms and
 /// the golden perf numbers don't drift with struct layout.
 pub const ENTRY_OVERHEAD_BYTES: u64 = 96;
@@ -34,13 +34,10 @@ pub struct Entry {
     pub vector: RowQuantBlock,
     /// LSH bucket signature the entry lives in.
     pub signature: u64,
-    /// Last-touch tick for LRU ordering (monotonic, unique).
-    pub tick: u64,
 }
 
 impl Entry {
-    /// Quantizes `pooled` and builds an entry. `tick` must be unique per
-    /// cache (the cache hands out a monotonic counter).
+    /// Quantizes `pooled` and builds an entry.
     pub fn new(
         fingerprint: u64,
         tokens: Vec<u32>,
@@ -48,7 +45,6 @@ impl Entry {
         score: f32,
         pooled: &[f32],
         signature: u64,
-        tick: u64,
     ) -> Self {
         let t = Tensor::from_vec(1, pooled.len(), pooled.to_vec())
             .expect("pooled vector is non-empty and rectangular");
@@ -60,7 +56,6 @@ impl Entry {
             score,
             vector,
             signature,
-            tick,
         }
     }
 
@@ -95,7 +90,7 @@ mod tests {
     #[test]
     fn entry_round_trips_vector_within_quant_error() {
         let pooled: Vec<f32> = (0..32).map(|i| (i as f32 * 0.3).sin()).collect();
-        let e = Entry::new(1, vec![5, 6, 7], 0, 0.5, &pooled, 9, 1);
+        let e = Entry::new(1, vec![5, 6, 7], 0, 0.5, &pooled, 9);
         let back = e.decode_vector();
         assert_eq!(back.len(), 32);
         let span = 2.0; // sin spans [-1, 1]
@@ -107,7 +102,7 @@ mod tests {
     #[test]
     fn byte_accounting_matches_parts() {
         let pooled = vec![0.25f32; 16];
-        let e = Entry::new(2, vec![1, 2], 1, 1.0, &pooled, 0, 2);
+        let e = Entry::new(2, vec![1, 2], 1, 1.0, &pooled, 0);
         // 1x16 rowq block: 16 code bytes + 4 (min) + 4 (scale).
         assert_eq!(e.vector.size_bytes(), 16 + 8);
         assert_eq!(e.bytes(), ENTRY_OVERHEAD_BYTES + 2 * 4 + 24);
@@ -117,7 +112,7 @@ mod tests {
     #[test]
     fn decode_is_deterministic() {
         let pooled: Vec<f32> = (0..8).map(|i| i as f32 * 0.125 - 0.4).collect();
-        let e = Entry::new(3, vec![9], 0, -0.25, &pooled, 4, 3);
+        let e = Entry::new(3, vec![9], 0, -0.25, &pooled, 4);
         let a: Vec<u32> = e.decode_vector().iter().map(|x| x.to_bits()).collect();
         let b: Vec<u32> = e.decode_vector().iter().map(|x| x.to_bits()).collect();
         assert_eq!(a, b);

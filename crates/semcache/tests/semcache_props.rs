@@ -8,7 +8,9 @@
 //!   agree on everything;
 //! * eviction never lets the byte meter exceed the budget, and the
 //!   meter always equals the sum over live entries (audit passes after
-//!   arbitrary interleavings of insert / probe / poison).
+//!   arbitrary interleavings of insert / probe / poison);
+//! * eviction is least-recently-used: with equal-size entries the live
+//!   set and eviction count follow a plain recency-list model.
 
 use prism_semcache::{Probe, SemCacheConfig, SemanticCache};
 use proptest::prelude::*;
@@ -126,6 +128,79 @@ proptest! {
         }
         cache.clear();
         prop_assert_eq!(cache.audit().unwrap(), 0);
+    }
+
+    /// Every entry costs the same bytes, so the budget is `slots`
+    /// entries and the cache must evict exactly as a `Vec` recency list
+    /// (most recent first) does: inserts and exact hits move an id to
+    /// the front, a full cache drops the back, a duplicate insert only
+    /// refreshes, and poisoning drops the bucket's ids without counting
+    /// them as evictions.
+    #[test]
+    fn eviction_order_matches_a_recency_list(
+        slots in 1_u64..6,
+        ops in prop::collection::vec((0_u32..24, 0_u8..8), 1..120),
+    ) {
+        let entry_size = {
+            let mut probe = SemanticCache::new(config(1 << 20, 0.9));
+            probe.insert(&[0, 0], 0, &pooled(0), 0.0);
+            probe.bytes()
+        };
+        let mut cache = SemanticCache::new(config(slots * entry_size, 0.9));
+        let mut mru: Vec<u32> = Vec::new();
+        let mut poisoned: Vec<u64> = Vec::new();
+        let mut evictions = 0_u64;
+        let mut inserted: Vec<u32> = Vec::new();
+        for &(i, kind) in &ops {
+            let sig = cache.signature(&pooled(i));
+            match kind {
+                0..=3 => {
+                    let admitted = cache.insert(&[i, i], 0, &pooled(i), i as f32);
+                    let want = if let Some(at) = mru.iter().position(|&x| x == i) {
+                        mru.remove(at);
+                        mru.insert(0, i);
+                        false
+                    } else if poisoned.contains(&sig) {
+                        false
+                    } else {
+                        if mru.len() as u64 == slots {
+                            mru.pop();
+                            evictions += 1;
+                        }
+                        mru.insert(0, i);
+                        inserted.push(i);
+                        true
+                    };
+                    prop_assert_eq!(admitted, want, "insert of {}", i);
+                }
+                4..=6 => {
+                    let hit = cache.probe(&[i, i], 0, None, false).is_hit();
+                    let at = mru.iter().position(|&x| x == i);
+                    prop_assert_eq!(hit, at.is_some(), "exact probe of {}", i);
+                    if let Some(at) = at {
+                        mru.remove(at);
+                        mru.insert(0, i);
+                    }
+                }
+                _ => {
+                    cache.poison(sig);
+                    if !poisoned.contains(&sig) {
+                        poisoned.push(sig);
+                    }
+                    mru.retain(|&x| cache.signature(&pooled(x)) != sig);
+                }
+            }
+        }
+        for &i in &inserted {
+            prop_assert_eq!(
+                cache.probe(&[i, i], 0, None, false).is_hit(),
+                mru.contains(&i),
+                "final membership of {}",
+                i
+            );
+        }
+        prop_assert_eq!(cache.stats().evictions, evictions);
+        prop_assert_eq!(cache.len(), mru.len());
     }
 
     /// Fast bucket rejection is sound: a probe answered `Miss` really

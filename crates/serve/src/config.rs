@@ -100,14 +100,9 @@ impl ServeConfig {
     /// tensors + hidden states) fits the memory left after weights and
     /// framework overhead already metered on `meter`.
     ///
-    /// The scheduling knobs stay at `Default`'s values (batches of 8
+    /// The scheduling knobs stay at `Default`'s constants (batches of 8
     /// requests, 2 ms coalescing wait, 50 ms starvation bound, 64 cached
-    /// sessions): at the deployment operating point — paper-scale models
-    /// streaming weights from a device SSD — the per-batch fixed cost
-    /// dominates and the serving-metasim sweep (`prsm simulate-serve
-    /// --tune`) lands on them for every device preset, so the token
-    /// budget is the only device-specific part. `prism-metasim`'s nightly
-    /// autotune test keeps those defaults honest against a fresh sweep.
+    /// sessions), so the token budget is the only device-specific part.
     pub fn for_device(config: &ModelConfig, device: &DeviceSpec, meter: &MemoryMeter) -> Self {
         let available = device
             .mem_capacity
@@ -284,8 +279,8 @@ mod tests {
         ] {
             let cfg = ServeConfig::for_device(&config, &device, &meter);
             cfg.validate().expect("device config must validate");
-            // The scheduling knobs are the metasim sweep winners
-            // (prism-metasim's ignored nightly test re-derives them).
+            // The scheduling knobs are `Default`'s constants on every
+            // device; only the token budget moves.
             assert_eq!(cfg.max_batch_requests, 8);
             assert_eq!(cfg.max_batch_wait, Duration::from_millis(2));
             assert_eq!(cfg.starvation_age, Duration::from_millis(50));

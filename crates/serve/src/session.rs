@@ -17,7 +17,7 @@ use prism_core::{
 };
 use prism_model::SequenceBatch;
 use prism_semcache::hash::{fnv1a, FNV_OFFSET};
-use prism_tensor::Tensor;
+use prism_tensor::{LruIndex, Tensor};
 
 /// FNV-1a over the packed tokens and sequence ranges: the identity of a
 /// candidate corpus for caching purposes.
@@ -91,14 +91,15 @@ pub enum CacheLookup<E = Tensor, V = Selection> {
 /// Selections memoized per session; repeats beyond this evict the oldest.
 const MEMO_PER_SESSION: usize = 8;
 
-struct SessionEntry<K, C, E, V> {
+struct SessionEntry<S, K, C, E, V> {
+    /// The owning session, so an evicted slot can leave the index.
+    session: S,
     fingerprint: u64,
     /// The actual corpus, kept to verify hits: a 64-bit fingerprint
     /// alone could collide and silently replay the wrong corpus.
     corpus: C,
     embed: Option<E>,
     selections: Vec<(K, V)>,
-    last_used: u64,
 }
 
 /// LRU map from session key to its cached corpus state.
@@ -113,14 +114,15 @@ struct SessionEntry<K, C, E, V> {
 /// holds the lock only around probes/stores, never during execution.
 pub struct SessionCache<S = String, K = SelectionKey, C = SequenceBatch, E = Tensor, V = Selection>
 {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<S, SessionEntry<K, C, E, V>>,
+    /// Up to `lru.capacity()` entries; a full cache reuses its LRU slot.
+    slots: Vec<SessionEntry<S, K, C, E, V>>,
+    index: HashMap<S, usize>,
+    lru: LruIndex,
 }
 
 impl<S, K, C, E, V> SessionCache<S, K, C, E, V>
 where
-    S: Hash + Eq,
+    S: Hash + Eq + Clone,
     K: PartialEq,
     C: PartialEq + Clone,
     E: Clone,
@@ -129,20 +131,20 @@ where
     /// Creates a cache holding at most `capacity` sessions.
     pub fn new(capacity: usize) -> Self {
         SessionCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            entries: HashMap::new(),
+            slots: Vec::new(),
+            index: HashMap::new(),
+            lru: LruIndex::new(capacity.max(1)),
         }
     }
 
     /// Number of cached sessions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Probes the cache for `session` + request `key`, refreshing
@@ -160,14 +162,14 @@ where
         S: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.tick += 1;
-        let Some(entry) = self.entries.get_mut(session) else {
+        let Some(&slot) = self.index.get(session) else {
             return CacheLookup::Miss;
         };
+        let entry = &self.slots[slot];
         if entry.fingerprint != fingerprint || entry.corpus != *corpus {
             return CacheLookup::Miss;
         }
-        entry.last_used = self.tick;
+        self.lru.touch(slot);
         if let Some((_, sel)) = entry.selections.iter().find(|(k, _)| k == key) {
             return CacheLookup::Selection(Box::new(sel.clone()));
         }
@@ -184,7 +186,6 @@ where
         Q: ToOwned<Owned = S> + ?Sized,
     {
         self.entry(session, fingerprint, corpus).embed = Some(embed);
-        self.evict_over_capacity();
     }
 
     /// Memoizes a finished selection for exact-repeat replay.
@@ -208,50 +209,56 @@ where
                 memo.push((key, selection.clone()));
             }
         }
-        self.evict_over_capacity();
     }
 
-    /// `session`'s entry with its recency refreshed: created if absent,
-    /// reset if its corpus changed.
+    /// `session`'s entry with its recency refreshed: reset if its corpus
+    /// changed, created if absent, evicting the least recently used
+    /// session when the cache is full.
     fn entry<Q>(
         &mut self,
         session: &Q,
         fingerprint: u64,
         corpus: &C,
-    ) -> &mut SessionEntry<K, C, E, V>
+    ) -> &mut SessionEntry<S, K, C, E, V>
     where
         Q: ToOwned<Owned = S> + ?Sized,
     {
-        self.tick += 1;
-        let entry = self
-            .entries
-            .entry(session.to_owned())
-            .or_insert_with(|| SessionEntry {
-                fingerprint,
-                corpus: corpus.clone(),
-                embed: None,
-                selections: Vec::new(),
-                last_used: 0,
-            });
-        if entry.fingerprint != fingerprint || entry.corpus != *corpus {
-            entry.fingerprint = fingerprint;
-            entry.corpus = corpus.clone();
-            entry.embed = None;
-            entry.selections.clear();
-        }
-        entry.last_used = self.tick;
-        entry
-    }
-
-    fn evict_over_capacity(&mut self) {
-        // `last_used` ticks are unique: exactly one entry holds the
-        // oldest, independent of hash iteration order.
-        while self.entries.len() > self.capacity {
-            let Some(oldest) = self.entries.values().map(|e| e.last_used).min() else {
-                return;
-            };
-            self.entries.retain(|_, e| e.last_used != oldest);
-        }
+        let session = session.to_owned();
+        let slot = match self.index.get(&session) {
+            Some(&slot) => {
+                self.lru.touch(slot);
+                let entry = &mut self.slots[slot];
+                if entry.fingerprint != fingerprint || entry.corpus != *corpus {
+                    entry.fingerprint = fingerprint;
+                    entry.corpus = corpus.clone();
+                    entry.embed = None;
+                    entry.selections.clear();
+                }
+                slot
+            }
+            None => {
+                let fresh = SessionEntry {
+                    session: session.clone(),
+                    fingerprint,
+                    corpus: corpus.clone(),
+                    embed: None,
+                    selections: Vec::new(),
+                };
+                let slot = if self.slots.len() < self.lru.capacity() {
+                    self.slots.push(fresh);
+                    self.slots.len() - 1
+                } else {
+                    let victim = self.lru.pop_lru().expect("a full cache has a victim");
+                    self.index.remove(&self.slots[victim].session);
+                    self.slots[victim] = fresh;
+                    victim
+                };
+                self.index.insert(session, slot);
+                self.lru.push_front(slot);
+                slot
+            }
+        };
+        &mut self.slots[slot]
     }
 }
 
@@ -395,6 +402,103 @@ mod tests {
             cache.lookup("a", 1, &ba, &key(1, 1)),
             CacheLookup::Embed(_)
         ));
+        // A lookup that misses on a changed corpus does not refresh
+        // recency: "c" stays the victim.
+        assert!(matches!(
+            cache.lookup("c", 9, &bb, &key(1, 1)),
+            CacheLookup::Miss
+        ));
+        cache.store_embed("b", 2, &bb, Tensor::zeros(1, 1));
+        assert!(matches!(
+            cache.lookup("c", 3, &bc, &key(1, 1)),
+            CacheLookup::Miss
+        ));
+        assert!(matches!(
+            cache.lookup("a", 1, &ba, &key(1, 1)),
+            CacheLookup::Embed(_)
+        ));
+
+        // A seeded sequence over more sessions than capacity, checked
+        // step by step against a recency list (most recent first) of
+        // (session, corpus, has_embed, memoized tags).
+        const CAPACITY: usize = 3;
+        let mut cache: SessionCache = SessionCache::new(CAPACITY);
+        let mut model: Vec<(String, u32, bool, Vec<u64>)> = Vec::new();
+        let mut x = 0x5eed_u64;
+        let mut draw = |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for step in 0..200 {
+            let (op, session, tag) = (draw(3), draw(6), draw(3));
+            let corpus = (session * 10 + draw(2)) as u32;
+            let name = format!("s{session}");
+            let b = batch(&[corpus]);
+            let fp = fingerprint_batch(&b);
+            let at = model.iter().position(|e| e.0 == name);
+            if op == 0 {
+                let got = cache.lookup(name.as_str(), fp, &b, &key(1, tag));
+                let want = match at {
+                    Some(i) if model[i].1 == corpus => {
+                        let e = model.remove(i);
+                        let want = if e.3.contains(&tag) {
+                            "selection"
+                        } else if e.2 {
+                            "embed"
+                        } else {
+                            "miss"
+                        };
+                        model.insert(0, e);
+                        want
+                    }
+                    _ => "miss",
+                };
+                match got {
+                    CacheLookup::Selection(sel) => {
+                        assert_eq!(want, "selection", "step {step}");
+                        assert_eq!(sel.ranked[0].score, tag as f32, "step {step}");
+                    }
+                    CacheLookup::Embed(t) => {
+                        assert_eq!(want, "embed", "step {step}");
+                        assert_eq!(t.rows(), corpus as usize + 1, "step {step}");
+                    }
+                    CacheLookup::Miss => assert_eq!(want, "miss", "step {step}"),
+                }
+            } else {
+                let mut e = match at {
+                    Some(i) => model.remove(i),
+                    None => {
+                        if model.len() == CAPACITY {
+                            model.pop();
+                        }
+                        (name.clone(), corpus, false, Vec::new())
+                    }
+                };
+                if e.1 != corpus {
+                    e = (name.clone(), corpus, false, Vec::new());
+                }
+                if op == 1 {
+                    let embed = Tensor::zeros(corpus as usize + 1, 1);
+                    cache.store_embed(name.as_str(), fp, &b, embed);
+                    e.2 = true;
+                } else {
+                    cache.store_selection(
+                        name.as_str(),
+                        fp,
+                        &b,
+                        key(1, tag),
+                        &selection(tag as f32),
+                    );
+                    if !e.3.contains(&tag) {
+                        e.3.push(tag);
+                    }
+                }
+                model.insert(0, e);
+            }
+            assert_eq!(cache.len(), model.len(), "step {step}");
+        }
     }
 
     #[test]

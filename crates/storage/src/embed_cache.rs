@@ -13,9 +13,9 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use prism_tensor::Tensor;
+use prism_tensor::{LruIndex, Tensor};
 
-use crate::{Container, LruIndex, Result, SectionMeta, StorageError, Throttle};
+use crate::{Container, Result, SectionMeta, StorageError, Throttle};
 
 /// Source of embedding rows (the disk-backed table, or an in-memory table in
 /// tests).
@@ -227,11 +227,6 @@ impl<S: RowSource> EmbeddingCache<S> {
     /// Statistics so far.
     pub fn stats(&self) -> EmbeddingCacheStats {
         self.stats
-    }
-
-    /// Resets statistics (e.g. between benchmark phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = EmbeddingCacheStats::default();
     }
 
     /// Embeds a token slice: row `i` of `out`, a row-major

@@ -15,8 +15,8 @@
 //!   emulate a specific SSD speed deterministically,
 //! * [`stream`] — [`stream::LayerStreamer`], the dual-buffer ("sliding
 //!   window") prefetcher that overlaps layer I/O with computation,
-//! * [`lru`] / [`embed_cache`] — an intrusive LRU index and the
-//!   disk-backed embedding-row cache built on it,
+//! * [`embed_cache`] — the disk-backed embedding-row cache, ordered by
+//!   [`prism_tensor::LruIndex`],
 //! * [`spill`] — slot-based spill files for offloaded hidden states, with
 //!   a versioned slot format holding raw `f32` or per-row-quantized int8
 //!   payloads ([`SpillPrecision`]),
@@ -27,7 +27,6 @@
 pub mod embed_cache;
 pub mod error;
 pub mod format;
-pub mod lru;
 pub mod spill;
 pub mod spill_pipeline;
 pub mod stream;
@@ -36,7 +35,6 @@ pub mod throttle;
 pub use embed_cache::{DiskRowSource, EmbeddingCache, EmbeddingCacheStats, RowSource};
 pub use error::StorageError;
 pub use format::{Container, ContainerWriter, SectionKind, SectionMeta};
-pub use lru::LruIndex;
 pub use spill::{crc32, fault, SpillFile, SpillPrecision};
 pub use spill_pipeline::{SpillPipeline, SpillStats};
 pub use stream::{LayerStreamer, LoadedSection, StreamStats};

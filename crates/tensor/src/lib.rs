@@ -15,7 +15,9 @@
 //!   compressed hidden-state spill format,
 //! * integer GEMM micro-kernels ([`igemm`]) that multiply rowq-encoded
 //!   activations against per-row symmetric i8 weights entirely in i32
-//!   accumulators — the compute half of the int8 path.
+//!   accumulators — the compute half of the int8 path,
+//! * [`LruIndex`], the one recency list behind every bounded cache
+//!   (embedding rows, serving sessions, semantic-cache entries).
 //!
 //! The only `unsafe` in this crate is the runtime-dispatched
 //! `#[target_feature]` SIMD kernels (AVX2 / AVX-512), each guarded by a
@@ -23,6 +25,7 @@
 
 pub mod error;
 pub mod igemm;
+pub mod lru;
 pub mod ops;
 pub mod quant;
 pub mod rowq;
@@ -30,6 +33,7 @@ pub mod tensor;
 
 pub use error::TensorError;
 pub use igemm::{Int8Matrix, RowQuantBlock};
+pub use lru::LruIndex;
 pub use quant::QuantMatrix;
 pub use tensor::Tensor;
 

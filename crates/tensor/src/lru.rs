@@ -1,15 +1,17 @@
-//! An intrusive, allocation-free LRU index over fixed slots.
+//! An intrusive, allocation-free LRU index over numbered slots.
 //!
-//! [`LruIndex`] tracks recency for a fixed number of slots using a doubly
-//! linked list embedded in two `Vec<u32>`s. It does not own values — the
-//! embedding cache keeps row payloads in one flat `Vec<f32>` and uses this
-//! index purely for eviction ordering, so a cache hit costs two vector
-//! writes and no allocation.
+//! [`LruIndex`] tracks recency for slots `0..capacity` using a doubly
+//! linked list embedded in two `Vec<u32>`s. It does not own values: every
+//! bounded cache in PRISM (embedding rows, serving sessions, semantic
+//! cache entries) keeps its payloads in its own slots and uses this index
+//! purely for eviction ordering, so a cache hit costs a few vector writes
+//! and no allocation.
 
 /// Sentinel meaning "no slot".
 const NIL: u32 = u32::MAX;
 
 /// Recency list over `capacity` slots; slot 0..capacity are caller-managed.
+/// A slab that grows appends slots with [`LruIndex::push_detached`].
 #[derive(Debug, Clone)]
 pub struct LruIndex {
     prev: Vec<u32>,
@@ -46,6 +48,16 @@ impl LruIndex {
     /// Maximum number of slots.
     pub fn capacity(&self) -> usize {
         self.prev.len()
+    }
+
+    /// Appends one detached slot and returns its number (the old
+    /// capacity).
+    pub fn push_detached(&mut self) -> usize {
+        let slot = self.capacity();
+        assert!(slot + 1 < NIL as usize, "capacity too large");
+        self.prev.push(NIL);
+        self.next.push(NIL);
+        slot
     }
 
     /// Attaches `slot` as the most recently used entry.
@@ -180,6 +192,18 @@ mod tests {
         // Reattach works.
         l.push_front(1);
         assert_eq!(l.iter_mru().collect::<Vec<_>>(), vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn push_detached_grows_a_slab() {
+        let mut l = LruIndex::new(0);
+        assert_eq!(l.push_detached(), 0);
+        l.push_front(0);
+        assert_eq!(l.push_detached(), 1);
+        assert_eq!(l.capacity(), 2);
+        assert_eq!(l.len(), 1, "a new slot starts detached");
+        l.push_front(1);
+        assert_eq!(l.iter_mru().collect::<Vec<_>>(), vec![1, 0]);
     }
 
     #[test]

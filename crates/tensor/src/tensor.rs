@@ -107,11 +107,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes the tensor to `rows x cols` in place, reusing the backing
     /// buffer (no reallocation while the new size fits its capacity).
     ///
