@@ -26,15 +26,16 @@ pub struct SelectionOutcome {
     pub selection: Selection,
     /// Submission index assigned by the service (1-based).
     pub ticket: u64,
-    /// Microseconds spent queued before execution started.
+    /// Microseconds spent waiting: for pickup and, on a server, for
+    /// company in the coalescing window before the weight pass.
     pub queued_us: u64,
-    /// Microseconds from the start of execution to the reply: planning
-    /// (embedding included), the layer pass shared across a coalesced
-    /// batch, finalize. Zero when a serving-layer cache answered outright;
+    /// Microseconds of work on the request: embedding and cache probes,
+    /// planning, the layer pass shared across a coalesced batch,
+    /// finalize. Zero when a serving-layer cache answered outright;
     /// otherwise `queued_us + service_us` spans submission to reply.
     pub service_us: u64,
-    /// Requests coalesced into the executing batch (1 for direct
-    /// execution).
+    /// Requests sharing the weight pass (1 for direct execution and for
+    /// a cache answer, which runs no pass).
     pub batch_size: usize,
     /// Whether a serving-layer cache answered or accelerated the request.
     pub served_from_cache: bool,

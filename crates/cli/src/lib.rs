@@ -23,8 +23,11 @@
 //!     [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
 //!     [--cache-sessions N] [--starvation-ms N] [--tenant-quota N]
 //!     [--replicas R] [--hedge-ms N]
-//!     The `ServeConfig` of a real or simulated server. `--tenant-quota N`
-//!     caps in-flight requests per tenant session; `--replicas R` places
+//!     The `ServeConfig` of a real or simulated server. `--wait-us N`
+//!     (default 2000) is how long a request that needs a weight pass
+//!     waits for company, counted from its submission; a cache answer
+//!     leaves at pickup and never waits. `--tenant-quota N` caps
+//!     in-flight requests per tenant session; `--replicas R` places
 //!     every candidate on R shards (rendezvous rank order) so a dead or
 //!     stalled shard fails over bit-identically; `--hedge-ms N` hedges a
 //!     shard stalled longer than N ms onto its next replica (0 = off).

@@ -9,11 +9,12 @@
 //! probes, stores and evicts, [`dead_verdict`] sheds and
 //! [`ServeStats::count_failure`] counts, all into a real [`ServeStats`].
 //! What lives here is the event loop, the workers' virtual busy time and
-//! the order `server.rs::execute_batch` applies those components in:
-//! shed at pickup, batch instruments, per-item queue time and cache
-//! probe (selection hits answer instantly with zero service time), one
-//! engine pass per coalesced batch, and cancel/deadline outcomes at
-//! completion that never fail batch-mates.
+//! the order `server.rs` applies those components in: a free worker
+//! first takes every arrival through the session-cache probe (a
+//! selection hit is answered at pickup with zero service time, and never
+//! waits for company), the rest enter the coalescing window the planner
+//! decides over, one engine pass runs per flushed set, and cancel /
+//! deadline outcomes at completion never fail pass-mates.
 //!
 //! Everything is deterministic: no wall clock, no thread interleaving,
 //! no hash-order dependence (the event heap orders by `(time, sequence)`
@@ -156,9 +157,6 @@ impl Ord for Scheduled {
 
 struct RunningBatch {
     items: Vec<SimPending>,
-    /// Post-shed batch size (selection hits included) — the `in_flight`
-    /// increment to undo at completion.
-    size: usize,
     service_us: u64,
     /// A shard fault hit this batch with no replica to fail over to:
     /// every member surfaces a typed shard error at completion.
@@ -204,7 +202,10 @@ pub struct Simulation {
     now: u64,
     seq: u64,
     heap: BinaryHeap<Scheduled>,
-    queue: VecDeque<SimPending>,
+    /// Accepted requests no worker has probed yet.
+    arrivals: VecDeque<SimPending>,
+    /// The coalescing window: probed requests that need a pass.
+    window: VecDeque<SimPending>,
     worker_busy: Vec<bool>,
     running: Vec<Option<RunningBatch>>,
     timer_at: Option<u64>,
@@ -236,7 +237,8 @@ impl Simulation {
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
-            queue: VecDeque::new(),
+            arrivals: VecDeque::new(),
+            window: VecDeque::new(),
             worker_busy: vec![false; workers],
             running: (0..workers).map(|_| None).collect(),
             timer_at: None,
@@ -381,10 +383,10 @@ impl Simulation {
             self.answer(req, first_attempt, false, now);
             return;
         }
-        if self.queue.len() >= self.queue_capacity {
+        if self.depth() >= self.queue_capacity {
             self.shed_dead(now);
         }
-        if self.queue.len() >= self.queue_capacity {
+        if self.depth() >= self.queue_capacity {
             self.stats.rejected.inc();
             self.mix(2, now, req.id);
             if req.client.is_some() {
@@ -408,42 +410,51 @@ impl Simulation {
             first_attempt,
             enqueued_at: now,
         };
-        self.queue.push_back(pending);
-        self.stats.queue_depth.set(self.queue.len() as u64);
+        self.arrivals.push_back(pending);
+        self.set_depth();
         self.try_dispatch(now);
     }
 
-    /// Answers and removes every queued request that is already dead —
-    /// the queue's shed pass.
+    /// Requests accepted and not yet answered or taken into a pass.
+    fn depth(&self) -> usize {
+        self.arrivals.len() + self.window.len()
+    }
+
+    fn set_depth(&self) {
+        self.stats.queue_depth.set(self.depth() as u64);
+    }
+
+    /// Answers and removes every request of either stage that is
+    /// already dead — the queue's shed pass, window first (its entries
+    /// arrived before any waiting arrival).
     fn shed_dead(&mut self, now: u64) {
-        let mut i = 0;
-        while i < self.queue.len() {
-            match self.queue[i].verdict(now) {
-                Some(err) => {
-                    let p = self.queue.remove(i).expect("index in bounds");
-                    self.stats.count_failure(&err);
-                    self.answer(p.req, p.first_attempt, false, now);
-                }
-                None => i += 1,
-            }
+        let mut dead = take_dead(&mut self.window, now);
+        dead.extend(take_dead(&mut self.arrivals, now));
+        for (p, err) in dead {
+            self.stats.count_failure(&err);
+            self.answer(p.req, p.first_attempt, false, now);
         }
     }
 
-    /// Pops planner-approved batches onto idle workers until the planner
-    /// says wait (scheduling a replan timer) or no worker is free —
-    /// the virtual-time equivalent of each worker's `next_batch` loop.
+    /// Hands work to idle workers until the planner says wait
+    /// (scheduling a replan timer) or no worker is free — the
+    /// virtual-time equivalent of each worker's `next_work` loop: every
+    /// arrival is probed first, then the window is planned.
     fn try_dispatch(&mut self, now: u64) {
         loop {
             let Some(worker) = self.worker_busy.iter().position(|b| !b) else {
                 return;
             };
             self.shed_dead(now);
-            if self.queue.is_empty() {
-                self.stats.queue_depth.set(0);
+            while let Some(p) = self.arrivals.pop_front() {
+                self.probe(p, now);
+            }
+            self.set_depth();
+            if self.window.is_empty() {
                 return;
             }
             let snapshot: Vec<QueueItem> = self
-                .queue
+                .window
                 .iter()
                 .map(|p| QueueItem {
                     tokens: p.req.tokens,
@@ -463,75 +474,66 @@ impl Simulation {
                 }
                 PlanDecision::Flush(set) => set,
             };
-            let batch = self
+            let pass = self
                 .planner
-                .pop(&mut self.queue, &snapshot, &take, &self.stats);
-            self.execute(worker, now, batch);
+                .pop(&mut self.window, &snapshot, &take, &self.stats);
+            self.set_depth();
+            self.execute(worker, now, pass);
         }
     }
 
-    /// Runs one popped batch in `execute_batch`'s order: batch
-    /// instruments, per-item queue time and cache probe (selection hits
-    /// answer instantly with zero service time; embed hits and misses
-    /// execute), one service-time charge for the coalesced remainder —
-    /// the worker's busy interval from pickup to reply, which is what the
-    /// server records as `service_us` (planning and embedding included).
-    fn execute(&mut self, worker: usize, now: u64, batch: Vec<SimPending>) {
-        let size = batch.len();
-        if size == 0 {
-            return;
+    /// The probe half at pickup, in `server.rs::probe`'s order: the
+    /// session-memo probe answers a selection hit at once, with zero
+    /// service time; an unsharded miss stores its embedding for later
+    /// repeats (a sharded server keeps no embedding replay: shards embed
+    /// their own partitions). Everything else enters the window.
+    fn probe(&mut self, p: SimPending, now: u64) {
+        let lookup = match &mut self.cache {
+            Some(cache) => cache.lookup(&p.req.session, p.req.corpus, &(), &p.req.key),
+            None => CacheLookup::Miss,
+        };
+        match lookup {
+            CacheLookup::Selection(_) => {
+                self.stats.cache_selection_hits.inc();
+                self.stats
+                    .queued_us
+                    .record(now.saturating_sub(p.enqueued_at));
+                self.stats.service_us.record(0);
+                self.stats.completed.inc();
+                self.answer(p.req, p.first_attempt, true, now);
+                return;
+            }
+            CacheLookup::Embed(()) => self.stats.cache_embed_hits.inc(),
+            CacheLookup::Miss => {
+                self.stats.cache_misses.inc();
+                let replays_embeds = !matches!(self.service, ServiceModel::Sharded(_));
+                if let Some(cache) = self.cache.as_mut().filter(|_| replays_embeds) {
+                    cache.store_embed(&p.req.session, p.req.corpus, &(), ());
+                }
+            }
         }
+        self.window.push_back(p);
+    }
+
+    /// Runs one pass flushed from the window: pass instruments, each
+    /// member's queue time, and one service-time charge for the set —
+    /// the worker's busy interval from pickup to reply, which is what the
+    /// server records as `service_us` (planning included; the probe's
+    /// embedding is priced there too).
+    fn execute(&mut self, worker: usize, now: u64, pass: Vec<SimPending>) {
+        let size = pass.len();
         self.mix(3, now, size as u64);
+        let tokens: u64 = pass.iter().map(|p| p.req.tokens as u64).sum();
         self.stats.batches.inc();
         self.stats.batch_size.record(size as u64);
-        self.stats
-            .batch_tokens
-            .record(batch.iter().map(|p| p.req.tokens as u64).sum());
+        self.stats.batch_tokens.record(tokens);
         self.stats.in_flight.add(size as u64);
-
-        let replays_embeds = !matches!(self.service, ServiceModel::Sharded(_));
-        let mut planned: Vec<SimPending> = Vec::with_capacity(size);
-        let mut planned_tokens = 0_u64;
-        for p in batch {
+        for p in &pass {
             self.stats
                 .queued_us
                 .record(now.saturating_sub(p.enqueued_at));
-            let lookup = match &mut self.cache {
-                Some(cache) => cache.lookup(&p.req.session, p.req.corpus, &(), &p.req.key),
-                None => CacheLookup::Miss,
-            };
-            match lookup {
-                CacheLookup::Selection(_) => {
-                    self.stats.cache_selection_hits.inc();
-                    self.stats.service_us.record(0);
-                    self.stats.completed.inc();
-                    self.answer(p.req, p.first_attempt, true, now);
-                    continue;
-                }
-                CacheLookup::Embed(()) => self.stats.cache_embed_hits.inc(),
-                CacheLookup::Miss => {
-                    // An unsharded server embeds the corpus and caches
-                    // the embedding before execution, so a same-batch
-                    // repeat already sees an embed hit; a sharded one
-                    // keeps no embedding replay (shards embed their own
-                    // partitions).
-                    self.stats.cache_misses.inc();
-                    if let Some(cache) = self.cache.as_mut().filter(|_| replays_embeds) {
-                        cache.store_embed(&p.req.session, p.req.corpus, &(), ());
-                    }
-                }
-            }
-            planned_tokens += p.req.tokens as u64;
-            planned.push(p);
         }
-        if planned.is_empty() {
-            self.stats.in_flight.sub(size as u64);
-            return;
-        }
-        let mut service_us = self
-            .service
-            .batch_micros(planned.len(), planned_tokens)
-            .max(1);
+        let mut service_us = self.service.batch_micros(size, tokens).max(1);
         let mut shard_failed = false;
         if let Some(f) = self.faults {
             let draw = splitmix_next(&mut self.fault_state) % 1000;
@@ -541,9 +543,9 @@ impl Simulation {
                     // Failover: the victim shard's sub-batch replays on
                     // its next-ranked replica — one shard's share of the
                     // forward paid a second time, result unchanged.
-                    let share = planned_tokens / f.shards.max(1) as u64;
-                    service_us = service_us
-                        .saturating_add(self.service.batch_micros(planned.len(), share).max(1));
+                    let share = tokens / f.shards.max(1) as u64;
+                    service_us =
+                        service_us.saturating_add(self.service.batch_micros(size, share).max(1));
                     self.stats.failovers.inc();
                 } else {
                     // Nothing covers the fault: the batch still occupies
@@ -556,20 +558,20 @@ impl Simulation {
         self.worker_busy[worker] = true;
         self.schedule(now.saturating_add(service_us), Event::WorkerFree { worker });
         self.running[worker] = Some(RunningBatch {
-            items: planned,
-            size,
+            items: pass,
             service_us,
             shard_failed,
         });
     }
 
-    /// Finalizes a finished batch: a member cancelled or past its
+    /// Finalizes a finished pass: a member cancelled or past its
     /// deadline mid-run surfaces its typed error without failing its
-    /// batch-mates; survivors record the shared service time and seed
+    /// pass-mates; survivors record the shared service time and seed
     /// the session cache.
     fn complete(&mut self, worker: usize, at: u64) {
         let run = self.running[worker].take().expect("worker had a batch");
         self.worker_busy[worker] = false;
+        let size = run.items.len();
         for p in run.items {
             // An unrecoverable shard fault (R=1) is a typed error, never
             // a wrong selection.
@@ -590,7 +592,7 @@ impl Simulation {
             }
             self.answer(p.req, p.first_attempt, true, at);
         }
-        self.stats.in_flight.sub(run.size as u64);
+        self.stats.in_flight.sub(size as u64);
     }
 
     /// Delivers the reply to the caller: sample or error, digest fold,
@@ -628,6 +630,20 @@ impl Simulation {
             ),
         }
     }
+}
+
+/// Removes the entries of `stage` that are dead at `now`, in order, with
+/// their typed errors.
+fn take_dead(stage: &mut VecDeque<SimPending>, now: u64) -> Vec<(SimPending, ServeError)> {
+    let mut dead = Vec::new();
+    let mut i = 0;
+    while i < stage.len() {
+        match stage[i].verdict(now) {
+            Some(err) => dead.push((stage.remove(i).expect("index in bounds"), err)),
+            None => i += 1,
+        }
+    }
+    dead
 }
 
 #[cfg(test)]
@@ -710,7 +726,8 @@ mod tests {
     #[test]
     fn selection_hits_complete_instantly() {
         // Same (session, corpus, key) back to back on a cached config:
-        // the repeat replays with zero service time.
+        // the repeat replays at pickup with zero service time, without
+        // waiting out the coalescing window the first request waited.
         let mut a = req(0, 10);
         let mut b = req(1, 10);
         for r in [&mut a, &mut b] {
@@ -721,7 +738,6 @@ mod tests {
         let arrivals = vec![(0_u64, a), (10_000_u64, b)];
         let config = ServeConfig {
             workers: 1,
-            max_batch_requests: 1,
             session_cache_capacity: 8,
             ..Default::default()
         };
@@ -730,20 +746,22 @@ mod tests {
         let report = sim.finish("cached", 2, false);
         assert_eq!(report.stats().cache_selection_hits, 1);
         assert_eq!(report.stats().cache_misses, 1);
-        // Like the real server, an all-hit pickup still counts as a
-        // batch — but it charges no service time, so the repeat is
-        // answered the instant it is picked up (t = 10ms, latency 0).
-        assert_eq!(report.stats().batches, 2);
+        // Like the real server, a cache answer joins no pass: one pass
+        // ran, for the miss, after its 2 ms window (latency 3 ms); the
+        // repeat is answered the instant it is picked up (t = 10 ms).
+        assert_eq!(report.stats().batches, 1);
         assert_eq!(report.run.completed, 2);
+        assert_eq!(report.run.max_us, 3_000);
         assert_eq!(report.run.elapsed_s, 10_000.0 / 1e6);
+        assert_eq!(report.stats().queued_us.max, 2_000);
     }
 
     #[test]
     fn sharded_servers_replay_no_embeddings() {
         // Same session and corpus, different memo keys, one coalesced
-        // batch: the first miss caches the embedding the second replays
-        // — unless the modeled server is sharded, which keeps no
-        // embedding replay (`execute_batch`'s miss path).
+        // pass: the first miss's probe caches the embedding the second
+        // replays — unless the modeled server is sharded, which keeps no
+        // embedding replay (`server.rs::probe`'s miss path).
         let pair = |service: ServiceModel| {
             let (mut a, mut b) = (req(0, 10), req(1, 10));
             for r in [&mut a, &mut b] {
@@ -969,10 +987,12 @@ mod tests {
         // Seeded determinism: the faulted run replays bit-identically.
         let replay = run(faults(2));
         assert_eq!(covered.digest, replay.digest);
-        // ... and to the bits drawn before the fault stream moved to the
-        // shared `splitmix_next`.
-        assert_eq!(covered.digest, 0x9069_0298_ba84_c269);
-        assert_eq!(covered.stats().failovers, 204);
+        // ... and to pinned bits. This trace repeats corpora, so the pin
+        // also fixes when selection hits are answered: at pickup, never
+        // inside a pass.
+        assert_eq!(covered.digest, 0x08b1_3122_f90c_d9d8);
+        assert_eq!(covered.stats().failovers, 202);
+        assert_eq!(covered.stats().cache_selection_hits, 466);
         assert_eq!(
             serde_json::to_string(&covered).unwrap(),
             serde_json::to_string(&replay).unwrap()

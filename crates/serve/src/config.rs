@@ -16,16 +16,19 @@ pub struct ServeConfig {
     /// Worker threads, each driving the shared engine with its own
     /// scratch pool.
     pub workers: usize,
-    /// Capacity of the bounded submission queue (beyond it, `submit`
-    /// returns [`ServeError::Backpressure`]).
+    /// Capacity of the bounded submission queue, counting arrivals,
+    /// requests in their cache probe and the coalescing window alike
+    /// (beyond it, `submit` returns [`ServeError::Backpressure`]).
     pub queue_capacity: usize,
-    /// Maximum requests coalesced into one batch.
+    /// Maximum requests coalesced into one weight pass.
     pub max_batch_requests: usize,
-    /// Maximum total packed tokens per coalesced batch — the serving
-    /// memory budget (see [`ServeConfig::for_device`]).
+    /// Maximum total packed tokens per weight pass — the serving memory
+    /// budget (see [`ServeConfig::for_device`]).
     pub max_batch_tokens: usize,
-    /// Longest an under-full batch waits for more arrivals before
-    /// flushing (the coalescing age bound).
+    /// How long work that needs a weight pass waits for company: the
+    /// age, from its enqueue, at which an under-full pass flushes anyway
+    /// (the coalescing age bound). Cache answers leave at pickup and
+    /// never wait it out.
     pub max_batch_wait: Duration,
     /// Sessions retained by the LRU session cache; `0` disables caching.
     pub session_cache_capacity: usize,
@@ -100,8 +103,9 @@ impl ServeConfig {
     /// tensors + hidden states) fits the memory left after weights and
     /// framework overhead already metered on `meter`.
     ///
-    /// The scheduling knobs stay at `Default`'s constants (batches of 8
-    /// requests, 2 ms coalescing wait, 50 ms starvation bound, 64 cached
+    /// The scheduling knobs stay at `Default`'s constants (passes of 8
+    /// requests, a 2 ms wait for company before a weight pass — cache
+    /// answers never wait it — a 50 ms starvation bound, 64 cached
     /// sessions), so the token budget is the only device-specific part.
     pub fn for_device(config: &ModelConfig, device: &DeviceSpec, meter: &MemoryMeter) -> Self {
         let available = device

@@ -6,18 +6,21 @@
 //! into a serving system:
 //!
 //! ```text
-//!  clients ──service(session).submit──▶ [SubmissionQueue]   (bounded, backpressure;
-//!      │                                      │              sheds cancelled/expired)
+//!  clients ──service(session).submit──▶ [SubmissionQueue]   (bounded over both stages,
+//!      │                                 arrivals            backpressure; sheds
+//!      │                                      │              cancelled/expired)
+//!      │              [worker 0]     ...      [worker W-1]   (own ForwardScratch pool)
+//!      │                    │  probe: memo probe → embed → semantic probe
+//!      │                    │   ├─ cache answer ───────────▶ answer() at pickup
+//!      │                    │   └─ needs a pass ─▶ coalescing window (shared)
+//!      │                                      │
 //!      │                                [BatchPlanner]       (priority → EDF → FIFO,
 //!      │                                      │ admissible   token budget, starvation
-//!      │                    ┌─────────────────┴──────┐ set   guard)
-//!      │              [worker 0]     ...      [worker W-1]   (own ForwardScratch pool)
-//!      │                    │  execute_batch: the one request path
-//!      │                    │   memo probe → embed → semantic probe → plan
-//!      │                    │   → run → semantic epilogue → memoize → answer
+//!      │                                      │ set          guard, max_batch_wait)
+//!      │                    run_pass: plan → run → semantic epilogue → memoize
 //!      │                    │
 //!      │              run = Arc<PrismEngine>::run_planned    (one engine, Sync; one
-//!      │                  | ShardSet::select_with_controls    weight pass per batch,
+//!      │                  | ShardSet::select_with_controls    weight pass per set,
 //!      │                    │                                 or scatter-gather)
 //!      └──▶ prism_api::SelectionHandle ◀── answer()          (poll · wait · cancel ·
 //!                                                              progress)
@@ -28,14 +31,18 @@
 //!   derived from queue depth and service rate) when the queue is full
 //!   instead of buffering unboundedly, and answers cancelled or
 //!   deadline-expired entries with their typed error before a worker
-//!   wastes a weight pass on them.
+//!   wastes a probe or a weight pass on them. A free worker first takes
+//!   every arrival through the cache tiers; a cache answer leaves at
+//!   pickup, and only requests that still need a weight pass enter the
+//!   coalescing window.
 //! * **Priority scheduler** ([`scheduler`]): workers pop the maximal
-//!   admissible prefix of the priority-then-EDF order (FIFO ties, aged
-//!   requests boosted by the starvation guard) whose total token count
-//!   fits a budget derived from the device's memory spec; an under-full
-//!   batch waits at most the configured age bound unless something
-//!   urgent is queued. One streamed pass over the layer weights is then
-//!   shared by every request of the batch
+//!   admissible prefix of the window's priority-then-EDF order (FIFO
+//!   ties, aged requests boosted by the starvation guard) whose total
+//!   token count fits a budget derived from the device's memory spec;
+//!   an under-full pass waits for company at most the configured age
+//!   bound, counted from each request's enqueue, unless something
+//!   urgent is waiting. One streamed pass over the layer weights is then
+//!   shared by every request of the set
 //!   ([`prism_core::PrismEngine::select_batch`]), which is where the
 //!   throughput win over request-at-a-time serving comes from.
 //! * **Session cache** ([`session`]): an LRU over sessions reuses

@@ -1,26 +1,39 @@
-//! The bounded submission queue workers coalesce batches from.
+//! The bounded submission queue: arrivals, then the coalescing window.
 //!
-//! One `Mutex<VecDeque>` + `Condvar` pair serves both sides: producers
-//! fail fast with backpressure when the queue is at capacity, consumers
-//! block until the [`BatchPlanner`] tells them to flush an admissible
-//! set (waiting out the age bound for under-full batches). Before every
-//! planning pass the queue *sheds* dead entries — requests whose caller
-//! cancelled and requests whose deadline passed while they waited — and
-//! answers them immediately with the typed error, so a worker never
-//! spends a weight pass on work nobody wants. Closing the queue wakes
-//! every waiter; queued requests are still drained so accepted work is
+//! A request passes two stages. It *arrives* and waits for a free
+//! worker, which takes it ([`Work::Probe`]) through the cache tiers. A
+//! request the caches answered is done. One that still needs a weight
+//! pass comes back ([`SubmissionQueue::wait_for_pass`]) as a [`Probed`]
+//! entry, into the *coalescing window*: the set every worker plans
+//! passes from, so two workers still coalesce. Only that set ages
+//! toward `max_batch_wait`, from each request's own enqueue time; a
+//! cache answer never waits for company it does not use.
+//!
+//! One `Mutex` + `Condvar` pair serves every side. Producers fail fast
+//! with backpressure when the queue is at capacity, counting arrivals,
+//! requests in their probe and the window alike. Workers prefer
+//! arrivals; with none, they block until the [`BatchPlanner`] flushes
+//! an admissible set of the window ([`Work::Pass`]), waiting out the age
+//! bound for an under-full one. Before every decision the queue *sheds*
+//! dead entries from both stages — requests whose caller cancelled and
+//! requests whose deadline passed while they waited — and answers them
+//! with the typed error, so a worker never probes or passes work nobody
+//! wants. Closing the queue wakes every waiter; both stages are still
+//! drained, and the window flushes without aging, so accepted work is
 //! never dropped.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use prism_api::Completion;
 use prism_core::{CancelToken, Priority, RequestOptions};
 use prism_model::SequenceBatch;
+use prism_tensor::Tensor;
 
 use crate::request::ServeError;
 use crate::scheduler::{BatchPlanner, PlanDecision, QueueItem};
+use crate::semantic::SemState;
 use crate::stats::ServeStats;
 
 /// One queued request, carrying everything a worker needs to execute and
@@ -93,12 +106,60 @@ pub fn dead_verdict(cancelled: bool, expired: bool) -> Option<ServeError> {
     }
 }
 
+/// A request its probe could not answer, waiting in the coalescing
+/// window for a weight pass. It holds only what the probe produced —
+/// the candidate embedding and the semantic-cache state — and nothing
+/// metered: planning (hidden states, spill file) waits for the flush.
+#[derive(Debug)]
+pub struct Probed {
+    /// The request itself.
+    pub pending: Pending,
+    /// The candidate embedding, when a cache tier needed it (replayed by
+    /// the session cache or computed by the probe).
+    pub embed: Option<Tensor>,
+    /// Semantic-cache bookkeeping when the request engaged that tier.
+    pub sem: Option<SemState>,
+    /// The session cache replayed the embedding.
+    pub embed_replayed: bool,
+    /// Microseconds the probe worked on the request, counted as service
+    /// time rather than queue time.
+    pub probe_us: u64,
+}
+
+/// What a worker takes from the queue.
+// A `Work` only moves from the queue to its worker; boxing the request
+// would cost an allocation per arrival for nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Work {
+    /// An arrival to run through the cache tiers; the worker settles it
+    /// with [`SubmissionQueue::answered_by_probe`] or
+    /// [`SubmissionQueue::wait_for_pass`].
+    Probe(Pending),
+    /// A flushed set of the coalescing window, in scheduling order: one
+    /// weight pass.
+    Pass(Vec<Probed>),
+}
+
 struct QueueState {
-    deque: VecDeque<Pending>,
+    /// Accepted requests no worker has probed yet, in arrival order.
+    arrivals: VecDeque<Pending>,
+    /// Requests handed out by [`Work::Probe`] and not yet settled.
+    probing: usize,
+    /// The coalescing window, in enqueue order.
+    window: VecDeque<Probed>,
     closed: bool,
 }
 
-/// Bounded MPMC queue with planner-driven batch consumption.
+impl QueueState {
+    /// Every accepted request not yet answered or taken into a pass.
+    fn depth(&self) -> usize {
+        self.arrivals.len() + self.probing + self.window.len()
+    }
+}
+
+/// Bounded MPMC queue with a probe stage and a planner-driven
+/// coalescing window.
 pub struct SubmissionQueue {
     state: Mutex<QueueState>,
     notify: Condvar,
@@ -113,13 +174,16 @@ pub struct SubmissionQueue {
 }
 
 impl SubmissionQueue {
-    /// Creates a queue holding at most `capacity` pending requests;
-    /// `stats` receives depth updates and shed/inversion counts, and
-    /// `workers` scales the backpressure retry hint.
+    /// Creates a queue holding at most `capacity` pending requests
+    /// across both stages; `stats` receives depth updates and
+    /// shed/inversion counts, and `workers` scales the backpressure
+    /// retry hint.
     pub fn new(capacity: usize, stats: ServeStats, workers: usize) -> Self {
         SubmissionQueue {
             state: Mutex::new(QueueState {
-                deque: VecDeque::with_capacity(capacity),
+                arrivals: VecDeque::with_capacity(capacity),
+                probing: 0,
+                window: VecDeque::with_capacity(capacity),
                 closed: false,
             }),
             notify: Condvar::new(),
@@ -136,59 +200,63 @@ impl SubmissionQueue {
         t.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("queue lock")
+    }
+
     /// Enqueues a request, failing fast when full or closed.
     pub fn push(&self, pending: Pending) -> Result<(), ServeError> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         if state.closed {
             return Err(ServeError::ShuttingDown);
         }
-        if state.deque.len() >= self.capacity {
+        if state.depth() >= self.capacity {
             // Dead entries (cancelled / expired while no worker was
             // popping) must not hold capacity against live work.
             self.shed_dead(&mut state, Instant::now());
         }
-        if state.deque.len() >= self.capacity {
+        let depth = state.depth();
+        if depth >= self.capacity {
             return Err(ServeError::Backpressure {
                 capacity: self.capacity,
-                queue_depth: state.deque.len(),
+                queue_depth: depth,
                 retry_after: self
                     .stats
-                    .retry_after_hint(state.deque.len(), self.workers)
+                    .retry_after_hint(depth, self.workers)
                     .min(std::time::Duration::from_secs(1)),
             });
         }
-        state.deque.push_back(pending);
-        self.stats.queue_depth.set(state.deque.len() as u64);
+        state.arrivals.push_back(pending);
+        self.stats.queue_depth.set(state.depth() as u64);
         drop(state);
         self.notify.notify_all();
         Ok(())
     }
 
-    /// Answers and removes every queued request that is already dead:
-    /// cancelled by its caller, or past its deadline.
+    /// Answers and removes every request of either stage that is
+    /// already dead: cancelled by its caller, or past its deadline. The
+    /// window goes first: its entries all arrived before any arrival
+    /// still waiting.
     fn shed_dead(&self, state: &mut QueueState, now: Instant) {
-        let mut i = 0;
-        while i < state.deque.len() {
-            match state.deque[i].verdict(now) {
-                Some(err) => {
-                    let dead = state.deque.remove(i).expect("index in bounds");
-                    dead.fail(&self.stats, err);
-                }
-                None => i += 1,
-            }
-        }
+        shed(&mut state.window, now, &self.stats);
+        shed(&mut state.arrivals, now, &self.stats);
+        self.stats.queue_depth.set(state.depth() as u64);
     }
 
-    /// Blocks until a batch is ready and pops it (an admissible set
-    /// chosen by `planner`, in scheduling order). Returns `None` once
-    /// the queue is closed *and* drained.
-    pub fn next_batch(&self, planner: &BatchPlanner) -> Option<Vec<Pending>> {
-        let mut state = self.state.lock().expect("queue lock");
+    /// Blocks until there is work and takes it: the oldest arrival to
+    /// probe, or — with no arrivals — a set of the coalescing window
+    /// chosen by `planner`, in scheduling order. Returns `None` once the
+    /// queue is closed *and* both stages are drained.
+    pub fn next_work(&self, planner: &BatchPlanner) -> Option<Work> {
+        let mut state = self.lock();
         loop {
             let now = Instant::now();
             self.shed_dead(&mut state, now);
-            if state.deque.is_empty() {
-                self.stats.queue_depth.set(0);
+            if let Some(pending) = state.arrivals.pop_front() {
+                state.probing += 1;
+                return Some(Work::Probe(pending));
+            }
+            if state.window.is_empty() {
                 if state.closed {
                     return None;
                 }
@@ -197,13 +265,16 @@ impl SubmissionQueue {
             }
             let now_micros = self.micros_since_epoch(now);
             let snapshot: Vec<QueueItem> = state
-                .deque
+                .window
                 .iter()
-                .map(|p| QueueItem {
-                    tokens: p.tokens,
-                    enqueued_micros: self.micros_since_epoch(p.enqueued),
-                    priority: p.priority(),
-                    deadline_micros: p.deadline.map(|d| self.micros_since_epoch(d)),
+                .map(|probed| {
+                    let p = &probed.pending;
+                    QueueItem {
+                        tokens: p.tokens,
+                        enqueued_micros: self.micros_since_epoch(p.enqueued),
+                        priority: p.priority(),
+                        deadline_micros: p.deadline.map(|d| self.micros_since_epoch(d)),
+                    }
                 })
                 .collect();
             let take = match planner.decide(&snapshot, now_micros) {
@@ -212,29 +283,91 @@ impl SubmissionQueue {
                 // for arrivals that will never come.
                 PlanDecision::Wait(_) if state.closed => planner.coalesce(&snapshot, now_micros),
                 PlanDecision::Wait(us) => {
-                    let (next, timeout) = self
+                    state = self
                         .notify
                         .wait_timeout(state, std::time::Duration::from_micros(us))
-                        .expect("queue lock");
-                    state = next;
-                    let _ = timeout;
+                        .expect("queue lock")
+                        .0;
                     continue;
                 }
             };
-            return Some(planner.pop(&mut state.deque, &snapshot, &take, &self.stats));
+            let pass = planner.pop(&mut state.window, &snapshot, &take, &self.stats);
+            self.stats.queue_depth.set(state.depth() as u64);
+            return Some(Work::Pass(pass));
         }
     }
 
-    /// Marks the queue closed and wakes all waiters. Already-queued
-    /// requests are still served by subsequent [`Self::next_batch`] calls.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+    /// Moves a request taken by [`Work::Probe`] that still needs a
+    /// weight pass into the coalescing window, in enqueue order (so its
+    /// oldest entry comes first).
+    pub fn wait_for_pass(&self, probed: Probed) {
+        let mut state = self.lock();
+        state.probing -= 1;
+        let enqueued = probed.pending.enqueued;
+        let at = state
+            .window
+            .partition_point(|w| w.pending.enqueued <= enqueued);
+        state.window.insert(at, probed);
+        drop(state);
         self.notify.notify_all();
     }
 
-    /// Number of requests currently queued.
+    /// Releases the slot of a request taken by [`Work::Probe`] that the
+    /// probe answers. Called before the reply goes out, so the caller's
+    /// next submission never counts it.
+    pub fn answered_by_probe(&self) {
+        let mut state = self.lock();
+        state.probing -= 1;
+        self.stats.queue_depth.set(state.depth() as u64);
+    }
+
+    /// Marks the queue closed and wakes all waiters. Already-accepted
+    /// requests are still served by subsequent [`Self::next_work`] calls.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.notify.notify_all();
+    }
+
+    /// Requests accepted and not yet answered or taken into a pass:
+    /// arrivals, requests in their probe, and the coalescing window.
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue lock").deque.len()
+        self.lock().depth()
+    }
+}
+
+impl AsRef<Pending> for Pending {
+    fn as_ref(&self) -> &Pending {
+        self
+    }
+}
+
+impl AsRef<Pending> for Probed {
+    fn as_ref(&self) -> &Pending {
+        &self.pending
+    }
+}
+
+impl From<Probed> for Pending {
+    fn from(probed: Probed) -> Pending {
+        probed.pending
+    }
+}
+
+/// Answers and removes every entry of one stage that is already dead.
+fn shed<T: AsRef<Pending> + Into<Pending>>(
+    stage: &mut VecDeque<T>,
+    now: Instant,
+    stats: &ServeStats,
+) {
+    let mut i = 0;
+    while i < stage.len() {
+        match stage[i].as_ref().verdict(now) {
+            Some(err) => {
+                let dead = stage.remove(i).expect("index in bounds");
+                dead.into().fail(stats, err);
+            }
+            None => i += 1,
+        }
     }
 }
 
@@ -263,6 +396,40 @@ mod tests {
         (p, handle)
     }
 
+    /// What a probe that answers nothing hands back.
+    fn probed(pending: Pending) -> Probed {
+        Probed {
+            pending,
+            embed: None,
+            sem: None,
+            embed_replayed: false,
+            probe_us: 0,
+        }
+    }
+
+    /// Takes every arrival through a probe that answers nothing, then
+    /// the first pass, in scheduling order.
+    fn next_pass(q: &SubmissionQueue, planner: &BatchPlanner) -> Option<Vec<Probed>> {
+        loop {
+            match q.next_work(planner)? {
+                Work::Probe(p) => q.wait_for_pass(probed(p)),
+                Work::Pass(pass) => return Some(pass),
+            }
+        }
+    }
+
+    fn tickets(pass: &[Probed]) -> Vec<u64> {
+        pass.iter().map(|p| p.pending.ticket).collect()
+    }
+
+    /// Takes the next arrival into its probe, leaving it there.
+    fn take_probe(q: &SubmissionQueue) -> Pending {
+        match q.next_work(&eager_planner(8)) {
+            Some(Work::Probe(p)) => p,
+            other => panic!("expected an arrival, got {other:?}"),
+        }
+    }
+
     fn eager_planner(max_requests: usize) -> BatchPlanner {
         BatchPlanner {
             max_requests,
@@ -270,6 +437,13 @@ mod tests {
             max_wait_micros: 0,
             starvation_age_micros: u64::MAX,
             priority_aware: true,
+        }
+    }
+
+    fn patient_planner() -> BatchPlanner {
+        BatchPlanner {
+            max_wait_micros: u64::MAX,
+            ..eager_planner(8)
         }
     }
 
@@ -297,7 +471,39 @@ mod tests {
     }
 
     #[test]
-    fn next_batch_pops_fifo_prefix() {
+    fn backpressure_counts_both_stages() {
+        let stats = ServeStats::new();
+        let q = SubmissionQueue::new(2, stats.clone(), 1);
+        let (a, _ha) = pending(1, 4);
+        let (b, _hb) = pending(2, 4);
+        q.push(a).unwrap();
+        q.push(b).unwrap();
+        // Both in their probes: out of the arrivals, still held.
+        let (a, b) = (take_probe(&q), take_probe(&q));
+        let (c, _hc) = pending(3, 4);
+        assert!(matches!(
+            q.push(c),
+            Err(ServeError::Backpressure { queue_depth: 2, .. })
+        ));
+        // Settled out of order, into the window in enqueue order.
+        q.wait_for_pass(probed(b));
+        q.wait_for_pass(probed(a));
+        assert_eq!(q.depth(), 2);
+        assert_eq!(stats.queue_depth.get(), 2);
+        let (c, _hc) = pending(3, 4);
+        assert!(matches!(q.push(c), Err(ServeError::Backpressure { .. })));
+        assert_eq!(tickets(&next_pass(&q, &eager_planner(8)).unwrap()), [1, 2]);
+        assert_eq!((q.depth(), stats.queue_depth.get()), (0, 0));
+        // A probe that answers frees its slot too.
+        let (d, _hd) = pending(4, 4);
+        q.push(d).unwrap();
+        let _d = take_probe(&q);
+        q.answered_by_probe();
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn next_work_pops_fifo_prefix() {
         let q = SubmissionQueue::new(8, ServeStats::new(), 1);
         let mut keep = Vec::new();
         for t in 1..=5 {
@@ -305,13 +511,11 @@ mod tests {
             keep.push(h);
             q.push(p).unwrap();
         }
-        let batch = q.next_batch(&eager_planner(3)).unwrap();
         assert_eq!(
-            batch.iter().map(|p| p.ticket).collect::<Vec<_>>(),
+            tickets(&next_pass(&q, &eager_planner(3)).unwrap()),
             [1, 2, 3]
         );
-        let batch = q.next_batch(&eager_planner(3)).unwrap();
-        assert_eq!(batch.iter().map(|p| p.ticket).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(tickets(&next_pass(&q, &eager_planner(3)).unwrap()), [4, 5]);
     }
 
     #[test]
@@ -326,8 +530,7 @@ mod tests {
             keep.push(h);
             q.push(p).unwrap();
         }
-        let batch = q.next_batch(&eager_planner(2)).unwrap();
-        assert_eq!(batch.iter().map(|p| p.ticket).collect::<Vec<_>>(), [3, 1]);
+        assert_eq!(tickets(&next_pass(&q, &eager_planner(2)).unwrap()), [3, 1]);
     }
 
     #[test]
@@ -340,11 +543,38 @@ mod tests {
         q.push(p1).unwrap();
         q.push(p2).unwrap();
         cancel.cancel();
-        let batch = q.next_batch(&eager_planner(8)).unwrap();
-        assert_eq!(batch.iter().map(|p| p.ticket).collect::<Vec<_>>(), [2]);
+        let pass = next_pass(&q, &eager_planner(8)).unwrap();
+        assert_eq!(tickets(&pass), [2]);
         assert!(matches!(h1.wait(), Err(ServeError::Cancelled)));
         assert!(h2.poll().is_none(), "live request still unanswered");
         assert_eq!(stats.cancelled.get(), 1);
+    }
+
+    #[test]
+    fn window_sheds_cancelled_and_expired_with_typed_errors() {
+        let stats = ServeStats::new();
+        let q = SubmissionQueue::new(8, stats.clone(), 1);
+        let (p1, h1) = pending(1, 2);
+        let (mut p2, h2) = pending(2, 2);
+        p2.deadline = Some(Instant::now() + Duration::from_millis(20));
+        let (p3, _h3) = pending(3, 2);
+        let cancel = p1.cancel.clone();
+        for p in [p1, p2, p3] {
+            q.push(p).unwrap();
+        }
+        for _ in 0..3 {
+            let p = take_probe(&q);
+            q.wait_for_pass(probed(p));
+        }
+        // All three wait for a pass; then one caller gives up and one
+        // deadline passes.
+        cancel.cancel();
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(tickets(&next_pass(&q, &eager_planner(8)).unwrap()), [3]);
+        assert!(matches!(h1.wait(), Err(ServeError::Cancelled)));
+        assert!(matches!(h2.wait(), Err(ServeError::DeadlineExceeded)));
+        assert_eq!((stats.cancelled.get(), stats.deadline_missed.get()), (1, 1));
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -356,6 +586,9 @@ mod tests {
         let (c1, c2) = (p1.cancel.clone(), p2.cancel.clone());
         q.push(p1).unwrap();
         q.push(p2).unwrap();
+        // One dead entry in each stage.
+        let p1 = take_probe(&q);
+        q.wait_for_pass(probed(p1));
         c1.cancel();
         c2.cancel();
         // The queue is nominally full, but only with dead entries: live
@@ -377,8 +610,7 @@ mod tests {
         let (p2, _h2) = pending(2, 2);
         q.push(p1).unwrap();
         q.push(p2).unwrap();
-        let batch = q.next_batch(&eager_planner(8)).unwrap();
-        assert_eq!(batch.iter().map(|p| p.ticket).collect::<Vec<_>>(), [2]);
+        assert_eq!(tickets(&next_pass(&q, &eager_planner(8)).unwrap()), [2]);
         assert!(matches!(h1.wait(), Err(ServeError::DeadlineExceeded)));
         assert_eq!(stats.deadline_missed.get(), 1);
     }
@@ -390,28 +622,40 @@ mod tests {
         q.push(p).unwrap();
         q.close();
         // Closed queue flushes the waiting request instead of aging it.
-        let planner = BatchPlanner {
-            max_requests: 8,
-            max_tokens: usize::MAX,
-            max_wait_micros: u64::MAX,
-            starvation_age_micros: u64::MAX,
-            priority_aware: true,
-        };
-        assert_eq!(q.next_batch(&planner).unwrap().len(), 1);
-        assert!(q.next_batch(&planner).is_none());
+        let planner = patient_planner();
+        assert_eq!(tickets(&next_pass(&q, &planner).unwrap()), [1]);
+        assert!(q.next_work(&planner).is_none());
         let (p2, _h2) = pending(2, 2);
         assert!(matches!(q.push(p2), Err(ServeError::ShuttingDown)));
+    }
+
+    #[test]
+    fn close_flushes_the_window_without_aging() {
+        let q = std::sync::Arc::new(SubmissionQueue::new(8, ServeStats::new(), 1));
+        let (p, _h) = pending(1, 2);
+        q.push(p).unwrap();
+        let p = take_probe(&q);
+        q.wait_for_pass(probed(p));
+        // A worker waits out an unbounded window for company...
+        let q2 = q.clone();
+        let consumer =
+            std::thread::spawn(move || tickets(&next_pass(&q2, &patient_planner()).unwrap()));
+        std::thread::sleep(Duration::from_millis(20));
+        // ...until the close wakes it and the lone request flushes.
+        q.close();
+        assert_eq!(consumer.join().unwrap(), [1]);
+        assert!(q.next_work(&patient_planner()).is_none());
     }
 
     #[test]
     fn waiting_consumer_wakes_on_push() {
         let q = std::sync::Arc::new(SubmissionQueue::new(8, ServeStats::new(), 1));
         let q2 = q.clone();
-        let consumer = std::thread::spawn(move || q2.next_batch(&eager_planner(4)));
+        let consumer =
+            std::thread::spawn(move || tickets(&next_pass(&q2, &eager_planner(4)).unwrap()));
         std::thread::sleep(Duration::from_millis(10));
         let (p, _h) = pending(7, 1);
         q.push(p).unwrap();
-        let batch = consumer.join().unwrap().unwrap();
-        assert_eq!(batch[0].ticket, 7);
+        assert_eq!(consumer.join().unwrap(), [7]);
     }
 }

@@ -1,6 +1,12 @@
-//! The batching policy: which queued requests run next.
+//! The batching policy: which requests share the next weight pass.
 //!
-//! [`BatchPlanner`] is a pure function from an explicit queue snapshot
+//! The planner sees only the *coalescing window* — requests the cache
+//! tiers could not answer (see [`crate::queue`]). A cache answer leaves
+//! at pickup and never enters it, so the age bound below is how long
+//! work that needs a weight pass waits for company, measured from each
+//! request's own enqueue time.
+//!
+//! [`BatchPlanner`] is a pure function from an explicit window snapshot
 //! *and clock* to a decision — no hidden wall-clock reads — so its
 //! invariants — never exceed the token budget, never starve a request
 //! past the starvation bound, honour priority-then-EDF order, degrade to
@@ -13,9 +19,9 @@
 //! caller's clock: the real [`SubmissionQueue`](crate::queue) measures
 //! them against its creation epoch, the simulator against virtual time
 //! zero. The planner never asks what time it is — `now_micros` is a
-//! parameter. What follows a decision — the inversion count, draining
-//! the flush set, the depth gauge — is [`BatchPlanner::pop`], which the
-//! queue and the simulator both call over their own deques.
+//! parameter. What follows a decision — the inversion count and
+//! draining the flush set — is [`BatchPlanner::pop`], which the queue
+//! and the simulator both call over their own windows.
 //!
 //! ## Policy
 //!
@@ -102,8 +108,9 @@ pub struct BatchPlanner {
     /// Maximum *total* packed tokens per batch (the §4.3-style memory
     /// budget; a single request larger than the budget still runs, alone).
     pub max_tokens: usize,
-    /// Longest a queued request may age before an under-full batch is
-    /// flushed anyway, in microseconds.
+    /// Longest a request in the coalescing window may age, counted from
+    /// its enqueue, before an under-full pass is flushed anyway, in
+    /// microseconds.
     pub max_wait_micros: u64,
     /// Age past which a request outranks every scheduling class (the
     /// anti-starvation guard of the priority policy).
@@ -185,12 +192,12 @@ impl BatchPlanner {
         flush
     }
 
-    /// The post-decision half of a queue pop, shared by
-    /// [`SubmissionQueue::next_batch`](crate::queue::SubmissionQueue::next_batch)
+    /// The post-decision half of a window pop, shared by
+    /// [`SubmissionQueue::next_work`](crate::queue::SubmissionQueue::next_work)
     /// and the serving metasim: counts a priority inversion when the
     /// starvation guard admitted `take` past a higher-priority waiter,
-    /// drains the `take` positions of `queue` (whose `snapshot` was
-    /// planned) in scheduling order, and records the remaining depth.
+    /// and drains the `take` positions of `queue` (whose `snapshot` was
+    /// planned) in scheduling order.
     pub fn pop<T>(
         &self,
         queue: &mut VecDeque<T>,
@@ -221,7 +228,6 @@ impl BatchPlanner {
             }
         }
         *queue = kept;
-        stats.queue_depth.set(queue.len() as u64);
         slots
             .into_iter()
             .map(|item| item.expect("selected position drained"))

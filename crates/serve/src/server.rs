@@ -14,7 +14,7 @@ use prism_model::SequenceBatch;
 use prism_tensor::Tensor;
 
 use crate::config::ServeConfig;
-use crate::queue::{Pending, SubmissionQueue};
+use crate::queue::{Pending, Probed, SubmissionQueue, Work};
 use crate::quota::{QuotaToken, TenantQuota};
 use crate::scheduler::BatchPlanner;
 use crate::semantic::{merge_tail_scores, replay_selection, SemState, SemanticLayer};
@@ -255,8 +255,11 @@ impl ServerShared {
 
 fn worker_loop(shared: &ServerShared) {
     let mut scratch: Vec<ForwardScratch> = Vec::new();
-    while let Some(batch) = shared.queue.next_batch(&shared.planner) {
-        execute_batch(shared, batch, &mut scratch);
+    while let Some(work) = shared.queue.next_work(&shared.planner) {
+        match work {
+            Work::Probe(pending) => probe(shared, pending),
+            Work::Pass(pass) => run_pass(shared, pass, &mut scratch),
+        }
     }
 }
 
@@ -270,7 +273,11 @@ struct Served {
     from_cache: bool,
 }
 
-/// One request bound for execution (cache probes resolved).
+fn micros_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from).as_micros() as u64
+}
+
+/// One pass member bound for execution.
 struct RunItem {
     pending: Pending,
     served: Served,
@@ -434,130 +441,165 @@ fn plan(
     Ok(planned)
 }
 
-/// The one request path. Per request: shed → session-memo probe → embed
-/// (only when a tier needs it) → semantic probe → plan; then one run
-/// over everything still unanswered; then per request: semantic
-/// epilogue → stats → memo store → reply. A sharded server differs only
-/// at the run step — scatter-gather per request instead of one coalesced
-/// pass over the shared engine's weights — and, because planning then
-/// happens inside each shard over its corpus partition, in what feeds
-/// it: no embed-replay tier, and a semantic probe that is
-/// all-or-nothing (a partial tail cannot be transplanted into shards).
-fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<ForwardScratch>) {
+/// The probe half of the one request path, run by a free worker on each
+/// arrival before anything waits for company: session-memo probe →
+/// embed (only when a tier needs it) → semantic probe. A cache answer,
+/// or a failure, leaves here at pickup; a request that still needs a
+/// weight pass enters the coalescing window as a [`Probed`] entry,
+/// carrying its embedding and semantic state to [`run_pass`]. A
+/// sharded server keeps no embed-replay tier (its shards embed their own
+/// partitions), and its semantic probe is all-or-nothing (a partial
+/// tail cannot be transplanted into shards).
+fn probe(shared: &ServerShared, pending: Pending) {
+    let picked_at = Instant::now();
+    let stats = &shared.stats;
+    // The request leaves the queue's count before its caller hears back.
+    let reply = |pending, served, result| {
+        shared.queue.answered_by_probe();
+        answer(stats, pending, served, result);
+    };
+    // A cache answer runs alone, and no layer: service time zero.
+    let cached = Served {
+        batch_size: 1,
+        queued_us: micros_between(pending.enqueued, picked_at),
+        service_us: 0,
+        from_cache: true,
+    };
+
+    // ---- Session-memo probe ----
+    let lookup = match &shared.cache {
+        Some(cache) => cache.lock().expect("session cache lock").lookup(
+            &pending.session,
+            pending.fingerprint,
+            &pending.batch,
+            &SelectionKey::from_options(&pending.options),
+        ),
+        None => CacheLookup::Miss,
+    };
+    if let CacheLookup::Selection(sel) = lookup {
+        stats.cache_selection_hits.inc();
+        reply(pending, cached, Ok(*sel));
+        return;
+    }
+
+    // ---- Resolve the candidate embedding (replayed or computed),
+    // when a tier needs it up front: embed-replay planning, or the
+    // semantic cache's pooled probe vectors. Shard engines share the
+    // full embedding weights, so shard 0's embedding serves the
+    // probe of a sharded server too.
+    let semcache = shared
+        .semcache
+        .as_ref()
+        .filter(|_| SemanticLayer::eligible(&pending.options, shared.engine.options().pruning));
+    let embed_replayed = matches!(lookup, CacheLookup::Embed(_));
+    let embed = match lookup {
+        CacheLookup::Embed(embed) => {
+            stats.cache_embed_hits.inc();
+            Some(embed)
+        }
+        _ => {
+            stats.cache_misses.inc();
+            let memo = shared.cache.as_ref().filter(|_| shared.shards.is_none());
+            if memo.is_some() || semcache.is_some() {
+                match shared.engine.embed_batch(&pending.batch) {
+                    Ok(embed) => {
+                        if let Some(cache) = memo {
+                            cache.lock().expect("session cache lock").store_embed(
+                                &pending.session,
+                                pending.fingerprint,
+                                &pending.batch,
+                                embed.clone(),
+                            );
+                        }
+                        Some(embed)
+                    }
+                    Err(e) => {
+                        reply(pending, cached, Err(e.into()));
+                        return;
+                    }
+                }
+            } else {
+                None
+            }
+        }
+    };
+
+    // ---- Semantic-cache probe (opted-in, full-depth requests) ----
+    let mut sem: Option<SemState> = None;
+    if let (Some(layer), Some(embed)) = (semcache, embed.as_ref()) {
+        match probe_semantic(shared, layer, &pending, embed) {
+            Ok(selection) => {
+                store_selection(shared, &pending, &selection);
+                reply(pending, cached, Ok(selection));
+                return;
+            }
+            Err(state) => sem = Some(state),
+        }
+    }
+    shared.queue.wait_for_pass(Probed {
+        pending,
+        embed,
+        sem,
+        embed_replayed,
+        probe_us: picked_at.elapsed().as_micros() as u64,
+    });
+}
+
+/// The pass half of the one request path: one set flushed from the
+/// coalescing window. Sheds what died while it waited, plans every
+/// member — hidden states, spill file and metered bytes exist only from
+/// here — runs one pass over the shared engine's weights for all of
+/// them, then per request: semantic epilogue → stats → memo store →
+/// reply ([`finish`]). A sharded server differs only at the run step:
+/// scatter-gather per request, with planning inside each shard over its
+/// corpus partition.
+fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardScratch>) {
     let picked_at = Instant::now();
     let stats = &shared.stats;
 
     // Last pre-execution cancellation/deadline point: the queue shed
-    // dead work when the batch was popped, but the caller may have
-    // acted in the window since. Shed first so the batch telemetry and
-    // per-response `batch_size` describe what actually executes.
-    let batch: Vec<Pending> = batch
+    // dead work when the pass was popped, but the caller may have acted
+    // since. Shed first so the pass telemetry and per-response
+    // `batch_size` describe what actually executes.
+    let pass: Vec<Probed> = pass
         .into_iter()
-        .filter_map(|pending| match pending.verdict(picked_at) {
+        .filter_map(|probed| match probed.pending.verdict(picked_at) {
             Some(err) => {
-                pending.fail(stats, err);
+                probed.pending.fail(stats, err);
                 None
             }
-            None => Some(pending),
+            None => Some(probed),
         })
         .collect();
-    if batch.is_empty() {
+    if pass.is_empty() {
         return;
     }
-    let size = batch.len();
+    let size = pass.len();
     stats.batches.inc();
     stats.batch_size.record(size as u64);
     stats
         .batch_tokens
-        .record(batch.iter().map(|p| p.tokens as u64).sum());
+        .record(pass.iter().map(|p| p.pending.tokens as u64).sum());
     stats.in_flight.add(size as u64);
 
     let mut items: Vec<RunItem> = Vec::with_capacity(size);
     let mut planned: Vec<ActiveRequest> = Vec::with_capacity(size);
-    for pending in batch {
-        let queued_us = picked_at.duration_since(pending.enqueued).as_micros() as u64;
-        stats.queued_us.record(queued_us);
-        let mut served = Served {
+    for probed in pass {
+        let Probed {
+            pending,
+            embed,
+            mut sem,
+            embed_replayed,
+            probe_us,
+        } = probed;
+        // The probe's work is service; everything else before the
+        // pickup — waiting for a worker, then for company — is queue.
+        let served = Served {
             batch_size: size,
-            queued_us,
-            service_us: 0,
-            from_cache: false,
+            queued_us: micros_between(pending.enqueued, picked_at).saturating_sub(probe_us),
+            service_us: probe_us,
+            from_cache: embed_replayed,
         };
-        let cached = Served {
-            from_cache: true,
-            ..served
-        };
-
-        // ---- Session-memo probe ----
-        let lookup = match &shared.cache {
-            Some(cache) => cache.lock().expect("session cache lock").lookup(
-                &pending.session,
-                pending.fingerprint,
-                &pending.batch,
-                &SelectionKey::from_options(&pending.options),
-            ),
-            None => CacheLookup::Miss,
-        };
-        if let CacheLookup::Selection(sel) = lookup {
-            stats.cache_selection_hits.inc();
-            answer(stats, pending, cached, Ok(*sel));
-            continue;
-        }
-
-        // ---- Resolve the candidate embedding (replayed or computed),
-        // when a tier needs it up front: embed-replay planning, or the
-        // semantic cache's pooled probe vectors. Shard engines share the
-        // full embedding weights, so shard 0's embedding serves the
-        // probe of a sharded server too.
-        let semcache = shared
-            .semcache
-            .as_ref()
-            .filter(|_| SemanticLayer::eligible(&pending.options, shared.engine.options().pruning));
-        let embed = match lookup {
-            CacheLookup::Embed(embed) => {
-                stats.cache_embed_hits.inc();
-                served = cached;
-                Some(embed)
-            }
-            _ => {
-                stats.cache_misses.inc();
-                let memo = shared.cache.as_ref().filter(|_| shared.shards.is_none());
-                if memo.is_some() || semcache.is_some() {
-                    match shared.engine.embed_batch(&pending.batch) {
-                        Ok(embed) => {
-                            if let Some(cache) = memo {
-                                cache.lock().expect("session cache lock").store_embed(
-                                    &pending.session,
-                                    pending.fingerprint,
-                                    &pending.batch,
-                                    embed.clone(),
-                                );
-                            }
-                            Some(embed)
-                        }
-                        Err(e) => {
-                            answer(stats, pending, served, Err(e.into()));
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                }
-            }
-        };
-
-        // ---- Semantic-cache probe (opted-in, full-depth requests) ----
-        let mut sem: Option<SemState> = None;
-        if let (Some(layer), Some(embed)) = (semcache, embed.as_ref()) {
-            match probe_semantic(shared, layer, &pending, embed) {
-                Ok(selection) => {
-                    store_selection(shared, &pending, &selection);
-                    answer(stats, pending, cached, Ok(selection));
-                    continue;
-                }
-                Err(state) => sem = Some(state),
-            }
-        }
 
         // ---- Plan, on the shared engine (shards plan their own part) ----
         if shared.shards.is_none() {
@@ -578,7 +620,7 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
 
     // ---- Run ----
     match &shared.shards {
-        // Every request was answered from a cache or failed planning.
+        // Every member failed planning.
         None if planned.is_empty() => {}
         // One pass over the weights for the whole coalesced batch.
         None => match shared.engine.run_planned(&mut planned, scratch) {
@@ -622,9 +664,9 @@ fn execute_batch(shared: &ServerShared, batch: Vec<Pending>, scratch: &mut Vec<F
 /// semantic-cache merge/verify/harvest, the resilience counters and the
 /// session memo; a failure skips all three (so aborted batch-mates
 /// contribute no cache bytes). Either way the request is then answered,
-/// with everything since its batch was picked as its `service_us` —
-/// probes, embed and plan included, so `queued_us + service_us` spans
-/// enqueue to reply.
+/// with its probe plus everything since its pass was picked as its
+/// `service_us` — embed, plan and run included, so `queued_us +
+/// service_us` spans enqueue to reply.
 fn finish(
     shared: &ServerShared,
     item: RunItem,
@@ -649,22 +691,24 @@ fn finish(
         selection
     });
     let served = Served {
-        service_us: picked_at.elapsed().as_micros() as u64,
+        service_us: item.served.service_us + picked_at.elapsed().as_micros() as u64,
         ..item.served
     };
     answer(stats, item.pending, served, result.map_err(Into::into));
 }
 
 /// Answers one request — every reply of the worker path goes through
-/// here: records the service time and counts the completion, or hands a
-/// failure to [`Pending::fail`] (counted by [`ServeStats::count_failure`],
-/// which owns the cancelled / deadline-missed / completed split).
+/// here: records the queue time, then the service time and the
+/// completion, or hands a failure to [`Pending::fail`] (counted by
+/// [`ServeStats::count_failure`], which owns the cancelled /
+/// deadline-missed / completed split).
 fn answer(
     stats: &ServeStats,
     mut pending: Pending,
     served: Served,
     result: Result<Selection, ServiceError>,
 ) {
+    stats.queued_us.record(served.queued_us);
     match result {
         Ok(selection) => {
             stats.service_us.record(served.service_us);

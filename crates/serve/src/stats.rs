@@ -1,4 +1,4 @@
-//! Serving telemetry: queue, batch, latency and cache instruments.
+//! Serving telemetry: queue, pass, latency and cache instruments.
 
 use prism_metrics::{Counter, Gauge, Histogram, HistogramSummary};
 use serde::Serialize;
@@ -8,9 +8,11 @@ use crate::request::ServeError;
 /// Live instruments of one [`crate::PrismServer`]. Clones share state.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
-    /// Requests currently queued (gauge with high-water mark).
+    /// Requests accepted and not yet answered or taken into a pass:
+    /// arrivals, requests in their cache probe, and the coalescing
+    /// window (gauge with high-water mark).
     pub queue_depth: Gauge,
-    /// Requests currently executing across all workers.
+    /// Requests in a weight pass right now, across all workers.
     pub in_flight: Gauge,
     /// Requests accepted into the queue.
     pub submitted: Counter,
@@ -35,17 +37,23 @@ pub struct ServeStats {
     /// Requests answered with a selection or an engine error (cancelled
     /// and deadline-shed requests are excluded).
     pub completed: Counter,
-    /// Coalesced batches executed.
+    /// Weight passes run: sets flushed from the coalescing window. A
+    /// request a cache answered joins none, so `batches / completed` is
+    /// passes per request.
     pub batches: Counter,
-    /// Requests per executed batch.
+    /// Requests per weight pass.
     pub batch_size: Histogram,
-    /// Total packed tokens per executed batch.
+    /// Total packed tokens per weight pass.
     pub batch_tokens: Histogram,
-    /// Microseconds a request spent queued.
+    /// Microseconds a request waited, recorded once per request a
+    /// worker picked up: for a worker to probe it and, when it needs a
+    /// weight pass, in the coalescing window — the window counts here. A
+    /// cache answer's is its wait for pickup.
     pub queued_us: Histogram,
-    /// Microseconds from the worker picking a request's batch to its
-    /// reply (probes, embed, plan, run, epilogue), recorded once per
-    /// request; zero for a request a cache answered outright.
+    /// Microseconds of work on a request, recorded once per answered
+    /// request: its cache probe (embed included) plus its pass's pickup
+    /// to reply (plan, run, epilogue), so `queued_us + service_us` spans
+    /// enqueue to reply; zero for a request a cache answered outright.
     pub service_us: Histogram,
     /// Session-cache: full-selection replays.
     pub cache_selection_hits: Counter,
@@ -167,7 +175,7 @@ impl ServeStats {
 /// Serializable snapshot of [`ServeStats`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeStatsSnapshot {
-    /// Requests queued right now.
+    /// Requests accepted and not yet answered or in a pass right now.
     pub queue_depth: u64,
     /// Deepest the queue ever got.
     pub queue_depth_peak: u64,
@@ -187,15 +195,15 @@ pub struct ServeStatsSnapshot {
     pub priority_inversions: u64,
     /// Requests answered (selections and engine errors only).
     pub completed: u64,
-    /// Batches executed.
+    /// Weight passes run.
     pub batches: u64,
-    /// Distribution of requests per batch.
+    /// Distribution of requests per weight pass.
     pub batch_size: HistogramSummary,
-    /// Distribution of tokens per batch.
+    /// Distribution of tokens per weight pass.
     pub batch_tokens: HistogramSummary,
-    /// Distribution of queue wait times (µs).
+    /// Distribution of queue wait times, coalescing window included (µs).
     pub queued_us: HistogramSummary,
-    /// Distribution of execution times (µs).
+    /// Distribution of work times: cache probe plus pass (µs).
     pub service_us: HistogramSummary,
     /// Selection replays served from the session cache.
     pub cache_selection_hits: u64,

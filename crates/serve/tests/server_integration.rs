@@ -1,10 +1,10 @@
 //! End-to-end serving behaviour over a real engine: parity with direct
 //! engine calls, session-cache replay, backpressure and clean shutdown.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use prism_api::SelectionService;
-use prism_core::{EngineOptions, PrismEngine, RequestOptions};
+use prism_core::{EngineOptions, PrismEngine, RequestOptions, SemCacheMode};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_serve::{PrismServer, ServeConfig};
@@ -364,4 +364,79 @@ fn high_priority_overtakes_queued_bulk() {
         "High must be served before the queued Bulk requests: {order:?}"
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A 200 ms wait for company: long enough that a request which sat it
+/// out is unmistakable.
+fn patient(workers: usize) -> ServeConfig {
+    ServeConfig {
+        workers,
+        max_batch_wait: Duration::from_millis(200),
+        starvation_age: Duration::from_millis(200),
+        ..Default::default()
+    }
+}
+
+/// A semantic full replay submitted alone is answered at pickup: the
+/// coalescing window holds only requests that need a weight pass.
+#[test]
+fn cache_answers_leave_at_pickup_without_waiting_for_company() {
+    let (config, path) = fixture("pickup");
+    let server = PrismServer::start(engine(&config, &path), patient(1)).unwrap();
+    let batch = batches(&config, 1, 6).pop().unwrap();
+    let opts = |tag| RequestOptions {
+        pruning: Some(false),
+        ..RequestOptions::tagged(3, tag).with_semcache(SemCacheMode::Aggressive)
+    };
+    // First sight: a miss, which waits out the window and harvests.
+    let first = server.service("a").select(batch.clone(), opts(1)).unwrap();
+    assert!(!first.served_from_cache);
+
+    // The same candidates from another session, alone in the server.
+    let t0 = Instant::now();
+    let replay = server.service("b").select(batch, opts(2)).unwrap();
+    let elapsed = t0.elapsed();
+    assert!(replay.served_from_cache);
+    assert!(
+        elapsed < Duration::from_millis(50),
+        "a cache answer waited for company: {elapsed:?}"
+    );
+    assert_eq!(server.stats().batches.get(), 1, "the replay ran no pass");
+    assert_eq!(
+        scores_bits(&replay.selection),
+        scores_bits(&first.selection)
+    );
+    server.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Two misses submitted 5 ms apart still share one weight pass: the
+/// window gathers the company it exists for, also across workers.
+fn misses_inside_the_window_share_one_pass(workers: usize) {
+    let (config, path) = fixture(&format!("window-{workers}"));
+    let server = PrismServer::start(engine(&config, &path), patient(workers)).unwrap();
+    let requests = batches(&config, 2, 6);
+    let service = server.service("t");
+    let first = service
+        .submit(requests[0].clone(), RequestOptions::top_k(2))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    let second = service
+        .submit(requests[1].clone(), RequestOptions::top_k(2))
+        .unwrap();
+    let (first, second) = (first.wait().unwrap(), second.wait().unwrap());
+    assert_eq!(server.stats().batches.get(), 1, "workers: {workers}");
+    assert_eq!((first.batch_size, second.batch_size), (2, 2));
+    server.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn misses_inside_the_window_share_one_pass_on_one_worker() {
+    misses_inside_the_window_share_one_pass(1);
+}
+
+#[test]
+fn misses_inside_the_window_share_one_pass_across_two_workers() {
+    misses_inside_the_window_share_one_pass(2);
 }

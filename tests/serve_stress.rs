@@ -459,6 +459,8 @@ mod edge_traces {
     /// simulator (which runs the server's own `SessionCache`) and the
     /// real server count the same selection hits, embedding hits and
     /// misses — unsharded, and sharded, where neither replays embeddings.
+    /// Under a 200 ms window both also answer every selection hit at
+    /// pickup, never after waiting for company.
     #[test]
     fn session_cache_counters_match_between_sim_and_server() {
         let (config, path) = fixture("edge-cache");
@@ -472,7 +474,6 @@ mod edge_traces {
             dup_fraction: 0.25,
             ..Default::default()
         };
-        let serve = ServeConfig::default();
         let counters =
             |s: &ServeStatsSnapshot| (s.cache_selection_hits, s.cache_embed_hits, s.cache_misses);
         let resident = || {
@@ -489,30 +490,67 @@ mod edge_traces {
             .unwrap()
         };
         let worker = ServeBatchCost::new(config.clone(), DeviceSpec::apple_m2());
-        let pairs = [
-            (
-                flat(2_000.0),
-                PrismServer::start(engine(&config, &path), serve.clone()).unwrap(),
-            ),
-            (
-                ServiceModel::sharded(ScatterGatherCost::new(worker, 2)),
-                PrismServer::start_sharded(vec![resident(), resident()], serve.clone()).unwrap(),
-            ),
-        ];
-        for (service, server) in pairs {
-            let sharded = server.shards().is_some();
-            let predicted = simulate_closed_loop(&config, &spec, &serve, service, "cache", None);
-            let measured = run_closed_loop(&server, &spec);
-            server.shutdown();
-            assert_eq!(
-                counters(predicted.stats()),
-                counters(measured.server_stats()),
-                "sharded: {sharded}"
-            );
-            assert!(
-                predicted.stats().cache_selection_hits > 0,
-                "repeats must hit"
-            );
+        let window = Duration::from_millis(200);
+        for serve in [
+            ServeConfig::default(),
+            ServeConfig {
+                max_batch_wait: window,
+                starvation_age: window,
+                ..Default::default()
+            },
+        ] {
+            let patient = serve.max_batch_wait == window;
+            let pairs = [
+                (
+                    flat(2_000.0),
+                    PrismServer::start(engine(&config, &path), serve.clone()).unwrap(),
+                ),
+                (
+                    ServiceModel::sharded(ScatterGatherCost::new(worker.clone(), 2)),
+                    PrismServer::start_sharded(vec![resident(), resident()], serve.clone())
+                        .unwrap(),
+                ),
+            ];
+            for (service, server) in pairs {
+                let sharded = server.shards().is_some();
+                let predicted =
+                    simulate_closed_loop(&config, &spec, &serve, service, "cache", None);
+                let measured = run_closed_loop(&server, &spec);
+                // The queue times of the `hits` fastest requests, as the
+                // server's histogram bounds them (within 2x, from above).
+                let hits = measured.server_stats().cache_selection_hits;
+                let queued = &server.stats().queued_us;
+                let fastest_hits_bound =
+                    queued.quantile((hits as f64 - 0.5) / queued.count() as f64);
+                server.shutdown();
+                let label = format!("sharded: {sharded}, window {:?}", serve.max_batch_wait);
+                assert_eq!(
+                    counters(predicted.stats()),
+                    counters(measured.server_stats()),
+                    "{label}"
+                );
+                assert!(
+                    predicted.stats().cache_selection_hits > 0,
+                    "repeats must hit"
+                );
+                if patient {
+                    let window_us = window.as_micros() as u64;
+                    // One client: every request that needs a pass waits
+                    // the whole window alone, so the `hits` fastest
+                    // requests are the selection hits, and they must not
+                    // have waited it.
+                    assert!(
+                        fastest_hits_bound < window_us,
+                        "{label}: {fastest_hits_bound}"
+                    );
+                    // Virtual time is exact: pass requests queue exactly
+                    // the window, selection hits not at all.
+                    let sim = predicted.stats();
+                    let total_queued = (sim.queued_us.mean * sim.queued_us.count as f64).round();
+                    let passes = sim.queued_us.count - sim.cache_selection_hits;
+                    assert_eq!(total_queued as u64, passes * window_us, "{label}");
+                }
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }
