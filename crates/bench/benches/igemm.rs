@@ -59,11 +59,11 @@ fn bench_igemm(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_forward_layer_int8(c: &mut Criterion) {
-    use prism_model::layer::{forward_layer_int8, forward_layer_with, ForwardScratch};
-    use prism_model::{Int8LayerWeights, LayerWeights, ModelConfig};
+fn bench_forward_layer_precision(c: &mut Criterion) {
+    use prism_model::layer::{forward_layer_with, ForwardScratch};
+    use prism_model::{LayerWeights, ModelConfig};
 
-    let mut g = c.benchmark_group("forward_layer_int8");
+    let mut g = c.benchmark_group("forward_layer_precision");
     // Same hidden-256 single layer the perf suite gates: wide enough
     // for the integer kernels' vector bodies (mini's hidden 32 is not).
     let config = ModelConfig {
@@ -73,7 +73,7 @@ fn bench_forward_layer_int8(c: &mut Criterion) {
         ..ModelConfig::bge_m3().mini_twin()
     };
     let weights = LayerWeights::generate(&config, 0, 11);
-    let iweights = Int8LayerWeights::from_layer(&weights).unwrap();
+    let iweights = weights.to_int8().unwrap();
     let tokens = 20 * 32;
     let base = Tensor::from_fn(tokens, config.hidden_dim, |r, c| {
         ((r * 7 + c * 3) as f32 * 0.13).sin() * 0.5
@@ -90,7 +90,7 @@ fn bench_forward_layer_int8(c: &mut Criterion) {
     g.bench_function("int8_h256_640tok", |bencher| {
         bencher.iter(|| {
             hidden.data_mut().copy_from_slice(base.data());
-            forward_layer_int8(&config, &iweights, 0, &mut hidden, &ranges, &mut scratch).unwrap();
+            forward_layer_with(&config, &iweights, 0, &mut hidden, &ranges, &mut scratch).unwrap();
         });
     });
     g.finish();
@@ -106,6 +106,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_igemm, bench_forward_layer_int8
+    targets = bench_igemm, bench_forward_layer_precision
 }
 criterion_main!(benches);

@@ -183,49 +183,27 @@ fn bench_forward_layer(c: &mut Criterion) {
 }
 
 fn bench_rowq_codec(c: &mut Criterion) {
-    use prism_tensor::rowq;
+    use prism_tensor::igemm::RowQuantBlock;
     let mut g = c.benchmark_group("rowq");
     // One paper-mini spilled chunk (128 rows x 256 cols) and one
     // test-scale chunk (40 rows x 16 cols).
     for &(rows, cols) in &[(40_usize, 16_usize), (128, 256)] {
         let src = mat(rows, cols, 0.019);
-        let mut codes = vec![0_u8; rows * cols];
-        let mut mins = vec![0.0_f32; rows];
-        let mut scales = vec![0.0_f32; rows];
+        let mut block = RowQuantBlock::encode(&src).unwrap();
         g.throughput(Throughput::Elements((rows * cols) as u64));
         g.bench_with_input(
             BenchmarkId::new("encode", format!("{rows}x{cols}")),
             &rows,
             |bencher, _| {
-                bencher.iter(|| {
-                    for r in 0..rows {
-                        let (min, scale) = rowq::encode_row(
-                            std::hint::black_box(&src.data()[r * cols..(r + 1) * cols]),
-                            &mut codes[r * cols..(r + 1) * cols],
-                        )
-                        .unwrap();
-                        mins[r] = min;
-                        scales[r] = scale;
-                    }
-                });
+                bencher.iter(|| block.encode_into(std::hint::black_box(&src)).unwrap());
             },
         );
-        let mut back = vec![0.0_f32; rows * cols];
+        let mut back = Tensor::zeros(rows, cols);
         g.bench_with_input(
             BenchmarkId::new("decode", format!("{rows}x{cols}")),
             &rows,
             |bencher, _| {
-                bencher.iter(|| {
-                    for r in 0..rows {
-                        rowq::decode_row(
-                            std::hint::black_box(&codes[r * cols..(r + 1) * cols]),
-                            mins[r],
-                            scales[r],
-                            &mut back[r * cols..(r + 1) * cols],
-                        )
-                        .unwrap();
-                    }
-                });
+                bencher.iter(|| std::hint::black_box(&block).decode_into(&mut back).unwrap());
             },
         );
     }

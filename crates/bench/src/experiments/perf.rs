@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use prism_core::{ComputePrecision, EngineOptions, PrismEngine, RequestOptions, SpillPrecision};
 use prism_metrics::MemoryMeter;
-use prism_model::layer::{forward_layer, forward_layer_int8, forward_layer_with, ForwardScratch};
+use prism_model::layer::{forward_layer, forward_layer_with, ForwardScratch};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_storage::Container;
 use prism_tensor::{igemm, ops, rowq, QuantMatrix, Tensor};
@@ -435,10 +435,11 @@ fn int8_benches(s: &mut Suite) {
     s.int8
         .push(("gemm/transb_1024x256x256".into(), f32_id, int8_id));
 
-    // One paper-shaped layer (hidden 256, ffn 512): the f32 scratch path
-    // against `forward_layer_int8` — the layer-level acceptance gate. The mini twin's hidden_dim of 32 sits below the integer
-    // kernels' useful width; the end-to-end `engine/` rows below cover
-    // that scale.
+    // One paper-shaped layer (hidden 256, ffn 512) through the scratch
+    // path, f32 weights against their `to_int8()` copy — the layer-level
+    // acceptance gate. The mini twin's hidden_dim of 32 sits below the
+    // integer kernels' useful width; the end-to-end `engine/` rows below
+    // cover that scale.
     let config = ModelConfig {
         hidden_dim: 256,
         num_heads: 8,
@@ -446,7 +447,7 @@ fn int8_benches(s: &mut Suite) {
         ..ModelConfig::bge_m3().mini_twin()
     };
     let weights = prism_model::LayerWeights::generate(&config, 0, 11);
-    let qweights = prism_model::Int8LayerWeights::from_layer(&weights).expect("int8 layer");
+    let qweights = weights.to_int8().expect("int8 layer");
     let c = config.clone();
     let f32_id =
         s.t.add(layer_bench(&config, move |hidden, ranges, scratch| {
@@ -455,7 +456,7 @@ fn int8_benches(s: &mut Suite) {
     let c = config.clone();
     let int8_id =
         s.t.add(layer_bench(&config, move |hidden, ranges, scratch| {
-            forward_layer_int8(&c, &qweights, 0, hidden, ranges, scratch).unwrap();
+            forward_layer_with(&c, &qweights, 0, hidden, ranges, scratch).unwrap();
         }));
     s.int8
         .push(("model/forward_layer_h256_640tok".into(), f32_id, int8_id));
@@ -464,8 +465,8 @@ fn int8_benches(s: &mut Suite) {
     // resident (so the measurement isolates spill traffic), hidden
     // offload on with 2-candidate chunks, spill I/O throttled to the
     // emulated SSD. Both sides run the pipelined int8 spill format; only
-    // the compute precision differs. The int8 side feeds fetched blocks
-    // straight into the integer GEMMs (no f32 decode round-trip).
+    // the compute precision differs. The int8 side moves row-quant blocks
+    // through the spill lanes and decodes each once per layer.
     s.topk_parity = true;
     for (tag, config) in engine_scales("paper_mini") {
         let options = EngineOptions {

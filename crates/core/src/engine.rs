@@ -28,20 +28,19 @@
 //! is owned by [`crate::scatter::ScatterGate`]; every [`ActiveRequest`]
 //! embeds one and only ever hands it scores and reads back keep-masks.
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use prism_metrics::{LatencyRecorder, MemCategory, MemoryMeter};
-use prism_model::layer::{
-    forward_layer_int8, forward_layer_with, intermediate_bytes, ForwardScratch,
-};
+use prism_model::layer::{forward_layer_with, intermediate_bytes, ForwardScratch};
 use prism_model::model::{add_position, layer_section, SECTION_EMBEDDING, SECTION_HEAD};
-use prism_model::{HeadWeights, Int8LayerWeights, LayerWeights, ModelConfig, SequenceBatch};
+use prism_model::{HeadWeights, LayerWeights, ModelConfig, SequenceBatch};
 use prism_storage::{
-    Container, DiskRowSource, EmbeddingCache, EmbeddingCacheStats, LayerStreamer, SpillFile,
-    SpillPipeline, SpillPrecision, SpillStats, StorageError, StreamStats, Throttle,
+    Container, DiskRowSource, EmbeddingCache, EmbeddingCacheStats, LayerStreamer, LoadedSection,
+    SpillFile, SpillPipeline, SpillPrecision, SpillStats, StorageError, StreamStats, Throttle,
 };
 use prism_tensor::igemm::RowQuantBlock;
 use prism_tensor::Tensor;
@@ -193,7 +192,7 @@ pub struct RequestOptions {
     /// micro-kernels (see [`ComputePrecision`] for the accuracy
     /// contract). When combined with the default int8 spill precision,
     /// spilled hidden states move through the pipeline as row-quant
-    /// blocks and skip the f32 decode round-trip entirely.
+    /// blocks, decoded to f32 once per layer on the compute thread.
     pub compute_precision: ComputePrecision,
     /// Semantic result-cache policy (see [`SemCacheMode`]). Consumed by
     /// the serving layer's cross-request cache (`prism-semcache`);
@@ -518,12 +517,12 @@ pub struct PrismEngine {
     head: HeadWeights,
     embed: Mutex<EmbedSource>,
     resident_layers: Option<Vec<LayerWeights>>,
-    /// Lazily-built per-layer int8 weight cache for resident engines: the
-    /// first int8-precision request pays the one-time quantization, every
-    /// later one reuses it. Quantization is deterministic, so a racing
+    /// Lazily-built int8 copies of the resident layers: the first
+    /// int8-precision request pays the one-time quantization, every later
+    /// one reuses it. Quantization is deterministic, so a racing
     /// double-init produces identical values and the loser is dropped.
     /// Streamed engines instead quantize per layer acquisition.
-    int8_layers: Vec<OnceLock<Int8LayerWeights>>,
+    int8_layers: Vec<OnceLock<LayerWeights>>,
     meter: MemoryMeter,
     spill_dir: PathBuf,
     request_counter: AtomicU64,
@@ -698,9 +697,8 @@ impl PrismEngine {
             }
 
             // ---- Acquire this layer's weights, once for the batch ----
-            let (weights, raw_section) = match (&self.resident_layers, streamer.as_mut()) {
-                (Some(layers), _) => (LayerRef::Borrowed(&layers[layer_idx]), None),
-                (None, Some(s)) => {
+            let section = match streamer.as_mut() {
+                Some(s) => {
                     // The wait is physically shared; attribute it to the
                     // first live request so span totals stay meaningful.
                     let wait_req = requests
@@ -713,87 +711,31 @@ impl PrismEngine {
                         .ok_or_else(|| {
                             PrismError::InvalidRequest("streamer exhausted early".into())
                         })?;
-                    self.meter
-                        .alloc(MemCategory::LayerWeights, section.meta.len);
-                    let decoded = LayerWeights::from_bytes(&self.config, &section.bytes)?;
-                    self.meter
-                        .alloc(MemCategory::LayerWeights, decoded.size_bytes() as u64);
-                    (LayerRef::Owned(Box::new(decoded)), Some(section))
+                    Some(section)
                 }
-                (None, None) => {
-                    return Err(PrismError::InvalidRequest(
-                        "engine has neither resident nor streamed weights".into(),
-                    ))
-                }
+                None => None,
             };
-
-            // ---- Quantize this layer's weights once if anyone needs the
-            // int8 path (cached for resident engines, per acquisition for
-            // streamed ones). Errors flow through `layer_result` so the
-            // meter-release block below still runs.
-            let needs_int8 = requests
+            let int8 = requests
                 .iter()
                 .any(|r| !r.is_done() && r.compute == ComputePrecision::Int8);
-            let mut quant_err: Option<PrismError> = None;
-            let int8_owned: Option<Int8LayerWeights> = match (&weights, needs_int8) {
-                (LayerRef::Owned(w), true) => match Int8LayerWeights::from_layer(w) {
-                    Ok(q) => Some(q),
-                    Err(e) => {
-                        quant_err = Some(e.into());
-                        None
-                    }
-                },
-                _ => None,
-            };
-            let int8_layer: Option<&Int8LayerWeights> = if !needs_int8 || quant_err.is_some() {
-                None
-            } else if let Some(q) = int8_owned.as_ref() {
-                Some(q)
-            } else {
-                match self.resident_int8(layer_idx) {
-                    Ok(q) => Some(q),
-                    Err(e) => {
-                        quant_err = Some(e);
-                        None
-                    }
-                }
-            };
-
-            let mut layer_result: Result<()> = quant_err.map_or(Ok(()), Err);
-            if layer_result.is_ok() {
-                for req in requests.iter_mut() {
-                    if req.is_done() {
-                        continue;
-                    }
-                    let int8 = if req.compute == ComputePrecision::Int8 {
-                        int8_layer
-                    } else {
-                        None
-                    };
-                    if let Err(e) =
-                        self.forward_and_score(req, layer_idx, weights.get(), int8, pool)
-                    {
-                        layer_result = Err(e);
-                        break;
-                    }
-                }
-            }
-
-            // Release this layer's weights — also on a failed forward, so
-            // the shared meter stays balanced; then recycle the stream
-            // buffer (which immediately triggers the prefetch of layer+2).
-            if let Some(section) = raw_section {
-                let decoded_bytes = match &weights {
-                    LayerRef::Owned(w) => w.size_bytes() as u64,
-                    LayerRef::Borrowed(_) => 0,
-                };
-                self.meter
-                    .free(MemCategory::LayerWeights, section.meta.len + decoded_bytes);
-                if layer_result.is_ok() {
-                    if let Some(s) = streamer.as_mut() {
-                        s.recycle(section)?;
-                    }
-                }
+            // The layer's bytes leave the meter when `layer` drops, also
+            // on a failed forward; then the stream buffer is recycled
+            // (which immediately triggers the prefetch of layer+2).
+            let layer_result = self
+                .acquire_layer(layer_idx, section.as_ref(), int8)
+                .and_then(|layer| {
+                    requests
+                        .iter_mut()
+                        .filter(|r| !r.is_done())
+                        .try_for_each(|req| {
+                            let weights = layer.weights(req.compute);
+                            self.forward_and_score(req, layer_idx, weights, pool)
+                        })
+                });
+            if let (Some(section), Some(s), true) =
+                (section, streamer.as_mut(), layer_result.is_ok())
+            {
+                s.recycle(section)?;
             }
             layer_result?;
         }
@@ -1016,19 +958,30 @@ impl PrismEngine {
         Ok(())
     }
 
-    /// Forwards one request's chunks through `layer_idx` and re-scores at
-    /// the layer boundary (fused: spilled chunks are scored while still
-    /// resident, so the boundary score costs no extra spill read).
+    /// Forwards one request's chunks through `layer_idx` — `weights` in
+    /// the request's compute precision — and re-scores at the layer
+    /// boundary (fused: spilled chunks are scored while still resident,
+    /// so the boundary score costs no extra spill read).
     fn forward_and_score(
         &self,
         req: &mut ActiveRequest,
         layer_idx: usize,
         weights: &LayerWeights,
-        int8: Option<&Int8LayerWeights>,
         pool: &mut Vec<ForwardScratch>,
     ) -> Result<()> {
-        let block_spill = req.block_spill;
-        let int8_spill = req.int8_spill;
+        let (block_spill, int8_spill, compute) = (req.block_spill, req.int8_spill, req.compute);
+        // A spilled chunk whose slot fails its checksum is rebuilt from
+        // the weights instead of failing the request. `layer_idx` layers
+        // have run, and a healthy fetch would have returned the file's
+        // *decode* of the stored codes, so an int8 file's replay passes
+        // one more rowq round-trip.
+        let recover = |chunk: &Chunk| -> Result<Tensor> {
+            let mut t = self.recompute_chunk_hidden(chunk, layer_idx, int8_spill, compute)?;
+            if int8_spill {
+                rowq_round_trip(&mut t)?;
+            }
+            Ok(t)
+        };
         let scores = {
             let ActiveRequest {
                 chunks,
@@ -1040,7 +993,7 @@ impl PrismEngine {
                 chunks,
                 spill,
                 weights,
-                int8,
+                &recover,
                 block_spill,
                 int8_spill,
                 layer_idx,
@@ -1103,17 +1056,13 @@ impl PrismEngine {
         if req.is_done() {
             return Ok(());
         }
-        let layers = self.resident_layers.as_ref().ok_or_else(|| {
-            PrismError::InvalidRequest(
+        if self.resident_layers.is_none() {
+            return Err(PrismError::InvalidRequest(
                 "layer stepping requires resident weights (streaming off)".into(),
-            )
-        })?;
-        let int8 = if req.compute == ComputePrecision::Int8 {
-            Some(self.resident_int8(layer_idx)?)
-        } else {
-            None
-        };
-        self.forward_and_score(req, layer_idx, &layers[layer_idx], int8, pool)
+            ));
+        }
+        let layer = self.acquire_layer(layer_idx, None, req.compute == ComputePrecision::Int8)?;
+        self.forward_and_score(req, layer_idx, layer.weights(req.compute), pool)
     }
 
     /// Applies a keep-mask (indexed by this request's candidate ids):
@@ -1212,13 +1161,13 @@ impl PrismEngine {
     /// path paid. Chunks are data-independent and each is computed with a
     /// deterministic per-row accumulation order, so neither the parallel
     /// schedule nor the overlap can change results.
-    #[allow(clippy::too_many_arguments)] // internal driver: precision + pools
+    #[allow(clippy::too_many_arguments)] // spill regime + scratch pools
     fn forward_and_score_chunks(
         &self,
         chunks: &mut [Chunk],
         spill: &mut Option<SpillPipeline>,
         weights: &LayerWeights,
-        int8: Option<&Int8LayerWeights>,
+        recover: &dyn Fn(&Chunk) -> Result<Tensor>,
         block_spill: bool,
         int8_spill: bool,
         layer_idx: usize,
@@ -1266,25 +1215,8 @@ impl PrismEngine {
                 // the chunk is decoded to f32 exactly once per layer
                 // (norm / attention / residual / scoring need f32) and
                 // the integer GEMMs re-quantize activations internally.
-                // On a checksum mismatch the slot is already quarantined:
-                // rebuild its state from the weights instead of failing
-                // the request. `layer_idx` layers have run, and a healthy
-                // fetch would have returned the file's *decode* of the
-                // stored codes, so an int8 file's replay passes one more
-                // rowq round-trip.
-                let recover = |chunk: &Chunk| -> Result<Tensor> {
-                    let compute = if int8.is_some() {
-                        ComputePrecision::Int8
-                    } else {
-                        ComputePrecision::F32
-                    };
-                    let mut t =
-                        self.recompute_chunk_hidden(chunk, layer_idx, int8_spill, compute)?;
-                    if int8_spill {
-                        rowq_round_trip(&mut t)?;
-                    }
-                    Ok(t)
-                };
+                // On a checksum mismatch the slot is already quarantined
+                // and `recover` rebuilds it.
                 let t = if block_spill {
                     match latency.time("spill-wait", || pipe.fetch_block(slot)) {
                         Ok(block) => {
@@ -1333,18 +1265,15 @@ impl PrismEngine {
             let inter = intermediate_bytes(&self.config, hidden.rows(), max_seq);
             self.meter.alloc(MemCategory::Intermediate, inter);
             let step = latency
-                .time("forward", || match int8 {
-                    Some(q) => {
-                        forward_layer_int8(&self.config, q, layer_idx, hidden, ranges, &mut pool[0])
-                    }
-                    None => forward_layer_with(
+                .time("forward", || {
+                    forward_layer_with(
                         &self.config,
                         weights,
                         layer_idx,
                         hidden,
                         ranges,
                         &mut pool[0],
-                    ),
+                    )
                 })
                 .map_err(PrismError::from)
                 .and_then(|()| {
@@ -1387,9 +1316,7 @@ impl PrismEngine {
         }
 
         // ---- Parallel resident chunks ----
-        self.forward_resident_chunks(
-            chunks, weights, int8, layer_idx, pool, workers, max_seq, latency,
-        )?;
+        self.forward_resident_chunks(chunks, weights, layer_idx, pool, workers, max_seq, latency)?;
 
         // ---- Score resident chunks at the boundary ----
         latency.time("score", || -> Result<()> {
@@ -1447,7 +1374,6 @@ impl PrismEngine {
         &self,
         chunks: &mut [Chunk],
         weights: &LayerWeights,
-        int8: Option<&Int8LayerWeights>,
         layer_idx: usize,
         pool: &mut [ForwardScratch],
         workers: usize,
@@ -1467,18 +1393,11 @@ impl PrismEngine {
         // that product is the true concurrent intermediate footprint.
         let inter = workers.max(1) as u64 * intermediate_bytes(&self.config, max_rows, max_seq);
         self.meter.alloc(MemCategory::Intermediate, inter);
-        // One forward closure shared by both schedules so the precision
-        // dispatch lives in exactly one place.
         let forward_one = |hidden: &mut Tensor,
                            ranges: &[(usize, usize)],
                            scratch: &mut ForwardScratch|
          -> Result<()> {
-            match int8 {
-                Some(q) => forward_layer_int8(&self.config, q, layer_idx, hidden, ranges, scratch)?,
-                None => {
-                    forward_layer_with(&self.config, weights, layer_idx, hidden, ranges, scratch)?
-                }
-            }
+            forward_layer_with(&self.config, weights, layer_idx, hidden, ranges, scratch)?;
             Ok(())
         };
         let result: Result<()> = if workers <= 1 {
@@ -1541,23 +1460,63 @@ impl PrismEngine {
             .min(8)
     }
 
-    /// Returns the cached int8 quantization of resident layer
-    /// `layer_idx`, building it on first use. The cache lives for the
-    /// engine's lifetime, so its bytes are metered once as layer weights.
-    fn resident_int8(&self, layer_idx: usize) -> Result<&Int8LayerWeights> {
-        let cell = &self.int8_layers[layer_idx];
-        if let Some(q) = cell.get() {
-            return Ok(q);
-        }
-        let layers = self.resident_layers.as_ref().ok_or_else(|| {
-            PrismError::InvalidRequest("int8 weight cache requires resident layers".into())
-        })?;
-        let q = Int8LayerWeights::from_layer(&layers[layer_idx])?;
-        let bytes = q.size_bytes() as u64;
-        if cell.set(q).is_ok() {
-            self.meter.alloc(MemCategory::LayerWeights, bytes);
-        }
-        Ok(cell.get().expect("int8 cell just initialized"))
+    /// Gets layer `layer_idx` for the span of one forward — the one
+    /// place the engine acquires weights. The layer is borrowed from the
+    /// resident set, decoded from a streamed `section`, or, for the
+    /// recovery replay on a streamed engine, read straight from the
+    /// container. With `int8`, the layer's int8 copy comes with it: built
+    /// once and cached when resident (metered for the engine's
+    /// lifetime), made per acquisition otherwise. Everything acquired
+    /// here, the streamed section included, stays on the meter's layer
+    /// weights until the guard drops.
+    fn acquire_layer(
+        &self,
+        layer_idx: usize,
+        section: Option<&LoadedSection>,
+        int8: bool,
+    ) -> Result<LayerGuard<'_>> {
+        let mut metered = MeteredWeights {
+            meter: &self.meter,
+            bytes: 0,
+        };
+        let f32 = match (&self.resident_layers, section) {
+            (Some(layers), _) => Cow::Borrowed(&layers[layer_idx]),
+            (None, Some(section)) => {
+                metered.alloc(section.meta.len);
+                Cow::Owned(metered.decode(&self.config, &section.bytes)?)
+            }
+            (None, None) => {
+                let mut blob = Vec::new();
+                self.container
+                    .read_section_into(&layer_section(layer_idx), &mut blob)?;
+                Cow::Owned(metered.decode(&self.config, &blob)?)
+            }
+        };
+        let int8 = match (int8, &f32) {
+            (false, _) => None,
+            // A borrowed layer is resident, so its int8 copy is cached.
+            (true, Cow::Borrowed(_)) => {
+                let cell = &self.int8_layers[layer_idx];
+                if cell.get().is_none() {
+                    let q = f32.to_int8()?;
+                    let bytes = q.size_bytes() as u64;
+                    if cell.set(q).is_ok() {
+                        self.meter.alloc(MemCategory::LayerWeights, bytes);
+                    }
+                }
+                Some(Cow::Borrowed(cell.get().expect("int8 cell initialized")))
+            }
+            (true, Cow::Owned(w)) => {
+                let q = w.to_int8()?;
+                metered.alloc(q.size_bytes() as u64);
+                Some(Cow::Owned(q))
+            }
+        };
+        Ok(LayerGuard {
+            f32,
+            int8,
+            _metered: metered,
+        })
     }
 
     /// The post-embedding score probe: every chunk is still resident at
@@ -1619,7 +1578,6 @@ impl PrismEngine {
             return Ok(hidden);
         }
         let mut scratch = ForwardScratch::new(&self.config, hidden.rows());
-        let mut blob = Vec::new();
         for l in 0..layers_executed {
             // Every layer input — including the embedding — passed the
             // spill round-trip before being forwarded (offload encodes,
@@ -1627,61 +1585,62 @@ impl PrismEngine {
             if int8_file {
                 rowq_round_trip(&mut hidden)?;
             }
-            let owned;
-            let weights: &LayerWeights = match &self.resident_layers {
-                Some(layers) => &layers[l],
-                None => {
-                    self.container
-                        .read_section_into(&layer_section(l), &mut blob)?;
-                    owned = LayerWeights::from_bytes(&self.config, &blob)?;
-                    &owned
-                }
-            };
-            match compute {
-                ComputePrecision::Int8 => {
-                    let q_owned;
-                    let q: &Int8LayerWeights = if self.resident_layers.is_some() {
-                        self.resident_int8(l)?
-                    } else {
-                        q_owned = Int8LayerWeights::from_layer(weights)?;
-                        &q_owned
-                    };
-                    forward_layer_int8(
-                        &self.config,
-                        q,
-                        l,
-                        &mut hidden,
-                        &chunk.ranges,
-                        &mut scratch,
-                    )?;
-                }
-                ComputePrecision::F32 => {
-                    forward_layer_with(
-                        &self.config,
-                        weights,
-                        l,
-                        &mut hidden,
-                        &chunk.ranges,
-                        &mut scratch,
-                    )?;
-                }
-            }
+            let layer = self.acquire_layer(l, None, compute == ComputePrecision::Int8)?;
+            forward_layer_with(
+                &self.config,
+                layer.weights(compute),
+                l,
+                &mut hidden,
+                &chunk.ranges,
+                &mut scratch,
+            )?;
         }
         Ok(hidden)
     }
 }
 
-enum LayerRef<'a> {
-    Borrowed(&'a LayerWeights),
-    Owned(Box<LayerWeights>),
+/// One layer's weights for the span of a forward, as
+/// [`PrismEngine::acquire_layer`] got them.
+struct LayerGuard<'a> {
+    f32: Cow<'a, LayerWeights>,
+    /// The int8 copy, when a live request computes in int8.
+    int8: Option<Cow<'a, LayerWeights>>,
+    _metered: MeteredWeights<'a>,
 }
 
-impl LayerRef<'_> {
-    fn get(&self) -> &LayerWeights {
-        match self {
-            LayerRef::Borrowed(w) => w,
-            LayerRef::Owned(w) => w,
+impl LayerGuard<'_> {
+    /// The layer in `precision`.
+    fn weights(&self, precision: ComputePrecision) -> &LayerWeights {
+        match precision {
+            ComputePrecision::F32 => &self.f32,
+            ComputePrecision::Int8 => self.int8.as_deref().expect("int8 copy acquired"),
         }
+    }
+}
+
+/// Layer-weight bytes on the shared meter, freed on drop.
+struct MeteredWeights<'a> {
+    meter: &'a MemoryMeter,
+    bytes: u64,
+}
+
+impl MeteredWeights<'_> {
+    fn alloc(&mut self, bytes: u64) {
+        self.meter.alloc(MemCategory::LayerWeights, bytes);
+        self.bytes += bytes;
+    }
+
+    /// Decodes a layer blob, metering the decoded layer.
+    fn decode(&mut self, config: &ModelConfig, blob: &[u8]) -> Result<LayerWeights> {
+        let w = LayerWeights::from_bytes(config, blob)?;
+        self.alloc(w.size_bytes() as u64);
+        Ok(w)
+    }
+}
+
+impl Drop for MeteredWeights<'_> {
+    fn drop(&mut self) {
+        self.meter.free(MemCategory::LayerWeights, self.bytes);
     }
 }
 

@@ -36,14 +36,13 @@ pub enum Priority {
 ///
 /// [`ComputePrecision::F32`] (default) runs the f32 GEMM kernels.
 /// [`ComputePrecision::Int8`] routes the seven per-layer projections
-/// through the u8×i8 integer GEMM micro-kernels: activations are
-/// row-quantized once per projection, weights are held as per-row
-/// symmetric i8, and the exact i32 accumulator is rescaled back to f32 in
-/// one fused step. Attention, normalization, residuals and scoring stay
-/// f32. Scores shift within the quantization error bound but top-K
-/// membership is preserved on the golden corpus, and under the offload
-/// regime spilled int8 hidden states feed the integer kernels without an
-/// f32 spill round-trip.
+/// through the u8×i8 integer GEMM micro-kernels: each activation block is
+/// row-quantized once for the projections that read it, weights are held
+/// as per-row symmetric i8 (`LayerWeights::to_int8`), and the exact i32
+/// accumulator is rescaled back to f32 in one fused step. Attention,
+/// normalization, residuals and scoring stay f32. Scores shift within the
+/// quantization error bound but top-K membership is preserved on the
+/// golden corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum ComputePrecision {
     /// Full-precision forward pass (bit-identical to the historical path).

@@ -7,17 +7,22 @@
 //! deliberately free-standing: the PRISM engine calls it with *streamed*
 //! weights it owns for exactly one layer at a time.
 //!
-//! The hot path is [`forward_layer_with`], which threads a reusable
+//! [`forward_layer_with`] is the one function that applies a layer, for
+//! every weight format a [`MatRef`] holds. It threads a reusable
 //! [`ForwardScratch`] workspace through the layer so steady-state
 //! execution performs **zero heap allocations**: projections land in
 //! preallocated buffers via the `_into` kernels, and attention reads
 //! per-head Q/K/V column slices and writes its output through strided
 //! GEMMs instead of slicing, concatenating and re-copying tensors.
+//! Int8 weights run every projection as a u8×i8 GEMM: each activation
+//! block feeding projections is rowq-encoded once into the scratch's
+//! lane, and the integer kernels multiply that encoding.
 
-use prism_tensor::{ops, rowq, Tensor, TensorError};
+use prism_tensor::igemm::RowQuantBlock;
+use prism_tensor::{ops, Tensor, TensorError};
 
 use crate::weights::Int8LayerWeights;
-use crate::{LayerWeights, ModelArch, ModelConfig, Result};
+use crate::{LayerWeights, MatRef, ModelArch, ModelConfig, Result};
 
 /// Reusable per-worker workspace for [`forward_layer_with`].
 ///
@@ -25,9 +30,9 @@ use crate::{LayerWeights, ModelArch, ModelConfig, Result};
 /// the attention output, the projection result, FFN gate/up and the
 /// per-sequence logits — sized once (typically from the engine's chunk
 /// geometry) and re-dressed per call with [`Tensor::resize`], which never
-/// reallocates while shapes stay within the original capacity. One
-/// scratch serves one worker thread; parallel chunk execution gives each
-/// worker its own.
+/// reallocates while shapes stay within the original capacity. The int8
+/// lane sizes itself on the first int8 forward. One scratch serves one
+/// worker thread; parallel chunk execution gives each worker its own.
 #[derive(Debug)]
 pub struct ForwardScratch {
     normed: Tensor,
@@ -39,13 +44,11 @@ pub struct ForwardScratch {
     gate: Tensor,
     up: Tensor,
     logits: Vec<f32>,
-    // Int8 lane: rowq codes of the activation block feeding the next
-    // projection(s), plus the per-row affines. One code buffer serves
-    // both widths (`D` for attention/FFN inputs, `F` for the down
-    // projection) because each encode is fully consumed before the next.
-    codes: Vec<u8>,
-    row_mins: Vec<f32>,
-    row_scales: Vec<f32>,
+    /// Rowq encoding of the activation block feeding the current int8
+    /// projections. One lane serves both widths (`D` for attention/FFN
+    /// inputs, `F` for the down projection) because each encode is fully
+    /// consumed before the next.
+    lane: RowQuantBlock,
 }
 
 impl ForwardScratch {
@@ -65,9 +68,7 @@ impl ForwardScratch {
             gate: Tensor::zeros(max_tokens, f),
             up: Tensor::zeros(max_tokens, f),
             logits: vec![0.0; s * s],
-            codes: vec![0; max_tokens * d.max(f)],
-            row_mins: vec![0.0; max_tokens],
-            row_scales: vec![0.0; max_tokens],
+            lane: RowQuantBlock::new(),
         }
     }
 
@@ -88,13 +89,6 @@ impl ForwardScratch {
         if self.logits.len() < max_seq * max_seq {
             self.logits.resize(max_seq * max_seq, 0.0);
         }
-        if self.codes.len() < tokens * d.max(f) {
-            self.codes.resize(tokens * d.max(f), 0);
-        }
-        if self.row_mins.len() < tokens {
-            self.row_mins.resize(tokens, 0.0);
-            self.row_scales.resize(tokens, 0.0);
-        }
     }
 
     /// Resident bytes of the workspace at its current shape.
@@ -108,25 +102,31 @@ impl ForwardScratch {
             + self.gate.size_bytes()
             + self.up.size_bytes()
             + self.logits.len() * std::mem::size_of::<f32>()
-            + self.codes.len()
-            + (self.row_mins.len() + self.row_scales.len()) * std::mem::size_of::<f32>()
+            + self.lane.size_bytes()
     }
 }
 
-/// Rowq-encodes every row of `src` into the scratch int8 lane (codes +
-/// per-row affines). Free function so callers can borrow `src` from one
-/// scratch field while writing the lane fields.
-fn encode_rows_into(
-    src: &Tensor,
-    codes: &mut [u8],
-    mins: &mut [f32],
-    scales: &mut [f32],
+/// `outs[i] = x · ws[i]ᵀ` for the projections reading one activation
+/// block. Int8 matrices multiply `x`'s rowq encoding, made once into
+/// `lane` for all of them; dense and 4-bit matrices read `x` directly.
+fn project<const N: usize>(
+    x: &Tensor,
+    lane: &mut RowQuantBlock,
+    projections: [(&MatRef, &mut Tensor); N],
 ) -> Result<()> {
-    let cols = src.cols();
-    for r in 0..src.rows() {
-        let (min, scale) = rowq::encode_row(src.row(r)?, &mut codes[r * cols..][..cols])?;
-        mins[r] = min;
-        scales[r] = scale;
+    let mut encoded = false;
+    for (w, out) in projections {
+        match w {
+            MatRef::Dense(w) => ops::matmul_transb_into(x, w, out)?,
+            MatRef::Quant(q) => q.matmul_transb_into(x, out)?,
+            MatRef::Int8(q) => {
+                if !encoded {
+                    lane.encode_into(x)?;
+                    encoded = true;
+                }
+                q.matmul_rowq_into(lane, out)?;
+            }
+        }
     }
     Ok(())
 }
@@ -186,9 +186,15 @@ pub fn forward_layer_with(
         &weights.norm1_gain,
         &weights.norm1_bias,
     )?;
-    weights.wq.apply_into(&scratch.normed, &mut scratch.q)?;
-    weights.wk.apply_into(&scratch.normed, &mut scratch.k)?;
-    weights.wv.apply_into(&scratch.normed, &mut scratch.v)?;
+    project(
+        &scratch.normed,
+        &mut scratch.lane,
+        [
+            (&weights.wq, &mut scratch.q),
+            (&weights.wk, &mut scratch.k),
+            (&weights.wv, &mut scratch.v),
+        ],
+    )?;
     multi_head_attention_into(
         config,
         &scratch.q,
@@ -198,7 +204,11 @@ pub fn forward_layer_with(
         &mut scratch.attn,
         &mut scratch.logits,
     )?;
-    weights.wo.apply_into(&scratch.attn, &mut scratch.proj)?;
+    project(
+        &scratch.attn,
+        &mut scratch.lane,
+        [(&weights.wo, &mut scratch.proj)],
+    )?;
     ops::axpy_inplace(hidden, alpha, &scratch.proj)?;
 
     // ---- FFN block (pre-norm, gated) ----
@@ -209,35 +219,30 @@ pub fn forward_layer_with(
         &weights.norm2_gain,
         &weights.norm2_bias,
     )?;
-    weights
-        .w_gate
-        .apply_into(&scratch.normed, &mut scratch.gate)?;
-    weights.w_up.apply_into(&scratch.normed, &mut scratch.up)?;
+    project(
+        &scratch.normed,
+        &mut scratch.lane,
+        [
+            (&weights.w_gate, &mut scratch.gate),
+            (&weights.w_up, &mut scratch.up),
+        ],
+    )?;
     match config.arch {
         ModelArch::DecoderOnly => ops::silu_inplace(&mut scratch.gate),
         ModelArch::EncoderOnly => ops::gelu_inplace(&mut scratch.gate),
     }
     ops::hadamard_inplace(&mut scratch.gate, &scratch.up)?;
-    weights
-        .w_down
-        .apply_into(&scratch.gate, &mut scratch.proj)?;
+    project(
+        &scratch.gate,
+        &mut scratch.lane,
+        [(&weights.w_down, &mut scratch.proj)],
+    )?;
     ops::axpy_inplace(hidden, alpha, &scratch.proj)?;
     Ok(())
 }
 
-/// Applies transformer layer `layer_idx` in place on `hidden` using the
-/// **integer compute path**: every projection runs as a u8×i8 GEMM over
-/// rowq-encoded activations and per-row-quantized weights, rescaled once
-/// into the f32 scratch buffers.
-///
-/// The structure mirrors [`forward_layer_with`] exactly — pre-norm
-/// attention, then the gated FFN — but each `apply_into` is replaced by
-/// an encode + [`prism_tensor::igemm`] multiply. Attention itself
-/// (softmax over logits, the V aggregation) and the residual stream stay
-/// f32: they are cheap relative to the projections and precision-critical.
-/// Four activation blocks are encoded per layer: the attention input
-/// (feeding Q/K/V), the attention output (feeding `wo`), the FFN input
-/// (feeding gate/up) and the activated gate (feeding `w_down`).
+/// [`forward_layer_with`] on the wrapped int8 weights. Kept only for the
+/// standalone `benchmark/` crate, like [`Int8LayerWeights`].
 pub fn forward_layer_int8(
     config: &ModelConfig,
     weights: &Int8LayerWeights,
@@ -246,120 +251,7 @@ pub fn forward_layer_int8(
     ranges: &[(usize, usize)],
     scratch: &mut ForwardScratch,
 ) -> Result<()> {
-    if hidden.cols() != config.hidden_dim {
-        return Err(TensorError::ShapeMismatch {
-            op: "forward_layer_int8",
-            lhs: hidden.shape(),
-            rhs: (hidden.rows(), config.hidden_dim),
-        }
-        .into());
-    }
-    let max_seq = ranges
-        .iter()
-        .map(|&(s, e)| e.saturating_sub(s))
-        .max()
-        .unwrap_or(0);
-    let tokens = hidden.rows();
-    scratch.prepare(config, tokens, max_seq);
-    let alpha = config.alpha_at(layer_idx);
-
-    // ---- Attention block (pre-norm) ----
-    scratch.normed.data_mut().copy_from_slice(hidden.data());
-    apply_norm(
-        config,
-        &mut scratch.normed,
-        &weights.norm1_gain,
-        &weights.norm1_bias,
-    )?;
-    encode_rows_into(
-        &scratch.normed,
-        &mut scratch.codes,
-        &mut scratch.row_mins,
-        &mut scratch.row_scales,
-    )?;
-    for (w, out) in [
-        (&weights.wq, &mut scratch.q),
-        (&weights.wk, &mut scratch.k),
-        (&weights.wv, &mut scratch.v),
-    ] {
-        w.matmul_codes_into(
-            &scratch.codes,
-            &scratch.row_mins,
-            &scratch.row_scales,
-            tokens,
-            out.data_mut(),
-        )?;
-    }
-    multi_head_attention_into(
-        config,
-        &scratch.q,
-        &scratch.k,
-        &scratch.v,
-        ranges,
-        &mut scratch.attn,
-        &mut scratch.logits,
-    )?;
-    encode_rows_into(
-        &scratch.attn,
-        &mut scratch.codes,
-        &mut scratch.row_mins,
-        &mut scratch.row_scales,
-    )?;
-    weights.wo.matmul_codes_into(
-        &scratch.codes,
-        &scratch.row_mins,
-        &scratch.row_scales,
-        tokens,
-        scratch.proj.data_mut(),
-    )?;
-    ops::axpy_inplace(hidden, alpha, &scratch.proj)?;
-
-    // ---- FFN block (pre-norm, gated) ----
-    scratch.normed.data_mut().copy_from_slice(hidden.data());
-    apply_norm(
-        config,
-        &mut scratch.normed,
-        &weights.norm2_gain,
-        &weights.norm2_bias,
-    )?;
-    encode_rows_into(
-        &scratch.normed,
-        &mut scratch.codes,
-        &mut scratch.row_mins,
-        &mut scratch.row_scales,
-    )?;
-    for (w, out) in [
-        (&weights.w_gate, &mut scratch.gate),
-        (&weights.w_up, &mut scratch.up),
-    ] {
-        w.matmul_codes_into(
-            &scratch.codes,
-            &scratch.row_mins,
-            &scratch.row_scales,
-            tokens,
-            out.data_mut(),
-        )?;
-    }
-    match config.arch {
-        ModelArch::DecoderOnly => ops::silu_inplace(&mut scratch.gate),
-        ModelArch::EncoderOnly => ops::gelu_inplace(&mut scratch.gate),
-    }
-    ops::hadamard_inplace(&mut scratch.gate, &scratch.up)?;
-    encode_rows_into(
-        &scratch.gate,
-        &mut scratch.codes,
-        &mut scratch.row_mins,
-        &mut scratch.row_scales,
-    )?;
-    weights.w_down.matmul_codes_into(
-        &scratch.codes,
-        &scratch.row_mins,
-        &scratch.row_scales,
-        tokens,
-        scratch.proj.data_mut(),
-    )?;
-    ops::axpy_inplace(hidden, alpha, &scratch.proj)?;
-    Ok(())
+    forward_layer_with(config, &weights.0, layer_idx, hidden, ranges, scratch)
 }
 
 /// Applies the architecture's normalization in place.
@@ -593,12 +485,11 @@ mod tests {
         // within the same error envelope as the W4 weight quantization.
         for arch in [ModelArch::DecoderOnly, ModelArch::EncoderOnly] {
             let (config, w, hidden, ranges) = setup(arch);
-            let w8 = crate::weights::Int8LayerWeights::from_layer(&w).unwrap();
+            let w8 = w.to_int8().unwrap();
             let mut dense = hidden.clone();
             forward_layer(&config, &w, 0, &mut dense, &ranges).unwrap();
             let mut int8 = hidden.clone();
-            let mut scratch = ForwardScratch::new(&config, int8.rows());
-            forward_layer_int8(&config, &w8, 0, &mut int8, &ranges, &mut scratch).unwrap();
+            forward_layer(&config, &w8, 0, &mut int8, &ranges).unwrap();
             let diff = dense.max_abs_diff(&int8).unwrap();
             assert!(diff < 0.15, "{arch:?}: int8 divergence {diff}");
             assert!(int8.data().iter().all(|x| x.is_finite()));
@@ -613,16 +504,15 @@ mod tests {
         // without corrupting results (stale codes beyond the new token
         // count must not leak into the GEMMs).
         let (config, w, hidden, ranges) = setup(ModelArch::DecoderOnly);
-        let w8 = crate::weights::Int8LayerWeights::from_layer(&w).unwrap();
+        let w8 = w.to_int8().unwrap();
         let mut scratch = ForwardScratch::new(&config, hidden.rows());
         let mut big = hidden.clone();
-        forward_layer_int8(&config, &w8, 0, &mut big, &ranges, &mut scratch).unwrap();
+        forward_layer_with(&config, &w8, 0, &mut big, &ranges, &mut scratch).unwrap();
 
         let mut small = hidden.slice_rows(0, 5).unwrap();
-        forward_layer_int8(&config, &w8, 0, &mut small, &[(0, 5)], &mut scratch).unwrap();
+        forward_layer_with(&config, &w8, 0, &mut small, &[(0, 5)], &mut scratch).unwrap();
         let mut fresh = hidden.slice_rows(0, 5).unwrap();
-        let mut fresh_scratch = ForwardScratch::new(&config, 5);
-        forward_layer_int8(&config, &w8, 0, &mut fresh, &[(0, 5)], &mut fresh_scratch).unwrap();
+        forward_layer(&config, &w8, 0, &mut fresh, &[(0, 5)]).unwrap();
         assert_eq!(
             small.data(),
             fresh.data(),

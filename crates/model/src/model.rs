@@ -154,17 +154,6 @@ impl Model {
         Ok(hidden)
     }
 
-    /// Applies transformer layer `layer_idx` in place.
-    pub fn forward_layer(
-        &self,
-        layer_idx: usize,
-        hidden: &mut Tensor,
-        ranges: &[(usize, usize)],
-    ) -> Result<()> {
-        let mut scratch = ForwardScratch::new(&self.config, hidden.rows());
-        self.forward_layer_with(layer_idx, hidden, ranges, &mut scratch)
-    }
-
     /// Applies transformer layer `layer_idx` in place through a reused
     /// scratch workspace (the allocation-free hot path).
     pub fn forward_layer_with(

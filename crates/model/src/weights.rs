@@ -1,12 +1,16 @@
 //! Weight containers, deterministic generation and (de)serialization.
 //!
 //! Weight matrices are stored output-major (`[out, in]`) and applied as
-//! `y = x · Wᵀ`, matching checkpoint conventions. A [`MatRef`] is either a
-//! dense `f32` tensor or a 4-bit [`QuantMatrix`], so one forward path
-//! serves both the full-precision and the W4A16 models.
+//! `y = x · Wᵀ`, matching checkpoint conventions. A [`MatRef`] is a dense
+//! `f32` tensor, a 4-bit [`QuantMatrix`] or a per-row i8 [`Int8Matrix`]:
+//! the number format is a property of the weights, so one forward path
+//! ([`crate::layer::forward_layer_with`]) serves the full-precision, the
+//! W4A16 and the integer-compute models. [`LayerWeights::quantize`] and
+//! [`LayerWeights::to_int8`] convert a layer; every format serializes
+//! under its own matrix tag.
 
 use prism_tensor::igemm::Int8Matrix;
-use prism_tensor::{ops, QuantMatrix, Tensor};
+use prism_tensor::{QuantMatrix, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -15,75 +19,47 @@ use crate::semantics::{
 };
 use crate::{Error, ModelConfig, Result};
 
-/// Dense or quantized weight matrix, output-major.
+/// Dense, 4-bit or int8 weight matrix, output-major.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatRef {
     /// Full-precision matrix `[out, in]`.
     Dense(Tensor),
     /// 4-bit block-quantized matrix `[out, in]`.
     Quant(QuantMatrix),
+    /// Per-row symmetric i8 matrix `[out, in]`: the integer compute
+    /// path, which multiplies it by rowq-encoded activations.
+    Int8(Int8Matrix),
 }
 
 impl MatRef {
-    /// Applies the matrix: `x · Wᵀ` for `x: [n, in] -> [n, out]`.
-    pub fn apply(&self, x: &Tensor) -> Result<Tensor> {
-        match self {
-            MatRef::Dense(w) => Ok(ops::matmul_transb(x, w)?),
-            MatRef::Quant(q) => Ok(q.matmul_transb(x)?),
-        }
-    }
-
-    /// Applies the matrix into a caller-owned output tensor, reusing its
-    /// allocation (the zero-allocation path [`crate::layer::forward_layer_with`]
-    /// runs on). Quantized matrices take the fused nibble-decode kernel.
-    pub fn apply_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
-        match self {
-            MatRef::Dense(w) => Ok(ops::matmul_transb_into(x, w, out)?),
-            MatRef::Quant(q) => Ok(q.matmul_transb_into(x, out)?),
-        }
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        match self {
-            MatRef::Dense(w) => w.rows(),
-            MatRef::Quant(q) => q.rows(),
-        }
-    }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        match self {
-            MatRef::Dense(w) => w.cols(),
-            MatRef::Quant(q) => q.cols(),
-        }
-    }
-
     /// Resident bytes.
     pub fn size_bytes(&self) -> usize {
         match self {
             MatRef::Dense(w) => w.size_bytes(),
             MatRef::Quant(q) => q.size_bytes(),
+            MatRef::Int8(q) => q.size_bytes(),
         }
     }
 
-    /// Quantizes a dense matrix (no-op if already quantized).
+    /// Quantizes to 4-bit (no-op if already 4-bit).
     pub fn quantized(&self) -> Result<MatRef> {
-        match self {
-            MatRef::Dense(w) => Ok(MatRef::Quant(QuantMatrix::quantize(w)?)),
-            MatRef::Quant(q) => Ok(MatRef::Quant(q.clone())),
-        }
+        Ok(MatRef::Quant(match self {
+            MatRef::Dense(w) => QuantMatrix::quantize(w)?,
+            MatRef::Quant(q) => q.clone(),
+            MatRef::Int8(q) => QuantMatrix::quantize(&q.dequantize())?,
+        }))
     }
 
-    /// Re-quantizes to the per-row symmetric i8 form the integer GEMM
-    /// path consumes (4-bit matrices go through their dequantized
-    /// values, so the int8 codes calibrate to what the f32 path would
-    /// actually have multiplied).
-    pub fn to_int8(&self) -> Result<Int8Matrix> {
-        match self {
-            MatRef::Dense(w) => Ok(Int8Matrix::quantize(w)?),
-            MatRef::Quant(q) => Ok(Int8Matrix::from_quant(q)?),
-        }
+    /// Re-quantizes to per-row symmetric i8 (no-op if already int8).
+    /// 4-bit matrices go through their dequantized values, so the int8
+    /// codes calibrate to what the f32 path would actually have
+    /// multiplied.
+    pub fn to_int8(&self) -> Result<MatRef> {
+        Ok(MatRef::Int8(match self {
+            MatRef::Dense(w) => Int8Matrix::quantize(w)?,
+            MatRef::Quant(q) => Int8Matrix::from_quant(q)?,
+            MatRef::Int8(q) => q.clone(),
+        }))
     }
 }
 
@@ -193,23 +169,34 @@ impl LayerWeights {
 
     /// Quantizes every matrix to 4-bit (norms stay `f32`).
     pub fn quantize(&self) -> Result<LayerWeights> {
+        self.map_matrices(MatRef::quantized)
+    }
+
+    /// Re-quantizes every matrix to per-row i8 for the integer compute
+    /// path (norms stay `f32`). The codes are a calibration of whatever
+    /// weights this layer holds, dense or 4-bit.
+    pub fn to_int8(&self) -> Result<LayerWeights> {
+        self.map_matrices(MatRef::to_int8)
+    }
+
+    fn map_matrices(&self, f: impl Fn(&MatRef) -> Result<MatRef>) -> Result<LayerWeights> {
         Ok(LayerWeights {
             norm1_gain: self.norm1_gain.clone(),
             norm1_bias: self.norm1_bias.clone(),
-            wq: self.wq.quantized()?,
-            wk: self.wk.quantized()?,
-            wv: self.wv.quantized()?,
-            wo: self.wo.quantized()?,
+            wq: f(&self.wq)?,
+            wk: f(&self.wk)?,
+            wv: f(&self.wv)?,
+            wo: f(&self.wo)?,
             norm2_gain: self.norm2_gain.clone(),
             norm2_bias: self.norm2_bias.clone(),
-            w_gate: self.w_gate.quantized()?,
-            w_up: self.w_up.quantized()?,
-            w_down: self.w_down.quantized()?,
+            w_gate: f(&self.w_gate)?,
+            w_up: f(&self.w_up)?,
+            w_down: f(&self.w_down)?,
         })
     }
 
-    /// Serializes into the on-disk layer blob (dense or q4 depending on the
-    /// matrices held).
+    /// Serializes into the on-disk layer blob. Each matrix carries a tag
+    /// for its format: 0 dense, 1 q4, 2 int8.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.size_bytes() + 64);
         push_f32s(&mut out, &self.norm1_gain);
@@ -225,20 +212,19 @@ impl LayerWeights {
             &self.w_up,
             &self.w_down,
         ] {
-            match m {
+            let (tag, blob) = match m {
                 MatRef::Dense(t) => {
                     out.push(0);
-                    let blob_len = t.len() * 4;
-                    out.extend_from_slice(&(blob_len as u32).to_le_bytes());
+                    out.extend_from_slice(&((t.len() * 4) as u32).to_le_bytes());
                     push_f32s(&mut out, t.data());
+                    continue;
                 }
-                MatRef::Quant(q) => {
-                    out.push(1);
-                    let blob = q.to_bytes();
-                    out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&blob);
-                }
-            }
+                MatRef::Quant(q) => (1, q.to_bytes()),
+                MatRef::Int8(q) => (2, q.to_bytes()),
+            };
+            out.push(tag);
+            out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+            out.extend_from_slice(&blob);
         }
         out
     }
@@ -280,72 +266,18 @@ impl LayerWeights {
     }
 }
 
-/// One layer's weights re-quantized for the integer compute path: every
-/// projection as a per-row symmetric [`Int8Matrix`], norms kept `f32`.
-///
-/// Derived at runtime from a [`LayerWeights`] (dense or W4) — never
-/// serialized, because the i8 codes are a calibration artifact of
-/// whatever weights are already on disk. The engine builds these once
-/// per layer (cached for resident models, per-acquisition for streamed
-/// ones) when a request opts into `Int8` compute.
+/// The int8 layer type from before int8 became a [`MatRef`] variant: a
+/// [`LayerWeights`] whose matrices are all [`MatRef::Int8`]. It stays,
+/// with [`crate::layer::forward_layer_int8`], only because the
+/// standalone `benchmark/` crate is built against it; everything else
+/// calls [`LayerWeights::to_int8`] and [`crate::layer::forward_layer_with`].
 #[derive(Debug, Clone)]
-pub struct Int8LayerWeights {
-    /// Pre-attention norm gain (`[D]`).
-    pub norm1_gain: Vec<f32>,
-    /// Pre-attention norm bias (`[D]`).
-    pub norm1_bias: Vec<f32>,
-    /// Query projection `[D, D]`.
-    pub wq: Int8Matrix,
-    /// Key projection `[D, D]`.
-    pub wk: Int8Matrix,
-    /// Value projection `[D, D]`.
-    pub wv: Int8Matrix,
-    /// Output projection `[D, D]`.
-    pub wo: Int8Matrix,
-    /// Pre-FFN norm gain (`[D]`).
-    pub norm2_gain: Vec<f32>,
-    /// Pre-FFN norm bias (`[D]`).
-    pub norm2_bias: Vec<f32>,
-    /// FFN gate projection `[F, D]`.
-    pub w_gate: Int8Matrix,
-    /// FFN up projection `[F, D]`.
-    pub w_up: Int8Matrix,
-    /// FFN down projection `[D, F]`.
-    pub w_down: Int8Matrix,
-}
+pub struct Int8LayerWeights(pub LayerWeights);
 
 impl Int8LayerWeights {
-    /// Re-quantizes every projection of `layer` to per-row i8.
+    /// [`LayerWeights::to_int8`], wrapped.
     pub fn from_layer(layer: &LayerWeights) -> Result<Self> {
-        Ok(Int8LayerWeights {
-            norm1_gain: layer.norm1_gain.clone(),
-            norm1_bias: layer.norm1_bias.clone(),
-            wq: layer.wq.to_int8()?,
-            wk: layer.wk.to_int8()?,
-            wv: layer.wv.to_int8()?,
-            wo: layer.wo.to_int8()?,
-            norm2_gain: layer.norm2_gain.clone(),
-            norm2_bias: layer.norm2_bias.clone(),
-            w_gate: layer.w_gate.to_int8()?,
-            w_up: layer.w_up.to_int8()?,
-            w_down: layer.w_down.to_int8()?,
-        })
-    }
-
-    /// Resident bytes of the i8 codes plus per-row metadata and norms.
-    pub fn size_bytes(&self) -> usize {
-        (self.norm1_gain.len()
-            + self.norm1_bias.len()
-            + self.norm2_gain.len()
-            + self.norm2_bias.len())
-            * 4
-            + self.wq.size_bytes()
-            + self.wk.size_bytes()
-            + self.wv.size_bytes()
-            + self.wo.size_bytes()
-            + self.w_gate.size_bytes()
-            + self.w_up.size_bytes()
-            + self.w_down.size_bytes()
+        layer.to_int8().map(Int8LayerWeights)
     }
 }
 
@@ -538,10 +470,17 @@ impl Cursor<'_> {
             }
             1 => {
                 let q = QuantMatrix::from_bytes(payload)?;
-                if q.rows() != rows || q.cols() != cols {
+                if (q.rows(), q.cols()) != (rows, cols) {
                     return Err(Error::Config("quant matrix shape mismatch".into()));
                 }
                 Ok(MatRef::Quant(q))
+            }
+            2 => {
+                let q = Int8Matrix::from_bytes(payload)?;
+                if (q.out_dim(), q.in_dim()) != (rows, cols) {
+                    return Err(Error::Config("int8 matrix shape mismatch".into()));
+                }
+                Ok(MatRef::Int8(q))
             }
             other => Err(Error::Config(format!("unknown matrix tag {other}"))),
         }
@@ -649,19 +588,19 @@ mod tests {
     }
 
     #[test]
-    fn matref_apply_matches_dense_math() {
-        let w = Tensor::from_fn(4, 6, |r, c| ((r * 6 + c) as f32 * 0.1).sin());
-        let x = Tensor::from_fn(3, 6, |r, c| ((r + c) as f32 * 0.2).cos());
-        let dense = MatRef::Dense(w.clone());
-        let quant = dense.quantized().unwrap();
-        let yd = dense.apply(&x).unwrap();
-        let yq = quant.apply(&x).unwrap();
-        assert_eq!(yd.shape(), (3, 4));
-        assert_eq!(dense.out_dim(), 4);
-        assert_eq!(dense.in_dim(), 6);
-        assert_eq!(quant.out_dim(), 4);
-        // Quantized result close to dense.
-        assert!(yd.max_abs_diff(&yq).unwrap() < 0.2);
+    fn layer_blob_round_trip_int8() {
+        let c = cfg();
+        for source in [
+            LayerWeights::generate(&c, 1, 7),
+            LayerWeights::generate(&c, 1, 7).quantize().unwrap(),
+        ] {
+            let w = source.to_int8().unwrap();
+            assert!(matches!(w.w_down, MatRef::Int8(_)));
+            let back = LayerWeights::from_bytes(&c, &w.to_bytes()).unwrap();
+            // Codes, scales, code sums and VNNI tiling all come back.
+            assert_eq!(w, back);
+            assert_eq!(back.to_int8().unwrap(), w, "to_int8 is idempotent");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A counting global allocator wraps the system allocator for this test
 //! binary only; after one warm-up call sizes every scratch buffer, further
 //! `forward_layer_with` calls must not touch the allocator at all — no
-//! matter the architecture, dense or quantized weights.
+//! matter the architecture or the weight format (dense, 4-bit, int8).
 //!
 //! The count is **per thread**: libtest runs tests on parallel threads
 //! and the harness itself allocates (result reporting), so a process-
@@ -60,12 +60,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn steady_state_alloc_count(arch: ModelArch, quantized: bool) -> u64 {
+/// The weight formats a layer can hold.
+#[derive(Debug, Clone, Copy)]
+enum Format {
+    Dense,
+    Q4,
+    Int8,
+}
+
+fn steady_state_alloc_count(arch: ModelArch, format: Format) -> u64 {
     let config = ModelConfig::test_config(arch, 2);
-    let mut weights = LayerWeights::generate(&config, 0, 11);
-    if quantized {
-        weights = weights.quantize().unwrap();
-    }
+    let dense = LayerWeights::generate(&config, 0, 11);
+    let weights = match format {
+        Format::Dense => dense,
+        Format::Q4 => dense.quantize().unwrap(),
+        Format::Int8 => dense.to_int8().unwrap(),
+    };
     let hidden0 = Tensor::from_fn(12, config.hidden_dim, |r, c| {
         ((r * 7 + c * 3) as f32 * 0.13).sin() * 0.5
     });
@@ -94,11 +104,11 @@ fn steady_state_alloc_count(arch: ModelArch, quantized: bool) -> u64 {
 #[test]
 fn forward_layer_steady_state_is_allocation_free() {
     for arch in [ModelArch::DecoderOnly, ModelArch::EncoderOnly] {
-        for quantized in [false, true] {
-            let allocs = steady_state_alloc_count(arch, quantized);
+        for format in [Format::Dense, Format::Q4, Format::Int8] {
+            let allocs = steady_state_alloc_count(arch, format);
             assert_eq!(
                 allocs, 0,
-                "{arch:?} (quantized: {quantized}): forward_layer_with allocated \
+                "{arch:?} ({format:?} weights): forward_layer_with allocated \
                  {allocs} times in steady state"
             );
         }

@@ -18,18 +18,18 @@
 //!
 //! * [`SpillPrecision::F32`] — `rows * cols` little-endian `f32`s (the
 //!   historical raw format; round-trips bit-exactly),
-//! * [`SpillPrecision::Int8`] — `rows` f32 row minima, `rows` f32 row
-//!   scales, then `rows * cols` u8 codes ([`prism_tensor::rowq`]): ~4x
-//!   fewer bytes through the bandwidth throttle at a per-element error
-//!   bounded by `scale / 2`,
+//! * [`SpillPrecision::Int8`] — a [`RowQuantBlock`]: `rows` f32 row
+//!   minima, `rows` f32 row scales, then `rows * cols` u8 codes
+//!   ([`prism_tensor::rowq`]): ~4x fewer bytes through the bandwidth
+//!   throttle at a per-element error bounded by `scale / 2`,
 //!
 //! and a trailing little-endian CRC32 (IEEE) over header + payload.
 //! Every fetch verifies the checksum; a mismatch **quarantines** the slot
 //! (marks it empty, bumps [`SpillFile::quarantined`]) and returns
 //! [`StorageError::ChecksumMismatch`] so the engine can recompute the
 //! chunk from weights instead of propagating silently corrupted scores.
-//! Version-2 slots (no trailer) are still readable — their payload length
-//! is derived from the header, and verification is skipped.
+//! Spill files are per-request scratch files, created empty, so every
+//! slot this reader sees was written at version 3.
 //!
 //! The API takes `&self`: slot metadata sits behind a mutex and the byte
 //! counters are atomics, so the overlapped spill pipeline's reader and
@@ -42,7 +42,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use prism_tensor::igemm::RowQuantBlock;
-use prism_tensor::{rowq, Tensor};
+use prism_tensor::{Tensor, TensorError};
 use serde::Serialize;
 
 use crate::{Result, StorageError, Throttle};
@@ -97,8 +97,6 @@ impl SpillPrecision {
 
 const MAGIC: [u8; 4] = *b"PSPL";
 const VERSION: u8 = 3;
-/// The pre-checksum format: same header, no CRC trailer. Still readable.
-const VERSION_NO_CRC: u8 = 2;
 const HEADER_BYTES: usize = 16;
 const CRC_BYTES: usize = 4;
 
@@ -211,7 +209,7 @@ pub struct SpillFile {
 impl SpillFile {
     /// Creates a spill file at `path` with `slots` slots, each sized for
     /// a tensor of up to `max_rows` rows by exactly `cols` columns at
-    /// either precision.
+    /// `precision`.
     pub fn create(
         path: impl AsRef<Path>,
         slots: usize,
@@ -227,12 +225,7 @@ impl SpillFile {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        // A slot must hold the largest tensor at either encoding, so a
-        // per-slot precision downgrade (or a future per-request mix)
-        // can never overflow its neighbour.
-        let slot_bytes = SpillPrecision::F32
-            .encoded_bytes(max_rows, cols)
-            .max(SpillPrecision::Int8.encoded_bytes(max_rows, cols));
+        let slot_bytes = precision.encoded_bytes(max_rows, cols);
         file.set_len((slots * slot_bytes) as u64)?;
         Ok(SpillFile {
             path,
@@ -310,25 +303,80 @@ impl SpillFile {
         }
     }
 
+    fn codec_err(slot: usize, e: TensorError) -> StorageError {
+        StorageError::SectionMismatch {
+            name: "spill".into(),
+            reason: format!("slot {slot}: {e}"),
+        }
+    }
+
     /// Writes `tensor` into `slot` at the file's precision, replacing
     /// previous contents. Returns the encoded byte count.
     pub fn offload(&self, slot: usize, tensor: &Tensor) -> Result<u64> {
+        let start = Instant::now();
+        let (rows, cols) = tensor.shape();
+        match self.precision {
+            SpillPrecision::Int8 => {
+                let block = RowQuantBlock::encode(tensor).map_err(|e| Self::codec_err(slot, e))?;
+                self.write_block(slot, &block, start)
+            }
+            SpillPrecision::F32 => {
+                self.write_slot(slot, SpillPrecision::F32, rows, cols, start, |b| {
+                    for &v in tensor.data() {
+                        b.extend_from_slice(&v.to_le_bytes());
+                    }
+                })
+            }
+        }
+    }
+
+    /// Writes an already-encoded rowq block into `slot` — the int8
+    /// compute path's write-back, which skips the encode
+    /// [`SpillFile::offload`] would redo. The slot is tagged
+    /// [`SpillPrecision::Int8`] regardless of the file's precision (the
+    /// payload *is* the int8 wire format).
+    pub fn offload_block(&self, slot: usize, block: &RowQuantBlock) -> Result<u64> {
+        self.write_block(slot, block, Instant::now())
+    }
+
+    fn write_block(&self, slot: usize, block: &RowQuantBlock, start: Instant) -> Result<u64> {
+        let (rows, cols) = (block.rows(), block.cols());
+        self.write_slot(slot, SpillPrecision::Int8, rows, cols, start, |b| {
+            for &m in block.mins() {
+                b.extend_from_slice(&m.to_le_bytes());
+            }
+            for &s in block.scales() {
+                b.extend_from_slice(&s.to_le_bytes());
+            }
+            b.extend_from_slice(block.codes());
+        })
+    }
+
+    /// The one slot writer: header, the payload `fill` appends, CRC
+    /// trailer, then the paced write (timed from `start`, which includes
+    /// any encode) and the slot's metadata.
+    fn write_slot(
+        &self,
+        slot: usize,
+        enc: SpillPrecision,
+        rows: usize,
+        cols: usize,
+        start: Instant,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64> {
         if slot >= self.slots {
             return Err(self.bad_slot(slot));
         }
-        let (rows, cols) = tensor.shape();
-        if cols != self.cols || rows > self.max_rows {
+        let len = enc.encoded_bytes(rows, cols);
+        if cols != self.cols || rows > self.max_rows || len > self.slot_bytes {
             return Err(StorageError::SectionMismatch {
                 name: "spill".into(),
                 reason: format!(
-                    "tensor {rows}x{cols} exceeds slot capacity {}x{}",
+                    "{enc:?} {rows}x{cols} exceeds slot capacity {}x{}",
                     self.max_rows, self.cols
                 ),
             });
         }
-        let enc = self.precision;
-        let len = enc.encoded_bytes(rows, cols);
-        let start = Instant::now();
         let mut bytes = Vec::with_capacity(len);
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
@@ -336,37 +384,7 @@ impl SpillFile {
         bytes.extend_from_slice(&[0, 0]);
         bytes.extend_from_slice(&(rows as u32).to_le_bytes());
         bytes.extend_from_slice(&(cols as u32).to_le_bytes());
-        match enc {
-            SpillPrecision::F32 => {
-                for &v in tensor.data() {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            SpillPrecision::Int8 => {
-                let mut mins = Vec::with_capacity(rows);
-                let mut scales = Vec::with_capacity(rows);
-                let mut codes = vec![0_u8; rows * cols];
-                for r in 0..rows {
-                    let (min, scale) = rowq::encode_row(
-                        &tensor.data()[r * cols..(r + 1) * cols],
-                        &mut codes[r * cols..(r + 1) * cols],
-                    )
-                    .map_err(|e| StorageError::SectionMismatch {
-                        name: "spill".into(),
-                        reason: format!("row encode: {e}"),
-                    })?;
-                    mins.push(min);
-                    scales.push(scale);
-                }
-                for &m in &mins {
-                    bytes.extend_from_slice(&m.to_le_bytes());
-                }
-                for &s in &scales {
-                    bytes.extend_from_slice(&s.to_le_bytes());
-                }
-                bytes.extend_from_slice(&codes);
-            }
-        }
+        fill(&mut bytes);
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(bytes.len(), len);
@@ -385,11 +403,22 @@ impl SpillFile {
         Ok(len as u64)
     }
 
-    /// Reads `slot`, cross-checks the header against the recorded
-    /// metadata, and verifies the version-3 trailing CRC32 (version-2
-    /// slots carry no trailer; verification is skipped). On a checksum
-    /// mismatch the slot is **quarantined** — marked empty, counted in
-    /// [`SpillFile::quarantined`] — and the typed
+    fn slot_meta(&self, slot: usize) -> Result<SlotMeta> {
+        if slot >= self.slots {
+            return Err(self.bad_slot(slot));
+        }
+        self.meta.lock().expect("spill meta lock")[slot].ok_or_else(|| {
+            StorageError::SectionMismatch {
+                name: "spill".into(),
+                reason: format!("slot {slot} is empty"),
+            }
+        })
+    }
+
+    /// The one slot reader: reads `slot`, cross-checks the header against
+    /// the recorded metadata, and verifies the trailing CRC32. On a
+    /// checksum mismatch the slot is **quarantined** — marked empty,
+    /// counted in [`SpillFile::quarantined`] — and the typed
     /// [`StorageError::ChecksumMismatch`] tells the caller to recompute
     /// the chunk rather than consume corrupted data. Returns the payload
     /// bytes (header and trailer stripped).
@@ -410,7 +439,7 @@ impl SpillFile {
             name: "spill".into(),
             reason,
         };
-        if bytes[0..4] != MAGIC || !matches!(bytes[4], VERSION | VERSION_NO_CRC) {
+        if bytes[0..4] != MAGIC || bytes[4] != VERSION {
             return Err(corrupt(format!("slot {slot}: bad header")));
         }
         let enc = SpillPrecision::from_tag(bytes[5])
@@ -421,164 +450,75 @@ impl SpillFile {
             return Err(corrupt(format!("slot {slot}: header/metadata mismatch")));
         }
         let body = HEADER_BYTES + enc.payload_bytes(rows, cols);
-        if bytes[4] == VERSION {
-            if bytes.len() < body + CRC_BYTES {
-                return Err(corrupt(format!("slot {slot}: truncated checksum trailer")));
-            }
-            let stored =
-                u32::from_le_bytes(bytes[body..body + CRC_BYTES].try_into().expect("4 bytes"));
-            let computed = crc32(&bytes[..body]);
-            if stored != computed {
-                self.meta.lock().expect("spill meta lock")[slot] = None;
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                return Err(StorageError::ChecksumMismatch {
-                    slot,
-                    reason: format!("stored {stored:#010x}, computed {computed:#010x}"),
-                });
-            }
+        if bytes.len() < body + CRC_BYTES {
+            return Err(corrupt(format!("slot {slot}: truncated checksum trailer")));
+        }
+        let stored = u32::from_le_bytes(bytes[body..body + CRC_BYTES].try_into().expect("4 bytes"));
+        let computed = crc32(&bytes[..body]);
+        if stored != computed {
+            self.meta.lock().expect("spill meta lock")[slot] = None;
+            self.quarantined.fetch_add(1, Ordering::Relaxed);
+            return Err(StorageError::ChecksumMismatch {
+                slot,
+                reason: format!("stored {stored:#010x}, computed {computed:#010x}"),
+            });
         }
         bytes.truncate(body);
         bytes.drain(..HEADER_BYTES);
         Ok(bytes)
     }
 
+    fn read_f32(&self, slot: usize, meta: SlotMeta) -> Result<Tensor> {
+        let payload = self.read_verified(slot, meta)?;
+        let data = payload
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect();
+        Ok(Tensor::from_vec(meta.rows, meta.cols, data)?)
+    }
+
+    fn read_block(&self, slot: usize, meta: SlotMeta) -> Result<RowQuantBlock> {
+        let payload = self.read_verified(slot, meta)?;
+        let rows = meta.rows;
+        let (mins, rest) = payload.split_at(4 * rows);
+        let (scales, codes) = rest.split_at(4 * rows);
+        let f32s = |b: &[u8]| {
+            b.chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+                .collect()
+        };
+        RowQuantBlock::from_parts(rows, meta.cols, f32s(mins), f32s(scales), codes.to_vec())
+            .map_err(|e| Self::codec_err(slot, e))
+    }
+
     /// Reads the tensor stored in `slot` back into memory, decoding per
     /// the slot's recorded encoding after checksum verification.
     pub fn fetch(&self, slot: usize) -> Result<Tensor> {
-        if slot >= self.slots {
-            return Err(self.bad_slot(slot));
-        }
-        let meta = self.meta.lock().expect("spill meta lock")[slot].ok_or_else(|| {
-            StorageError::SectionMismatch {
-                name: "spill".into(),
-                reason: format!("slot {slot} is empty"),
-            }
-        })?;
-        let payload = self.read_verified(slot, meta)?;
-        let payload = payload.as_slice();
-        let corrupt = |reason: String| StorageError::SectionMismatch {
-            name: "spill".into(),
-            reason,
-        };
-        let (rows, cols, enc) = (meta.rows, meta.cols, meta.enc);
-        let mut data = vec![0.0_f32; rows * cols];
-        match enc {
-            SpillPrecision::F32 => {
-                for (o, chunk) in data.iter_mut().zip(payload.chunks_exact(4)) {
-                    *o = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                }
-            }
+        let meta = self.slot_meta(slot)?;
+        match meta.enc {
+            SpillPrecision::F32 => self.read_f32(slot, meta),
             SpillPrecision::Int8 => {
-                let read_f32 = |b: &[u8], i: usize| {
-                    f32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
-                };
-                let (mins, rest) = payload.split_at(4 * rows);
-                let (scales, codes) = rest.split_at(4 * rows);
-                for r in 0..rows {
-                    rowq::decode_row(
-                        &codes[r * cols..(r + 1) * cols],
-                        read_f32(mins, r),
-                        read_f32(scales, r),
-                        &mut data[r * cols..(r + 1) * cols],
-                    )
-                    .map_err(|e| corrupt(format!("slot {slot}: row decode: {e}")))?;
-                }
+                let mut t = Tensor::zeros(0, 0);
+                self.read_block(slot, meta)?
+                    .decode_into(&mut t)
+                    .map_err(|e| Self::codec_err(slot, e))?;
+                Ok(t)
             }
         }
-        Ok(Tensor::from_vec(rows, cols, data)?)
-    }
-
-    /// Writes an already-encoded rowq block into `slot` — the int8
-    /// compute path's write-back, which skips the encode the f32
-    /// [`SpillFile::offload`] would redo. The slot is tagged
-    /// [`SpillPrecision::Int8`] regardless of the file's default
-    /// precision (the payload *is* the int8 wire format).
-    pub fn offload_block(&self, slot: usize, block: &RowQuantBlock) -> Result<u64> {
-        if slot >= self.slots {
-            return Err(self.bad_slot(slot));
-        }
-        let (rows, cols) = (block.rows(), block.cols());
-        if cols != self.cols || rows > self.max_rows {
-            return Err(StorageError::SectionMismatch {
-                name: "spill".into(),
-                reason: format!(
-                    "block {rows}x{cols} exceeds slot capacity {}x{}",
-                    self.max_rows, self.cols
-                ),
-            });
-        }
-        let enc = SpillPrecision::Int8;
-        let len = enc.encoded_bytes(rows, cols);
-        let start = Instant::now();
-        let mut bytes = Vec::with_capacity(len);
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION);
-        bytes.push(enc.tag());
-        bytes.extend_from_slice(&[0, 0]);
-        bytes.extend_from_slice(&(rows as u32).to_le_bytes());
-        bytes.extend_from_slice(&(cols as u32).to_le_bytes());
-        for &m in block.mins() {
-            bytes.extend_from_slice(&m.to_le_bytes());
-        }
-        for &s in block.scales() {
-            bytes.extend_from_slice(&s.to_le_bytes());
-        }
-        bytes.extend_from_slice(block.codes());
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(bytes.len(), len);
-        write_at(&self.file, (slot * self.slot_bytes) as u64, &bytes)?;
-        self.throttle.pace(start, bytes.len() as u64);
-        self.write_micros
-            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.meta.lock().expect("spill meta lock")[slot] = Some(SlotMeta {
-            rows,
-            cols,
-            enc,
-            len,
-        });
-        Ok(len as u64)
     }
 
     /// Reads `slot` back as a rowq block *without* decoding to f32 —
     /// the int8 compute path's fetch. An [`SpillPrecision::Int8`] slot
     /// returns its payload verbatim (bit-exact round trip of
     /// [`SpillFile::offload_block`]); an f32 slot is decoded and then
-    /// row-encoded, so mixed-precision files still serve block fetches.
+    /// row-encoded, so every slot serves block fetches.
     pub fn fetch_block(&self, slot: usize) -> Result<RowQuantBlock> {
-        if slot >= self.slots {
-            return Err(self.bad_slot(slot));
+        let meta = self.slot_meta(slot)?;
+        match meta.enc {
+            SpillPrecision::Int8 => self.read_block(slot, meta),
+            SpillPrecision::F32 => RowQuantBlock::encode(&self.read_f32(slot, meta)?)
+                .map_err(|e| Self::codec_err(slot, e)),
         }
-        let meta = self.meta.lock().expect("spill meta lock")[slot].ok_or_else(|| {
-            StorageError::SectionMismatch {
-                name: "spill".into(),
-                reason: format!("slot {slot} is empty"),
-            }
-        })?;
-        if meta.enc == SpillPrecision::F32 {
-            let tensor = self.fetch(slot)?;
-            return RowQuantBlock::encode(&tensor).map_err(|e| StorageError::SectionMismatch {
-                name: "spill".into(),
-                reason: format!("slot {slot}: re-encode: {e}"),
-            });
-        }
-        let payload = self.read_verified(slot, meta)?;
-        let payload = payload.as_slice();
-        let corrupt = |reason: String| StorageError::SectionMismatch {
-            name: "spill".into(),
-            reason,
-        };
-        let (rows, cols) = (meta.rows, meta.cols);
-        let read_f32 =
-            |b: &[u8], i: usize| f32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().expect("4"));
-        let (minb, rest) = payload.split_at(4 * rows);
-        let (scaleb, codes) = rest.split_at(4 * rows);
-        let mins = (0..rows).map(|r| read_f32(minb, r)).collect();
-        let scales = (0..rows).map(|r| read_f32(scaleb, r)).collect();
-        RowQuantBlock::from_parts(rows, cols, mins, scales, codes.to_vec())
-            .map_err(|e| corrupt(format!("slot {slot}: block parts: {e}")))
     }
 
     /// Marks a slot empty (no I/O).
@@ -858,24 +798,6 @@ mod tests {
             Err(StorageError::ChecksumMismatch { slot: 0, .. })
         ));
         assert_eq!(spill.quarantined(), 1);
-        spill.cleanup().unwrap();
-    }
-
-    #[test]
-    fn version_2_slot_without_trailer_still_reads() {
-        let path = tmp("v2compat");
-        let spill =
-            SpillFile::create(&path, 1, 4, 8, SpillPrecision::F32, Throttle::unlimited()).unwrap();
-        let t = Tensor::from_fn(4, 8, |r, c| (r * 8 + c) as f32 * 0.5);
-        spill.offload(0, &t).unwrap();
-        // Rewrite the slot as version 2: flip the version byte and trash
-        // the (now meaningless) trailer. A v3 reader must still decode it
-        // bit-exactly, skipping verification.
-        write_at(&spill.file, 4, &[VERSION_NO_CRC]).unwrap();
-        let trailer_at = (HEADER_BYTES + SpillPrecision::F32.payload_bytes(4, 8)) as u64;
-        write_at(&spill.file, trailer_at, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
-        assert_eq!(spill.fetch(0).unwrap(), t);
-        assert_eq!(spill.quarantined(), 0);
         spill.cleanup().unwrap();
     }
 

@@ -116,13 +116,6 @@ fn spill_tensor(seed: f32) -> Tensor {
     Tensor::from_fn(8, 16, |r, c| ((r * 16 + c) as f32 * 0.25 - 3.0) * seed)
 }
 
-/// Byte size of one spill slot as `SpillFile::create` lays it out.
-fn slot_bytes(max_rows: usize, cols: usize) -> usize {
-    SpillPrecision::F32
-        .encoded_bytes(max_rows, cols)
-        .max(SpillPrecision::Int8.encoded_bytes(max_rows, cols))
-}
-
 fn flip_byte(path: &std::path::Path, offset: usize) {
     let mut bytes = std::fs::read(path).unwrap();
     bytes[offset] ^= 0xFF;
@@ -171,7 +164,12 @@ fn spill_block_bitflip_quarantines_the_int8_path() {
     file.offload_block(1, &block).unwrap();
     let reread = file.fetch_block(1).unwrap();
     assert_eq!(reread.codes(), block.codes(), "clean round trip is exact");
-    flip_byte(&path, slot_bytes(8, 16) + 16 + 8 * 8 + 3); // a code byte of slot 1
+    // Slots are sized at the file's precision; this lands on a code
+    // byte of slot 1.
+    flip_byte(
+        &path,
+        SpillPrecision::Int8.encoded_bytes(8, 16) + 16 + 8 * 8 + 3,
+    );
     let err = file.fetch_block(1).unwrap_err();
     assert!(
         matches!(err, StorageError::ChecksumMismatch { .. }),
@@ -210,7 +208,9 @@ fn spill_truncation_fails_the_cut_slot_only() {
     file.offload(0, &tensor).unwrap();
     file.offload(1, &tensor).unwrap();
     let keep = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-    keep.set_len((slot_bytes(8, 16) + 24) as u64).unwrap(); // cut into slot 1
+    // Cut into slot 1 (slots are sized at the file's precision).
+    keep.set_len((SpillPrecision::F32.encoded_bytes(8, 16) + 24) as u64)
+        .unwrap();
     drop(keep);
     assert!(
         file.fetch(1).is_err(),

@@ -265,33 +265,81 @@ impl Int8Matrix {
         }
         let mut data = vec![0_i8; rows * cols];
         let mut scales = vec![0.0_f32; rows];
-        let mut wsums = vec![0_i32; rows];
         for r in 0..rows {
             let row = w.row(r)?;
             let absmax = row.iter().fold(0.0_f32, |m, &x| m.max(x.abs()));
             if absmax == 0.0 {
                 continue;
             }
-            let scale = absmax / 127.0;
             let inv = 127.0 / absmax;
-            let mut sum = 0_i32;
             for (q, &x) in data[r * cols..][..cols].iter_mut().zip(row) {
-                let v = (x * inv).round().clamp(-127.0, 127.0) as i32;
-                sum += v;
-                *q = v as i8;
+                *q = (x * inv).round().clamp(-127.0, 127.0) as i8;
             }
-            scales[r] = scale;
-            wsums[r] = sum;
+            scales[r] = absmax / 127.0;
         }
+        Ok(Int8Matrix::from_codes(rows, cols, data, scales))
+    }
+
+    /// Assembles a matrix from its i8 codes and per-row scales, deriving
+    /// the code sums and the VNNI tiling.
+    fn from_codes(rows: usize, cols: usize, data: Vec<i8>, scales: Vec<f32>) -> Self {
+        let wsums = (0..rows)
+            .map(|r| data[r * cols..][..cols].iter().map(|&q| i32::from(q)).sum())
+            .collect();
         let packed = pack_vnni(&data, rows, cols);
-        Ok(Int8Matrix {
+        Int8Matrix {
             rows,
             cols,
             data,
             scales,
             wsums,
             packed,
-        })
+        }
+    }
+
+    /// Serializes the codes and per-row scales (the derived code sums and
+    /// VNNI tiling are rebuilt by [`Int8Matrix::from_bytes`]).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + 4 * self.rows + self.data.len());
+        out.extend_from_slice(&(self.rows as u64).to_le_bytes());
+        out.extend_from_slice(&(self.cols as u64).to_le_bytes());
+        for &s in &self.scales {
+            out.extend_from_slice(&s.to_le_bytes());
+        }
+        out.extend(self.data.iter().map(|&q| q as u8));
+        out
+    }
+
+    /// Deserializes a blob produced by [`Int8Matrix::to_bytes`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let fail = |reason: String| TensorError::Quantization { reason };
+        if bytes.len() < 16 {
+            return Err(fail("blob too short for header".into()));
+        }
+        let rows = u64::from_le_bytes(bytes[0..8].try_into().expect("slice of 8")) as usize;
+        let cols = u64::from_le_bytes(bytes[8..16].try_into().expect("slice of 8")) as usize;
+        if cols > MAX_K {
+            return Err(fail(format!(
+                "int8 GEMM reduction depth {cols} exceeds MAX_K {MAX_K}"
+            )));
+        }
+        let expected = rows
+            .checked_mul(cols + 4)
+            .and_then(|n| n.checked_add(16))
+            .ok_or_else(|| fail("dimensions overflow".into()))?;
+        if bytes.len() != expected {
+            return Err(fail(format!(
+                "blob length {} != expected {expected}",
+                bytes.len()
+            )));
+        }
+        let (scale_bytes, codes) = bytes[16..].split_at(4 * rows);
+        let scales = scale_bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect();
+        let data = codes.iter().map(|&b| b as i8).collect();
+        Ok(Int8Matrix::from_codes(rows, cols, data, scales))
     }
 
     /// Quantizes the dequantized form of a 4-bit [`QuantMatrix`] — the
