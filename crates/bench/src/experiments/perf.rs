@@ -464,9 +464,9 @@ fn int8_benches(s: &mut Suite) {
     // End-to-end `select_top_k` in the §4.3 offload regime: weights
     // resident (so the measurement isolates spill traffic), hidden
     // offload on with 2-candidate chunks, spill I/O throttled to the
-    // emulated SSD. Both sides run the pipelined int8 spill format; only
-    // the compute precision differs. The int8 side moves row-quant blocks
-    // through the spill lanes and decodes each once per layer.
+    // emulated SSD. Both sides run the pipelined int8 spill format, which
+    // moves row-quant blocks through the spill lanes and decodes each once
+    // per layer; only the compute precision differs.
     s.topk_parity = true;
     for (tag, config) in engine_scales("paper_mini") {
         let options = EngineOptions {

@@ -39,10 +39,10 @@ use prism_model::layer::{forward_layer_with, intermediate_bytes, ForwardScratch}
 use prism_model::model::{add_position, layer_section, SECTION_EMBEDDING, SECTION_HEAD};
 use prism_model::{HeadWeights, LayerWeights, ModelConfig, SequenceBatch};
 use prism_storage::{
-    Container, DiskRowSource, EmbeddingCache, EmbeddingCacheStats, LayerStreamer, LoadedSection,
-    SpillFile, SpillPipeline, SpillPrecision, SpillStats, StorageError, StreamStats, Throttle,
+    rowq_round_trip, Container, DiskRowSource, EmbeddingCache, EmbeddingCacheStats, LayerStreamer,
+    LoadedSection, SpillFile, SpillPipeline, SpillPrecision, SpillStats, StorageError, StreamStats,
+    Throttle,
 };
-use prism_tensor::igemm::RowQuantBlock;
 use prism_tensor::Tensor;
 use serde::Serialize;
 
@@ -190,9 +190,8 @@ pub struct RequestOptions {
     /// default [`ComputePrecision::F32`] keeps the historical bit-exact
     /// path; [`ComputePrecision::Int8`] opts into the integer GEMM
     /// micro-kernels (see [`ComputePrecision`] for the accuracy
-    /// contract). When combined with the default int8 spill precision,
-    /// spilled hidden states move through the pipeline as row-quant
-    /// blocks, decoded to f32 once per layer on the compute thread.
+    /// contract). It does not change how hidden states are spilled:
+    /// that is [`RequestOptions::spill_precision`]'s alone.
     pub compute_precision: ComputePrecision,
     /// Semantic result-cache policy (see [`SemCacheMode`]). Consumed by
     /// the serving layer's cross-request cache (`prism-semcache`);
@@ -352,9 +351,6 @@ pub struct ActiveRequest {
     state: ScatterGate,
     /// Forward-compute precision this request was planned with.
     compute: ComputePrecision,
-    /// Whether the spill window moves row-quant blocks instead of f32
-    /// tensors (int8 compute combined with int8 spill precision).
-    block_spill: bool,
     /// Whether the int8 spill regime is active for this request. When
     /// set, **every** chunk's hidden state passes through the rowq
     /// round-trip between layers — resident chunks in memory, spilled
@@ -855,9 +851,9 @@ impl PrismEngine {
                 throttle,
             )?;
             let mut pipe = SpillPipeline::overlapped(file)?;
-            // Offload all but the first window of chunks (queued on the
-            // writer lane when overlapped, so the initial offload hides
-            // behind planning's remaining work). A failed write (disk
+            // Offload all but the first window of chunks (encoded here,
+            // then queued on the writer lane, so the initial offload's I/O
+            // hides behind planning's remaining work). A failed write (disk
             // full — the regime spilling targets) must remove the temp
             // file: the per-request unique names would otherwise
             // accumulate one orphan per failure for the process
@@ -867,7 +863,7 @@ impl PrismEngine {
             let mut setup: Result<()> = Ok(());
             for (i, chunk) in chunks.iter_mut().enumerate().skip(3) {
                 if let Some(t) = chunk.hidden.take() {
-                    match pipe.write_back(i, t) {
+                    match latency.time("spill-wait", || pipe.write_back(i, t)) {
                         Ok(()) => chunk.spill_slot = Some(i),
                         Err(e) => {
                             setup = Err(e.into());
@@ -900,12 +896,6 @@ impl PrismEngine {
         let mut req = ActiveRequest {
             state,
             compute: options.compute_precision,
-            // Row-quant blocks flow through the spill window only when
-            // both knobs agree: int8 compute re-quantizes activations
-            // anyway, but an explicit f32 spill precision keeps its
-            // bit-exact f32 round-trip promise even under int8 compute.
-            block_spill: options.compute_precision == ComputePrecision::Int8
-                && options.spill_precision == SpillPrecision::Int8,
             int8_spill,
             chunks,
             meter: self.meter.clone(),
@@ -969,7 +959,7 @@ impl PrismEngine {
         weights: &LayerWeights,
         pool: &mut Vec<ForwardScratch>,
     ) -> Result<()> {
-        let (block_spill, int8_spill, compute) = (req.block_spill, req.int8_spill, req.compute);
+        let (int8_spill, compute) = (req.int8_spill, req.compute);
         // A spilled chunk whose slot fails its checksum is rebuilt from
         // the weights instead of failing the request. `layer_idx` layers
         // have run, and a healthy fetch would have returned the file's
@@ -990,15 +980,7 @@ impl PrismEngine {
                 ..
             } = req;
             self.forward_and_score_chunks(
-                chunks,
-                spill,
-                weights,
-                &recover,
-                block_spill,
-                int8_spill,
-                layer_idx,
-                pool,
-                latency,
+                chunks, spill, weights, &recover, int8_spill, layer_idx, pool, latency,
             )?
         };
         req.meter_hidden(&self.meter);
@@ -1168,7 +1150,6 @@ impl PrismEngine {
         spill: &mut Option<SpillPipeline>,
         weights: &LayerWeights,
         recover: &dyn Fn(&Chunk) -> Result<Tensor>,
-        block_spill: bool,
         int8_spill: bool,
         layer_idx: usize,
         pool: &mut Vec<ForwardScratch>,
@@ -1193,12 +1174,7 @@ impl PrismEngine {
             .collect();
         if let (Some(pipe), Some(&first)) = (spill.as_mut(), spilled.first()) {
             if chunks[first].hidden.is_none() {
-                let slot = chunks[first].spill_slot.expect("spilled chunk");
-                if block_spill {
-                    pipe.prefetch_block(slot)?;
-                } else {
-                    pipe.prefetch(slot)?;
-                }
+                pipe.prefetch(chunks[first].spill_slot.expect("spilled chunk"))?;
             }
         }
         for (pos, &ci) in spilled.iter().enumerate() {
@@ -1211,32 +1187,15 @@ impl PrismEngine {
             // requests' ledgers stay untouched).
             let mut fetched_bytes = 0_u64;
             if chunks[ci].hidden.is_none() {
-                // Int8 block spill: the pipeline moves row-quant codes;
-                // the chunk is decoded to f32 exactly once per layer
-                // (norm / attention / residual / scoring need f32) and
-                // the integer GEMMs re-quantize activations internally.
-                // On a checksum mismatch the slot is already quarantined
-                // and `recover` rebuilds it.
-                let t = if block_spill {
-                    match latency.time("spill-wait", || pipe.fetch_block(slot)) {
-                        Ok(block) => {
-                            let mut t = Tensor::zeros(0, 0);
-                            block.decode_into(&mut t)?;
-                            t
-                        }
-                        Err(StorageError::ChecksumMismatch { .. }) => {
-                            latency.time("recompute", || recover(&chunks[ci]))?
-                        }
-                        Err(e) => return Err(e.into()),
+                // The fetch decodes the slot on this thread. On a
+                // checksum mismatch the slot is already quarantined and
+                // `recover` rebuilds it.
+                let t = match latency.time("spill-wait", || pipe.fetch(slot)) {
+                    Ok(t) => t,
+                    Err(StorageError::ChecksumMismatch { .. }) => {
+                        latency.time("recompute", || recover(&chunks[ci]))?
                     }
-                } else {
-                    match latency.time("spill-wait", || pipe.fetch(slot)) {
-                        Ok(t) => t,
-                        Err(StorageError::ChecksumMismatch { .. }) => {
-                            latency.time("recompute", || recover(&chunks[ci]))?
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
+                    Err(e) => return Err(e.into()),
                 };
                 fetched_bytes = t.size_bytes() as u64;
                 self.meter.alloc(MemCategory::HiddenStates, fetched_bytes);
@@ -1245,13 +1204,8 @@ impl PrismEngine {
             // Kick off the next chunk's read before computing this one.
             if let Some(&next) = spilled.get(pos + 1) {
                 if chunks[next].hidden.is_none() {
-                    let next_slot = chunks[next].spill_slot.expect("spilled chunk");
                     let pipe = spill.as_mut().expect("spill file present");
-                    if block_spill {
-                        pipe.prefetch_block(next_slot)?;
-                    } else {
-                        pipe.prefetch(next_slot)?;
-                    }
+                    pipe.prefetch(chunks[next].spill_slot.expect("spilled chunk"))?;
                 }
             }
             let chunk = &mut chunks[ci];
@@ -1295,16 +1249,9 @@ impl PrismEngine {
                     chunk_scores[ci] = Some(scores);
                     let t = chunk.hidden.take().expect("hidden present");
                     let pipe = spill.as_mut().expect("spill file present");
-                    let wb = if block_spill {
-                        // Re-encode to codes before handing the pipeline
-                        // the payload: the writer lane then holds ~4x
-                        // fewer bytes than an f32 tensor would.
-                        RowQuantBlock::encode(&t)
-                            .map_err(PrismError::from)
-                            .and_then(|b| pipe.write_back_block(slot, b).map_err(PrismError::from))
-                    } else {
-                        pipe.write_back(slot, t).map_err(PrismError::from)
-                    };
+                    // The write-back encodes on this thread, then waits
+                    // only if the writer lane is still full.
+                    let wb = latency.time("spill-wait", || pipe.write_back(slot, t));
                     self.meter.free(MemCategory::HiddenStates, fetched_bytes);
                     wb?;
                 }
@@ -1554,10 +1501,11 @@ impl PrismEngine {
     ///
     /// Returns the **pre-encode** hidden state `h_L` — the exact forward
     /// output the quarantined slot was written from. The caller applies
-    /// whatever transform the lost fetch would have: the per-layer fetch
+    /// whatever transform the lost read would have: the per-layer fetch
     /// site applies the rowq round-trip when the file is int8 (a fetch
-    /// decodes stored codes), the retain path re-encodes to codes, and an
-    /// f32 file needs nothing (its round trip is bit-exact).
+    /// decodes stored codes), the retain path writes the kept rows back
+    /// through the file's own encode, and an f32 file needs nothing (its
+    /// round trip is bit-exact).
     ///
     /// Bit-identity to the lost slot holds because (a) embedding is pure
     /// in token content with per-sequence-local positions, (b) forward
@@ -1695,23 +1643,14 @@ fn build_chunks(
 }
 
 /// Removes all candidates whose id is unset in the `keep` mask (indexed
-/// by original candidate id), fetching and re-offloading spilled chunks
-/// as needed.
+/// by original candidate id): resident chunks gather their kept rows in
+/// memory, spilled chunks are compacted in the spill file's own encoding
+/// by [`SpillPipeline::retain_rows`].
 ///
 /// Two fast paths avoid spill I/O entirely: a chunk whose keep-mask is
 /// all-true is untouched (no read-back + rewrite when nothing is
 /// pruned), and a chunk whose keep-mask is all-false releases its slot
 /// without ever fetching the doomed rows.
-/// One rowq encode/decode cycle in place — the exact numeric effect an
-/// int8 spill slot applies to a chunk between layers. Resident chunks of
-/// an int8-spill request pass through this so their values track the
-/// offloaded chunks' values (see `ActiveRequest::int8_spill`).
-fn rowq_round_trip(t: &mut Tensor) -> Result<()> {
-    let block = RowQuantBlock::encode(t)?;
-    block.decode_into(t)?;
-    Ok(())
-}
-
 fn retain_candidates(
     chunks: &mut Vec<Chunk>,
     spill: &mut Option<SpillPipeline>,
@@ -1728,84 +1667,44 @@ fn retain_candidates(
         if keep_local.len() == chunk.ids.len() {
             continue;
         }
-        if keep_local.is_empty() {
-            // Everything in this chunk was pruned: drop the data where
-            // it lives, no fetch required.
-            if let (Some(slot), Some(file)) = (chunk.spill_slot, spill.as_mut()) {
-                file.release(slot)?;
+        let rows: Vec<usize> = keep_local
+            .iter()
+            .flat_map(|&li| {
+                let (s, e) = chunk.ranges[li];
+                s..e
+            })
+            .collect();
+        match (chunk.hidden.take(), chunk.spill_slot, spill.as_mut()) {
+            (Some(hidden), ..) if !keep_local.is_empty() => {
+                chunk.hidden = Some(hidden.gather_rows(&rows)?);
             }
-            chunk.spill_slot = None;
-            chunk.hidden = None;
-            chunk.ids.clear();
-            chunk.seq_lens.clear();
-            chunk.ranges.clear();
-            chunk.tokens.clear();
-            continue;
-        }
-        let fetched_here = chunk.hidden.is_none();
-        if fetched_here {
-            if let (Some(slot), Some(file)) = (chunk.spill_slot, spill.as_mut()) {
-                if file.precision() == SpillPrecision::Int8 {
-                    // Compact the slot in the encoded domain: raw
-                    // per-row affine/code copies, no decode→re-encode
-                    // round. Re-quantizing survivors here would add a
-                    // quantization step whose occurrence depends on
-                    // which chunk-mates were pruned — i.e. on physical
-                    // chunk layout — breaking bit-parity between layouts
-                    // (single-engine vs sharded, different chunk sizes).
-                    let rows: Vec<usize> = keep_local
-                        .iter()
-                        .flat_map(|&li| {
-                            let (s, e) = chunk.ranges[li];
-                            s..e
-                        })
-                        .collect();
-                    // A quarantined slot is rebuilt from the weights and
-                    // re-encoded; the file's int8 encode and the block
-                    // encode are the same transform, so the recovered
-                    // codes equal the lost ones bitwise.
-                    let block = match file.fetch_block(slot) {
-                        Ok(b) => b,
-                        Err(StorageError::ChecksumMismatch { .. }) => {
-                            RowQuantBlock::encode(&recompute(chunk)?)?
-                        }
-                        Err(e) => return Err(e.into()),
-                    };
-                    let kept = block.gather_rows(&rows)?;
-                    file.write_back_block(slot, kept)?;
-                    chunk.ids = keep_local.iter().map(|&li| chunk.ids[li]).collect();
-                    chunk.seq_lens = keep_local.iter().map(|&li| chunk.seq_lens[li]).collect();
-                    chunk.tokens = keep_local
-                        .iter()
-                        .map(|&li| std::mem::take(&mut chunk.tokens[li]))
-                        .collect();
-                    chunk.ranges = Chunk::ranges_from(&chunk.seq_lens);
-                    continue;
-                }
-                // An f32 file's round trip is bit-exact, so a recompute
-                // is the fetch it replaces.
-                let fetched = match file.fetch(slot) {
-                    Ok(t) => t,
-                    Err(StorageError::ChecksumMismatch { .. }) => recompute(chunk)?,
+            (None, Some(slot), Some(file)) if !keep_local.is_empty() => {
+                // A quarantined slot is rebuilt from the weights. rowq is
+                // per row, so writing back the recomputed kept rows
+                // stores exactly the bytes a healthy compaction would.
+                match file.retain_rows(slot, &rows) {
+                    Ok(()) => {}
+                    Err(StorageError::ChecksumMismatch { .. }) => {
+                        file.write_back(slot, recompute(chunk)?.gather_rows(&rows)?)?;
+                    }
                     Err(e) => return Err(e.into()),
-                };
-                chunk.hidden = Some(fetched);
+                }
+            }
+            (_, slot, file) => {
+                // Everything in this chunk was pruned (or nothing of it
+                // is left anywhere): drop the data where it lives, no
+                // fetch required.
+                if let (Some(slot), Some(file)) = (slot, file) {
+                    file.release(slot)?;
+                }
+                chunk.spill_slot = None;
+                chunk.ids.clear();
+                chunk.seq_lens.clear();
+                chunk.ranges.clear();
+                chunk.tokens.clear();
+                continue;
             }
         }
-        let Some(hidden) = chunk.hidden.take() else {
-            // Nothing resident and no spill: chunk must be empty.
-            chunk.ids.clear();
-            chunk.seq_lens.clear();
-            chunk.ranges.clear();
-            chunk.tokens.clear();
-            continue;
-        };
-        let mut rows: Vec<usize> = Vec::new();
-        for &li in &keep_local {
-            let (s, e) = chunk.ranges[li];
-            rows.extend(s..e);
-        }
-        let new_hidden = hidden.gather_rows(&rows)?;
         chunk.ids = keep_local.iter().map(|&li| chunk.ids[li]).collect();
         chunk.seq_lens = keep_local.iter().map(|&li| chunk.seq_lens[li]).collect();
         chunk.tokens = keep_local
@@ -1813,12 +1712,6 @@ fn retain_candidates(
             .map(|&li| std::mem::take(&mut chunk.tokens[li]))
             .collect();
         chunk.ranges = Chunk::ranges_from(&chunk.seq_lens);
-        if let (Some(slot), Some(file), true) = (chunk.spill_slot, spill.as_mut(), fetched_here) {
-            file.write_back(slot, new_hidden)?;
-            chunk.hidden = None;
-        } else {
-            chunk.hidden = Some(new_hidden);
-        }
     }
     chunks.retain(|c| !c.ids.is_empty());
     Ok(())

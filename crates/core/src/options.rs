@@ -131,11 +131,6 @@ pub struct EngineOptions {
     pub hidden_offload: bool,
     /// Maximum clusters the auto K-Means may produce.
     pub max_clusters: usize,
-    /// First layer boundary at which the pruning gate may fire. The gate
-    /// needs scores derived from at least one transformer layer's output
-    /// (§4.1 computes them from "layer i's output scores"), so values
-    /// below 1 are treated as 1.
-    pub min_gate_layer: usize,
     /// Record per-layer score vectors in the trace (Fig. 2 probes; adds
     /// memory proportional to layers × candidates).
     pub record_score_trace: bool,
@@ -161,7 +156,6 @@ impl Default for EngineOptions {
             embed_cache_fraction: 0.10,
             hidden_offload: false,
             max_clusters: 5,
-            min_gate_layer: 1,
             record_score_trace: false,
             stream_throttle: None,
             seed: 0x5EED,

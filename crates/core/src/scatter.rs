@@ -50,7 +50,6 @@ struct GateParams {
     dispersion_threshold: f32,
     top_k_only: bool,
     max_clusters: usize,
-    min_gate_layer: usize,
 }
 
 /// Gate + ranking state of one selection.
@@ -121,7 +120,6 @@ impl ScatterGate {
                     .unwrap_or(engine.dispersion_threshold),
                 top_k_only: options.mode.unwrap_or(engine.mode) == PruneMode::TopKOnly,
                 max_clusters: engine.max_clusters,
-                min_gate_layer: engine.min_gate_layer,
             },
             record_score_trace: engine.record_score_trace,
             current: Vec::new(),
@@ -227,8 +225,12 @@ impl ScatterGate {
     /// keep-mask over candidate ids (present when the decision pruned
     /// anyone) and whether the selection is decided.
     fn route(&mut self, layer_idx: usize) -> (Option<Vec<bool>>, bool) {
+        /// First layer boundary at which the gate may fire: it needs
+        /// scores derived from at least one transformer layer's output
+        /// (§4.1 computes them from "layer i's output scores").
+        const FIRST_GATE_LAYER: usize = 1;
         let gate = &self.gate;
-        if !(gate.pruning && layer_idx >= gate.min_gate_layer.max(1) && !self.current.is_empty()) {
+        if !(gate.pruning && layer_idx >= FIRST_GATE_LAYER && !self.current.is_empty()) {
             return (None, false);
         }
         let k_remaining = self.k - self.accepted.len();

@@ -11,7 +11,9 @@
 //! 3. traces faithfully describe execution (monotone active counts, early
 //!    termination, stream/cache stats populated).
 
-use prism_core::{ComputePrecision, EngineOptions, PrismEngine, PruneMode, RequestOptions};
+use prism_core::{
+    ComputePrecision, EngineOptions, PrismEngine, PruneMode, RequestOptions, Selection,
+};
 use prism_metrics::{precision_at_k, MemoryMeter};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_storage::Container;
@@ -617,39 +619,62 @@ fn corrupted_spill_slots_recompute_bit_identically() {
         d
     };
 
-    let cases: Vec<(&str, SpillPrecision, ComputePrecision, bool)> = vec![
+    // (name, spill, compute, pruning, candidates per chunk). With two
+    // candidates per chunk, tag 0's layer-1 gate drops part of two
+    // spilled chunks, and the first of the two compaction reads is the
+    // fourth read, which the fault hook corrupts.
+    let cases = [
         (
             "f32-spill",
             SpillPrecision::F32,
             ComputePrecision::F32,
             false,
+            1,
         ),
         (
             "int8-spill",
             SpillPrecision::Int8,
             ComputePrecision::F32,
             false,
+            1,
         ),
         (
             "int8-spill-int8-compute",
             SpillPrecision::Int8,
             ComputePrecision::Int8,
             false,
+            1,
         ),
         (
             "f32-spill-pruning",
             SpillPrecision::F32,
             ComputePrecision::F32,
             true,
+            1,
+        ),
+        (
+            "int8-spill-pruning-pairs",
+            SpillPrecision::Int8,
+            ComputePrecision::F32,
+            true,
+            2,
+        ),
+        (
+            "int8-spill-int8-compute-pruning-pairs",
+            SpillPrecision::Int8,
+            ComputePrecision::Int8,
+            true,
+            2,
         ),
     ];
-    for (name, spill, compute, pruning) in cases {
+    for (name, spill, compute, pruning, chunk) in cases {
         let mut o = EngineOptions::all_off();
         o.chunking = true;
-        o.chunk_candidates = Some(1); // 12 chunks, 9 spilled
+        o.chunk_candidates = Some(chunk); // 12 / chunk chunks, all but 3 spilled
         o.hidden_offload = true;
         o.pruning = pruning;
-        let req = RequestOptions::top_k(k)
+        o.record_score_trace = true;
+        let req = RequestOptions::tagged(k, 0)
             .with_spill_precision(spill)
             .with_compute_precision(compute);
 
@@ -660,9 +685,9 @@ fn corrupted_spill_slots_recompute_bit_identically() {
             "{name}: fault-free run must not quarantine"
         );
 
-        // Corrupt every 3rd spill fetch under this engine's spill dir.
+        // Corrupt every 4th spill read under this engine's spill dir.
         let faulty_engine = fx.engine(o).with_spill_dir(spill_dir.clone());
-        prism_storage::fault::corrupt_fetches_under(spill_dir.to_string_lossy(), 3);
+        prism_storage::fault::corrupt_fetches_under(spill_dir.to_string_lossy(), 4);
         let faulty = faulty_engine.select_with(&batch, req);
         prism_storage::fault::reset();
         let faulty = faulty.unwrap();
@@ -675,6 +700,20 @@ fn corrupted_spill_slots_recompute_bit_identically() {
         let got: Vec<u32> = faulty.last_scores.iter().map(|s| s.to_bits()).collect();
         let want: Vec<u32> = clean.last_scores.iter().map(|s| s.to_bits()).collect();
         assert_eq!(got, want, "{name}: scores must be bit-identical");
+        // Every layer's scores, too: a chunk recovered wrongly and healed
+        // by a later recovery would still show here.
+        let trace_bits = |sel: &Selection| -> Vec<Vec<Option<u32>>> {
+            sel.trace
+                .score_trace
+                .iter()
+                .map(|layer| layer.iter().map(|s| s.map(f32::to_bits)).collect())
+                .collect()
+        };
+        assert_eq!(
+            trace_bits(&faulty),
+            trace_bits(&clean),
+            "{name}: per-layer scores must be bit-identical"
+        );
         assert_eq!(
             faulty.coverage, 1.0,
             "{name}: recompute is not degraded mode"

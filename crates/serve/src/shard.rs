@@ -265,8 +265,7 @@ impl ShardSet {
                 && o.dispersion_threshold == first.dispersion_threshold
                 && o.mode == first.mode
                 && o.pruning == first.pruning
-                && o.max_clusters == first.max_clusters
-                && o.min_gate_layer == first.min_gate_layer;
+                && o.max_clusters == first.max_clusters;
             if !routing_equal {
                 return Err(PrismError::InvalidRequest(format!(
                     "shard {i} resolves routing differently from shard 0; \

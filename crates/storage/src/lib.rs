@@ -19,7 +19,7 @@
 //!   [`prism_tensor::LruIndex`],
 //! * [`spill`] — slot-based spill files for offloaded hidden states, with
 //!   a versioned slot format holding raw `f32` or per-row-quantized int8
-//!   payloads ([`SpillPrecision`]),
+//!   payloads, one encoding per file ([`SpillPrecision`]),
 //! * [`spill_pipeline`] — the overlapped spill pipeline: background
 //!   reader/writer lanes that hide spill I/O behind chunk computation
 //!   (§4.3's computing / offloading / prefetching window).
@@ -35,7 +35,7 @@ pub mod throttle;
 pub use embed_cache::{DiskRowSource, EmbeddingCache, EmbeddingCacheStats, RowSource};
 pub use error::StorageError;
 pub use format::{Container, ContainerWriter, SectionKind, SectionMeta};
-pub use spill::{crc32, fault, SpillFile, SpillPrecision};
+pub use spill::{crc32, fault, rowq_round_trip, SpillFile, SpillPrecision};
 pub use spill_pipeline::{SpillPipeline, SpillStats};
 pub use stream::{LayerStreamer, LoadedSection, StreamStats};
 pub use throttle::Throttle;

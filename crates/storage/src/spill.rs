@@ -8,13 +8,15 @@
 //!
 //! # Slot format (version 3)
 //!
-//! Every occupied slot starts with a 16-byte header:
+//! A file has one encoding, its [`SpillPrecision`], and every slot in it
+//! is written, read, sized and compacted in that encoding. Every
+//! occupied slot starts with a 16-byte header:
 //!
 //! ```text
 //! magic "PSPL" | version u8 (=3) | encoding u8 | pad u16 | rows u32 | cols u32
 //! ```
 //!
-//! followed by the payload the encoding dictates:
+//! followed by the payload the file's encoding dictates:
 //!
 //! * [`SpillPrecision::F32`] — `rows * cols` little-endian `f32`s (the
 //!   historical raw format; round-trips bit-exactly),
@@ -24,6 +26,10 @@
 //!   throttle at a per-element error bounded by `scale / 2`,
 //!
 //! and a trailing little-endian CRC32 (IEEE) over header + payload.
+//! In memory a slot's contents travel as a `Payload` in the same
+//! encoding; a tensor is encoded when it enters the spill tier and
+//! decoded when it leaves, and [`rowq_round_trip`] is the numeric effect
+//! of that trip through an int8 file.
 //! Every fetch verifies the checksum; a mismatch **quarantines** the slot
 //! (marks it empty, bumps [`SpillFile::quarantined`]) and returns
 //! [`StorageError::ChecksumMismatch`] so the engine can recompute the
@@ -42,7 +48,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use prism_tensor::igemm::RowQuantBlock;
-use prism_tensor::{Tensor, TensorError};
+use prism_tensor::Tensor;
 use serde::Serialize;
 
 use crate::{Result, StorageError, Throttle};
@@ -83,14 +89,6 @@ impl SpillPrecision {
         match self {
             SpillPrecision::Int8 => 1,
             SpillPrecision::F32 => 0,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(SpillPrecision::F32),
-            1 => Some(SpillPrecision::Int8),
-            _ => None,
         }
     }
 }
@@ -179,16 +177,67 @@ pub mod fault {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SlotMeta {
-    rows: usize,
-    cols: usize,
-    enc: SpillPrecision,
-    /// Total on-disk bytes of the slot's current payload, header included.
-    len: usize,
+/// What one slot holds, in its file's encoding: a tensor for an
+/// [`SpillPrecision::F32`] file, a rowq block for an
+/// [`SpillPrecision::Int8`] one. The spill pipeline's lanes carry exactly
+/// this, so the codec runs only where a tensor enters
+/// ([`Payload::encode`]) or leaves ([`Payload::decode`]) the spill tier.
+pub(crate) enum Payload {
+    F32(Tensor),
+    Int8(RowQuantBlock),
 }
 
-/// A scratch file divided into equal-capacity versioned slots.
+impl Payload {
+    /// Encodes `tensor` at `precision` (an f32 tensor moves in as is).
+    pub(crate) fn encode(precision: SpillPrecision, tensor: Tensor) -> Result<Payload> {
+        Ok(match precision {
+            SpillPrecision::F32 => Payload::F32(tensor),
+            SpillPrecision::Int8 => Payload::Int8(RowQuantBlock::encode(&tensor)?),
+        })
+    }
+
+    /// The tensor this payload stands for.
+    pub(crate) fn decode(self) -> Result<Tensor> {
+        match self {
+            Payload::F32(t) => Ok(t),
+            Payload::Int8(b) => {
+                let mut t = Tensor::zeros(0, 0);
+                b.decode_into(&mut t)?;
+                Ok(t)
+            }
+        }
+    }
+
+    /// `rows` (by index, in order) of this payload, copied in its own
+    /// encoding. rowq is per row, so gathering codes equals encoding the
+    /// gathered rows: compaction never re-quantizes.
+    pub(crate) fn gather_rows(&self, rows: &[usize]) -> Result<Payload> {
+        Ok(match self {
+            Payload::F32(t) => Payload::F32(t.gather_rows(rows)?),
+            Payload::Int8(b) => Payload::Int8(b.gather_rows(rows)?),
+        })
+    }
+
+    /// In-memory bytes held.
+    pub(crate) fn size_bytes(&self) -> u64 {
+        match self {
+            Payload::F32(t) => t.size_bytes() as u64,
+            Payload::Int8(b) => b.size_bytes() as u64,
+        }
+    }
+}
+
+/// One rowq encode/decode cycle in place: the exact numeric effect an
+/// [`SpillPrecision::Int8`] slot has on a tensor between write and
+/// fetch. The engine applies it to the chunks an int8-spill request
+/// keeps resident, so their values track the spilled chunks' values.
+pub fn rowq_round_trip(t: &mut Tensor) -> Result<()> {
+    RowQuantBlock::encode(t)?.decode_into(t)?;
+    Ok(())
+}
+
+/// A scratch file divided into equal-capacity versioned slots, every one
+/// encoded at the file's precision.
 pub struct SpillFile {
     path: PathBuf,
     file: File,
@@ -197,7 +246,8 @@ pub struct SpillFile {
     cols: usize,
     slot_bytes: usize,
     precision: SpillPrecision,
-    meta: Mutex<Vec<Option<SlotMeta>>>,
+    /// Row count of each occupied slot (`None` = empty).
+    rows: Mutex<Vec<Option<usize>>>,
     throttle: Throttle,
     write_micros: AtomicU64,
     read_micros: AtomicU64,
@@ -235,7 +285,7 @@ impl SpillFile {
             cols,
             slot_bytes,
             precision,
-            meta: Mutex::new(vec![None; slots]),
+            rows: Mutex::new(vec![None; slots]),
             throttle,
             write_micros: AtomicU64::new(0),
             read_micros: AtomicU64::new(0),
@@ -303,45 +353,36 @@ impl SpillFile {
         }
     }
 
-    fn codec_err(slot: usize, e: TensorError) -> StorageError {
-        StorageError::SectionMismatch {
-            name: "spill".into(),
-            reason: format!("slot {slot}: {e}"),
-        }
-    }
-
     /// Writes `tensor` into `slot` at the file's precision, replacing
     /// previous contents. Returns the encoded byte count.
     pub fn offload(&self, slot: usize, tensor: &Tensor) -> Result<u64> {
-        let start = Instant::now();
-        let (rows, cols) = tensor.shape();
         match self.precision {
-            SpillPrecision::Int8 => {
-                let block = RowQuantBlock::encode(tensor).map_err(|e| Self::codec_err(slot, e))?;
-                self.write_block(slot, &block, start)
-            }
-            SpillPrecision::F32 => {
-                self.write_slot(slot, SpillPrecision::F32, rows, cols, start, |b| {
-                    for &v in tensor.data() {
-                        b.extend_from_slice(&v.to_le_bytes());
-                    }
-                })
-            }
+            SpillPrecision::F32 => self.write_f32(slot, tensor),
+            SpillPrecision::Int8 => self.write_block(slot, &RowQuantBlock::encode(tensor)?),
         }
     }
 
-    /// Writes an already-encoded rowq block into `slot` — the int8
-    /// compute path's write-back, which skips the encode
-    /// [`SpillFile::offload`] would redo. The slot is tagged
-    /// [`SpillPrecision::Int8`] regardless of the file's precision (the
-    /// payload *is* the int8 wire format).
-    pub fn offload_block(&self, slot: usize, block: &RowQuantBlock) -> Result<u64> {
-        self.write_block(slot, block, Instant::now())
+    /// Writes an already-encoded payload into `slot` (the pipeline's
+    /// writer lane). Returns the encoded byte count.
+    pub(crate) fn write(&self, slot: usize, payload: &Payload) -> Result<u64> {
+        match payload {
+            Payload::F32(t) => self.write_f32(slot, t),
+            Payload::Int8(b) => self.write_block(slot, b),
+        }
     }
 
-    fn write_block(&self, slot: usize, block: &RowQuantBlock, start: Instant) -> Result<u64> {
+    fn write_f32(&self, slot: usize, t: &Tensor) -> Result<u64> {
+        let (rows, cols) = t.shape();
+        self.write_slot(slot, SpillPrecision::F32, rows, cols, |b| {
+            for &v in t.data() {
+                b.extend_from_slice(&v.to_le_bytes());
+            }
+        })
+    }
+
+    fn write_block(&self, slot: usize, block: &RowQuantBlock) -> Result<u64> {
         let (rows, cols) = (block.rows(), block.cols());
-        self.write_slot(slot, SpillPrecision::Int8, rows, cols, start, |b| {
+        self.write_slot(slot, SpillPrecision::Int8, rows, cols, |b| {
             for &m in block.mins() {
                 b.extend_from_slice(&m.to_le_bytes());
             }
@@ -353,30 +394,30 @@ impl SpillFile {
     }
 
     /// The one slot writer: header, the payload `fill` appends, CRC
-    /// trailer, then the paced write (timed from `start`, which includes
-    /// any encode) and the slot's metadata.
+    /// trailer, then the paced write and the slot's row count. `enc` is
+    /// the payload's encoding, which must be the file's.
     fn write_slot(
         &self,
         slot: usize,
         enc: SpillPrecision,
         rows: usize,
         cols: usize,
-        start: Instant,
         fill: impl FnOnce(&mut Vec<u8>),
     ) -> Result<u64> {
         if slot >= self.slots {
             return Err(self.bad_slot(slot));
         }
-        let len = enc.encoded_bytes(rows, cols);
-        if cols != self.cols || rows > self.max_rows || len > self.slot_bytes {
+        if enc != self.precision || cols != self.cols || rows > self.max_rows {
             return Err(StorageError::SectionMismatch {
                 name: "spill".into(),
                 reason: format!(
-                    "{enc:?} {rows}x{cols} exceeds slot capacity {}x{}",
-                    self.max_rows, self.cols
+                    "{enc:?} {rows}x{cols} does not fit a {:?} slot of {}x{}",
+                    self.precision, self.max_rows, self.cols
                 ),
             });
         }
+        let start = Instant::now();
+        let len = enc.encoded_bytes(rows, cols);
         let mut bytes = Vec::with_capacity(len);
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
@@ -394,37 +435,32 @@ impl SpillFile {
             .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
         self.bytes_written
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.meta.lock().expect("spill meta lock")[slot] = Some(SlotMeta {
-            rows,
-            cols,
-            enc,
-            len,
-        });
+        self.rows.lock().expect("spill rows lock")[slot] = Some(rows);
         Ok(len as u64)
     }
 
-    fn slot_meta(&self, slot: usize) -> Result<SlotMeta> {
+    /// The one slot reader: reads `slot`, cross-checks the header against
+    /// the file's precision and the slot's recorded rows, and verifies
+    /// the trailing CRC32. On a checksum mismatch the slot is
+    /// **quarantined** — marked empty, counted in
+    /// [`SpillFile::quarantined`] — and the typed
+    /// [`StorageError::ChecksumMismatch`] tells the caller to recompute
+    /// the chunk rather than consume corrupted data. Returns the payload
+    /// in the file's encoding.
+    pub(crate) fn read(&self, slot: usize) -> Result<Payload> {
         if slot >= self.slots {
             return Err(self.bad_slot(slot));
         }
-        self.meta.lock().expect("spill meta lock")[slot].ok_or_else(|| {
-            StorageError::SectionMismatch {
-                name: "spill".into(),
-                reason: format!("slot {slot} is empty"),
-            }
-        })
-    }
-
-    /// The one slot reader: reads `slot`, cross-checks the header against
-    /// the recorded metadata, and verifies the trailing CRC32. On a
-    /// checksum mismatch the slot is **quarantined** — marked empty,
-    /// counted in [`SpillFile::quarantined`] — and the typed
-    /// [`StorageError::ChecksumMismatch`] tells the caller to recompute
-    /// the chunk rather than consume corrupted data. Returns the payload
-    /// bytes (header and trailer stripped).
-    fn read_verified(&self, slot: usize, meta: SlotMeta) -> Result<Vec<u8>> {
+        let corrupt = |reason: String| StorageError::SectionMismatch {
+            name: "spill".into(),
+            reason: format!("slot {slot}: {reason}"),
+        };
+        let rows = self.rows.lock().expect("spill rows lock")[slot]
+            .ok_or_else(|| corrupt("empty".into()))?;
+        let (enc, cols) = (self.precision, self.cols);
+        let body = HEADER_BYTES + enc.payload_bytes(rows, cols);
         let start = Instant::now();
-        let mut bytes = vec![0_u8; meta.len];
+        let mut bytes = vec![0_u8; body + CRC_BYTES];
         read_at(&self.file, (slot * self.slot_bytes) as u64, &mut bytes)?;
         self.throttle.pace(start, bytes.len() as u64);
         self.read_micros
@@ -435,96 +471,55 @@ impl SpillFile {
             bytes[HEADER_BYTES] ^= 0x40;
         }
 
-        let corrupt = |reason: String| StorageError::SectionMismatch {
-            name: "spill".into(),
-            reason,
-        };
         if bytes[0..4] != MAGIC || bytes[4] != VERSION {
-            return Err(corrupt(format!("slot {slot}: bad header")));
+            return Err(corrupt("bad header".into()));
         }
-        let enc = SpillPrecision::from_tag(bytes[5])
-            .ok_or_else(|| corrupt(format!("slot {slot}: unknown encoding {}", bytes[5])))?;
-        let rows = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let cols = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        if enc != meta.enc || rows != meta.rows || cols != meta.cols {
-            return Err(corrupt(format!("slot {slot}: header/metadata mismatch")));
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        if bytes[5] != enc.tag() || u32_at(8) as usize != rows || u32_at(12) as usize != cols {
+            return Err(corrupt("header/metadata mismatch".into()));
         }
-        let body = HEADER_BYTES + enc.payload_bytes(rows, cols);
-        if bytes.len() < body + CRC_BYTES {
-            return Err(corrupt(format!("slot {slot}: truncated checksum trailer")));
-        }
-        let stored = u32::from_le_bytes(bytes[body..body + CRC_BYTES].try_into().expect("4 bytes"));
+        let stored = u32_at(body);
         let computed = crc32(&bytes[..body]);
         if stored != computed {
-            self.meta.lock().expect("spill meta lock")[slot] = None;
+            self.rows.lock().expect("spill rows lock")[slot] = None;
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             return Err(StorageError::ChecksumMismatch {
                 slot,
                 reason: format!("stored {stored:#010x}, computed {computed:#010x}"),
             });
         }
-        bytes.truncate(body);
-        bytes.drain(..HEADER_BYTES);
-        Ok(bytes)
-    }
-
-    fn read_f32(&self, slot: usize, meta: SlotMeta) -> Result<Tensor> {
-        let payload = self.read_verified(slot, meta)?;
-        let data = payload
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .collect();
-        Ok(Tensor::from_vec(meta.rows, meta.cols, data)?)
-    }
-
-    fn read_block(&self, slot: usize, meta: SlotMeta) -> Result<RowQuantBlock> {
-        let payload = self.read_verified(slot, meta)?;
-        let rows = meta.rows;
-        let (mins, rest) = payload.split_at(4 * rows);
-        let (scales, codes) = rest.split_at(4 * rows);
-        let f32s = |b: &[u8]| {
+        let payload = &bytes[HEADER_BYTES..body];
+        let f32s = |b: &[u8]| -> Vec<f32> {
             b.chunks_exact(4)
                 .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
                 .collect()
         };
-        RowQuantBlock::from_parts(rows, meta.cols, f32s(mins), f32s(scales), codes.to_vec())
-            .map_err(|e| Self::codec_err(slot, e))
-    }
-
-    /// Reads the tensor stored in `slot` back into memory, decoding per
-    /// the slot's recorded encoding after checksum verification.
-    pub fn fetch(&self, slot: usize) -> Result<Tensor> {
-        let meta = self.slot_meta(slot)?;
-        match meta.enc {
-            SpillPrecision::F32 => self.read_f32(slot, meta),
+        Ok(match enc {
+            SpillPrecision::F32 => Payload::F32(Tensor::from_vec(rows, cols, f32s(payload))?),
             SpillPrecision::Int8 => {
-                let mut t = Tensor::zeros(0, 0);
-                self.read_block(slot, meta)?
-                    .decode_into(&mut t)
-                    .map_err(|e| Self::codec_err(slot, e))?;
-                Ok(t)
+                let (mins, rest) = payload.split_at(4 * rows);
+                let (scales, codes) = rest.split_at(4 * rows);
+                Payload::Int8(RowQuantBlock::from_parts(
+                    rows,
+                    cols,
+                    f32s(mins),
+                    f32s(scales),
+                    codes.to_vec(),
+                )?)
             }
-        }
+        })
     }
 
-    /// Reads `slot` back as a rowq block *without* decoding to f32 —
-    /// the int8 compute path's fetch. An [`SpillPrecision::Int8`] slot
-    /// returns its payload verbatim (bit-exact round trip of
-    /// [`SpillFile::offload_block`]); an f32 slot is decoded and then
-    /// row-encoded, so every slot serves block fetches.
-    pub fn fetch_block(&self, slot: usize) -> Result<RowQuantBlock> {
-        let meta = self.slot_meta(slot)?;
-        match meta.enc {
-            SpillPrecision::Int8 => self.read_block(slot, meta),
-            SpillPrecision::F32 => RowQuantBlock::encode(&self.read_f32(slot, meta)?)
-                .map_err(|e| Self::codec_err(slot, e)),
-        }
+    /// Reads the tensor stored in `slot` back into memory, decoding at
+    /// the file's precision after checksum verification.
+    pub fn fetch(&self, slot: usize) -> Result<Tensor> {
+        self.read(slot)?.decode()
     }
 
     /// Marks a slot empty (no I/O).
     pub fn release(&self, slot: usize) {
         if slot < self.slots {
-            self.meta.lock().expect("spill meta lock")[slot] = None;
+            self.rows.lock().expect("spill rows lock")[slot] = None;
         }
     }
 
@@ -623,32 +618,42 @@ mod tests {
             .unwrap();
         let t = Tensor::from_fn(8, 32, |r, c| ((r * 13 + c * 5) as f32 * 0.23).cos());
         let block = RowQuantBlock::encode(&t).unwrap();
-        let written = spill.offload_block(0, &block).unwrap();
+        let written = spill.offload(0, &t).unwrap();
         assert_eq!(written, SpillPrecision::Int8.encoded_bytes(8, 32) as u64);
         // The codes round-trip bit-exactly: no decode/re-encode drift.
-        let back = spill.fetch_block(0).unwrap();
-        assert_eq!(back, block);
-        // The same slot decodes through the tensor path too.
-        let decoded = spill.fetch(0).unwrap();
-        let mut expect = Tensor::zeros(0, 0);
-        block.decode_into(&mut expect).unwrap();
-        assert_eq!(decoded, expect);
-        // Oversized blocks are rejected like oversized tensors.
+        match spill.read(0).unwrap() {
+            Payload::Int8(back) => assert_eq!(back, block),
+            Payload::F32(_) => panic!("an int8 file reads back blocks"),
+        }
+        // A tensor fetch is the block's decode, i.e. the rowq round trip.
+        let mut expect = t.clone();
+        rowq_round_trip(&mut expect).unwrap();
+        assert_eq!(spill.fetch(0).unwrap(), expect);
+        // Payloads in another encoding, and oversized blocks, are rejected.
+        assert!(spill.write(0, &Payload::F32(t)).is_err());
         let big = RowQuantBlock::encode(&Tensor::zeros(9, 32)).unwrap();
-        assert!(spill.offload_block(0, &big).is_err());
+        assert!(spill.write(0, &Payload::Int8(big)).is_err());
         spill.cleanup().unwrap();
     }
 
     #[test]
-    fn block_fetch_of_f32_slot_re_encodes() {
-        let path = tmp("blockf32");
-        let spill =
-            SpillFile::create(&path, 1, 4, 16, SpillPrecision::F32, Throttle::unlimited()).unwrap();
-        let t = Tensor::from_fn(4, 16, |r, c| ((r + c) as f32 * 0.31).sin());
-        spill.offload(0, &t).unwrap();
-        let block = spill.fetch_block(0).unwrap();
-        assert_eq!(block, RowQuantBlock::encode(&t).unwrap());
-        spill.cleanup().unwrap();
+    fn int8_compaction_equals_encoding_the_kept_rows() {
+        // The recovery arm of slot compaction encodes the kept rows of a
+        // recomputed tensor; it must write the codes a healthy gather of
+        // the stored block would.
+        let t = Tensor::from_fn(6, 24, |r, c| {
+            ((r * 7 + c * 3) as f32 * 0.41).sin() * r as f32
+        });
+        let rows = [1, 2, 5];
+        let gathered = Payload::encode(SpillPrecision::Int8, t.clone())
+            .unwrap()
+            .gather_rows(&rows)
+            .unwrap();
+        let encoded = Payload::encode(SpillPrecision::Int8, t.gather_rows(&rows).unwrap()).unwrap();
+        match (gathered, encoded) {
+            (Payload::Int8(a), Payload::Int8(b)) => assert_eq!(a, b),
+            _ => panic!("int8 payloads are blocks"),
+        }
     }
 
     #[test]
@@ -780,25 +785,6 @@ mod tests {
             assert_eq!(spill.quarantined(), 1);
             spill.cleanup().unwrap();
         }
-    }
-
-    #[test]
-    fn corrupted_block_slot_quarantines_on_block_fetch() {
-        let path = tmp("crc-block");
-        let spill =
-            SpillFile::create(&path, 1, 4, 8, SpillPrecision::Int8, Throttle::unlimited()).unwrap();
-        let block = RowQuantBlock::encode(&Tensor::from_fn(4, 8, |r, c| (r + c) as f32)).unwrap();
-        spill.offload_block(0, &block).unwrap();
-        let mut raw = vec![0_u8; 1];
-        read_at(&spill.file, HEADER_BYTES as u64, &mut raw).unwrap();
-        raw[0] ^= 0x80;
-        write_at(&spill.file, HEADER_BYTES as u64, &raw).unwrap();
-        assert!(matches!(
-            spill.fetch_block(0),
-            Err(StorageError::ChecksumMismatch { slot: 0, .. })
-        ));
-        assert_eq!(spill.quarantined(), 1);
-        spill.cleanup().unwrap();
     }
 
     #[test]

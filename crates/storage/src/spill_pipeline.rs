@@ -10,10 +10,17 @@
 //! like the dual-buffer weight prefetcher in [`crate::stream`]:
 //!
 //! * a **reader** lane servicing [`SpillPipeline::prefetch`] /
-//!   [`SpillPipeline::fetch`],
+//!   [`SpillPipeline::fetch`] / [`SpillPipeline::retain_rows`],
 //! * a **writer** lane servicing [`SpillPipeline::write_back`]
 //!   (fire-and-forget; errors surface on the next call that must
 //!   synchronize, and at [`SpillPipeline::drain`] / cleanup).
+//!
+//! The lanes carry exactly what the file stores — a rowq block for an
+//! int8 file, a tensor for an f32 file — so the codec runs on the
+//! caller's thread: `write_back` encodes before queueing, `fetch` decodes
+//! after the read lands, and `retain_rows` compacts a slot without
+//! decoding it at all. A queued int8 write-back holds ~4x fewer bytes
+//! than the tensor it came from.
 //!
 //! Both lanes share one [`SpillFile`] through an `Arc` — positioned I/O
 //! needs no seek cursor — and pace themselves independently against the
@@ -32,9 +39,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use prism_tensor::igemm::RowQuantBlock;
 use prism_tensor::Tensor;
 
+use crate::spill::Payload;
 use crate::{Result, SpillFile, StorageError};
 
 /// Aggregate spill-pipeline statistics (the spill analogue of
@@ -75,62 +82,14 @@ impl SpillStats {
     }
 }
 
-/// What travels through the lanes: decoded f32 hidden states (the
-/// historical payload) or rowq-encoded blocks (the int8 compute path,
-/// which keeps codes end-to-end — ~4x less memory alive in the lanes
-/// and no decode/encode on either side of the I/O).
-enum Payload {
-    F32(Tensor),
-    Int8(RowQuantBlock),
-}
-
-impl Payload {
-    fn size_bytes(&self) -> u64 {
-        match self {
-            Payload::F32(t) => t.size_bytes() as u64,
-            Payload::Int8(b) => b.size_bytes() as u64,
-        }
-    }
-
-    /// Coerces into a tensor, decoding an encoded block if needed.
-    fn into_tensor(self) -> Result<Tensor> {
-        match self {
-            Payload::F32(t) => Ok(t),
-            Payload::Int8(b) => {
-                let mut t = Tensor::zeros(0, 0);
-                b.decode_into(&mut t).map_err(tensor_err)?;
-                Ok(t)
-            }
-        }
-    }
-
-    /// Coerces into a block, encoding a decoded tensor if needed.
-    fn into_block(self) -> Result<RowQuantBlock> {
-        match self {
-            Payload::Int8(b) => Ok(b),
-            Payload::F32(t) => RowQuantBlock::encode(&t).map_err(tensor_err),
-        }
-    }
-}
-
-fn tensor_err(e: prism_tensor::TensorError) -> StorageError {
-    StorageError::SectionMismatch {
-        name: "spill-pipeline".into(),
-        reason: e.to_string(),
-    }
-}
-
-enum ReadJob {
-    Read { slot: usize, encoded: bool },
-}
-
 struct ReadDone {
     slot: usize,
     payload: Result<Payload>,
 }
 
-enum WriteJob {
-    Write { slot: usize, payload: Payload },
+struct WriteJob {
+    slot: usize,
+    payload: Payload,
 }
 
 struct WriteDone {
@@ -139,7 +98,7 @@ struct WriteDone {
 }
 
 struct Lanes {
-    read_tx: Option<Sender<ReadJob>>,
+    read_tx: Option<Sender<usize>>,
     read_rx: Receiver<ReadDone>,
     write_tx: Option<Sender<WriteJob>>,
     write_rx: Receiver<WriteDone>,
@@ -150,7 +109,7 @@ struct Lanes {
     /// Read results that arrived ahead of their consumer.
     parked_reads: Vec<ReadDone>,
     /// Slots with unacknowledged writes (submission order), with each
-    /// queued tensor's in-memory byte size.
+    /// queued payload's in-memory byte size.
     pending_writes: VecDeque<(usize, u64)>,
 }
 
@@ -197,7 +156,7 @@ impl SpillPipeline {
     pub fn overlapped(file: SpillFile) -> Result<Self> {
         let file = Arc::new(file);
         let slots = file.slots().max(1);
-        let (read_tx, read_job_rx) = bounded::<ReadJob>(2);
+        let (read_tx, read_job_rx) = bounded::<usize>(2);
         let (read_done_tx, read_rx) = bounded::<ReadDone>(slots + 1);
         let (write_tx, write_job_rx) = bounded::<WriteJob>(1);
         let (write_done_tx, write_rx) = bounded::<WriteDone>(slots + 1);
@@ -206,12 +165,8 @@ impl SpillPipeline {
         let reader = std::thread::Builder::new()
             .name("prism-spill-rd".into())
             .spawn(move || {
-                while let Ok(ReadJob::Read { slot, encoded }) = read_job_rx.recv() {
-                    let payload = if encoded {
-                        reader_file.fetch_block(slot).map(Payload::Int8)
-                    } else {
-                        reader_file.fetch(slot).map(Payload::F32)
-                    };
+                while let Ok(slot) = read_job_rx.recv() {
+                    let payload = reader_file.read(slot);
                     if read_done_tx.send(ReadDone { slot, payload }).is_err() {
                         break;
                     }
@@ -223,11 +178,8 @@ impl SpillPipeline {
         let writer = std::thread::Builder::new()
             .name("prism-spill-wr".into())
             .spawn(move || {
-                while let Ok(WriteJob::Write { slot, payload }) = write_job_rx.recv() {
-                    let result = match &payload {
-                        Payload::F32(t) => writer_file.offload(slot, t),
-                        Payload::Int8(b) => writer_file.offload_block(slot, b),
-                    };
+                while let Ok(WriteJob { slot, payload }) = write_job_rx.recv() {
+                    let result = writer_file.write(slot, &payload);
                     if write_done_tx.send(WriteDone { slot, result }).is_err() {
                         break;
                     }
@@ -258,11 +210,6 @@ impl SpillPipeline {
     /// Whether background lanes are active.
     pub fn is_overlapped(&self) -> bool {
         self.lanes.is_some()
-    }
-
-    /// The precision the backing file encodes at.
-    pub fn precision(&self) -> crate::SpillPrecision {
-        self.file.as_ref().expect("live spill file").precision()
     }
 
     fn file(&self) -> &SpillFile {
@@ -347,17 +294,6 @@ impl SpillPipeline {
     /// Schedules a background read of `slot` (no-op in synchronous mode;
     /// the later [`SpillPipeline::fetch`] does the work inline).
     pub fn prefetch(&mut self, slot: usize) -> Result<()> {
-        self.prefetch_as(slot, false)
-    }
-
-    /// Schedules a background *encoded* read of `slot`: the reader lane
-    /// returns the rowq block verbatim, never materializing f32 — the
-    /// int8 compute path's read-ahead.
-    pub fn prefetch_block(&mut self, slot: usize) -> Result<()> {
-        self.prefetch_as(slot, true)
-    }
-
-    fn prefetch_as(&mut self, slot: usize, encoded: bool) -> Result<()> {
         if self.lanes.is_none() {
             return Ok(());
         }
@@ -371,15 +307,26 @@ impl SpillPipeline {
             .read_tx
             .as_ref()
             .expect("reader lane open")
-            .send(ReadJob::Read { slot, encoded })
+            .send(slot)
             .map_err(|_| StorageError::StreamerGone)?;
         lanes.pending_reads.push_back(slot);
         Ok(())
     }
 
-    /// Blocks until the read of `slot` completes, issuing it if absent.
-    fn await_read(&mut self, slot: usize, encoded: bool) -> Result<Payload> {
-        self.prefetch_as(slot, encoded)?;
+    /// Returns the payload stored in `slot`: inline when synchronous,
+    /// otherwise waiting for (or issuing) its read on the reader lane.
+    /// Also the point where a prior background write error surfaces.
+    fn read(&mut self, slot: usize) -> Result<Payload> {
+        if self.lanes.is_none() {
+            let wait = Instant::now();
+            let out = self.file().read(slot);
+            self.wait_micros += wait.elapsed().as_micros() as u64;
+            if out.is_ok() {
+                self.reads += 1;
+            }
+            return out;
+        }
+        self.prefetch(slot)?;
         if let Some(e) = self.sticky_error() {
             return Err(e);
         }
@@ -408,84 +355,56 @@ impl SpillPipeline {
         done.payload
     }
 
-    /// Returns the tensor stored in `slot`, waiting for (or issuing) its
-    /// read. Also the point where a prior background write error
-    /// surfaces.
+    /// Returns the tensor stored in `slot`, decoded on the caller's
+    /// thread.
     pub fn fetch(&mut self, slot: usize) -> Result<Tensor> {
-        if self.lanes.is_none() {
-            let wait = Instant::now();
-            let out = self.file().fetch(slot);
-            self.wait_micros += wait.elapsed().as_micros() as u64;
-            if out.is_ok() {
-                self.reads += 1;
-            }
-            return out;
-        }
-        // A prefetch that raced in as encoded is decoded here — the
-        // payload kinds convert losslessly in this direction.
-        self.await_read(slot, false)?.into_tensor()
+        self.read(slot)?.decode()
     }
 
-    /// Returns the rowq block stored in `slot` without decoding to f32
-    /// (an f32-encoded slot is row-encoded on the reader lane).
-    pub fn fetch_block(&mut self, slot: usize) -> Result<RowQuantBlock> {
-        if self.lanes.is_none() {
-            let wait = Instant::now();
-            let out = self.file().fetch_block(slot);
-            self.wait_micros += wait.elapsed().as_micros() as u64;
-            if out.is_ok() {
-                self.reads += 1;
-            }
-            return out;
-        }
-        self.await_read(slot, true)?.into_block()
+    /// Compacts `slot` to `rows` (by index, in order) in the file's own
+    /// encoding: waits for the slot's read, gathers the rows and queues
+    /// the write — no decode, no re-encode. A checksum mismatch on the
+    /// read quarantines the slot and comes back as
+    /// [`StorageError::ChecksumMismatch`]; the caller then writes the
+    /// recomputed rows with [`SpillPipeline::write_back`].
+    pub fn retain_rows(&mut self, slot: usize, rows: &[usize]) -> Result<()> {
+        let kept = self.read(slot)?.gather_rows(rows)?;
+        self.write(slot, kept)
     }
 
-    /// Writes `tensor` back into `slot` — queued on the writer lane when
+    /// Writes `tensor` back into `slot`, encoded at the file's precision
+    /// on the caller's thread — queued on the writer lane when
     /// overlapped, inline otherwise.
     pub fn write_back(&mut self, slot: usize, tensor: Tensor) -> Result<()> {
-        self.write_back_payload(slot, Payload::F32(tensor))
+        let payload = Payload::encode(self.file().precision(), tensor)?;
+        self.write(slot, payload)
     }
 
-    /// Writes an already-encoded rowq block back into `slot`, skipping
-    /// the encode the f32 write-back performs; the lane holds the ~4x
-    /// smaller codes instead of an f32 tensor until the write lands.
-    pub fn write_back_block(&mut self, slot: usize, block: RowQuantBlock) -> Result<()> {
-        self.write_back_payload(slot, Payload::Int8(block))
-    }
-
-    fn write_back_payload(&mut self, slot: usize, payload: Payload) -> Result<()> {
-        match self.lanes.as_mut() {
-            None => {
-                let wait = Instant::now();
-                let out = match &payload {
-                    Payload::F32(t) => self.file().offload(slot, t).map(|_| ()),
-                    Payload::Int8(b) => self.file().offload_block(slot, b).map(|_| ()),
-                };
-                self.wait_micros += wait.elapsed().as_micros() as u64;
-                if out.is_ok() {
-                    self.writes += 1;
-                }
-                out
-            }
-            Some(_) => {
-                // A read issued before this write would observe stale
-                // data; drop it so only post-write fetches resolve.
-                self.discard_reads_to(slot)?;
-                let bytes = payload.size_bytes();
-                let lanes = self.lanes.as_mut().expect("overlapped lanes");
-                lanes
-                    .write_tx
-                    .as_ref()
-                    .expect("writer lane open")
-                    .send(WriteJob::Write { slot, payload })
-                    .map_err(|_| StorageError::StreamerGone)?;
-                lanes.pending_writes.push_back((slot, bytes));
+    fn write(&mut self, slot: usize, payload: Payload) -> Result<()> {
+        if self.lanes.is_none() {
+            let wait = Instant::now();
+            let out = self.file().write(slot, &payload).map(|_| ());
+            self.wait_micros += wait.elapsed().as_micros() as u64;
+            if out.is_ok() {
                 self.writes += 1;
-                self.drain_write_acks();
-                Ok(())
             }
+            return out;
         }
+        // A read issued before this write would observe stale data; drop
+        // it so only post-write fetches resolve.
+        self.discard_reads_to(slot)?;
+        let bytes = payload.size_bytes();
+        let lanes = self.lanes.as_mut().expect("overlapped lanes");
+        lanes
+            .write_tx
+            .as_ref()
+            .expect("writer lane open")
+            .send(WriteJob { slot, payload })
+            .map_err(|_| StorageError::StreamerGone)?;
+        lanes.pending_writes.push_back((slot, bytes));
+        self.writes += 1;
+        self.drain_write_acks();
+        Ok(())
     }
 
     /// Marks `slot` empty, after flushing any outstanding write to it.
@@ -500,7 +419,7 @@ impl SpillPipeline {
     pub fn drain(&mut self) -> Result<()> {
         if let Some(lanes) = self.lanes.as_mut() {
             let wait = Instant::now();
-            while let Some(&slot) = lanes.pending_reads.front() {
+            while !lanes.pending_reads.is_empty() {
                 let done = lanes
                     .read_rx
                     .recv()
@@ -508,7 +427,6 @@ impl SpillPipeline {
                 if let Some(pos) = lanes.pending_reads.iter().position(|&s| s == done.slot) {
                     lanes.pending_reads.remove(pos);
                 }
-                let _ = slot;
                 if let Err(e) = done.payload {
                     self.sticky
                         .get_or_insert_with(|| format!("prefetch of slot {}: {e}", done.slot));
@@ -545,7 +463,7 @@ impl SpillPipeline {
         }
     }
 
-    /// In-memory bytes of tensors currently held by the background
+    /// In-memory bytes of payloads currently held by the background
     /// lanes: queued/in-flight write-backs plus read results parked on
     /// the consumer side. Results sitting unobserved in the reader's
     /// done channel (at most the lane depth) are not visible here; the
@@ -620,6 +538,7 @@ impl Drop for SpillPipeline {
 mod tests {
     use super::*;
     use crate::{SpillPrecision, Throttle};
+    use prism_tensor::igemm::RowQuantBlock;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -668,41 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn block_path_round_trips_without_f32_materialization() {
-        for overlapped in [false, true] {
-            let (f, path) = file("blockpipe", SpillPrecision::Int8, Throttle::unlimited());
-            let mut pipe = if overlapped {
-                SpillPipeline::overlapped(f).unwrap()
-            } else {
-                SpillPipeline::synchronous(f)
-            };
-            let blocks: Vec<RowQuantBlock> = (0..4)
-                .map(|s| RowQuantBlock::encode(&tensor(s)).unwrap())
-                .collect();
-            for (slot, b) in blocks.iter().enumerate() {
-                pipe.write_back_block(slot, b.clone()).unwrap();
-            }
-            pipe.prefetch_block(0).unwrap();
-            for (slot, b) in blocks.iter().enumerate() {
-                if slot + 1 < blocks.len() {
-                    pipe.prefetch_block(slot + 1).unwrap();
-                }
-                // Codes written == codes read: bit-exact, no decode hop.
-                assert_eq!(&pipe.fetch_block(slot).unwrap(), b, "slot {slot}");
-            }
-            // Mixed access still works: a tensor fetch of a block slot
-            // decodes, matching the block's own decode.
-            let t = pipe.fetch(2).unwrap();
-            let mut expect = Tensor::zeros(0, 0);
-            blocks[2].decode_into(&mut expect).unwrap();
-            assert_eq!(t, expect);
-            pipe.drain().unwrap();
-            pipe.cleanup().unwrap();
-            assert!(!path.exists());
-        }
-    }
-
-    #[test]
     fn block_write_back_holds_fewer_bytes_than_f32() {
         let (f, path) = file(
             "blockheld",
@@ -711,9 +595,10 @@ mod tests {
         );
         let mut pipe = SpillPipeline::overlapped(f).unwrap();
         let t = tensor(3);
-        let block = RowQuantBlock::encode(&t).unwrap();
-        let block_bytes = block.size_bytes() as u64;
-        pipe.write_back_block(0, block).unwrap();
+        let block_bytes = RowQuantBlock::encode(&t).unwrap().size_bytes() as u64;
+        // An int8 file's write-back is encoded before it is queued, so
+        // the lane holds the block, not the tensor.
+        pipe.write_back(0, t.clone()).unwrap();
         let held = pipe.held_bytes();
         assert!(held <= block_bytes, "held {held} > block {block_bytes}");
         // 16-col rows make the per-row affine overhead visible; even so

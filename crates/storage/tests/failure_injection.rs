@@ -7,7 +7,7 @@ use prism_storage::{
     fault, Container, ContainerWriter, LayerStreamer, SectionKind, SpillFile, SpillPipeline,
     SpillPrecision, StorageError, Throttle,
 };
-use prism_tensor::{RowQuantBlock, Tensor};
+use prism_tensor::Tensor;
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -154,23 +154,23 @@ fn spill_payload_bitflip_quarantines_then_recomputes() {
 
 #[test]
 fn spill_block_bitflip_quarantines_the_int8_path() {
-    // The int8 compute path's encoded round trip gets the same
-    // protection: a flipped code byte is a typed checksum failure, not
-    // silently wrong scores.
+    // An int8 file's encoded round trip gets the same protection: a
+    // flipped code byte is a typed checksum failure, not silently wrong
+    // scores.
     let path = tmp("spill-blockflip");
     let file =
         SpillFile::create(&path, 2, 8, 16, SpillPrecision::Int8, Throttle::unlimited()).unwrap();
-    let block = RowQuantBlock::encode(&spill_tensor(0.7)).unwrap();
-    file.offload_block(1, &block).unwrap();
-    let reread = file.fetch_block(1).unwrap();
-    assert_eq!(reread.codes(), block.codes(), "clean round trip is exact");
+    let tensor = spill_tensor(0.7);
+    file.offload(1, &tensor).unwrap();
+    let reread = file.fetch(1).unwrap();
+    assert_eq!(file.fetch(1).unwrap(), reread, "clean round trip is stable");
     // Slots are sized at the file's precision; this lands on a code
     // byte of slot 1.
     flip_byte(
         &path,
         SpillPrecision::Int8.encoded_bytes(8, 16) + 16 + 8 * 8 + 3,
     );
-    let err = file.fetch_block(1).unwrap_err();
+    let err = file.fetch(1).unwrap_err();
     assert!(
         matches!(err, StorageError::ChecksumMismatch { .. }),
         "{err:?}"

@@ -5,8 +5,8 @@
 //! within half a quantization step of its row, constant rows round-trip
 //! exactly, f32 slots stay bit-exact, and the overlapped pipeline
 //! delivers the same bytes as the synchronous path under interleaved
-//! reads, writes and releases — for empty, single-element and otherwise
-//! awkward shapes included.
+//! reads, writes, releases and compactions, at both precisions — for
+//! empty, single-element and otherwise awkward shapes included.
 
 use prism_storage::{SpillFile, SpillPipeline, SpillPrecision, Throttle};
 use prism_tensor::{rowq, Tensor};
@@ -111,49 +111,68 @@ proptest! {
     fn pipeline_matches_synchronous_under_interleaving(
         rows in 1_usize..8,
         cols in 1_usize..24,
-        ops in prop::collection::vec((0_usize..4, 0_u8..3), 1..24),
+        ops in prop::collection::vec((0_usize..4, 0_u8..4), 1..24),
         case in 0_u64..u64::MAX,
     ) {
-        let slots = 4;
-        let make = |tag: &str, overlapped: bool| {
-            let path = tmp(tag, case);
-            let file = SpillFile::create(&path, slots, rows, cols,
-                SpillPrecision::Int8, Throttle::unlimited()).unwrap();
-            if overlapped {
-                SpillPipeline::overlapped(file).unwrap()
-            } else {
-                SpillPipeline::synchronous(file)
-            }
-        };
-        let mut sync = make("sync", false);
-        let mut over = make("over", true);
-        // Replay the same randomized op sequence against both modes;
-        // every observable result must agree.
-        for (i, &(slot, op)) in ops.iter().enumerate() {
-            match op {
-                0 => {
-                    let t = tensor_from(rows, cols, i as i64, false);
-                    sync.write_back(slot, t.clone()).unwrap();
-                    over.write_back(slot, t).unwrap();
+        for precision in [SpillPrecision::F32, SpillPrecision::Int8] {
+            let slots = 4;
+            let make = |tag: &str, overlapped: bool| {
+                let path = tmp(&format!("{tag}-{precision:?}"), case);
+                let file = SpillFile::create(&path, slots, rows, cols,
+                    precision, Throttle::unlimited()).unwrap();
+                if overlapped {
+                    SpillPipeline::overlapped(file).unwrap()
+                } else {
+                    SpillPipeline::synchronous(file)
                 }
-                1 => {
-                    let a = sync.fetch(slot);
-                    let b = over.fetch(slot);
-                    match (a, b) {
-                        (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
-                        (Err(_), Err(_)) => {}
-                        (a, b) => prop_assert!(false, "sync {a:?} vs overlapped {b:?}"),
+            };
+            let mut sync = make("sync", false);
+            let mut over = make("over", true);
+            // Replay the same randomized op sequence against both modes;
+            // every observable result must agree.
+            for (i, &(slot, op)) in ops.iter().enumerate() {
+                match op {
+                    0 => {
+                        let t = tensor_from(rows, cols, i as i64, false);
+                        sync.write_back(slot, t.clone()).unwrap();
+                        over.write_back(slot, t).unwrap();
+                    }
+                    1 => {
+                        let a = sync.fetch(slot);
+                        let b = over.fetch(slot);
+                        match (a, b) {
+                            (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+                            (Err(_), Err(_)) => {}
+                            (a, b) => prop_assert!(false, "sync {a:?} vs overlapped {b:?}"),
+                        }
+                    }
+                    2 => {
+                        sync.release(slot).unwrap();
+                        over.release(slot).unwrap();
+                    }
+                    _ => {
+                        // Compaction: a fetch after retain equals the
+                        // gathered rows of a fetch before it.
+                        let before = sync.fetch(slot);
+                        let kept: Vec<usize> = match &before {
+                            Ok(t) => (0..t.rows()).filter(|r| (r + i) % 3 != 0).collect(),
+                            Err(_) => vec![0],
+                        };
+                        let a = sync.retain_rows(slot, &kept);
+                        let b = over.retain_rows(slot, &kept);
+                        prop_assert_eq!(a.is_ok(), b.is_ok(), "sync {:?} vs overlapped {:?}", a, b);
+                        if let Ok(before) = before {
+                            let want = before.gather_rows(&kept).unwrap();
+                            prop_assert_eq!(&sync.fetch(slot).unwrap(), &want);
+                            prop_assert_eq!(&over.fetch(slot).unwrap(), &want);
+                        }
                     }
                 }
-                _ => {
-                    sync.release(slot).unwrap();
-                    over.release(slot).unwrap();
-                }
             }
+            over.drain().unwrap();
+            prop_assert_eq!(sync.stats().bytes_written, over.stats().bytes_written);
+            sync.cleanup().unwrap();
+            over.cleanup().unwrap();
         }
-        over.drain().unwrap();
-        prop_assert_eq!(sync.stats().bytes_written, over.stats().bytes_written);
-        sync.cleanup().unwrap();
-        over.cleanup().unwrap();
     }
 }

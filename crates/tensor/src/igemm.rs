@@ -63,11 +63,12 @@ const MRI: usize = 4;
 const NBI: usize = 64;
 
 /// A rowq-encoded activation block: per-row `(min, scale)` affines plus
-/// the u8 code matrix, the exact payload of an int8 spill slot.
+/// the u8 code matrix.
 ///
-/// This is the left-hand operand of the integer GEMM: hidden states
-/// fetched from an int8 spill slot multiply quantized weights directly,
-/// skipping the decode-to-f32 round trip.
+/// Two uses share it. It is the left-hand operand of the integer GEMM:
+/// the forward encodes each activation block that feeds a projection
+/// once, and the int8 weights multiply the codes. It is also the payload
+/// of an int8 spill slot, which the spill lanes carry as is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowQuantBlock {
     rows: usize,
@@ -380,9 +381,9 @@ impl Int8Matrix {
     /// `out[m × out_dim] = decode(block) · W^T`, computed entirely in
     /// integers and rescaled once per output element.
     ///
-    /// The left operand stays in its rowq encoding — this is the
-    /// spilled-hidden-state fast path that skips the f32 decode round
-    /// trip. `out` is resized and fully overwritten.
+    /// The left operand stays in its rowq encoding: the forward encodes
+    /// each activation block once, and every int8 projection reading it
+    /// multiplies the codes. `out` is resized and fully overwritten.
     pub fn matmul_rowq_into(&self, block: &RowQuantBlock, out: &mut Tensor) -> Result<()> {
         if block.cols() != self.cols {
             return Err(TensorError::ShapeMismatch {

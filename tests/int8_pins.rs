@@ -1,4 +1,4 @@
-//! Bit pins for the int8 compute path.
+//! Bit pins for the int8 compute path and the int8 spill path.
 //!
 //! Every other int8 test compares against f32 within a tolerance, or
 //! int8 against int8, so a reordered projection or a changed rowq encode
@@ -10,10 +10,14 @@
 //! * `select_with(.. ComputePrecision::Int8)` on a resident engine and
 //!   on streamed and resident offload engines at both spill precisions,
 //!   plus a streamed run whose spill fetches are corrupted, which forces
-//!   the recovery replay to rebuild chunks from the container.
+//!   the recovery replay to rebuild chunks from the container;
+//! * f32-compute offload selections at both spill precisions with two
+//!   candidates per chunk, so a gate compacts spilled slots partially,
+//!   fault-free and with corrupted reads.
 //!
-//! A digest that moves means int8 results changed bit for bit; if that
-//! is intended, the new digest is printed in the failure message.
+//! A digest that moves means results changed bit for bit; if that is
+//! intended, the new digest is printed in the failure message. Never
+//! edit a digest to make a test pass.
 
 use prism::core::{ComputePrecision, EngineOptions, PrismEngine, RequestOptions, Selection};
 use prism::metrics::MemoryMeter;
@@ -135,10 +139,14 @@ impl Drop for Fixture {
 }
 
 fn offload(streaming: bool) -> EngineOptions {
+    offload_chunked(streaming, 1)
+}
+
+fn offload_chunked(streaming: bool, chunk_candidates: usize) -> EngineOptions {
     EngineOptions {
         streaming,
         chunking: true,
-        chunk_candidates: Some(1),
+        chunk_candidates: Some(chunk_candidates),
         hidden_offload: true,
         pruning: true,
         ..EngineOptions::all_off()
@@ -149,6 +157,46 @@ fn offload(streaming: bool) -> EngineOptions {
 /// and streamed weights agree bit for bit.
 const F32_SPILL: u64 = 0xc034_e50d_4147_c4e4;
 const INT8_SPILL: u64 = 0xf830_6b34_6e80_f6f2;
+
+/// Offload f32-compute selection digests with two candidates per chunk,
+/// one per spill precision: the spill path the offload benchmark runs,
+/// including slots a gate compacts partially.
+const F32_COMPUTE_F32_SPILL: u64 = 0xa809_09e6_5759_5908;
+const F32_COMPUTE_INT8_SPILL: u64 = 0xd32a_b0c7_af46_f130;
+
+/// Whether some gate removed part, but not all, of a chunk that lives in
+/// the spill file — the only event that compacts a slot in place.
+/// Chunks hold `chunk_candidates` consecutive ids and every chunk after
+/// the first three is spilled.
+fn compacted_a_spilled_chunk(sel: &Selection, n: usize, chunk_candidates: usize) -> bool {
+    let mut alive = vec![true; n];
+    sel.trace.routes.iter().any(|route| {
+        let gone: Vec<usize> = route
+            .selected
+            .iter()
+            .chain(&route.dropped)
+            .copied()
+            .collect();
+        let partial = (3 * chunk_candidates..n)
+            .step_by(chunk_candidates)
+            .any(|start| {
+                let members = start..(start + chunk_candidates).min(n);
+                let live: Vec<usize> = members.filter(|&id| alive[id]).collect();
+                let leaving = live.iter().filter(|id| gone.contains(id)).count();
+                leaving > 0 && leaving < live.len()
+            });
+        for id in gone {
+            alive[id] = false;
+        }
+        partial
+    })
+}
+
+/// The f32-compute offload request: with two candidates per chunk, its
+/// layer-1 gate drops one candidate of each of two spilled chunks.
+fn f32_offload_request(spill: SpillPrecision) -> RequestOptions {
+    RequestOptions::tagged(4, 0).with_spill_precision(spill)
+}
 
 fn selection_digest(sel: &Selection) -> u64 {
     let ranked = sel
@@ -190,6 +238,27 @@ fn int8_selection_bits_are_pinned() {
         let label = format!("offload (streaming: {streaming}, spill {spill:?})");
         digests.push((label, selection_digest(&sel), want));
     }
+
+    let cases = [
+        (false, SpillPrecision::F32, F32_COMPUTE_F32_SPILL),
+        (false, SpillPrecision::Int8, F32_COMPUTE_INT8_SPILL),
+        (true, SpillPrecision::F32, F32_COMPUTE_F32_SPILL),
+        (true, SpillPrecision::Int8, F32_COMPUTE_INT8_SPILL),
+    ];
+    for (streaming, spill, want) in cases {
+        let engine = fx.engine(offload_chunked(streaming, 2));
+        let sel = engine
+            .select_with(&batch, f32_offload_request(spill))
+            .unwrap();
+        assert!(sel.trace.spill_bytes > 0, "offload engine must spill");
+        assert!(
+            compacted_a_spilled_chunk(&sel, batch.num_sequences(), 2),
+            "some gate must compact a spilled chunk partially: {:?}",
+            sel.trace.routes
+        );
+        let label = format!("f32 compute offload (streaming: {streaming}, spill {spill:?})");
+        digests.push((label, selection_digest(&sel), want));
+    }
     check(&digests);
 }
 
@@ -222,6 +291,29 @@ fn int8_recovery_replay_bits_are_pinned() {
             "{spill:?}: fault injection must have fired"
         );
         let label = format!("streamed replay (spill {spill:?})");
+        digests.push((label, selection_digest(&sel), want));
+    }
+
+    // F32 compute with two candidates per chunk: every fourth read is
+    // corrupted, and the fourth is the first read that compacts a slot
+    // after the layer-1 gate, so the compaction's recovery arm runs.
+    let cases = [
+        (false, SpillPrecision::F32, F32_COMPUTE_F32_SPILL),
+        (false, SpillPrecision::Int8, F32_COMPUTE_INT8_SPILL),
+        (true, SpillPrecision::F32, F32_COMPUTE_F32_SPILL),
+        (true, SpillPrecision::Int8, F32_COMPUTE_INT8_SPILL),
+    ];
+    for (streaming, spill, want) in cases {
+        let engine = fx.engine(offload_chunked(streaming, 2));
+        fault::corrupt_fetches_under(fx.spill_dir.to_string_lossy(), 4);
+        let sel = engine.select_with(&batch, f32_offload_request(spill));
+        fault::reset();
+        let sel = sel.unwrap();
+        assert!(
+            sel.trace.spill_stats.quarantined > 0,
+            "{spill:?}: fault injection must have fired"
+        );
+        let label = format!("f32 compute replay (streaming: {streaming}, spill {spill:?})");
         digests.push((label, selection_digest(&sel), want));
     }
     check(&digests);
