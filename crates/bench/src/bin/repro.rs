@@ -15,18 +15,13 @@
 //!                             10% bench-noise allowance), an int8 kernel/layer
 //!                             row below 1.8, or int8 top-k ids diverge.
 //!                             Serving numbers: `bash benchmark/run.sh`
-//!   sim-validate              measure five closed-loop serving/scheduling
-//!                             scenarios, calibrate the serving metasim from
-//!                             them, replay them through it, and write
-//!                             target/repro/sim-validate.json; exits 1 if a
-//!                             prediction is off by more than 15%
 //!   all                       every table and figure above
 //! ```
 //!
 //! `--fast` trims dataset counts and sweep grids for quick smoke runs.
 //! Outputs are printed and written to `target/repro/<id>.{txt,json}`.
 
-use prism_bench::experiments::{ablation, apps, micro, overview, perf, simval};
+use prism_bench::experiments::{ablation, apps, micro, overview, perf};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,7 +55,6 @@ fn main() {
         "fig16" => ablation::fig16(),
         "ablation-extra" => ablation::ablation_extra(),
         "perf" => gated(perf::perf(fast)),
-        "sim-validate" => gated(simval::sim_validate(fast)),
         other => {
             eprintln!("unknown experiment: {other}");
             std::process::exit(2);

@@ -5,7 +5,6 @@ pub mod apps;
 pub mod micro;
 pub mod overview;
 pub mod perf;
-pub mod simval;
 
 use prism_core::EngineOptions;
 use prism_device::DeviceSpec;

@@ -23,7 +23,7 @@
 //!     [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
 //!     [--cache-sessions N] [--starvation-ms N] [--tenant-quota N]
 //!     [--replicas R] [--hedge-ms N]
-//!     The `ServeConfig` of a real or simulated server. `--wait-us N`
+//!     The `ServeConfig` of the server. `--wait-us N`
 //!     (default 2000) is how long a request that needs a weight pass
 //!     waits for company, counted from its submission; a cache answer
 //!     leaves at pickup and never waits. `--tenant-quota N` caps
@@ -31,7 +31,6 @@
 //!     every candidate on R shards (rendezvous rank order) so a dead or
 //!     stalled shard fails over bit-identically; `--hedge-ms N` hedges a
 //!     shard stalled longer than N ms onto its next replica (0 = off).
-//!     The simulator prices replicas and ignores quotas and hedges.
 //!
 //! load flags:
 //!     [--requests N] [--clients N] [--candidates N] [--k N]
@@ -79,27 +78,6 @@
 //!     latency percentiles. `--model`/`--scale` must match the served
 //!     container (they shape the generated workload).
 //!
-//! prsm simulate-serve --model <name> [--scale mini|test]
-//!     [--device rtx5070|m2|a800] [--mode trace|closed]
-//!     [--profile steady|diurnal|burst] [--rps F] [--events N]
-//!     [scheduling flags] [load flags]
-//!     [--fixed-us F] [--per-request-us F] [--per-token-us F]
-//!     [--shards N] [--parallel-shards on|off] [--fault-per-mille N]
-//!     Deterministic discrete-event simulation of the serving stack: the
-//!     server's own batch planner, queue pop and session cache driven at
-//!     virtual time, so a simulated day of traffic costs seconds.
-//!     `--mode trace` (default) replays an open-loop arrival trace
-//!     (`--profile`, `--rps`, `--events`, `--seed`); `--mode closed`
-//!     replays the load flags' request stream. Service times come from
-//!     the analytic `--device` cost model unless `--fixed-us` /
-//!     `--per-token-us` pin a calibrated affine model (e.g. fitted by
-//!     `repro sim-validate`). `--shards N` prices batches through the
-//!     analytic scatter-gather model instead (`--parallel-shards on` =
-//!     one device per shard, off = colocated loopback shards on one
-//!     device). `--fault-per-mille N` draws a shard fault on N of every
-//!     1000 simulated batches; with `--replicas 2+` faults cost latency
-//!     (failover replays), with the default R=1 they cost requests
-//!     (typed shard errors).
 //! ```
 //!
 //! A flag the verb does not read is an error. All commands return their
@@ -115,9 +93,8 @@ use prism_core::{
 };
 use prism_device::{
     simulate_hf, simulate_hf_offload, simulate_hf_quant, simulate_prism, BatchShape, DeviceSpec,
-    PrismSimOptions, PruneSchedule, ScatterGatherCost, ServeBatchCost,
+    PrismSimOptions, PruneSchedule,
 };
-use prism_metasim::{simulate_closed_loop, Calibration, ServiceModel, SimFaults, Simulation};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelConfig, SequenceBatch};
 use prism_serve::{
@@ -125,7 +102,7 @@ use prism_serve::{
 };
 use prism_storage::Container;
 use prism_wire::{WireClient, WireServer};
-use prism_workload::{dataset_by_name, trace_profile_by_name, TraceGenerator, WorkloadGenerator};
+use prism_workload::{dataset_by_name, WorkloadGenerator};
 
 const MODEL_FLAGS: &[&str] = &["model", "scale"];
 
@@ -195,18 +172,6 @@ const VERBS: &[Verb] = &[
         ],
     ),
     ("connect", connect, &[MODEL_FLAGS, LOAD_FLAGS]),
-    (
-        "simulate-serve",
-        simulate_serve,
-        &[
-            MODEL_FLAGS,
-            SCHEDULING_FLAGS,
-            LOAD_FLAGS,
-            &["device", "mode", "profile", "rps", "events"],
-            &["fixed-us", "per-request-us", "per-token-us"],
-            &["shards", "parallel-shards", "fault-per-mille"],
-        ],
-    ),
 ];
 
 /// Runs one CLI invocation and returns its stdout payload.
@@ -398,6 +363,9 @@ fn simulate(p: &Parsed<'_>) -> Result<String, String> {
     let device = resolve_device(p.flag("device").unwrap_or("rtx5070"))?;
     let candidates: usize = p.flag_parse("candidates", 20)?;
     let seq_len: usize = p.flag_parse("seq", 500)?;
+    if candidates == 0 || seq_len == 0 {
+        return Err("--candidates and --seq need at least 1".into());
+    }
     let system = p.flag("system").unwrap_or("prism");
     let shape = BatchShape {
         candidates,
@@ -530,8 +498,8 @@ fn serving_engine(
         .map_err(|e| e.to_string())
 }
 
-/// Builds the `LoadSpec` from the load flags (`serve`, `connect` and
-/// `simulate-serve --mode closed` accept the same ones).
+/// Builds the `LoadSpec` from the load flags (`serve` and `connect`
+/// accept the same ones).
 fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
     let defaults = LoadSpec::default();
     let dataset = p.flag("dataset").unwrap_or("wikipedia");
@@ -592,17 +560,12 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
     })
 }
 
-/// Prints a run, measured or simulated (`offered` is the simulator's
-/// request count; its clock is virtual). The server-side lines need the
-/// server's telemetry, which `prsm connect` does not have.
-fn write_load_report(out: &mut String, report: &LoadReport, offered: Option<u64>) {
-    let (of, clock) = match offered {
-        Some(n) => (format!(" of {n}"), "virtual s"),
-        None => (String::new(), "s"),
-    };
+/// Prints a run. The server-side lines need the server's telemetry,
+/// which `prsm connect` does not have.
+fn write_load_report(out: &mut String, report: &LoadReport) {
     let _ = writeln!(
         out,
-        "completed {}{of} requests in {:.3} {clock} -> {:.1} req/s ({} errors, {} backpressure retries)",
+        "completed {} requests in {:.3} s -> {:.1} req/s ({} errors, {} backpressure retries)",
         report.completed,
         report.elapsed_s,
         report.throughput_rps,
@@ -680,8 +643,7 @@ fn write_load_report(out: &mut String, report: &LoadReport, offered: Option<u64>
     }
 }
 
-/// Builds a `ServeConfig` from the shared scheduling flags (`serve` and
-/// `simulate-serve` accept the same knobs).
+/// Builds a `ServeConfig` from the scheduling flags.
 fn serve_config_from(p: &Parsed<'_>) -> Result<ServeConfig, String> {
     let serve_defaults = ServeConfig::default();
     let max_batch_wait = std::time::Duration::from_micros(
@@ -839,7 +801,7 @@ fn serve(p: &Parsed<'_>) -> Result<String, String> {
             report
         }
     };
-    write_load_report(&mut out, &report, None);
+    write_load_report(&mut out, &report);
     Ok(out)
 }
 
@@ -860,128 +822,7 @@ fn connect(p: &Parsed<'_>) -> Result<String, String> {
         spec.requests, spec.candidates, spec.options.k, spec.clients
     );
     let report = drive_wire_clients(&mut out, addr, &config, &spec)?;
-    write_load_report(&mut out, &report, None);
-    Ok(out)
-}
-
-fn simulate_serve(p: &Parsed<'_>) -> Result<String, String> {
-    let name = p
-        .flag("model")
-        .ok_or("simulate-serve needs --model <name>")?;
-    let scale = p.flag("scale").unwrap_or("mini");
-    let config = resolve_config(name, scale)?;
-    let device = resolve_device(p.flag("device").unwrap_or("m2"))?;
-    let serve_config = serve_config_from(p)?;
-
-    // Service times: the device's analytic batch-cost model unless a
-    // calibrated affine model is pinned on the command line (the shape
-    // `repro sim-validate` fits from measured runs).
-    let calibrated = ["fixed-us", "per-request-us", "per-token-us"]
-        .iter()
-        .any(|f| p.flag(f).is_some());
-    let sim_shards: usize = p.flag_parse("shards", 1)?;
-    let service = if calibrated {
-        if sim_shards > 1 {
-            return Err(
-                "--shards prices through the analytic model; drop the calibrated flags".into(),
-            );
-        }
-        ServiceModel::calibrated(Calibration {
-            batch_fixed_us: p.flag_parse("fixed-us", 0.0_f64)?,
-            per_request_us: p.flag_parse("per-request-us", 0.0_f64)?,
-            per_token_us: p.flag_parse("per-token-us", 0.0_f64)?,
-        })
-    } else if sim_shards > 1 {
-        let worker = ServeBatchCost::new(config.clone(), device.clone());
-        ServiceModel::sharded(ScatterGatherCost {
-            parallel_shards: p.switch("parallel-shards")?,
-            ..ScatterGatherCost::new(worker, sim_shards)
-        })
-    } else {
-        ServiceModel::analytic(ServeBatchCost::new(config.clone(), device.clone()))
-    };
-
-    // Optional shard-fault model: each simulated batch draws a fault
-    // with this probability; the configured replication level decides
-    // whether it costs latency (failover replay) or requests (errors).
-    let fault_per_mille: u32 = p.flag_parse("fault-per-mille", 0_u32)?;
-    let faults = (fault_per_mille > 0).then(|| SimFaults {
-        seed: 0xFA17 ^ fault_per_mille as u64,
-        per_mille: fault_per_mille,
-        shards: sim_shards.max(1),
-        replicas: serve_config.replicas,
-    });
-
-    let mut out = String::new();
-    if sim_shards > 1 {
-        let _ = writeln!(
-            out,
-            "service model: scatter-gather over {sim_shards} shards ({})",
-            if p.switch("parallel-shards")? {
-                "one device per shard"
-            } else {
-                "colocated"
-            }
-        );
-    }
-    if let Some(f) = faults {
-        let _ = writeln!(
-            out,
-            "fault model: {}/1000 batches hit a shard fault, {} replica(s) to absorb them",
-            f.per_mille, f.replicas
-        );
-    }
-    let mode = p.flag("mode").unwrap_or("trace");
-    let report = if mode == "trace" {
-        let rps: f64 = p.flag_parse("rps", 100.0)?;
-        let events: u64 = p.flag_parse("events", 100_000)?;
-        let seed: u64 = p.flag_parse("seed", 42)?;
-        let profile_name = p.flag("profile").unwrap_or("diurnal");
-        let profile = trace_profile_by_name(profile_name, rps)
-            .ok_or_else(|| format!("unknown profile `{profile_name}` (steady|diurnal|burst)"))?;
-        let generator = TraceGenerator::new(profile, seed);
-        let _ = writeln!(
-            out,
-            "simulate-serve {}: {} trace, {} events at ~{} req/s, {} workers, batches <= {} requests",
-            config.name,
-            profile_name,
-            events,
-            rps,
-            serve_config.workers,
-            serve_config.max_batch_requests
-        );
-        Simulation::run_trace(
-            &serve_config,
-            service,
-            &generator,
-            events,
-            profile_name,
-            faults,
-        )
-    } else if mode == "closed" {
-        let spec = load_spec_from(p)?;
-        let _ = writeln!(
-            out,
-            "simulate-serve {}: closed loop, {} requests x {} candidates (top-{}), {} clients",
-            config.name, spec.requests, spec.candidates, spec.options.k, spec.clients
-        );
-        simulate_closed_loop(&config, &spec, &serve_config, service, "closed", faults)
-    } else {
-        return Err(format!("unknown mode `{mode}` (trace|closed)"));
-    };
-    write_load_report(&mut out, &report.run, Some(report.requests));
-    if report.stats().failovers > 0 {
-        let _ = writeln!(
-            out,
-            "fault model: {} failovers absorbed by replication",
-            report.stats().failovers
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{} events, digest {:016x}",
-        report.events, report.digest
-    );
+    write_load_report(&mut out, &report);
     Ok(out)
 }
 
@@ -1146,6 +987,15 @@ mod tests {
             .unwrap();
             assert!(out.contains("latency"), "{system}: {out}");
             assert!(out.contains("peak memory"));
+            // An empty request is a typed error, not a panic or a
+            // latency for zero tokens.
+            for empty in ["--candidates", "--seq"] {
+                assert!(
+                    run_strs(&["simulate", "--model", "bge-m3", "--system", system, empty, "0"])
+                        .is_err(),
+                    "{system}: {empty} 0"
+                );
+            }
         }
         // OOM flagged for 8B on the laptop.
         let out = run_strs(&["simulate", "--model", "qwen3-8b", "--system", "hf"]).unwrap();
@@ -1202,7 +1052,7 @@ mod tests {
         assert_eq!(err, "prsm serve: unknown flag --bach");
         assert!(
             run_strs(&["bench-serve", &dense, "--model", "bge-m3"]).is_err(),
-            "sim-validate owns the serial/batched and FIFO/priority comparisons"
+            "there is no bench-serve verb; serving is measured by benchmark/run.sh"
         );
         std::fs::remove_file(&dense).unwrap();
     }
@@ -1438,122 +1288,6 @@ mod tests {
         .is_err());
         assert!(run_strs(&["connect"]).is_err(), "missing address");
         std::fs::remove_file(&dense).unwrap();
-    }
-
-    #[test]
-    fn simulate_serve_sharded_service_model() {
-        let steady = ["--profile", "steady", "--rps", "200", "--events", "500"];
-        let sim = |extra: &[&str]| bge(&["simulate-serve"], &[&steady, extra].concat());
-        let colocated = sim(&["--shards", "3"]).unwrap();
-        assert!(
-            colocated.contains("scatter-gather over 3 shards (colocated)"),
-            "{colocated}"
-        );
-        let parallel = sim(&["--shards", "3", "--parallel-shards", "on"]).unwrap();
-        assert!(parallel.contains("(one device per shard)"), "{parallel}");
-        // Calibrated coefficients and the analytic sharded model are
-        // mutually exclusive.
-        assert!(sim(&["--shards", "3", "--fixed-us", "1000"]).is_err());
-    }
-
-    #[test]
-    fn simulate_serve_fault_model_prices_replication() {
-        let faulty = [
-            "--profile",
-            "steady",
-            "--rps",
-            "200",
-            "--events",
-            "500",
-            "--shards",
-            "3",
-            "--fault-per-mille",
-            "300",
-        ];
-        let sim = |extra: &[&str]| bge(&["simulate-serve"], &[&faulty, extra].concat());
-        // R=2: faults are absorbed as failover replays, zero of them
-        // become request errors.
-        let covered = sim(&["--replicas", "2"]).unwrap();
-        assert!(
-            covered.contains("fault model: 300/1000 batches hit a shard fault, 2 replica(s)"),
-            "{covered}"
-        );
-        assert!(
-            covered.contains("failovers absorbed by replication"),
-            "{covered}"
-        );
-        assert!(covered.contains("(0 errors"), "{covered}");
-
-        // Default R=1: the same schedule surfaces as request errors.
-        let exposed = sim(&[]).unwrap();
-        assert!(!exposed.contains("(0 errors"), "{exposed}");
-        assert!(
-            !exposed.contains("failovers absorbed"),
-            "R=1 has nothing to fail over to: {exposed}"
-        );
-    }
-
-    #[test]
-    fn simulate_serve_trace_mode_is_deterministic() {
-        let trace = [
-            "--profile",
-            "steady",
-            "--rps",
-            "300",
-            "--events",
-            "2000",
-            "--device",
-            "m2",
-        ];
-        let sim = |extra: &[&str]| bge(&["simulate-serve"], &[&trace, extra].concat()).unwrap();
-        let a = sim(&[]);
-        assert!(a.contains("steady trace, 2000 events"), "{a}");
-        assert!(a.contains("virtual s"), "{a}");
-        assert!(a.contains("digest"), "{a}");
-        // Bit-identical rerun: the whole report is a pure function of
-        // the inputs (no wall clock anywhere).
-        assert_eq!(a, sim(&[]));
-        // A different seed changes the event log.
-        assert_ne!(a, sim(&["--seed", "7"]));
-    }
-
-    #[test]
-    fn simulate_serve_closed_mode_and_calibrated_model() {
-        let out = bge(
-            &["simulate-serve"],
-            &[
-                "--mode",
-                "closed",
-                "--requests",
-                "24",
-                "--clients",
-                "4",
-                "--candidates",
-                "8",
-                "--k",
-                "3",
-                "--fixed-us",
-                "4000",
-                "--per-token-us",
-                "2",
-            ],
-        )
-        .unwrap();
-        assert!(out.contains("closed loop, 24 requests"), "{out}");
-        assert!(out.contains("completed 24 of 24"), "{out}");
-        assert!(out.contains("latency us: p50"), "{out}");
-
-        assert!(
-            run_strs(&["simulate-serve", "--model", "bge-m3", "--mode", "open"]).is_err(),
-            "unknown mode must be rejected"
-        );
-        assert!(
-            run_strs(&["simulate-serve", "--model", "bge-m3", "--profile", "weekly"]).is_err(),
-            "unknown profile must be rejected"
-        );
-        assert!(run_strs(&["simulate-serve"]).is_err(), "missing model");
-        let err = run_strs(&["simulate-serve", "--model", "bge-m3", "--tune", "on"]).unwrap_err();
-        assert_eq!(err, "prsm simulate-serve: unknown flag --tune");
     }
 
     #[test]

@@ -18,10 +18,7 @@ pub mod cost;
 pub mod sim;
 pub mod spec;
 
-pub use cost::{
-    decode_time_s, prefill_time_s, ScatterGatherCost, SemCacheCostParams, ServeBatchCost,
-    SpillCostParams,
-};
+pub use cost::{decode_time_s, prefill_time_s};
 pub use sim::{
     simulate_hf, simulate_hf_offload, simulate_hf_quant, simulate_prism, BatchShape,
     PrismSimOptions, PruneSchedule, SimOutcome,

@@ -20,11 +20,6 @@ pub struct DeviceSpec {
     /// Multiplier on matmul throughput for W4A16 kernels. Below 1.0:
     /// dequantization costs compute on prefill-bound workloads (§2.3).
     pub quant_kernel_factor: f64,
-    /// Multiplier on matmul throughput for u8×i8 integer GEMM kernels
-    /// with i32 accumulation. Above 1.0: int8 lanes double the
-    /// per-instruction MAC width and halve operand traffic, which is
-    /// what lets the offload regime skip the f32 decode round-trip.
-    pub int8_kernel_factor: f64,
     /// Accelerator-visible memory capacity in bytes (VRAM, or the usable
     /// fraction of unified memory).
     pub mem_capacity: u64,
@@ -63,14 +58,6 @@ impl DeviceSpec {
         flops / throughput
     }
 
-    /// Seconds to execute `macs` multiply-accumulates on the u8×i8
-    /// integer kernels at `tokens`-level utilization (the
-    /// [`DeviceSpec::compute_time_s`] sibling for int8 forward compute).
-    pub fn int8_compute_time_s(&self, macs: u64, tokens: u64) -> f64 {
-        let flops = 2.0 * macs as f64;
-        flops / (self.compute_flops * self.utilization(tokens) * self.int8_kernel_factor)
-    }
-
     /// Seconds to read `bytes` from SSD (one request).
     pub fn ssd_read_time_s(&self, bytes: u64) -> f64 {
         self.ssd_latency + bytes as f64 / self.ssd_bandwidth
@@ -91,7 +78,6 @@ impl DeviceSpec {
             unified_memory: false,
             compute_flops: 6.5e12,
             quant_kernel_factor: 0.85,
-            int8_kernel_factor: 2.0,
             mem_capacity: 8 * (1 << 30),
             mem_bandwidth: 384.0e9,
             ssd_bandwidth: 5.0e9,
@@ -108,7 +94,6 @@ impl DeviceSpec {
             unified_memory: true,
             compute_flops: 1.45e12,
             quant_kernel_factor: 0.80,
-            int8_kernel_factor: 1.8,
             // Accelerator budget of the 16 GiB unified pool after the OS
             // and resident apps take their share.
             mem_capacity: 8 * (1 << 30),
@@ -128,7 +113,6 @@ impl DeviceSpec {
             unified_memory: false,
             compute_flops: 120.0e12,
             quant_kernel_factor: 0.9,
-            int8_kernel_factor: 2.0,
             mem_capacity: 80 * (1 << 30),
             mem_bandwidth: 2.0e12,
             ssd_bandwidth: 6.0e9,
@@ -170,25 +154,6 @@ mod tests {
         let dense = d.compute_time_s(1 << 30, 10_000, false);
         let quant = d.compute_time_s(1 << 30, 10_000, true);
         assert!(quant > dense);
-    }
-
-    #[test]
-    fn int8_kernels_beat_dense_on_every_platform() {
-        for d in [
-            DeviceSpec::rtx5070_laptop(),
-            DeviceSpec::apple_m2(),
-            DeviceSpec::a800(),
-        ] {
-            let dense = d.compute_time_s(1 << 30, 10_000, false);
-            let int8 = d.int8_compute_time_s(1 << 30, 10_000);
-            assert!(
-                int8 * 1.5 < dense,
-                "{}: int8 {int8} vs dense {dense}",
-                d.name
-            );
-            // Exactly the kernel-factor ratio: same utilization curve.
-            assert!((dense / int8 - d.int8_kernel_factor).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! and shard routing keys (`prism-serve`) and the exact-tier cache key
 //! ([`crate::fingerprint`]) all fold bytes through [`fnv1a`]; shard slot
 //! weights and verification sampling disperse through [`mix64`]; seeded
-//! replayable schedules (chaos plans, simulated shard faults) draw from
-//! [`splitmix_next`]; the simulator's event digest folds through [`fnv1a`].
+//! replayable schedules (chaos plans) draw from [`splitmix_next`].
 //!
 //! Routing slots and cache keys are functions of these values, so they
 //! are pinned by golden constants in the callers' tests.
@@ -49,7 +48,7 @@ mod tests {
 
     /// The reference SplitMix64 stream from seed 0 (Vigna's test vector):
     /// the stream step must stay the textbook generator, since chaos
-    /// schedules and simulator fault draws replay from it.
+    /// schedules replay from it.
     #[test]
     fn splitmix_stream_matches_the_reference_vector() {
         let mut state = 0_u64;

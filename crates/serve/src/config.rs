@@ -37,8 +37,7 @@ pub struct ServeConfig {
     /// high-priority load.
     pub starvation_age: Duration,
     /// `true` schedules priority-then-EDF (with the starvation guard);
-    /// `false` keeps the historical pure-FIFO planner — the measurable
-    /// baseline of `repro sim-validate`'s scheduling scenarios.
+    /// `false` keeps the historical pure-FIFO planner.
     pub priority_scheduling: bool,
     /// Per-tenant in-flight request ceiling (`0` disables quotas). A
     /// tenant is a session key; past the ceiling its submissions are
@@ -86,18 +85,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The no-amortization reference configuration: one worker, one
-    /// request per batch, no session cache. `repro sim-validate` measures
-    /// batching gains against this.
-    pub fn serial() -> Self {
-        ServeConfig {
-            workers: 1,
-            max_batch_requests: 1,
-            session_cache_capacity: 0,
-            ..Default::default()
-        }
-    }
-
     /// Derives the batch token budget from a device spec: the largest
     /// token count whose transient forward footprint (intermediate
     /// tensors + hidden states) fits the memory left after weights and
@@ -203,8 +190,6 @@ mod tests {
     #[test]
     fn default_validates() {
         ServeConfig::default().validate().unwrap();
-        ServeConfig::serial().validate().unwrap();
-        assert_eq!(ServeConfig::serial().max_batch_requests, 1);
     }
 
     #[test]

@@ -82,11 +82,7 @@ pub mod stats;
 
 pub use chaos::{audit_shard_hygiene, run_chaos, ChaosPlan, ChaosReport, ChaosStep};
 pub use config::ServeConfig;
-pub use load::{
-    corpus_tag, drive_closed_loop, run_closed_loop, ClassReport, LoadReport, LoadRequest, LoadSpec,
-    Sample, DUP_POOL,
-};
-pub use queue::dead_verdict;
+pub use load::{drive_closed_loop, run_closed_loop, ClassReport, LoadReport, LoadSpec};
 pub use quota::{QuotaToken, TenantQuota};
 pub use request::{ServeError, ServiceError};
 pub use scheduler::{BatchPlanner, PlanDecision, QueueItem};

@@ -1,7 +1,7 @@
 //! The description of a serving run, owned once: the request stream
-//! ([`LoadSpec::request_at`]), the closed loop that drives it
+//! (`LoadSpec::request_at`), the closed loop that drives it
 //! ([`drive_closed_loop`]) and the report it folds into
-//! ([`LoadReport::from_samples`]).
+//! (`LoadReport::from_samples`).
 //!
 //! `clients` threads each own a slice of the request stream and submit
 //! synchronously (select → next), the classic closed-loop model: offered
@@ -9,10 +9,8 @@
 //! latency at full utilization. Latencies are collected exactly
 //! (client-side, sorted) rather than from the server's bucketed
 //! histograms. The loop is generic over [`SelectionService`], so
-//! `prsm serve` (in process), `prsm serve --listen` / `prsm connect`
-//! (wire clients) and `repro sim-validate` all offer the same traffic
-//! for the same spec, and `prism-metasim` replays the same stream at
-//! virtual time and folds its samples through the same report.
+//! `prsm serve` (in process) and `prsm serve --listen` / `prsm connect`
+//! (wire clients) offer the same traffic for the same spec.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::convert::Infallible;
@@ -64,7 +62,7 @@ pub struct LoadSpec {
     pub dup_fraction: f64,
     /// Template stamped on every request: `k`, the base scheduling class
     /// and deadline, spill and compute precision, semantic-cache mode and
-    /// degraded-mode policy. [`LoadSpec::request_at`] sets the tag, the
+    /// degraded-mode policy. `LoadSpec::request_at` sets the tag, the
     /// high-priority decoration and the full-depth pin a semantic-cache
     /// mode implies.
     pub options: RequestOptions,
@@ -73,7 +71,7 @@ pub struct LoadSpec {
 /// Distinct corpora the cross-session duplicate stream cycles through
 /// (small on purpose: each is requested many times under high
 /// `dup_fraction`).
-pub const DUP_POOL: usize = 8;
+const DUP_POOL: usize = 8;
 
 impl Default for LoadSpec {
     fn default() -> Self {
@@ -95,20 +93,20 @@ impl Default for LoadSpec {
 
 /// Request `i` of a [`LoadSpec`], resolved.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoadRequest {
+struct LoadRequest {
     /// Session the request runs under (`session-{n}` on a server).
-    pub session: usize,
+    session: usize,
     /// Corpus id the workload generator expands into the candidates.
-    pub corpus: u64,
+    corpus: u64,
     /// Reported under the `"high"` class (vs `"bulk"`) in mixed runs.
-    pub high: bool,
+    high: bool,
     /// The options to submit, tagged by corpus.
-    pub options: RequestOptions,
+    options: RequestOptions,
 }
 
 /// The routing tag of a corpus: repeats of one corpus are exact
 /// (cacheable) and results stay independent of arrival interleaving.
-pub fn corpus_tag(corpus: u64) -> u64 {
+fn corpus_tag(corpus: u64) -> u64 {
     corpus ^ 0x5E55_1011
 }
 
@@ -138,7 +136,7 @@ impl LoadSpec {
 
     /// The workload generator for this spec on `model`. Panics on an
     /// unknown dataset name (callers validate names where they enter).
-    pub fn generator(&self, model: &ModelConfig) -> WorkloadGenerator {
+    fn generator(&self, model: &ModelConfig) -> WorkloadGenerator {
         let profile = dataset_by_name(&self.dataset)
             .unwrap_or_else(|| panic!("unknown dataset `{}`", self.dataset));
         WorkloadGenerator::new(profile, model.vocab_size, model.max_seq, self.seed)
@@ -150,7 +148,7 @@ impl LoadSpec {
     /// `corpus_repeat` rounds and repeat it in between; duplicate-stream
     /// requests instead cycle a small pool shared by *all* sessions, so
     /// that reuse is only visible to a cross-request cache tier.
-    pub fn request_at(&self, i: usize) -> LoadRequest {
+    fn request_at(&self, i: usize) -> LoadRequest {
         let sessions = self.sessions.max(1);
         let session = i % sessions;
         let corpus = if self.is_dup(i) {
@@ -201,11 +199,11 @@ pub struct ClassReport {
 
 /// One answered request: whether it ran in the high class, and its
 /// end-to-end latency in microseconds (`None` = it came back an error).
-/// The closed loop's client threads and the simulator both record these.
-pub type Sample = (bool, Option<u64>);
+/// The closed loop's client threads record these.
+type Sample = (bool, Option<u64>);
 
-/// Outcome of one serving run, measured or simulated. Latency
-/// percentiles are exact (per-request samples, sorted).
+/// Outcome of one serving run. Latency percentiles are exact
+/// (per-request samples, sorted).
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
     /// Requests answered with a selection.
@@ -215,8 +213,7 @@ pub struct LoadReport {
     /// Transient rejections (backpressure, and over the wire a dropped
     /// connection or shard failure) absorbed by retry.
     pub backpressure_retries: u64,
-    /// Seconds the run took: wall clock when measured, virtual when
-    /// simulated.
+    /// Wall-clock seconds the run took.
     pub elapsed_s: f64,
     /// Completed requests per second.
     pub throughput_rps: f64,
@@ -244,11 +241,10 @@ impl LoadReport {
         self.classes.iter().find(|c| c.label == label)
     }
 
-    /// Folds raw samples into the report — the one aggregation measured
-    /// and simulated runs share, so they compare field for field.
-    /// `retries` counts transient rejections absorbed on the way;
-    /// `split_classes` adds the high/bulk rows of a mixed run.
-    pub fn from_samples(
+    /// Folds raw samples into the report. `retries` counts transient
+    /// rejections absorbed on the way; `split_classes` adds the
+    /// high/bulk rows of a mixed run.
+    fn from_samples(
         samples: &[Sample],
         retries: u64,
         elapsed_s: f64,

@@ -75,34 +75,25 @@ impl Pending {
         self.options.priority
     }
 
-    /// Why this request is dead at `now`, if it is (see [`dead_verdict`]).
+    /// Why this request is dead at `now`, if it is: a caller
+    /// cancellation wins over a passed deadline. Queue sheds and the
+    /// worker's pickup filter both ask here.
     pub(crate) fn verdict(&self, now: Instant) -> Option<ServeError> {
-        dead_verdict(
-            self.cancel.is_cancelled(),
-            self.deadline.is_some_and(|d| now >= d),
-        )
+        if self.cancel.is_cancelled() {
+            Some(ServeError::Cancelled)
+        } else if self.deadline.is_some_and(|d| now >= d) {
+            Some(ServeError::DeadlineExceeded)
+        } else {
+            None
+        }
     }
 
     /// Answers the request with a typed error, counted by
-    /// [`ServeStats::count_failure`]. Queue sheds and workers both end up
+    /// `ServeStats::count_failure`. Queue sheds and workers both end up
     /// here.
     pub fn fail(mut self, stats: &ServeStats, err: ServeError) {
         stats.count_failure(&err);
         self.reply.complete(Err(err));
-    }
-}
-
-/// The typed error of a request nobody wants any more: a caller
-/// cancellation wins over a passed deadline. The one copy of the rule —
-/// queue sheds, the worker's pickup filter and the serving metasim all
-/// ask here.
-pub fn dead_verdict(cancelled: bool, expired: bool) -> Option<ServeError> {
-    if cancelled {
-        Some(ServeError::Cancelled)
-    } else if expired {
-        Some(ServeError::DeadlineExceeded)
-    } else {
-        None
     }
 }
 
@@ -168,8 +159,7 @@ pub struct SubmissionQueue {
     workers: usize,
     /// Clock origin for planner timestamps: the planner is a pure
     /// function of `(snapshot, now_micros)` with both measured against
-    /// this epoch, so the serving metasim can drive the identical code
-    /// at virtual time.
+    /// this epoch.
     epoch: Instant,
 }
 

@@ -11,17 +11,14 @@
 //! invariants — never exceed the token budget, never starve a request
 //! past the starvation bound, honour priority-then-EDF order, degrade to
 //! a contiguous FIFO prefix for uniform workloads — are property-tested
-//! directly (`tests/scheduler_props.rs`) without threads or clocks, and
-//! the serving metasim (`prism-metasim`) drives the *production* planner
-//! at virtual time instead of re-implementing the policy.
+//! directly (`tests/scheduler_props.rs`) without threads or clocks.
 //!
 //! Every [`QueueItem`] carries absolute microsecond timestamps on the
-//! caller's clock: the real [`SubmissionQueue`](crate::queue) measures
-//! them against its creation epoch, the simulator against virtual time
-//! zero. The planner never asks what time it is — `now_micros` is a
-//! parameter. What follows a decision — the inversion count and
-//! draining the flush set — is [`BatchPlanner::pop`], which the queue
-//! and the simulator both call over their own windows.
+//! caller's clock: the [`SubmissionQueue`](crate::queue) measures them
+//! against its creation epoch. The planner never asks what time it is —
+//! `now_micros` is a parameter. What follows a decision — the inversion
+//! count and draining the flush set — is `BatchPlanner::pop`, which the
+//! queue calls over its window.
 //!
 //! ## Policy
 //!
@@ -52,11 +49,11 @@ use std::collections::VecDeque;
 
 use prism_core::Priority;
 
+use crate::queue::Probed;
 use crate::stats::ServeStats;
 
 /// One queued request as the planner sees it. All timestamps are
-/// absolute microseconds on the caller's clock (queue epoch for the real
-/// server, virtual time zero for the simulator).
+/// absolute microseconds on the caller's clock (the queue's epoch).
 #[derive(Debug, Clone, Copy)]
 pub struct QueueItem {
     /// Total packed tokens (the budget unit).
@@ -116,8 +113,7 @@ pub struct BatchPlanner {
     /// anti-starvation guard of the priority policy).
     pub starvation_age_micros: u64,
     /// `false` ignores priorities and deadlines entirely — the historical
-    /// pure-FIFO scheduler (kept as the measurable baseline of
-    /// `repro sim-validate`'s scheduling scenarios).
+    /// pure-FIFO scheduler.
     pub priority_aware: bool,
 }
 
@@ -192,19 +188,19 @@ impl BatchPlanner {
         flush
     }
 
-    /// The post-decision half of a window pop, shared by
-    /// [`SubmissionQueue::next_work`](crate::queue::SubmissionQueue::next_work)
-    /// and the serving metasim: counts a priority inversion when the
-    /// starvation guard admitted `take` past a higher-priority waiter,
-    /// and drains the `take` positions of `queue` (whose `snapshot` was
-    /// planned) in scheduling order.
-    pub fn pop<T>(
+    /// The post-decision half of
+    /// [`SubmissionQueue::next_work`](crate::queue::SubmissionQueue::next_work):
+    /// counts a priority inversion when the starvation guard admitted
+    /// `take` past a higher-priority waiter, and drains the `take`
+    /// positions of `window` (whose `snapshot` was planned) in
+    /// scheduling order.
+    pub(crate) fn pop(
         &self,
-        queue: &mut VecDeque<T>,
+        window: &mut VecDeque<Probed>,
         snapshot: &[QueueItem],
         take: &[usize],
         stats: &ServeStats,
-    ) -> Vec<T> {
+    ) -> Vec<Probed> {
         // Only meaningful under the priority policy — the FIFO baseline
         // ignores priorities by design and would report noise.
         if self.priority_aware {
@@ -219,15 +215,15 @@ impl BatchPlanner {
                 stats.priority_inversions.inc();
             }
         }
-        let mut slots: Vec<Option<T>> = take.iter().map(|_| None).collect();
-        let mut kept = VecDeque::with_capacity(queue.len());
-        for (pos, item) in queue.drain(..).enumerate() {
+        let mut slots: Vec<Option<Probed>> = take.iter().map(|_| None).collect();
+        let mut kept = VecDeque::with_capacity(window.len());
+        for (pos, item) in window.drain(..).enumerate() {
             match take.iter().position(|&t| t == pos) {
                 Some(slot) => slots[slot] = Some(item),
                 None => kept.push_back(item),
             }
         }
-        *queue = kept;
+        *window = kept;
         slots
             .into_iter()
             .map(|item| item.expect("selected position drained"))

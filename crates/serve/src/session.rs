@@ -8,9 +8,7 @@
 //! one corpus per session: the embedded hidden states (always reusable)
 //! plus a small memo of finished [`Selection`]s for exact repeats.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 use prism_core::{
     ComputePrecision, PruneMode, RequestOptions, Selection, SemCacheMode, SpillPrecision,
@@ -76,14 +74,13 @@ impl SelectionKey {
     }
 }
 
-/// Result of a cache probe. Generic over what the cache stores (see
-/// [`SessionCache`]); the defaults are the server's payloads.
+/// Result of a cache probe.
 #[derive(Debug, Clone)]
-pub enum CacheLookup<E = Tensor, V = Selection> {
+pub enum CacheLookup {
     /// Exact repeat: the finished selection, replayed.
-    Selection(Box<V>),
+    Selection(Box<Selection>),
     /// Same corpus, different parameters: the embedded hidden states.
-    Embed(E),
+    Embed(Tensor),
     /// Corpus unknown (or changed) for this session.
     Miss,
 }
@@ -91,43 +88,29 @@ pub enum CacheLookup<E = Tensor, V = Selection> {
 /// Selections memoized per session; repeats beyond this evict the oldest.
 const MEMO_PER_SESSION: usize = 8;
 
-struct SessionEntry<S, K, C, E, V> {
+struct SessionEntry {
     /// The owning session, so an evicted slot can leave the index.
-    session: S,
+    session: String,
     fingerprint: u64,
     /// The actual corpus, kept to verify hits: a 64-bit fingerprint
     /// alone could collide and silently replay the wrong corpus.
-    corpus: C,
-    embed: Option<E>,
-    selections: Vec<(K, V)>,
+    corpus: SequenceBatch,
+    embed: Option<Tensor>,
+    selections: Vec<(SelectionKey, Selection)>,
 }
 
-/// LRU map from session key to its cached corpus state.
-///
-/// Generic over what it stores — session key `S`, memo key `K`, corpus
-/// guard `C`, embedding `E` and memoized selection `V` — with the
-/// server's types as defaults. The serving metasim holds one with unit
-/// payloads and the corpus id as fingerprint, so a simulated run probes,
-/// stores and evicts by this code, not by a copy of it.
+/// LRU map from session name to its cached corpus state.
 ///
 /// Not internally synchronized — the server wraps it in a `Mutex` and
 /// holds the lock only around probes/stores, never during execution.
-pub struct SessionCache<S = String, K = SelectionKey, C = SequenceBatch, E = Tensor, V = Selection>
-{
+pub struct SessionCache {
     /// Up to `lru.capacity()` entries; a full cache reuses its LRU slot.
-    slots: Vec<SessionEntry<S, K, C, E, V>>,
-    index: HashMap<S, usize>,
+    slots: Vec<SessionEntry>,
+    index: HashMap<String, usize>,
     lru: LruIndex,
 }
 
-impl<S, K, C, E, V> SessionCache<S, K, C, E, V>
-where
-    S: Hash + Eq + Clone,
-    K: PartialEq,
-    C: PartialEq + Clone,
-    E: Clone,
-    V: Clone,
-{
+impl SessionCache {
     /// Creates a cache holding at most `capacity` sessions.
     pub fn new(capacity: usize) -> Self {
         SessionCache {
@@ -151,17 +134,13 @@ where
     /// recency on a hit. The fingerprint gates cheaply; the stored
     /// corpus is then compared in full so a hash collision can never
     /// replay another corpus's results.
-    pub fn lookup<Q>(
+    pub fn lookup(
         &mut self,
-        session: &Q,
+        session: &str,
         fingerprint: u64,
-        corpus: &C,
-        key: &K,
-    ) -> CacheLookup<E, V>
-    where
-        S: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+        corpus: &SequenceBatch,
+        key: &SelectionKey,
+    ) -> CacheLookup {
         let Some(&slot) = self.index.get(session) else {
             return CacheLookup::Miss;
         };
@@ -181,24 +160,25 @@ where
 
     /// Records the embedded hidden states of `session`'s current corpus.
     /// A new corpus resets the entry.
-    pub fn store_embed<Q>(&mut self, session: &Q, fingerprint: u64, corpus: &C, embed: E)
-    where
-        Q: ToOwned<Owned = S> + ?Sized,
-    {
+    pub fn store_embed(
+        &mut self,
+        session: &str,
+        fingerprint: u64,
+        corpus: &SequenceBatch,
+        embed: Tensor,
+    ) {
         self.entry(session, fingerprint, corpus).embed = Some(embed);
     }
 
     /// Memoizes a finished selection for exact-repeat replay.
-    pub fn store_selection<Q>(
+    pub fn store_selection(
         &mut self,
-        session: &Q,
+        session: &str,
         fingerprint: u64,
-        corpus: &C,
-        key: K,
-        selection: &V,
-    ) where
-        Q: ToOwned<Owned = S> + ?Sized,
-    {
+        corpus: &SequenceBatch,
+        key: SelectionKey,
+        selection: &Selection,
+    ) {
         let memo = &mut self.entry(session, fingerprint, corpus).selections;
         match memo.iter_mut().find(|(k, _)| *k == key) {
             Some(slot) => slot.1 = selection.clone(),
@@ -214,17 +194,13 @@ where
     /// `session`'s entry with its recency refreshed: reset if its corpus
     /// changed, created if absent, evicting the least recently used
     /// session when the cache is full.
-    fn entry<Q>(
+    fn entry(
         &mut self,
-        session: &Q,
+        session: &str,
         fingerprint: u64,
-        corpus: &C,
-    ) -> &mut SessionEntry<S, K, C, E, V>
-    where
-        Q: ToOwned<Owned = S> + ?Sized,
-    {
-        let session = session.to_owned();
-        let slot = match self.index.get(&session) {
+        corpus: &SequenceBatch,
+    ) -> &mut SessionEntry {
+        let slot = match self.index.get(session) {
             Some(&slot) => {
                 self.lru.touch(slot);
                 let entry = &mut self.slots[slot];
@@ -238,7 +214,7 @@ where
             }
             None => {
                 let fresh = SessionEntry {
-                    session: session.clone(),
+                    session: session.to_owned(),
                     fingerprint,
                     corpus: corpus.clone(),
                     embed: None,
@@ -253,7 +229,7 @@ where
                     self.slots[victim] = fresh;
                     victim
                 };
-                self.index.insert(session, slot);
+                self.index.insert(session.to_owned(), slot);
                 self.lru.push_front(slot);
                 slot
             }
@@ -327,7 +303,7 @@ mod tests {
 
     #[test]
     fn embed_then_selection_hit_progression() {
-        let mut cache: SessionCache = SessionCache::new(4);
+        let mut cache = SessionCache::new(4);
         let b = batch(&[1, 2, 3]);
         let fp = fingerprint_batch(&b);
         assert!(matches!(
@@ -353,7 +329,7 @@ mod tests {
 
     #[test]
     fn fingerprint_collision_is_caught_by_corpus_compare() {
-        let mut cache: SessionCache = SessionCache::new(4);
+        let mut cache = SessionCache::new(4);
         let b = batch(&[1, 2, 3]);
         let fp = fingerprint_batch(&b);
         cache.store_embed("s", fp, &b, Tensor::zeros(3, 2));
@@ -367,7 +343,7 @@ mod tests {
 
     #[test]
     fn corpus_change_invalidates_session() {
-        let mut cache: SessionCache = SessionCache::new(4);
+        let mut cache = SessionCache::new(4);
         let b1 = batch(&[1, 2]);
         let b2 = batch(&[3, 4]);
         let (fp1, fp2) = (fingerprint_batch(&b1), fingerprint_batch(&b2));
@@ -386,7 +362,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_session() {
-        let mut cache: SessionCache = SessionCache::new(2);
+        let mut cache = SessionCache::new(2);
         let (ba, bb, bc) = (batch(&[1]), batch(&[2]), batch(&[3]));
         cache.store_embed("a", 1, &ba, Tensor::zeros(1, 1));
         cache.store_embed("b", 2, &bb, Tensor::zeros(1, 1));
@@ -422,7 +398,7 @@ mod tests {
         // step by step against a recency list (most recent first) of
         // (session, corpus, has_embed, memoized tags).
         const CAPACITY: usize = 3;
-        let mut cache: SessionCache = SessionCache::new(CAPACITY);
+        let mut cache = SessionCache::new(CAPACITY);
         let mut model: Vec<(String, u32, bool, Vec<u64>)> = Vec::new();
         let mut x = 0x5eed_u64;
         let mut draw = |n: u64| {
@@ -503,7 +479,7 @@ mod tests {
 
     #[test]
     fn memo_is_bounded_per_session() {
-        let mut cache: SessionCache = SessionCache::new(2);
+        let mut cache = SessionCache::new(2);
         let b = batch(&[5, 6]);
         for tag in 0..20_u64 {
             cache.store_selection("s", 9, &b, key(1, tag), &selection(tag as f32));

@@ -114,8 +114,8 @@ impl ServeStats {
     /// Counts one request answered with `err`: caller cancellations and
     /// deadline sheds on their own counters, any other failure as a
     /// completed (answered) request. The one place this split lives —
-    /// the queue, the workers and the serving metasim all count here.
-    pub fn count_failure(&self, err: &ServeError) {
+    /// the queue and the workers both count here.
+    pub(crate) fn count_failure(&self, err: &ServeError) {
         match err {
             ServeError::Cancelled => self.cancelled.inc(),
             ServeError::DeadlineExceeded => self.deadline_missed.inc(),

@@ -12,8 +12,8 @@
 //! 5. waiting is only allowed when the whole queue fits, nothing is
 //!    urgent, and the oldest request is inside the age bound,
 //! 6. the explicit-clock API is exactly equivalent to the historical
-//!    age-based planner (the refactor that lets `prism-metasim` drive
-//!    production planner code changed no decisions).
+//!    age-based planner (the refactor to an explicit clock changed no
+//!    decisions).
 
 use prism_core::Priority;
 use prism_serve::{BatchPlanner, PlanDecision, QueueItem};

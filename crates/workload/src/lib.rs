@@ -16,9 +16,7 @@
 pub mod dataset;
 pub mod generator;
 pub mod tokenizer;
-pub mod trace;
 
 pub use dataset::{dataset_by_name, dataset_catalog, DatasetProfile};
 pub use generator::{CandidateDoc, RerankRequest, WorkloadGenerator};
 pub use tokenizer::ZipfSampler;
-pub use trace::{trace_profile_by_name, BurstSpec, TraceEvent, TraceGenerator, TraceProfile};

@@ -21,7 +21,6 @@ pub use prism_baselines as baselines;
 pub use prism_cluster as cluster;
 pub use prism_core as core;
 pub use prism_device as device;
-pub use prism_metasim as metasim;
 pub use prism_metrics as metrics;
 pub use prism_model as model;
 pub use prism_semcache as semcache;
