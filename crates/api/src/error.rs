@@ -43,10 +43,6 @@ pub enum ServiceError {
         /// The configured in-flight ceiling that was hit.
         limit: usize,
     },
-    /// A scatter-gather shard could not serve its part of the request
-    /// (dead or unreachable shard). Surfaced immediately — the merge
-    /// never blocks on a failed shard.
-    ShardFailure(String),
     /// The engine rejected or failed the request.
     Engine(String),
     /// Invalid service configuration.
@@ -72,7 +68,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::QuotaExceeded { tenant, limit } => {
                 write!(f, "tenant {tenant:?} is at its in-flight quota ({limit})")
             }
-            ServiceError::ShardFailure(s) => write!(f, "shard failure: {s}"),
             ServiceError::Engine(e) => write!(f, "engine: {e}"),
             ServiceError::Config(e) => write!(f, "config: {e}"),
         }
@@ -86,7 +81,6 @@ impl From<PrismError> for ServiceError {
         match e {
             PrismError::Cancelled => ServiceError::Cancelled,
             PrismError::DeadlineExceeded => ServiceError::DeadlineExceeded,
-            PrismError::ShardFailure(s) => ServiceError::ShardFailure(s),
             other => ServiceError::Engine(other.to_string()),
         }
     }

@@ -279,7 +279,6 @@ mod tests {
             selection: Selection {
                 ranked: Vec::new(),
                 last_scores: Vec::new(),
-                coverage: 1.0,
                 trace: Default::default(),
             },
             ticket,

@@ -46,7 +46,7 @@ mod service;
 pub use error::ServiceError;
 pub use handle::{Completion, Progress, SelectionHandle, SelectionOutcome};
 pub use retry::{is_retryable, RetryPolicy, RetrySchedule};
-pub use service::{admission_deadline, LocalService, SelectionService};
+pub use service::{admission_deadline, admit, LocalService, SelectionService};
 
 // Re-exported so facade users need only this crate plus a batch type.
 pub use prism_core::{CancelToken, ComputePrecision, Priority, RequestOptions, SpillPrecision};

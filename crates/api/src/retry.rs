@@ -1,15 +1,13 @@
 //! Typed retry policy with decorrelated-jitter backoff.
 //!
 //! One policy shared by every client-side retry loop in the stack — the
-//! wire client's reconnect/backpressure handling, the load generator's
-//! closed loop, and the scatter coordinator's failover — so "how do we
-//! retry" is decided once:
+//! wire client's reconnect/backpressure handling and the load
+//! generator's closed loop — so "how do we retry" is decided once:
 //!
 //! * **Typed retryability.** Only transient errors retry
-//!   ([`ServiceError::Backpressure`], [`ServiceError::Disconnected`],
-//!   [`ServiceError::ShardFailure`]); terminal outcomes (`Cancelled`,
-//!   `DeadlineExceeded`, `ShuttingDown`, quota, engine and config
-//!   errors) surface immediately.
+//!   ([`ServiceError::Backpressure`], [`ServiceError::Disconnected`]);
+//!   terminal outcomes (`Cancelled`, `DeadlineExceeded`, `ShuttingDown`,
+//!   quota, engine and config errors) surface immediately.
 //! * **Server hints win.** A `Backpressure::retry_after` hint is a floor
 //!   under the computed backoff — the server derived it from its queue
 //!   depth and service rate, so sleeping less just burns a retry.
@@ -134,9 +132,7 @@ impl RetryPolicy {
 pub fn is_retryable(e: &ServiceError) -> bool {
     matches!(
         e,
-        ServiceError::Backpressure { .. }
-            | ServiceError::Disconnected
-            | ServiceError::ShardFailure(_)
+        ServiceError::Backpressure { .. } | ServiceError::Disconnected
     )
 }
 

@@ -58,6 +58,20 @@ pub fn admission_deadline(
         .map(|us| now + Duration::from_micros(us)))
 }
 
+/// The admission rules every in-process backend applies, in order: a
+/// request no engine can serve (an empty batch, `k = 0`) fails with the
+/// engine's own typed error before it costs an embed or a cache entry,
+/// then the deadline rule ([`admission_deadline`]) resolves its absolute
+/// deadline.
+pub fn admit(
+    batch: &SequenceBatch,
+    options: &RequestOptions,
+    now: Instant,
+) -> Result<Option<Instant>, ServiceError> {
+    options.validate(batch.num_sequences())?;
+    admission_deadline(options, now)
+}
+
 /// [`SelectionService`] over a directly-owned engine: each submission
 /// runs on its own thread with the engine shared behind an `Arc`, giving
 /// single-process callers the same non-blocking handles, cancellation
@@ -90,7 +104,7 @@ impl SelectionService for LocalService {
         options: RequestOptions,
     ) -> Result<SelectionHandle, ServiceError> {
         let submitted = Instant::now();
-        let deadline = admission_deadline(&options, submitted)?;
+        let deadline = admit(&batch, &options, submitted)?;
         let ticket = self.ticket.fetch_add(1, Ordering::Relaxed) + 1;
         let (handle, completion) = SelectionHandle::channel(ticket, deadline);
         let engine = Arc::clone(&self.engine);

@@ -22,15 +22,11 @@
 //! scheduling flags:
 //!     [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
 //!     [--cache-sessions N] [--starvation-ms N] [--tenant-quota N]
-//!     [--replicas R] [--hedge-ms N]
 //!     The `ServeConfig` of the server. `--wait-us N`
 //!     (default 2000) is how long a request that needs a weight pass
 //!     waits for company, counted from its submission; a cache answer
 //!     leaves at pickup and never waits. `--tenant-quota N` caps
-//!     in-flight requests per tenant session; `--replicas R` places
-//!     every candidate on R shards (rendezvous rank order) so a dead or
-//!     stalled shard fails over bit-identically; `--hedge-ms N` hedges a
-//!     shard stalled longer than N ms onto its next replica (0 = off).
+//!     in-flight requests per tenant session.
 //!
 //! load flags:
 //!     [--requests N] [--clients N] [--candidates N] [--k N]
@@ -38,7 +34,6 @@
 //!     [--priority high|normal|bulk] [--deadline-ms N] [--high-frac F]
 //!     [--spill int8|f32] [--compute f32|int8]
 //!     [--semcache off|verify|aggressive] [--dup-frac F]
-//!     [--on-partial fail|partial]
 //!     One closed-loop synthetic workload (`prism_serve::LoadSpec`), the
 //!     same traffic whichever verb drives it: `--clients` threads send
 //!     `--requests` requests cycling `--sessions` sessions, each session
@@ -52,25 +47,20 @@
 //!     in every `round(1/F)` from a cross-session duplicate corpus pool,
 //!     the overlap the semantic cache exists to exploit. Both fractions
 //!     space evenly, so any F above 0.5 means every request.
-//!     `--on-partial partial` serves a degraded best-effort selection
-//!     (coverage < 1) when every replica of a candidate is down instead
-//!     of failing the request.
+//!     `--requests`, `--clients`, `--candidates` and `--k` need at least 1.
 //!
 //! prsm serve <container.prsm> --model <name> [--scale mini|test]
 //!     [scheduling flags] [load flags] [--throttle BYTES_PER_S]
-//!     [--offload on|off] [--shards N] [--listen ADDR]
+//!     [--offload on|off] [--listen ADDR]
 //!     Start the serving front-end over a container, drive the load
 //!     through it, and print latency percentiles plus queue/batch/cache
-//!     telemetry and the resilience counters (failovers, hedges, retries,
-//!     quarantined spill slots, partial results). `--throttle` caps
-//!     weight-streaming bandwidth to emulate a device SSD (default 0 =
-//!     native); `--offload on` spills hidden states, where `--spill`
-//!     becomes observable. `--shards N` partitions each request's
-//!     candidates across N engine shards behind the consistent-hash
-//!     forward map (weights pinned resident, so `--throttle` does not
-//!     apply). `--listen ADDR` additionally binds the length-prefixed TCP
-//!     wire front-end on ADDR (port 0 picks a free port) and drives the
-//!     same load through wire clients instead of in-process submission.
+//!     telemetry, client retries and quarantined spill slots. `--throttle`
+//!     caps weight-streaming bandwidth to emulate a device SSD (default
+//!     0 = native); `--offload on` spills hidden states, where `--spill`
+//!     becomes observable. `--listen ADDR` additionally binds the
+//!     length-prefixed TCP wire front-end on ADDR (port 0 picks a free
+//!     port) and drives the same load through wire clients instead of
+//!     in-process submission.
 //!
 //! prsm connect <addr> --model <name> [--scale mini|test] [load flags]
 //!     Out-of-process client: connect to a running `prsm serve` wire
@@ -88,8 +78,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prism_core::{
-    ComputePrecision, EngineOptions, PartialMode, Priority, PrismEngine, RequestOptions,
-    SemCacheMode, SpillPrecision,
+    ComputePrecision, EngineOptions, Priority, PrismEngine, RequestOptions, SemCacheMode,
+    SpillPrecision,
 };
 use prism_device::{
     simulate_hf, simulate_hf_offload, simulate_hf_quant, simulate_prism, BatchShape, DeviceSpec,
@@ -115,8 +105,6 @@ const SCHEDULING_FLAGS: &[&str] = &[
     "cache-sessions",
     "starvation-ms",
     "tenant-quota",
-    "replicas",
-    "hedge-ms",
 ];
 
 /// The flags [`load_spec_from`] reads.
@@ -136,7 +124,6 @@ const LOAD_FLAGS: &[&str] = &[
     "compute",
     "semcache",
     "dup-frac",
-    "on-partial",
 ];
 
 type Verb = (
@@ -168,7 +155,7 @@ const VERBS: &[Verb] = &[
             MODEL_FLAGS,
             SCHEDULING_FLAGS,
             LOAD_FLAGS,
-            &["throttle", "offload", "shards", "listen"],
+            &["throttle", "offload", "listen"],
         ],
     ),
     ("connect", connect, &[MODEL_FLAGS, LOAD_FLAGS]),
@@ -469,23 +456,19 @@ fn rerank(p: &Parsed<'_>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Opens a serving engine over a container path. A `resident` engine
-/// pins layer weights in memory (what `ShardSet` requires of a shard);
-/// otherwise they stream, and `throttle` caps that bandwidth in bytes/s
-/// to emulate a device SSD (`0` = native speed). `offload` additionally
-/// spills non-active chunk hidden states to disk (the §4.3 extreme
-/// memory-pressure regime, where the per-request `--spill` precision
-/// becomes observable).
+/// Opens a serving engine over a container path. Layer weights stream,
+/// and `throttle` caps that bandwidth in bytes/s to emulate a device SSD
+/// (`0` = native speed). `offload` additionally spills non-active chunk
+/// hidden states to disk (the §4.3 extreme memory-pressure regime, where
+/// the per-request `--spill` precision becomes observable).
 fn serving_engine(
     path: &str,
     config: &ModelConfig,
-    resident: bool,
     throttle: u64,
     offload: bool,
 ) -> Result<PrismEngine, String> {
     let container = Container::open(path).map_err(|e| e.to_string())?;
     let options = EngineOptions {
-        streaming: !resident,
         stream_throttle: (throttle > 0).then_some(throttle),
         // A serving deployment pins the embedding table in memory (the
         // §4.4 disk-backed cache targets one-shot on-device flows);
@@ -499,9 +482,16 @@ fn serving_engine(
 }
 
 /// Builds the `LoadSpec` from the load flags (`serve` and `connect`
-/// accept the same ones).
+/// accept the same ones). A load that sends nothing, runs no client or
+/// asks for an empty selection is a usage error, not a silent clamp.
 fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
     let defaults = LoadSpec::default();
+    let at_least_one = |name: &str, default: usize| -> Result<usize, String> {
+        match p.flag_parse(name, default)? {
+            0 => Err(format!("--{name} needs at least 1")),
+            n => Ok(n),
+        }
+    };
     let dataset = p.flag("dataset").unwrap_or("wikipedia");
     dataset_by_name(dataset).ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
     // `--deadline-ms` puts a deadline on every generated request, the
@@ -509,9 +499,9 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
     let deadline_ms: u64 = p.flag_parse("deadline-ms", 0)?;
     let deadline_us = (deadline_ms > 0).then_some(deadline_ms * 1_000);
     Ok(LoadSpec {
-        requests: p.flag_parse("requests", defaults.requests)?,
-        clients: p.flag_parse("clients", defaults.clients)?,
-        candidates: p.flag_parse("candidates", defaults.candidates)?,
+        requests: at_least_one("requests", defaults.requests)?,
+        clients: at_least_one("clients", defaults.clients)?,
+        candidates: at_least_one("candidates", defaults.candidates)?,
         dataset: dataset.to_string(),
         seed: p.flag_parse("seed", defaults.seed)?,
         sessions: p.flag_parse("sessions", defaults.sessions)?,
@@ -548,14 +538,7 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
                     ("aggressive", SemCacheMode::Aggressive),
                 ],
             )?,
-            on_partial: p.choice(
-                "on-partial",
-                &[
-                    ("fail", PartialMode::Fail),
-                    ("partial", PartialMode::Partial),
-                ],
-            )?,
-            ..RequestOptions::top_k(p.flag_parse("k", defaults.options.k)?)
+            ..RequestOptions::top_k(at_least_one("k", defaults.options.k)?)
         },
     })
 }
@@ -619,19 +602,10 @@ fn write_load_report(out: &mut String, report: &LoadReport) {
                 s.cancelled, s.deadline_rejected, s.deadline_missed, s.priority_inversions
             );
         }
-        // The resilience layer: failovers and hedges from the replicated
-        // scatter path, client-side retries, quarantined spill slots and
-        // degraded partial results.
         let _ = writeln!(
             out,
-            "resilience: {} failovers, {} hedges fired / {} won, {} retried, \
-             {} slots quarantined, {} partial results",
-            s.failovers,
-            s.hedges_fired,
-            s.hedges_won,
-            s.retried,
-            s.slots_quarantined,
-            s.partial_results
+            "recovery: {} retried, {} spill slots quarantined",
+            s.retried, s.slots_quarantined
         );
     }
     for c in &report.classes {
@@ -665,13 +639,6 @@ fn serve_config_from(p: &Parsed<'_>) -> Result<ServeConfig, String> {
             .flag_parse("cache-sessions", serve_defaults.session_cache_capacity)?,
         starvation_age,
         tenant_max_inflight: p.flag_parse("tenant-quota", serve_defaults.tenant_max_inflight)?,
-        replicas: p.flag_parse("replicas", serve_defaults.replicas)?,
-        // `--hedge-ms 0` (or absent) disables hedging rather than
-        // configuring a zero delay, which `validate` rejects.
-        hedge: match p.flag_parse("hedge-ms", 0_u64)? {
-            0 => serve_defaults.hedge,
-            ms => Some(std::time::Duration::from_millis(ms)),
-        },
         ..serve_defaults
     })
 }
@@ -705,24 +672,8 @@ fn serve(p: &Parsed<'_>) -> Result<String, String> {
     let spec = load_spec_from(p)?;
     let throttle: u64 = p.flag_parse("throttle", 0)?;
     let offload = p.switch("offload")?;
-    let shards: usize = p.flag_parse("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards needs at least 1".into());
-    }
-    if shards > 1 && throttle > 0 {
-        return Err("--throttle streams weights; --shards pins them resident (pick one)".into());
-    }
-
-    let server = if shards > 1 {
-        // One resident engine per shard over the same container.
-        let engines: Result<Vec<_>, _> = (0..shards)
-            .map(|_| serving_engine(path, &config, true, 0, offload))
-            .collect();
-        PrismServer::start_sharded(engines?, serve_config.clone()).map_err(|e| e.to_string())?
-    } else {
-        let engine = serving_engine(path, &config, false, throttle, offload)?;
-        PrismServer::start(engine, serve_config.clone()).map_err(|e| e.to_string())?
-    };
+    let engine = serving_engine(path, &config, throttle, offload)?;
+    let server = PrismServer::start(engine, serve_config.clone()).map_err(|e| e.to_string())?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -734,22 +685,6 @@ fn serve(p: &Parsed<'_>) -> Result<String, String> {
         serve_config.max_batch_tokens,
         serve_config.max_batch_wait.as_micros()
     );
-    if shards > 1 {
-        let _ = writeln!(
-            out,
-            "sharded: candidates scatter-gathered across {shards} resident engine shards"
-        );
-        let _ = writeln!(
-            out,
-            "resilience: {} replica(s) per candidate, hedge {}, on-partial {:?}",
-            serve_config.replicas,
-            match serve_config.hedge {
-                Some(h) => format!("{} us", h.as_micros()),
-                None => "off".into(),
-            },
-            spec.options.on_partial
-        );
-    }
     if serve_config.tenant_max_inflight > 0 {
         let _ = writeln!(
             out,
@@ -1129,36 +1064,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_sharded_in_process_and_over_the_wire() {
-        let dense = container("serve-shard", "13");
-
-        // In-process sharded closed loop.
-        let out = bge(
-            &["serve", &dense],
-            &[
-                "--shards",
-                "2",
-                "--requests",
-                "8",
-                "--clients",
-                "2",
-                "--candidates",
-                "8",
-                "--k",
-                "3",
-            ],
-        )
-        .unwrap();
-        assert!(out.contains("across 2 resident engine shards"), "{out}");
-        assert!(out.contains("completed 8 requests"), "{out}");
-
+    fn serve_over_the_wire_with_a_tenant_quota() {
+        let dense = container("serve-wire", "13");
         // Wire mode: bind the TCP front-end and drive out-of-process
         // clients through it, with a per-tenant quota configured.
         let out = bge(
             &["serve", &dense],
             &[
-                "--shards",
-                "2",
                 "--tenant-quota",
                 "4",
                 "--listen",
@@ -1179,76 +1091,26 @@ mod tests {
         assert!(out.contains("tenant quota: <= 4"), "{out}");
         assert!(out.contains("completed 8 requests"), "{out}");
         assert!(out.contains("quota rejections"), "{out}");
-
-        // Flag conflicts are typed errors, not silent misconfiguration.
-        assert!(
-            bge(&["serve", &dense], &["--shards", "0",]).is_err(),
-            "zero shards must be rejected"
-        );
-        assert!(
-            bge(
-                &["serve", &dense],
-                &["--shards", "2", "--throttle", "1000",]
-            )
-            .is_err(),
-            "sharded engines are resident; throttle must be rejected"
-        );
+        assert!(out.contains("recovery: 0 retried"), "{out}");
         std::fs::remove_file(&dense).unwrap();
     }
 
+    /// A load that cannot run is a usage error naming its flag, before
+    /// any container is opened: no silent clamp to one client, and no
+    /// batch of errors from empty requests.
     #[test]
-    fn serve_with_resilience_flags() {
-        let dense = container("serve-resil", "19");
-
-        // Replicated, hedged, degradable sharded serving: the config
-        // echoes the knobs and the summary surfaces the resilience
-        // counters (zero under a fault-free run).
-        let out = bge(
-            &["serve", &dense],
-            &[
-                "--shards",
-                "3",
-                "--replicas",
-                "2",
-                "--hedge-ms",
-                "5",
-                "--on-partial",
-                "partial",
-                "--requests",
-                "8",
-                "--clients",
-                "2",
-                "--candidates",
-                "8",
-                "--k",
-                "3",
-            ],
-        )
-        .unwrap();
-        assert!(
-            out.contains(
-                "resilience: 2 replica(s) per candidate, hedge 5000 us, on-partial Partial"
-            ),
-            "{out}"
-        );
-        assert!(out.contains("failovers"), "{out}");
-        assert!(out.contains("completed 8 requests"), "{out}");
-
-        // Bad knob values are typed errors.
-        for bad in [["--replicas", "0"], ["--on-partial", "maybe"]] {
-            assert!(
-                bge(&["serve", &dense], &bad).is_err(),
-                "{bad:?} must be rejected"
-            );
+    fn serve_rejects_an_empty_load() {
+        for flag in ["--candidates", "--k", "--clients", "--requests"] {
+            let err = bge(&["serve", "/nonexistent/m.prsm"], &[flag, "0"]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs at least 1"));
         }
-        std::fs::remove_file(&dense).unwrap();
     }
 
     #[test]
     fn connect_drives_a_listening_server() {
         let dense = container("connect", "17");
         let config = resolve_config("bge-m3", "test").unwrap();
-        let engine = serving_engine(&dense, &config, false, 0, false).unwrap();
+        let engine = serving_engine(&dense, &config, 0, false).unwrap();
         let server =
             std::sync::Arc::new(PrismServer::start(engine, ServeConfig::default()).unwrap());
         let wire =

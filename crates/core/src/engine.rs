@@ -25,8 +25,9 @@
 //! chunks, spill pipeline, weight acquisition, meter bytes, latency
 //! spans, cancellation and deadlines. The *score-level* side (active and
 //! accepted sets, the gate decision, the routing trace, final ranking)
-//! is owned by [`crate::scatter::ScatterGate`]; every [`ActiveRequest`]
-//! embeds one and only ever hands it scores and reads back keep-masks.
+//! is owned by the crate-private `ScatterGate` (`scatter.rs`); every
+//! [`ActiveRequest`] embeds one and only ever hands it scores and reads
+//! back keep-masks.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -47,9 +48,7 @@ use prism_tensor::Tensor;
 use serde::Serialize;
 
 use crate::control::{CancelToken, ProgressFn};
-use crate::options::{
-    ComputePrecision, EngineOptions, PartialMode, Priority, PruneMode, SemCacheMode,
-};
+use crate::options::{ComputePrecision, EngineOptions, Priority, PruneMode, SemCacheMode};
 use crate::scatter::ScatterGate;
 use crate::{PrismError, Result};
 
@@ -121,13 +120,6 @@ pub struct Selection {
     pub ranked: Vec<RankedCandidate>,
     /// Last known score of every candidate in the request.
     pub last_scores: Vec<f32>,
-    /// Fraction of the request's candidates that were fully served, in
-    /// `(0, 1]`. Always `1.0` for single-engine selections; a sharded
-    /// request served under [`crate::PartialMode::Partial`] after losing
-    /// candidates to an unrecoverable shard reports the surviving
-    /// fraction, so callers can distinguish exact from best-effort
-    /// results.
-    pub coverage: f32,
     /// Execution trace.
     pub trace: EngineTrace,
 }
@@ -136,12 +128,6 @@ impl Selection {
     /// Candidate ids of the top-K in rank order.
     pub fn top_ids(&self) -> Vec<usize> {
         self.ranked.iter().map(|r| r.id).collect()
-    }
-
-    /// Whether every candidate of the request was fully served (the
-    /// bit-identity contract only holds for complete selections).
-    pub fn is_complete(&self) -> bool {
-        self.coverage >= 1.0
     }
 }
 
@@ -200,13 +186,6 @@ pub struct RequestOptions {
     /// selection returns (in [`SemCacheMode::Aggressive`]), the mode
     /// participates in serving result-cache keys.
     pub semcache: SemCacheMode,
-    /// Degraded-mode policy when a sharded deployment loses candidates
-    /// it cannot recover (every replica of a shard down). The default
-    /// [`PartialMode::Fail`] keeps the exact-or-error contract;
-    /// [`PartialMode::Partial`] accepts a best-effort top-k over the
-    /// survivors, surfaced as [`Selection::coverage`]` < 1.0`. Ignored
-    /// by direct single-engine calls.
-    pub on_partial: PartialMode,
 }
 
 impl RequestOptions {
@@ -223,7 +202,6 @@ impl RequestOptions {
             spill_precision: SpillPrecision::default(),
             compute_precision: ComputePrecision::default(),
             semcache: SemCacheMode::default(),
-            on_partial: PartialMode::default(),
         }
     }
 
@@ -272,10 +250,17 @@ impl RequestOptions {
         self
     }
 
-    /// Returns a copy with the given degraded-mode policy.
-    pub fn with_on_partial(mut self, mode: PartialMode) -> Self {
-        self.on_partial = mode;
-        self
+    /// Rejects a request no engine can serve: a batch of zero
+    /// `candidates`, or `k = 0`. The one copy of this rule: the engine's
+    /// planner applies it, and so does every service at admission.
+    pub fn validate(&self, candidates: usize) -> Result<()> {
+        if candidates == 0 {
+            return Err(PrismError::InvalidRequest("empty batch".into()));
+        }
+        if self.k == 0 {
+            return Err(PrismError::InvalidRequest("k must be >= 1".into()));
+        }
+        Ok(())
     }
 }
 
@@ -345,7 +330,7 @@ impl Chunk {
 /// Only the *physical* state lives here — hidden-state chunks, the spill
 /// pipeline, meter bytes, latency spans, caller controls. Everything that
 /// is a function of scores alone (active set, accepted set, routing
-/// trace, termination) is owned by the embedded [`ScatterGate`].
+/// trace, termination) is owned by the embedded gate (`ScatterGate`).
 pub struct ActiveRequest {
     /// Score-level selection state, fed by this request's own chunks.
     state: ScatterGate,
@@ -357,7 +342,7 @@ pub struct ActiveRequest {
     /// chunks through the file — so quantization is a property of the
     /// request, not of which chunks happened to be offloaded. Without
     /// this, result bits would depend on physical layout (chunk count,
-    /// residency window, shard partitioning), breaking the cross-layout
+    /// residency window), breaking the cross-layout
     /// conformance guarantees.
     int8_spill: bool,
     chunks: Vec<Chunk>,
@@ -418,14 +403,6 @@ impl ActiveRequest {
     /// Whether the request was aborted (cancelled / deadline) mid-flight.
     pub fn is_aborted(&self) -> bool {
         self.abort.is_some()
-    }
-
-    /// Scores of the still-active candidates, ascending by original
-    /// candidate id — a pure read of the last layer boundary's (or the
-    /// post-embedding probe's) output. A scatter-gather coordinator
-    /// gathers these from every shard to rebuild the global score vector.
-    pub fn scores(&self) -> &[(usize, f32)] {
-        self.state.scores()
     }
 
     /// Aborts at a layer boundary: releases every resource the request
@@ -768,12 +745,7 @@ impl PrismEngine {
         embed: Option<&Tensor>,
     ) -> Result<ActiveRequest> {
         let n = batch.num_sequences();
-        if n == 0 {
-            return Err(PrismError::InvalidRequest("empty batch".into()));
-        }
-        if options.k == 0 {
-            return Err(PrismError::InvalidRequest("k must be >= 1".into()));
-        }
+        options.validate(n)?;
         if batch.max_seq_len() > self.config.max_seq {
             return Err(PrismError::InvalidRequest(format!(
                 "sequence of {} tokens exceeds model max_seq {}",
@@ -784,7 +756,7 @@ impl PrismEngine {
         let tag = options
             .tag
             .unwrap_or_else(|| self.request_counter.fetch_add(1, Ordering::Relaxed) + 1);
-        let mut state = ScatterGate::new(&self.options, &options, n, self.config.num_layers, tag)?;
+        let mut state = ScatterGate::new(&self.options, &options, n, self.config.num_layers, tag);
         let mut latency = LatencyRecorder::new();
 
         // ---- Chunk geometry (§4.3) ----
@@ -918,12 +890,10 @@ impl PrismEngine {
     /// kept, and progress reporting. May terminate the request.
     ///
     /// [`PrismEngine::run_planned`] calls this once per request per layer.
-    /// It is public because a scatter-gather coordinator drives
-    /// shard-local requests through the same phases one layer at a time
-    /// (with [`PrismEngine::forward_planned_layer`]); those are planned
-    /// with `pruning = Some(false)`, so their own gate never routes and
-    /// the coordinator's [`PrismEngine::apply_keep_mask`] is the only
-    /// pruning authority.
+    /// With [`PrismEngine::forward_planned_layer`] it lets a profiler step
+    /// one request through the same phases one layer at a time and time
+    /// each; the request's own gate is the only pruning authority either
+    /// way.
     pub fn gate_planned(&self, req: &mut ActiveRequest, layer_idx: usize) -> Result<()> {
         if req.is_done() {
             return Ok(());
@@ -937,11 +907,11 @@ impl PrismEngine {
             req.abort(AbortReason::DeadlineExceeded, &self.meter);
             return Ok(());
         }
-        let step = {
+        let keep = {
             let ActiveRequest { state, latency, .. } = req;
             latency.time("gate", || state.gate(layer_idx))
         };
-        if let Some(keep) = &step.keep {
+        if let Some(keep) = &keep {
             self.apply_keep_mask(req, keep)?;
         }
         req.emit_progress(layer_idx);
@@ -1028,7 +998,7 @@ impl PrismEngine {
     /// re-scores at the boundary — one iteration of `run_planned`'s inner
     /// loop for a single request. Requires resident layer weights
     /// (`EngineOptions::streaming = false`): the streaming prefetcher is
-    /// strictly sequential and cannot serve random per-shard stepping.
+    /// strictly sequential and cannot serve out-of-loop stepping.
     pub fn forward_planned_layer(
         &self,
         req: &mut ActiveRequest,
@@ -1051,18 +1021,9 @@ impl PrismEngine {
     /// physically retains the surviving hidden states (fetching and
     /// re-offloading spilled chunks as needed), re-syncs the memory
     /// meter, drops the pruned candidates' scores, and terminates the
-    /// request when nothing is left. The one retention path: the
-    /// request's own gate goes through it, and a scatter-gather
-    /// coordinator translates its global gate decision into one such
-    /// mask per shard.
-    pub fn apply_keep_mask(&self, req: &mut ActiveRequest, keep: &[bool]) -> Result<()> {
-        let n = req.state.num_candidates();
-        if keep.len() != n {
-            return Err(PrismError::InvalidRequest(format!(
-                "keep mask has {} entries, request has {n} candidates",
-                keep.len(),
-            )));
-        }
+    /// request when nothing is left. The one retention path: every keep
+    /// mask the request's gate produces goes through it.
+    fn apply_keep_mask(&self, req: &mut ActiveRequest, keep: &[bool]) -> Result<()> {
         {
             let executed = req.state.trace.executed_layers;
             let int8_file = req.int8_spill;
@@ -1082,12 +1043,6 @@ impl PrismEngine {
         req.meter_hidden(&self.meter);
         req.state.retain(keep);
         Ok(())
-    }
-
-    /// Marks a planned request as needing no further layers (the
-    /// coordinator observed global termination).
-    pub fn terminate_planned(&self, req: &mut ActiveRequest) {
-        req.state.terminate();
     }
 
     /// Embeds a batch: one `[total_tokens, hidden_dim]` tensor with
@@ -1739,13 +1694,6 @@ mod sync_tests {
             o.compute_precision,
             ComputePrecision::F32,
             "int8 compute is opt-in"
-        );
-        assert_eq!(o.on_partial, PartialMode::Fail, "degraded mode is opt-in");
-        assert_eq!(
-            RequestOptions::top_k(2)
-                .with_on_partial(PartialMode::Partial)
-                .on_partial,
-            PartialMode::Partial
         );
         let t = RequestOptions::tagged(3, 42);
         assert_eq!(t.tag, Some(42));

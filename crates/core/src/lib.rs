@@ -30,7 +30,7 @@ pub mod control;
 pub mod engine;
 pub mod options;
 pub mod routing;
-pub mod scatter;
+mod scatter;
 
 pub use calibrate::ThresholdCalibrator;
 pub use control::{CancelToken, ProgressFn, ProgressUpdate};
@@ -38,11 +38,9 @@ pub use engine::{
     ActiveRequest, EngineTrace, PrismEngine, RankedCandidate, RequestOptions, RequestSpec,
     Selection,
 };
-pub use options::{
-    ComputePrecision, EngineOptions, PartialMode, Priority, PruneMode, SemCacheMode,
-};
+pub use options::{ComputePrecision, EngineOptions, Priority, PruneMode, SemCacheMode};
 pub use routing::{route_candidates, RouteDecision};
-pub use scatter::{merge_shard_scores, rank_full_scores, ScatterGate, ScatterStep};
+pub use scatter::rank_full_scores;
 // Re-exported so serving/API layers can thread the spill-precision knob
 // without depending on `prism-storage` directly.
 pub use prism_storage::{SpillPrecision, SpillStats};
@@ -66,11 +64,6 @@ pub enum PrismError {
     /// The request's attached deadline passed before it finished; it was
     /// aborted at a layer boundary like a cancellation.
     DeadlineExceeded,
-    /// A scatter-gather shard could not serve its part of the request
-    /// (dead / unreachable shard). The merge never blocks on a failed
-    /// shard: the coordinator surfaces this immediately and releases the
-    /// surviving shards' resources.
-    ShardFailure(String),
 }
 
 impl std::fmt::Display for PrismError {
@@ -82,7 +75,6 @@ impl std::fmt::Display for PrismError {
             PrismError::InvalidRequest(s) => write!(f, "invalid request: {s}"),
             PrismError::Cancelled => write!(f, "request cancelled"),
             PrismError::DeadlineExceeded => write!(f, "request deadline exceeded"),
-            PrismError::ShardFailure(s) => write!(f, "shard failure: {s}"),
         }
     }
 }

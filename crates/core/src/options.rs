@@ -80,25 +80,6 @@ pub enum SemCacheMode {
     Aggressive,
 }
 
-/// What a sharded request does when candidates become unrecoverable —
-/// every replica of their shard is down, so no engine can forward them.
-///
-/// Like [`SemCacheMode`], this knob can change *what* a selection
-/// returns, so the serving layer keys result caches on it. Direct
-/// single-engine calls never lose candidates and ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
-pub enum PartialMode {
-    /// Exact-or-error: the request fails with a typed shard failure
-    /// (the historical behaviour, and the only sound choice for callers
-    /// that require the bit-identity contract).
-    #[default]
-    Fail,
-    /// Best-effort: the selection is computed over the surviving
-    /// candidates and surfaced with `Selection::coverage < 1.0` so the
-    /// caller can distinguish exact from partial results.
-    Partial,
-}
-
 /// Full engine configuration.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineOptions {

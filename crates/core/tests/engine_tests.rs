@@ -714,10 +714,6 @@ fn corrupted_spill_slots_recompute_bit_identically() {
             trace_bits(&clean),
             "{name}: per-layer scores must be bit-identical"
         );
-        assert_eq!(
-            faulty.coverage, 1.0,
-            "{name}: recompute is not degraded mode"
-        );
     }
 
     // No spill file may survive either run.

@@ -384,8 +384,8 @@ impl SemanticCache {
     /// Recomputes the byte meter and cross-checks every index against
     /// the slab, returning the recomputed byte count. Any inconsistency
     /// — a leaked or phantom byte, a dangling slot reference, an LRU
-    /// entry without a slot — is an error. Leak audits (cancel / shard
-    /// kill) call this after draining.
+    /// entry without a slot — is an error. Leak audits (cancellation,
+    /// drained soaks) call this after draining.
     pub fn audit(&self) -> Result<u64, String> {
         let mut recomputed = 0u64;
         let mut live = Vec::new();

@@ -1,12 +1,11 @@
 //! The two non-cryptographic hashes every fingerprint in the serving
 //! stack is built from, defined once: session-cache corpus fingerprints
-//! and shard routing keys (`prism-serve`) and the exact-tier cache key
-//! ([`crate::fingerprint`]) all fold bytes through [`fnv1a`]; shard slot
-//! weights and verification sampling disperse through [`mix64`]; seeded
-//! replayable schedules (chaos plans) draw from [`splitmix_next`].
+//! (`prism-serve`) and the exact-tier cache key ([`crate::fingerprint`])
+//! fold bytes through [`fnv1a`]; verification sampling disperses through
+//! [`mix64`].
 //!
-//! Routing slots and cache keys are functions of these values, so they
-//! are pinned by golden constants in the callers' tests.
+//! Cache keys and sampling decisions are functions of these values, so
+//! they are pinned by golden constants in the callers' tests.
 
 /// FNV-1a 64-bit offset basis: the state every [`fnv1a`] fold starts from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -33,29 +32,9 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One step of the SplitMix64 stream: advances `state` by the stream
-/// increment and returns the mixed output (`state += γ; mix(state)`).
-#[inline]
-pub fn splitmix_next(state: &mut u64) -> u64 {
-    let out = mix64(*state);
-    *state = state.wrapping_add(GAMMA);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The reference SplitMix64 stream from seed 0 (Vigna's test vector):
-    /// the stream step must stay the textbook generator, since chaos
-    /// schedules replay from it.
-    #[test]
-    fn splitmix_stream_matches_the_reference_vector() {
-        let mut state = 0_u64;
-        assert_eq!(splitmix_next(&mut state), 0xe220_a839_7b1d_cdaf);
-        assert_eq!(splitmix_next(&mut state), 0x6e78_9e6a_a1b9_65f4);
-        assert_eq!(splitmix_next(&mut state), 0x06c4_5d18_8009_454f);
-    }
 
     #[test]
     fn fnv1a_fold_is_order_sensitive() {

@@ -51,18 +51,6 @@ pub struct ServeConfig {
     /// [`prism_core::SemCacheMode`] *and* run at full depth (effective
     /// pruning off).
     pub semcache_capacity_bytes: u64,
-    /// Replication factor R of the sharded scatter path: each routing
-    /// key carries an R-way replica set (rendezvous rank order) and a
-    /// dead or hedged-away shard's sub-batch is replayed on the next
-    /// rank mid-request. `1` (the default) disables failover; ignored
-    /// by unsharded servers; clamped to the shard count at start.
-    pub replicas: usize,
-    /// Tail-latency hedge delay of the sharded scatter path: a shard
-    /// stalling at least this long at a layer boundary has its
-    /// sub-batch re-sent to the next replica (first success wins, the
-    /// straggler is cancelled). `None` disables hedging; needs
-    /// `replicas >= 2` to have any effect.
-    pub hedge: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -78,8 +66,6 @@ impl Default for ServeConfig {
             priority_scheduling: true,
             tenant_max_inflight: 0,
             semcache_capacity_bytes: 8 << 20,
-            replicas: 1,
-            hedge: None,
         }
     }
 }
@@ -145,18 +131,6 @@ impl ServeConfig {
                 "starvation age must be >= the batch wait bound".into(),
             ));
         }
-        if self.replicas == 0 {
-            return Err(ServeError::Config(
-                "replicas must be >= 1 (1 disables failover)".into(),
-            ));
-        }
-        if let Some(h) = self.hedge {
-            if h.is_zero() {
-                return Err(ServeError::Config(
-                    "hedge delay must be positive (None disables hedging)".into(),
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -213,14 +187,6 @@ mod tests {
             },
             ServeConfig {
                 starvation_age: Duration::from_micros(1),
-                ..Default::default()
-            },
-            ServeConfig {
-                replicas: 0,
-                ..Default::default()
-            },
-            ServeConfig {
-                hedge: Some(Duration::ZERO),
                 ..Default::default()
             },
         ] {

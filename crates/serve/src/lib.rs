@@ -20,8 +20,7 @@
 //!      │                    run_pass: plan → run → semantic epilogue → memoize
 //!      │                    │
 //!      │              run = Arc<PrismEngine>::run_planned    (one engine, Sync; one
-//!      │                  | ShardSet::select_with_controls    weight pass per set,
-//!      │                    │                                 or scatter-gather)
+//!      │                    │                                 weight pass per set)
 //!      └──▶ prism_api::SelectionHandle ◀── answer()          (poll · wait · cancel ·
 //!                                                              progress)
 //! ```
@@ -67,7 +66,6 @@
 //!   calls, the property `tests/serve_conformance.rs` locks in across
 //!   batch sizes and worker counts.
 
-pub mod chaos;
 pub mod config;
 pub mod load;
 pub mod queue;
@@ -77,10 +75,8 @@ pub mod scheduler;
 pub mod semantic;
 pub mod server;
 pub mod session;
-pub mod shard;
 pub mod stats;
 
-pub use chaos::{audit_shard_hygiene, run_chaos, ChaosPlan, ChaosReport, ChaosStep};
 pub use config::ServeConfig;
 pub use load::{drive_closed_loop, run_closed_loop, ClassReport, LoadReport, LoadSpec};
 pub use quota::{QuotaToken, TenantQuota};
@@ -89,7 +85,6 @@ pub use scheduler::{BatchPlanner, PlanDecision, QueueItem};
 pub use semantic::SemanticLayer;
 pub use server::{PrismServer, RemoteService};
 pub use session::{fingerprint_batch, CacheLookup, SelectionKey, SessionCache};
-pub use shard::{candidate_key, ForwardMap, ShardFault, ShardSet, FORWARD_SLOTS};
 pub use stats::{ServeStats, ServeStatsSnapshot};
 
 /// Result alias for serving-path operations.

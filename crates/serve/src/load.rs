@@ -61,10 +61,9 @@ pub struct LoadSpec {
     /// cannot.
     pub dup_fraction: f64,
     /// Template stamped on every request: `k`, the base scheduling class
-    /// and deadline, spill and compute precision, semantic-cache mode and
-    /// degraded-mode policy. `LoadSpec::request_at` sets the tag, the
-    /// high-priority decoration and the full-depth pin a semantic-cache
-    /// mode implies.
+    /// and deadline, spill and compute precision and semantic-cache mode.
+    /// `LoadSpec::request_at` sets the tag, the high-priority decoration
+    /// and the full-depth pin a semantic-cache mode implies.
     pub options: RequestOptions,
 }
 
@@ -211,7 +210,7 @@ pub struct LoadReport {
     /// Requests that came back as errors.
     pub errors: usize,
     /// Transient rejections (backpressure, and over the wire a dropped
-    /// connection or shard failure) absorbed by retry.
+    /// connection) absorbed by retry.
     pub backpressure_retries: u64,
     /// Wall-clock seconds the run took.
     pub elapsed_s: f64,
@@ -307,8 +306,7 @@ impl LoadReport {
     }
 
     /// Attaches the serving process's telemetry: the run's retries land
-    /// on the server's resilience instruments (summaries show them next
-    /// to failovers and hedges), then the snapshot is taken.
+    /// on the server's `retried` counter, then the snapshot is taken.
     pub fn with_server_stats(mut self, stats: &ServeStats) -> LoadReport {
         stats.retried.inc_by(self.backpressure_retries);
         self.stats = Some(stats.snapshot());

@@ -17,7 +17,7 @@
 //!    (bit-identical replays), [`SemCacheMode::Aggressive`] also the
 //!    similarity tier,
 //! 3. replays matched scores and recomputes only the **novel tail** as a
-//!    sub-batch, merging by a `ScatterGate`-style keep mask so the final
+//!    sub-batch, merging through the hit mask so the final
 //!    ranking is the same stable full-depth order the exact path
 //!    produces,
 //! 4. harvests freshly computed full-depth scores back into the cache.
@@ -207,7 +207,6 @@ pub fn replay_selection(scores: Vec<f32>, k: usize, depth: usize) -> Selection {
         ranked: rank_full_scores(&scores, k, depth),
         last_scores: scores,
         // Replays only engage on fully-served cached scores.
-        coverage: 1.0,
         trace: EngineTrace::default(),
     }
 }

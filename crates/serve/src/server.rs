@@ -19,14 +19,10 @@ use crate::quota::{QuotaToken, TenantQuota};
 use crate::scheduler::BatchPlanner;
 use crate::semantic::{merge_tail_scores, replay_selection, SemState, SemanticLayer};
 use crate::session::{fingerprint_batch, CacheLookup, SelectionKey, SessionCache};
-use crate::shard::ShardSet;
 use crate::stats::ServeStats;
 
 struct ServerShared {
-    engine: Arc<PrismEngine>,
-    /// Sharded backend: when set, workers execute batches through the
-    /// scatter-gather coordinator instead of the single shared engine.
-    shards: Option<Arc<ShardSet>>,
+    engine: PrismEngine,
     queue: SubmissionQueue,
     planner: BatchPlanner,
     cache: Option<Mutex<SessionCache>>,
@@ -53,40 +49,12 @@ pub struct PrismServer {
 impl PrismServer {
     /// Starts `config.workers` worker threads over `engine`.
     pub fn start(engine: PrismEngine, config: ServeConfig) -> crate::Result<Self> {
-        Self::start_inner(Arc::new(engine), None, config, ServeStats::new())
-    }
-
-    /// Starts a *sharded* server: the candidate corpus of every request
-    /// is partitioned across `engines` by the consistent-hash forward
-    /// map and executed scatter-gather, with results bit-identical to a
-    /// single engine. Each shard engine must hold weights resident and
-    /// share the selection configuration (seed, mode, precisions).
-    ///
-    /// `config.replicas` / `config.hedge` configure the resilience
-    /// layer: R-way replica sets with mid-request failover, and
-    /// tail-latency hedging of stalled shards.
-    pub fn start_sharded(engines: Vec<PrismEngine>, config: ServeConfig) -> crate::Result<Self> {
-        let stats = ServeStats::new();
-        let mut shards = ShardSet::new(engines.into_iter().map(Arc::new).collect())?
-            .with_replicas(config.replicas.max(1))
-            .with_hedge(config.hedge);
-        shards.attach_stats(stats.clone());
-        let engine = Arc::clone(shards.engine(0));
-        Self::start_inner(engine, Some(Arc::new(shards)), config, stats)
-    }
-
-    fn start_inner(
-        engine: Arc<PrismEngine>,
-        shards: Option<Arc<ShardSet>>,
-        config: ServeConfig,
-        stats: ServeStats,
-    ) -> crate::Result<Self> {
         config.validate()?;
+        let stats = ServeStats::new();
         let semcache = (config.semcache_capacity_bytes > 0)
             .then(|| SemanticLayer::new(config.semcache_config(engine.config().hidden_dim)));
         let shared = Arc::new(ServerShared {
             engine,
-            shards,
             queue: SubmissionQueue::new(config.queue_capacity, stats.clone(), config.workers),
             planner: config.planner(),
             cache: (config.session_cache_capacity > 0)
@@ -115,16 +83,9 @@ impl PrismServer {
         &self.shared.stats
     }
 
-    /// The engine behind this server (shard 0's engine when sharded).
+    /// The engine behind this server.
     pub fn engine(&self) -> &PrismEngine {
         &self.shared.engine
-    }
-
-    /// The scatter-gather shard set, when started via
-    /// [`PrismServer::start_sharded`] (fault injection, routing
-    /// diagnostics).
-    pub fn shards(&self) -> Option<&ShardSet> {
-        self.shared.shards.as_deref()
     }
 
     /// The cross-request semantic cache tier, when enabled (byte meter
@@ -167,16 +128,20 @@ impl Drop for PrismServer {
 }
 
 impl ServerShared {
-    /// Resolves ticket/tag/deadline for one submission; `None` when the
-    /// deadline already passed (counted and rejected).
+    /// Resolves ticket/tag/deadline for one submission. A request no
+    /// engine can serve, or whose deadline already passed, is rejected
+    /// here (the latter counted), before it reaches any cache.
     fn admit(
         &self,
+        batch: &SequenceBatch,
         options: &mut RequestOptions,
         now: Instant,
     ) -> Result<(u64, Option<Instant>), ServiceError> {
         // One admission rule for every backend (prism-api owns it).
-        let deadline = prism_api::admission_deadline(options, now).inspect_err(|_| {
-            self.stats.deadline_rejected.inc();
+        let deadline = prism_api::admit(batch, options, now).inspect_err(|e| {
+            if matches!(e, ServiceError::DeadlineExceeded) {
+                self.stats.deadline_rejected.inc();
+            }
         })?;
         let ticket = self.ticket.fetch_add(1, Ordering::Relaxed) + 1;
         if options.tag.is_none() {
@@ -233,7 +198,7 @@ impl ServerShared {
     ) -> Result<SelectionHandle, ServiceError> {
         let now = Instant::now();
         let mut options = options;
-        let (ticket, deadline) = self.admit(&mut options, now)?;
+        let (ticket, deadline) = self.admit(&batch, &mut options, now)?;
         let quota = self.acquire_quota(&session)?;
         let (handle, completion) = SelectionHandle::channel(ticket, deadline);
         self.enqueue(Pending {
@@ -345,7 +310,6 @@ fn resolve_semantic(
         // pruning-off order.
         let merged = merge_tail_scores(&sem.probes, novel, &selection.last_scores);
         let trace = std::mem::take(&mut selection.trace);
-        let coverage = selection.coverage;
         selection = Selection {
             ranked: rank_full_scores(
                 &merged,
@@ -353,7 +317,6 @@ fn resolve_semantic(
                 shared.engine.config().num_layers,
             ),
             last_scores: merged,
-            coverage,
             trace,
         };
         layer.harvest(
@@ -446,10 +409,7 @@ fn plan(
 /// embed (only when a tier needs it) → semantic probe. A cache answer,
 /// or a failure, leaves here at pickup; a request that still needs a
 /// weight pass enters the coalescing window as a [`Probed`] entry,
-/// carrying its embedding and semantic state to [`run_pass`]. A
-/// sharded server keeps no embed-replay tier (its shards embed their own
-/// partitions), and its semantic probe is all-or-nothing (a partial
-/// tail cannot be transplanted into shards).
+/// carrying its embedding and semantic state to [`run_pass`].
 fn probe(shared: &ServerShared, pending: Pending) {
     let picked_at = Instant::now();
     let stats = &shared.stats;
@@ -484,9 +444,7 @@ fn probe(shared: &ServerShared, pending: Pending) {
 
     // ---- Resolve the candidate embedding (replayed or computed),
     // when a tier needs it up front: embed-replay planning, or the
-    // semantic cache's pooled probe vectors. Shard engines share the
-    // full embedding weights, so shard 0's embedding serves the
-    // probe of a sharded server too.
+    // semantic cache's pooled probe vectors.
     let semcache = shared
         .semcache
         .as_ref()
@@ -499,11 +457,10 @@ fn probe(shared: &ServerShared, pending: Pending) {
         }
         _ => {
             stats.cache_misses.inc();
-            let memo = shared.cache.as_ref().filter(|_| shared.shards.is_none());
-            if memo.is_some() || semcache.is_some() {
+            if shared.cache.is_some() || semcache.is_some() {
                 match shared.engine.embed_batch(&pending.batch) {
                     Ok(embed) => {
-                        if let Some(cache) = memo {
+                        if let Some(cache) = &shared.cache {
                             cache.lock().expect("session cache lock").store_embed(
                                 &pending.session,
                                 pending.fingerprint,
@@ -550,9 +507,7 @@ fn probe(shared: &ServerShared, pending: Pending) {
 /// member — hidden states, spill file and metered bytes exist only from
 /// here — runs one pass over the shared engine's weights for all of
 /// them, then per request: semantic epilogue → stats → memo store →
-/// reply ([`finish`]). A sharded server differs only at the run step:
-/// scatter-gather per request, with planning inside each shard over its
-/// corpus partition.
+/// reply ([`finish`]).
 fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardScratch>) {
     let picked_at = Instant::now();
     let stats = &shared.stats;
@@ -601,14 +556,12 @@ fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardS
             from_cache: embed_replayed,
         };
 
-        // ---- Plan, on the shared engine (shards plan their own part) ----
-        if shared.shards.is_none() {
-            match plan(shared, &pending, &mut sem, embed.as_ref()) {
-                Ok(p) => planned.push(p),
-                Err(e) => {
-                    answer(stats, pending, served, Err(e.into()));
-                    continue;
-                }
+        // ---- Plan, on the shared engine ----
+        match plan(shared, &pending, &mut sem, embed.as_ref()) {
+            Ok(p) => planned.push(p),
+            Err(e) => {
+                answer(stats, pending, served, Err(e.into()));
+                continue;
             }
         }
         items.push(RunItem {
@@ -618,12 +571,10 @@ fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardS
         });
     }
 
-    // ---- Run ----
-    match &shared.shards {
-        // Every member failed planning.
-        None if planned.is_empty() => {}
-        // One pass over the weights for the whole coalesced batch.
-        None => match shared.engine.run_planned(&mut planned, scratch) {
+    // ---- Run: one pass over the weights for the whole coalesced batch
+    // (skipped when every member failed planning) ----
+    if !planned.is_empty() {
+        match shared.engine.run_planned(&mut planned, scratch) {
             // Finalize per request: an aborted member of the batch
             // (cancelled / past deadline) surfaces as its typed error
             // without failing its batch-mates.
@@ -639,29 +590,13 @@ fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardS
                     answer(stats, item.pending, item.served, Err(err.clone()));
                 }
             }
-        },
-        // Scatter-gather per request: the deterministic lockstep scatter
-        // loop with the caller's controls attached; a dead or slow shard
-        // surfaces as its typed error without failing batch-mates.
-        Some(shards) => {
-            for item in items {
-                let pending = &item.pending;
-                let result = shards.select_with_controls(
-                    &pending.batch,
-                    pending.options.clone(),
-                    Some(pending.cancel.clone()),
-                    pending.deadline,
-                    Some(pending.reply.progress_fn()),
-                );
-                finish(shared, item, picked_at, result);
-            }
         }
     }
     stats.in_flight.sub(size as u64);
 }
 
 /// Epilogue of one executed request. A selection passes through the
-/// semantic-cache merge/verify/harvest, the resilience counters and the
+/// quarantine counter, the semantic-cache merge/verify/harvest and the
 /// session memo; a failure skips all three (so aborted batch-mates
 /// contribute no cache bytes). Either way the request is then answered,
 /// with its probe plus everything since its pass was picked as its
@@ -684,9 +619,6 @@ fn finish(
             }
             _ => selection,
         };
-        if !selection.is_complete() {
-            stats.partial_results.inc();
-        }
         store_selection(shared, &item.pending, &selection);
         selection
     });

@@ -258,7 +258,6 @@ mod tests {
                 decided_at_layer: 1,
             }],
             last_scores: vec![score],
-            coverage: 1.0,
             trace: Default::default(),
         }
     }

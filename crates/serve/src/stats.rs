@@ -73,24 +73,12 @@ pub struct ServeStats {
     /// Semantic cache: resident bytes (int8 entries + overhead), metered
     /// like spill bytes. Mirrors the cache's own byte meter.
     pub semcache_bytes: Gauge,
-    /// Resilience: sub-batches re-homed from a dead (or hedged-away)
-    /// shard onto a replica mid-request.
-    pub failovers: Counter,
-    /// Resilience: hedges fired — a straggling shard's sub-batch sent to
-    /// a replica after the hedge delay.
-    pub hedges_fired: Counter,
-    /// Resilience: hedges whose request then completed successfully (the
-    /// replica's result won; the straggler was cancelled).
-    pub hedges_won: Counter,
-    /// Resilience: backpressure retries absorbed by the typed retry
+    /// Backpressure retries absorbed by the typed retry
     /// policy (client loops honoring `retry_after`).
     pub retried: Counter,
-    /// Resilience: spill slots quarantined on checksum mismatch and
+    /// Spill slots quarantined on checksum mismatch and
     /// recomputed from weights.
     pub slots_quarantined: Counter,
-    /// Resilience: requests answered with partial coverage (replicas
-    /// exhausted under `PartialMode::Partial`).
-    pub partial_results: Counter,
 }
 
 impl ServeStats {
@@ -162,12 +150,8 @@ impl ServeStats {
             semcache_misses: self.semcache_misses.get(),
             semcache_fallbacks: self.semcache_fallbacks.get(),
             semcache_bytes: self.semcache_bytes.get(),
-            failovers: self.failovers.get(),
-            hedges_fired: self.hedges_fired.get(),
-            hedges_won: self.hedges_won.get(),
             retried: self.retried.get(),
             slots_quarantined: self.slots_quarantined.get(),
-            partial_results: self.partial_results.get(),
         }
     }
 }
@@ -221,18 +205,10 @@ pub struct ServeStatsSnapshot {
     pub semcache_fallbacks: u64,
     /// Semantic-cache resident bytes right now.
     pub semcache_bytes: u64,
-    /// Sub-batches failed over to a replica mid-request.
-    pub failovers: u64,
-    /// Tail-latency hedges fired.
-    pub hedges_fired: u64,
-    /// Hedges whose request completed successfully.
-    pub hedges_won: u64,
     /// Backpressure retries absorbed by the retry policy.
     pub retried: u64,
     /// Spill slots quarantined and recomputed.
     pub slots_quarantined: u64,
-    /// Requests answered with partial coverage.
-    pub partial_results: u64,
 }
 
 #[cfg(test)]
@@ -291,21 +267,13 @@ mod tests {
         s.semcache_misses.inc_by(2);
         s.semcache_fallbacks.inc();
         s.semcache_bytes.set(512);
-        s.failovers.inc_by(2);
-        s.hedges_fired.inc();
-        s.hedges_won.inc();
         s.retried.inc_by(5);
         s.slots_quarantined.inc_by(3);
-        s.partial_results.inc();
         let snap = s.snapshot();
         assert_eq!(snap.submitted, 3);
         assert_eq!(snap.queue_depth, 2);
-        assert_eq!(snap.failovers, 2);
-        assert_eq!(snap.hedges_fired, 1);
-        assert_eq!(snap.hedges_won, 1);
         assert_eq!(snap.retried, 5);
         assert_eq!(snap.slots_quarantined, 3);
-        assert_eq!(snap.partial_results, 1);
         assert_eq!(snap.batch_size.count, 1);
         assert_eq!(snap.semcache_hits, 4);
         assert_eq!(snap.semcache_misses, 2);

@@ -1,7 +1,7 @@
 //! End-to-end behaviour of the semantic result cache inside the serving
 //! stack: golden parity of `VerifyAndFallback` with the exact path,
 //! full-replay answers under `Aggressive`, and leak-freedom of the cache
-//! byte meter under cancellation and shard failure.
+//! byte meter under cancellation and a high-overlap drain.
 
 use std::time::Duration;
 
@@ -11,7 +11,7 @@ use prism_core::{
 };
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism_serve::{LoadSpec, PrismServer, ServeConfig, ShardFault};
+use prism_serve::{LoadSpec, PrismServer, ServeConfig};
 use prism_storage::Container;
 use prism_workload::{dataset_by_name, WorkloadGenerator};
 
@@ -157,45 +157,38 @@ fn verify_mode_matches_semcache_off_across_batch_sizes_and_precisions() {
 
 /// An `Aggressive` repeat is answered entirely from the cache: no engine
 /// execution (service time 0), a semantic full hit, per-candidate hit
-/// counters and a live byte gauge — on the single shared engine and on a
-/// one-shard scatter-gather server alike.
+/// counters and a live byte gauge.
 #[test]
 fn aggressive_repeat_replays_without_touching_the_engine() {
     let (config, path) = fixture("replay");
-    for sharded in [false, true] {
-        let server = if sharded {
-            PrismServer::start_sharded(vec![engine(&config, &path)], semcache_config()).unwrap()
-        } else {
-            PrismServer::start(engine(&config, &path), semcache_config()).unwrap()
-        };
-        let batch = batch_of(&config, 9, 6);
-        let opts = |tag| full_depth(3, tag, SemCacheMode::Aggressive, SpillPrecision::Int8);
+    let server = PrismServer::start(engine(&config, &path), semcache_config()).unwrap();
+    let batch = batch_of(&config, 9, 6);
+    let opts = |tag| full_depth(3, tag, SemCacheMode::Aggressive, SpillPrecision::Int8);
 
-        let first = server.service("a").select(batch.clone(), opts(1)).unwrap();
-        assert!(!first.served_from_cache);
-        assert_eq!(semantic_hits(&server), 0);
+    let first = server.service("a").select(batch.clone(), opts(1)).unwrap();
+    assert!(!first.served_from_cache);
+    assert_eq!(semantic_hits(&server), 0);
 
-        // Same candidates from a *different* session: the semantic tier is
-        // cross-session, unlike the per-session memo cache.
-        let second = server.service("b").select(batch.clone(), opts(2)).unwrap();
-        assert!(second.served_from_cache);
-        assert_eq!(semantic_hits(&server), 6);
-        assert_eq!(second.service_us, 0, "full replay runs zero layers");
-        assert_eq!(
-            ranked_bits(&second.selection),
-            ranked_bits(&first.selection)
-        );
+    // Same candidates from a *different* session: the semantic tier is
+    // cross-session, unlike the per-session memo cache.
+    let second = server.service("b").select(batch.clone(), opts(2)).unwrap();
+    assert!(second.served_from_cache);
+    assert_eq!(semantic_hits(&server), 6);
+    assert_eq!(second.service_us, 0, "full replay runs zero layers");
+    assert_eq!(
+        ranked_bits(&second.selection),
+        ranked_bits(&first.selection)
+    );
 
-        let snap = server.stats().snapshot();
-        assert_eq!(snap.semcache_hits, 6, "one hit per candidate");
-        assert_eq!(
-            snap.semcache_misses, 6,
-            "one miss per first-sight candidate"
-        );
-        assert!(snap.semcache_bytes > 0);
-        assert_eq!(snap.semcache_bytes, server.semcache().unwrap().bytes());
-        server.shutdown();
-    }
+    let snap = server.stats().snapshot();
+    assert_eq!(snap.semcache_hits, 6, "one hit per candidate");
+    assert_eq!(
+        snap.semcache_misses, 6,
+        "one miss per first-sight candidate"
+    );
+    assert!(snap.semcache_bytes > 0);
+    assert_eq!(snap.semcache_bytes, server.semcache().unwrap().bytes());
+    server.shutdown();
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -256,70 +249,16 @@ fn cancelled_requests_leak_no_cache_bytes() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Sharded serving: a dead shard fails fresh requests with the typed
-/// shard error and harvests nothing (the meter reconciles), while a
-/// *fully cached* repeat is still answered — full semantic replay never
-/// scatters, so it survives shard loss.
-#[test]
-fn dead_shard_leaks_nothing_and_full_replays_survive_it() {
-    let (config, path) = fixture("shard");
-    let server = PrismServer::start_sharded(
-        (0..2).map(|_| engine(&config, &path)).collect(),
-        semcache_config(),
-    )
-    .unwrap();
-    let warm = batch_of(&config, 7, 8);
-    let opts = |tag| full_depth(3, tag, SemCacheMode::Aggressive, SpillPrecision::Int8);
-
-    // Warm the cache through healthy scatter-gather.
-    let reference = server.service("s").select(warm.clone(), opts(1)).unwrap();
-    assert!(!reference.served_from_cache);
-    assert_eq!(semantic_hits(&server), 0);
-    let bytes_before = server.semcache().unwrap().bytes();
-    assert!(bytes_before > 0);
-
-    server.shards().unwrap().inject_fault(1, ShardFault::Dead);
-
-    // A novel request dies mid-probe/scatter: typed error, no harvest.
-    let err = server
-        .service("s")
-        .select(batch_of(&config, 8, 8), opts(2))
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("shard"),
-        "expected a shard failure, got {err}"
-    );
-    let cache = server.semcache().unwrap();
-    assert_eq!(
-        cache.bytes(),
-        bytes_before,
-        "failed request must not harvest"
-    );
-    assert_eq!(cache.audit().unwrap(), bytes_before);
-
-    // The warmed repeat full-replays without scattering — it works even
-    // with a shard down, bit-identical to the healthy run.
-    let replay = server.service("t").select(warm, opts(3)).unwrap();
-    assert!(replay.served_from_cache);
-    assert_eq!(semantic_hits(&server), 8, "one replay per warmed candidate");
-    assert_eq!(
-        ranked_bits(&replay.selection),
-        ranked_bits(&reference.selection)
-    );
-    server.shutdown();
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// Nightly soak: a high-overlap closed-loop run against a sharded server
-/// with verification sampling on. After the drain the cache's byte meter
+/// Nightly soak: a high-overlap closed-loop run against a three-worker
+/// server with verification sampling on. After the drain the cache's byte meter
 /// must reconcile exactly (zero leaked bytes), stay within budget, and
 /// clearing must release everything.
 #[test]
-#[ignore = "nightly soak: high-overlap sharded drain"]
-fn high_overlap_sharded_soak_drains_clean() {
+#[ignore = "nightly soak: high-overlap drain"]
+fn high_overlap_soak_drains_clean() {
     let (config, path) = fixture("soak");
-    let server = PrismServer::start_sharded(
-        (0..3).map(|_| engine(&config, &path)).collect(),
+    let server = PrismServer::start(
+        engine(&config, &path),
         ServeConfig {
             workers: 3,
             session_cache_capacity: 0,

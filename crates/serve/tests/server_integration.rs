@@ -1,11 +1,12 @@
 //! End-to-end serving behaviour over a real engine: parity with direct
-//! engine calls, session-cache replay, backpressure and clean shutdown.
+//! engine calls, session-cache replay, backpressure, leak-free
+//! cancellation on the offload path and clean shutdown.
 
 use std::time::{Duration, Instant};
 
-use prism_api::SelectionService;
+use prism_api::{SelectionService, ServiceError};
 use prism_core::{EngineOptions, PrismEngine, RequestOptions, SemCacheMode};
-use prism_metrics::MemoryMeter;
+use prism_metrics::{MemCategory, MemoryMeter};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_serve::{PrismServer, ServeConfig};
 use prism_storage::Container;
@@ -121,75 +122,55 @@ fn tier_hits(server: &PrismServer) -> (u64, u64) {
     )
 }
 
-/// Runs on the single shared engine and on a one-shard scatter-gather
-/// server: the memo tier behaves identically on both; the embed-replay
-/// tier only exists on the former (shards plan their own sub-batches).
 #[test]
 fn session_cache_replays_repeats_bit_identically() {
     let (config, path) = fixture("cache");
     let batch = batches(&config, 1, 8).pop().unwrap();
-    for sharded in [false, true] {
-        let server = if sharded {
-            let resident = PrismEngine::new(
-                Container::open(&path).unwrap(),
-                config.clone(),
-                EngineOptions {
-                    streaming: false,
-                    ..Default::default()
-                },
-                MemoryMeter::new(),
-            )
-            .unwrap();
-            PrismServer::start_sharded(vec![resident], ServeConfig::default()).unwrap()
-        } else {
-            PrismServer::start(engine(&config, &path), ServeConfig::default()).unwrap()
-        };
-        let embed_replays = u64::from(!sharded);
+    let server = PrismServer::start(engine(&config, &path), ServeConfig::default()).unwrap();
 
-        let opts = RequestOptions::tagged(3, 99);
-        let first = server
-            .service("s")
-            .select(batch.clone(), opts.clone())
-            .unwrap();
-        assert!(!first.served_from_cache);
-        assert_eq!(tier_hits(&server), (0, 0));
+    let opts = RequestOptions::tagged(3, 99);
+    let first = server
+        .service("s")
+        .select(batch.clone(), opts.clone())
+        .unwrap();
+    assert!(!first.served_from_cache);
+    assert_eq!(tier_hits(&server), (0, 0));
 
-        // Exact repeat: replayed selection, no execution.
-        let second = server
-            .service("s")
-            .select(batch.clone(), opts.clone())
-            .unwrap();
-        assert!(second.served_from_cache);
-        assert_eq!(tier_hits(&server), (1, 0));
-        assert_eq!(
-            scores_bits(&second.selection),
-            scores_bits(&first.selection)
-        );
+    // Exact repeat: replayed selection, no execution.
+    let second = server
+        .service("s")
+        .select(batch.clone(), opts.clone())
+        .unwrap();
+    assert!(second.served_from_cache);
+    assert_eq!(tier_hits(&server), (1, 0));
+    assert_eq!(
+        scores_bits(&second.selection),
+        scores_bits(&first.selection)
+    );
 
-        // Same corpus, different tag: embedding replayed, fresh execution,
-        // still identical to a direct call with that tag.
-        let third = server
-            .service("s")
-            .select(batch.clone(), RequestOptions::tagged(3, 100))
-            .unwrap();
-        assert_eq!(third.served_from_cache, !sharded);
-        assert_eq!(tier_hits(&server), (1, embed_replays));
-        let direct = engine(&config, &path)
-            .select_with(&batch, RequestOptions::tagged(3, 100))
-            .unwrap();
-        assert_eq!(scores_bits(&third.selection), scores_bits(&direct));
+    // Same corpus, different tag: embedding replayed, fresh execution,
+    // still identical to a direct call with that tag.
+    let third = server
+        .service("s")
+        .select(batch.clone(), RequestOptions::tagged(3, 100))
+        .unwrap();
+    assert!(third.served_from_cache);
+    assert_eq!(tier_hits(&server), (1, 1));
+    let direct = engine(&config, &path)
+        .select_with(&batch, RequestOptions::tagged(3, 100))
+        .unwrap();
+    assert_eq!(scores_bits(&third.selection), scores_bits(&direct));
 
-        // Different session: its own cache entry (miss).
-        let other = server.service("other").select(batch.clone(), opts).unwrap();
-        assert!(!other.served_from_cache);
-        assert_eq!(tier_hits(&server), (1, embed_replays));
+    // Different session: its own cache entry (miss).
+    let other = server.service("other").select(batch.clone(), opts).unwrap();
+    assert!(!other.served_from_cache);
+    assert_eq!(tier_hits(&server), (1, 1));
 
-        let snap = server.stats().snapshot();
-        assert_eq!(snap.cache_selection_hits, 1);
-        assert_eq!(snap.cache_embed_hits, embed_replays);
-        assert!(snap.cache_hit_rate > 0.0);
-        server.shutdown();
-    }
+    let snap = server.stats().snapshot();
+    assert_eq!(snap.cache_selection_hits, 1);
+    assert_eq!(snap.cache_embed_hits, 1);
+    assert!(snap.cache_hit_rate > 0.0);
+    server.shutdown();
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -238,11 +219,290 @@ fn invalid_requests_fail_without_poisoning_the_batch() {
     )
     .unwrap();
     let service = server.service("t");
+    // An empty batch and `k = 0` fail at admission with the engine's own
+    // typed error, before the probe: no cache counter moves, so nothing
+    // was embedded, memoized or evicted on their behalf.
+    let empty = SequenceBatch::new(&[]).unwrap();
+    for (batch, options) in [
+        (empty, RequestOptions::top_k(1)),
+        (good.clone(), RequestOptions::top_k(0)),
+    ] {
+        let err = service.select(batch, options).unwrap_err();
+        assert!(
+            matches!(&err, ServiceError::Engine(msg) if msg.starts_with("invalid request")),
+            "{err:?}"
+        );
+    }
+    let snap = server.stats().snapshot();
+    assert_eq!((snap.cache_misses, snap.cache_embed_hits), (0, 0));
+    assert_eq!(snap.deadline_rejected, 0, "not a deadline rejection");
     let h_bad = service.submit(bad, RequestOptions::top_k(1)).unwrap();
     let h_good = service.submit(good, RequestOptions::top_k(2)).unwrap();
     assert!(h_bad.wait().is_err(), "oversized sequence must error");
     assert!(h_good.wait().is_ok(), "batch-mate must still succeed");
     server.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// An engine whose weight stream is throttled to 512 KB/s: about 20 ms
+/// per layer of the test model, so a pass lasts long enough to hold a
+/// worker or to cancel into.
+fn slow_engine(config: &ModelConfig, path: &std::path::Path) -> PrismEngine {
+    PrismEngine::new(
+        Container::open(path).unwrap(),
+        config.clone(),
+        EngineOptions {
+            stream_throttle: Some(512 << 10),
+            ..Default::default()
+        },
+        MemoryMeter::new(),
+    )
+    .unwrap()
+}
+
+/// Quota and backpressure are different ceilings and both stay typed:
+/// a noisy tenant hits `QuotaExceeded` while the shared queue still has
+/// room for others, and once *they* fill the queue the error is
+/// `Backpressure` — per-tenant fairness composing with, not replacing,
+/// global admission control.
+#[test]
+fn quota_and_backpressure_compose() {
+    let (config, path) = fixture("quota-bp");
+    // The slow weight stream holds the one worker inside a pass.
+    let server = PrismServer::start(
+        slow_engine(&config, &path),
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 2,
+            max_batch_requests: 1,
+            session_cache_capacity: 0,
+            tenant_max_inflight: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let batch = batches(&config, 1, 10).pop().unwrap();
+    let noisy = server.service("noisy");
+
+    let held = noisy
+        .submit(batch.clone(), RequestOptions::tagged(4, 1))
+        .unwrap();
+    // Wait for the worker to take the request into its pass.
+    while held.progress().layers_gated == 0 {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+
+    // Second submission from the same tenant: quota, not backpressure.
+    match noisy
+        .submit(batch.clone(), RequestOptions::tagged(4, 2))
+        .unwrap_err()
+    {
+        ServiceError::QuotaExceeded { tenant, limit } => {
+            assert_eq!(tenant, "noisy");
+            assert_eq!(limit, 1);
+        }
+        other => panic!("expected QuotaExceeded, got {other:?}"),
+    }
+
+    // Other tenants still get the queue's headroom...
+    let q1 = server
+        .service("calm-a")
+        .submit(batch.clone(), RequestOptions::tagged(4, 3))
+        .unwrap();
+    let q2 = server
+        .service("calm-b")
+        .submit(batch.clone(), RequestOptions::tagged(4, 4))
+        .unwrap();
+    // ...until the shared queue itself is full.
+    let err = server
+        .service("calm-c")
+        .submit(batch.clone(), RequestOptions::tagged(4, 5))
+        .unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Backpressure { .. }),
+        "expected Backpressure, got {err:?}"
+    );
+
+    // Everything admitted completes; the noisy tenant's slot frees up.
+    held.wait().unwrap();
+    q1.wait().unwrap();
+    q2.wait().unwrap();
+    noisy
+        .submit(batch, RequestOptions::tagged(4, 6))
+        .unwrap()
+        .wait()
+        .unwrap();
+
+    let snap = server.stats().snapshot();
+    assert_eq!(snap.quota_rejected, 1);
+    assert_eq!(snap.rejected, 1);
+    server.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A deadline that passes mid-pass aborts the request at a layer
+/// boundary with the typed error instead of running the pass to
+/// completion.
+#[test]
+fn deadline_trips_mid_pass_at_a_layer_boundary() {
+    let (config, path) = fixture("deadline");
+    let server = PrismServer::start(slow_engine(&config, &path), ServeConfig::default()).unwrap();
+    let batch = batches(&config, 1, 10).pop().unwrap();
+    // Full depth takes every layer (~120 ms at this throttle); the
+    // deadline allows a few.
+    let options = RequestOptions {
+        pruning: Some(false),
+        ..RequestOptions::tagged(4, 1).with_deadline_us(60_000)
+    };
+    let handle = server.service("t").submit(batch, options).unwrap();
+    let err = loop {
+        if let Some(outcome) = handle.poll() {
+            break outcome.unwrap_err();
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    };
+    assert!(
+        matches!(err, ServiceError::DeadlineExceeded),
+        "expected DeadlineExceeded, got {err:?}"
+    );
+    assert!(
+        handle.progress().layers_forwarded < config.num_layers,
+        "the pass must stop at the deadline, not run to completion"
+    );
+    assert_eq!(server.stats().snapshot().deadline_missed, 1);
+    server.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Cancellation on the offload path leaks nothing. Requests cancelled
+/// before a worker picks them up, and mid-pass at every layer, leave the
+/// engine's private spill directory empty and its hidden-state and
+/// intermediate meters at zero; the next request is still bit-identical
+/// to a direct engine call.
+#[test]
+fn cancelled_offload_requests_release_every_spill_byte() {
+    let (config, path) = fixture("offload");
+    let mut spill_dir = std::env::temp_dir();
+    spill_dir.push(format!("prism-serve-it-offload-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    // Twelve candidates in chunks of two: all but three chunks spill. The
+    // throttled weight stream makes a pass last long enough to cancel into.
+    let offload_engine = |meter: MemoryMeter| {
+        PrismEngine::new(
+            Container::open(&path).unwrap(),
+            config.clone(),
+            EngineOptions {
+                hidden_offload: true,
+                chunk_candidates: Some(2),
+                stream_throttle: Some(512 << 10),
+                ..Default::default()
+            },
+            meter,
+        )
+        .unwrap()
+        .with_spill_dir(spill_dir.clone())
+    };
+    let batch = batches(&config, 1, 12).pop().unwrap();
+    // Full depth, so every layer boundary is a point to cancel at.
+    let opts = || RequestOptions {
+        pruning: Some(false),
+        ..RequestOptions::tagged(4, 1)
+    };
+    let reference = offload_engine(MemoryMeter::new())
+        .select_with(&batch, opts())
+        .unwrap();
+
+    let meter = MemoryMeter::new();
+    let server = PrismServer::start(
+        offload_engine(meter.clone()),
+        ServeConfig {
+            workers: 1,
+            // Every request runs a pass: no memo answers it.
+            session_cache_capacity: 0,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let service = server.service("t");
+    let assert_clean = |context: &str| {
+        let files: Vec<_> = std::fs::read_dir(&spill_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(files.is_empty(), "{context}: leaked spill files {files:?}");
+        for category in [MemCategory::HiddenStates, MemCategory::Intermediate] {
+            assert_eq!(
+                meter.current(category),
+                0,
+                "{context}: leaked {category:?} bytes"
+            );
+        }
+    };
+
+    // Before pickup: the one worker is inside a pass, so the requests
+    // submitted now wait in the queue and are cancelled there.
+    let busy = service.submit(batch.clone(), opts()).unwrap();
+    while busy.progress().layers_gated == 0 {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let queued: Vec<_> = (0..3)
+        .map(|_| service.submit(batch.clone(), opts()).unwrap())
+        .collect();
+    for handle in &queued {
+        handle.cancel();
+    }
+    for handle in queued {
+        assert!(matches!(handle.wait(), Err(ServiceError::Cancelled)));
+    }
+    assert_eq!(
+        scores_bits(&busy.wait().unwrap().selection),
+        scores_bits(&reference)
+    );
+    assert_clean("after cancels before pickup");
+
+    // Mid-pass: cancel once the pass has forwarded `layer` layers. A
+    // request that finishes first completes normally.
+    let mut aborted = 0;
+    for layer in 1..config.num_layers {
+        let handle = service.submit(batch.clone(), opts()).unwrap();
+        let outcome = loop {
+            if handle.progress().layers_forwarded >= layer {
+                handle.cancel();
+                break handle.wait();
+            }
+            if let Some(outcome) = handle.poll() {
+                break outcome;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        };
+        match outcome {
+            Ok(resp) => assert_eq!(scores_bits(&resp.selection), scores_bits(&reference)),
+            Err(ServiceError::Cancelled) => aborted += 1,
+            Err(other) => panic!("cancel after layer {layer}: {other}"),
+        }
+        assert_clean(&format!("after a cancel after layer {layer}"));
+    }
+    assert!(aborted > 0, "no cancellation landed mid-pass");
+
+    // The drained server serves the next request bit-identically.
+    let again = service.select(batch.clone(), opts()).unwrap();
+    assert_eq!(scores_bits(&again.selection), scores_bits(&reference));
+    assert_eq!(
+        again
+            .selection
+            .last_scores
+            .iter()
+            .map(|s| s.to_bits())
+            .collect::<Vec<_>>(),
+        reference
+            .last_scores
+            .iter()
+            .map(|s| s.to_bits())
+            .collect::<Vec<_>>()
+    );
+    server.shutdown();
+    assert_clean("after shutdown");
+    std::fs::remove_dir_all(&spill_dir).unwrap();
     std::fs::remove_file(&path).unwrap();
 }
 

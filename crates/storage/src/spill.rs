@@ -128,7 +128,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Deterministic read-fault injection for tests and the chaos harness.
+/// Deterministic read-fault injection for tests.
 ///
 /// The engine creates its spill files internally, so corruption faults
 /// cannot be injected per-file from outside; this knob flips one payload

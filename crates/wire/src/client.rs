@@ -240,7 +240,7 @@ impl WireClient {
 
     /// Blocking submit-and-wait under a [`RetryPolicy`]: transient
     /// failures (backpressure — honoring the server's `retry_after`
-    /// hint as a floor — and shard failures) are retried with
+    /// hint as a floor — and disconnects) are retried with
     /// decorrelated-jitter backoff until the policy's attempt cap or
     /// sleep budget runs out; terminal errors surface immediately.
     /// Returns the outcome plus the number of retries consumed, so

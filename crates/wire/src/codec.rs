@@ -25,8 +25,8 @@ use std::io::{Read, Write};
 
 use prism_api::{Progress, SelectionOutcome, ServiceError};
 use prism_core::{
-    ComputePrecision, EngineTrace, PartialMode, Priority, PruneMode, RankedCandidate,
-    RequestOptions, Selection, SemCacheMode, SpillPrecision,
+    ComputePrecision, EngineTrace, Priority, PruneMode, RankedCandidate, RequestOptions, Selection,
+    SemCacheMode, SpillPrecision,
 };
 use prism_model::SequenceBatch;
 
@@ -34,9 +34,12 @@ use prism_model::SequenceBatch;
 ///
 /// Version history: 1 = initial protocol; 2 = `Submit` options grew the
 /// trailing semantic-result-cache mode byte (`SemCacheMode`); 3 =
-/// `Submit` options grew the degraded-mode byte (`PartialMode`) and
-/// `Result` outcomes carry the selection's coverage fraction.
-pub const WIRE_VERSION: u32 = 3;
+/// `Submit` options grew the degraded-mode byte and `Result` outcomes
+/// carry the selection's coverage fraction; 4 = the degraded-mode byte
+/// and the coverage fraction are gone again (one engine serves every
+/// request, so every selection is complete), and error tag 7 (the shard
+/// failure) is unassigned and decodes as corrupt.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Hard ceiling on one frame's byte length (type byte + payload). Large
 /// enough for a maximal candidate batch, small enough that a hostile
@@ -248,10 +251,6 @@ impl Enc {
             SemCacheMode::VerifyAndFallback => 1,
             SemCacheMode::Aggressive => 2,
         });
-        self.u8(match o.on_partial {
-            PartialMode::Fail => 0,
-            PartialMode::Partial => 1,
-        });
     }
 
     fn batch(&mut self, b: &SequenceBatch) {
@@ -282,7 +281,6 @@ impl Enc {
         for &s in &sel.last_scores {
             self.f32_bits(s);
         }
-        self.f32_bits(sel.coverage);
         // Trace summary: the routing events and score trace are
         // server-side diagnostics; the wire carries the conformance
         // surface (ranked + last_scores, both bit-exact) plus the cheap
@@ -315,10 +313,6 @@ impl Enc {
                 self.u8(6);
                 self.string(tenant);
                 self.u32(*limit as u32);
-            }
-            ServiceError::ShardFailure(s) => {
-                self.u8(7);
-                self.string(s);
             }
             ServiceError::Engine(s) => {
                 self.u8(8);
@@ -518,11 +512,6 @@ impl<'a> Dec<'a> {
             2 => SemCacheMode::Aggressive,
             v => return Err(WireError::Corrupt(format!("semcache tag {v}"))),
         };
-        let on_partial = match self.u8()? {
-            0 => PartialMode::Fail,
-            1 => PartialMode::Partial,
-            v => return Err(WireError::Corrupt(format!("on-partial tag {v}"))),
-        };
         Ok(RequestOptions {
             k,
             tag,
@@ -534,7 +523,6 @@ impl<'a> Dec<'a> {
             spill_precision,
             compute_precision,
             semcache,
-            on_partial,
         })
     }
 
@@ -579,10 +567,6 @@ impl<'a> Dec<'a> {
         for _ in 0..n_scores {
             last_scores.push(self.f32_bits()?);
         }
-        let coverage = self.f32_bits()?;
-        if !(0.0..=1.0).contains(&coverage) {
-            return Err(WireError::Corrupt(format!("coverage {coverage}")));
-        }
         let n_active = self.count(4, "active-per-layer")?;
         let mut active_per_layer = Vec::with_capacity(n_active);
         for _ in 0..n_active {
@@ -600,7 +584,6 @@ impl<'a> Dec<'a> {
             selection: Selection {
                 ranked,
                 last_scores,
-                coverage,
                 trace,
             },
             ticket,
@@ -626,7 +609,6 @@ impl<'a> Dec<'a> {
                 tenant: self.string()?,
                 limit: self.u32()? as usize,
             },
-            7 => ServiceError::ShardFailure(self.string()?),
             8 => ServiceError::Engine(self.string()?),
             9 => ServiceError::Config(self.string()?),
             v => return Err(WireError::Corrupt(format!("error tag {v}"))),
@@ -768,7 +750,6 @@ mod tests {
             spill_precision: SpillPrecision::F32,
             compute_precision: ComputePrecision::Int8,
             semcache: SemCacheMode::VerifyAndFallback,
-            on_partial: PartialMode::Partial,
         };
         let got = round_trip(&Message::Submit {
             request_id: 7,
@@ -801,7 +782,6 @@ mod tests {
                     decided_at_layer: 4,
                 }],
                 last_scores: vec![f32::MIN_POSITIVE, -0.0, 3.25],
-                coverage: 0.75,
                 trace: EngineTrace {
                     active_per_layer: vec![5, 3, 1],
                     executed_layers: 3,
@@ -839,7 +819,6 @@ mod tests {
                     .map(|s| s.to_bits())
                     .collect();
                 assert_eq!(got_bits, want_bits);
-                assert_eq!(o.selection.coverage, 0.75);
                 assert_eq!(o.selection.trace.active_per_layer, vec![5, 3, 1]);
                 assert_eq!(o.selection.trace.spill_bytes, 77);
             }
@@ -911,7 +890,6 @@ mod tests {
                 tenant: "tenant-a".into(),
                 limit: 2,
             },
-            ServiceError::ShardFailure("shard 1 dead".into()),
             ServiceError::Engine("boom".into()),
             ServiceError::Config("bad".into()),
         ] {
@@ -926,5 +904,13 @@ mod tests {
                 other => panic!("wrong message: {other:?}"),
             }
         }
+        // Tag 7 (the shard failure of protocol 3) is unassigned.
+        let mut body = encode_message(&Message::Error {
+            request_id: 3,
+            error: ServiceError::Engine("boom".into()),
+        });
+        assert_eq!(body[9], 8, "engine error tag");
+        body[9] = 7;
+        assert!(matches!(decode_message(&body), Err(WireError::Corrupt(_))));
     }
 }

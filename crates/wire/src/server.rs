@@ -3,10 +3,10 @@
 //! One thread accepts connections; each connection gets a *reader*
 //! thread (frame parsing, admission, cancellation) and a *pump* thread
 //! (streams progress and outcomes back). Submissions flow through the
-//! same bounded queue, scheduler and (optional) shard set as in-process
-//! callers — the wire layer adds transport, not semantics, which is how
-//! the loopback conformance suite can demand bit-identical selections
-//! through the socket.
+//! same bounded queue, scheduler and engine as in-process callers — the
+//! wire layer adds transport, not semantics, which is how the loopback
+//! conformance suite can demand bit-identical selections through the
+//! socket.
 //!
 //! Error discipline mirrors the serving layer: admission failures
 //! (backpressure, quota, expired deadline) come back as typed

@@ -5,8 +5,8 @@
 
 use prism_api::{Progress, SelectionOutcome, ServiceError};
 use prism_core::{
-    ComputePrecision, EngineTrace, PartialMode, Priority, PruneMode, RankedCandidate,
-    RequestOptions, Selection, SemCacheMode, SpillPrecision,
+    ComputePrecision, EngineTrace, Priority, PruneMode, RankedCandidate, RequestOptions, Selection,
+    SemCacheMode, SpillPrecision,
 };
 use prism_model::SequenceBatch;
 use prism_wire::{decode_message, encode_message, read_frame, write_frame, Message, WireError};
@@ -58,13 +58,8 @@ fn build_message(
             1 => SemCacheMode::VerifyAndFallback,
             _ => SemCacheMode::Aggressive,
         },
-        on_partial: if small.is_multiple_of(2) {
-            PartialMode::Fail
-        } else {
-            PartialMode::Partial
-        },
     };
-    let error = match small % 9 {
+    let error = match small % 8 {
         0 => ServiceError::Backpressure {
             capacity: small as usize,
             queue_depth: small as usize + 1,
@@ -78,8 +73,7 @@ fn build_message(
             tenant: text.to_string(),
             limit: small as usize,
         },
-        6 => ServiceError::ShardFailure(text.to_string()),
-        7 => ServiceError::Engine(text.to_string()),
+        6 => ServiceError::Engine(text.to_string()),
         _ => ServiceError::Config(text.to_string()),
     };
     match kind {
@@ -123,8 +117,6 @@ fn build_message(
                         })
                         .collect(),
                     last_scores: bits.iter().map(|&b| f32::from_bits(b)).collect(),
-                    // Coverage must decode: keep it a valid fraction.
-                    coverage: (small % 101) as f32 / 100.0,
                     trace: EngineTrace {
                         active_per_layer: bits.iter().map(|&b| b as usize % 64).collect(),
                         executed_layers: small as usize % 12,

@@ -1,6 +1,6 @@
 //! Loopback conformance for the wire protocol: selections read off a
-//! real TCP socket must be bit-identical to direct engine calls (plain
-//! and sharded backends), faults and quota rejections must arrive as
+//! real TCP socket must be bit-identical to direct engine calls,
+//! faults and quota rejections must arrive as
 //! the same typed errors in-process callers see, cancellation and
 //! progress must flow both ways, and malformed frames must be answered
 //! with a typed connection-level error — never a hang, never a panic.
@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 
 use prism_api::{SelectionHandle, SelectionOutcome, SelectionService, ServiceError};
 use prism_core::{EngineOptions, PrismEngine, RequestOptions, Selection, SemCacheMode};
-use prism_metrics::MemoryMeter;
+use prism_metrics::{MemCategory, MemoryMeter};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism_serve::{drive_closed_loop, LoadSpec, PrismServer, ServeConfig, ShardFault};
+use prism_serve::{drive_closed_loop, LoadSpec, PrismServer, ServeConfig};
 use prism_storage::Container;
 use prism_wire::{
     read_frame, write_frame, Message, WireClient, WireError, WireServer, WIRE_VERSION,
@@ -50,15 +50,16 @@ fn engine(config: &ModelConfig, path: &std::path::Path) -> PrismEngine {
     engine_with(config, path, EngineOptions::default())
 }
 
-/// A shard engine: weights resident (the stepping API's requirement),
-/// embed cache off so shards share no hidden state.
-fn resident_engine(config: &ModelConfig, path: &std::path::Path) -> PrismEngine {
+/// An engine whose weight stream is throttled to 512 KB/s: about 20 ms
+/// per layer of the test model, so a request stays in flight long
+/// enough for a cancel, a second submission or a progress poll to race
+/// it.
+fn slow_engine(config: &ModelConfig, path: &std::path::Path) -> PrismEngine {
     engine_with(
         config,
         path,
         EngineOptions {
-            streaming: false,
-            embed_cache: false,
+            stream_throttle: Some(512 << 10),
             ..Default::default()
         },
     )
@@ -143,113 +144,23 @@ fn wire_selections_match_direct_engine_bit_for_bit() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The full stack — socket, frame codec, serving queue, scatter-gather
-/// over 3 shards — still produces bit-identical selections.
-#[test]
-fn wire_over_sharded_server_matches_single_engine() {
-    let (config, path) = fixture("sharded");
-    let requests = batches(&config, 4, 10);
-
-    let reference: Vec<Selection> = {
-        let eng = resident_engine(&config, &path);
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                eng.select_with(b, RequestOptions::tagged(K, i as u64 + 1))
-                    .unwrap()
-            })
-            .collect()
-    };
-
-    let server = PrismServer::start_sharded(
-        (0..3).map(|_| resident_engine(&config, &path)).collect(),
-        ServeConfig {
-            session_cache_capacity: 0,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let (wire, client) = wire_pair(server, "tenant");
-
-    for (i, (batch, reference)) in requests.iter().zip(&reference).enumerate() {
-        let outcome = client
-            .submit(batch.clone(), RequestOptions::tagged(K, i as u64 + 1))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(
-            exact_bits(&outcome.selection),
-            exact_bits(reference),
-            "request {i} diverged through the sharded wire path"
-        );
-    }
-
-    drop(client);
-    wire.shutdown();
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// A dead shard surfaces as a typed `ShardFailure` on the client's
-/// handle — the merge never hangs waiting for it.
-#[test]
-fn dead_shard_surfaces_typed_shard_failure_over_the_wire() {
-    let (config, path) = fixture("dead-shard");
-    let batch = batches(&config, 1, 12).pop().unwrap();
-
-    let server = PrismServer::start_sharded(
-        (0..2).map(|_| resident_engine(&config, &path)).collect(),
-        ServeConfig {
-            session_cache_capacity: 0,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    // The forward map must actually route work to the shard we kill.
-    let parts = server.shards().unwrap().partition(&batch);
-    assert!(
-        parts.iter().all(|p| !p.is_empty()),
-        "fixture batch must span both shards (got {parts:?})"
-    );
-    server.shards().unwrap().inject_fault(1, ShardFault::Dead);
-
-    let (wire, client) = wire_pair(server, "tenant");
-    let err = client
-        .submit(batch, RequestOptions::tagged(K, 1))
-        .unwrap()
-        .wait()
-        .unwrap_err();
-    assert!(
-        matches!(err, ServiceError::ShardFailure(_)),
-        "expected ShardFailure, got {err:?}"
-    );
-
-    drop(client);
-    wire.shutdown();
-    std::fs::remove_file(&path).unwrap();
-}
-
 /// `handle.cancel()` on the client travels as a `Cancel` frame and is
-/// observed at the next layer boundary of the scatter loop.
+/// observed in the queue or at the next layer boundary of the pass.
 #[test]
 fn cancel_over_the_wire_returns_cancelled() {
     let (config, path) = fixture("cancel");
     let batch = batches(&config, 1, 10).pop().unwrap();
 
-    let server = PrismServer::start_sharded(
-        (0..2).map(|_| resident_engine(&config, &path)).collect(),
+    // A slow weight stream, so the Cancel frame wins the race to a
+    // layer boundary.
+    let server = PrismServer::start(
+        slow_engine(&config, &path),
         ServeConfig {
             session_cache_capacity: 0,
             ..Default::default()
         },
     )
     .unwrap();
-    // Slow the scatter down so the Cancel frame wins the race to a
-    // layer boundary.
-    server
-        .shards()
-        .unwrap()
-        .inject_fault(0, ShardFault::Slow(Duration::from_millis(25)));
 
     let (wire, client) = wire_pair(server, "tenant");
     let handle = client.submit(batch, RequestOptions::tagged(K, 1)).unwrap();
@@ -275,8 +186,11 @@ fn quota_rejection_travels_typed() {
     let second = reqs.pop().unwrap();
     let first = reqs.pop().unwrap();
 
-    let server = PrismServer::start_sharded(
-        (0..2).map(|_| resident_engine(&config, &path)).collect(),
+    // A slow weight stream holds the first request in flight long
+    // enough for the second submission to arrive while the quota slot
+    // is taken.
+    let server = PrismServer::start(
+        slow_engine(&config, &path),
         ServeConfig {
             session_cache_capacity: 0,
             tenant_max_inflight: 1,
@@ -284,12 +198,6 @@ fn quota_rejection_travels_typed() {
         },
     )
     .unwrap();
-    // Hold the first request in flight long enough for the second
-    // submission to arrive while the quota slot is taken.
-    server
-        .shards()
-        .unwrap()
-        .inject_fault(0, ShardFault::Slow(Duration::from_millis(30)));
 
     let (wire, client) = wire_pair(server, "noisy");
     let held = client.submit(first, RequestOptions::tagged(K, 1)).unwrap();
@@ -321,18 +229,14 @@ fn progress_streams_over_the_wire() {
     let (config, path) = fixture("progress");
     let batch = batches(&config, 1, 10).pop().unwrap();
 
-    let server = PrismServer::start_sharded(
-        (0..2).map(|_| resident_engine(&config, &path)).collect(),
+    let server = PrismServer::start(
+        slow_engine(&config, &path),
         ServeConfig {
             session_cache_capacity: 0,
             ..Default::default()
         },
     )
     .unwrap();
-    server
-        .shards()
-        .unwrap()
-        .inject_fault(0, ShardFault::Slow(Duration::from_millis(20)));
 
     let (wire, client) = wire_pair(server, "tenant");
     let handle = client.submit(batch, RequestOptions::tagged(K, 1)).unwrap();
@@ -455,10 +359,12 @@ fn ping_and_malformed_frames_get_typed_answers() {
 }
 
 /// Nightly soak: hundreds of requests from concurrent clients through
-/// one loopback wire server over a sharded backend, with pings and
+/// one loopback wire server over a spilling engine, with pings and
 /// cancels interleaved. Every completed selection must stay
-/// bit-identical to the direct single engine and every connection must
-/// survive the whole run.
+/// bit-identical to a direct engine call, every connection must survive
+/// the whole run, and after the drain the engine's private spill
+/// directory must be empty and its hidden-state and intermediate meters
+/// zero.
 #[test]
 #[ignore = "loopback soak: run explicitly (nightly CI, release)"]
 fn wire_loopback_soak_stays_bit_identical() {
@@ -466,9 +372,18 @@ fn wire_loopback_soak_stays_bit_identical() {
     const PER_CLIENT: usize = 100;
     const DISTINCT: usize = 16;
     let (config, path) = fixture("soak");
+    let mut spill_dir = std::env::temp_dir();
+    spill_dir.push(format!("prism-wire-it-soak-spill-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    // Ten candidates in chunks of two: two of five chunks spill.
+    let spill_options = EngineOptions {
+        hidden_offload: true,
+        chunk_candidates: Some(2),
+        ..Default::default()
+    };
     let batch_set = batches(&config, DISTINCT, 10);
     let reference: Vec<_> = {
-        let eng = engine(&config, &path);
+        let eng = engine_with(&config, &path, spill_options.clone());
         batch_set
             .iter()
             .enumerate()
@@ -481,12 +396,17 @@ fn wire_loopback_soak_stays_bit_identical() {
             .collect()
     };
 
-    let engines = vec![
-        resident_engine(&config, &path),
-        resident_engine(&config, &path),
-    ];
-    let server = PrismServer::start_sharded(
-        engines,
+    let meter = MemoryMeter::new();
+    let engine = PrismEngine::new(
+        Container::open(&path).unwrap(),
+        config.clone(),
+        spill_options,
+        meter.clone(),
+    )
+    .unwrap()
+    .with_spill_dir(spill_dir.clone());
+    let server = PrismServer::start(
+        engine,
         ServeConfig {
             session_cache_capacity: 0,
             ..Default::default()
@@ -536,6 +456,15 @@ fn wire_loopback_soak_stays_bit_identical() {
     });
 
     wire.shutdown();
+    let leftover: Vec<_> = std::fs::read_dir(&spill_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(leftover.is_empty(), "leaked spill files {leftover:?}");
+    for category in [MemCategory::HiddenStates, MemCategory::Intermediate] {
+        assert_eq!(meter.current(category), 0, "leaked {category:?} bytes");
+    }
+    std::fs::remove_dir_all(&spill_dir).ok();
     std::fs::remove_file(&path).ok();
 }
 
@@ -695,8 +624,10 @@ fn one_load_spec_is_the_same_traffic_in_process_and_over_the_wire() {
 #[test]
 fn select_with_retry_absorbs_backpressure() {
     let (config, path) = fixture("retry-bp");
-    let server = PrismServer::start_sharded(
-        (0..2).map(|_| resident_engine(&config, &path)).collect(),
+    // A slow weight stream keeps the single worker busy long enough for
+    // the queue to back up behind it.
+    let server = PrismServer::start(
+        slow_engine(&config, &path),
         ServeConfig {
             workers: 1,
             queue_capacity: 1,
@@ -707,15 +638,6 @@ fn select_with_retry_absorbs_backpressure() {
     )
     .unwrap();
     let batch = batches(&config, 1, 10).pop().unwrap();
-    // Every layer boundary of both shards stalls, keeping the single
-    // worker busy long enough for the queue to back up behind it
-    // (whichever shard the batch routes to).
-    for shard in 0..2 {
-        server
-            .shards()
-            .unwrap()
-            .inject_fault(shard, ShardFault::Slow(Duration::from_millis(10)));
-    }
 
     let (wire, client) = wire_pair(server, "tenant");
     let reference = client

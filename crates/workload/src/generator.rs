@@ -220,9 +220,8 @@ impl WorkloadGenerator {
 
     /// Deterministic tenant label for request `index` among `tenants`
     /// distinct tenants, with harmonically skewed popularity (tenant
-    /// `t` submits with weight `1/(t+1)`), so per-tenant quota and
-    /// shard-fairness tests get a hot tenant whose limit actually
-    /// binds. Pure function of `(seed, index, tenants)`.
+    /// `t` submits with weight `1/(t+1)`), so per-tenant quota tests get
+    /// a hot tenant whose limit actually binds. Pure function of `(seed, index, tenants)`.
     pub fn tenant(&self, index: u64, tenants: usize) -> String {
         let tenants = tenants.max(1);
         let mut rng = StdRng::seed_from_u64(

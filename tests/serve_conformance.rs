@@ -18,7 +18,7 @@ use prism::api::{SelectionService, ServiceError};
 use prism::core::{EngineOptions, PrismEngine, RequestOptions, Selection, SpillPrecision};
 use prism::metrics::MemoryMeter;
 use prism::model::{Model, ModelArch, ModelConfig, SequenceBatch};
-use prism::serve::{PrismServer, ServeConfig, ShardSet};
+use prism::serve::{PrismServer, ServeConfig};
 use prism::storage::Container;
 use prism::workload::{dataset_by_name, WorkloadGenerator};
 use serde::Serialize;
@@ -363,8 +363,7 @@ fn serving_is_bit_identical_in_both_spill_precisions() {
 /// carries a half-step error of ~1.2e-3 at the state level, and the
 /// int8-spill regime applies its rowq round-trip to **every** chunk at
 /// each of the six layers (uniformly — resident chunks included — so
-/// that result bits cannot depend on physical chunk layout, the property
-/// the cross-shard conformance suite relies on). Per-mille score
+/// that result bits cannot depend on physical chunk layout). Per-mille score
 /// agreement is therefore not physically reachable at 8 bits. Measured
 /// max drift on this corpus is 4.3e-2; the assertion pins 6e-2 so a
 /// codec regression (e.g. a lost rounding bit) still fails loudly while
@@ -539,193 +538,6 @@ fn expired_deadline_rejected_at_admission() {
     assert_eq!(snap.deadline_rejected, 1);
     assert_eq!(snap.submitted, 0, "rejected request was never admitted");
     server.shutdown();
-    std::fs::remove_file(&path).unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard conformance: scatter-gather over N engine shards must be
-// bit-identical to the single-engine result. The shards run with local
-// pruning off and layer weights resident; the coordinator's global gate
-// replays the single engine's routing with the same seed derivation, so
-// any divergence here means the sharded path broke the paper's selection
-// semantics.
-// ---------------------------------------------------------------------------
-
-/// A shard engine: the full model resident (the stepping API's
-/// requirement), embed cache off so shards share no hidden state.
-fn resident_engine(config: &ModelConfig, path: &std::path::Path) -> std::sync::Arc<PrismEngine> {
-    std::sync::Arc::new(
-        PrismEngine::new(
-            Container::open(path).unwrap(),
-            config.clone(),
-            EngineOptions {
-                streaming: false,
-                embed_cache: false,
-                ..Default::default()
-            },
-            MemoryMeter::new(),
-        )
-        .unwrap(),
-    )
-}
-
-fn shard_set(config: &ModelConfig, path: &std::path::Path, shards: usize) -> ShardSet {
-    ShardSet::new((0..shards).map(|_| resident_engine(config, path)).collect()).unwrap()
-}
-
-/// Scatter-gather selection across shard counts {1, 2, 3, 5} is
-/// bit-identical to the sequential single-engine reference (which runs
-/// the default streamed configuration — residency must not change bits).
-#[test]
-fn sharded_selection_is_bit_identical_across_shard_counts() {
-    let (config, path, batches) = fixture("sharded");
-    let reference = reference_selections(&config, &path, &batches);
-    for shards in [1_usize, 2, 3, 5] {
-        let set = shard_set(&config, &path, shards);
-        for (i, batch) in batches.iter().enumerate() {
-            let sel = set
-                .select_with(batch, RequestOptions::tagged(K, i as u64 + 1))
-                .unwrap();
-            assert_eq!(
-                exact_bits(&sel),
-                exact_bits(&reference[i]),
-                "request {i} diverged at {shards} shards"
-            );
-        }
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// Sharded selection with hidden-state offload active on every shard, in
-/// both spill precisions, stays bit-identical to the single-engine
-/// offload reference.
-#[test]
-fn sharded_selection_is_bit_identical_in_both_spill_precisions() {
-    let (config, path, batches) = fixture("sharded-spill");
-    let shard_offload = |_: usize| {
-        std::sync::Arc::new(
-            PrismEngine::new(
-                Container::open(&path).unwrap(),
-                config.clone(),
-                EngineOptions {
-                    streaming: false,
-                    embed_cache: false,
-                    hidden_offload: true,
-                    chunk_candidates: Some(2),
-                    ..Default::default()
-                },
-                MemoryMeter::new(),
-            )
-            .unwrap(),
-        )
-    };
-    for precision in [SpillPrecision::Int8, SpillPrecision::F32] {
-        let opts =
-            |i: usize| RequestOptions::tagged(K, i as u64 + 1).with_spill_precision(precision);
-        let eng = offload_engine(&config, &path);
-        let reference: Vec<Selection> = batches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| eng.select_with(b, opts(i)).unwrap())
-            .collect();
-        for shards in [2_usize, 3] {
-            let set = ShardSet::new((0..shards).map(shard_offload).collect()).unwrap();
-            for (i, batch) in batches.iter().enumerate() {
-                let sel = set.select_with(batch, opts(i)).unwrap();
-                assert_eq!(
-                    exact_bits(&sel),
-                    exact_bits(&reference[i]),
-                    "request {i} diverged ({precision:?}, {shards} shards)"
-                );
-            }
-        }
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// Sharded selection under the int8 compute path matches a single int8
-/// engine bit-for-bit (integer GEMM is deterministic and per-candidate,
-/// so scatter must not perturb it).
-#[test]
-fn sharded_selection_is_bit_identical_in_int8_compute() {
-    use prism::core::ComputePrecision;
-    let (config, path, batches) = fixture("sharded-int8");
-    let opts = |i: usize| {
-        RequestOptions::tagged(K, i as u64 + 1).with_compute_precision(ComputePrecision::Int8)
-    };
-    let eng = resident_engine(&config, &path);
-    let reference: Vec<Selection> = batches
-        .iter()
-        .enumerate()
-        .map(|(i, b)| eng.select_with(b, opts(i)).unwrap())
-        .collect();
-    for shards in [2_usize, 5] {
-        let set = shard_set(&config, &path, shards);
-        for (i, batch) in batches.iter().enumerate() {
-            let sel = set.select_with(batch, opts(i)).unwrap();
-            assert_eq!(
-                exact_bits(&sel),
-                exact_bits(&reference[i]),
-                "request {i} diverged (int8 compute, {shards} shards)"
-            );
-        }
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// The *served* sharded path — queue → scheduler → coalesced batch →
-/// scatter-gather worker — stays bit-identical to the sequential
-/// reference at every coalescing size 1..=8, mirroring the unsharded
-/// serving-parity guarantee one layer further out.
-#[test]
-fn sharded_server_is_bit_identical_across_batch_sizes() {
-    let (config, path, batches) = fixture("sharded-server");
-    let reference = reference_selections(&config, &path, &batches);
-    for max_batch in 1..=NUM_REQUESTS {
-        let server = PrismServer::start_sharded(
-            (0..2)
-                .map(|_| {
-                    PrismEngine::new(
-                        Container::open(&path).unwrap(),
-                        config.clone(),
-                        EngineOptions {
-                            streaming: false,
-                            embed_cache: false,
-                            ..Default::default()
-                        },
-                        MemoryMeter::new(),
-                    )
-                    .unwrap()
-                })
-                .collect(),
-            ServeConfig {
-                workers: 1,
-                max_batch_requests: max_batch,
-                session_cache_capacity: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let handles: Vec<_> = batches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                server
-                    .service("tenant")
-                    .submit(b.clone(), RequestOptions::tagged(K, i as u64 + 1))
-                    .unwrap()
-            })
-            .collect();
-        for (i, handle) in handles.into_iter().enumerate() {
-            let resp = handle.wait().unwrap();
-            assert_eq!(
-                exact_bits(&resp.selection),
-                exact_bits(&reference[i]),
-                "request {i} diverged at coalescing size {max_batch}"
-            );
-        }
-        server.shutdown();
-    }
     std::fs::remove_file(&path).unwrap();
 }
 

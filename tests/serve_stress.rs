@@ -378,8 +378,7 @@ mod edge_traces {
 
     /// Session-cache counters, pinned: with one client the order is
     /// fixed, so every run counts the same selection hits, embedding hits
-    /// and misses — unsharded, and sharded, where the server replays no
-    /// embeddings. The triples were recorded when a serving simulator
+    /// and misses. The triples were recorded when a serving simulator
     /// still cross-checked them; they are a bit-exact witness for cache
     /// and queue refactors and must never be edited to make this test
     /// pass. Under a 200 ms window every selection hit is also answered
@@ -399,23 +398,10 @@ mod edge_traces {
         };
         let counters =
             |s: &ServeStatsSnapshot| (s.cache_selection_hits, s.cache_embed_hits, s.cache_misses);
-        let resident = || {
-            PrismEngine::new(
-                Container::open(&path).unwrap(),
-                config.clone(),
-                EngineOptions {
-                    streaming: false,
-                    embed_cache: false,
-                    ..Default::default()
-                },
-                MemoryMeter::new(),
-            )
-            .unwrap()
-        };
         let window = Duration::from_millis(200);
-        // (selection hits, embed hits, misses) of [unsharded, sharded].
-        let default_window = [(8, 0, 16), (8, 0, 16)];
-        let patient_window = [(8, 0, 16), (8, 0, 16)];
+        // (selection hits, embed hits, misses).
+        let default_window = (8, 0, 16);
+        let patient_window = (8, 0, 16);
         for (serve, pinned) in [
             (ServeConfig::default(), default_window),
             (
@@ -428,33 +414,25 @@ mod edge_traces {
             ),
         ] {
             let patient = serve.max_batch_wait == window;
-            let servers = [
-                PrismServer::start(engine(&config, &path), serve.clone()).unwrap(),
-                PrismServer::start_sharded(vec![resident(), resident()], serve.clone()).unwrap(),
-            ];
-            for (server, pinned) in servers.into_iter().zip(pinned) {
-                let sharded = server.shards().is_some();
-                let measured = run_closed_loop(&server, &spec);
-                // The queue times of the `hits` fastest requests, as the
-                // server's histogram bounds them (within 2x, from above).
-                let hits = measured.server_stats().cache_selection_hits;
-                let queued = &server.stats().queued_us;
-                let fastest_hits_bound =
-                    queued.quantile((hits as f64 - 0.5) / queued.count() as f64);
-                server.shutdown();
-                let label = format!("sharded: {sharded}, window {:?}", serve.max_batch_wait);
-                assert_eq!(counters(measured.server_stats()), pinned, "{label}");
-                if patient {
-                    let window_us = window.as_micros() as u64;
-                    // One client: every request that needs a pass waits
-                    // the whole window alone, so the `hits` fastest
-                    // requests are the selection hits, and they must not
-                    // have waited it.
-                    assert!(
-                        fastest_hits_bound < window_us,
-                        "{label}: {fastest_hits_bound}"
-                    );
-                }
+            let server = PrismServer::start(engine(&config, &path), serve.clone()).unwrap();
+            let measured = run_closed_loop(&server, &spec);
+            // The queue times of the `hits` fastest requests, as the
+            // server's histogram bounds them (within 2x, from above).
+            let hits = measured.server_stats().cache_selection_hits;
+            let queued = &server.stats().queued_us;
+            let fastest_hits_bound = queued.quantile((hits as f64 - 0.5) / queued.count() as f64);
+            server.shutdown();
+            let label = format!("window {:?}", serve.max_batch_wait);
+            assert_eq!(counters(measured.server_stats()), pinned, "{label}");
+            if patient {
+                let window_us = window.as_micros() as u64;
+                // One client: every request that needs a pass waits the
+                // whole window alone, so the `hits` fastest requests are
+                // the selection hits, and they must not have waited it.
+                assert!(
+                    fastest_hits_bound < window_us,
+                    "{label}: {fastest_hits_bound}"
+                );
             }
         }
         std::fs::remove_file(&path).unwrap();
