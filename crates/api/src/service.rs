@@ -59,16 +59,18 @@ pub fn admission_deadline(
 }
 
 /// The admission rules every in-process backend applies, in order: a
-/// request no engine can serve (an empty batch, `k = 0`) fails with the
-/// engine's own typed error before it costs an embed or a cache entry,
-/// then the deadline rule ([`admission_deadline`]) resolves its absolute
-/// deadline.
+/// request `engine` cannot serve (an empty batch, `k = 0`, a sequence
+/// longer than `max_seq`) fails with the engine's own typed error
+/// ([`PrismEngine::validate_request`]) before it costs an embed or a
+/// cache entry, then the deadline rule ([`admission_deadline`]) resolves
+/// its absolute deadline.
 pub fn admit(
+    engine: &PrismEngine,
     batch: &SequenceBatch,
     options: &RequestOptions,
     now: Instant,
 ) -> Result<Option<Instant>, ServiceError> {
-    options.validate(batch.num_sequences())?;
+    engine.validate_request(batch, options)?;
     admission_deadline(options, now)
 }
 
@@ -104,7 +106,7 @@ impl SelectionService for LocalService {
         options: RequestOptions,
     ) -> Result<SelectionHandle, ServiceError> {
         let submitted = Instant::now();
-        let deadline = admit(&batch, &options, submitted)?;
+        let deadline = admit(&self.engine, &batch, &options, submitted)?;
         let ticket = self.ticket.fetch_add(1, Ordering::Relaxed) + 1;
         let (handle, completion) = SelectionHandle::channel(ticket, deadline);
         let engine = Arc::clone(&self.engine);

@@ -251,8 +251,8 @@ impl RequestOptions {
     }
 
     /// Rejects a request no engine can serve: a batch of zero
-    /// `candidates`, or `k = 0`. The one copy of this rule: the engine's
-    /// planner applies it, and so does every service at admission.
+    /// `candidates`, or `k = 0`. The one copy of this rule; it is part of
+    /// [`PrismEngine::validate_request`].
     pub fn validate(&self, candidates: usize) -> Result<()> {
         if candidates == 0 {
             return Err(PrismError::InvalidRequest("empty batch".into()));
@@ -733,6 +733,23 @@ impl PrismEngine {
         self.plan_request_with_embed(batch, options, None)
     }
 
+    /// Rejects a request this engine cannot serve: one the options rule
+    /// out ([`RequestOptions::validate`]: an empty batch, `k = 0`) or a
+    /// sequence longer than the model's `max_seq`. The planner applies
+    /// it, and so does every service at admission, before a request
+    /// costs an embed or a cache entry.
+    pub fn validate_request(&self, batch: &SequenceBatch, options: &RequestOptions) -> Result<()> {
+        options.validate(batch.num_sequences())?;
+        if batch.max_seq_len() > self.config.max_seq {
+            return Err(PrismError::InvalidRequest(format!(
+                "sequence of {} tokens exceeds model max_seq {}",
+                batch.max_seq_len(),
+                self.config.max_seq
+            )));
+        }
+        Ok(())
+    }
+
     /// [`PrismEngine::plan_request`] with an optional precomputed
     /// embedding (`[total_tokens, hidden_dim]`, as returned by
     /// [`PrismEngine::embed_batch`]). Embedding is a pure function of the
@@ -745,14 +762,7 @@ impl PrismEngine {
         embed: Option<&Tensor>,
     ) -> Result<ActiveRequest> {
         let n = batch.num_sequences();
-        options.validate(n)?;
-        if batch.max_seq_len() > self.config.max_seq {
-            return Err(PrismError::InvalidRequest(format!(
-                "sequence of {} tokens exceeds model max_seq {}",
-                batch.max_seq_len(),
-                self.config.max_seq
-            )));
-        }
+        self.validate_request(batch, &options)?;
         let tag = options
             .tag
             .unwrap_or_else(|| self.request_counter.fetch_add(1, Ordering::Relaxed) + 1);
@@ -1087,8 +1097,8 @@ impl PrismEngine {
     /// Forwards every chunk through one layer and scores it at the
     /// boundary, returning `(original_id, score)` pairs in chunk order.
     ///
-    /// Resident (non-spilled) chunks run in parallel across a scoped
-    /// thread pool — each worker owns one [`ForwardScratch`] — while the
+    /// Resident (non-spilled) chunks run on [`PrismEngine::chunk_workers`]
+    /// workers — each owns one [`ForwardScratch`] — while the
     /// spill window runs the paper's three-stage overlap: while chunk *i*
     /// computes, chunk *i+1* prefetches on the pipeline's reader lane and
     /// chunk *i-1*'s write-back drains on the writer lane, keeping at
@@ -1118,7 +1128,7 @@ impl PrismEngine {
             .max(1);
         let max_rows = chunks.iter().map(Chunk::rows).max().unwrap_or(0);
         let workers = self.chunk_workers(chunks, max_rows);
-        while pool.len() < workers.max(1) {
+        while pool.len() < workers {
             pool.push(ForwardScratch::new(&self.config, max_rows));
         }
         let mut chunk_scores: Vec<Option<Vec<f32>>> = (0..chunks.len()).map(|_| None).collect();
@@ -1269,8 +1279,9 @@ impl PrismEngine {
         Ok(out)
     }
 
-    /// Runs the resident (non-spilled) chunks of one layer, in parallel
-    /// when the per-layer work justifies the thread fan-out.
+    /// Runs the resident (non-spilled) chunks of one layer on `workers`
+    /// workers: inline on the calling thread for one, scoped threads for
+    /// more.
     #[allow(clippy::too_many_arguments)] // internal driver: shapes + pools
     fn forward_resident_chunks(
         &self,
@@ -1293,7 +1304,7 @@ impl PrismEngine {
         let forward_start = Instant::now();
         // Each live worker holds one scratch sized for the largest chunk;
         // that product is the true concurrent intermediate footprint.
-        let inter = workers.max(1) as u64 * intermediate_bytes(&self.config, max_rows, max_seq);
+        let inter = workers as u64 * intermediate_bytes(&self.config, max_rows, max_seq);
         self.meter.alloc(MemCategory::Intermediate, inter);
         let forward_one = |hidden: &mut Tensor,
                            ranges: &[(usize, usize)],
@@ -1339,13 +1350,19 @@ impl PrismEngine {
         result
     }
 
-    /// How many workers the resident chunks of this request justify: one
-    /// unless there are several chunks *and* enough per-layer work for the
-    /// thread fan-out to beat its own overhead.
+    /// How many workers the resident chunks of one layer fan out to: the
+    /// fan-out rule every matrix product obeys
+    /// ([`prism_tensor::ops::num_threads_for`]), asked with the largest
+    /// chunk's per-layer multiply-accumulates, and never more workers
+    /// than resident chunks. Below [`prism_tensor::ops::PAR_FLOP_THRESHOLD`]
+    /// the chunks forward inline on the calling thread with one
+    /// workspace. A mini chunk's forward (2-3 M MACs) takes 250-400 us on
+    /// two vCPUs; a second worker costs a two-thread scope (54-95 us) and
+    /// a second [`ForwardScratch`], and wins back a few per cent of
+    /// latency only on passes that are compute-bound. The calling
+    /// thread's `limit_gemm_threads` cap bounds the workers as it bounds
+    /// a GEMM.
     fn chunk_workers(&self, chunks: &[Chunk], max_rows: usize) -> usize {
-        /// Per-chunk multiply-accumulate work below which spawning scoped
-        /// threads costs more than it saves.
-        const PAR_MAC_THRESHOLD: usize = 1 << 19;
         let resident = chunks
             .iter()
             .filter(|c| c.spill_slot.is_none() && c.hidden.is_some())
@@ -1353,13 +1370,9 @@ impl PrismEngine {
         let d = self.config.hidden_dim;
         let f = self.config.ffn_dim;
         let macs = max_rows * d * (4 * d + 3 * f);
-        if resident < 2 || macs < PAR_MAC_THRESHOLD {
-            return 1;
-        }
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
+        prism_tensor::ops::num_threads_for(macs)
             .min(resident)
-            .min(8)
+            .max(1)
     }
 
     /// Gets layer `layer_idx` for the span of one forward — the one

@@ -27,7 +27,11 @@ struct Fixture {
 
 impl Fixture {
     fn new(arch: ModelArch, layers: usize, tag: &str) -> Fixture {
-        let config = ModelConfig::test_config(arch, layers);
+        Fixture::with_config(ModelConfig::test_config(arch, layers), tag)
+    }
+
+    fn with_config(config: ModelConfig, tag: &str) -> Fixture {
+        let layers = config.num_layers;
         let model = Model::generate(config, 42).unwrap();
         let mut path = std::env::temp_dir();
         path.push(format!(
@@ -144,6 +148,71 @@ fn all_memory_techniques_are_bit_exact() {
             assert!((a - b).abs() < 1e-5, "{name}: scores diverged ({a} vs {b})");
         }
     }
+}
+
+/// One chunked selection's peak `Intermediate` charge in workspaces of
+/// its largest chunk, checked bit for bit against the same request with
+/// chunking off. Every candidate is `len` tokens and chunks hold two
+/// candidates, so the largest chunk is `2 * len` rows.
+fn chunk_workspaces(config: ModelConfig, candidates: usize, len: usize, tag: &str) -> u64 {
+    let fx = Fixture::with_config(config, tag);
+    let config = &fx.model.config;
+    let sequences: Vec<Vec<u32>> = (0..candidates)
+        .map(|c| {
+            (0..len)
+                .map(|t| ((c * 131 + t * 17) % config.vocab_size) as u32)
+                .collect()
+        })
+        .collect();
+    let batch = SequenceBatch::new(&sequences).unwrap();
+    let chunked = fx.engine(EngineOptions {
+        chunk_candidates: Some(2),
+        ..Default::default()
+    });
+    let got = chunked.select_top_k(&batch, 2).unwrap();
+    let whole = fx.engine(EngineOptions {
+        chunking: false,
+        ..Default::default()
+    });
+    let reference = whole.select_top_k(&batch, 2).unwrap();
+    assert_eq!(got.top_ids(), reference.top_ids());
+    let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.last_scores), bits(&reference.last_scores));
+    let peak = chunked
+        .meter()
+        .peak(prism_metrics::MemCategory::Intermediate);
+    let workspace = prism_model::layer::intermediate_bytes(config, 2 * len, len);
+    assert_eq!(
+        peak % workspace,
+        0,
+        "peak {peak} B, workspace {workspace} B"
+    );
+    peak / workspace
+}
+
+/// A layer's chunks fan out by the rule every GEMM obeys: per-chunk work
+/// of at least `PAR_FLOP_THRESHOLD` multiply-accumulates. A mini chunk
+/// (128 rows x 10 k MACs a row, about 1.3 M) forwards inline with one
+/// workspace; a hidden-256 chunk (32 rows x 655 k, about 21 M) keeps one
+/// worker, and one workspace, per core up to its two chunks.
+#[test]
+fn chunks_fan_out_only_above_the_gemm_threshold() {
+    let mini = ModelConfig::qwen3_0_6b().mini_twin();
+    assert_eq!(chunk_workspaces(mini, 4, 64, "fanout-mini"), 1);
+
+    let wide = ModelConfig {
+        name: "Qwen3-Reranker-0.6B-wide".into(),
+        hidden_dim: 256,
+        num_heads: 8,
+        ffn_dim: 512,
+        num_layers: 8,
+        ..ModelConfig::qwen3_0_6b().mini_twin()
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        chunk_workspaces(wide, 4, 16, "fanout-wide"),
+        cores.min(2) as u64
+    );
 }
 
 #[test]

@@ -138,7 +138,7 @@ impl ServerShared {
         now: Instant,
     ) -> Result<(u64, Option<Instant>), ServiceError> {
         // One admission rule for every backend (prism-api owns it).
-        let deadline = prism_api::admit(batch, options, now).inspect_err(|e| {
+        let deadline = prism_api::admit(&self.engine, batch, options, now).inspect_err(|e| {
             if matches!(e, ServiceError::DeadlineExceeded) {
                 self.stats.deadline_rejected.inc();
             }

@@ -207,7 +207,7 @@ fn shutdown_answers_accepted_requests() {
 fn invalid_requests_fail_without_poisoning_the_batch() {
     let (config, path) = fixture("invalid");
     let good = batches(&config, 1, 6).pop().unwrap();
-    // A sequence longer than max_seq is rejected at plan time.
+    // A sequence longer than max_seq.
     let bad = SequenceBatch::new(&[vec![1_u32; config.max_seq + 1]]).unwrap();
     let server = PrismServer::start(
         engine(&config, &path),
@@ -219,27 +219,35 @@ fn invalid_requests_fail_without_poisoning_the_batch() {
     )
     .unwrap();
     let service = server.service("t");
-    // An empty batch and `k = 0` fail at admission with the engine's own
-    // typed error, before the probe: no cache counter moves, so nothing
-    // was embedded, memoized or evicted on their behalf.
+    // An empty batch, `k = 0` and a sequence longer than max_seq fail at
+    // admission with the engine's own typed error, before the probe: no
+    // cache counter moves, so nothing was embedded, memoized or evicted
+    // on their behalf. The oversized batch goes in twice from the one
+    // session and meets the same error both times.
     let empty = SequenceBatch::new(&[]).unwrap();
+    let mut errors = Vec::new();
     for (batch, options) in [
         (empty, RequestOptions::top_k(1)),
         (good.clone(), RequestOptions::top_k(0)),
+        (bad.clone(), RequestOptions::top_k(1)),
+        (bad, RequestOptions::top_k(1)),
     ] {
-        let err = service.select(batch, options).unwrap_err();
+        let Err(err) = service.submit(batch, options) else {
+            panic!("admission accepted a request the engine cannot serve");
+        };
         assert!(
             matches!(&err, ServiceError::Engine(msg) if msg.starts_with("invalid request")),
             "{err:?}"
         );
+        errors.push(err.to_string());
     }
+    assert!(errors[2].contains("max_seq"), "{}", errors[2]);
+    assert_eq!(errors[2], errors[3]);
     let snap = server.stats().snapshot();
     assert_eq!((snap.cache_misses, snap.cache_embed_hits), (0, 0));
     assert_eq!(snap.deadline_rejected, 0, "not a deadline rejection");
-    let h_bad = service.submit(bad, RequestOptions::top_k(1)).unwrap();
     let h_good = service.submit(good, RequestOptions::top_k(2)).unwrap();
-    assert!(h_bad.wait().is_err(), "oversized sequence must error");
-    assert!(h_good.wait().is_ok(), "batch-mate must still succeed");
+    assert!(h_good.wait().is_ok(), "a valid request must still succeed");
     server.shutdown();
     std::fs::remove_file(&path).unwrap();
 }

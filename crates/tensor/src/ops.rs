@@ -2,9 +2,15 @@
 //!
 //! Kernels accept and return [`Tensor`]s; anything shape-dependent is
 //! validated up front and reported through [`TensorError`]. Matrix products
-//! switch to row-parallel execution above a FLOP threshold using scoped
-//! threads, which is the only concurrency in this crate; a caller that
-//! already runs one worker per core caps it with [`limit_gemm_threads`].
+//! switch to row-parallel execution on scoped threads, the only
+//! concurrency in this crate, when their work reaches
+//! [`PAR_FLOP_THRESHOLD`] multiply-accumulates. That decision is
+//! [`num_threads_for`], the one fan-out rule: the engine asks it too
+//! before it spreads a layer's chunks over workers, since below the
+//! threshold a thread scope (54-95 us to spawn and join two threads on
+//! two vCPUs) costs a sizeable share of the work it would split. A caller
+//! that already runs one worker per core caps both with
+//! [`limit_gemm_threads`].
 //!
 //! # GEMM architecture
 //!
@@ -23,10 +29,11 @@
 
 use crate::{Result, Tensor, TensorError};
 
-/// Work threshold (in multiply-accumulate ops) above which matmul kernels
-/// fan out across threads. Tuned so mini-model layers stay single-threaded
-/// (they are cache-resident and tiny) while monolithic batches parallelize.
-pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 22;
+/// Work threshold (in multiply-accumulate ops) at which a unit of work
+/// fans out across threads: a matrix product here, a layer's chunks in
+/// the engine. Tuned so mini-model layers stay single-threaded (they are
+/// cache-resident and tiny) while monolithic batches parallelize.
+pub const PAR_FLOP_THRESHOLD: usize = 1 << 22;
 
 thread_local! {
     /// Most threads a matrix product issued from this thread fans out to
@@ -34,8 +41,9 @@ thread_local! {
     static GEMM_THREADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Caps every matrix product the calling thread issues from now on at
-/// `threads` threads (at least one). For a worker that shares the cores
+/// Caps every matrix product the calling thread issues from now on,
+/// and every fan-out it asks [`num_threads_for`] about, at `threads`
+/// threads (at least one). For a worker that shares the cores
 /// with sibling workers: if each of them fanned out to every core again,
 /// workers x cores threads would compete for the cores and the
 /// scheduler's pick among them would become the latency. Results do not
@@ -122,8 +130,12 @@ pub fn simd_tier() -> SimdTier {
     }
 }
 
-/// Threads a matrix product of `work` multiply-accumulates fans out to.
-pub(crate) fn num_threads_for(work: usize) -> usize {
+/// Threads a unit of `work` multiply-accumulates fans out to, issued
+/// from the calling thread: one below [`PAR_FLOP_THRESHOLD`], else one
+/// per core up to eight and the thread's [`limit_gemm_threads`] cap. The
+/// one fan-out rule: matrix products and the engine's chunk workers both
+/// ask it.
+pub fn num_threads_for(work: usize) -> usize {
     if work < PAR_FLOP_THRESHOLD {
         return 1;
     }

@@ -100,7 +100,10 @@ impl WorkloadGenerator {
         // separability; band populations follow the profile's ground-truth
         // density.
         let sep = self.profile.separability;
-        let n_rel = sample_count(&mut rng, self.profile.relevant_per_request, num_candidates);
+        // `sample_count` returns at least one, so zero candidates must
+        // clamp here or the band sizes below underflow.
+        let n_rel = sample_count(&mut rng, self.profile.relevant_per_request, num_candidates)
+            .min(num_candidates);
         let n_mid = ((num_candidates - n_rel) / 2)
             .max(1)
             .min(num_candidates - n_rel);
@@ -312,6 +315,19 @@ mod tests {
             assert!(c.tokens.starts_with(&r.query));
             assert!(c.tokens.iter().all(|&t| (t as usize) < 2048));
         }
+    }
+
+    #[test]
+    fn zero_and_one_candidate_requests_are_well_formed() {
+        let g = generator("msmarco");
+        let empty = g.request(0, 0);
+        assert!(empty.candidates.is_empty());
+        assert!(empty.relevant.is_empty());
+        assert!(!empty.query.is_empty());
+        let one = g.request(0, 1);
+        assert_eq!(one.candidates.len(), 1);
+        assert!(one.candidates[0].tokens.starts_with(&one.query));
+        assert!(one.relevant.len() <= 1);
     }
 
     #[test]
