@@ -33,16 +33,6 @@ pub enum ServiceError {
     /// The worker or thread serving this request disappeared before
     /// producing an outcome.
     Disconnected,
-    /// The tenant exceeded its in-flight quota; finish or cancel an
-    /// outstanding request before submitting more. Unlike
-    /// [`ServiceError::Backpressure`] this is per-tenant, so one noisy
-    /// session cannot convert the shared queue's headroom into its own.
-    QuotaExceeded {
-        /// Tenant (session) the quota applies to.
-        tenant: String,
-        /// The configured in-flight ceiling that was hit.
-        limit: usize,
-    },
     /// The engine rejected or failed the request.
     Engine(String),
     /// Invalid service configuration.
@@ -65,9 +55,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Cancelled => write!(f, "request cancelled"),
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::Disconnected => write!(f, "worker disconnected before replying"),
-            ServiceError::QuotaExceeded { tenant, limit } => {
-                write!(f, "tenant {tenant:?} is at its in-flight quota ({limit})")
-            }
             ServiceError::Engine(e) => write!(f, "engine: {e}"),
             ServiceError::Config(e) => write!(f, "config: {e}"),
         }

@@ -24,15 +24,16 @@
 //!   [`CancelToken`] the engine checks at every
 //!   layer boundary, releasing spill files and hidden-state bytes at the
 //!   cancellation point rather than at the end of the pass.
-//! * **Deadlines and priorities** ride on
-//!   [`RequestOptions`] (`deadline_us`,
-//!   `priority`), honored by the serving scheduler's priority-then-EDF
-//!   policy and enforced mid-flight by the engine.
+//! * **Deadlines** ride on [`RequestOptions`] (`deadline_us`): checked
+//!   at admission, shed from the serving queue when they pass there, and
+//!   enforced mid-flight by the engine at every layer boundary.
 //! * **Progress events**: layer-granularity [`Progress`] (layers gated /
 //!   forwarded, candidates pruned so far) without polling the engine.
 //! * **One error hierarchy** ([`ServiceError`]): typed
 //!   `DeadlineExceeded` / `Cancelled` / `Backpressure { retry_after }`
-//!   across backends, all `std::error::Error`.
+//!   across backends, all `std::error::Error`. The service never retries
+//!   on a caller's behalf: a backpressured caller reads the hint and
+//!   decides.
 //!
 //! Results are bit-identical across backends for the same batch,
 //! options and tag — the conformance property the serving layer already
@@ -40,16 +41,14 @@
 
 mod error;
 mod handle;
-mod retry;
 mod service;
 
 pub use error::ServiceError;
 pub use handle::{Completion, Progress, SelectionHandle, SelectionOutcome};
-pub use retry::{is_retryable, RetryPolicy, RetrySchedule};
 pub use service::{admission_deadline, admit, LocalService, SelectionService};
 
 // Re-exported so facade users need only this crate plus a batch type.
-pub use prism_core::{CancelToken, ComputePrecision, Priority, RequestOptions, SpillPrecision};
+pub use prism_core::{CancelToken, ComputePrecision, RequestOptions, SpillPrecision};
 
 /// Result alias for facade operations.
 pub type Result<T> = std::result::Result<T, ServiceError>;

@@ -14,8 +14,8 @@ use crate::handle::{Completion, SelectionHandle, SelectionOutcome};
 /// One facade over every way to run a selection.
 ///
 /// Implemented by [`LocalService`] (a thread over a shared
-/// [`PrismEngine`]) and by `prism-serve`'s `RemoteService` (the batched
-/// multi-tenant server), so applications, examples and CLI commands
+/// [`PrismEngine`]) and by `prism-serve`'s `RemoteService` (the batching
+/// server), so applications, examples and CLI commands
 /// program against a single submit → [`SelectionHandle`] surface and
 /// pick the backend at construction time. Same batch, options and tag
 /// produce bit-identical selections on every backend.

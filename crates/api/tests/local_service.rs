@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use prism_api::{LocalService, Priority, RequestOptions, SelectionService, ServiceError};
+use prism_api::{LocalService, RequestOptions, SelectionService, ServiceError};
 use prism_core::{EngineOptions, PrismEngine};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
@@ -142,8 +142,8 @@ fn expired_deadline_rejected_at_admission() {
 }
 
 #[test]
-fn generous_deadline_and_priority_do_not_change_results() {
-    let (config, path) = fixture("prio");
+fn generous_deadline_does_not_change_results() {
+    let (config, path) = fixture("generous");
     let reference = engine(&config, &path);
     let service = LocalService::new(engine(&config, &path));
     let batch = batches(&config, 1).remove(0);
@@ -153,15 +153,13 @@ fn generous_deadline_and_priority_do_not_change_results() {
     let outcome = service
         .select(
             batch,
-            RequestOptions::tagged(3, 5)
-                .with_priority(Priority::High)
-                .with_deadline_us(60_000_000),
+            RequestOptions::tagged(3, 5).with_deadline_us(60_000_000),
         )
         .unwrap();
     assert_eq!(
         outcome.selection.top_ids(),
         direct.top_ids(),
-        "priority/deadline are scheduling hints, never result inputs"
+        "a deadline bounds when, never what"
     );
     std::fs::remove_file(&path).unwrap();
 }

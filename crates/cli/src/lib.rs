@@ -21,32 +21,30 @@
 //!
 //! scheduling flags:
 //!     [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
-//!     [--cache-sessions N] [--starvation-ms N] [--tenant-quota N]
+//!     [--cache-sessions N]
 //!     The `ServeConfig` of the server. `--wait-us N`
 //!     (default 2000) is how long a request that needs a weight pass
 //!     waits for company, counted from its submission; a cache answer
-//!     leaves at pickup and never waits. `--tenant-quota N` caps
-//!     in-flight requests per tenant session.
+//!     leaves at pickup and never waits.
 //!
 //! load flags:
 //!     [--requests N] [--clients N] [--candidates N] [--k N]
 //!     [--dataset wikipedia] [--seed N] [--sessions N] [--repeat N]
-//!     [--priority high|normal|bulk] [--deadline-ms N] [--high-frac F]
+//!     [--deadline-ms N]
 //!     [--spill int8|f32] [--compute f32|int8]
 //!     [--semcache off|verify|aggressive] [--dup-frac F]
 //!     One closed-loop synthetic workload (`prism_serve::LoadSpec`), the
 //!     same traffic whichever verb drives it: `--clients` threads send
 //!     `--requests` requests cycling `--sessions` sessions, each session
-//!     moving to a fresh corpus every `--repeat` requests. `--priority`
-//!     sets the scheduling class, `--deadline-ms` attaches a per-request
-//!     deadline, and `--high-frac F` promotes one request in every
-//!     `round(1/F)` to High priority (per-class percentiles are
-//!     reported). `--semcache` stamps the semantic-cache mode on every
+//!     moving to a fresh corpus every `--repeat` requests.
+//!     `--deadline-ms` attaches a per-request deadline (a request that
+//!     misses it counts as an error). `--semcache` stamps the
+//!     semantic-cache mode on every
 //!     request (any mode but `off` also pins requests to full depth, the
 //!     replay soundness requirement) and `--dup-frac F` draws one request
 //!     in every `round(1/F)` from a cross-session duplicate corpus pool,
-//!     the overlap the semantic cache exists to exploit. Both fractions
-//!     space evenly, so any F above 0.5 means every request.
+//!     the overlap the semantic cache exists to exploit. The fraction
+//!     spaces evenly, so any F above 0.5 means every request.
 //!     `--requests`, `--clients`, `--candidates` and `--k` need at least 1.
 //!
 //! prsm serve <container.prsm> --model <name> [--scale mini|test]
@@ -54,7 +52,7 @@
 //!     [--offload on|off] [--listen ADDR]
 //!     Start the serving front-end over a container, drive the load
 //!     through it, and print latency percentiles plus queue/batch/cache
-//!     telemetry, client retries and quarantined spill slots. `--throttle`
+//!     telemetry and quarantined spill slots. `--throttle`
 //!     caps weight-streaming bandwidth to emulate a device SSD (default
 //!     0 = native); `--offload on` spills hidden states, where `--spill`
 //!     becomes observable. `--listen ADDR` additionally binds the
@@ -78,8 +76,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prism_core::{
-    ComputePrecision, EngineOptions, Priority, PrismEngine, RequestOptions, SemCacheMode,
-    SpillPrecision,
+    ComputePrecision, EngineOptions, PrismEngine, RequestOptions, SemCacheMode, SpillPrecision,
 };
 use prism_device::{
     simulate_hf, simulate_hf_offload, simulate_hf_quant, simulate_prism, BatchShape, DeviceSpec,
@@ -103,8 +100,6 @@ const SCHEDULING_FLAGS: &[&str] = &[
     "batch-tokens",
     "wait-us",
     "cache-sessions",
-    "starvation-ms",
-    "tenant-quota",
 ];
 
 /// The flags [`load_spec_from`] reads.
@@ -117,9 +112,7 @@ const LOAD_FLAGS: &[&str] = &[
     "seed",
     "sessions",
     "repeat",
-    "priority",
     "deadline-ms",
-    "high-frac",
     "spill",
     "compute",
     "semcache",
@@ -494,10 +487,7 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
     };
     let dataset = p.flag("dataset").unwrap_or("wikipedia");
     dataset_by_name(dataset).ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-    // `--deadline-ms` puts a deadline on every generated request, the
-    // `--high-frac` share promoted to High priority included.
     let deadline_ms: u64 = p.flag_parse("deadline-ms", 0)?;
-    let deadline_us = (deadline_ms > 0).then_some(deadline_ms * 1_000);
     Ok(LoadSpec {
         requests: at_least_one("requests", defaults.requests)?,
         clients: at_least_one("clients", defaults.clients)?,
@@ -506,19 +496,9 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
         seed: p.flag_parse("seed", defaults.seed)?,
         sessions: p.flag_parse("sessions", defaults.sessions)?,
         corpus_repeat: p.flag_parse("repeat", defaults.corpus_repeat)?,
-        high_fraction: p.flag_parse("high-frac", 0.0_f64)?,
-        high_deadline_us: deadline_us,
         dup_fraction: p.flag_parse("dup-frac", 0.0_f64)?,
         options: RequestOptions {
-            priority: p.choice(
-                "priority",
-                &[
-                    ("normal", Priority::Normal),
-                    ("high", Priority::High),
-                    ("bulk", Priority::Bulk),
-                ],
-            )?,
-            deadline_us,
+            deadline_us: (deadline_ms > 0).then_some(deadline_ms * 1_000),
             spill_precision: p.choice(
                 "spill",
                 &[("int8", SpillPrecision::Int8), ("f32", SpillPrecision::F32)],
@@ -548,12 +528,8 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
 fn write_load_report(out: &mut String, report: &LoadReport) {
     let _ = writeln!(
         out,
-        "completed {} requests in {:.3} s -> {:.1} req/s ({} errors, {} backpressure retries)",
-        report.completed,
-        report.elapsed_s,
-        report.throughput_rps,
-        report.errors,
-        report.backpressure_retries
+        "completed {} requests in {:.3} s -> {:.1} req/s ({} errors)",
+        report.completed, report.elapsed_s, report.throughput_rps, report.errors
     );
     let _ = writeln!(
         out,
@@ -563,13 +539,12 @@ fn write_load_report(out: &mut String, report: &LoadReport) {
     if let Some(s) = &report.stats {
         let _ = writeln!(
             out,
-            "queue depth peak {}; {} batches (mean {:.2} requests / {:.0} tokens); {} backpressure, {} quota rejections",
+            "queue depth peak {}; {} batches (mean {:.2} requests / {:.0} tokens); {} backpressure rejections",
             s.queue_depth_peak,
             s.batches,
             s.batch_size.mean,
             s.batch_tokens.mean,
-            s.rejected,
-            s.quota_rejected
+            s.rejected
         );
         let _ = writeln!(
             out,
@@ -595,24 +570,17 @@ fn write_load_report(out: &mut String, report: &LoadReport) {
                 }
             );
         }
-        if s.cancelled + s.deadline_rejected + s.deadline_missed + s.priority_inversions > 0 {
+        if s.cancelled + s.deadline_rejected + s.deadline_missed > 0 {
             let _ = writeln!(
                 out,
-                "lifecycle: {} cancelled, {} deadline-rejected, {} deadline-missed, {} priority inversions",
-                s.cancelled, s.deadline_rejected, s.deadline_missed, s.priority_inversions
+                "lifecycle: {} cancelled, {} deadline-rejected, {} deadline-missed",
+                s.cancelled, s.deadline_rejected, s.deadline_missed
             );
         }
         let _ = writeln!(
             out,
-            "recovery: {} retried, {} spill slots quarantined",
-            s.retried, s.slots_quarantined
-        );
-    }
-    for c in &report.classes {
-        let _ = writeln!(
-            out,
-            "  class {:<6} {:>4} ok / {:>3} err  p50 {:>7} us  p95 {:>7} us  p99 {:>7} us",
-            c.label, c.completed, c.errors, c.p50_us, c.p95_us, c.p99_us
+            "recovery: {} spill slots quarantined",
+            s.slots_quarantined
         );
     }
 }
@@ -623,13 +591,6 @@ fn serve_config_from(p: &Parsed<'_>) -> Result<ServeConfig, String> {
     let max_batch_wait = std::time::Duration::from_micros(
         p.flag_parse("wait-us", serve_defaults.max_batch_wait.as_micros() as u64)?,
     );
-    // The starvation bound must sit at or above the batch wait
-    // (`ServeConfig::validate`); follow a raised `--wait-us` unless
-    // `--starvation-ms` pins it explicitly.
-    let starvation_age = match p.flag("starvation-ms") {
-        Some(_) => std::time::Duration::from_millis(p.flag_parse("starvation-ms", 0_u64)?),
-        None => serve_defaults.starvation_age.max(max_batch_wait),
-    };
     Ok(ServeConfig {
         workers: p.flag_parse("workers", serve_defaults.workers)?,
         max_batch_requests: p.flag_parse("batch", serve_defaults.max_batch_requests)?,
@@ -637,8 +598,6 @@ fn serve_config_from(p: &Parsed<'_>) -> Result<ServeConfig, String> {
         max_batch_wait,
         session_cache_capacity: p
             .flag_parse("cache-sessions", serve_defaults.session_cache_capacity)?,
-        starvation_age,
-        tenant_max_inflight: p.flag_parse("tenant-quota", serve_defaults.tenant_max_inflight)?,
         ..serve_defaults
     })
 }
@@ -685,13 +644,6 @@ fn serve(p: &Parsed<'_>) -> Result<String, String> {
         serve_config.max_batch_tokens,
         serve_config.max_batch_wait.as_micros()
     );
-    if serve_config.tenant_max_inflight > 0 {
-        let _ = writeln!(
-            out,
-            "tenant quota: <= {} in-flight requests per session",
-            serve_config.tenant_max_inflight
-        );
-    }
     let _ = writeln!(
         out,
         "load: {} requests x {} candidates (top-{}), {} clients, {} sessions, corpus repeat {}",
@@ -993,8 +945,8 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_priority_and_deadline_flags() {
-        let dense = container("serve-prio", "5");
+    fn serve_with_a_deadline_flag() {
+        let dense = container("serve-deadline", "5");
         let out = bge(
             &["serve", &dense],
             &[
@@ -1006,22 +958,13 @@ mod tests {
                 "6",
                 "--k",
                 "2",
-                "--priority",
-                "bulk",
                 "--deadline-ms",
                 "30000",
-                "--high-frac",
-                "0.2",
             ],
         )
         .unwrap();
         assert!(out.contains("completed 10 requests"), "{out}");
-        assert!(out.contains("class high"), "{out}");
-        assert!(out.contains("class bulk"), "{out}");
-        assert!(
-            bge(&["serve", &dense], &["--priority", "urgent",]).is_err(),
-            "unknown priority must be rejected"
-        );
+        assert!(out.contains("(0 errors)"), "{out}");
         std::fs::remove_file(&dense).unwrap();
     }
 
@@ -1064,15 +1007,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_over_the_wire_with_a_tenant_quota() {
+    fn serve_over_the_wire() {
         let dense = container("serve-wire", "13");
         // Wire mode: bind the TCP front-end and drive out-of-process
-        // clients through it, with a per-tenant quota configured.
+        // clients through it.
         let out = bge(
             &["serve", &dense],
             &[
-                "--tenant-quota",
-                "4",
                 "--listen",
                 "127.0.0.1:0",
                 "--requests",
@@ -1088,10 +1029,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("wire: listening on 127.0.0.1:"), "{out}");
         assert!(out.contains("ping RTT"), "{out}");
-        assert!(out.contains("tenant quota: <= 4"), "{out}");
         assert!(out.contains("completed 8 requests"), "{out}");
-        assert!(out.contains("quota rejections"), "{out}");
-        assert!(out.contains("recovery: 0 retried"), "{out}");
+        assert!(out.contains("backpressure rejections"), "{out}");
+        assert!(out.contains("recovery: 0 spill slots quarantined"), "{out}");
         std::fs::remove_file(&dense).unwrap();
     }
 

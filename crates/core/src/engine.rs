@@ -48,7 +48,7 @@ use prism_tensor::Tensor;
 use serde::Serialize;
 
 use crate::control::{CancelToken, ProgressFn};
-use crate::options::{ComputePrecision, EngineOptions, Priority, PruneMode, SemCacheMode};
+use crate::options::{ComputePrecision, EngineOptions, PruneMode, SemCacheMode};
 use crate::scatter::ScatterGate;
 use crate::{PrismError, Result};
 
@@ -135,7 +135,7 @@ impl Selection {
 ///
 /// `k` is mandatory; the remaining fields optionally override the
 /// engine-level [`EngineOptions`] knobs that only influence *routing* (not
-/// execution strategy), which lets a multi-tenant server honour per-request
+/// execution strategy), which lets a server honour per-request
 /// pruning preferences without rebuilding the engine. `tag` pins the
 /// request's routing-RNG stream: two selections with the same batch,
 /// options and tag produce bit-identical results regardless of what else
@@ -154,10 +154,6 @@ pub struct RequestOptions {
     pub mode: Option<PruneMode>,
     /// Override of [`EngineOptions::pruning`].
     pub pruning: Option<bool>,
-    /// Scheduling class: consumed by the serving layer's priority-aware
-    /// batch planner, ignored by direct engine calls. Never influences
-    /// the computed selection.
-    pub priority: Priority,
     /// Relative deadline budget in microseconds, measured from
     /// submission. The serving layer rejects requests whose deadline has
     /// already passed at admission and sheds them from the queue when it
@@ -197,7 +193,6 @@ impl RequestOptions {
             dispersion_threshold: None,
             mode: None,
             pruning: None,
-            priority: Priority::Normal,
             deadline_us: None,
             spill_precision: SpillPrecision::default(),
             compute_precision: ComputePrecision::default(),
@@ -211,12 +206,6 @@ impl RequestOptions {
             tag: Some(tag),
             ..RequestOptions::top_k(k)
         }
-    }
-
-    /// Returns a copy with the given scheduling class.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
     }
 
     /// Returns a copy with a relative deadline budget.
@@ -1700,7 +1689,6 @@ mod sync_tests {
         let o = RequestOptions::top_k(5);
         assert_eq!(o.k, 5);
         assert!(o.tag.is_none() && o.dispersion_threshold.is_none());
-        assert_eq!(o.priority, Priority::Normal);
         assert!(o.deadline_us.is_none());
         assert_eq!(o.spill_precision, SpillPrecision::Int8);
         assert_eq!(
@@ -1711,22 +1699,13 @@ mod sync_tests {
         let t = RequestOptions::tagged(3, 42);
         assert_eq!(t.tag, Some(42));
         let p = RequestOptions::top_k(2)
-            .with_priority(Priority::High)
             .with_deadline_us(5_000)
             .with_dispersion_threshold(0.4)
             .with_compute_precision(ComputePrecision::Int8)
             .with_spill_precision(SpillPrecision::F32);
-        assert_eq!(p.priority, Priority::High);
         assert_eq!(p.deadline_us, Some(5_000));
         assert_eq!(p.dispersion_threshold, Some(0.4));
         assert_eq!(p.compute_precision, ComputePrecision::Int8);
         assert_eq!(p.spill_precision, SpillPrecision::F32);
-    }
-
-    #[test]
-    fn priority_orders_urgency() {
-        assert!(Priority::High > Priority::Normal);
-        assert!(Priority::Normal > Priority::Bulk);
-        assert_eq!(Priority::default(), Priority::Normal);
     }
 }

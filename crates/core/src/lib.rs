@@ -38,7 +38,7 @@ pub use engine::{
     ActiveRequest, EngineTrace, PrismEngine, RankedCandidate, RequestOptions, RequestSpec,
     Selection,
 };
-pub use options::{ComputePrecision, EngineOptions, Priority, PruneMode, SemCacheMode};
+pub use options::{ComputePrecision, EngineOptions, PruneMode, SemCacheMode};
 pub use routing::{route_candidates, RouteDecision};
 pub use scatter::rank_full_scores;
 // Re-exported so serving/API layers can thread the spill-precision knob

@@ -14,24 +14,6 @@ pub enum PruneMode {
     ExactOrder,
 }
 
-/// Scheduling class of a request (used by the serving layer's
-/// priority-then-EDF batch planner; ignored by direct engine calls).
-///
-/// Ordered: `Bulk < Normal < High`, so `Ord` comparisons pick the more
-/// urgent class. Priority never influences *what* a selection computes —
-/// only *when* a multi-tenant scheduler runs it — so it is deliberately
-/// excluded from result-cache keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
-pub enum Priority {
-    /// Throughput-oriented background work; may wait for coalescing.
-    Bulk,
-    /// Interactive default.
-    #[default]
-    Normal,
-    /// Latency-critical: jumps ahead of `Normal`/`Bulk` work.
-    High,
-}
-
 /// Numeric precision of the per-layer forward computation.
 ///
 /// [`ComputePrecision::F32`] (default) runs the f32 GEMM kernels.
@@ -63,7 +45,7 @@ pub enum ComputePrecision {
 /// sound. Pruned requests bypass the cache entirely.
 ///
 /// Like [`ComputePrecision`], this knob changes *what may be reused*,
-/// so it participates in result-cache keys (unlike [`Priority`]).
+/// so it participates in result-cache keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum SemCacheMode {
     /// Never probe or populate the cache (the exact path).

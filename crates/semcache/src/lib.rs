@@ -5,7 +5,7 @@
 //! `SessionCache`) only ever replays a *whole selection* back to the
 //! session that computed it. This crate sits one level deeper, between
 //! that cache and the engine, and reuses *per-candidate* work across
-//! requests, sessions and tenants:
+//! requests and sessions:
 //!
 //! * an **exact tier** keyed by an FNV-1a [`fingerprint`] of the
 //!   candidate's full token sequence plus its precision profile — a

@@ -32,21 +32,9 @@ pub struct ServeConfig {
     pub max_batch_wait: Duration,
     /// Sessions retained by the LRU session cache; `0` disables caching.
     pub session_cache_capacity: usize,
-    /// Queue age past which a request outranks every priority class —
-    /// the anti-starvation guard keeping bulk work alive under sustained
-    /// high-priority load.
-    pub starvation_age: Duration,
-    /// `true` schedules priority-then-EDF (with the starvation guard);
-    /// `false` keeps the historical pure-FIFO planner.
-    pub priority_scheduling: bool,
-    /// Per-tenant in-flight request ceiling (`0` disables quotas). A
-    /// tenant is a session key; past the ceiling its submissions are
-    /// rejected with the typed quota error so one noisy session cannot
-    /// convert the shared queue's headroom into its own.
-    pub tenant_max_inflight: usize,
     /// Byte budget of the semantic result cache (`prism-semcache`), the
-    /// cross-request candidate-score cache shared by every session and
-    /// tenant; `0` disables it. Even when allocated, the cache only
+    /// cross-request candidate-score cache shared by every session;
+    /// `0` disables it. Even when allocated, the cache only
     /// engages on requests that opt in via
     /// [`prism_core::SemCacheMode`] *and* run at full depth (effective
     /// pruning off).
@@ -62,9 +50,6 @@ impl Default for ServeConfig {
             max_batch_tokens: 4096,
             max_batch_wait: Duration::from_millis(2),
             session_cache_capacity: 64,
-            starvation_age: Duration::from_millis(50),
-            priority_scheduling: true,
-            tenant_max_inflight: 0,
             semcache_capacity_bytes: 8 << 20,
         }
     }
@@ -78,8 +63,8 @@ impl ServeConfig {
     ///
     /// The scheduling knobs stay at `Default`'s constants (passes of 8
     /// requests, a 2 ms wait for company before a weight pass — cache
-    /// answers never wait it — a 50 ms starvation bound, 64 cached
-    /// sessions), so the token budget is the only device-specific part.
+    /// answers never wait it — 64 cached sessions), so the token budget
+    /// is the only device-specific part.
     pub fn for_device(config: &ModelConfig, device: &DeviceSpec, meter: &MemoryMeter) -> Self {
         let available = device
             .mem_capacity
@@ -126,11 +111,6 @@ impl ServeConfig {
         if self.max_batch_tokens == 0 {
             return Err(ServeError::Config("token budget must be >= 1".into()));
         }
-        if self.starvation_age < self.max_batch_wait {
-            return Err(ServeError::Config(
-                "starvation age must be >= the batch wait bound".into(),
-            ));
-        }
         Ok(())
     }
 
@@ -150,8 +130,6 @@ impl ServeConfig {
             max_requests: self.max_batch_requests,
             max_tokens: self.max_batch_tokens,
             max_wait_micros: self.max_batch_wait.as_micros() as u64,
-            starvation_age_micros: self.starvation_age.as_micros() as u64,
-            priority_aware: self.priority_scheduling,
         }
     }
 }
@@ -183,10 +161,6 @@ mod tests {
             },
             ServeConfig {
                 max_batch_tokens: 0,
-                ..Default::default()
-            },
-            ServeConfig {
-                starvation_age: Duration::from_micros(1),
                 ..Default::default()
             },
         ] {
@@ -238,7 +212,6 @@ mod tests {
             // device; only the token budget moves.
             assert_eq!(cfg.max_batch_requests, 8);
             assert_eq!(cfg.max_batch_wait, Duration::from_millis(2));
-            assert_eq!(cfg.starvation_age, Duration::from_millis(50));
             assert_eq!(cfg.session_cache_capacity, 64);
         }
     }
@@ -255,7 +228,5 @@ mod tests {
         assert_eq!(p.max_requests, 3);
         assert_eq!(p.max_tokens, 99);
         assert_eq!(p.max_wait_micros, 250);
-        assert_eq!(p.starvation_age_micros, 50_000);
-        assert!(p.priority_aware);
     }
 }

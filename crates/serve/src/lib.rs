@@ -1,5 +1,4 @@
-//! `prism-serve`: a concurrent, multi-tenant serving front-end over the
-//! PRISM engine.
+//! `prism-serve`: a concurrent serving front-end over the PRISM engine.
 //!
 //! The engine itself answers one selection per call; real deployments see
 //! *streams* of requests from many sessions. This crate turns the engine
@@ -14,9 +13,9 @@
 //!      │                    │   ├─ cache answer ───────────▶ answer() at pickup
 //!      │                    │   └─ needs a pass ─▶ coalescing window (shared)
 //!      │                                      │
-//!      │                                [BatchPlanner]       (priority → EDF → FIFO,
-//!      │                                      │ admissible   token budget, starvation
-//!      │                                      │ set          guard, max_batch_wait)
+//!      │                                [BatchPlanner]       (FIFO prefix under the
+//!      │                                      │ admissible   token budget and request
+//!      │                                      │ prefix       cap, max_batch_wait)
 //!      │                    run_pass: plan → run → semantic epilogue → memoize
 //!      │                    │
 //!      │              run = Arc<PrismEngine>::run_planned    (one engine, Sync; one
@@ -34,13 +33,14 @@
 //!   every arrival through the cache tiers; a cache answer leaves at
 //!   pickup, and only requests that still need a weight pass enter the
 //!   coalescing window.
-//! * **Priority scheduler** ([`scheduler`]): workers pop the maximal
-//!   admissible prefix of the window's priority-then-EDF order (FIFO
-//!   ties, aged requests boosted by the starvation guard) whose total
-//!   token count fits a budget derived from the device's memory spec;
-//!   an under-full pass waits for company at most the configured age
-//!   bound, counted from each request's enqueue, unless something
-//!   urgent is waiting. One streamed pass over the layer weights is then
+//! * **FIFO batch planner** ([`scheduler`]): workers pop the maximal
+//!   FIFO prefix of the window whose total token count fits a budget
+//!   derived from the device's memory spec; an under-full pass waits for
+//!   company at most the configured age bound, counted from each
+//!   request's enqueue, unless a request in it is due within that
+//!   bound. Deadlines only expire requests (at admission, in the queue,
+//!   at a layer boundary); they never reorder the window. One streamed
+//!   pass over the layer weights is then
 //!   shared by every request of the set
 //!   ([`prism_core::PrismEngine::select_batch`]), which is where the
 //!   throughput win over request-at-a-time serving comes from.
@@ -49,8 +49,7 @@
 //!   for exact repeats; hit/miss counters surface through [`ServeStats`].
 //! * **Semantic cache** ([`semantic`]): between the session cache and the
 //!   engine, a similarity-keyed cross-request cache (`prism-semcache`)
-//!   replays per-candidate full-depth scores across sessions and tenants
-//!   — exact token repeats always, near-duplicates under the
+//!   replays per-candidate full-depth scores across sessions — exact token repeats always, near-duplicates under the
 //!   [`prism_core::SemCacheMode::Aggressive`] knob — recomputing only the
 //!   novel tail of partially-hit requests.
 //! * **One way in** ([`PrismServer::service`] → [`RemoteService`]): the
@@ -60,8 +59,8 @@
 //!   `prism_api::Completion` and is answered through it exactly once.
 //! * **Conformance by construction**: per-request computation inside a
 //!   coalesced batch happens in exactly the single-request order, the
-//!   routing RNG is pinned by a per-request tag, and uniform-priority
-//!   queues schedule as a pure FIFO prefix — so serving results are
+//!   routing RNG is pinned by a per-request tag, and the window flushes
+//!   as a pure FIFO prefix — so serving results are
 //!   bit-identical to direct [`prism_core::PrismEngine::select_top_k`]
 //!   calls, the property `tests/serve_conformance.rs` locks in across
 //!   batch sizes and worker counts.
@@ -69,7 +68,6 @@
 pub mod config;
 pub mod load;
 pub mod queue;
-pub mod quota;
 pub mod request;
 pub mod scheduler;
 pub mod semantic;
@@ -78,8 +76,7 @@ pub mod session;
 pub mod stats;
 
 pub use config::ServeConfig;
-pub use load::{drive_closed_loop, run_closed_loop, ClassReport, LoadReport, LoadSpec};
-pub use quota::{QuotaToken, TenantQuota};
+pub use load::{drive_closed_loop, run_closed_loop, LoadReport, LoadSpec};
 pub use request::{ServeError, ServiceError};
 pub use scheduler::{BatchPlanner, PlanDecision, QueueItem};
 pub use semantic::SemanticLayer;

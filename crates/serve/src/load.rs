@@ -14,10 +14,10 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::convert::Infallible;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use prism_api::{RetryPolicy, SelectionService};
-use prism_core::{Priority, RequestOptions, SemCacheMode};
+use prism_api::SelectionService;
+use prism_core::{RequestOptions, SemCacheMode};
 use prism_metrics::exact_quantile;
 use prism_model::{ModelConfig, SequenceBatch};
 use prism_workload::{dataset_by_name, WorkloadGenerator};
@@ -45,25 +45,17 @@ pub struct LoadSpec {
     /// every request a fresh corpus (no cache reuse), `r > 1` lets the
     /// session cache serve `r - 1` of every `r` requests.
     pub corpus_repeat: usize,
-    /// Share of requests submitted as [`Priority::High`] instead of the
-    /// template's class (`0.0` = uniform load), spaced evenly: one
-    /// request every `round(1 / f)`, so any `f > 0.5` means every
-    /// request.
-    pub high_fraction: f64,
-    /// Relative deadline of every *high-priority* request, microseconds
-    /// (`None` = no deadline); base-class requests keep the template's.
-    pub high_deadline_us: Option<u64>,
     /// Share of requests drawn from a small *cross-session* shared
     /// corpus pool instead of the session's own stream (`0.0` = none),
-    /// spaced by the same rule as `high_fraction`. Duplicate requests
+    /// spaced evenly: one request every `round(1 / f)`, so any
+    /// `f > 0.5` means every request. Duplicate requests
     /// land in different sessions, so only a cross-request tier (the
     /// semantic cache) can serve them from memory; the per-session cache
     /// cannot.
     pub dup_fraction: f64,
-    /// Template stamped on every request: `k`, the base scheduling class
-    /// and deadline, spill and compute precision and semantic-cache mode.
-    /// `LoadSpec::request_at` sets the tag, the high-priority decoration
-    /// and the full-depth pin a semantic-cache mode implies.
+    /// Template stamped on every request: `k`, the deadline, spill and
+    /// compute precision and semantic-cache mode. `LoadSpec::request_at`
+    /// sets the tag and the full-depth pin a semantic-cache mode implies.
     pub options: RequestOptions,
 }
 
@@ -82,8 +74,6 @@ impl Default for LoadSpec {
             seed: 0xC0FFEE,
             sessions: 4,
             corpus_repeat: 1,
-            high_fraction: 0.0,
-            high_deadline_us: None,
             dup_fraction: 0.0,
             options: RequestOptions::top_k(4),
         }
@@ -97,8 +87,6 @@ struct LoadRequest {
     session: usize,
     /// Corpus id the workload generator expands into the candidates.
     corpus: u64,
-    /// Reported under the `"high"` class (vs `"bulk"`) in mixed runs.
-    high: bool,
     /// The options to submit, tagged by corpus.
     options: RequestOptions,
 }
@@ -109,22 +97,13 @@ fn corpus_tag(corpus: u64) -> u64 {
     corpus ^ 0x5E55_1011
 }
 
-/// Even spacing of a `fraction` of a stream: one index every
-/// `round(1 / fraction)`, so `0.25` picks 0, 4, 8, … and any fraction
-/// above 0.5 rounds to every index.
-fn spaced(fraction: f64, i: usize) -> bool {
-    fraction > 0.0 && i.is_multiple_of((1.0 / fraction).round().max(1.0) as usize)
-}
-
 impl LoadSpec {
-    /// Whether request `i` runs as [`Priority::High`].
-    pub fn is_high(&self, i: usize) -> bool {
-        spaced(self.high_fraction, i)
-    }
-
-    /// Whether request `i` draws from the cross-session duplicate pool.
+    /// Whether request `i` draws from the cross-session duplicate pool:
+    /// one index every `round(1 / dup_fraction)`, so `0.25` picks 0, 4,
+    /// 8, … and any fraction above 0.5 rounds to every index.
     pub fn is_dup(&self, i: usize) -> bool {
-        spaced(self.dup_fraction, i)
+        let f = self.dup_fraction;
+        f > 0.0 && i.is_multiple_of((1.0 / f).round().max(1.0) as usize)
     }
 
     /// Client threads actually used: at least one, at most one per
@@ -142,7 +121,7 @@ impl LoadSpec {
     }
 
     /// Request `i` of the stream — the one place an index becomes a
-    /// session, a corpus, a tag, a class and the options to submit.
+    /// session, a corpus, a tag and the options to submit.
     /// Requests of one session advance to a fresh corpus every
     /// `corpus_repeat` rounds and repeat it in between; duplicate-stream
     /// requests instead cycle a small pool shared by *all* sessions, so
@@ -155,7 +134,6 @@ impl LoadSpec {
         } else {
             (session as u64) << 32 | (i / sessions / self.corpus_repeat.max(1)) as u64
         };
-        let high = self.is_high(i);
         let mut options = self.options.clone();
         options.tag = Some(corpus_tag(corpus));
         if options.semcache != SemCacheMode::Off {
@@ -164,42 +142,17 @@ impl LoadSpec {
             // rather than silently not engaging.
             options.pruning = Some(false);
         }
-        if high {
-            options.priority = Priority::High;
-            options.deadline_us = self.high_deadline_us;
-        }
         LoadRequest {
             session,
             corpus,
-            high,
             options,
         }
     }
 }
 
-/// Latency summary of one scheduling class within a mixed run.
-#[derive(Debug, Clone, Serialize)]
-pub struct ClassReport {
-    /// `"high"` or `"bulk"` (the base class).
-    pub label: String,
-    /// Requests of the class that completed.
-    pub completed: usize,
-    /// Requests of the class that errored (deadline misses included).
-    pub errors: usize,
-    /// Mean latency, microseconds.
-    pub mean_us: f64,
-    /// Median latency, microseconds.
-    pub p50_us: u64,
-    /// 95th percentile latency, microseconds.
-    pub p95_us: u64,
-    /// 99th percentile latency, microseconds.
-    pub p99_us: u64,
-}
-
-/// One answered request: whether it ran in the high class, and its
-/// end-to-end latency in microseconds (`None` = it came back an error).
-/// The closed loop's client threads record these.
-type Sample = (bool, Option<u64>);
+/// One request's end-to-end latency in microseconds (`None` = it came
+/// back an error). The closed loop's client threads record these.
+type Sample = Option<u64>;
 
 /// Outcome of one serving run. Latency percentiles are exact
 /// (per-request samples, sorted).
@@ -207,11 +160,9 @@ type Sample = (bool, Option<u64>);
 pub struct LoadReport {
     /// Requests answered with a selection.
     pub completed: usize,
-    /// Requests that came back as errors.
+    /// Requests that came back as errors, a backpressure rejection
+    /// included.
     pub errors: usize,
-    /// Transient rejections (backpressure, and over the wire a dropped
-    /// connection) absorbed by retry.
-    pub backpressure_retries: u64,
     /// Wall-clock seconds the run took.
     pub elapsed_s: f64,
     /// Completed requests per second.
@@ -226,74 +177,36 @@ pub struct LoadReport {
     pub p99_us: u64,
     /// Worst request, microseconds.
     pub max_us: u64,
-    /// Per-class latency breakdown for mixed-priority runs (empty when
-    /// the run is uniform).
-    pub classes: Vec<ClassReport>,
     /// Server-side telemetry at the end of the run; `None` when the
     /// server is in another process (`prsm connect`).
     pub stats: Option<ServeStatsSnapshot>,
 }
 
 impl LoadReport {
-    /// The class summary with this label, if the run was mixed.
-    pub fn class(&self, label: &str) -> Option<&ClassReport> {
-        self.classes.iter().find(|c| c.label == label)
-    }
-
-    /// Folds raw samples into the report. `retries` counts transient
-    /// rejections absorbed on the way; `split_classes` adds the
-    /// high/bulk rows of a mixed run.
-    fn from_samples(
-        samples: &[Sample],
-        retries: u64,
-        elapsed_s: f64,
-        split_classes: bool,
-        stats: Option<ServeStatsSnapshot>,
-    ) -> LoadReport {
-        let row = |label: &str, only: Option<bool>| {
-            let class = samples
-                .iter()
-                .filter(|&&(high, _)| only.is_none_or(|c| c == high));
-            let mut latencies: Vec<u64> = class.clone().filter_map(|&(_, us)| us).collect();
-            latencies.sort_unstable();
-            let completed = latencies.len();
-            ClassReport {
-                label: label.to_string(),
-                completed,
-                errors: class.count() - completed,
-                mean_us: if completed == 0 {
-                    0.0
-                } else {
-                    latencies.iter().sum::<u64>() as f64 / completed as f64
-                },
-                p50_us: exact_quantile(&latencies, 0.50),
-                p95_us: exact_quantile(&latencies, 0.95),
-                p99_us: exact_quantile(&latencies, 0.99),
-            }
-        };
-        let all = row("all", None);
-        let classes = if split_classes {
-            vec![row("high", Some(true)), row("bulk", Some(false))]
-        } else {
-            Vec::new()
-        };
+    /// Folds raw samples into the report.
+    fn from_samples(samples: &[Sample], elapsed_s: f64) -> LoadReport {
+        let mut latencies: Vec<u64> = samples.iter().flatten().copied().collect();
+        latencies.sort_unstable();
+        let completed = latencies.len();
         LoadReport {
-            completed: all.completed,
-            errors: all.errors,
-            backpressure_retries: retries,
+            completed,
+            errors: samples.len() - completed,
             elapsed_s,
             throughput_rps: if elapsed_s > 0.0 {
-                all.completed as f64 / elapsed_s
+                completed as f64 / elapsed_s
             } else {
                 0.0
             },
-            mean_us: all.mean_us,
-            p50_us: all.p50_us,
-            p95_us: all.p95_us,
-            p99_us: all.p99_us,
-            max_us: samples.iter().filter_map(|&(_, us)| us).max().unwrap_or(0),
-            classes,
-            stats,
+            mean_us: if completed == 0 {
+                0.0
+            } else {
+                latencies.iter().sum::<u64>() as f64 / completed as f64
+            },
+            p50_us: exact_quantile(&latencies, 0.50),
+            p95_us: exact_quantile(&latencies, 0.95),
+            p99_us: exact_quantile(&latencies, 0.99),
+            max_us: latencies.last().copied().unwrap_or(0),
+            stats: None,
         }
     }
 
@@ -305,10 +218,8 @@ impl LoadReport {
             .expect("this run's server is in another process")
     }
 
-    /// Attaches the serving process's telemetry: the run's retries land
-    /// on the server's `retried` counter, then the snapshot is taken.
+    /// Attaches a snapshot of the serving process's telemetry.
     pub fn with_server_stats(mut self, stats: &ServeStats) -> LoadReport {
-        stats.retried.inc_by(self.backpressure_retries);
         self.stats = Some(stats.snapshot());
         self
     }
@@ -329,7 +240,8 @@ pub fn run_closed_loop(server: &PrismServer, spec: &LoadSpec) -> LoadReport {
 /// `session-{n}`) and runs its slice of the stream one request at a
 /// time. `model` shapes the generated workload and must match the
 /// served weights. A `connect` failure aborts the run; request failures
-/// are counted.
+/// — a backpressure rejection among them: nothing here retries — are
+/// counted.
 pub fn drive_closed_loop<S: SelectionService, E: Send>(
     model: &ModelConfig,
     spec: &LoadSpec,
@@ -338,25 +250,14 @@ pub fn drive_closed_loop<S: SelectionService, E: Send>(
     let generator = spec.generator(model);
     let clients = spec.client_count();
     let started = Instant::now();
-    let (mut samples, mut retries) = (Vec::with_capacity(spec.requests), 0_u64);
+    let mut samples = Vec::with_capacity(spec.requests);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let (generator, connect) = (&generator, &connect);
                 scope.spawn(move || {
-                    // Generous bounds: a closed-loop client should outwait
-                    // transient saturation, not convert it into errors — but
-                    // never spin unbounded against a wedged server. The
-                    // server's `retry_after` hint floors every sleep, and
-                    // per-client seeds decorrelate the herd. A schedule that
-                    // gives up counts as a client error.
-                    let retry_policy = RetryPolicy::default()
-                        .with_max_attempts(64)
-                        .with_backoff(Duration::from_micros(200), Duration::from_millis(50))
-                        .with_budget(Duration::from_secs(5))
-                        .with_seed(0xC11E_0000 ^ c as u64);
                     let mut backends: HashMap<usize, S> = HashMap::new();
-                    let (mut samples, mut retries) = (Vec::<Sample>::new(), 0_u64);
+                    let mut samples = Vec::<Sample>::new();
                     for i in (c..spec.requests).step_by(clients) {
                         let request = spec.request_at(i);
                         let service = match backends.entry(request.session) {
@@ -368,29 +269,21 @@ pub fn drive_closed_loop<S: SelectionService, E: Send>(
                         let corpus = generator.request(request.corpus, spec.candidates);
                         let batch = SequenceBatch::new(&corpus.sequences()).expect("load batch");
                         let t0 = Instant::now();
-                        let (outcome, retried) = retry_policy
-                            .run(|_| service.select(batch.clone(), request.options.clone()));
-                        retries += u64::from(retried);
-                        let latency = outcome.ok().map(|_| t0.elapsed().as_micros() as u64);
-                        samples.push((request.high, latency));
+                        let outcome = service.select(batch, request.options);
+                        samples.push(outcome.ok().map(|_| t0.elapsed().as_micros() as u64));
                     }
-                    Ok((samples, retries))
+                    Ok(samples)
                 })
             })
             .collect();
         for handle in handles {
-            let (client_samples, client_retries) = handle.join().expect("load client panicked")?;
-            samples.extend(client_samples);
-            retries += client_retries;
+            samples.extend(handle.join().expect("load client panicked")?);
         }
         Ok(())
     })?;
     Ok(LoadReport::from_samples(
         &samples,
-        retries,
         started.elapsed().as_secs_f64(),
-        spec.high_fraction > 0.0,
-        None,
     ))
 }
 
@@ -402,30 +295,8 @@ mod tests {
     fn default_spec_is_sane() {
         let s = LoadSpec::default();
         assert!(s.requests > 0 && s.clients > 0 && s.corpus_repeat >= 1);
-        assert_eq!(s.high_fraction, 0.0);
-        assert!(s.options.deadline_us.is_none() && s.high_deadline_us.is_none());
+        assert_eq!(s.dup_fraction, 0.0);
         assert_eq!(s.options, RequestOptions::top_k(4));
-    }
-
-    #[test]
-    fn high_fraction_spaces_requests_evenly() {
-        let spec = LoadSpec {
-            high_fraction: 0.1,
-            ..Default::default()
-        };
-        let high = (0..100).filter(|&i| spec.is_high(i)).count();
-        assert_eq!(high, 10, "10% of 100 requests");
-        assert!(spec.is_high(0) && spec.is_high(10) && !spec.is_high(5));
-        let uniform = LoadSpec::default();
-        assert!((0..100).all(|i| !uniform.is_high(i)));
-        // Spacing rounds 1/f: anything above one half is every request.
-        for f in [0.75, 1.0, 2.0] {
-            let all = LoadSpec {
-                high_fraction: f,
-                ..Default::default()
-            };
-            assert!((0..10).all(|i| all.is_high(i)), "{f}");
-        }
     }
 
     #[test]
@@ -458,28 +329,22 @@ mod tests {
     }
 
     #[test]
-    fn request_at_resolves_session_corpus_tag_and_class() {
+    fn request_at_resolves_session_corpus_and_tag() {
         let spec = LoadSpec {
             sessions: 2,
             corpus_repeat: 2,
             dup_fraction: 0.25,
-            high_fraction: 0.5,
-            high_deadline_us: Some(9),
-            options: RequestOptions::top_k(3)
-                .with_priority(Priority::Bulk)
-                .with_deadline_us(70),
+            options: RequestOptions::top_k(3).with_deadline_us(70),
             ..Default::default()
         };
-        // i=2: session 0, round 1 of repeat 2 -> still corpus 0; high.
+        // i=2: session 0, round 1 of repeat 2 -> still corpus 0.
         let r = spec.request_at(2);
-        assert_eq!((r.session, r.corpus, r.high), (0, 0, true));
+        assert_eq!((r.session, r.corpus), (0, 0));
         assert_eq!(r.options.tag, Some(corpus_tag(0)));
-        assert_eq!(r.options.priority, Priority::High);
-        assert_eq!(r.options.deadline_us, Some(9));
-        // i=5: session 1, round 2 -> corpus (1 << 32) | 1; base class.
+        assert_eq!(r.options.deadline_us, Some(70));
+        // i=5: session 1, round 2 -> corpus (1 << 32) | 1.
         let r = spec.request_at(5);
-        assert_eq!((r.session, r.corpus, r.high), (1, 1 << 32 | 1, false));
-        assert_eq!(r.options.priority, Priority::Bulk);
+        assert_eq!((r.session, r.corpus), (1, 1 << 32 | 1));
         assert_eq!(r.options.deadline_us, Some(70));
         assert_eq!(r.options.k, 3);
         // i=4, 12: duplicate pool, shared across sessions.
@@ -489,32 +354,17 @@ mod tests {
     }
 
     #[test]
-    fn class_report_math() {
-        let samples = [
-            (true, Some(30)),
-            (false, Some(10)),
-            (true, None),
-            (true, Some(20)),
-            (false, None),
-            (false, Some(300)),
-            (true, None),
-        ];
-        let mixed = LoadReport::from_samples(&samples, 5, 2.0, true, None);
-        assert_eq!((mixed.completed, mixed.errors), (4, 3));
-        assert_eq!((mixed.backpressure_retries, mixed.throughput_rps), (5, 2.0));
-        assert!((mixed.mean_us - 90.0).abs() < 1e-9);
-        assert_eq!((mixed.p50_us, mixed.max_us), (30, 300));
-        let high = mixed.class("high").unwrap();
-        assert_eq!((high.completed, high.errors, high.p50_us), (2, 2, 30));
-        assert!((high.mean_us - 25.0).abs() < 1e-9);
-        let bulk = mixed.class("bulk").unwrap();
-        assert_eq!((bulk.completed, bulk.errors, bulk.p99_us), (2, 1, 300));
+    fn report_math() {
+        let samples = [Some(30), Some(10), None, Some(20), None, Some(300), None];
+        let report = LoadReport::from_samples(&samples, 2.0);
+        assert_eq!((report.completed, report.errors), (4, 3));
+        assert_eq!(report.throughput_rps, 2.0);
+        assert!((report.mean_us - 90.0).abs() < 1e-9);
+        assert_eq!((report.p50_us, report.max_us), (30, 300));
 
-        let uniform = LoadReport::from_samples(&samples, 0, 0.0, false, None);
-        assert!(uniform.classes.is_empty(), "split only when asked");
-        assert_eq!(uniform.throughput_rps, 0.0, "zero elapsed guards division");
-        let empty = LoadReport::from_samples(&[], 0, 1.0, true, None);
+        let instant = LoadReport::from_samples(&samples, 0.0);
+        assert_eq!(instant.throughput_rps, 0.0, "zero elapsed guards division");
+        let empty = LoadReport::from_samples(&[], 1.0);
         assert_eq!((empty.completed, empty.p99_us, empty.max_us), (0, 0, 0));
-        assert_eq!(empty.class("bulk").unwrap().completed, 0);
     }
 }

@@ -13,9 +13,9 @@
 //! with backpressure when the queue is at capacity, counting arrivals,
 //! requests in their probe and the window alike. Workers prefer
 //! arrivals; with none, they block until the [`BatchPlanner`] flushes
-//! an admissible set of the window ([`Work::Pass`]), waiting out the age
-//! bound for an under-full one. Before every decision the queue *sheds*
-//! dead entries from both stages — requests whose caller cancelled and
+//! the window's admissible FIFO prefix ([`Work::Pass`]), waiting out
+//! the age bound for an under-full one. Before every decision the queue
+//! *sheds* dead entries from both stages — requests whose caller cancelled and
 //! requests whose deadline passed while they waited — and answers them
 //! with the typed error, so a worker never probes or passes work nobody
 //! wants. Closing the queue wakes every waiter; both stages are still
@@ -27,7 +27,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use prism_api::Completion;
-use prism_core::{CancelToken, Priority, RequestOptions};
+use prism_core::{CancelToken, RequestOptions};
 use prism_model::SequenceBatch;
 use prism_tensor::Tensor;
 
@@ -60,9 +60,6 @@ pub struct Pending {
     /// Caller-side cancellation flag (always present; inert unless the
     /// caller holds a facade handle).
     pub cancel: CancelToken,
-    /// The tenant's occupied quota slot, if quotas are enabled. Released
-    /// by drop on every exit path — completion, shed, drain.
-    pub quota: Option<crate::quota::QuotaToken>,
     /// Producer side of the caller's `SelectionHandle`: the reply
     /// transport and progress sink. First completion wins, so the queue
     /// and a worker may race to answer a cancelled request.
@@ -70,11 +67,6 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// The scheduling class (from the resolved options).
-    pub fn priority(&self) -> Priority {
-        self.options.priority
-    }
-
     /// Why this request is dead at `now`, if it is: a caller
     /// cancellation wins over a passed deadline. Queue sheds and the
     /// worker's pickup filter both ask here.
@@ -127,7 +119,7 @@ pub enum Work {
     /// with [`SubmissionQueue::answered_by_probe`] or
     /// [`SubmissionQueue::wait_for_pass`].
     Probe(Pending),
-    /// A flushed set of the coalescing window, in scheduling order: one
+    /// A flushed prefix of the coalescing window, oldest first: one
     /// weight pass.
     Pass(Vec<Probed>),
 }
@@ -165,9 +157,8 @@ pub struct SubmissionQueue {
 
 impl SubmissionQueue {
     /// Creates a queue holding at most `capacity` pending requests
-    /// across both stages; `stats` receives depth updates and
-    /// shed/inversion counts, and `workers` scales the backpressure
-    /// retry hint.
+    /// across both stages; `stats` receives depth updates and shed
+    /// counts, and `workers` scales the backpressure retry hint.
     pub fn new(capacity: usize, stats: ServeStats, workers: usize) -> Self {
         SubmissionQueue {
             state: Mutex::new(QueueState {
@@ -185,9 +176,11 @@ impl SubmissionQueue {
     }
 
     /// Microseconds between the queue epoch and `t` (zero for instants
-    /// at or before the epoch — admission always happens after it).
+    /// at or before the epoch — admission always happens after it;
+    /// `u64::MAX` for a deadline too far out to count, which must not
+    /// wrap into the past).
     fn micros_since_epoch(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_micros() as u64
+        u64::try_from(t.saturating_duration_since(self.epoch).as_micros()).unwrap_or(u64::MAX)
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
@@ -234,9 +227,9 @@ impl SubmissionQueue {
     }
 
     /// Blocks until there is work and takes it: the oldest arrival to
-    /// probe, or — with no arrivals — a set of the coalescing window
-    /// chosen by `planner`, in scheduling order. Returns `None` once the
-    /// queue is closed *and* both stages are drained.
+    /// probe, or — with no arrivals — the prefix of the coalescing
+    /// window `planner` flushes. Returns `None` once the queue is closed
+    /// *and* both stages are drained.
     pub fn next_work(&self, planner: &BatchPlanner) -> Option<Work> {
         let mut state = self.lock();
         loop {
@@ -262,16 +255,15 @@ impl SubmissionQueue {
                     QueueItem {
                         tokens: p.tokens,
                         enqueued_micros: self.micros_since_epoch(p.enqueued),
-                        priority: p.priority(),
                         deadline_micros: p.deadline.map(|d| self.micros_since_epoch(d)),
                     }
                 })
                 .collect();
-            let take = match planner.decide(&snapshot, now_micros) {
-                PlanDecision::Flush(set) => set,
+            let n = match planner.decide(&snapshot, now_micros) {
+                PlanDecision::Flush(n) => n,
                 // A closing queue flushes what it has instead of waiting
                 // for arrivals that will never come.
-                PlanDecision::Wait(_) if state.closed => planner.coalesce(&snapshot, now_micros),
+                PlanDecision::Wait(_) if state.closed => planner.coalesce(&snapshot),
                 PlanDecision::Wait(us) => {
                     state = self
                         .notify
@@ -281,7 +273,7 @@ impl SubmissionQueue {
                     continue;
                 }
             };
-            let pass = planner.pop(&mut state.window, &snapshot, &take, &self.stats);
+            let pass = state.window.drain(..n).collect();
             self.stats.queue_depth.set(state.depth() as u64);
             return Some(Work::Pass(pass));
         }
@@ -380,7 +372,6 @@ mod tests {
             enqueued: Instant::now(),
             deadline: None,
             cancel: handle.cancel_token(),
-            quota: None,
             reply: completion,
         };
         (p, handle)
@@ -398,7 +389,7 @@ mod tests {
     }
 
     /// Takes every arrival through a probe that answers nothing, then
-    /// the first pass, in scheduling order.
+    /// the first pass.
     fn next_pass(q: &SubmissionQueue, planner: &BatchPlanner) -> Option<Vec<Probed>> {
         loop {
             match q.next_work(planner)? {
@@ -425,8 +416,6 @@ mod tests {
             max_requests,
             max_tokens: usize::MAX,
             max_wait_micros: 0,
-            starvation_age_micros: u64::MAX,
-            priority_aware: true,
         }
     }
 
@@ -509,18 +498,23 @@ mod tests {
     }
 
     #[test]
-    fn high_priority_pops_first() {
+    fn far_deadline_does_not_wrap_into_an_early_flush() {
         let q = SubmissionQueue::new(8, ServeStats::new(), 1);
-        let mut keep = Vec::new();
-        for t in 1..=3 {
-            let (mut p, h) = pending(t, 2);
-            if t == 3 {
-                p.options.priority = Priority::High;
-            }
-            keep.push(h);
-            q.push(p).unwrap();
-        }
-        assert_eq!(tickets(&next_pass(&q, &eager_planner(2)).unwrap()), [3, 1]);
+        // Some time after the epoch, a deadline of `u64::MAX` µs from now
+        // overflows the epoch clock's range: it must read as "never due",
+        // not wrap to an instant already passed.
+        std::thread::sleep(Duration::from_millis(1));
+        let (mut p, _h) = pending(1, 2);
+        p.deadline = Some(p.enqueued + Duration::from_micros(u64::MAX));
+        let enqueued = p.enqueued;
+        q.push(p).unwrap();
+        let planner = BatchPlanner {
+            max_wait_micros: 20_000,
+            ..eager_planner(8)
+        };
+        // An under-full window with nothing due waits out the age bound.
+        assert_eq!(tickets(&next_pass(&q, &planner).unwrap()), [1]);
+        assert!(enqueued.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! resolves to full-depth execution (effective pruning off): a
 //! candidate's full-depth score is a pure function of its token sequence
 //! and precision knobs — the batch-independence contract the conformance
-//! suites pin — so replaying one across requests, sessions and tenants
-//! is sound. Pruned requests bypass this tier untouched.
+//! suites pin — so replaying one across requests and sessions is
+//! sound. Pruned requests bypass this tier untouched.
 //!
 //! Per eligible request the worker:
 //! 1. mean-pools each candidate's embedding rows (the embedding is
@@ -39,7 +39,7 @@ use prism_semcache::{mean_pool, should_verify, Probe, SemCacheConfig, SemanticCa
 use prism_tensor::Tensor;
 
 /// Shared semantic-cache tier of one server (one instance across every
-/// worker, session and tenant; probes and harvests lock briefly, never
+/// worker and session; probes and harvests lock briefly, never
 /// across engine execution).
 pub struct SemanticLayer {
     cache: Mutex<SemanticCache>,

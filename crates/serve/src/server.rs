@@ -15,7 +15,6 @@ use prism_tensor::Tensor;
 
 use crate::config::ServeConfig;
 use crate::queue::{Pending, Probed, SubmissionQueue, Work};
-use crate::quota::{QuotaToken, TenantQuota};
 use crate::scheduler::BatchPlanner;
 use crate::semantic::{merge_tail_scores, replay_selection, SemState, SemanticLayer};
 use crate::session::{fingerprint_batch, CacheLookup, SelectionKey, SessionCache};
@@ -26,13 +25,11 @@ struct ServerShared {
     queue: SubmissionQueue,
     planner: BatchPlanner,
     cache: Option<Mutex<SessionCache>>,
-    /// Cross-request semantic score cache shared by all sessions and
-    /// tenants; `None` when disabled by configuration.
+    /// Cross-request semantic score cache shared by all sessions;
+    /// `None` when disabled by configuration.
     semcache: Option<SemanticLayer>,
-    quota: Option<TenantQuota>,
     stats: ServeStats,
     ticket: AtomicU64,
-    workers: usize,
 }
 
 /// A running PRISM serving instance.
@@ -60,11 +57,8 @@ impl PrismServer {
             cache: (config.session_cache_capacity > 0)
                 .then(|| Mutex::new(SessionCache::new(config.session_cache_capacity))),
             semcache,
-            quota: (config.tenant_max_inflight > 0)
-                .then(|| TenantQuota::new(config.tenant_max_inflight)),
             stats,
             ticket: AtomicU64::new(0),
-            workers: config.workers,
         });
         let mut workers = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
@@ -95,8 +89,8 @@ impl PrismServer {
     }
 
     /// The one way in: a cloneable [`SelectionService`] bound to
-    /// `session` (the tenant key for cache affinity, FIFO order and
-    /// quotas). Submissions fail fast with
+    /// `session` (the key of its session cache). Submissions fail fast
+    /// with
     /// [`ServiceError::Backpressure`] when the queue is full and
     /// [`ServiceError::DeadlineExceeded`] when the deadline has already
     /// passed at admission; accepted ones return non-blocking
@@ -152,21 +146,6 @@ impl ServerShared {
         Ok((ticket, deadline))
     }
 
-    /// Takes the tenant's quota slot (when quotas are configured),
-    /// counting and surfacing the typed rejection at its ceiling.
-    fn acquire_quota(&self, tenant: &str) -> Result<Option<QuotaToken>, ServiceError> {
-        match &self.quota {
-            Some(quota) => match quota.acquire(tenant) {
-                Ok(token) => Ok(Some(token)),
-                Err(e) => {
-                    self.stats.quota_rejected.inc();
-                    Err(e)
-                }
-            },
-            None => Ok(None),
-        }
-    }
-
     fn enqueue(&self, mut pending: Pending) -> crate::Result<()> {
         pending.tokens = pending.batch.total_tokens();
         // Only the cache reads the fingerprint; skip the O(tokens) hash
@@ -199,7 +178,6 @@ impl ServerShared {
         let now = Instant::now();
         let mut options = options;
         let (ticket, deadline) = self.admit(&batch, &mut options, now)?;
-        let quota = self.acquire_quota(&session)?;
         let (handle, completion) = SelectionHandle::channel(ticket, deadline);
         self.enqueue(Pending {
             ticket,
@@ -211,7 +189,6 @@ impl ServerShared {
             enqueued: now,
             deadline,
             cancel: handle.cancel_token(),
-            quota,
             reply: completion,
         })?;
         Ok(handle)
@@ -672,8 +649,8 @@ fn store_selection(shared: &ServerShared, pending: &Pending, selection: &Selecti
 
 /// The serving backend of the `prism-api` facade: a cloneable
 /// [`SelectionService`] bound to one session of a [`PrismServer`].
-/// Submissions flow through the bounded queue and priority-then-EDF
-/// scheduler like every other request; the returned `SelectionHandle`
+/// Submissions flow through the bounded queue and the FIFO coalescing
+/// window like every other request; the returned `SelectionHandle`
 /// adds mid-flight cancellation and layer-granularity progress on top.
 #[derive(Clone)]
 pub struct RemoteService {
@@ -685,11 +662,6 @@ impl RemoteService {
     /// The session key submissions run under.
     pub fn session(&self) -> &str {
         &self.session
-    }
-
-    /// Server-side worker count (used by backoff heuristics).
-    pub fn workers(&self) -> usize {
-        self.shared.workers
     }
 }
 

@@ -18,9 +18,6 @@ pub struct ServeStats {
     pub submitted: Counter,
     /// Requests rejected with backpressure.
     pub rejected: Counter,
-    /// Requests rejected at admission because their tenant was at its
-    /// in-flight quota.
-    pub quota_rejected: Counter,
     /// Requests rejected at admission because their deadline had already
     /// passed.
     pub deadline_rejected: Counter,
@@ -30,10 +27,6 @@ pub struct ServeStats {
     /// Requests cancelled by their caller (queued or mid-flight). Never
     /// counted in `completed`.
     pub cancelled: Counter,
-    /// Batches whose admission skipped over a higher-priority request
-    /// (the anti-starvation guard promoting aged bulk work) — the
-    /// priority-inversion gauge of the scheduler.
-    pub priority_inversions: Counter,
     /// Requests answered with a selection or an engine error (cancelled
     /// and deadline-shed requests are excluded).
     pub completed: Counter,
@@ -73,9 +66,6 @@ pub struct ServeStats {
     /// Semantic cache: resident bytes (int8 entries + overhead), metered
     /// like spill bytes. Mirrors the cache's own byte meter.
     pub semcache_bytes: Gauge,
-    /// Backpressure retries absorbed by the typed retry
-    /// policy (client loops honoring `retry_after`).
-    pub retried: Counter,
     /// Spill slots quarantined on checksum mismatch and
     /// recomputed from weights.
     pub slots_quarantined: Counter,
@@ -131,11 +121,9 @@ impl ServeStats {
             queue_depth_peak: self.queue_depth.peak(),
             submitted: self.submitted.get(),
             rejected: self.rejected.get(),
-            quota_rejected: self.quota_rejected.get(),
             deadline_rejected: self.deadline_rejected.get(),
             deadline_missed: self.deadline_missed.get(),
             cancelled: self.cancelled.get(),
-            priority_inversions: self.priority_inversions.get(),
             completed: self.completed.get(),
             batches: self.batches.get(),
             batch_size: self.batch_size.summary(),
@@ -150,7 +138,6 @@ impl ServeStats {
             semcache_misses: self.semcache_misses.get(),
             semcache_fallbacks: self.semcache_fallbacks.get(),
             semcache_bytes: self.semcache_bytes.get(),
-            retried: self.retried.get(),
             slots_quarantined: self.slots_quarantined.get(),
         }
     }
@@ -167,16 +154,12 @@ pub struct ServeStatsSnapshot {
     pub submitted: u64,
     /// Requests rejected with backpressure.
     pub rejected: u64,
-    /// Requests rejected at admission by the per-tenant quota.
-    pub quota_rejected: u64,
     /// Requests rejected at admission with an already-expired deadline.
     pub deadline_rejected: u64,
     /// Accepted requests later shed on a passed deadline.
     pub deadline_missed: u64,
     /// Requests cancelled by their caller.
     pub cancelled: u64,
-    /// Batches admitted past a higher-priority waiter (starvation guard).
-    pub priority_inversions: u64,
     /// Requests answered (selections and engine errors only).
     pub completed: u64,
     /// Weight passes run.
@@ -205,8 +188,6 @@ pub struct ServeStatsSnapshot {
     pub semcache_fallbacks: u64,
     /// Semantic-cache resident bytes right now.
     pub semcache_bytes: u64,
-    /// Backpressure retries absorbed by the retry policy.
-    pub retried: u64,
     /// Spill slots quarantined and recomputed.
     pub slots_quarantined: u64,
 }
@@ -249,12 +230,10 @@ mod tests {
         s.cancelled.inc();
         s.deadline_rejected.inc_by(2);
         s.deadline_missed.inc();
-        s.priority_inversions.inc();
         let snap = s.snapshot();
         assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.deadline_rejected, 2);
         assert_eq!(snap.deadline_missed, 1);
-        assert_eq!(snap.priority_inversions, 1);
     }
 
     #[test]
@@ -267,12 +246,10 @@ mod tests {
         s.semcache_misses.inc_by(2);
         s.semcache_fallbacks.inc();
         s.semcache_bytes.set(512);
-        s.retried.inc_by(5);
         s.slots_quarantined.inc_by(3);
         let snap = s.snapshot();
         assert_eq!(snap.submitted, 3);
         assert_eq!(snap.queue_depth, 2);
-        assert_eq!(snap.retried, 5);
         assert_eq!(snap.slots_quarantined, 3);
         assert_eq!(snap.batch_size.count, 1);
         assert_eq!(snap.semcache_hits, 4);

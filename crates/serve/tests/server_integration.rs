@@ -268,86 +268,6 @@ fn slow_engine(config: &ModelConfig, path: &std::path::Path) -> PrismEngine {
     .unwrap()
 }
 
-/// Quota and backpressure are different ceilings and both stay typed:
-/// a noisy tenant hits `QuotaExceeded` while the shared queue still has
-/// room for others, and once *they* fill the queue the error is
-/// `Backpressure` — per-tenant fairness composing with, not replacing,
-/// global admission control.
-#[test]
-fn quota_and_backpressure_compose() {
-    let (config, path) = fixture("quota-bp");
-    // The slow weight stream holds the one worker inside a pass.
-    let server = PrismServer::start(
-        slow_engine(&config, &path),
-        ServeConfig {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch_requests: 1,
-            session_cache_capacity: 0,
-            tenant_max_inflight: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let batch = batches(&config, 1, 10).pop().unwrap();
-    let noisy = server.service("noisy");
-
-    let held = noisy
-        .submit(batch.clone(), RequestOptions::tagged(4, 1))
-        .unwrap();
-    // Wait for the worker to take the request into its pass.
-    while held.progress().layers_gated == 0 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-
-    // Second submission from the same tenant: quota, not backpressure.
-    match noisy
-        .submit(batch.clone(), RequestOptions::tagged(4, 2))
-        .unwrap_err()
-    {
-        ServiceError::QuotaExceeded { tenant, limit } => {
-            assert_eq!(tenant, "noisy");
-            assert_eq!(limit, 1);
-        }
-        other => panic!("expected QuotaExceeded, got {other:?}"),
-    }
-
-    // Other tenants still get the queue's headroom...
-    let q1 = server
-        .service("calm-a")
-        .submit(batch.clone(), RequestOptions::tagged(4, 3))
-        .unwrap();
-    let q2 = server
-        .service("calm-b")
-        .submit(batch.clone(), RequestOptions::tagged(4, 4))
-        .unwrap();
-    // ...until the shared queue itself is full.
-    let err = server
-        .service("calm-c")
-        .submit(batch.clone(), RequestOptions::tagged(4, 5))
-        .unwrap_err();
-    assert!(
-        matches!(err, ServiceError::Backpressure { .. }),
-        "expected Backpressure, got {err:?}"
-    );
-
-    // Everything admitted completes; the noisy tenant's slot frees up.
-    held.wait().unwrap();
-    q1.wait().unwrap();
-    q2.wait().unwrap();
-    noisy
-        .submit(batch, RequestOptions::tagged(4, 6))
-        .unwrap()
-        .wait()
-        .unwrap();
-
-    let snap = server.stats().snapshot();
-    assert_eq!(snap.quota_rejected, 1);
-    assert_eq!(snap.rejected, 1);
-    server.shutdown();
-    std::fs::remove_file(&path).unwrap();
-}
-
 /// A deadline that passes mid-pass aborts the request at a layer
 /// boundary with the typed error instead of running the pass to
 /// completion.
@@ -568,79 +488,12 @@ fn per_request_option_overrides_match_dedicated_engines() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Under a busy single worker, a later High-priority submission must be
-/// served before earlier Bulk submissions that are still queued.
-#[test]
-fn high_priority_overtakes_queued_bulk() {
-    use std::sync::{Arc, Mutex};
-
-    let (config, path) = fixture("priority");
-    // Throttled streaming keeps each batch slow enough that the queue
-    // stays populated while the worker is busy.
-    let slow = PrismEngine::new(
-        Container::open(&path).unwrap(),
-        config.clone(),
-        EngineOptions {
-            stream_throttle: Some(4_000_000),
-            embed_cache: false,
-            ..Default::default()
-        },
-        MemoryMeter::new(),
-    )
-    .unwrap();
-    let server = PrismServer::start(
-        slow,
-        ServeConfig {
-            workers: 1,
-            max_batch_requests: 1,
-            session_cache_capacity: 0,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let requests = batches(&config, 5, 8);
-
-    // Occupy the worker, then queue three Bulk requests and one High.
-    let service = server.service("p");
-    let head = service
-        .submit(requests[0].clone(), RequestOptions::top_k(3))
-        .unwrap();
-    let completion_order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut waiters = Vec::new();
-    for (i, label) in [(1, "bulk"), (2, "bulk"), (3, "bulk"), (4, "high")] {
-        let options = RequestOptions::tagged(3, i as u64 + 1).with_priority(if label == "high" {
-            prism_core::Priority::High
-        } else {
-            prism_core::Priority::Bulk
-        });
-        let handle = service.submit(requests[i].clone(), options).unwrap();
-        let order = Arc::clone(&completion_order);
-        waiters.push(std::thread::spawn(move || {
-            handle.wait().unwrap();
-            order.lock().unwrap().push(label);
-        }));
-    }
-    head.wait().unwrap();
-    for w in waiters {
-        w.join().unwrap();
-    }
-    let order = completion_order.lock().unwrap().clone();
-    server.shutdown();
-    assert_eq!(
-        order.first(),
-        Some(&"high"),
-        "High must be served before the queued Bulk requests: {order:?}"
-    );
-    std::fs::remove_file(&path).unwrap();
-}
-
 /// A 200 ms wait for company: long enough that a request which sat it
 /// out is unmistakable.
 fn patient(workers: usize) -> ServeConfig {
     ServeConfig {
         workers,
         max_batch_wait: Duration::from_millis(200),
-        starvation_age: Duration::from_millis(200),
         ..Default::default()
     }
 }

@@ -12,10 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use prism_api::{
-    admission_deadline, Completion, RetryPolicy, SelectionHandle, SelectionOutcome,
-    SelectionService, ServiceError,
-};
+use prism_api::{admission_deadline, Completion, SelectionHandle, SelectionService, ServiceError};
 use prism_core::{CancelToken, ProgressUpdate, RequestOptions};
 use prism_model::SequenceBatch;
 
@@ -69,8 +66,8 @@ pub struct WireClient {
 
 impl WireClient {
     /// Connects to a [`crate::WireServer`] at `addr` and performs the
-    /// `Hello`/`HelloAck` handshake under `session` (the tenant key all
-    /// submissions run under).
+    /// `Hello`/`HelloAck` handshake under `session` (the session key
+    /// all submissions run under).
     pub fn connect(addr: &str, session: impl Into<String>) -> Result<Self, WireError> {
         let stream = TcpStream::connect(addr)?;
         Self::finish_connect(stream, session.into())
@@ -236,22 +233,6 @@ impl WireClient {
                 .expect("pong lock");
             pong = next;
         }
-    }
-
-    /// Blocking submit-and-wait under a [`RetryPolicy`]: transient
-    /// failures (backpressure — honoring the server's `retry_after`
-    /// hint as a floor — and disconnects) are retried with
-    /// decorrelated-jitter backoff until the policy's attempt cap or
-    /// sleep budget runs out; terminal errors surface immediately.
-    /// Returns the outcome plus the number of retries consumed, so
-    /// callers can fold the count into their telemetry.
-    pub fn select_with_retry(
-        &self,
-        batch: &SequenceBatch,
-        options: &RequestOptions,
-        policy: &RetryPolicy,
-    ) -> (Result<SelectionOutcome, ServiceError>, u32) {
-        policy.run(|_| self.select(batch.clone(), options.clone()))
     }
 }
 

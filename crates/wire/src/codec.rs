@@ -25,7 +25,7 @@ use std::io::{Read, Write};
 
 use prism_api::{Progress, SelectionOutcome, ServiceError};
 use prism_core::{
-    ComputePrecision, EngineTrace, Priority, PruneMode, RankedCandidate, RequestOptions, Selection,
+    ComputePrecision, EngineTrace, PruneMode, RankedCandidate, RequestOptions, Selection,
     SemCacheMode, SpillPrecision,
 };
 use prism_model::SequenceBatch;
@@ -38,8 +38,11 @@ use prism_model::SequenceBatch;
 /// carry the selection's coverage fraction; 4 = the degraded-mode byte
 /// and the coverage fraction are gone again (one engine serves every
 /// request, so every selection is complete), and error tag 7 (the shard
-/// failure) is unassigned and decodes as corrupt.
-pub const WIRE_VERSION: u32 = 4;
+/// failure) is unassigned and decodes as corrupt; 5 = `Submit` options
+/// lost the priority byte (the coalescing window is FIFO), and error
+/// tag 6 (the per-tenant quota rejection) is unassigned and decodes as
+/// corrupt.
+pub const WIRE_VERSION: u32 = 5;
 
 /// Hard ceiling on one frame's byte length (type byte + payload). Large
 /// enough for a maximal candidate batch, small enough that a hostile
@@ -98,7 +101,7 @@ pub enum Message {
     Hello {
         /// Protocol version ([`WIRE_VERSION`]).
         version: u32,
-        /// Session (tenant) key submissions run under.
+        /// Session key submissions run under.
         session: String,
     },
     /// Client → server: submits one selection request.
@@ -232,11 +235,6 @@ impl Enc {
             Some(false) => self.u8(1),
             Some(true) => self.u8(2),
         }
-        self.u8(match o.priority {
-            Priority::Bulk => 0,
-            Priority::Normal => 1,
-            Priority::High => 2,
-        });
         self.opt_u64(o.deadline_us);
         self.u8(match o.spill_precision {
             SpillPrecision::Int8 => 0,
@@ -309,11 +307,6 @@ impl Enc {
             ServiceError::Cancelled => self.u8(3),
             ServiceError::ShuttingDown => self.u8(4),
             ServiceError::Disconnected => self.u8(5),
-            ServiceError::QuotaExceeded { tenant, limit } => {
-                self.u8(6);
-                self.string(tenant);
-                self.u32(*limit as u32);
-            }
             ServiceError::Engine(s) => {
                 self.u8(8);
                 self.string(s);
@@ -489,12 +482,6 @@ impl<'a> Dec<'a> {
             2 => Some(true),
             v => return Err(WireError::Corrupt(format!("pruning tag {v}"))),
         };
-        let priority = match self.u8()? {
-            0 => Priority::Bulk,
-            1 => Priority::Normal,
-            2 => Priority::High,
-            v => return Err(WireError::Corrupt(format!("priority tag {v}"))),
-        };
         let deadline_us = self.opt_u64()?;
         let spill_precision = match self.u8()? {
             0 => SpillPrecision::Int8,
@@ -518,7 +505,6 @@ impl<'a> Dec<'a> {
             dispersion_threshold,
             mode,
             pruning,
-            priority,
             deadline_us,
             spill_precision,
             compute_precision,
@@ -605,10 +591,6 @@ impl<'a> Dec<'a> {
             3 => ServiceError::Cancelled,
             4 => ServiceError::ShuttingDown,
             5 => ServiceError::Disconnected,
-            6 => ServiceError::QuotaExceeded {
-                tenant: self.string()?,
-                limit: self.u32()? as usize,
-            },
             8 => ServiceError::Engine(self.string()?),
             9 => ServiceError::Config(self.string()?),
             v => return Err(WireError::Corrupt(format!("error tag {v}"))),
@@ -745,7 +727,6 @@ mod tests {
             dispersion_threshold: Some(0.25),
             mode: Some(PruneMode::ExactOrder),
             pruning: Some(false),
-            priority: Priority::High,
             deadline_us: Some(5_000),
             spill_precision: SpillPrecision::F32,
             compute_precision: ComputePrecision::Int8,
@@ -886,10 +867,6 @@ mod tests {
             ServiceError::Cancelled,
             ServiceError::ShuttingDown,
             ServiceError::Disconnected,
-            ServiceError::QuotaExceeded {
-                tenant: "tenant-a".into(),
-                limit: 2,
-            },
             ServiceError::Engine("boom".into()),
             ServiceError::Config("bad".into()),
         ] {
@@ -904,13 +881,16 @@ mod tests {
                 other => panic!("wrong message: {other:?}"),
             }
         }
-        // Tag 7 (the shard failure of protocol 3) is unassigned.
+        // Tags 6 (the tenant quota of protocol 4) and 7 (the shard
+        // failure of protocol 3) are unassigned.
         let mut body = encode_message(&Message::Error {
             request_id: 3,
             error: ServiceError::Engine("boom".into()),
         });
         assert_eq!(body[9], 8, "engine error tag");
-        body[9] = 7;
-        assert!(matches!(decode_message(&body), Err(WireError::Corrupt(_))));
+        for tag in [6, 7] {
+            body[9] = tag;
+            assert!(matches!(decode_message(&body), Err(WireError::Corrupt(_))));
+        }
     }
 }

@@ -5,14 +5,14 @@
 //!  WireClient (SelectionService)            WireServer
 //!      │  [u32 len][u8 type][payload]           │
 //!      ├── Hello / HelloAck ────────────────────┤ handshake: version + session
-//!      ├── Submit ──────────────────────────────┤ → PrismServer queue/scheduler
+//!      ├── Submit ──────────────────────────────┤ → PrismServer queue/planner
 //!      │◀─ Accepted / Progress* / Result|Error ─┤
 //!      ├── Cancel ──────────────────────────────┤ → CancelToken, next boundary
 //!      └── Ping / Pong ─────────────────────────┘
 //! ```
 //!
 //! The transport adds no semantics: submissions flow through the same
-//! bounded queue, priority scheduler, quotas and engine as in-process
+//! bounded queue, FIFO coalescing window and engine as in-process
 //! callers, and selections read off the wire are bit-identical — scores travel as IEEE-754 bit patterns.
 //! Malformed frames (truncated, corrupted, oversized, unknown type)
 //! decode to typed [`WireError`]s, never panics, and never size an

@@ -9,7 +9,7 @@
 //! socket.
 //!
 //! Error discipline mirrors the serving layer: admission failures
-//! (backpressure, quota, expired deadline) come back as typed
+//! (backpressure, expired deadline) come back as typed
 //! [`Message::Error`] frames carrying the structured [`ServiceError`];
 //! a malformed frame is answered with a connection-level error frame
 //! (request id 0) and the connection is closed, because framing cannot

@@ -5,7 +5,7 @@
 
 use prism_api::{Progress, SelectionOutcome, ServiceError};
 use prism_core::{
-    ComputePrecision, EngineTrace, Priority, PruneMode, RankedCandidate, RequestOptions, Selection,
+    ComputePrecision, EngineTrace, PruneMode, RankedCandidate, RequestOptions, Selection,
     SemCacheMode, SpillPrecision,
 };
 use prism_model::SequenceBatch;
@@ -37,11 +37,6 @@ fn build_message(
             1 => Some(false),
             _ => Some(true),
         },
-        priority: match small % 3 {
-            0 => Priority::Bulk,
-            1 => Priority::Normal,
-            _ => Priority::High,
-        },
         deadline_us: (small.is_multiple_of(5)).then_some(id % 1_000_000),
         spill_precision: if small.is_multiple_of(2) {
             SpillPrecision::Int8
@@ -59,7 +54,7 @@ fn build_message(
             _ => SemCacheMode::Aggressive,
         },
     };
-    let error = match small % 8 {
+    let error = match small % 7 {
         0 => ServiceError::Backpressure {
             capacity: small as usize,
             queue_depth: small as usize + 1,
@@ -69,11 +64,7 @@ fn build_message(
         2 => ServiceError::Cancelled,
         3 => ServiceError::ShuttingDown,
         4 => ServiceError::Disconnected,
-        5 => ServiceError::QuotaExceeded {
-            tenant: text.to_string(),
-            limit: small as usize,
-        },
-        6 => ServiceError::Engine(text.to_string()),
+        5 => ServiceError::Engine(text.to_string()),
         _ => ServiceError::Config(text.to_string()),
     };
     match kind {

@@ -1,6 +1,6 @@
 //! Loopback conformance for the wire protocol: selections read off a
 //! real TCP socket must be bit-identical to direct engine calls,
-//! faults and quota rejections must arrive as
+//! faults and backpressure must arrive as
 //! the same typed errors in-process callers see, cancellation and
 //! progress must flow both ways, and malformed frames must be answered
 //! with a typed connection-level error — never a hang, never a panic.
@@ -170,52 +170,6 @@ fn cancel_over_the_wire_returns_cancelled() {
         matches!(err, ServiceError::Cancelled),
         "expected Cancelled, got {err:?}"
     );
-
-    drop(client);
-    wire.shutdown();
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// Per-tenant quota rejections keep their structure across the wire:
-/// the second in-flight submission of a `tenant_max_inflight = 1`
-/// session fails with the tenant and limit intact.
-#[test]
-fn quota_rejection_travels_typed() {
-    let (config, path) = fixture("quota");
-    let mut reqs = batches(&config, 2, 10);
-    let second = reqs.pop().unwrap();
-    let first = reqs.pop().unwrap();
-
-    // A slow weight stream holds the first request in flight long
-    // enough for the second submission to arrive while the quota slot
-    // is taken.
-    let server = PrismServer::start(
-        slow_engine(&config, &path),
-        ServeConfig {
-            session_cache_capacity: 0,
-            tenant_max_inflight: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let (wire, client) = wire_pair(server, "noisy");
-    let held = client.submit(first, RequestOptions::tagged(K, 1)).unwrap();
-    let err = client
-        .submit(second, RequestOptions::tagged(K, 2))
-        .unwrap()
-        .wait()
-        .unwrap_err();
-    match err {
-        ServiceError::QuotaExceeded { tenant, limit } => {
-            assert_eq!(tenant, "noisy");
-            assert_eq!(limit, 1);
-        }
-        other => panic!("expected QuotaExceeded, got {other:?}"),
-    }
-    // The held request still completes; its token is released.
-    held.wait().unwrap();
-    assert_eq!(wire.server().stats().snapshot().quota_rejected, 1);
 
     drop(client);
     wire.shutdown();
@@ -548,10 +502,10 @@ impl<S: SelectionService> SelectionService for Recording<'_, S> {
 }
 
 /// One `LoadSpec` is one stream of traffic whichever backend carries it:
-/// sessions, repeats, the cross-session duplicate pool and the priority
-/// mix all reach a server behind a socket exactly as they reach one in
-/// process, so both end on the same cache and class counters and the
-/// same selections (one client, so the order is fixed).
+/// sessions, repeats and the cross-session duplicate pool all reach a
+/// server behind a socket exactly as they reach one in process, so both
+/// end on the same cache counters and the same selections (one client,
+/// so the order is fixed).
 #[test]
 fn one_load_spec_is_the_same_traffic_in_process_and_over_the_wire() {
     let (config, path) = fixture("same-traffic");
@@ -588,7 +542,6 @@ fn one_load_spec_is_the_same_traffic_in_process_and_over_the_wire() {
             sessions,
             corpus_repeat: 2,
             dup_fraction: 0.5,
-            high_fraction: 0.25,
             options: RequestOptions::top_k(K).with_semcache(SemCacheMode::Aggressive),
             ..Default::default()
         };
@@ -603,11 +556,6 @@ fn one_load_spec_is_the_same_traffic_in_process_and_over_the_wire() {
         assert_eq!(w.semcache_misses, l.semcache_misses);
         assert_eq!(w.cache_selection_hits, l.cache_selection_hits);
         selection_hits += l.cache_selection_hits;
-        for class in ["high", "bulk"] {
-            let (l, w) = (local.class(class).unwrap(), wired.class(class).unwrap());
-            assert!(l.completed > 0);
-            assert_eq!(w.completed, l.completed, "{class}");
-        }
         assert_eq!(
             wired_seen, local_seen,
             "same tags, same selections, bit for bit"
@@ -617,13 +565,15 @@ fn one_load_spec_is_the_same_traffic_in_process_and_over_the_wire() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// `select_with_retry` absorbs queue backpressure: with the queue
-/// saturated by slow in-flight work, the retrying client sleeps out the
-/// server's `retry_after` hints and lands the request — bit-identically
-/// to the uncontended result — instead of surfacing `Backpressure`.
+/// Backpressure travels typed: with the queue saturated by slow
+/// in-flight work, a plain submit comes back as
+/// `ServiceError::Backpressure` carrying the server's `retry_after`
+/// hint — nothing retries on the caller's behalf. The same request,
+/// resubmitted once the held work drains, returns the uncontended result
+/// bit for bit.
 #[test]
-fn select_with_retry_absorbs_backpressure() {
-    let (config, path) = fixture("retry-bp");
+fn backpressure_travels_typed() {
+    let (config, path) = fixture("backpressure");
     // A slow weight stream keeps the single worker busy long enough for
     // the queue to back up behind it.
     let server = PrismServer::start(
@@ -639,7 +589,7 @@ fn select_with_retry_absorbs_backpressure() {
     .unwrap();
     let batch = batches(&config, 1, 10).pop().unwrap();
 
-    let (wire, client) = wire_pair(server, "tenant");
+    let (wire, client) = wire_pair(server, "session");
     let reference = client
         .submit(batch.clone(), RequestOptions::tagged(K, 1))
         .unwrap()
@@ -659,24 +609,37 @@ fn select_with_retry_absorbs_backpressure() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let policy = prism_api::RetryPolicy::default()
-        .with_max_attempts(32)
-        .with_budget(Duration::from_secs(30));
-    let (outcome, retries) =
-        client.select_with_retry(&batch, &RequestOptions::tagged(K, 1), &policy);
-    let outcome = outcome.expect("retrying client must land the request");
-    assert!(
-        retries > 0,
-        "queue was saturated; at least one backpressure retry expected"
-    );
-    assert_eq!(
-        exact_bits(&outcome.selection),
-        exact_bits(&reference.selection),
-        "retried result diverged"
-    );
+    let err = client
+        .submit(batch.clone(), RequestOptions::tagged(K, 1))
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    match err {
+        ServiceError::Backpressure {
+            capacity,
+            queue_depth,
+            retry_after,
+        } => {
+            assert_eq!((capacity, queue_depth), (1, 1));
+            assert!(retry_after > Duration::ZERO);
+        }
+        other => panic!("expected Backpressure, got {other:?}"),
+    }
     for h in held {
         h.wait().unwrap();
     }
+    assert_eq!(wire.server().stats().snapshot().rejected, 1);
+
+    let resubmitted = client
+        .submit(batch, RequestOptions::tagged(K, 1))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(
+        exact_bits(&resubmitted.selection),
+        exact_bits(&reference.selection),
+        "resubmitted result diverged"
+    );
 
     drop(client);
     wire.shutdown();

@@ -221,29 +221,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// Deterministic tenant label for request `index` among `tenants`
-    /// distinct tenants, with harmonically skewed popularity (tenant
-    /// `t` submits with weight `1/(t+1)`), so per-tenant quota tests get
-    /// a hot tenant whose limit actually binds. Pure function of `(seed, index, tenants)`.
-    pub fn tenant(&self, index: u64, tenants: usize) -> String {
-        let tenants = tenants.max(1);
-        let mut rng = StdRng::seed_from_u64(
-            self.seed
-                ^ index
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(0x1F12_3BB5_159A_55E5),
-        );
-        let total: f64 = (0..tenants).map(|t| 1.0 / (t + 1) as f64).sum();
-        let mut u = rng.gen::<f64>() * total;
-        for t in 0..tenants {
-            u -= 1.0 / (t + 1) as f64;
-            if u <= 0.0 {
-                return format!("tenant-{t}");
-            }
-        }
-        format!("tenant-{}", tenants - 1)
-    }
-
     fn background_token(&self, rng: &mut StdRng) -> u32 {
         let (b0, _) = background_token_range(self.vocab_size);
         b0 + self.background.sample(rng) as u32
@@ -280,26 +257,6 @@ mod tests {
         assert_eq!(a, b);
         let c = g.request(4, 20);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn tenant_labels_are_deterministic_skewed_and_in_range() {
-        let g = generator("wikipedia");
-        let tenants = 4;
-        let mut counts = vec![0_usize; tenants];
-        for i in 0..4_000_u64 {
-            let label = g.tenant(i, tenants);
-            assert_eq!(label, g.tenant(i, tenants));
-            let t: usize = label.strip_prefix("tenant-").unwrap().parse().unwrap();
-            counts[t] += 1;
-        }
-        // Harmonic weights 1, 1/2, 1/3, 1/4: the hot tenant owns ~48%
-        // of the stream and every tenant appears.
-        assert!(counts[0] > counts[1] && counts[1] > counts[3], "{counts:?}");
-        assert!(counts[0] > 4_000 * 2 / 5, "hot tenant too cold: {counts:?}");
-        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
-        // Degenerate argument: everything lands on the only tenant.
-        assert_eq!(g.tenant(7, 0), "tenant-0");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The unified `SelectionService` facade: one API over the direct
-//! engine and the multi-tenant server.
+//! engine and the batching server.
 //!
 //! ```text
 //! cargo run --release --example unified_service
@@ -9,14 +9,16 @@
 //! * non-blocking submit → `SelectionHandle` (`poll` / `wait` /
 //!   `wait_timeout`),
 //! * layer-granularity progress (layers forwarded, candidates pruned),
-//! * per-request `Priority` and deadlines honoured by the server's
-//!   priority-then-EDF scheduler,
+//! * per-request deadlines, enforced at admission, in the queue and at
+//!   every layer boundary,
 //! * mid-flight cancellation releasing resources at a layer boundary,
+//! * typed backpressure carrying the server's `retry_after` hint — the
+//!   caller, not the service, decides whether to resubmit,
 //! * bit-identical results across backends for the same batch and tag.
 
 use std::time::Duration;
 
-use prism_api::{LocalService, Priority, RequestOptions, SelectionService, ServiceError};
+use prism_api::{LocalService, RequestOptions, SelectionService, ServiceError};
 use prism_core::{EngineOptions, PrismEngine};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelConfig, SequenceBatch};
@@ -76,22 +78,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     )?;
-    let remote = server.service("example-tenant");
+    let remote = server.service("example-session");
 
-    // High priority with a generous deadline: scheduled ahead of bulk
-    // work, aborted at a layer boundary if the deadline ever passed.
+    // A generous deadline: aborted at a layer boundary if it ever
+    // passed, otherwise no different from a request without one.
     let urgent = remote.submit(
         batch.clone(),
-        RequestOptions::tagged(5, 1)
-            .with_priority(Priority::High)
-            .with_deadline_us(30_000_000),
+        RequestOptions::tagged(5, 1).with_deadline_us(30_000_000),
     )?;
-    // A bulk request we immediately regret: cancellation releases its
+    // A request we immediately regret: cancellation releases its
     // spill/scratch at the next layer boundary (or sheds it in-queue).
-    let regretted = remote.submit(
-        batch.clone(),
-        RequestOptions::top_k(5).with_priority(Priority::Bulk),
-    )?;
+    let regretted = remote.submit(batch.clone(), RequestOptions::top_k(5))?;
     regretted.cancel();
 
     let remote_outcome = urgent.wait()?;
@@ -108,13 +105,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // An already-expired deadline is rejected at admission with the
-    // typed error (and a `retry_after` hint rides on backpressure).
+    // typed error.
     match remote.submit(batch.clone(), RequestOptions::top_k(5).with_deadline_us(0)) {
         Err(ServiceError::DeadlineExceeded) => {
             println!("expired deadline: rejected at admission")
         }
         other => println!("unexpected admission outcome: {other:?}"),
     }
+
+    // A full queue answers with typed backpressure and a `retry_after`
+    // hint. Here one slot is held by a request waiting out a long
+    // coalescing window; the service never retries on its own, so this
+    // caller waits for the held work and then resubmits.
+    let tight = PrismServer::start(
+        engine(true)?,
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_batch_wait: Duration::from_millis(200),
+            ..Default::default()
+        },
+    )?;
+    let busy = tight.service("example-session");
+    let held = busy.submit(batch.clone(), RequestOptions::tagged(5, 1))?;
+    match busy.submit(batch.clone(), RequestOptions::tagged(5, 1)) {
+        Err(ServiceError::Backpressure { retry_after, .. }) => {
+            println!("full queue: backpressure, retry after ~{retry_after:?}");
+            held.wait()?;
+            let resubmitted = busy.select(batch.clone(), RequestOptions::tagged(5, 1))?;
+            assert_eq!(resubmitted.selection.top_ids(), local_top);
+            println!("resubmitted after the queue drained: same selection");
+        }
+        other => println!("unexpected admission outcome: {other:?}"),
+    }
+    tight.shutdown();
 
     // ---- One facade, one answer: backends agree bit-for-bit ----
     assert_eq!(
@@ -126,8 +150,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let snap = server.stats().snapshot();
     println!(
-        "server: {} completed, {} cancelled, {} deadline-rejected, {} inversions",
-        snap.completed, snap.cancelled, snap.deadline_rejected, snap.priority_inversions
+        "server: {} completed, {} cancelled, {} deadline-rejected",
+        snap.completed, snap.cancelled, snap.deadline_rejected
     );
     server.shutdown();
     std::fs::remove_file(&path)?;

@@ -182,7 +182,6 @@ fn interleaved_clients_match_sequential_reference() {
 /// server: each scenario must fire one `ServeStats` counter.
 mod edge_traces {
     use super::*;
-    use prism::core::Priority;
     use prism::serve::{run_closed_loop, LoadSpec, ServeError, ServeStatsSnapshot};
     use std::time::Duration;
 
@@ -313,69 +312,6 @@ mod edge_traces {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Starvation promotion: an aged bulk request must overtake waiting
-    /// high-priority work once past the starvation bound, recorded as a
-    /// priority inversion — and still complete.
-    #[test]
-    fn starvation_promotion_server_confirms() {
-        let serve = ServeConfig {
-            workers: 1,
-            max_batch_requests: 1,
-            max_batch_wait: Duration::from_micros(100),
-            starvation_age: Duration::from_micros(500),
-            session_cache_capacity: 0,
-            priority_scheduling: true,
-            ..Default::default()
-        };
-
-        // Occupy the worker, queue a wall of high requests and one bulk request behind them. While the highs are
-        // served one at a time the bulk ages past the 500 us bound and is
-        // promoted ahead of the remaining highs.
-        let (config, path) = fixture("edge-starvation");
-        let cases = batches(&config, 14, 12, 0x57A2);
-        let server = PrismServer::start(engine(&config, &path), serve).unwrap();
-        let mut handles = Vec::new();
-        for case in cases.iter().take(2) {
-            handles.push(
-                server
-                    .service("filler")
-                    .submit(case.clone(), RequestOptions::top_k(2))
-                    .unwrap(),
-            );
-        }
-        for case in cases.iter().take(12).skip(2) {
-            handles.push(
-                server
-                    .service("high")
-                    .submit(
-                        case.clone(),
-                        RequestOptions::top_k(2).with_priority(Priority::High),
-                    )
-                    .unwrap(),
-            );
-        }
-        handles.push(
-            server
-                .service("bulk")
-                .submit(
-                    cases[12].clone(),
-                    RequestOptions::top_k(2).with_priority(Priority::Bulk),
-                )
-                .unwrap(),
-        );
-        for h in handles {
-            h.wait().expect("every request completes despite promotion");
-        }
-        let snap = server.stats().snapshot();
-        assert_eq!(snap.completed, 13);
-        assert!(
-            snap.priority_inversions > 0,
-            "server: starved bulk must be promoted like the sim predicted, got {snap:?}"
-        );
-        server.shutdown();
-        std::fs::remove_file(&path).unwrap();
-    }
-
     /// Session-cache counters, pinned: with one client the order is
     /// fixed, so every run counts the same selection hits, embedding hits
     /// and misses. The triples were recorded when a serving simulator
@@ -407,7 +343,6 @@ mod edge_traces {
             (
                 ServeConfig {
                     max_batch_wait: window,
-                    starvation_age: window,
                     ..Default::default()
                 },
                 patient_window,
