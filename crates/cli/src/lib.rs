@@ -21,7 +21,6 @@
 //!
 //! scheduling flags:
 //!     [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
-//!     [--cache-sessions N]
 //!     The `ServeConfig` of the server. `--wait-us N`
 //!     (default 2000) is how long a request that needs a weight pass
 //!     waits for company, counted from its submission; a cache answer
@@ -32,18 +31,18 @@
 //!     [--dataset wikipedia] [--seed N] [--sessions N] [--repeat N]
 //!     [--deadline-ms N]
 //!     [--spill int8|f32] [--compute f32|int8]
-//!     [--semcache off|verify|aggressive] [--dup-frac F]
+//!     [--semcache off|on] [--dup-frac F]
 //!     One closed-loop synthetic workload (`prism_serve::LoadSpec`), the
 //!     same traffic whichever verb drives it: `--clients` threads send
 //!     `--requests` requests cycling `--sessions` sessions, each session
 //!     moving to a fresh corpus every `--repeat` requests.
 //!     `--deadline-ms` attaches a per-request deadline (a request that
-//!     misses it counts as an error). `--semcache` stamps the
-//!     semantic-cache mode on every
-//!     request (any mode but `off` also pins requests to full depth, the
-//!     replay soundness requirement) and `--dup-frac F` draws one request
-//!     in every `round(1/F)` from a cross-session duplicate corpus pool,
-//!     the overlap the semantic cache exists to exploit. The fraction
+//!     misses it counts as an error). `--semcache on` lets every request
+//!     replay and store exact candidate scores (it also pins requests to
+//!     full depth, the replay soundness requirement) and `--dup-frac F`
+//!     draws one request in every `round(1/F)` from a cross-session
+//!     duplicate corpus pool, the overlap the semantic cache exists to
+//!     exploit. The fraction
 //!     spaces evenly, so any F above 0.5 means every request.
 //!     `--requests`, `--clients`, `--candidates` and `--k` need at least 1.
 //!
@@ -94,13 +93,7 @@ use prism_workload::{dataset_by_name, WorkloadGenerator};
 const MODEL_FLAGS: &[&str] = &["model", "scale"];
 
 /// The flags [`serve_config_from`] reads.
-const SCHEDULING_FLAGS: &[&str] = &[
-    "workers",
-    "batch",
-    "batch-tokens",
-    "wait-us",
-    "cache-sessions",
-];
+const SCHEDULING_FLAGS: &[&str] = &["workers", "batch", "batch-tokens", "wait-us"];
 
 /// The flags [`load_spec_from`] reads.
 const LOAD_FLAGS: &[&str] = &[
@@ -512,11 +505,7 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
             )?,
             semcache: p.choice(
                 "semcache",
-                &[
-                    ("off", SemCacheMode::Off),
-                    ("verify", SemCacheMode::VerifyAndFallback),
-                    ("aggressive", SemCacheMode::Aggressive),
-                ],
+                &[("off", SemCacheMode::Off), ("on", SemCacheMode::On)],
             )?,
             ..RequestOptions::top_k(at_least_one("k", defaults.options.k)?)
         },
@@ -546,28 +535,15 @@ fn write_load_report(out: &mut String, report: &LoadReport) {
             s.batch_tokens.mean,
             s.rejected
         );
-        let _ = writeln!(
-            out,
-            "session cache: {} selection hits, {} embed hits, {} misses (hit rate {:.1}%)",
-            s.cache_selection_hits,
-            s.cache_embed_hits,
-            s.cache_misses,
-            s.cache_hit_rate * 100.0
-        );
-        if s.semcache_hits + s.semcache_misses + s.semcache_fallbacks > 0 {
-            let probed = s.semcache_hits + s.semcache_misses;
+        let probed = s.semcache_hits + s.semcache_misses;
+        if probed > 0 {
             let _ = writeln!(
                 out,
-                "semantic cache: {} hits, {} misses, {} fallbacks, {} bytes (hit rate {:.1}%)",
+                "semantic cache: {} hits, {} misses, {} bytes (hit rate {:.1}%)",
                 s.semcache_hits,
                 s.semcache_misses,
-                s.semcache_fallbacks,
                 s.semcache_bytes,
-                if probed > 0 {
-                    s.semcache_hits as f64 / probed as f64 * 100.0
-                } else {
-                    0.0
-                }
+                s.semcache_hits as f64 / probed as f64 * 100.0
             );
         }
         if s.cancelled + s.deadline_rejected + s.deadline_missed > 0 {
@@ -596,8 +572,6 @@ fn serve_config_from(p: &Parsed<'_>) -> Result<ServeConfig, String> {
         max_batch_requests: p.flag_parse("batch", serve_defaults.max_batch_requests)?,
         max_batch_tokens: p.flag_parse("batch-tokens", serve_defaults.max_batch_tokens)?,
         max_batch_wait,
-        session_cache_capacity: p
-            .flag_parse("cache-sessions", serve_defaults.session_cache_capacity)?,
         ..serve_defaults
     })
 }
@@ -928,7 +902,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("completed 12 requests"), "{out}");
         assert!(out.contains("latency us: p50"), "{out}");
-        assert!(out.contains("session cache:"), "{out}");
+        assert!(out.contains("recovery: 0 spill slots quarantined"), "{out}");
+        assert!(!out.contains("semantic cache"), "the cache is off: {out}");
 
         assert!(
             run_strs(&["serve", "--model", "bge-m3"]).is_err(),
@@ -971,9 +946,9 @@ mod tests {
     #[test]
     fn serve_with_semcache_flags() {
         let dense = container("serve-semcache", "17");
-        // High-overlap aggressive run with the session cache off: every
-        // duplicate must be answered by the semantic tier, so the
-        // telemetry line has to report hits.
+        // High-overlap run: every repeat of a duplicate corpus must be
+        // answered by the semantic cache, so the telemetry line has to
+        // report hits.
         let out = bge(
             &["serve", &dense],
             &[
@@ -985,24 +960,31 @@ mod tests {
                 "6",
                 "--k",
                 "2",
-                "--cache-sessions",
-                "0",
                 "--semcache",
-                "aggressive",
+                "on",
                 "--dup-frac",
                 "0.5",
             ],
         )
         .unwrap();
-        assert!(out.contains("semantic cache: mode Aggressive"), "{out}");
+        assert!(out.contains("semantic cache: mode On"), "{out}");
         assert!(out.contains("50% cross-session duplicate stream"), "{out}");
         assert!(out.contains("hits,"), "{out}");
-        assert!(out.contains("fallbacks,"), "{out}");
-
+        assert!(!out.contains("fallbacks"), "nothing is verified: {out}");
         assert!(
-            bge(&["serve", &dense], &["--semcache", "maybe",]).is_err(),
-            "unknown semcache mode must be rejected"
+            !out.contains("session cache"),
+            "there is no session memo: {out}"
         );
+
+        // `verify` and `aggressive` are unknown modes like any other.
+        for mode in ["maybe", "verify", "aggressive"] {
+            assert!(
+                bge(&["serve", &dense], &["--semcache", mode]).is_err(),
+                "semcache mode {mode} must be rejected"
+            );
+        }
+        let err = bge(&["serve", &dense], &["--cache-sessions", "4"]).unwrap_err();
+        assert_eq!(err, "prsm serve: unknown flag --cache-sessions");
         std::fs::remove_file(&dense).unwrap();
     }
 

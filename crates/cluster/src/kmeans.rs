@@ -214,218 +214,6 @@ pub fn kmeans_1d(values: &[f32], k: usize, seed: u64) -> Clustering {
     }
 }
 
-/// Result of clustering d-dimensional points.
-///
-/// Centroids are stored flat row-major (`k × dim`), matching the input
-/// layout of [`kmeans`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusteringNd {
-    /// Point dimensionality.
-    pub dim: usize,
-    /// Cluster id per input point (`0..k`).
-    pub assignments: Vec<usize>,
-    /// Flat row-major centroid matrix (`k × dim`).
-    pub centroids: Vec<f32>,
-    /// Sum of squared Euclidean distances to assigned centroids.
-    pub inertia: f32,
-}
-
-impl ClusteringNd {
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.centroids.len().checked_div(self.dim).unwrap_or(0)
-    }
-
-    /// Centroid `c` as a slice of length `dim`.
-    pub fn centroid(&self, c: usize) -> &[f32] {
-        &self.centroids[c * self.dim..(c + 1) * self.dim]
-    }
-
-    /// Members of cluster `c` (input point indices).
-    pub fn members(&self, c: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| (a == c).then_some(i))
-            .collect()
-    }
-
-    /// Index of the centroid nearest to `point` (squared Euclidean).
-    /// Ties break toward the lower cluster id, so lookups are
-    /// deterministic. Returns `None` for an empty clustering.
-    pub fn nearest(&self, point: &[f32]) -> Option<usize> {
-        let k = self.k();
-        if k == 0 {
-            return None;
-        }
-        let mut best = 0;
-        let mut best_d = f32::INFINITY;
-        for c in 0..k {
-            let d = dist2_nd(point, self.centroid(c));
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        Some(best)
-    }
-}
-
-/// Squared Euclidean distance between two equal-length vectors.
-fn dist2_nd(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y) * (x - y))
-        .sum::<f32>()
-}
-
-/// Runs Lloyd's algorithm on d-dimensional points with k-means++
-/// seeding — the [`kmeans_1d`] recipe generalized for the semantic
-/// cache's embedding index (`prism-semcache`), where bucket summaries
-/// are centroids over mean-pooled candidate embeddings.
-///
-/// `points` is flat row-major (`n × dim`); `k` is clamped to `n`; an
-/// empty input or `dim == 0` yields an empty clustering. Same contract
-/// as the 1-D twin: k-means++ seeding, at most 64 Lloyd iterations,
-/// empty-cluster repair (centroid jumps to the farthest point), and a
-/// `1e-7` per-coordinate movement epsilon. Deterministic for a given
-/// `seed` — identical inputs produce identical assignments, centroids
-/// and inertia bit for bit.
-///
-/// # Panics
-///
-/// Panics when `points.len()` is not a multiple of `dim`.
-///
-/// # Examples
-///
-/// ```
-/// use prism_cluster::kmeans;
-/// // Two obvious groups in 2-D.
-/// let pts = [0.0, 0.0, 0.1, 0.0, 5.0, 5.0, 5.1, 5.0];
-/// let c = kmeans(&pts, 2, 2, 7);
-/// assert_eq!(c.assignments[0], c.assignments[1]);
-/// assert_ne!(c.assignments[0], c.assignments[2]);
-/// ```
-pub fn kmeans(points: &[f32], dim: usize, k: usize, seed: u64) -> ClusteringNd {
-    if dim == 0 || points.is_empty() || k == 0 {
-        assert!(
-            dim == 0 || points.len().is_multiple_of(dim),
-            "points length {} is not a multiple of dim {dim}",
-            points.len()
-        );
-        return ClusteringNd {
-            dim,
-            assignments: Vec::new(),
-            centroids: Vec::new(),
-            inertia: 0.0,
-        };
-    }
-    assert!(
-        points.len().is_multiple_of(dim),
-        "points length {} is not a multiple of dim {dim}",
-        points.len()
-    );
-    let n = points.len() / dim;
-    let k = k.min(n);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let point = |i: usize| &points[i * dim..(i + 1) * dim];
-
-    // k-means++ seeding, exactly the 1-D walk over squared distances.
-    let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
-    centroids.extend_from_slice(point(rng.gen_range(0..n)));
-    let mut dist2 = vec![0.0_f32; n];
-    while centroids.len() < k * dim {
-        let placed = centroids.len() / dim;
-        let mut total = 0.0_f32;
-        for (i, d) in dist2.iter_mut().enumerate() {
-            *d = (0..placed)
-                .map(|c| dist2_nd(point(i), &centroids[c * dim..(c + 1) * dim]))
-                .fold(f32::INFINITY, f32::min);
-            total += *d;
-        }
-        if total <= f32::EPSILON {
-            // All remaining points coincide with existing centroids; pad
-            // by duplicating (empty clusters get repaired below).
-            centroids.extend_from_slice(point(rng.gen_range(0..n)));
-            continue;
-        }
-        let mut target = rng.gen::<f32>() * total;
-        let mut chosen = n - 1;
-        for (i, &d) in dist2.iter().enumerate() {
-            target -= d;
-            if target <= 0.0 {
-                chosen = i;
-                break;
-            }
-        }
-        centroids.extend_from_slice(point(chosen));
-    }
-
-    let mut assignments = vec![0_usize; n];
-    let mut inertia = 0.0_f32;
-    for _iter in 0..64 {
-        // Assign.
-        inertia = 0.0;
-        for (i, a) in assignments.iter_mut().enumerate() {
-            let mut best = 0;
-            let mut best_d = f32::INFINITY;
-            for c in 0..k {
-                let d = dist2_nd(point(i), &centroids[c * dim..(c + 1) * dim]);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            *a = best;
-            inertia += best_d;
-        }
-        // Update.
-        let mut sums = vec![0.0_f32; k * dim];
-        let mut counts = vec![0_usize; k];
-        for (i, &a) in assignments.iter().enumerate() {
-            for (s, &v) in sums[a * dim..(a + 1) * dim].iter_mut().zip(point(i)) {
-                *s += v;
-            }
-            counts[a] += 1;
-        }
-        let mut moved = false;
-        for c in 0..k {
-            if counts[c] == 0 {
-                // Repair empty cluster: move its centroid to the point
-                // farthest from its current assignment.
-                if let Some((idx, _)) = (0..n)
-                    .map(|i| {
-                        let a = assignments[i];
-                        (i, dist2_nd(point(i), &centroids[a * dim..(a + 1) * dim]))
-                    })
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                {
-                    centroids[c * dim..(c + 1) * dim].copy_from_slice(point(idx));
-                    moved = true;
-                }
-                continue;
-            }
-            for j in 0..dim {
-                let new = sums[c * dim + j] / counts[c] as f32;
-                if (new - centroids[c * dim + j]).abs() > 1e-7 {
-                    centroids[c * dim + j] = new;
-                    moved = true;
-                }
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-
-    ClusteringNd {
-        dim,
-        assignments,
-        centroids,
-        inertia,
-    }
-}
-
 /// Clusters with the best `k ∈ 2..=max_k` by mean silhouette.
 ///
 /// Falls back to `k = 1` when fewer than three values exist or every
@@ -553,146 +341,5 @@ mod tests {
         let k2 = kmeans_1d(&values, 2, 11);
         let k6 = kmeans_1d(&values, 6, 11);
         assert!(k6.inertia <= k2.inertia + 1e-5);
-    }
-
-    /// `n` points in `dim` dimensions around `groups` well-separated
-    /// anchors, deterministic in `seed`.
-    fn blob_points(n: usize, dim: usize, groups: usize, seed: u64) -> (Vec<f32>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pts = Vec::with_capacity(n * dim);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let g = i % groups;
-            labels.push(g);
-            for j in 0..dim {
-                // Anchor at 10·g along every axis plus small jitter.
-                let anchor = 10.0 * g as f32 + j as f32 * 0.01;
-                pts.push(anchor + (rng.gen::<f32>() - 0.5) * 0.2);
-            }
-        }
-        (pts, labels)
-    }
-
-    #[test]
-    fn nd_separates_obvious_groups() {
-        let (pts, labels) = blob_points(30, 8, 3, 42);
-        let c = kmeans(&pts, 8, 3, 7);
-        assert_eq!(c.k(), 3);
-        assert_eq!(c.assignments.len(), 30);
-        // Every point with the same ground-truth label lands in the same
-        // cluster, and different labels land in different clusters.
-        for (i, &li) in labels.iter().enumerate() {
-            for (j, &lj) in labels.iter().enumerate() {
-                assert_eq!(
-                    li == lj,
-                    c.assignments[i] == c.assignments[j],
-                    "points {i} and {j}"
-                );
-            }
-        }
-        // Tight blobs: inertia is the jitter, not the anchor spacing.
-        assert!(c.inertia < 30.0 * 8.0 * 0.01, "inertia {}", c.inertia);
-    }
-
-    #[test]
-    fn nd_is_deterministic_for_seed() {
-        let (pts, _) = blob_points(40, 16, 4, 3);
-        let a = kmeans(&pts, 16, 4, 42);
-        let b = kmeans(&pts, 16, 4, 42);
-        assert_eq!(a, b, "same seed must reproduce bit-identically");
-        // Bit-identical includes the centroid floats.
-        for (x, y) in a.centroids.iter().zip(&b.centroids) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn nd_converges_to_blob_means() {
-        // With one cluster per blob, the converged centroid is the blob
-        // mean (Lloyd's fixed point): assignment then update changes
-        // nothing, so inertia equals the within-blob scatter.
-        let (pts, labels) = blob_points(24, 4, 2, 9);
-        let c = kmeans(&pts, 4, 2, 1);
-        for g in 0..2 {
-            // Compute the ground-truth blob mean.
-            let members: Vec<usize> = labels
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &l)| (l == g).then_some(i))
-                .collect();
-            let mut mean = vec![0.0_f32; 4];
-            for &i in &members {
-                for j in 0..4 {
-                    mean[j] += pts[i * 4 + j];
-                }
-            }
-            for m in &mut mean {
-                *m /= members.len() as f32;
-            }
-            // Some centroid sits at that mean (within float tolerance).
-            let hit = (0..c.k()).any(|cid| {
-                c.centroid(cid)
-                    .iter()
-                    .zip(&mean)
-                    .all(|(a, b)| (a - b).abs() < 1e-4)
-            });
-            assert!(hit, "no centroid at blob {g} mean {mean:?}");
-        }
-    }
-
-    #[test]
-    fn nd_k_clamped_and_degenerate_inputs() {
-        let pts = [1.0_f32, 2.0, 3.0, 4.0];
-        // k clamped to n = 2 points of dim 2.
-        let c = kmeans(&pts, 2, 10, 0);
-        assert_eq!(c.k(), 2);
-        assert_ne!(c.assignments[0], c.assignments[1]);
-        // Empty input / k = 0 / dim = 0 are empty clusterings.
-        assert_eq!(kmeans(&[], 4, 3, 0).k(), 0);
-        assert_eq!(kmeans(&pts, 2, 0, 0).k(), 0);
-        assert_eq!(kmeans(&[], 0, 3, 0).k(), 0);
-    }
-
-    #[test]
-    fn nd_identical_points_collapse() {
-        let pts: Vec<f32> = std::iter::repeat_n([0.5_f32, -0.25, 1.0], 6)
-            .flatten()
-            .collect();
-        let c = kmeans(&pts, 3, 3, 5);
-        // All points identical: every assignment maps to one real
-        // centroid (the duplicated pads are repaired or coincide).
-        assert!(c.inertia < 1e-9);
-        let first = c.assignments[0];
-        assert!(c.assignments.iter().all(|&a| a == first));
-    }
-
-    #[test]
-    fn nd_nearest_matches_assignments() {
-        let (pts, _) = blob_points(20, 6, 2, 17);
-        let c = kmeans(&pts, 6, 2, 2);
-        for i in 0..20 {
-            let p = &pts[i * 6..(i + 1) * 6];
-            assert_eq!(c.nearest(p), Some(c.assignments[i]), "point {i}");
-        }
-        let empty = kmeans(&[], 3, 2, 0);
-        assert_eq!(empty.nearest(&[0.0, 0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn nd_matches_1d_grouping() {
-        // dim = 1 must group like the specialized scalar path (the
-        // seeding RNG draws differ, so compare the partition, not ids).
-        let values = [0.1_f32, 0.12, 0.11, 0.9, 0.91, 0.88];
-        let c = kmeans(&values, 1, 2, 7);
-        assert_eq!(c.k(), 2);
-        let a = c.assignments[0];
-        assert!(c.assignments[..3].iter().all(|&x| x == a));
-        assert!(c.assignments[3..].iter().all(|&x| x != a));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn nd_rejects_ragged_input() {
-        kmeans(&[1.0, 2.0, 3.0], 2, 1, 0);
     }
 }

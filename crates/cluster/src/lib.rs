@@ -1,5 +1,5 @@
 //! Clustering and dispersion statistics for progressive cluster pruning
-//! (§4.1) and the semantic result cache's embedding index.
+//! (§4.1).
 //!
 //! PRISM decides *when* to prune with a coefficient-of-variation gate over
 //! candidate scores and decides *what* to prune by K-Means-clustering the
@@ -8,13 +8,9 @@
 //! pruning path is specialized — and fast — for the 1-D case: the paper
 //! reports ~1 ms clustering overhead and our Criterion bench
 //! (`kmeans` in `prism-bench`) verifies we are far below that.
-//!
-//! The d-dimensional [`kmeans()`] generalization serves `prism-semcache`,
-//! which summarizes LSH buckets of mean-pooled candidate embeddings with
-//! centroids for fast probe rejection.
 
 pub mod kmeans;
 pub mod stats;
 
-pub use kmeans::{kmeans, kmeans_1d, kmeans_auto, Clustering, ClusteringNd};
+pub use kmeans::{kmeans_1d, kmeans_auto, Clustering};
 pub use stats::{coefficient_of_variation, mean, std_dev};

@@ -175,12 +175,10 @@ pub struct RequestOptions {
     /// contract). It does not change how hidden states are spilled:
     /// that is [`RequestOptions::spill_precision`]'s alone.
     pub compute_precision: ComputePrecision,
-    /// Semantic result-cache policy (see [`SemCacheMode`]). Consumed by
+    /// Semantic result-cache switch (see [`SemCacheMode`]). Consumed by
     /// the serving layer's cross-request cache (`prism-semcache`);
-    /// ignored by direct engine calls. The default [`SemCacheMode::Off`]
-    /// keeps the exact path. Because the cache may change *what* a
-    /// selection returns (in [`SemCacheMode::Aggressive`]), the mode
-    /// participates in serving result-cache keys.
+    /// ignored by direct engine calls. Either value yields the same
+    /// selection bits.
     pub semcache: SemCacheMode,
 }
 
@@ -629,7 +627,7 @@ impl PrismEngine {
 
     /// Drives planned requests through the transformer, acquiring each
     /// layer's weights exactly once. Public so a serving scheduler can
-    /// plan requests itself (e.g. with session-cached embeddings) and
+    /// plan requests itself (e.g. only a request's novel candidates) and
     /// still share one weight pass; after this returns every request is
     /// ready for [`PrismEngine::finalize_request`].
     pub fn run_planned(
@@ -711,22 +709,12 @@ impl PrismEngine {
         Ok(())
     }
 
-    /// Plans one selection: validates the request, embeds the batch,
-    /// builds the chunk geometry (with optional spill), and runs the
-    /// post-embedding score probe.
-    pub fn plan_request(
-        &self,
-        batch: &SequenceBatch,
-        options: RequestOptions,
-    ) -> Result<ActiveRequest> {
-        self.plan_request_with_embed(batch, options, None)
-    }
-
     /// Rejects a request this engine cannot serve: one the options rule
-    /// out ([`RequestOptions::validate`]: an empty batch, `k = 0`) or a
-    /// sequence longer than the model's `max_seq`. The planner applies
-    /// it, and so does every service at admission, before a request
-    /// costs an embed or a cache entry.
+    /// out ([`RequestOptions::validate`]: an empty batch, `k = 0`), a
+    /// sequence longer than the model's `max_seq`, or a token outside
+    /// the vocabulary. The planner applies it, and so does every service
+    /// at admission, before a request costs a queue slot or a cache
+    /// probe.
     pub fn validate_request(&self, batch: &SequenceBatch, options: &RequestOptions) -> Result<()> {
         options.validate(batch.num_sequences())?;
         if batch.max_seq_len() > self.config.max_seq {
@@ -736,19 +724,26 @@ impl PrismEngine {
                 self.config.max_seq
             )));
         }
+        if let Some(&token) = batch
+            .tokens()
+            .iter()
+            .find(|&&t| t as usize >= self.config.vocab_size)
+        {
+            return Err(PrismError::InvalidRequest(format!(
+                "token {token} outside vocabulary of {}",
+                self.config.vocab_size
+            )));
+        }
         Ok(())
     }
 
-    /// [`PrismEngine::plan_request`] with an optional precomputed
-    /// embedding (`[total_tokens, hidden_dim]`, as returned by
-    /// [`PrismEngine::embed_batch`]). Embedding is a pure function of the
-    /// token content, so a serving-layer session cache can replay it
-    /// across requests without changing results.
-    pub fn plan_request_with_embed(
+    /// Plans one selection: validates the request, embeds the batch,
+    /// builds the chunk geometry (with optional spill), and runs the
+    /// post-embedding score probe.
+    pub fn plan_request(
         &self,
         batch: &SequenceBatch,
         options: RequestOptions,
-        embed: Option<&Tensor>,
     ) -> Result<ActiveRequest> {
         let n = batch.num_sequences();
         self.validate_request(batch, &options)?;
@@ -771,26 +766,9 @@ impl PrismEngine {
             n
         };
 
-        // ---- Embedding phase (§4.4): chunks slice the embedded rows, so
-        // a caller-provided tensor is read in place (no copy). ----
-        let mut chunks = match embed {
-            Some(t) => {
-                if t.rows() != batch.total_tokens() || t.cols() != self.config.hidden_dim {
-                    return Err(PrismError::InvalidRequest(format!(
-                        "precomputed embedding is {}x{}, batch needs {}x{}",
-                        t.rows(),
-                        t.cols(),
-                        batch.total_tokens(),
-                        self.config.hidden_dim
-                    )));
-                }
-                build_chunks(batch, t, chunk_cands)?
-            }
-            None => {
-                let hidden_all = latency.time("embed", || self.embed_batch(batch))?;
-                build_chunks(batch, &hidden_all, chunk_cands)?
-            }
-        };
+        // ---- Embedding phase (§4.4) ----
+        let hidden_all = latency.time("embed", || self.embed_batch(batch))?;
+        let mut chunks = build_chunks(batch, &hidden_all, chunk_cands)?;
 
         // Post-embedding probe, while every chunk is still resident: the
         // probe scores are computed from the exact embedded hidden states
@@ -1045,8 +1023,8 @@ impl PrismEngine {
     }
 
     /// Embeds a batch: one `[total_tokens, hidden_dim]` tensor with
-    /// positional encoding applied. Pure in the token content — the
-    /// serving session cache reuses the result across repeat corpora.
+    /// positional encoding applied: the embedding phase of
+    /// [`PrismEngine::plan_request`]. Pure in the token content.
     pub fn embed_batch(&self, batch: &SequenceBatch) -> Result<Tensor> {
         let d = self.config.hidden_dim;
         let mut hidden = Tensor::zeros(batch.total_tokens(), d);

@@ -34,32 +34,35 @@ pub enum ComputePrecision {
     Int8,
 }
 
-/// Exactness policy of the semantic result cache (`prism-semcache`),
-/// the similarity-keyed cross-request cache the serving layer places
-/// between its per-session memo cache and the engine.
+/// Whether a request uses the semantic result cache (`prism-semcache`),
+/// the serving layer's cross-request cache of exact candidate scores.
 ///
 /// The cache only ever engages on *full-depth* requests (effective
 /// pruning off): a candidate's full-depth score is a pure function of
 /// its token sequence and precision knobs — the batch-independence
-/// contract the conformance suites pin — so replaying a cached score is
-/// sound. Pruned requests bypass the cache entirely.
-///
-/// Like [`ComputePrecision`], this knob changes *what may be reused*,
-/// so it participates in result-cache keys.
+/// contract the conformance suites pin — so replaying the score of a
+/// token-identical candidate is bit-identical to recomputing it. Pruned
+/// requests bypass the cache entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum SemCacheMode {
-    /// Never probe or populate the cache (the exact path).
+    /// Never probe or populate the cache.
     #[default]
     Off,
-    /// Replay only exact token-identical candidates (bit-identical to
-    /// [`SemCacheMode::Off`] by construction); a sampled fraction of
-    /// hits is re-scored against the exact path and a mismatch poisons
-    /// the entry's LSH bucket, falling back to full compute.
-    VerifyAndFallback,
-    /// Additionally replay *near-duplicate* candidates whose mean-pooled
-    /// embedding cosine clears the similarity threshold — approximate by
-    /// design, maximum reuse.
-    Aggressive,
+    /// Replay cached scores of token-identical candidates and store the
+    /// scores the request computes.
+    On,
+}
+
+#[allow(non_upper_case_globals)]
+impl SemCacheMode {
+    /// The former exact-with-verification mode, now [`SemCacheMode::On`].
+    /// Frozen for `benchmark/src/{spec,inputs}.rs` until ROADMAP item
+    /// 14's `[benchmark]` half.
+    pub const VerifyAndFallback: SemCacheMode = SemCacheMode::On;
+    /// The former near-duplicate mode, now [`SemCacheMode::On`]. Frozen
+    /// for `benchmark/src/{spec,inputs}.rs` until ROADMAP item 14's
+    /// `[benchmark]` half.
+    pub const Aggressive: SemCacheMode = SemCacheMode::On;
 }
 
 /// Full engine configuration.

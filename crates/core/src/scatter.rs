@@ -300,9 +300,9 @@ fn finalize_ranked(
 /// an empty accepted set, exported so the serving layer's semantic result cache
 /// (`prism-semcache`) can merge replayed and recomputed per-candidate
 /// scores and rank them *through the same code path* a pruning-off
-/// engine run uses — the bit-identity contract of
-/// `SemCacheMode::VerifyAndFallback` rests on this being the one ranking
-/// rule.
+/// engine run uses — the semantic cache's bit-identity contract
+/// (`SemCacheMode::On` answers exactly as `Off` does) rests on this
+/// being the one ranking rule.
 pub fn rank_full_scores(scores: &[f32], k: usize, depth: usize) -> Vec<RankedCandidate> {
     let indexed: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
     let mut accepted = Vec::new();

@@ -1,7 +1,7 @@
 //! Lock-free serving telemetry: gauges, counters and a latency histogram.
 //!
 //! The serving front-end (`prism-serve`) reports queue depth, coalesced
-//! batch sizes and session-cache hits through these primitives. They are
+//! batch sizes and semantic-cache hits through these primitives. They are
 //! deliberately tiny — atomics only, no background aggregation thread —
 //! so a worker can bump them from the hot path without contending on the
 //! [`crate::MemoryMeter`] lock.

@@ -1,141 +1,58 @@
-//! Semantic result cache: cross-request reuse for near-duplicate
-//! candidates and shared query prefixes.
+//! Semantic result cache: cross-request reuse of exact candidate scores.
 //!
-//! The serving layer's per-session memo cache (`prism-serve`'s
-//! `SessionCache`) only ever replays a *whole selection* back to the
-//! session that computed it. This crate sits one level deeper, between
-//! that cache and the engine, and reuses *per-candidate* work across
-//! requests and sessions:
+//! A full-depth candidate score is a pure function of the candidate's
+//! token sequence, the model weights and the precision knobs — the
+//! batch-independence contract the conformance suites pin. So a score
+//! computed for one request may stand in, bit for bit, for the same
+//! candidate in any later request of any session. This crate keeps those
+//! scores:
 //!
-//! * an **exact tier** keyed by an FNV-1a [`fingerprint`] of the
-//!   candidate's full token sequence plus its precision profile — a
-//!   full-depth candidate score is a pure function of those inputs (the
-//!   batch-independence contract the conformance suites pin), so
-//!   replaying it is bit-identical to recomputing;
-//! * a **similarity tier** over mean-pooled embedding-layer vectors:
-//!   random-hyperplane LSH buckets give an O(1) probe, per-bucket
-//!   d-dimensional K-Means centroids ([`prism_cluster::kmeans()`]) give
-//!   fast rejection and scan ordering, and a cosine threshold decides
-//!   whether a near-duplicate's cached score may stand in for a fresh
-//!   computation (approximate by design — only the `Aggressive` mode of
-//!   the serving knob enables this tier);
-//! * a **bounded store** holding each cached activation row in the same
-//!   versioned row-quantized int8 slot format the spill file uses
-//!   ([`prism_tensor::RowQuantBlock`], ~4x smaller than f32), with LRU +
-//!   byte-budget eviction metered like spill bytes.
+//! * one **exact store** keyed by an FNV-1a [`fingerprint`] of the
+//!   candidate's token sequence plus its precision profile byte; every
+//!   hit compares the stored tokens and profile in full, so a
+//!   fingerprint collision misses instead of replaying another
+//!   candidate's score;
+//! * **LRU + byte-budget eviction**, metered like spill bytes, and an
+//!   [`audit`](SemanticCache::audit) that reconciles the meter with the
+//!   live entries.
 //!
-//! Verification (the `VerifyAndFallback` serving mode) re-scores a
-//! deterministically [sampled](should_verify) fraction of hits against
-//! the exact path; a mismatch [poisons](SemanticCache::poison) the
-//! entry's LSH bucket — its entries are dropped and the bucket never
-//! serves similarity hits again.
-//!
-//! Everything here is deterministic: probes, insertions, evictions and
-//! centroid refreshes depend only on the configured seed and the call
-//! sequence, never on wall-clock time or map iteration order.
+//! Everything here is deterministic: probes, insertions and evictions
+//! depend only on the call sequence, never on wall-clock time or map
+//! iteration order.
 
 pub mod cache;
 pub mod hash;
-pub mod lsh;
 pub mod store;
 
-pub use cache::{Probe, SemCacheStats, SemanticCache};
-pub use lsh::{cosine, mean_pool, Hyperplanes};
+pub use cache::{SemCacheStats, SemanticCache};
 pub use store::{entry_bytes, Entry, ENTRY_OVERHEAD_BYTES};
 
 /// Configuration of a [`SemanticCache`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SemCacheConfig {
-    /// Embedding dimensionality of pooled candidate vectors (the model's
-    /// hidden size).
-    pub dim: usize,
     /// Byte budget for the store (entry payloads + fixed per-entry
     /// overhead). Insertions evict least-recently-used entries until the
     /// new entry fits; a single entry larger than the budget is refused.
     pub capacity_bytes: u64,
-    /// Number of random-hyperplane sign bits in an LSH signature
-    /// (1..=64). More bits = smaller buckets = fewer similarity
-    /// comparisons but also fewer near-duplicate collisions.
-    pub lsh_bits: u32,
-    /// Minimum cosine similarity for the similarity tier to replay a
-    /// cached score (in `[-1, 1]`; typical values are close to 1).
-    pub similarity_threshold: f32,
-    /// Fraction of cache hits the serving layer re-scores against the
-    /// exact path under `VerifyAndFallback` (in `[0, 1]`). Stored here so
-    /// one config travels through the stack; sampling itself is
-    /// [`should_verify`].
-    pub verify_fraction: f64,
-    /// Seed for the hyperplane directions and per-bucket K-Means
-    /// summaries. Two caches with equal seeds and equal call sequences
-    /// are bit-identical.
-    pub seed: u64,
 }
 
 impl Default for SemCacheConfig {
     fn default() -> Self {
         SemCacheConfig {
-            dim: 64,
             capacity_bytes: 4 << 20,
-            lsh_bits: 16,
-            similarity_threshold: 0.95,
-            verify_fraction: 0.25,
-            seed: 0x5EED_CACE,
         }
-    }
-}
-
-impl SemCacheConfig {
-    /// Validates field ranges, returning a description of the first
-    /// violation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.dim == 0 {
-            return Err("semcache dim must be >= 1".into());
-        }
-        if !(1..=64).contains(&self.lsh_bits) {
-            return Err(format!("semcache lsh_bits {} not in 1..=64", self.lsh_bits));
-        }
-        if !(-1.0..=1.0).contains(&self.similarity_threshold) {
-            return Err(format!(
-                "semcache similarity threshold {} not in [-1, 1]",
-                self.similarity_threshold
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.verify_fraction) {
-            return Err(format!(
-                "semcache verify fraction {} not in [0, 1]",
-                self.verify_fraction
-            ));
-        }
-        Ok(())
     }
 }
 
 /// FNV-1a fingerprint of a candidate's token sequence and precision
-/// profile — the exact-tier cache key. The profile byte packs the knobs
-/// that change score bits (spill precision, compute precision) so e.g.
-/// an int8-computed score can never replay into an f32 request.
+/// profile — the cache key. The profile byte packs the knobs that change
+/// score bits (spill precision, compute precision) so e.g. an
+/// int8-computed score can never replay into an f32 request.
 pub fn fingerprint(tokens: &[u32], profile: u8) -> u64 {
     let h = tokens
         .iter()
         .fold(hash::FNV_OFFSET, |h, t| hash::fnv1a(h, &t.to_le_bytes()));
     hash::fnv1a(h, &[profile])
-}
-
-/// Deterministic verification sampling: whether a hit with this
-/// fingerprint is re-scored against the exact path under
-/// `VerifyAndFallback`. A SplitMix64 finalizer decorrelates the decision
-/// from the bucket assignment so verification coverage is uniform across
-/// buckets; the same fingerprint always samples the same way, which
-/// keeps served results reproducible across identical runs.
-pub fn should_verify(fingerprint: u64, fraction: f64) -> bool {
-    if fraction <= 0.0 {
-        return false;
-    }
-    if fraction >= 1.0 {
-        return true;
-    }
-    // Map to [0, 1) with 53-bit precision, like `StdRng::gen::<f64>`.
-    ((hash::mix64(fingerprint) >> 11) as f64) / ((1u64 << 53) as f64) < fraction
 }
 
 #[cfg(test)]
@@ -159,53 +76,5 @@ mod tests {
             fingerprint(&[7, 0, 0xFFFF_FFFF, 42], 3),
             0x453a_40b8_6562_6075
         );
-        assert_eq!(hash::mix64(0), 0xe220_a839_7b1d_cdaf);
-        assert_eq!(hash::mix64(0xDEAD_BEEF), 0x4adf_b90f_68c9_eb9b);
-    }
-
-    #[test]
-    fn verify_sampling_is_deterministic_and_roughly_calibrated() {
-        let fraction = 0.25;
-        let hits: usize = (0..10_000)
-            .filter(|&i| should_verify(fingerprint(&[i], 0), fraction))
-            .count();
-        // 10k SplitMix64 draws at p=0.25: expect 2500 +- a few hundred.
-        assert!((2000..3000).contains(&hits), "got {hits}");
-        for i in 0..100 {
-            let f = fingerprint(&[i, i + 1], 3);
-            assert_eq!(should_verify(f, fraction), should_verify(f, fraction));
-        }
-        assert!(!should_verify(7, 0.0));
-        assert!(should_verify(7, 1.0));
-    }
-
-    #[test]
-    fn config_validation_catches_bad_ranges() {
-        SemCacheConfig::default().validate().unwrap();
-        let bad = [
-            SemCacheConfig {
-                dim: 0,
-                ..Default::default()
-            },
-            SemCacheConfig {
-                lsh_bits: 0,
-                ..Default::default()
-            },
-            SemCacheConfig {
-                lsh_bits: 65,
-                ..Default::default()
-            },
-            SemCacheConfig {
-                similarity_threshold: 1.5,
-                ..Default::default()
-            },
-            SemCacheConfig {
-                verify_fraction: -0.1,
-                ..Default::default()
-            },
-        ];
-        for c in bad {
-            assert!(c.validate().is_err(), "{c:?} must be rejected");
-        }
     }
 }

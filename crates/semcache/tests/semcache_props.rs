@@ -1,69 +1,43 @@
 //! Index invariants of the semantic cache, property-style:
 //!
-//! * a cached candidate is its own nearest match — probing with an
-//!   entry's exact tokens always hits, and probing with its pooled
-//!   vector similarity-hits at cosine ≈ 1 whenever the entry is live;
+//! * a cached candidate is its own (and only) match — probing with an
+//!   entry's exact tokens and profile always hits with its score, and a
+//!   different token sequence or profile never borrows it;
 //! * probes are deterministic — the same cache state answers the same
 //!   probe identically, and two caches built by the same call sequence
 //!   agree on everything;
 //! * eviction never lets the byte meter exceed the budget, and the
 //!   meter always equals the sum over live entries (audit passes after
-//!   arbitrary interleavings of insert / probe / poison);
+//!   arbitrary interleavings of insert / probe / clear);
 //! * eviction is least-recently-used: with equal-size entries the live
 //!   set and eviction count follow a plain recency-list model.
 
-use prism_semcache::{Probe, SemCacheConfig, SemanticCache};
+use prism_semcache::{SemCacheConfig, SemanticCache};
 use proptest::prelude::*;
 
-const DIM: usize = 8;
-
-fn config(capacity: u64, threshold: f32) -> SemCacheConfig {
-    SemCacheConfig {
-        dim: DIM,
-        capacity_bytes: capacity,
-        lsh_bits: 4,
-        similarity_threshold: threshold,
-        verify_fraction: 0.0,
-        seed: 0xA5A5,
-    }
-}
-
-/// Deterministic non-degenerate pooled vector for candidate `i`.
-fn pooled(i: u32) -> Vec<f32> {
-    (0..DIM)
-        .map(|d| ((i as f32 + 1.0) * 0.61 + d as f32 * 1.13).sin() + 0.01)
-        .collect()
+fn config(capacity_bytes: u64) -> SemCacheConfig {
+    SemCacheConfig { capacity_bytes }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every live entry is findable by its own key and by its own
-    /// vector: the exact tier hits on identical tokens, and the
-    /// similarity tier matches the entry's own pooled vector with
-    /// cosine within quantization error of 1.
+    /// Every live entry is found by its own tokens under its own profile
+    /// and by nothing else: a shifted token sequence and the other
+    /// profile byte both miss.
     #[test]
     fn candidate_is_its_own_nearest_match(
         ids in prop::collection::vec(0_u32..64, 1..24),
     ) {
-        let mut cache = SemanticCache::new(config(1 << 20, 0.95));
+        let mut cache = SemanticCache::new(config(1 << 20));
         for &i in &ids {
-            cache.insert(&[i, i + 1], 0, &pooled(i), i as f32);
+            cache.insert(&[i, i + 1], 0, i as f32);
         }
         for &i in &ids {
-            let exact = cache.probe(&[i, i + 1], 0, None, false);
-            prop_assert!(
-                matches!(exact, Probe::ExactHit { score, .. } if score == i as f32),
-                "exact probe of {i} gave {exact:?}"
-            );
-            // Probe under fresh tokens so only the similarity tier can
-            // answer; the entry's own vector must clear the threshold.
-            match cache.probe(&[i + 1000], 0, Some(&pooled(i)), true) {
-                Probe::SimilarHit { similarity, .. } => {
-                    prop_assert!(similarity > 0.99, "self-similarity {similarity}")
-                }
-                other => prop_assert!(false, "similar probe of {i} gave {other:?}"),
-            }
+            let hit = cache.probe(&[i, i + 1], 0);
+            prop_assert_eq!(hit.map(f32::to_bits), Some((i as f32).to_bits()), "probe of {}", i);
+            prop_assert_eq!(cache.probe(&[i, i + 1], 1), None, "other profile of {}", i);
+            prop_assert_eq!(cache.probe(&[i + 1000, i + 1], 0), None, "neighbor of {}", i);
         }
     }
 
@@ -74,48 +48,47 @@ proptest! {
     fn probes_are_deterministic(
         ops in prop::collection::vec((0_u32..32, 0_u8..2), 1..40),
     ) {
-        let mut a = SemanticCache::new(config(4 << 10, 0.9));
-        let mut b = SemanticCache::new(config(4 << 10, 0.9));
+        let mut a = SemanticCache::new(config(4 << 10));
+        let mut b = SemanticCache::new(config(4 << 10));
         for &(i, kind) in &ops {
             if kind == 0 {
-                let admitted_a = a.insert(&[i], 0, &pooled(i), i as f32 * 0.5);
-                let admitted_b = b.insert(&[i], 0, &pooled(i), i as f32 * 0.5);
+                let admitted_a = a.insert(&[i], 0, i as f32 * 0.5);
+                let admitted_b = b.insert(&[i], 0, i as f32 * 0.5);
                 prop_assert_eq!(admitted_a, admitted_b);
             } else {
-                let pa = a.probe(&[i], 0, Some(&pooled(i)), true);
-                let pb = b.probe(&[i], 0, Some(&pooled(i)), true);
-                prop_assert_eq!(&pa, &pb);
-                let again_a = a.probe(&[i], 0, Some(&pooled(i)), true);
-                let again_b = b.probe(&[i], 0, Some(&pooled(i)), true);
-                prop_assert_eq!(&pa, &again_a, "repeat probe changed answer");
-                prop_assert_eq!(&again_a, &again_b);
+                let pa = a.probe(&[i], 0).map(f32::to_bits);
+                let pb = b.probe(&[i], 0).map(f32::to_bits);
+                prop_assert_eq!(pa, pb);
+                let again_a = a.probe(&[i], 0).map(f32::to_bits);
+                let again_b = b.probe(&[i], 0).map(f32::to_bits);
+                prop_assert_eq!(pa, again_a, "repeat probe changed answer");
+                prop_assert_eq!(again_a, again_b);
             }
         }
         prop_assert_eq!(a.bytes(), b.bytes());
         prop_assert_eq!(a.stats(), b.stats());
     }
 
-    /// Under arbitrary interleavings of insert, probe and poison, the
-    /// byte meter never exceeds the budget and always reconciles with
-    /// the live entries (audit passes — no leaked or phantom bytes).
+    /// Under arbitrary interleavings of inserts (of varying length),
+    /// probes and clears, the byte meter never exceeds the budget and
+    /// always reconciles with the live entries (audit passes — no leaked
+    /// or phantom bytes).
     #[test]
     fn eviction_never_exceeds_budget_and_meter_reconciles(
         capacity in 200_u64..2000,
-        ops in prop::collection::vec((0_u32..48, 0_u8..8), 1..80),
+        ops in prop::collection::vec((0_u32..48, 0_u8..16), 1..80),
     ) {
-        let mut cache = SemanticCache::new(config(capacity, 0.9));
+        let mut cache = SemanticCache::new(config(capacity));
         for &(i, kind) in &ops {
+            let tokens = vec![i; 1 + (i % 5) as usize];
             match kind {
-                0..=4 => {
-                    cache.insert(&[i, i], 0, &pooled(i), 1.0);
+                0..=9 => {
+                    cache.insert(&tokens, 0, 1.0);
                 }
-                5..=6 => {
-                    cache.probe(&[i, i], 0, Some(&pooled(i)), true);
+                10..=14 => {
+                    cache.probe(&tokens, 0);
                 }
-                _ => {
-                    let sig = cache.signature(&pooled(i));
-                    cache.poison(sig);
-                }
+                _ => cache.clear(),
             }
             prop_assert!(
                 cache.bytes() <= capacity,
@@ -132,35 +105,26 @@ proptest! {
 
     /// Every entry costs the same bytes, so the budget is `slots`
     /// entries and the cache must evict exactly as a `Vec` recency list
-    /// (most recent first) does: inserts and exact hits move an id to
-    /// the front, a full cache drops the back, a duplicate insert only
-    /// refreshes, and poisoning drops the bucket's ids without counting
-    /// them as evictions.
+    /// (most recent first) does: inserts and hits move an id to the
+    /// front, a full cache drops the back, and a duplicate insert only
+    /// refreshes.
     #[test]
     fn eviction_order_matches_a_recency_list(
         slots in 1_u64..6,
-        ops in prop::collection::vec((0_u32..24, 0_u8..8), 1..120),
+        ops in prop::collection::vec((0_u32..24, 0_u8..7), 1..120),
     ) {
-        let entry_size = {
-            let mut probe = SemanticCache::new(config(1 << 20, 0.9));
-            probe.insert(&[0, 0], 0, &pooled(0), 0.0);
-            probe.bytes()
-        };
-        let mut cache = SemanticCache::new(config(slots * entry_size, 0.9));
+        let entry_size = prism_semcache::entry_bytes(2);
+        let mut cache = SemanticCache::new(config(slots * entry_size));
         let mut mru: Vec<u32> = Vec::new();
-        let mut poisoned: Vec<u64> = Vec::new();
         let mut evictions = 0_u64;
         let mut inserted: Vec<u32> = Vec::new();
         for &(i, kind) in &ops {
-            let sig = cache.signature(&pooled(i));
             match kind {
                 0..=3 => {
-                    let admitted = cache.insert(&[i, i], 0, &pooled(i), i as f32);
+                    let admitted = cache.insert(&[i, i], 0, i as f32);
                     let want = if let Some(at) = mru.iter().position(|&x| x == i) {
                         mru.remove(at);
                         mru.insert(0, i);
-                        false
-                    } else if poisoned.contains(&sig) {
                         false
                     } else {
                         if mru.len() as u64 == slots {
@@ -173,27 +137,20 @@ proptest! {
                     };
                     prop_assert_eq!(admitted, want, "insert of {}", i);
                 }
-                4..=6 => {
-                    let hit = cache.probe(&[i, i], 0, None, false).is_hit();
+                _ => {
+                    let hit = cache.probe(&[i, i], 0).is_some();
                     let at = mru.iter().position(|&x| x == i);
-                    prop_assert_eq!(hit, at.is_some(), "exact probe of {}", i);
+                    prop_assert_eq!(hit, at.is_some(), "probe of {}", i);
                     if let Some(at) = at {
                         mru.remove(at);
                         mru.insert(0, i);
                     }
                 }
-                _ => {
-                    cache.poison(sig);
-                    if !poisoned.contains(&sig) {
-                        poisoned.push(sig);
-                    }
-                    mru.retain(|&x| cache.signature(&pooled(x)) != sig);
-                }
             }
         }
         for &i in &inserted {
             prop_assert_eq!(
-                cache.probe(&[i, i], 0, None, false).is_hit(),
+                cache.probe(&[i, i], 0).is_some(),
                 mru.contains(&i),
                 "final membership of {}",
                 i
@@ -201,45 +158,5 @@ proptest! {
         }
         prop_assert_eq!(cache.stats().evictions, evictions);
         prop_assert_eq!(cache.len(), mru.len());
-    }
-
-    /// Fast bucket rejection is sound: a probe answered `Miss` really
-    /// has no live entry above the similarity threshold — compare
-    /// against a brute-force scan over everything ever admitted.
-    #[test]
-    fn rejection_never_hides_a_match(
-        ids in prop::collection::vec(0_u32..40, 8..32),
-        probe_id in 0_u32..40,
-    ) {
-        let mut cache = SemanticCache::new(config(1 << 20, 0.97));
-        let mut admitted: Vec<u32> = Vec::new();
-        for &i in &ids {
-            if cache.insert(&[i], 0, &pooled(i), i as f32) {
-                admitted.push(i);
-            }
-        }
-        let q = pooled(probe_id);
-        let hit = cache.probe(&[9999], 0, Some(&q), true);
-        if matches!(hit, Probe::Miss) {
-            // No admitted entry in the probe's own bucket may clear the
-            // threshold on its stored (quantized) vector. Cross-bucket
-            // misses are expected LSH behavior and not checked here.
-            let sig = cache.signature(&q);
-            for &i in &admitted {
-                if cache.signature(&pooled(i)) != sig {
-                    continue;
-                }
-                // Stored vectors are quantized; re-probing the entry's
-                // exact tokens confirms it is still live before judging.
-                let live = cache.probe(&[i], 0, None, false).is_hit();
-                if live {
-                    let sim = prism_semcache::cosine(&q, &pooled(i));
-                    prop_assert!(
-                        sim < 0.97 + 0.01,
-                        "miss despite live same-bucket entry {i} at cosine {sim}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -30,8 +30,6 @@ pub struct ServeConfig {
     /// (the coalescing age bound). Cache answers leave at pickup and
     /// never wait it out.
     pub max_batch_wait: Duration,
-    /// Sessions retained by the LRU session cache; `0` disables caching.
-    pub session_cache_capacity: usize,
     /// Byte budget of the semantic result cache (`prism-semcache`), the
     /// cross-request candidate-score cache shared by every session;
     /// `0` disables it. Even when allocated, the cache only
@@ -49,7 +47,6 @@ impl Default for ServeConfig {
             max_batch_requests: 8,
             max_batch_tokens: 4096,
             max_batch_wait: Duration::from_millis(2),
-            session_cache_capacity: 64,
             semcache_capacity_bytes: 8 << 20,
         }
     }
@@ -63,8 +60,8 @@ impl ServeConfig {
     ///
     /// The scheduling knobs stay at `Default`'s constants (passes of 8
     /// requests, a 2 ms wait for company before a weight pass — cache
-    /// answers never wait it — 64 cached sessions), so the token budget
-    /// is the only device-specific part.
+    /// answers never wait it), so the token budget is the only
+    /// device-specific part.
     pub fn for_device(config: &ModelConfig, device: &DeviceSpec, meter: &MemoryMeter) -> Self {
         let available = device
             .mem_capacity
@@ -114,13 +111,12 @@ impl ServeConfig {
         Ok(())
     }
 
-    /// The semantic-cache configuration these knobs induce for a model
-    /// with hidden dimensionality `dim`.
-    pub fn semcache_config(&self, dim: usize) -> prism_semcache::SemCacheConfig {
+    /// The semantic-cache configuration these knobs induce; `dim` is
+    /// ignored. Frozen for `benchmark/src/layers.rs` until ROADMAP item
+    /// 14's `[benchmark]` half.
+    pub fn semcache_config(&self, _dim: usize) -> prism_semcache::SemCacheConfig {
         prism_semcache::SemCacheConfig {
-            dim,
             capacity_bytes: self.semcache_capacity_bytes,
-            ..Default::default()
         }
     }
 
@@ -212,7 +208,7 @@ mod tests {
             // device; only the token budget moves.
             assert_eq!(cfg.max_batch_requests, 8);
             assert_eq!(cfg.max_batch_wait, Duration::from_millis(2));
-            assert_eq!(cfg.session_cache_capacity, 64);
+            assert_eq!(cfg.semcache_capacity_bytes, 8 << 20);
         }
     }
 

@@ -9,14 +9,14 @@
 //!      │                                 arrivals            backpressure; sheds
 //!      │                                      │              cancelled/expired)
 //!      │              [worker 0]     ...      [worker W-1]   (own ForwardScratch pool)
-//!      │                    │  probe: memo probe → embed → semantic probe
-//!      │                    │   ├─ cache answer ───────────▶ answer() at pickup
+//!      │                    │  probe: one exact semantic-cache lookup per candidate
+//!      │                    │   ├─ every candidate hit ────▶ answer() at pickup
 //!      │                    │   └─ needs a pass ─▶ coalescing window (shared)
 //!      │                                      │
 //!      │                                [BatchPlanner]       (FIFO prefix under the
 //!      │                                      │ admissible   token budget and request
 //!      │                                      │ prefix       cap, max_batch_wait)
-//!      │                    run_pass: plan → run → semantic epilogue → memoize
+//!      │                    run_pass: plan (embed) → run → semantic merge + store
 //!      │                    │
 //!      │              run = Arc<PrismEngine>::run_planned    (one engine, Sync; one
 //!      │                    │                                 weight pass per set)
@@ -30,7 +30,7 @@
 //!   instead of buffering unboundedly, and answers cancelled or
 //!   deadline-expired entries with their typed error before a worker
 //!   wastes a probe or a weight pass on them. A free worker first takes
-//!   every arrival through the cache tiers; a cache answer leaves at
+//!   every arrival through the semantic cache; a cache answer leaves at
 //!   pickup, and only requests that still need a weight pass enter the
 //!   coalescing window.
 //! * **FIFO batch planner** ([`scheduler`]): workers pop the maximal
@@ -44,14 +44,13 @@
 //!   shared by every request of the set
 //!   ([`prism_core::PrismEngine::select_batch`]), which is where the
 //!   throughput win over request-at-a-time serving comes from.
-//! * **Session cache** ([`session`]): an LRU over sessions reuses
-//!   candidate embeddings for repeat corpora and memoizes whole selections
-//!   for exact repeats; hit/miss counters surface through [`ServeStats`].
-//! * **Semantic cache** ([`semantic`]): between the session cache and the
-//!   engine, a similarity-keyed cross-request cache (`prism-semcache`)
-//!   replays per-candidate full-depth scores across sessions — exact token repeats always, near-duplicates under the
-//!   [`prism_core::SemCacheMode::Aggressive`] knob — recomputing only the
-//!   novel tail of partially-hit requests.
+//! * **Semantic cache** ([`semantic`]): one exact cross-request cache
+//!   (`prism-semcache`) keyed by each candidate's own tokens and
+//!   precision profile replays per-candidate full-depth scores across
+//!   requests and sessions under [`prism_core::SemCacheMode::On`],
+//!   bit-identically, and recomputes only the novel candidates of a
+//!   partially-hit request; hit/miss counters surface through
+//!   [`ServeStats`]. A session is only a label.
 //! * **One way in** ([`PrismServer::service`] → [`RemoteService`]): the
 //!   server implements `prism_api::SelectionService`, so every caller
 //!   gets non-blocking handles with mid-flight cancellation and
@@ -72,16 +71,14 @@ pub mod request;
 pub mod scheduler;
 pub mod semantic;
 pub mod server;
-pub mod session;
 pub mod stats;
 
 pub use config::ServeConfig;
 pub use load::{drive_closed_loop, run_closed_loop, LoadReport, LoadSpec};
 pub use request::{ServeError, ServiceError};
 pub use scheduler::{BatchPlanner, PlanDecision, QueueItem};
-pub use semantic::SemanticLayer;
+pub use semantic::{fingerprint_batch, SemanticLayer};
 pub use server::{PrismServer, RemoteService};
-pub use session::{fingerprint_batch, CacheLookup, SelectionKey, SessionCache};
 pub use stats::{ServeStats, ServeStatsSnapshot};
 
 /// Result alias for serving-path operations.

@@ -42,16 +42,16 @@ pub struct LoadSpec {
     /// Distinct sessions the stream cycles through.
     pub sessions: usize,
     /// Consecutive same-session requests sharing one corpus: `1` makes
-    /// every request a fresh corpus (no cache reuse), `r > 1` lets the
-    /// session cache serve `r - 1` of every `r` requests.
+    /// every request a fresh corpus (no cache reuse), `r > 1` repeats
+    /// each corpus `r` times, which the semantic cache (when on) serves
+    /// from memory after the first.
     pub corpus_repeat: usize,
     /// Share of requests drawn from a small *cross-session* shared
     /// corpus pool instead of the session's own stream (`0.0` = none),
     /// spaced evenly: one request every `round(1 / f)`, so any
-    /// `f > 0.5` means every request. Duplicate requests
-    /// land in different sessions, so only a cross-request tier (the
-    /// semantic cache) can serve them from memory; the per-session cache
-    /// cannot.
+    /// `f > 0.5` means every request. Duplicate requests land in
+    /// different sessions; the semantic cache serves them all, since no
+    /// cache is keyed by session.
     pub dup_fraction: f64,
     /// Template stamped on every request: `k`, the deadline, spill and
     /// compute precision and semantic-cache mode. `LoadSpec::request_at`
@@ -124,8 +124,7 @@ impl LoadSpec {
     /// session, a corpus, a tag and the options to submit.
     /// Requests of one session advance to a fresh corpus every
     /// `corpus_repeat` rounds and repeat it in between; duplicate-stream
-    /// requests instead cycle a small pool shared by *all* sessions, so
-    /// that reuse is only visible to a cross-request cache tier.
+    /// requests instead cycle a small pool shared by *all* sessions.
     fn request_at(&self, i: usize) -> LoadRequest {
         let sessions = self.sessions.max(1);
         let session = i % sessions;
@@ -302,11 +301,11 @@ mod tests {
     #[test]
     fn semcache_decoration_pins_full_depth() {
         let spec = LoadSpec {
-            options: RequestOptions::top_k(2).with_semcache(SemCacheMode::Aggressive),
+            options: RequestOptions::top_k(2).with_semcache(SemCacheMode::On),
             ..Default::default()
         };
         let o = spec.request_at(0).options;
-        assert_eq!(o.semcache, SemCacheMode::Aggressive);
+        assert_eq!(o.semcache, SemCacheMode::On);
         assert_eq!(o.pruning, Some(false), "semcache implies full depth");
         let off = LoadSpec::default().request_at(0).options;
         assert_eq!(off.semcache, SemCacheMode::Off);

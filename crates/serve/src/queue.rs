@@ -1,8 +1,8 @@
 //! The bounded submission queue: arrivals, then the coalescing window.
 //!
 //! A request passes two stages. It *arrives* and waits for a free
-//! worker, which takes it ([`Work::Probe`]) through the cache tiers. A
-//! request the caches answered is done. One that still needs a weight
+//! worker, which takes it ([`Work::Probe`]) through the semantic cache. A
+//! request the cache answered is done. One that still needs a weight
 //! pass comes back ([`SubmissionQueue::wait_for_pass`]) as a [`Probed`]
 //! entry, into the *coalescing window*: the set every worker plans
 //! passes from, so two workers still coalesce. Only that set ages
@@ -29,7 +29,6 @@ use std::time::Instant;
 use prism_api::Completion;
 use prism_core::{CancelToken, RequestOptions};
 use prism_model::SequenceBatch;
-use prism_tensor::Tensor;
 
 use crate::request::ServeError;
 use crate::scheduler::{BatchPlanner, PlanDecision, QueueItem};
@@ -43,14 +42,10 @@ pub struct Pending {
     /// Global submission index (1-based) — doubles as the routing tag
     /// unless the caller pinned one.
     pub ticket: u64,
-    /// Session key for cache affinity.
-    pub session: String,
     /// The candidate batch.
     pub batch: SequenceBatch,
     /// Resolved per-request options (tag always set by the server).
     pub options: RequestOptions,
-    /// FNV-1a fingerprint of the batch content (session-cache key).
-    pub fingerprint: u64,
     /// Total packed tokens (the planner's budget unit).
     pub tokens: usize,
     /// When the request entered the queue.
@@ -91,19 +86,14 @@ impl Pending {
 
 /// A request its probe could not answer, waiting in the coalescing
 /// window for a weight pass. It holds only what the probe produced —
-/// the candidate embedding and the semantic-cache state — and nothing
-/// metered: planning (hidden states, spill file) waits for the flush.
+/// the semantic-cache state — and nothing metered: planning (embedding,
+/// hidden states, spill file) waits for the flush.
 #[derive(Debug)]
 pub struct Probed {
     /// The request itself.
     pub pending: Pending,
-    /// The candidate embedding, when a cache tier needed it (replayed by
-    /// the session cache or computed by the probe).
-    pub embed: Option<Tensor>,
     /// Semantic-cache bookkeeping when the request engaged that tier.
     pub sem: Option<SemState>,
-    /// The session cache replayed the embedding.
-    pub embed_replayed: bool,
     /// Microseconds the probe worked on the request, counted as service
     /// time rather than queue time.
     pub probe_us: u64,
@@ -115,7 +105,7 @@ pub struct Probed {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Work {
-    /// An arrival to run through the cache tiers; the worker settles it
+    /// An arrival to run through the semantic cache; the worker settles it
     /// with [`SubmissionQueue::answered_by_probe`] or
     /// [`SubmissionQueue::wait_for_pass`].
     Probe(Pending),
@@ -364,10 +354,8 @@ mod tests {
         let (handle, completion) = SelectionHandle::channel(ticket, None);
         let p = Pending {
             ticket,
-            session: "s".into(),
             batch: SequenceBatch::new(&[vec![1; tokens]]).unwrap(),
             options: RequestOptions::tagged(1, ticket),
-            fingerprint: 0,
             tokens,
             enqueued: Instant::now(),
             deadline: None,
@@ -381,9 +369,7 @@ mod tests {
     fn probed(pending: Pending) -> Probed {
         Probed {
             pending,
-            embed: None,
             sem: None,
-            embed_replayed: false,
             probe_us: 0,
         }
     }

@@ -1,32 +1,22 @@
 //! The serving layer's semantic-cache tier: glue between
 //! [`prism_semcache::SemanticCache`] and the worker execution paths.
 //!
-//! Sits between the per-session memo cache and the engine. A request is
-//! **eligible** when it opts in ([`prism_core::SemCacheMode`]) *and*
-//! resolves to full-depth execution (effective pruning off): a
+//! A request is **eligible** when it opts in ([`SemCacheMode::On`])
+//! *and* resolves to full-depth execution (effective pruning off): a
 //! candidate's full-depth score is a pure function of its token sequence
 //! and precision knobs — the batch-independence contract the conformance
-//! suites pin — so replaying one across requests and sessions is
-//! sound. Pruned requests bypass this tier untouched.
+//! suites pin — so replaying the score of a token-identical candidate,
+//! across requests and sessions, is bit-identical to recomputing it.
+//! Pruned requests bypass this tier untouched.
 //!
 //! Per eligible request the worker:
-//! 1. mean-pools each candidate's embedding rows (the embedding is
-//!    computed anyway, or replayed from the session cache),
-//! 2. probes the shared cache per candidate —
-//!    [`SemCacheMode::VerifyAndFallback`] consults the exact tier only
-//!    (bit-identical replays), [`SemCacheMode::Aggressive`] also the
-//!    similarity tier,
-//! 3. replays matched scores and recomputes only the **novel tail** as a
-//!    sub-batch, merging through the hit mask so the final
-//!    ranking is the same stable full-depth order the exact path
-//!    produces,
-//! 4. harvests freshly computed full-depth scores back into the cache.
-//!
-//! Under `VerifyAndFallback`, a deterministically sampled fraction of
-//! hits forces the whole request down the exact path anyway; replayed
-//! scores are then compared bit-for-bit and a mismatch poisons the
-//! offending LSH bucket and counts a fallback — the caller always gets
-//! the exact result.
+//! 1. looks up every candidate in the shared cache ([`SemanticLayer::lookup`]);
+//! 2. answers at pickup when every candidate hit ([`replay_selection`]);
+//! 3. otherwise plans only the novel candidates as a sub-batch and
+//!    merges their scores through the hit mask ([`merge_tail_scores`]),
+//!    so the final ranking is the same stable full-depth order the
+//!    exact path produces;
+//! 4. stores the freshly computed scores ([`SemanticLayer::store`]).
 
 use std::sync::Mutex;
 
@@ -35,50 +25,45 @@ use prism_core::{
     SpillPrecision,
 };
 use prism_model::SequenceBatch;
-use prism_semcache::{mean_pool, should_verify, Probe, SemCacheConfig, SemanticCache};
+use prism_semcache::hash::{fnv1a, FNV_OFFSET};
+use prism_semcache::{SemCacheConfig, SemanticCache};
 use prism_tensor::Tensor;
 
 /// Shared semantic-cache tier of one server (one instance across every
-/// worker and session; probes and harvests lock briefly, never
-/// across engine execution).
+/// worker and session; lookups and stores lock briefly, never across
+/// engine execution).
 pub struct SemanticLayer {
     cache: Mutex<SemanticCache>,
-    verify_fraction: f64,
 }
 
-/// Per-request semcache bookkeeping carried from planning to
+/// Per-request semcache bookkeeping carried from the probe to
 /// finalization by the worker.
 #[derive(Debug)]
 pub struct SemState {
     /// Precision profile byte of every candidate in the request.
     pub profile: u8,
-    /// Mean-pooled embedding vector per candidate (probe + harvest).
-    pub pooled: Vec<Vec<f32>>,
-    /// Probe outcome per candidate (`Probe::Miss` = novel).
-    pub probes: Vec<Probe>,
-    /// `Some(positions)` when only the novel tail was planned: the
-    /// original-batch positions the planned sub-request covers, in
-    /// order. `None` when the full request was planned.
-    pub novel: Option<Vec<usize>>,
-    /// Whether this request was sampled for verification (full exact
-    /// compute + bit comparison against the replayed scores).
-    pub verify: bool,
+    /// Cached score per candidate (`None` = novel).
+    pub probes: Vec<Option<f32>>,
+    /// Original-batch positions of the novel candidates, in order: what
+    /// the planned (sub-)request computes.
+    pub novel: Vec<usize>,
 }
 
 impl SemState {
-    /// Number of candidates whose score was replayed from the cache.
-    pub fn hits(&self) -> usize {
-        self.probes.iter().filter(|p| p.is_hit()).count()
+    /// Whether only some candidates are novel, so the engine runs a
+    /// sub-batch whose scores are merged through the hit mask.
+    pub fn is_partial(&self) -> bool {
+        self.novel.len() < self.probes.len()
     }
 }
 
 impl SemanticLayer {
     /// Builds the tier from the serving configuration's cache config.
+    /// Frozen for `benchmark/src/layers.rs` until ROADMAP item 14's
+    /// `[benchmark]` half.
     pub fn new(config: SemCacheConfig) -> Self {
-        let verify_fraction = config.verify_fraction;
         SemanticLayer {
             cache: Mutex::new(SemanticCache::new(config)),
-            verify_fraction,
         }
     }
 
@@ -86,98 +71,66 @@ impl SemanticLayer {
     /// whose default pruning switch is `engine_pruning`. Only full-depth
     /// (effective pruning off) requests are sound to replay.
     pub fn eligible(options: &RequestOptions, engine_pruning: bool) -> bool {
-        options.semcache != SemCacheMode::Off && !options.pruning.unwrap_or(engine_pruning)
+        options.semcache == SemCacheMode::On && !options.pruning.unwrap_or(engine_pruning)
     }
 
-    /// Packs the knobs that change score bits into the exact-tier
-    /// profile byte: int8-spilled and int8-computed scores must never
-    /// replay into requests running other precision profiles.
+    /// Packs the knobs that change score bits into the cache's profile
+    /// byte: int8-spilled and int8-computed scores must never replay
+    /// into requests running other precision profiles.
     pub fn profile_byte(options: &RequestOptions) -> u8 {
         u8::from(options.spill_precision == SpillPrecision::Int8)
             | (u8::from(options.compute_precision == ComputePrecision::Int8) << 1)
     }
 
-    /// Mean-pools each candidate's slice of the embedded batch
-    /// (`embed` is `[total_tokens, hidden_dim]`, rows per candidate
-    /// given by the batch's ranges).
-    pub fn pooled_candidates(embed: &Tensor, batch: &SequenceBatch) -> Vec<Vec<f32>> {
-        let dim = embed.cols();
-        let data = embed.data();
-        batch
-            .ranges()
-            .iter()
-            .map(|&(s, e)| mean_pool(&data[s * dim..e * dim], dim))
-            .collect()
-    }
-
-    /// Probes every candidate of `batch`. `mode` picks the tiers:
-    /// `VerifyAndFallback` consults only exact token matches,
-    /// `Aggressive` also near-duplicates.
-    pub fn probe_batch(
-        &self,
-        batch: &SequenceBatch,
-        pooled: &[Vec<f32>],
-        profile: u8,
-        mode: SemCacheMode,
-    ) -> Vec<Probe> {
-        let allow_similar = mode == SemCacheMode::Aggressive;
+    /// The cached score of every candidate of `batch` (`None` = novel).
+    pub fn lookup(&self, batch: &SequenceBatch, profile: u8) -> Vec<Option<f32>> {
         let mut cache = self.cache.lock().expect("semcache lock");
         (0..batch.num_sequences())
-            .map(|i| cache.probe(batch.sequence(i), profile, Some(&pooled[i]), allow_similar))
+            .map(|i| cache.probe(batch.sequence(i), profile))
             .collect()
-    }
-
-    /// Whether any hit of `probes` samples into verification under
-    /// `VerifyAndFallback` (deterministic per candidate content).
-    pub fn wants_verify(&self, mode: SemCacheMode, probes: &[Probe]) -> bool {
-        mode == SemCacheMode::VerifyAndFallback
-            && probes.iter().any(|p| match p {
-                Probe::ExactHit { fingerprint, .. } | Probe::SimilarHit { fingerprint, .. } => {
-                    should_verify(*fingerprint, self.verify_fraction)
-                }
-                Probe::Miss => false,
-            })
     }
 
     /// Stores freshly computed full-depth scores for the candidates at
-    /// `positions` (probe + harvest share the pooled vectors). Scores
-    /// are indexed by original batch position.
+    /// `positions`. Scores are indexed by original batch position.
+    pub fn store(&self, batch: &SequenceBatch, profile: u8, positions: &[usize], scores: &[f32]) {
+        let mut cache = self.cache.lock().expect("semcache lock");
+        for &i in positions {
+            cache.insert(batch.sequence(i), profile, scores[i]);
+        }
+    }
+
+    /// One empty vector per candidate: the cache keeps no embedding.
+    /// Frozen for `benchmark/src/layers.rs` until ROADMAP item 14's
+    /// `[benchmark]` half.
+    pub fn pooled_candidates(_embed: &Tensor, batch: &SequenceBatch) -> Vec<Vec<f32>> {
+        vec![Vec::new(); batch.num_sequences()]
+    }
+
+    /// [`SemanticLayer::lookup`]; `pooled` and `mode` are ignored.
+    /// Frozen for `benchmark/src/layers.rs` until ROADMAP item 14's
+    /// `[benchmark]` half.
+    pub fn probe_batch(
+        &self,
+        batch: &SequenceBatch,
+        _pooled: &[Vec<f32>],
+        profile: u8,
+        _mode: SemCacheMode,
+    ) -> Vec<Option<f32>> {
+        self.lookup(batch, profile)
+    }
+
+    /// [`SemanticLayer::store`]; `pooled` is ignored. Frozen for
+    /// `benchmark/src/layers.rs` until ROADMAP item 14's `[benchmark]`
+    /// half.
     pub fn harvest(
         &self,
         batch: &SequenceBatch,
-        pooled: &[Vec<f32>],
+        _pooled: &[Vec<f32>],
         profile: u8,
         positions: &[usize],
         scores: &[f32],
     ) {
-        let mut cache = self.cache.lock().expect("semcache lock");
-        for &i in positions {
-            cache.insert(batch.sequence(i), profile, &pooled[i], scores[i]);
-        }
-    }
-
-    /// Compares replayed scores against the exactly recomputed
-    /// `last_scores` bit-for-bit, poisoning the LSH bucket of every
-    /// mismatch. Returns the number of mismatches (fallbacks).
-    pub fn verify_replays(&self, probes: &[Probe], last_scores: &[f32]) -> u64 {
-        let mut mismatches = 0;
-        let mut cache = self.cache.lock().expect("semcache lock");
-        for (i, probe) in probes.iter().enumerate() {
-            let (score, signature) = match probe {
-                Probe::ExactHit {
-                    score, signature, ..
-                }
-                | Probe::SimilarHit {
-                    score, signature, ..
-                } => (*score, *signature),
-                Probe::Miss => continue,
-            };
-            if score.to_bits() != last_scores[i].to_bits() {
-                cache.poison(signature);
-                mismatches += 1;
-            }
-        }
-        mismatches
+        self.store(batch, profile, positions, scores)
     }
 
     /// Current metered bytes of the underlying cache.
@@ -191,11 +144,22 @@ impl SemanticLayer {
     pub fn audit(&self) -> Result<u64, String> {
         self.cache.lock().expect("semcache lock").audit()
     }
+}
 
-    /// Counter snapshot of the underlying cache.
-    pub fn cache_stats(&self) -> prism_semcache::SemCacheStats {
-        self.cache.lock().expect("semcache lock").stats()
+/// FNV-1a over the packed tokens and sequence ranges: the identity of a
+/// candidate corpus. Frozen for `benchmark/src/layers.rs` (which times
+/// it) until ROADMAP item 14's `[benchmark]` half; nothing in the
+/// serving path calls it.
+pub fn fingerprint_batch(batch: &SequenceBatch) -> u64 {
+    let eat = |h: u64, v: u64| fnv1a(h, &v.to_le_bytes());
+    let mut h = eat(FNV_OFFSET, batch.num_sequences() as u64);
+    for &(s, e) in batch.ranges() {
+        h = eat(eat(h, s as u64), e as u64);
     }
+    for &t in batch.tokens() {
+        h = eat(h, u64::from(t));
+    }
+    h
 }
 
 /// Builds the selection a fully-replayed request answers with: the
@@ -217,14 +181,9 @@ pub fn replay_selection(scores: Vec<f32>, k: usize, depth: usize) -> Selection {
 /// `tail_scores` are the sub-request's full-depth scores in that order.
 /// Returns the merged per-candidate score vector, indexed like the
 /// original batch.
-pub fn merge_tail_scores(probes: &[Probe], novel: &[usize], tail_scores: &[f32]) -> Vec<f32> {
+pub fn merge_tail_scores(probes: &[Option<f32>], novel: &[usize], tail_scores: &[f32]) -> Vec<f32> {
     debug_assert_eq!(novel.len(), tail_scores.len());
-    let mut merged = vec![0.0f32; probes.len()];
-    for (i, probe) in probes.iter().enumerate() {
-        if let Some(score) = probe.score() {
-            merged[i] = score;
-        }
-    }
+    let mut merged: Vec<f32> = probes.iter().map(|p| p.unwrap_or(0.0)).collect();
     for (slot, &score) in novel.iter().zip(tail_scores) {
         merged[*slot] = score;
     }
@@ -237,12 +196,7 @@ mod tests {
 
     fn layer() -> SemanticLayer {
         SemanticLayer::new(SemCacheConfig {
-            dim: 4,
             capacity_bytes: 1 << 20,
-            lsh_bits: 8,
-            similarity_threshold: 0.9,
-            verify_fraction: 1.0,
-            seed: 3,
         })
     }
 
@@ -254,7 +208,7 @@ mod tests {
     fn eligibility_requires_knob_and_full_depth() {
         let mut o = RequestOptions::top_k(2);
         assert!(!SemanticLayer::eligible(&o, false), "Off never engages");
-        o.semcache = SemCacheMode::Aggressive;
+        o.semcache = SemCacheMode::On;
         assert!(SemanticLayer::eligible(&o, false));
         assert!(!SemanticLayer::eligible(&o, true), "engine default pruning");
         o.pruning = Some(false);
@@ -284,54 +238,46 @@ mod tests {
     }
 
     #[test]
-    fn pooling_splits_by_candidate_ranges() {
-        let b = batch(&[vec![1, 2], vec![3]]);
-        // 3 total tokens, dim 2: rows 0-1 are candidate 0, row 2 is 1.
-        let embed = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0]).unwrap();
-        let pooled = SemanticLayer::pooled_candidates(&embed, &b);
-        assert_eq!(pooled, vec![vec![2.0, 3.0], vec![10.0, 20.0]]);
+    fn fingerprint_separates_content_and_shape() {
+        let a = fingerprint_batch(&batch(&[vec![1, 2], vec![3]]));
+        let b = fingerprint_batch(&batch(&[vec![1], vec![2, 3]]));
+        let c = fingerprint_batch(&batch(&[vec![1, 2], vec![3]]));
+        assert_ne!(a, b, "same tokens, different packing must differ");
+        assert_eq!(a, c, "identical batches must agree");
+        assert_ne!(a, fingerprint_batch(&batch(&[vec![1, 2, 4]])));
+        // Corpus fingerprints must survive refactors of the hash
+        // plumbing: values computed before FNV-1a moved into
+        // `prism-semcache`.
+        assert_eq!(a, 0xd9d8_2733_f690_48e4);
+        assert_eq!(
+            fingerprint_batch(&batch(&[vec![1, 2, 4]])),
+            0x271f_1182_a242_dc40
+        );
     }
 
     #[test]
     fn probe_replay_harvest_round_trip() {
         let layer = layer();
         let b = batch(&[vec![1, 2], vec![3, 4]]);
-        let pooled = vec![vec![0.4, -0.2, 0.8, 0.1], vec![-0.3, 0.9, 0.2, -0.5]];
-        let probes = layer.probe_batch(&b, &pooled, 0, SemCacheMode::Aggressive);
-        assert!(probes.iter().all(|p| !p.is_hit()), "cold cache misses");
-        layer.harvest(&b, &pooled, 0, &[0, 1], &[0.25, -0.75]);
-        let probes = layer.probe_batch(&b, &pooled, 0, SemCacheMode::VerifyAndFallback);
-        assert_eq!(probes[0].score(), Some(0.25));
-        assert_eq!(probes[1].score(), Some(-0.75));
-        // verify_fraction = 1.0: every hit samples into verification.
-        assert!(layer.wants_verify(SemCacheMode::VerifyAndFallback, &probes));
-        assert!(!layer.wants_verify(SemCacheMode::Aggressive, &probes));
-        // Bit-identical recompute: no fallbacks, nothing poisoned.
-        assert_eq!(layer.verify_replays(&probes, &[0.25, -0.75]), 0);
-        // A flipped score poisons and counts.
-        assert_eq!(layer.verify_replays(&probes, &[0.25, -0.74]), 1);
-        let probes = layer.probe_batch(&b, &pooled, 0, SemCacheMode::VerifyAndFallback);
-        assert!(probes[0].is_hit(), "unpoisoned bucket still serves");
-        assert!(!probes[1].is_hit(), "poisoned bucket is disabled");
+        assert_eq!(layer.lookup(&b, 0), vec![None, None], "cold cache misses");
+        layer.store(&b, 0, &[0, 1], &[0.25, -0.75]);
+        assert_eq!(layer.lookup(&b, 0), vec![Some(0.25), Some(-0.75)]);
+        assert_eq!(layer.lookup(&b, 1), vec![None, None], "other profile");
+        // The frozen entry points answer like the real ones.
+        let pooled = SemanticLayer::pooled_candidates(&Tensor::zeros(4, 2), &b);
+        assert_eq!(pooled, vec![Vec::<f32>::new(); 2]);
+        let shifted = batch(&[vec![3, 4], vec![5]]);
+        layer.harvest(&shifted, &pooled, 0, &[1], &[0.0, 0.5]);
+        assert_eq!(
+            layer.probe_batch(&shifted, &pooled, 0, SemCacheMode::On),
+            vec![Some(-0.75), Some(0.5)]
+        );
         layer.audit().unwrap();
     }
 
     #[test]
     fn merge_places_tail_scores_by_keep_mask() {
-        let probes = vec![
-            Probe::ExactHit {
-                score: 0.5,
-                fingerprint: 1,
-                signature: 2,
-            },
-            Probe::Miss,
-            Probe::ExactHit {
-                score: -0.25,
-                fingerprint: 3,
-                signature: 4,
-            },
-            Probe::Miss,
-        ];
+        let probes = vec![Some(0.5), None, Some(-0.25), None];
         let merged = merge_tail_scores(&probes, &[1, 3], &[9.0, 7.0]);
         assert_eq!(merged, vec![0.5, 9.0, -0.25, 7.0]);
     }

@@ -1,7 +1,7 @@
 //! The serving runtime: worker pool over one shared engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -11,20 +11,17 @@ use prism_core::{
 };
 use prism_model::layer::ForwardScratch;
 use prism_model::SequenceBatch;
-use prism_tensor::Tensor;
 
 use crate::config::ServeConfig;
 use crate::queue::{Pending, Probed, SubmissionQueue, Work};
 use crate::scheduler::BatchPlanner;
 use crate::semantic::{merge_tail_scores, replay_selection, SemState, SemanticLayer};
-use crate::session::{fingerprint_batch, CacheLookup, SelectionKey, SessionCache};
 use crate::stats::ServeStats;
 
 struct ServerShared {
     engine: PrismEngine,
     queue: SubmissionQueue,
     planner: BatchPlanner,
-    cache: Option<Mutex<SessionCache>>,
     /// Cross-request semantic score cache shared by all sessions;
     /// `None` when disabled by configuration.
     semcache: Option<SemanticLayer>,
@@ -54,8 +51,6 @@ impl PrismServer {
             engine,
             queue: SubmissionQueue::new(config.queue_capacity, stats.clone(), config.workers),
             planner: config.planner(),
-            cache: (config.session_cache_capacity > 0)
-                .then(|| Mutex::new(SessionCache::new(config.session_cache_capacity))),
             semcache,
             stats,
             ticket: AtomicU64::new(0),
@@ -88,9 +83,10 @@ impl PrismServer {
         self.shared.semcache.as_ref()
     }
 
-    /// The one way in: a cloneable [`SelectionService`] bound to
-    /// `session` (the key of its session cache). Submissions fail fast
-    /// with
+    /// The one way in: a cloneable [`SelectionService`] labelled
+    /// `session`. The label names the caller (the wire server passes its
+    /// connection's session); no cache is keyed by it, and every session
+    /// shares the semantic cache. Submissions fail fast with
     /// [`ServiceError::Backpressure`] when the queue is full and
     /// [`ServiceError::DeadlineExceeded`] when the deadline has already
     /// passed at admission; accepted ones return non-blocking
@@ -146,15 +142,7 @@ impl ServerShared {
         Ok((ticket, deadline))
     }
 
-    fn enqueue(&self, mut pending: Pending) -> crate::Result<()> {
-        pending.tokens = pending.batch.total_tokens();
-        // Only the cache reads the fingerprint; skip the O(tokens) hash
-        // for cache-off deployments.
-        pending.fingerprint = if self.cache.is_some() {
-            fingerprint_batch(&pending.batch)
-        } else {
-            0
-        };
+    fn enqueue(&self, pending: Pending) -> crate::Result<()> {
         match self.queue.push(pending) {
             Ok(()) => {
                 self.stats.submitted.inc();
@@ -171,7 +159,6 @@ impl ServerShared {
 
     fn submit_handle(
         &self,
-        session: String,
         batch: SequenceBatch,
         options: RequestOptions,
     ) -> Result<SelectionHandle, ServiceError> {
@@ -181,11 +168,9 @@ impl ServerShared {
         let (handle, completion) = SelectionHandle::channel(ticket, deadline);
         self.enqueue(Pending {
             ticket,
-            session,
+            tokens: batch.total_tokens(),
             batch,
             options,
-            fingerprint: 0,
-            tokens: 0,
             enqueued: now,
             deadline,
             cancel: handle.cancel_token(),
@@ -224,54 +209,48 @@ struct RunItem {
     pending: Pending,
     served: Served,
     /// Semantic-cache bookkeeping when the request engaged that tier
-    /// (partial replay merge, verification, harvest happen after
-    /// finalize).
+    /// (the partial-replay merge and the store happen after finalize).
     sem: Option<SemState>,
 }
 
-/// Probes the semantic cache for one eligible request. Returns
-/// `Ok(selection)` when every candidate hit (the request is answered
-/// without touching the engine), `Err(state)` when at least one
-/// candidate is novel or the request sampled into verification.
+/// Looks up every candidate of one eligible request in the semantic
+/// cache. Returns `Ok(selection)` when every candidate hit (the request
+/// is answered without touching the engine), `Err(state)` when at least
+/// one candidate is novel.
 fn probe_semantic(
     shared: &ServerShared,
     layer: &SemanticLayer,
     pending: &Pending,
-    embed: &Tensor,
 ) -> Result<Selection, SemState> {
     let stats = &shared.stats;
-    let mode = pending.options.semcache;
     let profile = SemanticLayer::profile_byte(&pending.options);
-    let pooled = SemanticLayer::pooled_candidates(embed, &pending.batch);
-    let probes = layer.probe_batch(&pending.batch, &pooled, profile, mode);
-    let hits = probes.iter().filter(|p| p.is_hit()).count();
-    stats.semcache_hits.inc_by(hits as u64);
-    stats.semcache_misses.inc_by((probes.len() - hits) as u64);
-    let verify = layer.wants_verify(mode, &probes);
-    if hits == probes.len() && !verify {
+    let probes = layer.lookup(&pending.batch, profile);
+    let novel: Vec<usize> = (0..probes.len()).filter(|&i| probes[i].is_none()).collect();
+    stats
+        .semcache_hits
+        .inc_by((probes.len() - novel.len()) as u64);
+    stats.semcache_misses.inc_by(novel.len() as u64);
+    if novel.is_empty() {
         // Full replay: every candidate's full-depth score is cached, so
         // the exact pruning-off ranking is reproducible without running
         // a single layer.
-        let scores: Vec<f32> = probes.iter().map(|p| p.score().unwrap_or(0.0)).collect();
         return Ok(replay_selection(
-            scores,
+            probes.into_iter().flatten().collect(),
             pending.options.k,
             shared.engine.config().num_layers,
         ));
     }
     Err(SemState {
         profile,
-        pooled,
         probes,
-        novel: None,
-        verify,
+        novel,
     })
 }
 
-/// Merges, verifies and harvests one finalized request's semantic-cache
-/// state, returning the selection to answer with. Only runs on the
-/// success path: a cancelled, expired or failed request harvests
-/// nothing, so no cache or meter bytes can leak from aborted work.
+/// Merges and stores one finalized request's semantic-cache state,
+/// returning the selection to answer with. Only runs on the success
+/// path: a cancelled, expired or failed request stores nothing, so no
+/// cache or meter bytes can leak from aborted work.
 fn resolve_semantic(
     shared: &ServerShared,
     layer: &SemanticLayer,
@@ -279,13 +258,12 @@ fn resolve_semantic(
     sem: &SemState,
     mut selection: Selection,
 ) -> Selection {
-    let stats = &shared.stats;
-    if let Some(novel) = &sem.novel {
-        // Partial replay: the engine computed only the novel tail;
-        // scatter its scores back through the keep mask and re-rank at
+    if sem.is_partial() {
+        // Partial replay: the engine computed only the novel candidates;
+        // scatter their scores back through the keep mask and re-rank at
         // the original `k` so the merged result is exactly the full
         // pruning-off order.
-        let merged = merge_tail_scores(&sem.probes, novel, &selection.last_scores);
+        let merged = merge_tail_scores(&sem.probes, &sem.novel, &selection.last_scores);
         let trace = std::mem::take(&mut selection.trace);
         selection = Selection {
             ranked: rank_full_scores(
@@ -296,82 +274,36 @@ fn resolve_semantic(
             last_scores: merged,
             trace,
         };
-        layer.harvest(
-            &pending.batch,
-            &sem.pooled,
-            sem.profile,
-            novel,
-            &selection.last_scores,
-        );
-    } else {
-        // Full compute: either nothing hit (harvest-only pass) or the
-        // request sampled into verification — compare every replayed
-        // score bit-for-bit and poison the bucket of any mismatch; the
-        // caller gets the exact result either way.
-        if sem.verify {
-            let fallbacks = layer.verify_replays(&sem.probes, &selection.last_scores);
-            stats.semcache_fallbacks.inc_by(fallbacks);
-        }
-        let all: Vec<usize> = (0..sem.probes.len()).collect();
-        layer.harvest(
-            &pending.batch,
-            &sem.pooled,
-            sem.profile,
-            &all,
-            &selection.last_scores,
-        );
     }
-    stats.semcache_bytes.set(layer.bytes());
+    layer.store(
+        &pending.batch,
+        sem.profile,
+        &sem.novel,
+        &selection.last_scores,
+    );
+    shared.stats.semcache_bytes.set(layer.bytes());
     selection
 }
 
 /// Plans one request on the shared engine — the full batch, or only the
-/// novel tail of a partially-hit semantic probe — and wires the caller's
-/// controls into it: cancel and deadline abort at layer boundaries,
-/// progress streams back through the handle.
+/// novel candidates of a partially-hit semantic probe — and wires the
+/// caller's controls into it: cancel and deadline abort at layer
+/// boundaries, progress streams back through the handle.
 fn plan(
     shared: &ServerShared,
     pending: &Pending,
-    sem: &mut Option<SemState>,
-    embed: Option<&Tensor>,
+    sem: Option<&SemState>,
 ) -> Result<ActiveRequest, PrismError> {
-    let mut planned = match (sem, embed) {
-        (Some(state), Some(embed)) if !state.verify && state.hits() > 0 => {
-            let novel: Vec<usize> = state
-                .probes
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.is_hit())
-                .map(|(i, _)| i)
-                .collect();
-            let seqs: Vec<Vec<u32>> = novel
-                .iter()
-                .map(|&i| pending.batch.sequence(i).to_vec())
-                .collect();
-            // Sub-views of an already-validated batch stay valid,
-            // and per-candidate embedding rows are position-local,
-            // so the original rows transplant unchanged.
-            let sub_batch = SequenceBatch::new(&seqs).expect("novel sub-batch");
-            let dim = embed.cols();
-            let data = embed.data();
-            let mut rows = Vec::new();
-            for &i in &novel {
-                let (s, e) = pending.batch.ranges()[i];
-                rows.extend_from_slice(&data[s * dim..e * dim]);
-            }
-            let sub_embed = Tensor::from_vec(rows.len() / dim, dim, rows).expect("novel sub-embed");
+    let mut planned = match sem.filter(|state| state.is_partial()) {
+        Some(state) => {
+            let sub_batch = pending.batch.gather(&state.novel)?;
             let mut sub_options = pending.options.clone();
-            sub_options.k = sub_options.k.min(novel.len());
-            state.novel = Some(novel);
-            shared
-                .engine
-                .plan_request_with_embed(&sub_batch, sub_options, Some(&sub_embed))
+            sub_options.k = sub_options.k.min(state.novel.len());
+            shared.engine.plan_request(&sub_batch, sub_options)
         }
-        (_, embed) => {
-            shared
-                .engine
-                .plan_request_with_embed(&pending.batch, pending.options.clone(), embed)
-        }
+        None => shared
+            .engine
+            .plan_request(&pending.batch, pending.options.clone()),
     }?;
     planned.attach_cancel(pending.cancel.clone());
     if let Some(d) = pending.deadline {
@@ -382,99 +314,37 @@ fn plan(
 }
 
 /// The probe half of the one request path, run by a free worker on each
-/// arrival before anything waits for company: session-memo probe →
-/// embed (only when a tier needs it) → semantic probe. A cache answer,
-/// or a failure, leaves here at pickup; a request that still needs a
-/// weight pass enters the coalescing window as a [`Probed`] entry,
-/// carrying its embedding and semantic state to [`run_pass`].
+/// arrival before anything waits for company: one semantic-cache lookup
+/// per candidate of an eligible request. A full hit leaves here at
+/// pickup; anything else enters the coalescing window as a [`Probed`]
+/// entry, carrying its semantic state to [`run_pass`].
 fn probe(shared: &ServerShared, pending: Pending) {
     let picked_at = Instant::now();
-    let stats = &shared.stats;
-    // The request leaves the queue's count before its caller hears back.
-    let reply = |pending, served, result| {
-        shared.queue.answered_by_probe();
-        answer(stats, pending, served, result);
-    };
-    // A cache answer runs alone, and no layer: service time zero.
-    let cached = Served {
-        batch_size: 1,
-        queued_us: micros_between(pending.enqueued, picked_at),
-        service_us: 0,
-        from_cache: true,
-    };
-
-    // ---- Session-memo probe ----
-    let lookup = match &shared.cache {
-        Some(cache) => cache.lock().expect("session cache lock").lookup(
-            &pending.session,
-            pending.fingerprint,
-            &pending.batch,
-            &SelectionKey::from_options(&pending.options),
-        ),
-        None => CacheLookup::Miss,
-    };
-    if let CacheLookup::Selection(sel) = lookup {
-        stats.cache_selection_hits.inc();
-        reply(pending, cached, Ok(*sel));
-        return;
-    }
-
-    // ---- Resolve the candidate embedding (replayed or computed),
-    // when a tier needs it up front: embed-replay planning, or the
-    // semantic cache's pooled probe vectors.
-    let semcache = shared
+    let layer = shared
         .semcache
         .as_ref()
         .filter(|_| SemanticLayer::eligible(&pending.options, shared.engine.options().pruning));
-    let embed_replayed = matches!(lookup, CacheLookup::Embed(_));
-    let embed = match lookup {
-        CacheLookup::Embed(embed) => {
-            stats.cache_embed_hits.inc();
-            Some(embed)
+    let sem = match layer.map(|layer| probe_semantic(shared, layer, &pending)) {
+        Some(Ok(selection)) => {
+            // The request leaves the queue's count before its caller
+            // hears back. A cache answer runs alone, and no layer:
+            // service time zero.
+            shared.queue.answered_by_probe();
+            let cached = Served {
+                batch_size: 1,
+                queued_us: micros_between(pending.enqueued, picked_at),
+                service_us: 0,
+                from_cache: true,
+            };
+            answer(&shared.stats, pending, cached, Ok(selection));
+            return;
         }
-        _ => {
-            stats.cache_misses.inc();
-            if shared.cache.is_some() || semcache.is_some() {
-                match shared.engine.embed_batch(&pending.batch) {
-                    Ok(embed) => {
-                        if let Some(cache) = &shared.cache {
-                            cache.lock().expect("session cache lock").store_embed(
-                                &pending.session,
-                                pending.fingerprint,
-                                &pending.batch,
-                                embed.clone(),
-                            );
-                        }
-                        Some(embed)
-                    }
-                    Err(e) => {
-                        reply(pending, cached, Err(e.into()));
-                        return;
-                    }
-                }
-            } else {
-                None
-            }
-        }
+        Some(Err(state)) => Some(state),
+        None => None,
     };
-
-    // ---- Semantic-cache probe (opted-in, full-depth requests) ----
-    let mut sem: Option<SemState> = None;
-    if let (Some(layer), Some(embed)) = (semcache, embed.as_ref()) {
-        match probe_semantic(shared, layer, &pending, embed) {
-            Ok(selection) => {
-                store_selection(shared, &pending, &selection);
-                reply(pending, cached, Ok(selection));
-                return;
-            }
-            Err(state) => sem = Some(state),
-        }
-    }
     shared.queue.wait_for_pass(Probed {
         pending,
-        embed,
         sem,
-        embed_replayed,
         probe_us: picked_at.elapsed().as_micros() as u64,
     });
 }
@@ -483,8 +353,8 @@ fn probe(shared: &ServerShared, pending: Pending) {
 /// coalescing window. Sheds what died while it waited, plans every
 /// member — hidden states, spill file and metered bytes exist only from
 /// here — runs one pass over the shared engine's weights for all of
-/// them, then per request: semantic epilogue → stats → memo store →
-/// reply ([`finish`]).
+/// them, then per request: semantic epilogue → stats → reply
+/// ([`finish`]).
 fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardScratch>) {
     let picked_at = Instant::now();
     let stats = &shared.stats;
@@ -519,9 +389,7 @@ fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardS
     for probed in pass {
         let Probed {
             pending,
-            embed,
-            mut sem,
-            embed_replayed,
+            sem,
             probe_us,
         } = probed;
         // The probe's work is service; everything else before the
@@ -530,11 +398,11 @@ fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardS
             batch_size: size,
             queued_us: micros_between(pending.enqueued, picked_at).saturating_sub(probe_us),
             service_us: probe_us,
-            from_cache: embed_replayed,
+            from_cache: false,
         };
 
         // ---- Plan, on the shared engine ----
-        match plan(shared, &pending, &mut sem, embed.as_ref()) {
+        match plan(shared, &pending, sem.as_ref()) {
             Ok(p) => planned.push(p),
             Err(e) => {
                 answer(stats, pending, served, Err(e.into()));
@@ -573,12 +441,12 @@ fn run_pass(shared: &ServerShared, pass: Vec<Probed>, scratch: &mut Vec<ForwardS
 }
 
 /// Epilogue of one executed request. A selection passes through the
-/// quarantine counter, the semantic-cache merge/verify/harvest and the
-/// session memo; a failure skips all three (so aborted batch-mates
-/// contribute no cache bytes). Either way the request is then answered,
-/// with its probe plus everything since its pass was picked as its
-/// `service_us` — embed, plan and run included, so `queued_us +
-/// service_us` spans enqueue to reply.
+/// quarantine counter and the semantic-cache merge and store; a failure
+/// skips both (so aborted batch-mates contribute no cache bytes). Either
+/// way the request is then answered, with its probe plus everything
+/// since its pass was picked as its `service_us` — plan (embed
+/// included) and run, so `queued_us + service_us` spans enqueue to
+/// reply.
 fn finish(
     shared: &ServerShared,
     item: RunItem,
@@ -590,14 +458,12 @@ fn finish(
         stats
             .slots_quarantined
             .inc_by(selection.trace.spill_stats.quarantined);
-        let selection = match (&item.sem, &shared.semcache) {
+        match (&item.sem, &shared.semcache) {
             (Some(sem), Some(layer)) => {
                 resolve_semantic(shared, layer, &item.pending, sem, selection)
             }
             _ => selection,
-        };
-        store_selection(shared, &item.pending, &selection);
-        selection
+        }
     });
     let served = Served {
         service_us: item.served.service_us + picked_at.elapsed().as_micros() as u64,
@@ -635,20 +501,9 @@ fn answer(
     }
 }
 
-fn store_selection(shared: &ServerShared, pending: &Pending, selection: &Selection) {
-    if let Some(cache) = &shared.cache {
-        cache.lock().expect("session cache lock").store_selection(
-            &pending.session,
-            pending.fingerprint,
-            &pending.batch,
-            SelectionKey::from_options(&pending.options),
-            selection,
-        );
-    }
-}
-
 /// The serving backend of the `prism-api` facade: a cloneable
-/// [`SelectionService`] bound to one session of a [`PrismServer`].
+/// [`SelectionService`] over a [`PrismServer`], labelled with a session
+/// name. The label is only a name: no cache is keyed by it.
 /// Submissions flow through the bounded queue and the FIFO coalescing
 /// window like every other request; the returned `SelectionHandle`
 /// adds mid-flight cancellation and layer-granularity progress on top.
@@ -659,7 +514,7 @@ pub struct RemoteService {
 }
 
 impl RemoteService {
-    /// The session key submissions run under.
+    /// The session label this service was created with.
     pub fn session(&self) -> &str {
         &self.session
     }
@@ -671,7 +526,6 @@ impl SelectionService for RemoteService {
         batch: SequenceBatch,
         options: RequestOptions,
     ) -> Result<SelectionHandle, ServiceError> {
-        self.shared
-            .submit_handle(self.session.clone(), batch, options)
+        self.shared.submit_handle(batch, options)
     }
 }

@@ -44,27 +44,30 @@ pub struct ServeStats {
     /// cache answer's is its wait for pickup.
     pub queued_us: Histogram,
     /// Microseconds of work on a request, recorded once per answered
-    /// request: its cache probe (embed included) plus its pass's pickup
-    /// to reply (plan, run, epilogue), so `queued_us + service_us` spans
+    /// request: its cache probe plus its pass's pickup to reply (plan,
+    /// run, epilogue), so `queued_us + service_us` spans
     /// enqueue to reply; zero for a request a cache answered outright.
     pub service_us: Histogram,
-    /// Session-cache: full-selection replays.
+    /// Always 0: there is no session memo. Frozen for
+    /// `benchmark/src/traced.rs` until ROADMAP item 14's `[benchmark]`
+    /// half.
     pub cache_selection_hits: Counter,
-    /// Session-cache: embedding replays.
+    /// Always 0: there is no session memo. Frozen for
+    /// `benchmark/src/traced.rs` until ROADMAP item 14's `[benchmark]`
+    /// half.
     pub cache_embed_hits: Counter,
-    /// Session-cache: misses (including cache-disabled requests).
-    pub cache_misses: Counter,
-    /// Semantic cache: candidates whose score was replayed (exact or
-    /// similar tier) instead of recomputed.
+    /// Semantic cache: candidates whose score was replayed instead of
+    /// recomputed.
     pub semcache_hits: Counter,
-    /// Semantic cache: candidates probed without a replayable score
-    /// (only eligible requests probe — pruning-off with the knob on).
+    /// Semantic cache: candidates probed without a cached score (only
+    /// eligible requests probe — pruning-off with the knob on).
     pub semcache_misses: Counter,
-    /// Semantic cache: verification mismatches that fell back to the
-    /// exact path (each also poisoned the offending LSH bucket).
+    /// Always 0: nothing is verified. Frozen for
+    /// `benchmark/src/traced.rs` until ROADMAP item 14's `[benchmark]`
+    /// half.
     pub semcache_fallbacks: Counter,
-    /// Semantic cache: resident bytes (int8 entries + overhead), metered
-    /// like spill bytes. Mirrors the cache's own byte meter.
+    /// Semantic cache: resident bytes (entries + overhead), metered like
+    /// spill bytes. Mirrors the cache's own byte meter.
     pub semcache_bytes: Gauge,
     /// Spill slots quarantined on checksum mismatch and
     /// recomputed from weights.
@@ -75,18 +78,6 @@ impl ServeStats {
     /// Creates zeroed instruments.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fraction of cache probes that hit (selection or embedding), in
-    /// `[0, 1]`; zero when nothing was probed.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_selection_hits.get() + self.cache_embed_hits.get();
-        let total = hits + self.cache_misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 
     /// Counts one request answered with `err`: caller cancellations and
@@ -130,13 +121,8 @@ impl ServeStats {
             batch_tokens: self.batch_tokens.summary(),
             queued_us: self.queued_us.summary(),
             service_us: self.service_us.summary(),
-            cache_selection_hits: self.cache_selection_hits.get(),
-            cache_embed_hits: self.cache_embed_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            cache_hit_rate: self.cache_hit_rate(),
             semcache_hits: self.semcache_hits.get(),
             semcache_misses: self.semcache_misses.get(),
-            semcache_fallbacks: self.semcache_fallbacks.get(),
             semcache_bytes: self.semcache_bytes.get(),
             slots_quarantined: self.slots_quarantined.get(),
         }
@@ -172,20 +158,10 @@ pub struct ServeStatsSnapshot {
     pub queued_us: HistogramSummary,
     /// Distribution of work times: cache probe plus pass (µs).
     pub service_us: HistogramSummary,
-    /// Selection replays served from the session cache.
-    pub cache_selection_hits: u64,
-    /// Embedding replays served from the session cache.
-    pub cache_embed_hits: u64,
-    /// Session-cache misses.
-    pub cache_misses: u64,
-    /// Hit fraction across all probes.
-    pub cache_hit_rate: f64,
-    /// Semantic-cache candidate replays (exact + similar tiers).
+    /// Semantic-cache candidate replays.
     pub semcache_hits: u64,
     /// Semantic-cache candidate probes that found nothing.
     pub semcache_misses: u64,
-    /// Semantic-cache verification mismatches (poison + exact fallback).
-    pub semcache_fallbacks: u64,
     /// Semantic-cache resident bytes right now.
     pub semcache_bytes: u64,
     /// Spill slots quarantined and recomputed.
@@ -195,16 +171,6 @@ pub struct ServeStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_rate_counts_both_hit_kinds() {
-        let s = ServeStats::new();
-        assert_eq!(s.cache_hit_rate(), 0.0);
-        s.cache_selection_hits.inc();
-        s.cache_embed_hits.inc();
-        s.cache_misses.inc_by(2);
-        assert!((s.cache_hit_rate() - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn retry_hint_scales_with_depth_and_service_rate() {
@@ -244,7 +210,6 @@ mod tests {
         s.batch_size.record(2);
         s.semcache_hits.inc_by(4);
         s.semcache_misses.inc_by(2);
-        s.semcache_fallbacks.inc();
         s.semcache_bytes.set(512);
         s.slots_quarantined.inc_by(3);
         let snap = s.snapshot();
@@ -254,7 +219,6 @@ mod tests {
         assert_eq!(snap.batch_size.count, 1);
         assert_eq!(snap.semcache_hits, 4);
         assert_eq!(snap.semcache_misses, 2);
-        assert_eq!(snap.semcache_fallbacks, 1);
         assert_eq!(snap.semcache_bytes, 512);
         // Snapshot serializes (shim serde): smoke-check a field name.
         let json = serde_json::to_string(&snap);

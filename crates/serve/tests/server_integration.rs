@@ -1,6 +1,7 @@
 //! End-to-end serving behaviour over a real engine: parity with direct
-//! engine calls, session-cache replay, backpressure, leak-free
-//! cancellation on the offload path and clean shutdown.
+//! engine calls, semantic-cache replay of repeats and answers at pickup,
+//! backpressure, leak-free cancellation on the offload path and clean
+//! shutdown.
 
 use std::time::{Duration, Instant};
 
@@ -112,64 +113,78 @@ fn serving_matches_direct_engine_calls() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Per-tier cache counters of `server`: (whole-selection memo replays,
-/// embedding replays). A request's tier is the counter that moved.
-fn tier_hits(server: &PrismServer) -> (u64, u64) {
-    let stats = server.stats();
-    (
-        stats.cache_selection_hits.get(),
-        stats.cache_embed_hits.get(),
-    )
+/// Full-depth options with the semantic cache on: the cache only engages
+/// with effective pruning off.
+fn cached(k: usize, tag: u64) -> RequestOptions {
+    let mut opts = RequestOptions::tagged(k, tag).with_semcache(SemCacheMode::On);
+    opts.pruning = Some(false);
+    opts
 }
 
+/// Repeats a session sends are replayed from the server's cache bit for
+/// bit: an exact repeat and a repeat under another tag run no pass and
+/// match a direct engine call, and the cache is shared with every other
+/// session.
 #[test]
 fn session_cache_replays_repeats_bit_identically() {
     let (config, path) = fixture("cache");
     let batch = batches(&config, 1, 8).pop().unwrap();
     let server = PrismServer::start(engine(&config, &path), ServeConfig::default()).unwrap();
+    let hits = |server: &PrismServer| server.stats().semcache_hits.get();
 
-    let opts = RequestOptions::tagged(3, 99);
     let first = server
         .service("s")
-        .select(batch.clone(), opts.clone())
+        .select(batch.clone(), cached(3, 99))
         .unwrap();
     assert!(!first.served_from_cache);
-    assert_eq!(tier_hits(&server), (0, 0));
+    assert_eq!(hits(&server), 0);
+    let direct = engine(&config, &path)
+        .select_with(&batch, cached(3, 99))
+        .unwrap();
+    assert_eq!(scores_bits(&first.selection), scores_bits(&direct));
 
-    // Exact repeat: replayed selection, no execution.
+    // Exact repeat: every candidate replays, no execution.
     let second = server
         .service("s")
-        .select(batch.clone(), opts.clone())
+        .select(batch.clone(), cached(3, 99))
         .unwrap();
     assert!(second.served_from_cache);
-    assert_eq!(tier_hits(&server), (1, 0));
+    assert_eq!(second.service_us, 0, "full replay runs zero layers");
+    assert_eq!(hits(&server), 8);
     assert_eq!(
         scores_bits(&second.selection),
         scores_bits(&first.selection)
     );
 
-    // Same corpus, different tag: embedding replayed, fresh execution,
-    // still identical to a direct call with that tag.
+    // Same corpus, different tag: still replayed, and identical to a
+    // direct call with that tag.
     let third = server
         .service("s")
-        .select(batch.clone(), RequestOptions::tagged(3, 100))
+        .select(batch.clone(), cached(3, 100))
         .unwrap();
     assert!(third.served_from_cache);
-    assert_eq!(tier_hits(&server), (1, 1));
+    assert_eq!(hits(&server), 16);
     let direct = engine(&config, &path)
-        .select_with(&batch, RequestOptions::tagged(3, 100))
+        .select_with(&batch, cached(3, 100))
         .unwrap();
     assert_eq!(scores_bits(&third.selection), scores_bits(&direct));
 
-    // Different session: its own cache entry (miss).
-    let other = server.service("other").select(batch.clone(), opts).unwrap();
-    assert!(!other.served_from_cache);
-    assert_eq!(tier_hits(&server), (1, 1));
+    // Another session reads the same entries.
+    let other = server
+        .service("other")
+        .select(batch.clone(), cached(3, 99))
+        .unwrap();
+    assert!(other.served_from_cache);
+    assert_eq!(hits(&server), 24);
+    assert_eq!(scores_bits(&other.selection), scores_bits(&first.selection));
 
     let snap = server.stats().snapshot();
-    assert_eq!(snap.cache_selection_hits, 1);
-    assert_eq!(snap.cache_embed_hits, 1);
-    assert!(snap.cache_hit_rate > 0.0);
+    assert_eq!(snap.semcache_hits, 24, "one hit per replayed candidate");
+    assert_eq!(
+        snap.semcache_misses, 8,
+        "one miss per first-sight candidate"
+    );
+    assert_eq!(snap.batches, 1, "only the first sight ran a pass");
     server.shutdown();
     std::fs::remove_file(&path).unwrap();
 }
@@ -207,8 +222,9 @@ fn shutdown_answers_accepted_requests() {
 fn invalid_requests_fail_without_poisoning_the_batch() {
     let (config, path) = fixture("invalid");
     let good = batches(&config, 1, 6).pop().unwrap();
-    // A sequence longer than max_seq.
+    // A sequence longer than max_seq, and a token outside the vocabulary.
     let bad = SequenceBatch::new(&[vec![1_u32; config.max_seq + 1]]).unwrap();
+    let out_of_vocab = SequenceBatch::new(&[vec![1, config.vocab_size as u32, 2]]).unwrap();
     let server = PrismServer::start(
         engine(&config, &path),
         ServeConfig {
@@ -219,11 +235,11 @@ fn invalid_requests_fail_without_poisoning_the_batch() {
     )
     .unwrap();
     let service = server.service("t");
-    // An empty batch, `k = 0` and a sequence longer than max_seq fail at
-    // admission with the engine's own typed error, before the probe: no
-    // cache counter moves, so nothing was embedded, memoized or evicted
-    // on their behalf. The oversized batch goes in twice from the one
-    // session and meets the same error both times.
+    // An empty batch, `k = 0`, a sequence longer than max_seq and an
+    // out-of-vocabulary token fail at admission with the engine's own
+    // typed error, before the queue: nothing is submitted, so no probe,
+    // window wait or pass runs on their behalf. The oversized batch goes
+    // in twice from the one session and meets the same error both times.
     let empty = SequenceBatch::new(&[]).unwrap();
     let mut errors = Vec::new();
     for (batch, options) in [
@@ -231,6 +247,7 @@ fn invalid_requests_fail_without_poisoning_the_batch() {
         (good.clone(), RequestOptions::top_k(0)),
         (bad.clone(), RequestOptions::top_k(1)),
         (bad, RequestOptions::top_k(1)),
+        (out_of_vocab, RequestOptions::top_k(1)),
     ] {
         let Err(err) = service.submit(batch, options) else {
             panic!("admission accepted a request the engine cannot serve");
@@ -243,8 +260,9 @@ fn invalid_requests_fail_without_poisoning_the_batch() {
     }
     assert!(errors[2].contains("max_seq"), "{}", errors[2]);
     assert_eq!(errors[2], errors[3]);
+    assert!(errors[4].contains("outside vocabulary"), "{}", errors[4]);
     let snap = server.stats().snapshot();
-    assert_eq!((snap.cache_misses, snap.cache_embed_hits), (0, 0));
+    assert_eq!((snap.submitted, snap.completed), (0, 0));
     assert_eq!(snap.deadline_rejected, 0, "not a deadline rejection");
     let h_good = service.submit(good, RequestOptions::top_k(2)).unwrap();
     assert!(h_good.wait().is_ok(), "a valid request must still succeed");
@@ -346,7 +364,6 @@ fn cancelled_offload_requests_release_every_spill_byte() {
         ServeConfig {
             workers: 1,
             // Every request runs a pass: no memo answers it.
-            session_cache_capacity: 0,
             ..Default::default()
         },
     )
@@ -507,9 +524,9 @@ fn cache_answers_leave_at_pickup_without_waiting_for_company() {
     let batch = batches(&config, 1, 6).pop().unwrap();
     let opts = |tag| RequestOptions {
         pruning: Some(false),
-        ..RequestOptions::tagged(3, tag).with_semcache(SemCacheMode::Aggressive)
+        ..RequestOptions::tagged(3, tag).with_semcache(SemCacheMode::On)
     };
-    // First sight: a miss, which waits out the window and harvests.
+    // First sight: a miss, which waits out the window and is stored.
     let first = server.service("a").select(batch.clone(), opts(1)).unwrap();
     assert!(!first.served_from_cache);
 

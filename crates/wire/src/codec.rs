@@ -41,8 +41,9 @@ use prism_model::SequenceBatch;
 /// failure) is unassigned and decodes as corrupt; 5 = `Submit` options
 /// lost the priority byte (the coalescing window is FIFO), and error
 /// tag 6 (the per-tenant quota rejection) is unassigned and decodes as
-/// corrupt.
-pub const WIRE_VERSION: u32 = 5;
+/// corrupt; 6 = the semantic-cache mode byte is 0 (off) or 1 (on), and
+/// 2 (the near-duplicate mode of earlier versions) decodes as corrupt.
+pub const WIRE_VERSION: u32 = 6;
 
 /// Hard ceiling on one frame's byte length (type byte + payload). Large
 /// enough for a maximal candidate batch, small enough that a hostile
@@ -246,8 +247,7 @@ impl Enc {
         });
         self.u8(match o.semcache {
             SemCacheMode::Off => 0,
-            SemCacheMode::VerifyAndFallback => 1,
-            SemCacheMode::Aggressive => 2,
+            SemCacheMode::On => 1,
         });
     }
 
@@ -495,8 +495,7 @@ impl<'a> Dec<'a> {
         };
         let semcache = match self.u8()? {
             0 => SemCacheMode::Off,
-            1 => SemCacheMode::VerifyAndFallback,
-            2 => SemCacheMode::Aggressive,
+            1 => SemCacheMode::On,
             v => return Err(WireError::Corrupt(format!("semcache tag {v}"))),
         };
         Ok(RequestOptions {
@@ -730,13 +729,21 @@ mod tests {
             deadline_us: Some(5_000),
             spill_precision: SpillPrecision::F32,
             compute_precision: ComputePrecision::Int8,
-            semcache: SemCacheMode::VerifyAndFallback,
+            semcache: SemCacheMode::On,
         };
-        let got = round_trip(&Message::Submit {
+        let submit = Message::Submit {
             request_id: 7,
             options: options.clone(),
             batch: batch.clone(),
-        });
+        };
+        // The semcache byte ends the options, right before the batch's
+        // 4-byte count and its two sequences (4 + 12 and 4 + 4 bytes).
+        let mut body = encode_message(&submit);
+        let at = body.len() - (4 + 16 + 8) - 1;
+        assert_eq!(body[at], 1, "semcache on");
+        body[at] = 2; // the near-duplicate mode of protocol 5
+        assert!(matches!(decode_message(&body), Err(WireError::Corrupt(_))));
+        let got = round_trip(&submit);
         match got {
             Message::Submit {
                 request_id,

@@ -48,10 +48,10 @@ fn build_message(
         } else {
             ComputePrecision::F32
         },
-        semcache: match small % 3 {
-            0 => SemCacheMode::Off,
-            1 => SemCacheMode::VerifyAndFallback,
-            _ => SemCacheMode::Aggressive,
+        semcache: if small.is_multiple_of(3) {
+            SemCacheMode::Off
+        } else {
+            SemCacheMode::On
         },
     };
     let error = match small % 7 {
@@ -204,6 +204,31 @@ proptest! {
         if let Ok(decoded) = read_frame(&mut &frame[..]) {
             let _ = encode_message(&decoded);
         }
+    }
+
+    /// The semantic-cache mode byte of a `Submit` is 0 or 1: any other
+    /// value (2 was the near-duplicate mode of protocol 5) is a typed
+    /// corrupt payload, whatever the rest of the request holds.
+    #[test]
+    fn semcache_byte_above_one_is_corrupt(
+        id in 0_u64..u64::MAX,
+        small in 0_u32..1000,
+        seqs in prop::collection::vec(prop::collection::vec(0_u32..50_000, 1..10), 1..5),
+        tag in 2_u8..=255,
+    ) {
+        let msg = build_message(1, id, small, &[], &seqs, "t");
+        let mut body = encode_message(&msg);
+        // The batch follows the options: a 4-byte count, then per
+        // sequence a 4-byte length and 4 bytes per token.
+        let batch_bytes = 4 + seqs.iter().map(|s| 4 + 4 * s.len()).sum::<usize>();
+        let at = body.len() - batch_bytes - 1;
+        prop_assert!(body[at] <= 1, "semcache byte {}", body[at]);
+        body[at] = tag;
+        let decoded = decode_message(&body);
+        prop_assert!(
+            matches!(decoded, Err(WireError::Corrupt(ref why)) if why.contains("semcache")),
+            "tag {tag} gave {decoded:?}"
+        );
     }
 
     /// Arbitrary garbage fed to both codec layers terminates quickly

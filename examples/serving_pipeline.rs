@@ -1,6 +1,5 @@
 //! Multi-tenant serving: one `PrismServer` answering a RAG tenant and an
-//! agent-memory tenant concurrently, with batched scheduling and the
-//! per-session cache.
+//! agent-memory tenant concurrently, with batched scheduling.
 //!
 //! ```text
 //! cargo run --release --example serving_pipeline
@@ -86,12 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s = server.stats().snapshot();
     println!(
         "\nserved {} requests in {} batches (mean {:.2} req/batch); \
-         queue depth peak {}; session cache hit rate {:.0}%",
-        s.completed,
-        s.batches,
-        s.batch_size.mean,
-        s.queue_depth_peak,
-        s.cache_hit_rate * 100.0
+         queue depth peak {}",
+        s.completed, s.batches, s.batch_size.mean, s.queue_depth_peak
     );
     server.shutdown();
     std::fs::remove_file(&path)?;

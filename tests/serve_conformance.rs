@@ -12,10 +12,13 @@
 //! 2. **Serving parity** — the `prism-serve` path (queue → scheduler →
 //!    coalesced batch → worker) returns **bit-identical** selections to
 //!    direct engine calls for the same requests, at every batch size
-//!    1..=8 and across worker counts, with and without the session cache.
+//!    1..=8 and across worker counts, with and without the semantic
+//!    cache.
 
 use prism::api::{SelectionService, ServiceError};
-use prism::core::{EngineOptions, PrismEngine, RequestOptions, Selection, SpillPrecision};
+use prism::core::{
+    EngineOptions, PrismEngine, RequestOptions, Selection, SemCacheMode, SpillPrecision,
+};
 use prism::metrics::MemoryMeter;
 use prism::model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism::serve::{PrismServer, ServeConfig};
@@ -208,7 +211,6 @@ fn serving_is_bit_identical_at_every_batch_size() {
             ServeConfig {
                 workers: 1,
                 max_batch_requests: batch_size,
-                session_cache_capacity: 0,
                 ..Default::default()
             },
         )
@@ -239,21 +241,42 @@ fn serving_is_bit_identical_at_every_batch_size() {
 #[test]
 fn serving_is_bit_identical_across_worker_counts_and_cache() {
     let (config, path, batches) = fixture("workers");
-    let reference = reference_selections(&config, &path, &batches);
 
-    for (workers, cache_sessions) in [(2, 0), (3, 0), (2, 16)] {
+    for (workers, semcache) in [
+        (2, SemCacheMode::Off),
+        (3, SemCacheMode::Off),
+        (2, SemCacheMode::On),
+    ] {
+        // The cache engages only at full depth, so its axis runs there,
+        // against a reference computed with the same options.
+        let options = |i: usize| {
+            let tagged = RequestOptions::tagged(K, i as u64 + 1);
+            match semcache {
+                SemCacheMode::Off => tagged,
+                SemCacheMode::On => RequestOptions {
+                    pruning: Some(false),
+                    ..tagged.with_semcache(semcache)
+                },
+            }
+        };
+        let eng = engine(&config, &path);
+        let reference: Vec<Selection> = batches
+            .iter()
+            .enumerate()
+            .map(|(i, b)| eng.select_with(b, options(i)).unwrap())
+            .collect();
+        drop(eng);
         let server = PrismServer::start(
             engine(&config, &path),
             ServeConfig {
                 workers,
                 max_batch_requests: 4,
-                session_cache_capacity: cache_sessions,
                 ..Default::default()
             },
         )
         .unwrap();
-        // Two passes: with the cache on, the second pass replays
-        // memoized selections and must still be bit-identical.
+        // Two passes: with the cache on, the second pass replays every
+        // candidate's score and must still be bit-identical.
         for pass in 0..2 {
             let handles: Vec<_> = batches
                 .iter()
@@ -261,25 +284,30 @@ fn serving_is_bit_identical_across_worker_counts_and_cache() {
                 .map(|(i, b)| {
                     server
                         .service(format!("session-{i}"))
-                        .submit(b.clone(), RequestOptions::tagged(K, i as u64 + 1))
+                        .submit(b.clone(), options(i))
                         .unwrap()
                 })
                 .collect();
             for (i, handle) in handles.into_iter().enumerate() {
                 let resp = handle.wait().unwrap();
+                let label = format!("request {i} (workers {workers}, {semcache:?}, pass {pass})");
                 assert_eq!(
                     exact_bits(&resp.selection),
                     exact_bits(&reference[i]),
-                    "request {i} diverged (workers {workers}, cache {cache_sessions}, pass {pass})"
+                    "{label} diverged"
                 );
+                let replayed = semcache == SemCacheMode::On && pass == 1;
+                assert_eq!(resp.served_from_cache, replayed, "{label}");
             }
         }
-        if cache_sessions > 0 {
-            let snap = server.stats().snapshot();
+        let snap = server.stats().snapshot();
+        if semcache == SemCacheMode::On {
             assert!(
-                snap.cache_selection_hits >= NUM_REQUESTS as u64,
-                "second pass should replay from the session cache: {snap:?}"
+                snap.semcache_hits >= (CANDIDATES * NUM_REQUESTS) as u64,
+                "second pass should replay from the semantic cache: {snap:?}"
             );
+        } else {
+            assert_eq!(snap.semcache_hits + snap.semcache_misses, 0, "{snap:?}");
         }
         server.shutdown();
     }
@@ -326,7 +354,6 @@ fn serving_is_bit_identical_in_both_spill_precisions() {
                 ServeConfig {
                     workers: 1,
                     max_batch_requests: batch_size,
-                    session_cache_capacity: 0,
                     ..Default::default()
                 },
             )
@@ -416,7 +443,6 @@ fn facade_handles_are_bit_identical_to_direct_calls() {
         ServeConfig {
             workers: 2,
             max_batch_requests: 4,
-            session_cache_capacity: 0,
             ..Default::default()
         },
     )
@@ -468,7 +494,6 @@ fn cancelled_requests_never_appear_in_completions() {
         ServeConfig {
             workers: 1,
             max_batch_requests: 1,
-            session_cache_capacity: 0,
             ..Default::default()
         },
     )

@@ -4,7 +4,9 @@
 //! the concurrent serving path).
 
 use prism::api::SelectionService;
-use prism::core::{EngineOptions, EngineTrace, PrismEngine, PruneMode, RequestOptions, Selection};
+use prism::core::{
+    EngineOptions, EngineTrace, PrismEngine, PruneMode, RequestOptions, Selection, SemCacheMode,
+};
 use prism::metrics::MemoryMeter;
 use prism::model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism::serve::{PrismServer, ServeConfig};
@@ -182,7 +184,7 @@ fn interleaved_clients_match_sequential_reference() {
 /// server: each scenario must fire one `ServeStats` counter.
 mod edge_traces {
     use super::*;
-    use prism::serve::{run_closed_loop, LoadSpec, ServeError, ServeStatsSnapshot};
+    use prism::serve::{run_closed_loop, LoadSpec, ServeError};
     use std::time::Duration;
 
     /// Pre-built request batches so submission threads stay trivial.
@@ -205,7 +207,6 @@ mod edge_traces {
             workers: 1,
             queue_capacity: 1,
             max_batch_requests: 1,
-            session_cache_capacity: 0,
             ..Default::default()
         };
 
@@ -268,7 +269,6 @@ mod edge_traces {
         let serve = ServeConfig {
             workers: 1,
             max_batch_requests: 1,
-            session_cache_capacity: 0,
             ..Default::default()
         };
 
@@ -312,63 +312,61 @@ mod edge_traces {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Session-cache counters, pinned: with one client the order is
-    /// fixed, so every run counts the same selection hits, embedding hits
-    /// and misses. The triples were recorded when a serving simulator
-    /// still cross-checked them; they are a bit-exact witness for cache
-    /// and queue refactors and must never be edited to make this test
-    /// pass. Under a 200 ms window every selection hit is also answered
-    /// at pickup, never after waiting for company.
+    /// Semantic-cache counters, pinned: with one client the order is
+    /// fixed, so every run counts the same candidate hits and misses,
+    /// whatever the coalescing window. The pair was recorded when the
+    /// exact cache replaced the per-session memo; it is a bit-exact
+    /// witness for cache and queue refactors and must never be edited to
+    /// make this test pass. Under a 200 ms window every request the
+    /// cache answers in full leaves at pickup, never after waiting for
+    /// company.
     #[test]
-    fn session_cache_counters_are_pinned() {
+    fn semantic_cache_counters_are_pinned() {
         let (config, path) = fixture("edge-cache");
         let spec = LoadSpec {
             requests: 24,
             clients: 1,
             sessions: 2,
             corpus_repeat: 3,
-            // Cross-session duplicates switch a session's corpus, so the
-            // entry-reset path is exercised too.
+            // Cross-session duplicates: the one cache serves every
+            // session.
             dup_fraction: 0.25,
+            options: RequestOptions::top_k(4).with_semcache(SemCacheMode::On),
             ..Default::default()
         };
-        let counters =
-            |s: &ServeStatsSnapshot| (s.cache_selection_hits, s.cache_embed_hits, s.cache_misses);
         let window = Duration::from_millis(200);
-        // (selection hits, embed hits, misses).
-        let default_window = (8, 0, 16);
-        let patient_window = (8, 0, 16);
-        for (serve, pinned) in [
-            (ServeConfig::default(), default_window),
-            (
-                ServeConfig {
-                    max_batch_wait: window,
-                    ..Default::default()
-                },
-                patient_window,
-            ),
+        // (candidate hits, candidate misses).
+        let pinned = (168, 120);
+        for serve in [
+            ServeConfig::default(),
+            ServeConfig {
+                max_batch_wait: window,
+                ..Default::default()
+            },
         ] {
-            let patient = serve.max_batch_wait == window;
             let server = PrismServer::start(engine(&config, &path), serve.clone()).unwrap();
             let measured = run_closed_loop(&server, &spec);
-            // The queue times of the `hits` fastest requests, as the
-            // server's histogram bounds them (within 2x, from above).
-            let hits = measured.server_stats().cache_selection_hits;
-            let queued = &server.stats().queued_us;
-            let fastest_hits_bound = queued.quantile((hits as f64 - 0.5) / queued.count() as f64);
-            server.shutdown();
+            let stats = measured.server_stats();
             let label = format!("window {:?}", serve.max_batch_wait);
-            assert_eq!(counters(measured.server_stats()), pinned, "{label}");
-            if patient {
-                let window_us = window.as_micros() as u64;
+            assert_eq!(measured.errors, 0, "{label}");
+            assert_eq!(
+                (stats.semcache_hits, stats.semcache_misses),
+                pinned,
+                "{label}"
+            );
+            // Requests the cache answered in full ran no pass.
+            let passed = stats.batch_size.mean * stats.batch_size.count as f64;
+            let answered = stats.completed - passed.round() as u64;
+            assert!(answered > 0, "{label}: some request must replay in full");
+            if serve.max_batch_wait == window {
                 // One client: every request that needs a pass waits the
-                // whole window alone, so the `hits` fastest requests are
-                // the selection hits, and they must not have waited it.
-                assert!(
-                    fastest_hits_bound < window_us,
-                    "{label}: {fastest_hits_bound}"
-                );
+                // whole window alone, so the `answered` fastest requests
+                // are the full replays, and they must not have waited it.
+                let queued = &server.stats().queued_us;
+                let bound = queued.quantile((answered as f64 - 0.5) / queued.count() as f64);
+                assert!(bound < window.as_micros() as u64, "{label}: {bound}");
             }
+            server.shutdown();
         }
         std::fs::remove_file(&path).unwrap();
     }
