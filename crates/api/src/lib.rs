@@ -48,7 +48,7 @@ pub use handle::{Completion, Progress, SelectionHandle, SelectionOutcome};
 pub use service::{admission_deadline, admit, LocalService, SelectionService};
 
 // Re-exported so facade users need only this crate plus a batch type.
-pub use prism_core::{CancelToken, ComputePrecision, RequestOptions, SpillPrecision};
+pub use prism_core::{CancelToken, RequestOptions, SpillPrecision};
 
 /// Result alias for facade operations.
 pub type Result<T> = std::result::Result<T, ServiceError>;

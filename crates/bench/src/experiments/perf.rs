@@ -17,7 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use prism_core::{ComputePrecision, EngineOptions, PrismEngine, RequestOptions, SpillPrecision};
+use prism_core::{EngineOptions, PrismEngine, RequestOptions, SpillPrecision, WeightFormat};
 use prism_metrics::MemoryMeter;
 use prism_model::layer::{forward_layer, forward_layer_with, ForwardScratch};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
@@ -117,11 +117,11 @@ pub struct Int8Row {
 
 /// The int8-compute acceptance measurement: the u8×i8 GEMM and the
 /// integer layer forward against their f32 twins, plus `select_top_k`
-/// in the offload regime under both compute precisions. The `gemm/` and
+/// in the offload regime on an f32 and an int8 engine. The `gemm/` and
 /// `model/` rows carry the >= 2x acceptance gate (guarded at
 /// [`INT8_GUARD_MIN`]); the `engine/` rows are informational — the
 /// spilled window is I/O-bound on the emulated SSD, so the end-to-end
-/// gain there is smaller — but both precisions must select the same
+/// gain there is smaller — but both engines must select the same
 /// candidate ids ([`Int8Section::topk_parity`]).
 #[derive(Debug, Serialize)]
 pub struct Int8Section {
@@ -130,7 +130,7 @@ pub struct Int8Section {
     /// Emulated SSD bandwidth for spill I/O, bytes/s.
     pub throttle_bytes_per_sec: u64,
     /// Whether every offload-regime selection returned the same id set
-    /// under both compute precisions (the golden parity gate).
+    /// on the f32 and the int8 engine (the golden parity gate).
     pub topk_parity: bool,
     /// Per-benchmark comparison rows.
     pub rows: Vec<Int8Row>,
@@ -351,30 +351,31 @@ fn forward_layer_benches(s: &mut Suite) {
     );
 }
 
-/// A resident engine over a freshly written container of `config`, and
-/// a `candidates`-wide wikipedia request for it.
+/// One resident engine per `options` over one freshly written container
+/// of `config`, and a `candidates`-wide wikipedia request for them.
 fn engine_fixture(
     config: &ModelConfig,
-    options: EngineOptions,
+    options: &[EngineOptions],
     candidates: usize,
-) -> (PrismEngine, SequenceBatch) {
+) -> (Vec<PrismEngine>, SequenceBatch) {
     let model = Model::generate(config.clone(), 7).expect("model");
     let mut path = std::env::temp_dir();
     path.push(format!("prism-perf-{}.prsm", std::process::id()));
     model.write_container(&path).expect("container");
-    let engine = PrismEngine::new(
-        Container::open(&path).expect("open"),
-        config.clone(),
-        options,
-        MemoryMeter::new(),
-    )
-    .expect("engine");
+    let engines = options
+        .iter()
+        .map(|o| {
+            let container = Container::open(&path).expect("open");
+            PrismEngine::new(container, config.clone(), o.clone(), MemoryMeter::new())
+                .expect("engine")
+        })
+        .collect();
     // Weights are resident from here on (`streaming: false`).
     std::fs::remove_file(&path).ok();
     let profile = prism_workload::dataset::dataset_by_name("wikipedia").expect("profile");
     let gen = WorkloadGenerator::new(profile, config.vocab_size, config.max_seq, 3);
     let batch = SequenceBatch::new(&gen.request(0, candidates).sequences()).expect("batch");
-    (engine, batch)
+    (engines, batch)
 }
 
 /// The two engine scales, `(tag, config)`; the rows' historical names
@@ -392,13 +393,16 @@ fn engine_scales(mini_tag: &'static str) -> [(&'static str, ModelConfig); 2] {
 fn engine_benches(s: &mut Suite) {
     for (tag, config) in engine_scales("mini_m3") {
         // All weights resident, pruning on (the criterion `engine`
-        // bench's geometry).
+        // bench's geometry). The f32 weights the baseline was recorded
+        // with; int8 is the `int8` section's subject.
         let options = EngineOptions {
             streaming: false,
             embed_cache: false,
+            weights: WeightFormat::F32,
             ..Default::default()
         };
-        let (engine, batch) = engine_fixture(&config, options, 20);
+        let (mut engines, batch) = engine_fixture(&config, &[options], 20);
+        let engine = engines.pop().expect("one engine");
         s.entry(
             format!("engine/select_top_k_resident_pruned_{tag}"),
             move || {
@@ -466,29 +470,33 @@ fn int8_benches(s: &mut Suite) {
     // offload on with 2-candidate chunks, spill I/O throttled to the
     // emulated SSD. Both sides run the pipelined int8 spill format, which
     // moves row-quant blocks through the spill lanes and decodes each once
-    // per layer; only the compute precision differs.
+    // per layer; the two engines, over one container, differ only in
+    // their weight format.
     s.topk_parity = true;
     for (tag, config) in engine_scales("paper_mini") {
-        let options = EngineOptions {
+        let options = |weights| EngineOptions {
             streaming: false,
             embed_cache: false,
             hidden_offload: true,
             chunk_candidates: Some(2),
             stream_throttle: Some(INT8_THROTTLE),
+            weights,
             ..Default::default()
         };
-        let fixture = std::rc::Rc::new(engine_fixture(&config, options, 16));
-        let mut arm = |precision: ComputePrecision| {
-            let fixture = fixture.clone();
+        let (engines, batch) = engine_fixture(
+            &config,
+            &[options(WeightFormat::F32), options(WeightFormat::Int8)],
+            16,
+        );
+        let batch = std::rc::Rc::new(batch);
+        let mut arm = |engine: PrismEngine| {
+            let batch = batch.clone();
             // A pinned tag keeps the routing stream identical across
             // iterations and arms, so both sides prune identically.
-            let request = RequestOptions::tagged(5, 1)
-                .with_spill_precision(SpillPrecision::Int8)
-                .with_compute_precision(precision);
+            let request = RequestOptions::tagged(5, 1).with_spill_precision(SpillPrecision::Int8);
             let select = move || {
-                let (engine, batch) = &*fixture;
                 engine
-                    .select_with(batch, request.clone())
+                    .select_with(&batch, request.clone())
                     .expect("selection")
             };
             let mut ids = select().top_ids();
@@ -498,8 +506,9 @@ fn int8_benches(s: &mut Suite) {
             });
             (id, ids)
         };
-        let (f32_id, f32_ids) = arm(ComputePrecision::F32);
-        let (int8_id, int8_ids) = arm(ComputePrecision::Int8);
+        let mut engines = engines.into_iter();
+        let (f32_id, f32_ids) = arm(engines.next().expect("f32 engine"));
+        let (int8_id, int8_ids) = arm(engines.next().expect("int8 engine"));
         s.topk_parity &= f32_ids == int8_ids;
         s.int8
             .push((format!("engine/select_offload_{tag}"), f32_id, int8_id));
@@ -576,7 +585,7 @@ fn guard(file: &KernelsFile) -> Vec<String> {
         }
     }
     if !file.int8.topk_parity {
-        bad.push("int8: top-k ids diverge between f32 and int8 compute".into());
+        bad.push("int8: top-k ids diverge between the f32 and the int8 engine".into());
     }
     bad
 }

@@ -17,7 +17,12 @@
 //!
 //! prsm rerank <container.prsm> --model <name> [--scale mini|test]
 //!     [--dataset wikipedia] [--candidates N] [--k N] [--threshold T]
+//!     [--weights int8|f32]
 //!     Run the PRISM engine on a synthetic request and print the top-K.
+//!     `--weights` is the engine's layer-weight format (`WeightFormat`):
+//!     int8 (default) derives per-row i8 layers once at open and runs
+//!     every projection as an integer GEMM; f32 keeps the container's
+//!     layers, the exact path.
 //!
 //! scheduling flags:
 //!     [--workers N] [--batch N] [--batch-tokens N] [--wait-us N]
@@ -30,7 +35,7 @@
 //!     [--requests N] [--clients N] [--candidates N] [--k N]
 //!     [--dataset wikipedia] [--seed N] [--sessions N] [--repeat N]
 //!     [--deadline-ms N]
-//!     [--spill int8|f32] [--compute f32|int8]
+//!     [--spill int8|f32]
 //!     [--semcache off|on] [--dup-frac F]
 //!     One closed-loop synthetic workload (`prism_serve::LoadSpec`), the
 //!     same traffic whichever verb drives it: `--clients` threads send
@@ -48,13 +53,14 @@
 //!
 //! prsm serve <container.prsm> --model <name> [--scale mini|test]
 //!     [scheduling flags] [load flags] [--throttle BYTES_PER_S]
-//!     [--offload on|off] [--listen ADDR]
+//!     [--offload on|off] [--weights int8|f32] [--listen ADDR]
 //!     Start the serving front-end over a container, drive the load
 //!     through it, and print latency percentiles plus queue/batch/cache
 //!     telemetry and quarantined spill slots. `--throttle`
 //!     caps weight-streaming bandwidth to emulate a device SSD (default
 //!     0 = native); `--offload on` spills hidden states, where `--spill`
-//!     becomes observable. `--listen ADDR` additionally binds the
+//!     becomes observable; `--weights` is the engine's layer-weight
+//!     format, as for `rerank`. `--listen ADDR` additionally binds the
 //!     length-prefixed TCP wire front-end on ADDR (port 0 picks a free
 //!     port) and drives the same load through wire clients instead of
 //!     in-process submission.
@@ -75,7 +81,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prism_core::{
-    ComputePrecision, EngineOptions, PrismEngine, RequestOptions, SemCacheMode, SpillPrecision,
+    EngineOptions, PrismEngine, RequestOptions, SemCacheMode, SpillPrecision, WeightFormat,
 };
 use prism_device::{
     simulate_hf, simulate_hf_offload, simulate_hf_quant, simulate_prism, BatchShape, DeviceSpec,
@@ -107,7 +113,6 @@ const LOAD_FLAGS: &[&str] = &[
     "repeat",
     "deadline-ms",
     "spill",
-    "compute",
     "semcache",
     "dup-frac",
 ];
@@ -132,7 +137,10 @@ const VERBS: &[Verb] = &[
     (
         "rerank",
         rerank,
-        &[MODEL_FLAGS, &["dataset", "candidates", "k", "threshold"]],
+        &[
+            MODEL_FLAGS,
+            &["dataset", "candidates", "k", "threshold", "weights"],
+        ],
     ),
     (
         "serve",
@@ -141,7 +149,7 @@ const VERBS: &[Verb] = &[
             MODEL_FLAGS,
             SCHEDULING_FLAGS,
             LOAD_FLAGS,
-            &["throttle", "offload", "listen"],
+            &["throttle", "offload", "weights", "listen"],
         ],
     ),
     ("connect", connect, &[MODEL_FLAGS, LOAD_FLAGS]),
@@ -410,6 +418,7 @@ fn rerank(p: &Parsed<'_>) -> Result<String, String> {
     let container = Container::open(path).map_err(|e| e.to_string())?;
     let options = EngineOptions {
         dispersion_threshold: threshold,
+        weights: weight_format(p)?,
         ..Default::default()
     };
     let engine = PrismEngine::new(container, config.clone(), options, MemoryMeter::new())
@@ -442,14 +451,24 @@ fn rerank(p: &Parsed<'_>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Opens a serving engine over a container path. Layer weights stream,
-/// and `throttle` caps that bandwidth in bytes/s to emulate a device SSD
-/// (`0` = native speed). `offload` additionally spills non-active chunk
-/// hidden states to disk (the §4.3 extreme memory-pressure regime, where
-/// the per-request `--spill` precision becomes observable).
+/// Reads the engine's `--weights int8|f32` (absent = int8).
+fn weight_format(p: &Parsed<'_>) -> Result<WeightFormat, String> {
+    p.choice(
+        "weights",
+        &[("int8", WeightFormat::Int8), ("f32", WeightFormat::F32)],
+    )
+}
+
+/// Opens a serving engine over a container path, its layers in
+/// `weights`' format. Layer weights stream, and `throttle` caps that
+/// bandwidth in bytes/s to emulate a device SSD (`0` = native speed).
+/// `offload` additionally spills non-active chunk hidden states to disk
+/// (the §4.3 extreme memory-pressure regime, where the per-request
+/// `--spill` precision becomes observable).
 fn serving_engine(
     path: &str,
     config: &ModelConfig,
+    weights: WeightFormat,
     throttle: u64,
     offload: bool,
 ) -> Result<PrismEngine, String> {
@@ -461,6 +480,7 @@ fn serving_engine(
         // layer weights still stream per batch.
         embed_cache: false,
         hidden_offload: offload,
+        weights,
         ..Default::default()
     };
     PrismEngine::new(container, config.clone(), options, MemoryMeter::new())
@@ -495,13 +515,6 @@ fn load_spec_from(p: &Parsed<'_>) -> Result<LoadSpec, String> {
             spill_precision: p.choice(
                 "spill",
                 &[("int8", SpillPrecision::Int8), ("f32", SpillPrecision::F32)],
-            )?,
-            compute_precision: p.choice(
-                "compute",
-                &[
-                    ("f32", ComputePrecision::F32),
-                    ("int8", ComputePrecision::Int8),
-                ],
             )?,
             semcache: p.choice(
                 "semcache",
@@ -605,7 +618,7 @@ fn serve(p: &Parsed<'_>) -> Result<String, String> {
     let spec = load_spec_from(p)?;
     let throttle: u64 = p.flag_parse("throttle", 0)?;
     let offload = p.switch("offload")?;
-    let engine = serving_engine(path, &config, throttle, offload)?;
+    let engine = serving_engine(path, &config, weight_format(p)?, throttle, offload)?;
     let server = PrismServer::start(engine, serve_config.clone()).map_err(|e| e.to_string())?;
 
     let mut out = String::new();
@@ -1032,7 +1045,7 @@ mod tests {
     fn connect_drives_a_listening_server() {
         let dense = container("connect", "17");
         let config = resolve_config("bge-m3", "test").unwrap();
-        let engine = serving_engine(&dense, &config, 0, false).unwrap();
+        let engine = serving_engine(&dense, &config, WeightFormat::Int8, 0, false).unwrap();
         let server =
             std::sync::Arc::new(PrismServer::start(engine, ServeConfig::default()).unwrap());
         let wire =

@@ -32,23 +32,23 @@
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use prism_metrics::{LatencyRecorder, MemCategory, MemoryMeter};
-use prism_model::layer::{forward_layer_with, intermediate_bytes, ForwardScratch};
+use prism_model::layer::{forward_layer_with, intermediate_bytes, rowq_lane_bytes, ForwardScratch};
 use prism_model::model::{add_position, layer_section, SECTION_EMBEDDING, SECTION_HEAD};
 use prism_model::{HeadWeights, LayerWeights, ModelConfig, SequenceBatch};
 use prism_storage::{
-    rowq_round_trip, Container, DiskRowSource, EmbeddingCache, EmbeddingCacheStats, LayerStreamer,
-    LoadedSection, SpillFile, SpillPipeline, SpillPrecision, SpillStats, StorageError, StreamStats,
-    Throttle,
+    rowq_round_trip, Container, ContainerWriter, DiskRowSource, EmbeddingCache,
+    EmbeddingCacheStats, LayerStreamer, LoadedSection, SectionKind, SpillFile, SpillPipeline,
+    SpillPrecision, SpillStats, StorageError, StreamStats, Throttle,
 };
 use prism_tensor::Tensor;
 use serde::Serialize;
 
 use crate::control::{CancelToken, ProgressFn};
-use crate::options::{ComputePrecision, EngineOptions, PruneMode, SemCacheMode};
+use crate::options::{EngineOptions, PruneMode, SemCacheMode, WeightFormat};
 use crate::scatter::ScatterGate;
 use crate::{PrismError, Result};
 
@@ -168,13 +168,6 @@ pub struct RequestOptions {
     /// [`SpillPrecision::F32`] opts out for a bit-exact spill round trip.
     /// Ignored when the engine does not offload hidden states.
     pub spill_precision: SpillPrecision,
-    /// Numeric precision of the per-layer forward computation. The
-    /// default [`ComputePrecision::F32`] keeps the historical bit-exact
-    /// path; [`ComputePrecision::Int8`] opts into the integer GEMM
-    /// micro-kernels (see [`ComputePrecision`] for the accuracy
-    /// contract). It does not change how hidden states are spilled:
-    /// that is [`RequestOptions::spill_precision`]'s alone.
-    pub compute_precision: ComputePrecision,
     /// Semantic result-cache switch (see [`SemCacheMode`]). Consumed by
     /// the serving layer's cross-request cache (`prism-semcache`);
     /// ignored by direct engine calls. Either value yields the same
@@ -193,7 +186,6 @@ impl RequestOptions {
             pruning: None,
             deadline_us: None,
             spill_precision: SpillPrecision::default(),
-            compute_precision: ComputePrecision::default(),
             semcache: SemCacheMode::default(),
         }
     }
@@ -222,12 +214,6 @@ impl RequestOptions {
     /// Returns a copy with the given hidden-state spill precision.
     pub fn with_spill_precision(mut self, precision: SpillPrecision) -> Self {
         self.spill_precision = precision;
-        self
-    }
-
-    /// Returns a copy with the given forward-compute precision.
-    pub fn with_compute_precision(mut self, precision: ComputePrecision) -> Self {
-        self.compute_precision = precision;
         self
     }
 
@@ -260,9 +246,19 @@ pub struct RequestSpec<'a> {
     pub options: RequestOptions,
 }
 
-/// Names hidden-state spill files; process-wide because engines in one
-/// process default to the same spill directory.
-static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
+/// Names the engine's temp files (hidden-state spill files, int8
+/// sidecars); process-wide because engines in one process default to the
+/// same directories.
+static TEMP_FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh temp-file path under `dir`, unique within the process.
+fn temp_file(dir: &std::path::Path, kind: &str) -> PathBuf {
+    dir.join(format!(
+        "prism-{kind}-{}-{}.bin",
+        std::process::id(),
+        TEMP_FILE_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ))
+}
 
 enum EmbedSource {
     Cache(Box<EmbeddingCache<DiskRowSource>>),
@@ -321,8 +317,6 @@ impl Chunk {
 pub struct ActiveRequest {
     /// Score-level selection state, fed by this request's own chunks.
     state: ScatterGate,
-    /// Forward-compute precision this request was planned with.
-    compute: ComputePrecision,
     /// Whether the int8 spill regime is active for this request. When
     /// set, **every** chunk's hidden state passes through the rowq
     /// round-trip between layers — resident chunks in memory, spilled
@@ -473,16 +467,10 @@ impl Drop for ActiveRequest {
 pub struct PrismEngine {
     config: ModelConfig,
     options: EngineOptions,
-    container: Container,
     head: HeadWeights,
     embed: Mutex<EmbedSource>,
-    resident_layers: Option<Vec<LayerWeights>>,
-    /// Lazily-built int8 copies of the resident layers: the first
-    /// int8-precision request pays the one-time quantization, every later
-    /// one reuses it. Quantization is deterministic, so a racing
-    /// double-init produces identical values and the loser is dropped.
-    /// Streamed engines instead quantize per layer acquisition.
-    int8_layers: Vec<OnceLock<LayerWeights>>,
+    /// The transformer layers, in [`EngineOptions::weights`]' format.
+    layers: Layers,
     meter: MemoryMeter,
     spill_dir: PathBuf,
     request_counter: AtomicU64,
@@ -492,8 +480,28 @@ pub struct PrismEngine {
     scratch_pool: Mutex<Vec<ForwardScratch>>,
 }
 
+/// Where an engine's layers live. Either way they are in the engine's
+/// weight format, converted once at open.
+enum Layers {
+    /// Every layer decoded in memory.
+    Resident(Vec<LayerWeights>),
+    /// Layer sections read per pass: from the source container for
+    /// [`WeightFormat::F32`], from the unlinked int8 sidecar for
+    /// [`WeightFormat::Int8`].
+    Streamed(Container),
+}
+
 impl PrismEngine {
     /// Opens an engine over a weight container.
+    ///
+    /// The head and the embedding table come from `container`. The layers
+    /// are converted to [`EngineOptions::weights`]' format here, once, one
+    /// source layer at a time: a resident engine keeps the converted
+    /// layers, a streamed int8 engine writes them as tag-2 layer blobs to
+    /// a sidecar container in the temp directory that is unlinked as soon
+    /// as it is created, so it disappears with the engine, also when the
+    /// process is killed. Open-time transients are not metered: the meter
+    /// starts at the engine's steady state.
     pub fn new(
         container: Container,
         config: ModelConfig,
@@ -522,31 +530,42 @@ impl PrismEngine {
             EmbedSource::Resident(table)
         };
 
-        let resident_layers = if options.streaming {
-            None
-        } else {
-            let mut layers = Vec::with_capacity(config.num_layers);
-            let mut blob = Vec::new();
-            let mut total = 0_u64;
-            for l in 0..config.num_layers {
-                container.read_section_into(&layer_section(l), &mut blob)?;
-                let w = LayerWeights::from_bytes(&config, &blob)?;
-                total += w.size_bytes() as u64;
-                layers.push(w);
+        let mut blob = Vec::new();
+        let mut load = |l: usize| -> Result<LayerWeights> {
+            container.read_section_into(&layer_section(l), &mut blob)?;
+            let w = LayerWeights::from_bytes(&config, &blob)?;
+            Ok(match options.weights {
+                WeightFormat::F32 => w,
+                WeightFormat::Int8 => w.to_int8()?,
+            })
+        };
+        let layers = match (options.streaming, options.weights) {
+            (false, _) => {
+                let layers = (0..config.num_layers)
+                    .map(&mut load)
+                    .collect::<Result<Vec<_>>>()?;
+                let total = layers.iter().map(|w| w.size_bytes() as u64).sum();
+                meter.set(MemCategory::LayerWeights, total);
+                Layers::Resident(layers)
             }
-            meter.set(MemCategory::LayerWeights, total);
-            Some(layers)
+            (true, WeightFormat::Int8) => {
+                let mut sidecar =
+                    ContainerWriter::create(temp_file(&std::env::temp_dir(), "int8-layers"));
+                for l in 0..config.num_layers {
+                    let bytes = load(l)?.to_bytes();
+                    sidecar.add_raw(&layer_section(l), SectionKind::Raw, 0, 0, bytes);
+                }
+                Layers::Streamed(sidecar.finish_unlinked()?)
+            }
+            (true, WeightFormat::F32) => Layers::Streamed(container),
         };
 
-        let int8_layers = (0..config.num_layers).map(|_| OnceLock::new()).collect();
         Ok(PrismEngine {
             config,
             options,
-            container,
             head,
             embed: Mutex::new(embed),
-            resident_layers,
-            int8_layers,
+            layers,
             meter,
             spill_dir: std::env::temp_dir(),
             request_counter: AtomicU64::new(0),
@@ -635,17 +654,18 @@ impl PrismEngine {
         requests: &mut [ActiveRequest],
         pool: &mut Vec<ForwardScratch>,
     ) -> Result<()> {
-        let mut streamer = if self.options.streaming {
-            let throttle = stream_throttle(&self.options);
-            let sections: Vec<String> = (0..self.config.num_layers).map(layer_section).collect();
-            Some(LayerStreamer::new(
-                &self.container,
-                &sections,
-                self.options.stream_depth,
-                throttle,
-            )?)
-        } else {
-            None
+        let mut streamer = match &self.layers {
+            Layers::Streamed(store) => {
+                let sections: Vec<String> =
+                    (0..self.config.num_layers).map(layer_section).collect();
+                Some(LayerStreamer::new(
+                    store,
+                    &sections,
+                    self.options.stream_depth,
+                    stream_throttle(&self.options),
+                )?)
+            }
+            Layers::Resident(_) => None,
         };
 
         for layer_idx in 0..self.config.num_layers {
@@ -675,21 +695,17 @@ impl PrismEngine {
                 }
                 None => None,
             };
-            let int8 = requests
-                .iter()
-                .any(|r| !r.is_done() && r.compute == ComputePrecision::Int8);
             // The layer's bytes leave the meter when `layer` drops, also
             // on a failed forward; then the stream buffer is recycled
             // (which immediately triggers the prefetch of layer+2).
             let layer_result = self
-                .acquire_layer(layer_idx, section.as_ref(), int8)
+                .acquire_layer(layer_idx, section.as_ref())
                 .and_then(|layer| {
                     requests
                         .iter_mut()
                         .filter(|r| !r.is_done())
                         .try_for_each(|req| {
-                            let weights = layer.weights(req.compute);
-                            self.forward_and_score(req, layer_idx, weights, pool)
+                            self.forward_and_score(req, layer_idx, &layer.weights, pool)
                         })
                 });
             if let (Some(section), Some(s), true) =
@@ -785,14 +801,8 @@ impl PrismEngine {
         if self.options.hidden_offload && chunks.len() > 3 {
             let throttle = stream_throttle(&self.options);
             let max_rows = chunks.iter().map(Chunk::rows).max().unwrap_or(0);
-            let mut path = self.spill_dir.clone();
-            path.push(format!(
-                "prism-hidden-spill-{}-{}.bin",
-                std::process::id(),
-                SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
-            ));
             let file = SpillFile::create(
-                &path,
+                temp_file(&self.spill_dir, "hidden-spill"),
                 chunks.len(),
                 max_rows,
                 self.config.hidden_dim,
@@ -844,7 +854,6 @@ impl PrismEngine {
         state.seed_probe(probe_scores);
         let mut req = ActiveRequest {
             state,
-            compute: options.compute_precision,
             int8_spill,
             chunks,
             meter: self.meter.clone(),
@@ -895,10 +904,9 @@ impl PrismEngine {
         Ok(())
     }
 
-    /// Forwards one request's chunks through `layer_idx` — `weights` in
-    /// the request's compute precision — and re-scores at the layer
-    /// boundary (fused: spilled chunks are scored while still resident,
-    /// so the boundary score costs no extra spill read).
+    /// Forwards one request's chunks through `layer_idx` and re-scores at
+    /// the layer boundary (fused: spilled chunks are scored while still
+    /// resident, so the boundary score costs no extra spill read).
     fn forward_and_score(
         &self,
         req: &mut ActiveRequest,
@@ -906,14 +914,14 @@ impl PrismEngine {
         weights: &LayerWeights,
         pool: &mut Vec<ForwardScratch>,
     ) -> Result<()> {
-        let (int8_spill, compute) = (req.int8_spill, req.compute);
+        let int8_spill = req.int8_spill;
         // A spilled chunk whose slot fails its checksum is rebuilt from
         // the weights instead of failing the request. `layer_idx` layers
         // have run, and a healthy fetch would have returned the file's
         // *decode* of the stored codes, so an int8 file's replay passes
         // one more rowq round-trip.
         let recover = |chunk: &Chunk| -> Result<Tensor> {
-            let mut t = self.recompute_chunk_hidden(chunk, layer_idx, int8_spill, compute)?;
+            let mut t = self.recompute_chunk_hidden(chunk, layer_idx, int8_spill)?;
             if int8_spill {
                 rowq_round_trip(&mut t)?;
             }
@@ -985,13 +993,13 @@ impl PrismEngine {
         if req.is_done() {
             return Ok(());
         }
-        if self.resident_layers.is_none() {
+        if matches!(self.layers, Layers::Streamed(_)) {
             return Err(PrismError::InvalidRequest(
                 "layer stepping requires resident weights (streaming off)".into(),
             ));
         }
-        let layer = self.acquire_layer(layer_idx, None, req.compute == ComputePrecision::Int8)?;
-        self.forward_and_score(req, layer_idx, layer.weights(req.compute), pool)
+        let layer = self.acquire_layer(layer_idx, None)?;
+        self.forward_and_score(req, layer_idx, &layer.weights, pool)
     }
 
     /// Applies a keep-mask (indexed by this request's candidate ids):
@@ -1004,9 +1012,7 @@ impl PrismEngine {
         {
             let executed = req.state.trace.executed_layers;
             let int8_file = req.int8_spill;
-            let compute = req.compute;
-            let recompute =
-                |chunk: &Chunk| self.recompute_chunk_hidden(chunk, executed, int8_file, compute);
+            let recompute = |chunk: &Chunk| self.recompute_chunk_hidden(chunk, executed, int8_file);
             let ActiveRequest {
                 chunks,
                 spill,
@@ -1148,7 +1154,7 @@ impl PrismEngine {
             // Meter alloc/free pairs stay balanced on the error path
             // (`?` only after the frees): a failed request on a
             // long-running server must not inflate the shared ledger.
-            let inter = intermediate_bytes(&self.config, hidden.rows(), max_seq);
+            let inter = self.workspace_bytes(hidden.rows(), max_seq);
             self.meter.alloc(MemCategory::Intermediate, inter);
             let step = latency
                 .time("forward", || {
@@ -1271,7 +1277,7 @@ impl PrismEngine {
         let forward_start = Instant::now();
         // Each live worker holds one scratch sized for the largest chunk;
         // that product is the true concurrent intermediate footprint.
-        let inter = workers as u64 * intermediate_bytes(&self.config, max_rows, max_seq);
+        let inter = workers as u64 * self.workspace_bytes(max_rows, max_seq);
         self.meter.alloc(MemCategory::Intermediate, inter);
         let forward_one = |hidden: &mut Tensor,
                            ranges: &[(usize, usize)],
@@ -1317,6 +1323,17 @@ impl PrismEngine {
         result
     }
 
+    /// Bytes one forward workspace holds while it runs `rows` packed
+    /// tokens: the f32 working set, plus the rowq lane an int8 layer
+    /// encodes its activations into.
+    fn workspace_bytes(&self, rows: usize, max_seq: usize) -> u64 {
+        let lane = match self.options.weights {
+            WeightFormat::Int8 => rowq_lane_bytes(&self.config, rows),
+            WeightFormat::F32 => 0,
+        };
+        intermediate_bytes(&self.config, rows, max_seq) + lane
+    }
+
     /// How many workers the resident chunks of one layer fan out to: the
     /// fan-out rule every matrix product obeys
     /// ([`prism_tensor::ops::num_threads_for`]), asked with the largest
@@ -1343,60 +1360,35 @@ impl PrismEngine {
     }
 
     /// Gets layer `layer_idx` for the span of one forward — the one
-    /// place the engine acquires weights. The layer is borrowed from the
-    /// resident set, decoded from a streamed `section`, or, for the
-    /// recovery replay on a streamed engine, read straight from the
-    /// container. With `int8`, the layer's int8 copy comes with it: built
-    /// once and cached when resident (metered for the engine's
-    /// lifetime), made per acquisition otherwise. Everything acquired
-    /// here, the streamed section included, stays on the meter's layer
-    /// weights until the guard drops.
+    /// place the engine acquires weights, always in the engine's weight
+    /// format. The layer is borrowed from the resident set, decoded from a
+    /// streamed `section`, or, for the recovery replay on a streamed
+    /// engine, read straight from the layer store. What is decoded here,
+    /// and the streamed section, stays on the meter's layer weights until
+    /// the guard drops.
     fn acquire_layer(
         &self,
         layer_idx: usize,
         section: Option<&LoadedSection>,
-        int8: bool,
     ) -> Result<LayerGuard<'_>> {
         let mut metered = MeteredWeights {
             meter: &self.meter,
             bytes: 0,
         };
-        let f32 = match (&self.resident_layers, section) {
-            (Some(layers), _) => Cow::Borrowed(&layers[layer_idx]),
-            (None, Some(section)) => {
+        let weights = match (&self.layers, section) {
+            (Layers::Resident(layers), _) => Cow::Borrowed(&layers[layer_idx]),
+            (Layers::Streamed(_), Some(section)) => {
                 metered.alloc(section.meta.len);
                 Cow::Owned(metered.decode(&self.config, &section.bytes)?)
             }
-            (None, None) => {
+            (Layers::Streamed(store), None) => {
                 let mut blob = Vec::new();
-                self.container
-                    .read_section_into(&layer_section(layer_idx), &mut blob)?;
+                store.read_section_into(&layer_section(layer_idx), &mut blob)?;
                 Cow::Owned(metered.decode(&self.config, &blob)?)
             }
         };
-        let int8 = match (int8, &f32) {
-            (false, _) => None,
-            // A borrowed layer is resident, so its int8 copy is cached.
-            (true, Cow::Borrowed(_)) => {
-                let cell = &self.int8_layers[layer_idx];
-                if cell.get().is_none() {
-                    let q = f32.to_int8()?;
-                    let bytes = q.size_bytes() as u64;
-                    if cell.set(q).is_ok() {
-                        self.meter.alloc(MemCategory::LayerWeights, bytes);
-                    }
-                }
-                Some(Cow::Borrowed(cell.get().expect("int8 cell initialized")))
-            }
-            (true, Cow::Owned(w)) => {
-                let q = w.to_int8()?;
-                metered.alloc(q.size_bytes() as u64);
-                Some(Cow::Owned(q))
-            }
-        };
         Ok(LayerGuard {
-            f32,
-            int8,
+            weights,
             _metered: metered,
         })
     }
@@ -1453,7 +1445,6 @@ impl PrismEngine {
         chunk: &Chunk,
         layers_executed: usize,
         int8_file: bool,
-        compute: ComputePrecision,
     ) -> Result<Tensor> {
         let batch = SequenceBatch::new(&chunk.tokens)?;
         let mut hidden = self.embed_batch(&batch)?;
@@ -1468,10 +1459,10 @@ impl PrismEngine {
             if int8_file {
                 rowq_round_trip(&mut hidden)?;
             }
-            let layer = self.acquire_layer(l, None, compute == ComputePrecision::Int8)?;
+            let layer = self.acquire_layer(l, None)?;
             forward_layer_with(
                 &self.config,
-                layer.weights(compute),
+                &layer.weights,
                 l,
                 &mut hidden,
                 &chunk.ranges,
@@ -1485,20 +1476,8 @@ impl PrismEngine {
 /// One layer's weights for the span of a forward, as
 /// [`PrismEngine::acquire_layer`] got them.
 struct LayerGuard<'a> {
-    f32: Cow<'a, LayerWeights>,
-    /// The int8 copy, when a live request computes in int8.
-    int8: Option<Cow<'a, LayerWeights>>,
+    weights: Cow<'a, LayerWeights>,
     _metered: MeteredWeights<'a>,
-}
-
-impl LayerGuard<'_> {
-    /// The layer in `precision`.
-    fn weights(&self, precision: ComputePrecision) -> &LayerWeights {
-        match precision {
-            ComputePrecision::F32 => &self.f32,
-            ComputePrecision::Int8 => self.int8.as_deref().expect("int8 copy acquired"),
-        }
-    }
 }
 
 /// Layer-weight bytes on the shared meter, freed on drop.
@@ -1669,21 +1648,14 @@ mod sync_tests {
         assert!(o.tag.is_none() && o.dispersion_threshold.is_none());
         assert!(o.deadline_us.is_none());
         assert_eq!(o.spill_precision, SpillPrecision::Int8);
-        assert_eq!(
-            o.compute_precision,
-            ComputePrecision::F32,
-            "int8 compute is opt-in"
-        );
         let t = RequestOptions::tagged(3, 42);
         assert_eq!(t.tag, Some(42));
         let p = RequestOptions::top_k(2)
             .with_deadline_us(5_000)
             .with_dispersion_threshold(0.4)
-            .with_compute_precision(ComputePrecision::Int8)
             .with_spill_precision(SpillPrecision::F32);
         assert_eq!(p.deadline_us, Some(5_000));
         assert_eq!(p.dispersion_threshold, Some(0.4));
-        assert_eq!(p.compute_precision, ComputePrecision::Int8);
         assert_eq!(p.spill_precision, SpillPrecision::F32);
     }
 }

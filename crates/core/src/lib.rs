@@ -20,6 +20,13 @@
 //! * **embedding table caching** (§4.4): embedding rows are served from a
 //!   small LRU cache backed by disk.
 //!
+//! Layer weights are int8 by default ([`WeightFormat`]): the engine
+//! derives per-row i8 layers once, when it opens, and every projection
+//! runs as an integer GEMM; a streamed engine streams those int8 sections
+//! from an unlinked sidecar container. [`WeightFormat::F32`] keeps the
+//! container's layers, the exact path. The format is the engine's, not a
+//! request's.
+//!
 //! All techniques have independent on/off switches ([`EngineOptions`]) so
 //! the Fig. 16 ablation is a configuration sweep, and the engine records a
 //! full [`EngineTrace`] (per-layer active counts, routing events, stream
@@ -38,7 +45,7 @@ pub use engine::{
     ActiveRequest, EngineTrace, PrismEngine, RankedCandidate, RequestOptions, RequestSpec,
     Selection,
 };
-pub use options::{ComputePrecision, EngineOptions, PruneMode, SemCacheMode};
+pub use options::{EngineOptions, PruneMode, SemCacheMode, WeightFormat};
 pub use routing::{route_candidates, RouteDecision};
 pub use scatter::rank_full_scores;
 // Re-exported so serving/API layers can thread the spill-precision knob

@@ -1,5 +1,7 @@
-//! Engine configuration: the dispersion threshold, routing mode and the
-//! per-technique switches behind the Fig. 16 ablation.
+//! Engine configuration: the dispersion threshold, routing mode, the
+//! per-technique switches behind the Fig. 16 ablation, and the number
+//! format of the layer weights ([`WeightFormat`]), fixed when the engine
+//! opens.
 
 use serde::Serialize;
 
@@ -14,23 +16,30 @@ pub enum PruneMode {
     ExactOrder,
 }
 
-/// Numeric precision of the per-layer forward computation.
+/// The number format an engine holds its transformer layers in: the
+/// engine's one precision knob.
 ///
-/// [`ComputePrecision::F32`] (default) runs the f32 GEMM kernels.
-/// [`ComputePrecision::Int8`] routes the seven per-layer projections
-/// through the u8×i8 integer GEMM micro-kernels: each activation block is
-/// row-quantized once for the projections that read it, weights are held
-/// as per-row symmetric i8 (`LayerWeights::to_int8`), and the exact i32
-/// accumulator is rescaled back to f32 in one fused step. Attention,
-/// normalization, residuals and scoring stay f32. Scores shift within the
-/// quantization error bound but top-K membership is preserved on the
-/// golden corpus.
+/// [`WeightFormat::Int8`] (default) converts every layer once, when the
+/// engine opens (`LayerWeights::to_int8`: per-row symmetric i8 codes,
+/// calibrated to whatever the container holds, f32 or q4). Each of the
+/// seven per-layer projections then runs as a u8×i8 integer GEMM: its
+/// activation block is row-quantized once for the projections that read
+/// it, and the exact i32 accumulator is rescaled to f32 in one fused
+/// step. Attention, normalization, residuals and scoring stay f32.
+/// Scores shift within the quantization error bound; top-K membership is
+/// measured in precision@K against the f32 model. A resident engine keeps
+/// only the int8 layers; a streamed engine writes them to an unlinked
+/// sidecar container at open and streams those sections, about 3.4x
+/// fewer bytes than f32 on the mini twin.
+///
+/// [`WeightFormat::F32`] keeps the container's layers as stored (f32, or
+/// q4 for a quantized container): the exact path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
-pub enum ComputePrecision {
-    /// Full-precision forward pass (bit-identical to the historical path).
-    #[default]
+pub enum WeightFormat {
+    /// The container's own layers, computed by the f32 kernels.
     F32,
-    /// Integer GEMMs with per-row affine activation scales.
+    /// Per-row i8 layers derived at open, computed by the integer GEMMs.
+    #[default]
     Int8,
 }
 
@@ -105,6 +114,8 @@ pub struct EngineOptions {
     pub stream_throttle: Option<u64>,
     /// Seed for K-Means initialization.
     pub seed: u64,
+    /// The number format of the layer weights (see [`WeightFormat`]).
+    pub weights: WeightFormat,
 }
 
 impl Default for EngineOptions {
@@ -125,6 +136,7 @@ impl Default for EngineOptions {
             record_score_trace: false,
             stream_throttle: None,
             seed: 0x5EED,
+            weights: WeightFormat::Int8,
         }
     }
 }
@@ -147,7 +159,9 @@ impl EngineOptions {
     }
 
     /// Vanilla monolithic forwarding: every optimization off (the HF-like
-    /// starting point of the Fig. 16 ablation, but single-process).
+    /// starting point of the Fig. 16 ablation, but single-process). The
+    /// weight format is not one of the paper's techniques and keeps its
+    /// default.
     pub fn all_off() -> Self {
         EngineOptions {
             pruning: false,
@@ -219,6 +233,7 @@ mod tests {
         assert!(o.pruning && o.streaming && o.chunking && o.embed_cache);
         assert!(!o.hidden_offload, "hidden offload is opt-in");
         assert_eq!(o.stream_depth, 2, "paper uses dual buffers");
+        assert_eq!(o.weights, WeightFormat::Int8, "int8 is the weight format");
     }
 
     #[test]

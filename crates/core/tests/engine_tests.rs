@@ -12,7 +12,7 @@
 //!    termination, stream/cache stats populated).
 
 use prism_core::{
-    ComputePrecision, EngineOptions, PrismEngine, PruneMode, RequestOptions, Selection,
+    EngineOptions, PrismEngine, PruneMode, RequestOptions, RequestSpec, Selection, WeightFormat,
 };
 use prism_metrics::{precision_at_k, MemoryMeter};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
@@ -181,7 +181,9 @@ fn chunk_workspaces(config: ModelConfig, candidates: usize, len: usize, tag: &st
     let peak = chunked
         .meter()
         .peak(prism_metrics::MemCategory::Intermediate);
-    let workspace = prism_model::layer::intermediate_bytes(config, 2 * len, len);
+    // The int8 engine's workspace: the f32 working set plus the rowq lane.
+    let workspace = prism_model::layer::intermediate_bytes(config, 2 * len, len)
+        + prism_model::layer::rowq_lane_bytes(config, 2 * len);
     assert_eq!(
         peak % workspace,
         0,
@@ -262,7 +264,7 @@ fn int8_spill_preserves_topk_within_tolerance() {
     );
 }
 
-/// Int8 compute vs f32 compute on the golden corpus: identical top-K
+/// An int8 engine vs an f32 engine over one container: identical top-K
 /// membership under both spill precisions at every batch size 1..=8.
 ///
 /// Tolerance contract: each of the seven per-layer projections quantizes
@@ -275,31 +277,21 @@ fn int8_compute_preserves_topk_across_spill_precisions_and_batch_sizes() {
     let fx = Fixture::new(ModelArch::DecoderOnly, 6, "int8compute");
     // One-candidate chunks in the offload regime: batches of 4+ spill,
     // smaller ones stay resident, so both int8 code paths are covered.
-    let mut o = EngineOptions::all_off();
-    o.chunking = true;
-    o.chunk_candidates = Some(1);
-    o.hidden_offload = true;
-    let engine = fx.engine(o);
+    let engine = |weights| {
+        let mut o = EngineOptions::all_off();
+        o.chunking = true;
+        o.chunk_candidates = Some(1);
+        o.hidden_offload = true;
+        o.weights = weights;
+        fx.engine(o)
+    };
+    let (f32_engine, int8_engine) = (engine(WeightFormat::F32), engine(WeightFormat::Int8));
     for spill in [SpillPrecision::F32, SpillPrecision::Int8] {
         for n in 1..=8 {
             let (batch, _) = fx.batch(n as u64, n);
-            let k = n.min(3);
-            let f32_sel = engine
-                .select_with(
-                    &batch,
-                    RequestOptions::top_k(k)
-                        .with_spill_precision(spill)
-                        .with_compute_precision(ComputePrecision::F32),
-                )
-                .unwrap();
-            let int8_sel = engine
-                .select_with(
-                    &batch,
-                    RequestOptions::top_k(k)
-                        .with_spill_precision(spill)
-                        .with_compute_precision(ComputePrecision::Int8),
-                )
-                .unwrap();
+            let request = RequestOptions::top_k(n.min(3)).with_spill_precision(spill);
+            let f32_sel = f32_engine.select_with(&batch, request.clone()).unwrap();
+            let int8_sel = int8_engine.select_with(&batch, request).unwrap();
             assert_eq!(
                 sorted(int8_sel.top_ids()),
                 sorted(f32_sel.top_ids()),
@@ -315,44 +307,97 @@ fn int8_compute_preserves_topk_across_spill_precisions_and_batch_sizes() {
     }
 }
 
-/// Streamed engines quantize each layer at acquisition time while
-/// resident engines hit the lazy per-layer cache; the quantization is
-/// deterministic, so the two int8 paths must agree bit-for-bit.
+/// Int8-engine conformance: the int8 layers are derived once, at open,
+/// and every placement reads those same layers, so an int8 engine's bits
+/// do not depend on where its layers live (resident, or streamed from the
+/// sidecar), on chunking, or on the batch a request shares a layer pass
+/// with, in either spill precision. Hidden offload is on throughout so
+/// the spill precision is observable; only the resident unchunked
+/// reference keeps a single chunk, which never spills, so the int8-spill
+/// rows compare offloading placements with each other.
 #[test]
-fn int8_compute_is_bit_identical_between_streamed_and_resident_weights() {
-    let fx = Fixture::new(ModelArch::DecoderOnly, 6, "int8stream");
-    let (batch, _) = fx.batch(0, 10);
-    let opts = RequestOptions::top_k(4).with_compute_precision(ComputePrecision::Int8);
-    let resident = fx.engine(EngineOptions::all_off());
-    let mut o = EngineOptions::all_off();
-    o.streaming = true;
-    let streamed = fx.engine(o);
-    let r = resident.select_with(&batch, opts.clone()).unwrap();
-    let s = streamed.select_with(&batch, opts).unwrap();
-    assert_eq!(r.top_ids(), s.top_ids());
-    for (a, b) in r.last_scores.iter().zip(&s.last_scores) {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "streamed int8 diverged: {a} vs {b}"
-        );
-    }
-    // The second resident request replays the cached int8 weights and
-    // must reproduce the first result exactly.
-    let again = resident
-        .select_with(
-            &batch,
-            RequestOptions::top_k(4).with_compute_precision(ComputePrecision::Int8),
+fn int8_engine_is_bit_identical_across_placements_and_batch_mates() {
+    let fx = Fixture::new(ModelArch::DecoderOnly, 6, "int8conf");
+    let int8 = |streaming: bool, chunk: Option<usize>| EngineOptions {
+        streaming,
+        chunking: chunk.is_some(),
+        chunk_candidates: chunk,
+        hidden_offload: chunk.is_some(),
+        pruning: true,
+        weights: WeightFormat::Int8,
+        ..EngineOptions::all_off()
+    };
+    let bits = |sel: &Selection| -> (Vec<(usize, u32, usize)>, Vec<u32>) {
+        (
+            sel.ranked
+                .iter()
+                .map(|r| (r.id, r.score.to_bits(), r.decided_at_layer))
+                .collect(),
+            sel.last_scores.iter().map(|s| s.to_bits()).collect(),
         )
-        .unwrap();
-    assert_eq!(again.last_scores, r.last_scores);
+    };
+    let batches: Vec<SequenceBatch> = (0..3).map(|i| fx.batch(i, 10).0).collect();
+    let request =
+        |i: usize, spill| RequestOptions::tagged(4, i as u64 + 1).with_spill_precision(spill);
+
+    for spill in [SpillPrecision::F32, SpillPrecision::Int8] {
+        // Alone, on a resident chunked engine.
+        let reference_engine = fx.engine(int8(false, Some(2)));
+        let reference: Vec<Selection> = batches
+            .iter()
+            .enumerate()
+            .map(|(i, b)| reference_engine.select_with(b, request(i, spill)).unwrap())
+            .collect();
+        assert!(
+            reference.iter().all(|s| s.trace.spill_bytes > 0),
+            "{spill:?}: the chunked engine must spill"
+        );
+        let mut placements = vec![("streamed chunked", int8(true, Some(2)))];
+        if spill == SpillPrecision::F32 {
+            // An f32 spill round trip is exact, so an unchunked engine
+            // (nothing spills) must agree too.
+            placements.push(("resident unchunked", int8(false, None)));
+            placements.push(("streamed unchunked", int8(true, None)));
+        }
+        for (name, options) in placements {
+            let engine = fx.engine(options);
+            // Alone.
+            for (i, b) in batches.iter().enumerate() {
+                let got = engine.select_with(b, request(i, spill)).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&reference[i]),
+                    "{name}, {spill:?}, request {i}"
+                );
+            }
+            // With batch-mates: all three share every layer pass.
+            let specs: Vec<RequestSpec> = batches
+                .iter()
+                .enumerate()
+                .map(|(i, batch)| RequestSpec {
+                    batch,
+                    options: request(i, spill),
+                })
+                .collect();
+            for (i, got) in engine.select_batch(&specs).unwrap().iter().enumerate() {
+                assert_eq!(
+                    bits(got),
+                    bits(&reference[i]),
+                    "{name}, {spill:?}, request {i} with batch-mates"
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn engine_matches_model_forward_full() {
     let fx = Fixture::new(ModelArch::EncoderOnly, 5, "refmatch");
     let (batch, _) = fx.batch(1, 10);
-    let engine = fx.engine(EngineOptions::all_off());
+    let engine = fx.engine(EngineOptions {
+        weights: WeightFormat::F32,
+        ..EngineOptions::all_off()
+    });
     let sel = engine.select_top_k(&batch, 10).unwrap();
     let direct = fx.model.forward_full(&batch).unwrap();
     for (i, s) in direct.iter().enumerate() {
@@ -673,8 +718,9 @@ fn quantized_container_runs_and_roughly_agrees() {
 
 /// Checksum-corrupted spill slots are quarantined and transparently
 /// recomputed from the weights: results stay bit-identical to a
-/// fault-free run across spill precisions, compute precisions and
-/// pruning modes, and the trace reports the quarantine events.
+/// fault-free run across spill precisions, weight formats, weight
+/// placements and pruning modes, and the trace reports the quarantine
+/// events.
 #[test]
 fn corrupted_spill_slots_recompute_bit_identically() {
     let fx = Fixture::new(ModelArch::DecoderOnly, 6, "quarantine");
@@ -688,64 +734,63 @@ fn corrupted_spill_slots_recompute_bit_identically() {
         d
     };
 
-    // (name, spill, compute, pruning, candidates per chunk). With two
-    // candidates per chunk, tag 0's layer-1 gate drops part of two
-    // spilled chunks, and the first of the two compaction reads is the
-    // fourth read, which the fault hook corrupts.
+    // (name, spill, weights, pruning, candidates per chunk, streaming).
+    // With two candidates per chunk, tag 0's layer-1 gate drops part of
+    // two spilled chunks, and the first of the two compaction reads is
+    // the fourth read, which the fault hook corrupts. The streamed int8
+    // rows replay from the int8 sidecar: a replay through f32 layers
+    // would not land on the fault-free bits.
+    use SpillPrecision::{Int8 as I8Spill, F32 as F32Spill};
+    use WeightFormat::{Int8 as I8, F32};
     let cases = [
+        ("f32-spill", F32Spill, F32, false, 1, false),
+        ("int8-spill", I8Spill, F32, false, 1, false),
+        ("int8-spill-int8-weights", I8Spill, I8, false, 1, false),
+        ("f32-spill-pruning", F32Spill, F32, true, 1, false),
+        ("int8-spill-pruning-pairs", I8Spill, F32, true, 2, false),
         (
-            "f32-spill",
-            SpillPrecision::F32,
-            ComputePrecision::F32,
-            false,
-            1,
-        ),
-        (
-            "int8-spill",
-            SpillPrecision::Int8,
-            ComputePrecision::F32,
-            false,
-            1,
-        ),
-        (
-            "int8-spill-int8-compute",
-            SpillPrecision::Int8,
-            ComputePrecision::Int8,
-            false,
-            1,
-        ),
-        (
-            "f32-spill-pruning",
-            SpillPrecision::F32,
-            ComputePrecision::F32,
-            true,
-            1,
-        ),
-        (
-            "int8-spill-pruning-pairs",
-            SpillPrecision::Int8,
-            ComputePrecision::F32,
+            "int8-spill-int8-weights-pruning-pairs",
+            I8Spill,
+            I8,
             true,
             2,
+            false,
         ),
         (
-            "int8-spill-int8-compute-pruning-pairs",
-            SpillPrecision::Int8,
-            ComputePrecision::Int8,
+            "f32-spill-int8-weights-streamed",
+            F32Spill,
+            I8,
+            false,
+            1,
+            true,
+        ),
+        (
+            "int8-spill-int8-weights-streamed",
+            I8Spill,
+            I8,
+            false,
+            1,
+            true,
+        ),
+        (
+            "int8-spill-int8-weights-pruning-pairs-streamed",
+            I8Spill,
+            I8,
             true,
             2,
+            true,
         ),
     ];
-    for (name, spill, compute, pruning, chunk) in cases {
+    for (name, spill, weights, pruning, chunk, streaming) in cases {
         let mut o = EngineOptions::all_off();
         o.chunking = true;
         o.chunk_candidates = Some(chunk); // 12 / chunk chunks, all but 3 spilled
         o.hidden_offload = true;
         o.pruning = pruning;
         o.record_score_trace = true;
-        let req = RequestOptions::tagged(k, 0)
-            .with_spill_precision(spill)
-            .with_compute_precision(compute);
+        o.weights = weights;
+        o.streaming = streaming;
+        let req = RequestOptions::tagged(k, 0).with_spill_precision(spill);
 
         let clean_engine = fx.engine(o.clone()).with_spill_dir(spill_dir.clone());
         let clean = clean_engine.select_with(&batch, req.clone()).unwrap();

@@ -1,15 +1,16 @@
 //! Every layer-weight copy a streamed engine makes is on the shared
 //! meter for as long as it lives, and off it afterwards.
 //!
-//! A streamed engine decodes each layer per acquisition and, for int8
-//! compute, quantizes an int8 copy beside it; the recovery replay of a
-//! corrupted spill slot reads and decodes layers straight from the
-//! container. This binary is separate from `engine_tests.rs` because the
-//! spill fault hook is process-wide.
+//! A streamed engine holds one layer section and its decode per
+//! acquisition, in the engine's weight format: an int8 engine streams the
+//! int8 sections it derived at open. The recovery replay of a corrupted
+//! spill slot reads and decodes layers straight from the layer store.
+//! This binary is separate from `engine_tests.rs` because the spill fault
+//! hook is process-wide.
 
-use prism_core::{ComputePrecision, EngineOptions, PrismEngine, RequestOptions};
+use prism_core::{EngineOptions, PrismEngine, RequestOptions, WeightFormat};
 use prism_metrics::{MemCategory, MemoryMeter};
-use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
+use prism_model::{LayerWeights, Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_storage::{fault, Container, SpillPrecision};
 use prism_workload::{dataset_by_name, WorkloadGenerator};
 
@@ -54,11 +55,15 @@ impl Fixture {
         SequenceBatch::new(&gen.request(0, 12).sequences()).expect("batch")
     }
 
-    /// Bytes of one layer's decoded f32 copy and of its int8 copy.
-    fn layer_bytes(&self) -> (u64, u64) {
-        let layer = &self.model.weights.layers[0];
-        let int8 = layer.to_int8().expect("int8 layer");
-        (layer.size_bytes() as u64, int8.size_bytes() as u64)
+    /// One layer in `weights`' format: its section's bytes and its
+    /// decoded bytes.
+    fn layer_bytes(&self, weights: WeightFormat) -> (u64, u64) {
+        let f32_layer = &self.model.weights.layers[0];
+        let layer: LayerWeights = match weights {
+            WeightFormat::F32 => f32_layer.clone(),
+            WeightFormat::Int8 => f32_layer.to_int8().expect("int8 layer"),
+        };
+        (layer.to_bytes().len() as u64, layer.size_bytes() as u64)
     }
 
     /// Runs one selection on a fresh engine and returns its peak
@@ -84,23 +89,36 @@ impl Drop for Fixture {
     }
 }
 
-fn int8_request() -> RequestOptions {
-    RequestOptions::tagged(4, 9).with_compute_precision(ComputePrecision::Int8)
+fn streamed(weights: WeightFormat) -> EngineOptions {
+    EngineOptions {
+        streaming: true,
+        weights,
+        ..EngineOptions::all_off()
+    }
 }
 
+/// A streamed engine holds one layer section plus its decode at a time,
+/// in its own format: an int8 engine's window is one int8 section and
+/// one decoded int8 layer, smaller than the f32 engine's.
 #[test]
-fn streamed_int8_copy_is_metered_while_held() {
-    let fx = Fixture::new("copy");
-    let streamed = EngineOptions {
-        streaming: true,
-        ..EngineOptions::all_off()
-    };
-    let f32_peak = fx.weight_peak(streamed.clone(), RequestOptions::tagged(4, 9));
-    let int8_peak = fx.weight_peak(streamed, int8_request());
-    let (_, int8_layer) = fx.layer_bytes();
+fn streamed_window_is_one_section_and_one_decoded_layer() {
+    let fx = Fixture::new("window");
+    let mut peaks = Vec::new();
+    for weights in [WeightFormat::F32, WeightFormat::Int8] {
+        let peak = fx.weight_peak(streamed(weights), RequestOptions::tagged(4, 9));
+        let (section, decoded) = fx.layer_bytes(weights);
+        assert_eq!(
+            peak,
+            section + decoded,
+            "{weights:?}: peak {peak} B, section {section} B + decoded layer {decoded} B"
+        );
+        peaks.push(peak);
+    }
     assert!(
-        int8_peak >= f32_peak + int8_layer,
-        "int8 peak {int8_peak} must exceed the f32 peak {f32_peak} by the int8 copy {int8_layer}"
+        peaks[1] < peaks[0],
+        "int8 window {} vs f32 {}",
+        peaks[1],
+        peaks[0]
     );
 }
 
@@ -108,24 +126,28 @@ fn streamed_int8_copy_is_metered_while_held() {
 fn recovery_replay_layers_are_metered_while_held() {
     let fx = Fixture::new("replay");
     let offload = EngineOptions {
-        streaming: true,
         chunking: true,
         chunk_candidates: Some(1),
         hidden_offload: true,
-        ..EngineOptions::all_off()
+        ..streamed(WeightFormat::Int8)
     };
-    let request = int8_request().with_spill_precision(SpillPrecision::Int8);
+    let request = RequestOptions::tagged(4, 9).with_spill_precision(SpillPrecision::Int8);
     let clean_peak = fx.weight_peak(offload.clone(), request.clone());
     fault::corrupt_fetches_under(fx.dir.join("spill").to_string_lossy(), 3);
     let faulty_peak = fx.weight_peak(offload, request);
     fault::reset();
-    // A replay below layer L decodes and quantizes its own copy of each
-    // earlier layer while layer L's section, decode and int8 copy are
-    // still held for the pass.
-    let (f32_layer, int8_layer) = fx.layer_bytes();
+    // A replay below layer L decodes its own copy of each earlier int8
+    // layer while layer L's section and decode are still held for the
+    // pass.
+    let (section, decoded) = fx.layer_bytes(WeightFormat::Int8);
+    assert_eq!(
+        clean_peak,
+        section + decoded,
+        "the clean pass holds one window"
+    );
     assert!(
-        faulty_peak >= clean_peak + f32_layer + int8_layer,
+        faulty_peak >= clean_peak + decoded,
         "replay peak {faulty_peak} must exceed the clean peak {clean_peak} by one \
-         decoded layer {f32_layer} and its int8 copy {int8_layer}"
+         decoded int8 layer {decoded}"
     );
 }

@@ -366,6 +366,17 @@ pub fn intermediate_bytes(config: &ModelConfig, total_tokens: usize, max_seq: us
     (6 * t * d + s * s + 2 * t * f) * act
 }
 
+/// Bytes the [`ForwardScratch`] rowq lane holds after an int8 layer over
+/// `total_tokens` packed tokens: one u8 code per element of the widest
+/// activation block it encodes (`max(D, F)` columns) plus an f32 minimum
+/// and an f32 scale per row. [`intermediate_bytes`] leaves it out; an f32
+/// or q4 layer never fills it.
+pub fn rowq_lane_bytes(config: &ModelConfig, total_tokens: usize) -> u64 {
+    let t = total_tokens as u64;
+    let widest = config.hidden_dim.max(config.ffn_dim) as u64;
+    t * widest + 8 * t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,6 +529,31 @@ mod tests {
             fresh.data(),
             "scratch reuse changed int8 results"
         );
+    }
+
+    #[test]
+    fn workspace_formula_matches_the_scratch_after_each_format() {
+        for arch in [ModelArch::DecoderOnly, ModelArch::EncoderOnly] {
+            let (config, w, hidden, ranges) = setup(arch);
+            let rows = hidden.rows();
+            let f32_part = intermediate_bytes(&config, rows, config.max_seq);
+            let mut scratch = ForwardScratch::new(&config, rows);
+            let mut h = hidden.clone();
+            forward_layer_with(&config, &w, 0, &mut h, &ranges, &mut scratch).unwrap();
+            assert_eq!(
+                scratch.lane.size_bytes(),
+                0,
+                "{arch:?}: f32 leaves the lane empty"
+            );
+            assert_eq!(scratch.size_bytes() as u64, f32_part, "{arch:?}");
+
+            let w8 = w.to_int8().unwrap();
+            let mut h = hidden.clone();
+            forward_layer_with(&config, &w8, 0, &mut h, &ranges, &mut scratch).unwrap();
+            let lane = rowq_lane_bytes(&config, rows);
+            assert_eq!(scratch.lane.size_bytes() as u64, lane, "{arch:?}");
+            assert_eq!(scratch.size_bytes() as u64, f32_part + lane, "{arch:?}");
+        }
     }
 
     #[test]

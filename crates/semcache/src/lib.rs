@@ -45,9 +45,9 @@ impl Default for SemCacheConfig {
 }
 
 /// FNV-1a fingerprint of a candidate's token sequence and precision
-/// profile — the cache key. The profile byte packs the knobs that change
-/// score bits (spill precision, compute precision) so e.g. an
-/// int8-computed score can never replay into an f32 request.
+/// profile — the cache key. The profile byte packs the request knobs
+/// that change score bits (the spill precision) so e.g. an int8-spilled
+/// score can never replay into an f32-spilled request.
 pub fn fingerprint(tokens: &[u32], profile: u8) -> u64 {
     let h = tokens
         .iter()

@@ -20,7 +20,7 @@ pub struct Entry {
     pub fingerprint: u64,
     /// The candidate's exact token sequence.
     pub tokens: Vec<u32>,
-    /// Packed precision profile byte (spill + compute precision).
+    /// Packed precision profile byte (the spill precision).
     pub profile: u8,
     /// The candidate's full-depth score under that profile.
     pub score: f32,

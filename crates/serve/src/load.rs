@@ -53,8 +53,8 @@ pub struct LoadSpec {
     /// different sessions; the semantic cache serves them all, since no
     /// cache is keyed by session.
     pub dup_fraction: f64,
-    /// Template stamped on every request: `k`, the deadline, spill and
-    /// compute precision and semantic-cache mode. `LoadSpec::request_at`
+    /// Template stamped on every request: `k`, the deadline, spill
+    /// precision and semantic-cache mode. `LoadSpec::request_at`
     /// sets the tag and the full-depth pin a semantic-cache mode implies.
     pub options: RequestOptions,
 }

@@ -21,8 +21,7 @@
 use std::sync::Mutex;
 
 use prism_core::{
-    rank_full_scores, ComputePrecision, EngineTrace, RequestOptions, Selection, SemCacheMode,
-    SpillPrecision,
+    rank_full_scores, EngineTrace, RequestOptions, Selection, SemCacheMode, SpillPrecision,
 };
 use prism_model::SequenceBatch;
 use prism_semcache::hash::{fnv1a, FNV_OFFSET};
@@ -74,12 +73,12 @@ impl SemanticLayer {
         options.semcache == SemCacheMode::On && !options.pruning.unwrap_or(engine_pruning)
     }
 
-    /// Packs the knobs that change score bits into the cache's profile
-    /// byte: int8-spilled and int8-computed scores must never replay
-    /// into requests running other precision profiles.
+    /// Packs the request knobs that change score bits into the cache's
+    /// profile byte: int8-spilled scores must never replay into requests
+    /// spilling f32. The weight format changes score bits too, but it is
+    /// the engine's, and one cache serves one engine.
     pub fn profile_byte(options: &RequestOptions) -> u8 {
         u8::from(options.spill_precision == SpillPrecision::Int8)
-            | (u8::from(options.compute_precision == ComputePrecision::Int8) << 1)
     }
 
     /// The cached score of every candidate of `batch` (`None` = novel).
@@ -222,19 +221,11 @@ mod tests {
         // The default spill precision is already Int8; F32 is the opt-out.
         let base = RequestOptions::top_k(1);
         let spill = RequestOptions::top_k(1).with_spill_precision(SpillPrecision::F32);
-        let compute = RequestOptions::top_k(1).with_compute_precision(ComputePrecision::Int8);
-        let both = spill.clone().with_compute_precision(ComputePrecision::Int8);
-        let bytes = [
+        assert_ne!(
             SemanticLayer::profile_byte(&base),
             SemanticLayer::profile_byte(&spill),
-            SemanticLayer::profile_byte(&compute),
-            SemanticLayer::profile_byte(&both),
-        ];
-        for (i, a) in bytes.iter().enumerate() {
-            for b in bytes.iter().skip(i + 1) {
-                assert_ne!(a, b, "profiles must be distinct: {bytes:?}");
-            }
-        }
+            "spill precisions must not share a profile"
+        );
     }
 
     #[test]

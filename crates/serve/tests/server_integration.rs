@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use prism_api::{SelectionService, ServiceError};
-use prism_core::{EngineOptions, PrismEngine, RequestOptions, SemCacheMode};
+use prism_core::{EngineOptions, PrismEngine, RequestOptions, SemCacheMode, WeightFormat};
 use prism_metrics::{MemCategory, MemoryMeter};
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_serve::{PrismServer, ServeConfig};
@@ -271,7 +271,7 @@ fn invalid_requests_fail_without_poisoning_the_batch() {
 }
 
 /// An engine whose weight stream is throttled to 512 KB/s: about 20 ms
-/// per layer of the test model, so a pass lasts long enough to hold a
+/// per f32 layer of the test model, so a pass lasts long enough to hold a
 /// worker or to cancel into.
 fn slow_engine(config: &ModelConfig, path: &std::path::Path) -> PrismEngine {
     PrismEngine::new(
@@ -279,6 +279,7 @@ fn slow_engine(config: &ModelConfig, path: &std::path::Path) -> PrismEngine {
         config.clone(),
         EngineOptions {
             stream_throttle: Some(512 << 10),
+            weights: WeightFormat::F32,
             ..Default::default()
         },
         MemoryMeter::new(),

@@ -24,7 +24,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use prism_tensor::Tensor;
@@ -147,6 +147,31 @@ impl ContainerWriter {
 
     /// Writes the container to disk.
     pub fn finish(mut self) -> Result<()> {
+        let mut file = File::create(&self.path)?;
+        file.write_all(&self.encode())?;
+        file.sync_all()?;
+        Ok(())
+    }
+
+    /// Writes the container to a new file at the writer's path, unlinks
+    /// that path at once and returns a [`Container`] over the open,
+    /// nameless file. The file lives exactly as long as the container
+    /// and the handles [`Container::reopen`] makes from it, so nothing is
+    /// left behind on drop, on an error return or when the process is
+    /// killed. Fails if the path already exists.
+    pub fn finish_unlinked(mut self) -> Result<Container> {
+        let mut file = File::options()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&self.path)?;
+        std::fs::remove_file(&self.path)?;
+        file.write_all(&self.encode())?;
+        Container::from_file(self.path, file)
+    }
+
+    /// The container's bytes: header, then the payloads in order.
+    fn encode(&mut self) -> Vec<u8> {
         // Compute header size to lay out payload offsets.
         let mut header_len = MAGIC.len() + 4;
         for (meta, _) in &self.sections {
@@ -172,18 +197,15 @@ impl ContainerWriter {
         for (_, bytes) in &self.sections {
             out.extend_from_slice(bytes);
         }
-        let mut file = File::create(&self.path)?;
-        file.write_all(&out)?;
-        file.sync_all()?;
-        Ok(())
+        out
     }
 }
 
 /// Read-only handle to a container with positioned-read access.
 ///
-/// `Container` is cheap to clone logically via [`Container::reopen`]: each
-/// component (streamer thread, embedding cache) opens its own file handle so
-/// positioned reads never contend on a shared seek cursor.
+/// `Container` is cheap to clone via [`Container::reopen`]: each component
+/// (streamer thread, embedding cache) gets its own handle, and every read
+/// is positioned, so no reader moves another's seek cursor.
 pub struct Container {
     path: PathBuf,
     file: File,
@@ -194,7 +216,14 @@ impl Container {
     /// Opens a container and parses its section table.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
+        let file = File::open(&path)?;
+        Container::from_file(path, file)
+    }
+
+    /// Parses the section table of an open container file, from its
+    /// start whatever the file's cursor.
+    fn from_file(path: PathBuf, mut file: File) -> Result<Self> {
+        file.seek(SeekFrom::Start(0))?;
         let mut magic = [0_u8; 8];
         file.read_exact(&mut magic)
             .map_err(|_| StorageError::BadFormat {
@@ -253,12 +282,19 @@ impl Container {
         })
     }
 
-    /// Opens an independent handle to the same container (own file cursor).
+    /// Another handle to the same container: a duplicate of the open
+    /// descriptor, so it works for an unlinked container too
+    /// ([`ContainerWriter::finish_unlinked`]).
     pub fn reopen(&self) -> Result<Container> {
-        Container::open(&self.path)
+        Ok(Container {
+            path: self.path.clone(),
+            file: self.file.try_clone()?,
+            sections: self.sections.clone(),
+        })
     }
 
-    /// Path of the underlying file.
+    /// Path the container was opened at (an unlinked container's path
+    /// names no file any more).
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -405,7 +441,6 @@ fn read_at(file: &File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
 fn read_at(file: &File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
     // Fallback: clone the handle and seek, keeping the original cursor
     // untouched for concurrent readers.
-    use std::io::{Seek, SeekFrom};
     let mut f = file.try_clone()?;
     f.seek(SeekFrom::Start(offset))?;
     f.read_exact(buf)
@@ -526,6 +561,30 @@ mod tests {
         let c1 = Container::open(&path).unwrap();
         let c2 = c1.reopen().unwrap();
         assert_eq!(c1.read_f32("a").unwrap(), c2.read_f32("a").unwrap());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn unlinked_container_reads_without_a_name() {
+        let path = tmp("unlinked");
+        let t = Tensor::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
+        let mut w = ContainerWriter::create(&path);
+        w.add_f32("a", &t);
+        w.add_raw("b", SectionKind::Raw, 0, 0, vec![4, 5]);
+        let c = w.finish_unlinked().unwrap();
+        assert!(!path.exists(), "the path is unlinked at once");
+        let again = c.reopen().unwrap();
+        drop(c);
+        assert_eq!(again.read_f32("a").unwrap(), t);
+        let mut buf = Vec::new();
+        again.read_section_into("b", &mut buf).unwrap();
+        assert_eq!(buf, vec![4, 5]);
+
+        // An existing file is never clobbered.
+        std::fs::write(&path, b"taken").unwrap();
+        let w = ContainerWriter::create(&path);
+        assert!(w.finish_unlinked().is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"taken");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -25,8 +25,8 @@ use std::io::{Read, Write};
 
 use prism_api::{Progress, SelectionOutcome, ServiceError};
 use prism_core::{
-    ComputePrecision, EngineTrace, PruneMode, RankedCandidate, RequestOptions, Selection,
-    SemCacheMode, SpillPrecision,
+    EngineTrace, PruneMode, RankedCandidate, RequestOptions, Selection, SemCacheMode,
+    SpillPrecision,
 };
 use prism_model::SequenceBatch;
 
@@ -42,8 +42,10 @@ use prism_model::SequenceBatch;
 /// lost the priority byte (the coalescing window is FIFO), and error
 /// tag 6 (the per-tenant quota rejection) is unassigned and decodes as
 /// corrupt; 6 = the semantic-cache mode byte is 0 (off) or 1 (on), and
-/// 2 (the near-duplicate mode of earlier versions) decodes as corrupt.
-pub const WIRE_VERSION: u32 = 6;
+/// 2 (the near-duplicate mode of earlier versions) decodes as corrupt;
+/// 7 = `Submit` options lost the compute-precision byte (the weight
+/// format is the engine's, not a request's).
+pub const WIRE_VERSION: u32 = 7;
 
 /// Hard ceiling on one frame's byte length (type byte + payload). Large
 /// enough for a maximal candidate batch, small enough that a hostile
@@ -240,10 +242,6 @@ impl Enc {
         self.u8(match o.spill_precision {
             SpillPrecision::Int8 => 0,
             SpillPrecision::F32 => 1,
-        });
-        self.u8(match o.compute_precision {
-            ComputePrecision::F32 => 0,
-            ComputePrecision::Int8 => 1,
         });
         self.u8(match o.semcache {
             SemCacheMode::Off => 0,
@@ -488,11 +486,6 @@ impl<'a> Dec<'a> {
             1 => SpillPrecision::F32,
             v => return Err(WireError::Corrupt(format!("spill tag {v}"))),
         };
-        let compute_precision = match self.u8()? {
-            0 => ComputePrecision::F32,
-            1 => ComputePrecision::Int8,
-            v => return Err(WireError::Corrupt(format!("compute tag {v}"))),
-        };
         let semcache = match self.u8()? {
             0 => SemCacheMode::Off,
             1 => SemCacheMode::On,
@@ -506,7 +499,6 @@ impl<'a> Dec<'a> {
             pruning,
             deadline_us,
             spill_precision,
-            compute_precision,
             semcache,
         })
     }
@@ -728,7 +720,6 @@ mod tests {
             pruning: Some(false),
             deadline_us: Some(5_000),
             spill_precision: SpillPrecision::F32,
-            compute_precision: ComputePrecision::Int8,
             semcache: SemCacheMode::On,
         };
         let submit = Message::Submit {

@@ -5,8 +5,8 @@
 
 use prism_api::{Progress, SelectionOutcome, ServiceError};
 use prism_core::{
-    ComputePrecision, EngineTrace, PruneMode, RankedCandidate, RequestOptions, Selection,
-    SemCacheMode, SpillPrecision,
+    EngineTrace, PruneMode, RankedCandidate, RequestOptions, Selection, SemCacheMode,
+    SpillPrecision,
 };
 use prism_model::SequenceBatch;
 use prism_wire::{decode_message, encode_message, read_frame, write_frame, Message, WireError};
@@ -42,11 +42,6 @@ fn build_message(
             SpillPrecision::Int8
         } else {
             SpillPrecision::F32
-        },
-        compute_precision: if small.is_multiple_of(4) {
-            ComputePrecision::Int8
-        } else {
-            ComputePrecision::F32
         },
         semcache: if small.is_multiple_of(3) {
             SemCacheMode::Off

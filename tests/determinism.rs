@@ -2,7 +2,7 @@
 //! bit-for-bit across fresh engines, with and without the concurrency-
 //! heavy techniques (streaming thread, spill I/O).
 
-use prism_core::{EngineOptions, PrismEngine};
+use prism_core::{EngineOptions, PrismEngine, WeightFormat};
 use prism_metrics::MemoryMeter;
 use prism_model::{Model, ModelArch, ModelConfig, SequenceBatch};
 use prism_storage::Container;
@@ -12,10 +12,12 @@ fn run_once(
     path: &std::path::Path,
     config: &ModelConfig,
     batch: &SequenceBatch,
+    weights: WeightFormat,
 ) -> Vec<(usize, String)> {
     let options = EngineOptions {
         chunk_candidates: Some(3),
         hidden_offload: true,
+        weights,
         ..Default::default()
     };
     let engine = PrismEngine::new(
@@ -45,11 +47,13 @@ fn selections_reproduce_across_fresh_engines() {
     let gen = WorkloadGenerator::new(profile, config.vocab_size, config.max_seq, 1);
     let batch = SequenceBatch::new(&gen.request(0, 14).sequences()).unwrap();
 
-    let a = run_once(&path, &config, &batch);
-    let b = run_once(&path, &config, &batch);
-    let c = run_once(&path, &config, &batch);
-    assert_eq!(a, b);
-    assert_eq!(b, c);
+    for weights in [WeightFormat::F32, WeightFormat::Int8] {
+        let a = run_once(&path, &config, &batch, weights);
+        let b = run_once(&path, &config, &batch, weights);
+        let c = run_once(&path, &config, &batch, weights);
+        assert_eq!(a, b, "{weights:?}");
+        assert_eq!(b, c, "{weights:?}");
+    }
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -7,11 +7,11 @@
 //!
 //! * one layer forward through `forward_layer_int8`, for both
 //!   architectures over dense and 4-bit source weights;
-//! * `select_with(.. ComputePrecision::Int8)` on a resident engine and
-//!   on streamed and resident offload engines at both spill precisions,
+//! * selections of a `WeightFormat::Int8` engine, resident and as
+//!   streamed and resident offload engines at both spill precisions,
 //!   plus a streamed run whose spill fetches are corrupted, which forces
-//!   the recovery replay to rebuild chunks from the container;
-//! * f32-compute offload selections at both spill precisions with two
+//!   the recovery replay to rebuild chunks from the int8 layer store;
+//! * `WeightFormat::F32` offload selections at both spill precisions with two
 //!   candidates per chunk, so a gate compacts spilled slots partially,
 //!   fault-free and with corrupted reads.
 //!
@@ -19,7 +19,7 @@
 //! intended, the new digest is printed in the failure message. Never
 //! edit a digest to make a test pass.
 
-use prism::core::{ComputePrecision, EngineOptions, PrismEngine, RequestOptions, Selection};
+use prism::core::{EngineOptions, PrismEngine, RequestOptions, Selection, WeightFormat};
 use prism::metrics::MemoryMeter;
 use prism::model::layer::{forward_layer_int8, ForwardScratch};
 use prism::model::{Int8LayerWeights, LayerWeights, Model, ModelArch, ModelConfig, SequenceBatch};
@@ -138,17 +138,23 @@ impl Drop for Fixture {
     }
 }
 
+/// An int8 offload engine with one candidate per chunk.
 fn offload(streaming: bool) -> EngineOptions {
-    offload_chunked(streaming, 1)
+    offload_chunked(streaming, 1, WeightFormat::Int8)
 }
 
-fn offload_chunked(streaming: bool, chunk_candidates: usize) -> EngineOptions {
+fn offload_chunked(
+    streaming: bool,
+    chunk_candidates: usize,
+    weights: WeightFormat,
+) -> EngineOptions {
     EngineOptions {
         streaming,
         chunking: true,
         chunk_candidates: Some(chunk_candidates),
         hidden_offload: true,
         pruning: true,
+        weights,
         ..EngineOptions::all_off()
     }
 }
@@ -192,8 +198,8 @@ fn compacted_a_spilled_chunk(sel: &Selection, n: usize, chunk_candidates: usize)
     })
 }
 
-/// The f32-compute offload request: with two candidates per chunk, its
-/// layer-1 gate drops one candidate of each of two spilled chunks.
+/// The request of the f32 offload engine: with two candidates per chunk,
+/// its layer-1 gate drops one candidate of each of two spilled chunks.
 fn f32_offload_request(spill: SpillPrecision) -> RequestOptions {
     RequestOptions::tagged(4, 0).with_spill_precision(spill)
 }
@@ -207,10 +213,9 @@ fn selection_digest(sel: &Selection) -> u64 {
     fnv1a(ranked.chain(scores))
 }
 
+/// A selection of an int8 engine.
 fn int8_select(engine: &PrismEngine, batch: &SequenceBatch, spill: SpillPrecision) -> Selection {
-    let options = RequestOptions::tagged(4, 9)
-        .with_compute_precision(ComputePrecision::Int8)
-        .with_spill_precision(spill);
+    let options = RequestOptions::tagged(4, 9).with_spill_precision(spill);
     engine.select_with(batch, options).unwrap()
 }
 
@@ -218,7 +223,10 @@ fn int8_select(engine: &PrismEngine, batch: &SequenceBatch, spill: SpillPrecisio
 fn int8_selection_bits_are_pinned() {
     let fx = Fixture::new("select");
     let batch = fx.batch();
-    let resident = fx.engine(EngineOptions::all_off());
+    let resident = fx.engine(EngineOptions {
+        weights: WeightFormat::Int8,
+        ..EngineOptions::all_off()
+    });
     let mut digests = vec![(
         "resident".to_string(),
         selection_digest(&int8_select(&resident, &batch, SpillPrecision::Int8)),
@@ -246,7 +254,7 @@ fn int8_selection_bits_are_pinned() {
         (true, SpillPrecision::Int8, F32_COMPUTE_INT8_SPILL),
     ];
     for (streaming, spill, want) in cases {
-        let engine = fx.engine(offload_chunked(streaming, 2));
+        let engine = fx.engine(offload_chunked(streaming, 2, WeightFormat::F32));
         let sel = engine
             .select_with(&batch, f32_offload_request(spill))
             .unwrap();
@@ -280,9 +288,7 @@ fn int8_recovery_replay_bits_are_pinned() {
         fault::corrupt_fetches_under(fx.spill_dir.to_string_lossy(), 3);
         let sel = engine.select_with(
             &batch,
-            RequestOptions::tagged(4, 9)
-                .with_compute_precision(ComputePrecision::Int8)
-                .with_spill_precision(spill),
+            RequestOptions::tagged(4, 9).with_spill_precision(spill),
         );
         fault::reset();
         let sel = sel.unwrap();
@@ -304,7 +310,7 @@ fn int8_recovery_replay_bits_are_pinned() {
         (true, SpillPrecision::Int8, F32_COMPUTE_INT8_SPILL),
     ];
     for (streaming, spill, want) in cases {
-        let engine = fx.engine(offload_chunked(streaming, 2));
+        let engine = fx.engine(offload_chunked(streaming, 2, WeightFormat::F32));
         fault::corrupt_fetches_under(fx.spill_dir.to_string_lossy(), 4);
         let sel = engine.select_with(&batch, f32_offload_request(spill));
         fault::reset();
